@@ -11,11 +11,10 @@ __version__ = "0.1.0"
 from .allocation import (
     AllocationResult,
     allocate,
-    allocate_bruteforce,
     effective_bs_capacity,
     max_min_rates,
 )
-from .cache import Popularity, expected_random_hit_exact, hit_ratio, zipf_popularity
+from .cache import Popularity, hit_ratio, zipf_popularity
 from .energy_cost import (
     PowerDraw,
     cost_coefficient,
@@ -80,7 +79,6 @@ __all__ = [
     "UserEquipment",
     "XHaulSolution",
     "allocate",
-    "allocate_bruteforce",
     "argmax",
     "associate",
     "build_scenario",
@@ -91,7 +89,6 @@ __all__ = [
     "effective_cost_per_area",
     "evaluate",
     "evaluate_daily",
-    "expected_random_hit_exact",
     "hit_ratio",
     "max_min_rates",
     "pareto_front",

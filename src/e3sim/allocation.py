@@ -5,6 +5,12 @@ capacity, or the X-Haul capacity divided by the miss fraction when the
 X-Haul is the bottleneck (cache hits never traverse it). Within a station,
 demands are granted max-min fairly: every UE receives its demand or the
 common fair level, whichever is smaller.
+
+Only the demands depend on the hour: every UE asks for its peak demand
+times one shared factor f(t). So ``plan_allocation`` compiles the rest of
+a scenario once (association, radio capacity, hit ratio, effective
+capacity, and the UEs of each station sorted by peak demand), and
+``fill`` grants the rates of a batch of samples from it.
 """
 
 from __future__ import annotations
@@ -15,13 +21,17 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .cache import hit_ratio, zipf_popularity
-from .radio import Association, demand_at, radio_capacity
+from .radio import (
+    Association,
+    chunk_rows,
+    demand_factor,
+    nearest_stations,
+    physical_capacities,
+    positions,
+)
 
 if TYPE_CHECKING:
     from .model import NetworkScenario
-
-_BRUTEFORCE_MAX_UES = 4
-_BRUTEFORCE_GRID_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -50,30 +60,153 @@ def effective_bs_capacity(radio_cap_bps: float, xhaul_cap_bps: float, hit_fracti
     return min(radio_cap_bps, xhaul_cap_bps / (1.0 - hit_fraction))
 
 
+def water_levels(sorted_demands: np.ndarray, counts: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """Max-min fair level of each row of ascending demands.
+
+    ``sorted_demands`` has shape (..., M): each row holds ``counts`` demands
+    in ascending order, padded with zeros. Progressive filling in
+    water-level form: walking a row, a demand not exceeding an equal share
+    of the remaining capacity is met in full; the first demand that exceeds
+    its share fixes the level. The remaining capacity is subtracted one
+    demand at a time, left to right, so each level is bitwise what the
+    scalar loop gives. Rows whose demands all fit get level inf; rows with
+    capacity <= 0 get level 0.
+    """
+    capacity = np.broadcast_to(capacity, sorted_demands.shape[:-1])
+    steps = np.concatenate([capacity[..., None], sorted_demands[..., :-1]], axis=-1)
+    remaining = np.subtract.accumulate(steps, axis=-1)
+    left = counts[..., None] - np.arange(sorted_demands.shape[-1])
+    share = remaining / np.maximum(left, 1)
+    over = (sorted_demands > share) & (left > 0)
+    first = over.argmax(axis=-1)
+    level = np.take_along_axis(share, first[..., None], axis=-1)[..., 0]
+    level = np.where(over.any(axis=-1), level, np.inf)
+    return np.where(capacity > 0, level, 0.0)
+
+
 def max_min_rates(demands: Sequence[float], capacity: float) -> list[float]:
     """Max-min fair share of ``capacity`` among the given demands.
 
-    Progressive filling in water-level form: walking demands in ascending
-    order, a demand not exceeding an equal share of the remaining capacity
-    is met in full; the first demand that exceeds its share fixes the fair
-    level granted to every demand not yet met. Each output rate is
-    ``min(demand, level)``, so the result is bitwise independent of input
-    order. Output order matches input order.
+    Every demand is granted ``min(demand, level)`` with the level of
+    ``water_levels``, so the result is bitwise independent of input order.
+    Output order matches input order.
     """
-    n = len(demands)
-    if n == 0:
+    if len(demands) == 0:
         return []
-    if capacity <= 0:
-        return [0.0] * n
-    level = float("inf")
-    remaining = capacity
-    for k, d in enumerate(sorted(demands)):
-        share = remaining / (n - k)
-        if d > share:
-            level = share
-            break
-        remaining -= d
-    return [min(float(d), level) for d in demands]
+    d = np.asarray(demands, dtype=float)
+    level = water_levels(np.sort(d)[None, :], np.array([len(d)]), np.array([float(capacity)]))
+    return np.minimum(d, level[0]).tolist()
+
+
+@dataclass(frozen=True)
+class AllocationPlan:
+    """The time-independent part of an allocation, in index form.
+
+    Arrays are indexed by position in ``s.ues`` (U) and in
+    ``s.base_stations`` (B). ``blocks`` lists (stations, sorted peaks)
+    pairs: the peak demands of each station's UEs in ascending order, one
+    zero-padded row per station, stations grouped so that one block of a
+    ``samples_per_chunk`` batch stays within the chunk byte budget.
+    """
+
+    serving: np.ndarray
+    peaks: np.ndarray
+    radio_cap: np.ndarray
+    xhaul_cap: np.ndarray
+    hit: np.ndarray
+    capacity: np.ndarray
+    counts: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    samples_per_chunk: int
+
+
+def _blocks(serving: np.ndarray, peaks: np.ndarray, counts: np.ndarray, samples: int):
+    """Group stations by attached count into zero-padded sorted-peak blocks."""
+    by_station = np.lexsort((peaks, serving))
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    padded = np.append(peaks[by_station], 0.0)
+    stations = np.argsort(-counts, kind="stable")
+    stations = stations[counts[stations] > 0]
+    blocks = []
+    lo = 0
+    while lo < len(stations):
+        width = int(counts[stations[lo]])
+        hi = lo + max(1, chunk_rows(width) // samples)
+        group = stations[lo:hi]
+        column = np.arange(width)
+        index = np.where(
+            column < counts[group][:, None], starts[group][:, None] + column, len(peaks)
+        )
+        blocks.append((group, padded[index]))
+        lo = hi
+    return tuple(blocks)
+
+
+def plan_allocation(
+    s: NetworkScenario, samples: int, serving: np.ndarray | None = None
+) -> AllocationPlan:
+    """Compile ``s`` for allocating ``samples`` hours.
+
+    ``serving`` (station index per UE) defaults to nearest-station
+    association. Radio capacity, hit ratio and effective capacity are
+    computed once per station here, in ``s.base_stations`` order, with the
+    same checks as the per-station functions.
+    """
+    if serving is None:
+        serving = nearest_stations(s)
+    n_bs = len(s.base_stations)
+    counts = np.bincount(serving, minlength=n_bs)
+    peaks = np.array([u.demand_peak_bps for u in s.ues], dtype=float)
+    if s.radio_mode == "abstract":
+        radio_cap = np.array([b.kind.radio_capacity_bps for b in s.base_stations])
+    else:
+        radio_cap = physical_capacities(s, positions(s.ues), serving)
+    popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
+    hits: dict[int, float] = {}
+    hit = np.empty(n_bs)
+    capacity = np.empty(n_bs)
+    for i, bs in enumerate(s.base_stations):
+        size = bs.kind.cache_size
+        if size not in hits:
+            hits[size] = hit_ratio(s.cache.strategy, size, popularity)
+        hit[i] = hits[size]
+        capacity[i] = effective_bs_capacity(float(radio_cap[i]), bs.kind.xhaul.capacity_bps, hits[size])
+    per_chunk = min(samples, chunk_rows(len(peaks)))
+    return AllocationPlan(
+        serving=serving,
+        peaks=peaks,
+        radio_cap=radio_cap,
+        xhaul_cap=np.array([b.kind.xhaul.capacity_bps for b in s.base_stations]),
+        hit=hit,
+        capacity=capacity,
+        counts=counts,
+        blocks=_blocks(serving, peaks, counts, per_chunk),
+        samples_per_chunk=per_chunk,
+    )
+
+
+def fill(plan: AllocationPlan, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grant max-min fair rates for a batch of demand factors f(t).
+
+    Returns the granted rates (samples x U), and the served rate and radio
+    load of every station (samples x B). Every UE demands ``peak * f``;
+    each station's level comes from its sorted demands (sorting by peak
+    sorts the demands, as f > 0), and a UE gets ``min(demand, level)``.
+    Station totals add the rates in UE order, one at a time, like a Python
+    ``sum`` over the attachment list.
+    """
+    n_samples, n_bs = len(factors), len(plan.capacity)
+    levels = np.zeros((n_samples, n_bs))
+    for stations, sorted_peaks in plan.blocks:
+        demands = factors[:, None, None] * sorted_peaks
+        levels[:, stations] = water_levels(demands, plan.counts[stations], plan.capacity[stations])
+    rates = np.minimum(factors[:, None] * plan.peaks, levels[:, plan.serving])
+    bins = (np.arange(n_samples)[:, None] * n_bs + plan.serving).ravel()
+    served = np.bincount(bins, weights=rates.ravel(), minlength=n_samples * n_bs)
+    served = served.reshape(n_samples, n_bs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        load = np.where(plan.radio_cap > 0, np.minimum(served / plan.radio_cap, 1.0), 0.0)
+    return rates, served, load
 
 
 def allocate(s: NetworkScenario, assoc: Association, t_hours: float) -> AllocationResult:
@@ -84,59 +217,24 @@ def allocate(s: NetworkScenario, assoc: Association, t_hours: float) -> Allocati
     ``effective_bs_capacity``. Hit traffic is the hit fraction of served
     traffic; the rest crosses the X-Haul. Independent of UE input order.
     """
-    popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
-    rates: dict[str, float] = {}
-    served: dict[str, float] = {}
-    hit: dict[str, float] = {}
-    miss: dict[str, float] = {}
-    load: dict[str, float] = {}
-    utilization: dict[str, float] = {}
-    for bs in s.base_stations:
-        ue_ids = assoc.attached[bs.bs_id]
-        demands = [demand_at(s.ues_by_id[u], t_hours, s.traffic) for u in ue_ids]
-        h = hit_ratio(s.cache.strategy, bs.kind.cache_size, popularity)
-        radio_cap = radio_capacity(bs, assoc, s)
-        cap = effective_bs_capacity(radio_cap, bs.kind.xhaul.capacity_bps, h)
-        granted = max_min_rates(demands, cap)
-        rates.update(zip(ue_ids, granted))
-        total = sum(granted)
-        hit_part = h * total
-        served[bs.bs_id] = total
-        hit[bs.bs_id] = hit_part
-        miss[bs.bs_id] = total - hit_part
-        load[bs.bs_id] = min(total / radio_cap, 1.0) if radio_cap > 0 else 0.0
-        utilization[bs.bs_id] = min((total - hit_part) / bs.kind.xhaul.capacity_bps, 1.0)
+    factor = demand_factor(t_hours, s.traffic)
+    index = {b.bs_id: i for i, b in enumerate(s.base_stations)}
+    serving = np.array([index[assoc.serving[u.ue_id]] for u in s.ues], dtype=np.intp)
+    plan = plan_allocation(s, 1, serving)
+    granted, served, load = fill(plan, np.array([factor]))
+    ue_rates = granted[0].tolist()
+    station_major = np.argsort(serving, kind="stable").tolist()
+    rates = {s.ues[i].ue_id: ue_rates[i] for i in station_major}
+    served = served[0]
+    hit = plan.hit * served
+    miss = served - hit
+    utilization = np.minimum(miss / plan.xhaul_cap, 1.0)
+    bs_ids = list(index)
     return AllocationResult(
         rates_bps=rates,
-        served_bps=served,
-        hit_bps=hit,
-        miss_bps=miss,
-        radio_load=load,
-        xhaul_utilization=utilization,
+        served_bps=dict(zip(bs_ids, served.tolist())),
+        hit_bps=dict(zip(bs_ids, hit.tolist())),
+        miss_bps=dict(zip(bs_ids, miss.tolist())),
+        radio_load=dict(zip(bs_ids, load[0].tolist())),
+        xhaul_utilization=dict(zip(bs_ids, utilization.tolist())),
     )
-
-
-def allocate_bruteforce(demands: Sequence[float], capacity: float) -> list[float]:
-    """Grid-search oracle for the max-min fair allocation.
-
-    Scans common rate caps on a grid of ``capacity / 1000`` steps and keeps
-    the largest feasible one; every demand is then granted ``min(demand,
-    cap)``. Among grid-feasible allocations this sorted rate vector is
-    lexicographically maximal up to one grid step per UE. Unconstrained
-    instances return the demands exactly.
-    """
-    n = len(demands)
-    if n > _BRUTEFORCE_MAX_UES:
-        raise ValueError(f"instance too large: {n} demands, oracle handles <= {_BRUTEFORCE_MAX_UES}")
-    if n == 0:
-        return []
-    if capacity <= 0:
-        return [0.0] * n
-    d = np.asarray(demands, dtype=float)
-    if d.sum() <= capacity:
-        return [float(x) for x in d]
-    levels = np.linspace(0.0, capacity, _BRUTEFORCE_GRID_STEPS + 1)
-    totals = np.minimum(d[:, None], levels[None, :]).sum(axis=0)
-    feasible = totals <= capacity * (1.0 + 1e-12)
-    level = levels[feasible][-1]
-    return [float(min(x, level)) for x in d]

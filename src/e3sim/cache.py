@@ -5,17 +5,13 @@ probability i^(-s) / H, H the generalized harmonic sum. Two strategies are
 modelled in expectation, not simulated: filling the cache with the M most
 popular items (hit ratio = head sum of the popularity), and filling it with
 M uniformly random distinct items (expected hit ratio = M/F regardless of
-the popularity). A combinatorial oracle over all C(F, M) subsets backs the
-random-fill formula for small catalogs.
+the popularity).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-
-_ORACLE_MAX_CATALOG = 20
 
 
 @dataclass(frozen=True)
@@ -74,23 +70,3 @@ def hit_ratio(strategy: str, cache_size: int, popularity: Popularity) -> float:
     if strategy == "top_popular":
         return math.fsum(popularity.probabilities[:cache_size])
     raise ValueError(f"unknown caching strategy '{strategy}'")
-
-
-def expected_random_hit_exact(cache_size: int, popularity: Popularity) -> float:
-    """Exact expected hit ratio of a uniformly random cache fill.
-
-    Enumerates every C(F, M) equally likely cached subset and averages the
-    probability mass it covers. Test oracle for ``random_fill``; limited to
-    small catalogs.
-    """
-    catalog = len(popularity)
-    if catalog > _ORACLE_MAX_CATALOG:
-        raise ValueError(f"oracle instance too large: catalog {catalog} > {_ORACLE_MAX_CATALOG}")
-    if not 0 <= cache_size <= catalog:
-        raise ValueError(
-            f"cache larger than catalog: cache_size {cache_size}, catalog {catalog}"
-        )
-    if cache_size == 0:
-        return 0.0
-    subsets = list(combinations(popularity.probabilities, cache_size))
-    return math.fsum(math.fsum(subset) for subset in subsets) / len(subsets)

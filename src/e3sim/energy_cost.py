@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .model import MAX_KIND
 
 if TYPE_CHECKING:
@@ -29,6 +31,24 @@ class PowerDraw:
     xhaul_w: float
 
 
+def dynamic_parts(max_tx_dynamic_power_w, xhaul_power_factor, radio_load):
+    """Transceiver and X-Haul watts at the given radio load fraction.
+
+    Takes numbers or arrays that broadcast together. The transceiver part
+    scales linearly from 0 at idle to ``max_tx_dynamic_power_w`` at full
+    load; the X-Haul part is ``xhaul_power_factor`` times it.
+
+    Raises:
+        ValueError: a radio load lies outside [0, 1] (the first one is named).
+    """
+    load = np.asarray(radio_load, dtype=float)
+    bad = ~((load >= 0.0) & (load <= 1.0))
+    if bad.any():
+        raise ValueError(f"radio_load must lie in [0, 1], got {float(load[bad].flat[0])}")
+    transceiver = max_tx_dynamic_power_w * load
+    return transceiver, xhaul_power_factor * transceiver
+
+
 def dynamic_power(bs: BaseStation, radio_load: float) -> PowerDraw:
     """Power draw of ``bs`` at the given radio load fraction.
 
@@ -37,16 +57,13 @@ def dynamic_power(bs: BaseStation, radio_load: float) -> PowerDraw:
     ``xhaul_power_factor`` times the transceiver part (0 for wired media).
     Static power is load- and medium-independent.
     """
-    if not 0.0 <= radio_load <= 1.0:
-        raise ValueError(f"radio_load must lie in [0, 1], got {radio_load}")
     kind = bs.kind
-    transceiver = kind.max_tx_dynamic_power_w * radio_load
-    xhaul = kind.xhaul.xhaul_power_factor * transceiver
+    transceiver, xhaul = dynamic_parts(kind.max_tx_dynamic_power_w, kind.xhaul.xhaul_power_factor, radio_load)
     return PowerDraw(
         static_w=kind.static_power_w,
-        dynamic_w=transceiver + xhaul,
-        transceiver_w=transceiver,
-        xhaul_w=xhaul,
+        dynamic_w=float(transceiver + xhaul),
+        transceiver_w=float(transceiver),
+        xhaul_w=float(xhaul),
     )
 
 

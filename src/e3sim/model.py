@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -70,7 +69,7 @@ class XHaulSolution:
 
     def __post_init__(self) -> None:
         label = f"XHaulSolution '{self.solution_id}'"
-        _require(self.capacity_bps > 0, f"{label}: capacity_bps must be > 0")
+        _require(0 < self.capacity_bps < math.inf, f"{label}: capacity_bps must be finite and > 0")
         _require(self.medium in MEDIA, f"{label}: medium must be one of {MEDIA}")
         _require(self.xhaul_power_factor >= 0, f"{label}: xhaul_power_factor must be >= 0")
 
@@ -146,7 +145,7 @@ class BsKind:
             "cost_per_area",
             "tx_power_w",
         ):
-            _require(getattr(self, name) > 0, f"{label}: {name} must be > 0")
+            _require(0 < getattr(self, name) < math.inf, f"{label}: {name} must be finite and > 0")
         _require(self.cache_size >= 0, f"{label}: cache_size must be >= 0")
         _require(
             self.cache_item_cost_per_area >= 0,
@@ -185,8 +184,8 @@ class UserEquipment:
     def __post_init__(self) -> None:
         label = f"UserEquipment '{self.ue_id}'"
         object.__setattr__(self, "position_m", _as_position(self.position_m, label))
-        _require(self.demand_peak_bps > 0, f"{label}: demand_peak_bps must be > 0")
-        _require(self.weight > 0, f"{label}: weight must be > 0")
+        _require(0 < self.demand_peak_bps < math.inf, f"{label}: demand_peak_bps must be finite and > 0")
+        _require(0 < self.weight < math.inf, f"{label}: weight must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -266,19 +265,14 @@ class NetworkScenario:
                 f"NetworkScenario: benchmark_cost must be a number or '{MAX_KIND}'",
             )
         else:
-            _require(self.benchmark_cost > 0, "NetworkScenario: benchmark_cost must be > 0")
+            _require(
+                0 < self.benchmark_cost < math.inf,
+                "NetworkScenario: benchmark_cost must be finite and > 0",
+            )
         _require(
             self.radio_mode in RADIO_MODES,
             f"NetworkScenario: radio_mode must be one of {RADIO_MODES}",
         )
-
-    @cached_property
-    def kinds_by_id(self) -> dict[str, BsKind]:
-        return {k.kind_id: k for k in self.kinds}
-
-    @cached_property
-    def ues_by_id(self) -> dict[str, UserEquipment]:
-        return {u.ue_id: u for u in self.ues}
 
 
 def _require_unique(what: str, ids: list[str]) -> None:
@@ -319,10 +313,20 @@ def _num(doc: Mapping[str, Any], key: str, path: str, default: float | None = No
         if default is None:
             raise SchemaError(f"{path}.{key}: missing required key")
         return default
-    value = doc[key]
+    return _as_number(doc[key], f"{path}.{key}")
+
+
+def _as_number(value: Any, path: str) -> float:
+    """A JSON number as a finite float; anything else is a SchemaError at ``path``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-    return float(value)
+        raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}: expected a finite number, got {number}")
+    return number
 
 
 def _int(doc: Mapping[str, Any], key: str, path: str, default: int | None = None) -> int:
@@ -459,7 +463,7 @@ def _build_ues(doc: Any, seed: int) -> tuple[UserEquipment, ...]:
         area = gen["area_m"]
         if not isinstance(area, list) or len(area) != 2:
             raise SchemaError(f"{path}.area_m: expected [width, height]")
-        width, height = float(area[0]), float(area[1])
+        width, height = (_as_number(v, f"{path}.area_m") for v in area)
         if width <= 0 or height <= 0:
             raise SchemaError(f"{path}.area_m: dimensions must be > 0")
         demand = _num(gen, "demand_peak_bps", path)

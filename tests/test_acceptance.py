@@ -21,19 +21,18 @@ from e3sim import (
     SweepSpec,
     UserEquipment,
     allocate,
-    allocate_bruteforce,
     argmax,
     associate,
     build_scenario,
     dynamic_power,
     evaluate,
-    expected_random_hit_exact,
     hit_ratio,
     max_min_rates,
     run_sweep,
     set_parameter,
     zipf_popularity,
 )
+from oracles import allocate_bruteforce, expected_random_hit_exact
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_kind, make_scenario
+from oracles import allocate_bruteforce
 from e3sim import (
     BaseStation,
     CacheConfig,
     UserEquipment,
     allocate,
-    allocate_bruteforce,
     associate,
     effective_bs_capacity,
     max_min_rates,

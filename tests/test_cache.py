@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from e3sim import Popularity, expected_random_hit_exact, hit_ratio, zipf_popularity
+from e3sim import Popularity, hit_ratio, zipf_popularity
+from oracles import expected_random_hit_exact
 
 
 def normalized_popularity(raw):

@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from conftest import load_document, scenario_path
 from e3sim import build_scenario, evaluate, evaluate_daily
 from e3sim.cli import CSV_COLUMNS, main
@@ -46,6 +48,12 @@ class TestEval:
         path.write_text(json.dumps(doc))
         assert main(["eval", str(path)]) == 1
         assert "cache_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hour", ["nan", "inf"])
+    def test_non_finite_time_exits_1_naming_it(self, hour, capsys):
+        assert main(["eval", FIG3, "--time", hour]) == 1
+        err = capsys.readouterr().err
+        assert "t_hours must be finite" in err and hour in err
 
     def test_daily_csv_matches_library_call(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -9,6 +9,7 @@ from e3sim import (
     InvariantError,
     SchemaError,
     UnknownKindError,
+    UserEquipment,
     build_scenario,
     cost_coefficient,
     effective_cost_per_area,
@@ -209,3 +210,38 @@ def test_max_kind_benchmark_keeps_coefficients_in_unit_interval():
 def test_effective_cost_includes_cache_items():
     kind = make_kind(cache_size=10, cache_item_cost_per_area=1.5)
     assert effective_cost_per_area(kind) == pytest.approx(50.0 + 15.0)
+
+
+def test_area_m_of_wrong_type_names_the_path():
+    doc = load_document("fig3.json")
+    doc["ues"]["uniform_random"]["area_m"] = [None, 5]
+    with pytest.raises(SchemaError, match=r"ues\.uniform_random\.area_m"):
+        build_scenario(doc)
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_non_finite_json_number_is_rejected_with_path(value):
+    text = json.dumps(load_document("fig3.json")).replace(
+        '"cost_per_area": 50.0', f'"cost_per_area": {value}', 1
+    )
+    assert value in text
+    with pytest.raises(SchemaError, match=r"kinds\[0\]\.cost_per_area: expected a finite number"):
+        build_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_kind(cost_per_area=float("inf")),
+        lambda: make_kind(coverage_area_m2=float("inf")),
+        lambda: make_xhaul(capacity_bps=float("inf")),
+        lambda: UserEquipment("u0", (0.0, 0.0), float("inf")),
+        lambda: UserEquipment("u0", (0.0, 0.0), 1e6, weight=float("inf")),
+        lambda: make_scenario(benchmark_cost=float("inf")),
+        lambda: make_scenario(benchmark_cost=float("nan")),
+    ],
+    ids=["cost", "coverage", "xhaul", "demand", "weight", "benchmark-inf", "benchmark-nan"],
+)
+def test_positive_invariants_reject_non_finite_values(build):
+    with pytest.raises(InvariantError, match="must be finite and > 0"):
+        build()
