@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import shlex
 import sys
@@ -26,7 +27,7 @@ from typing import Any, Sequence, TextIO
 
 from . import __version__
 from .metrics import MetricReport, evaluate, evaluate_daily
-from .model import NetworkScenario, ScenarioError, build_scenario, validate_scenario
+from .model import ScenarioError, build_scenario, validate_scenario
 from .sweep import METRICS, ParameterPathError, SweepSpec, argmax, run_sweep
 
 CSV_COLUMNS = (
@@ -46,6 +47,9 @@ CSV_COLUMNS = (
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_IO = 2
+
+#: Most values one sweep axis, or a whole two-axis grid, may hold.
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,8 @@ def _print_report(report: MetricReport, out: TextIO) -> None:
     print(f"  e3                    {report.e3:.6g} bit/J", file=out)
 
 
-def _load_scenario(path: str) -> tuple[NetworkScenario, int]:
-    """Read, seed-override, and build the scenario at ``path``."""
+def _load_document(path: str) -> dict[str, Any]:
+    """Read the scenario document at ``path`` and apply the E3_SEED override."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             document = json.load(f)
@@ -136,8 +140,12 @@ def _load_scenario(path: str) -> tuple[NetworkScenario, int]:
         if not isinstance(document, dict):
             raise ScenarioError(f"{path}: top-level JSON value must be an object")
         document["seed"] = seed
-    scenario = build_scenario(document)
-    return scenario, scenario.rng_seed
+    return document
+
+
+def _check_grid_size(count: float, flag: str) -> None:
+    if count > MAX_GRID_POINTS:
+        raise ScenarioError(f"{flag}: more than {MAX_GRID_POINTS} grid points")
 
 
 def _parse_values(spec: str, flag: str) -> tuple[Any, ...]:
@@ -147,15 +155,20 @@ def _parse_values(spec: str, flag: str) -> tuple[Any, ...]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ScenarioError(f"{flag}: bad range '{spec}', expected START:STOP:STEP") from None
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ScenarioError(f"{flag}: range bounds must be finite, got '{spec}'")
         if step <= 0:
             raise ScenarioError(f"{flag}: range step must be > 0, got {step}")
+        limit = stop + step * 1e-9
+        _check_grid_size((limit - start) // step + 1, flag)
         values = []
         v = start
-        while v <= stop + step * 1e-9:
+        while v <= limit and len(values) <= MAX_GRID_POINTS:
             values.append(v)
             v = start + len(values) * step
         if not values:
             raise ScenarioError(f"{flag}: empty range '{spec}'")
+        _check_grid_size(len(values), flag)
         return tuple(values)
     values = []
     for token in spec.split(","):
@@ -166,6 +179,7 @@ def _parse_values(spec: str, flag: str) -> tuple[Any, ...]:
             values.append(float(token))
         except ValueError:
             values.append(token)
+    _check_grid_size(len(values), flag)
     return tuple(values)
 
 
@@ -190,7 +204,7 @@ def _manifest(args: argparse.Namespace, spec_text: str, seed: int, out: str) -> 
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    scenario, seed = _load_scenario(args.scenario)
+    scenario = build_scenario(_load_document(args.scenario))
     if args.daily:
         report = evaluate_daily(scenario)
         spec_text = "eval daily"
@@ -200,17 +214,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         spec_text = f"eval t={t:g}"
     _print_report(report, sys.stdout)
     if args.out:
-        manifest = _manifest(args, spec_text, seed, args.out)
+        manifest = _manifest(args, spec_text, scenario.rng_seed, args.out)
         _write_csv(args.out, manifest, [_report_row((), report, None)])
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario, seed = _load_scenario(args.scenario)
+    document = _load_document(args.scenario)
     path1, values1 = _parse_param(args.param, "--param")
     path2, values2 = (None, None)
     if args.param2:
         path2, values2 = _parse_param(args.param2, "--param2")
+        _check_grid_size(len(values1) * len(values2), "--param2")
     spec = SweepSpec(
         param_path=path1,
         values=values1,
@@ -220,12 +235,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         time_hours=args.time,
         daily=args.daily,
     )
-    result = run_sweep(scenario, spec)
+    result = run_sweep(document, spec)
     spec_text = f"sweep {path1}={len(values1)} values"
     if path2:
         spec_text += f"; {path2}={len(values2)} values"
-    spec_text += "; daily" if spec.daily else f"; t={spec.time_hours if spec.time_hours is not None else scenario.traffic.peak_hour:g}"
-    manifest = _manifest(args, spec_text, seed, args.out)
+    spec_text += "; daily" if spec.daily else f"; t={spec.time_hours if spec.time_hours is not None else result.base.traffic.peak_hour:g}"
+    manifest = _manifest(args, spec_text, result.base.rng_seed, args.out)
     _write_csv(args.out, manifest, [_report_row(r.values, r.report, r.error) for r in result.rows])
     failed = sum(1 for r in result.rows if r.error)
     print(f"wrote {len(result.rows)} rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
@@ -239,7 +254,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    scenario, _ = _load_scenario(args.scenario)
+    scenario = build_scenario(_load_document(args.scenario))
     warnings = validate_scenario(scenario)
     for warning in warnings:
         print(f"warning: {warning}")

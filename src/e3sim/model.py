@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -71,7 +72,10 @@ class XHaulSolution:
         label = f"XHaulSolution '{self.solution_id}'"
         _require(0 < self.capacity_bps < math.inf, f"{label}: capacity_bps must be finite and > 0")
         _require(self.medium in MEDIA, f"{label}: medium must be one of {MEDIA}")
-        _require(self.xhaul_power_factor >= 0, f"{label}: xhaul_power_factor must be >= 0")
+        _require(
+            0 <= self.xhaul_power_factor < math.inf,
+            f"{label}: xhaul_power_factor must be finite and >= 0",
+        )
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class CostBreakdown:
 
     def __post_init__(self) -> None:
         for name in _BREAKDOWN_COMPONENTS:
-            _require(getattr(self, name) >= 0, f"CostBreakdown: {name} must be >= 0")
+            _require(0 <= getattr(self, name) < math.inf, f"CostBreakdown: {name} must be finite and >= 0")
         _require(
             0.0 <= self.inherited_discount <= 1.0,
             "CostBreakdown: inherited_discount must lie in [0, 1]",
@@ -146,11 +150,8 @@ class BsKind:
             "tx_power_w",
         ):
             _require(0 < getattr(self, name) < math.inf, f"{label}: {name} must be finite and > 0")
-        _require(self.cache_size >= 0, f"{label}: cache_size must be >= 0")
-        _require(
-            self.cache_item_cost_per_area >= 0,
-            f"{label}: cache_item_cost_per_area must be >= 0",
-        )
+        for name in ("cache_size", "cache_item_cost_per_area"):
+            _require(0 <= getattr(self, name) < math.inf, f"{label}: {name} must be finite and >= 0")
         if self.cost_breakdown is not None:
             total = self.cost_breakdown.total()
             _require(
@@ -212,21 +213,16 @@ class CacheConfig:
 
     catalog_size: int = 1
     zipf_exponent: float = 0.0
-    item_size_bits: float = 1.0
     strategy: str = "none"
     cache_power_per_item_w: float = 0.0
 
     def __post_init__(self) -> None:
         _require(self.catalog_size >= 1, "CacheConfig: catalog_size must be >= 1")
-        _require(self.zipf_exponent >= 0, "CacheConfig: zipf_exponent must be >= 0")
-        _require(self.item_size_bits > 0, "CacheConfig: item_size_bits must be > 0")
+        for name in ("zipf_exponent", "cache_power_per_item_w"):
+            _require(0 <= getattr(self, name) < math.inf, f"CacheConfig: {name} must be finite and >= 0")
         _require(
             self.strategy in STRATEGIES,
             f"CacheConfig: strategy must be one of {STRATEGIES}",
-        )
-        _require(
-            self.cache_power_per_item_w >= 0,
-            "CacheConfig: cache_power_per_item_w must be >= 0",
         )
 
 
@@ -296,10 +292,39 @@ def _as_position(value: Any, label: str) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Document parsing
 
+#: (required, optional) keys of each document section, by the section's key
+#: path with ``*`` for a list entry. ``("base_stations",)`` and ``("ues",)``
+#: are the generator forms of those sections.
+_SECTIONS: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {
+    (): (("kinds", "base_stations", "ues"), ("cache", "traffic", "benchmark_cost", "radio_mode", "seed")),
+    ("kinds", "*"): (
+        ("kind_id", "static_power_w", "max_tx_dynamic_power_w", "radio_capacity_bps", "bandwidth_hz",
+         "coverage_area_m2", "cost_per_area", "xhaul"),
+        ("tx_power_w", "cache_size", "cache_item_cost_per_area", "cost_breakdown"),
+    ),
+    ("kinds", "*", "xhaul"): (("solution_id", "capacity_bps", "medium"), ("xhaul_power_factor",)),
+    ("kinds", "*", "cost_breakdown"): (_BREAKDOWN_COMPONENTS, ("inherited_discount",)),
+    ("base_stations",): (("grid",), ()),
+    ("base_stations", "grid"): (("kind", "rows", "cols", "spacing_m"), ()),
+    ("base_stations", "*"): (("bs_id", "kind", "position_m"), ()),
+    ("ues",): (("uniform_random",), ()),
+    ("ues", "uniform_random"): (("count", "area_m", "demand_peak_bps"), ("weight",)),
+    ("ues", "*"): (("ue_id", "position_m", "demand_peak_bps"), ("weight",)),
+    ("cache",): ((), ("catalog_size", "zipf_exponent", "strategy", "cache_power_per_item_w")),
+    ("traffic",): ((), ("peak_to_min_ratio", "peak_hour", "samples_per_day")),
+}
 
-def _check_keys(doc: Mapping[str, Any], path: str, required: set[str], optional: set[str]) -> None:
+
+def section_keys(section: tuple[str, ...]) -> tuple[str, ...]:
+    """Keys the schema admits in the section at a key path such as ``("kinds", "*")``."""
+    required, optional = _SECTIONS.get(section, ((), ()))
+    return required + optional
+
+
+def _check_keys(doc: Any, path: str, section: tuple[str, ...]) -> None:
     if not isinstance(doc, Mapping):
         raise SchemaError(f"{path or 'document'}: expected an object")
+    required, optional = _SECTIONS[section]
     for key in doc:
         if key not in required and key not in optional:
             raise SchemaError(f"{path + '.' if path else ''}{key}: unknown key")
@@ -358,7 +383,7 @@ def _str(doc: Mapping[str, Any], key: str, path: str, default: str | None = None
 
 
 def _build_xhaul(doc: Any, path: str) -> XHaulSolution:
-    _check_keys(doc, path, {"solution_id", "capacity_bps", "medium"}, {"xhaul_power_factor"})
+    _check_keys(doc, path, ("kinds", "*", "xhaul"))
     medium = _str(doc, "medium", path)
     if medium not in MEDIA:
         raise SchemaError(f"{path}.medium: expected one of {MEDIA}, got '{medium}'")
@@ -372,7 +397,7 @@ def _build_xhaul(doc: Any, path: str) -> XHaulSolution:
 
 
 def _build_breakdown(doc: Any, path: str) -> CostBreakdown:
-    _check_keys(doc, path, set(_BREAKDOWN_COMPONENTS), {"inherited_discount"})
+    _check_keys(doc, path, ("kinds", "*", "cost_breakdown"))
     return CostBreakdown(
         **{name: _num(doc, name, path) for name in _BREAKDOWN_COMPONENTS},
         inherited_discount=_num(doc, "inherited_discount", path, 0.0),
@@ -380,18 +405,7 @@ def _build_breakdown(doc: Any, path: str) -> CostBreakdown:
 
 
 def _build_kind(doc: Any, path: str) -> BsKind:
-    required = {
-        "kind_id",
-        "static_power_w",
-        "max_tx_dynamic_power_w",
-        "radio_capacity_bps",
-        "bandwidth_hz",
-        "coverage_area_m2",
-        "cost_per_area",
-        "xhaul",
-    }
-    optional = {"tx_power_w", "cache_size", "cache_item_cost_per_area", "cost_breakdown"}
-    _check_keys(doc, path, required, optional)
+    _check_keys(doc, path, ("kinds", "*"))
     breakdown = None
     if "cost_breakdown" in doc and doc["cost_breakdown"] is not None:
         breakdown = _build_breakdown(doc["cost_breakdown"], f"{path}.cost_breakdown")
@@ -415,10 +429,10 @@ def _build_base_stations(
     doc: Any, kinds_by_id: Mapping[str, BsKind]
 ) -> tuple[BaseStation, ...]:
     if isinstance(doc, Mapping):
-        _check_keys(doc, "base_stations", {"grid"}, set())
+        _check_keys(doc, "base_stations", ("base_stations",))
         grid = doc["grid"]
         path = "base_stations.grid"
-        _check_keys(grid, path, {"kind", "rows", "cols", "spacing_m"}, set())
+        _check_keys(grid, path, ("base_stations", "grid"))
         kind_id = _str(grid, "kind", path)
         if kind_id not in kinds_by_id:
             raise UnknownKindError(f"{path}: unknown kind_id '{kind_id}'")
@@ -441,7 +455,7 @@ def _build_base_stations(
     stations = []
     for i, entry in enumerate(doc):
         path = f"base_stations[{i}]"
-        _check_keys(entry, path, {"bs_id", "kind", "position_m"}, set())
+        _check_keys(entry, path, ("base_stations", "*"))
         kind_id = _str(entry, "kind", path)
         if kind_id not in kinds_by_id:
             raise UnknownKindError(f"{path}: unknown kind_id '{kind_id}'")
@@ -453,10 +467,10 @@ def _build_base_stations(
 
 def _build_ues(doc: Any, seed: int) -> tuple[UserEquipment, ...]:
     if isinstance(doc, Mapping):
-        _check_keys(doc, "ues", {"uniform_random"}, set())
+        _check_keys(doc, "ues", ("ues",))
         gen = doc["uniform_random"]
         path = "ues.uniform_random"
-        _check_keys(gen, path, {"count", "area_m", "demand_peak_bps"}, {"weight"})
+        _check_keys(gen, path, ("ues", "uniform_random"))
         count = _int(gen, "count", path)
         if count < 1:
             raise SchemaError(f"{path}.count: must be >= 1")
@@ -479,7 +493,7 @@ def _build_ues(doc: Any, seed: int) -> tuple[UserEquipment, ...]:
     ues = []
     for i, entry in enumerate(doc):
         path = f"ues[{i}]"
-        _check_keys(entry, path, {"ue_id", "position_m", "demand_peak_bps"}, {"weight"})
+        _check_keys(entry, path, ("ues", "*"))
         ues.append(
             UserEquipment(
                 _str(entry, "ue_id", path),
@@ -505,40 +519,46 @@ def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario
     """
     if isinstance(document, (str, bytes)):
         document = json.loads(document)
-    _check_keys(
-        document,
-        "",
-        {"kinds", "base_stations", "ues"},
-        {"cache", "traffic", "benchmark_cost", "radio_mode", "seed"},
-    )
-    seed = _int(document, "seed", "document", 0)
+    return _build(document)
 
-    kinds_doc = document["kinds"]
-    if not isinstance(kinds_doc, list) or not kinds_doc:
-        raise SchemaError("kinds: expected a non-empty list")
-    kinds = tuple(_build_kind(k, f"kinds[{i}]") for i, k in enumerate(kinds_doc))
-    kinds_by_id = {k.kind_id: k for k in kinds}
+
+def _build(
+    document: Any, base: tuple[Mapping[str, Any], NetworkScenario] | None = None
+) -> NetworkScenario:
+    """Build ``document``, reusing what ``base``, a (document, scenario) pair, built.
+
+    A built section is reused when its inputs are the same objects in both
+    documents, as a copy-on-write edit of the base document leaves every
+    value off the edited path: the kinds when ``kinds`` is, the stations when
+    ``kinds`` and ``base_stations`` are, and the UEs when ``ues`` is and the
+    seed is equal. The rest is rebuilt and the scenario validated as a whole.
+    """
+    _check_keys(document, "", ())
+    seed = _int(document, "seed", "document", 0)
+    shared = {k for k in ("kinds", "base_stations", "ues") if base and document[k] is base[0][k]}
+
+    if "kinds" in shared:
+        kinds = base[1].kinds
+    else:
+        kinds_doc = document["kinds"]
+        if not isinstance(kinds_doc, list) or not kinds_doc:
+            raise SchemaError("kinds: expected a non-empty list")
+        kinds = tuple(_build_kind(k, f"kinds[{i}]") for i, k in enumerate(kinds_doc))
 
     cache_doc = document.get("cache", {})
-    _check_keys(
-        cache_doc,
-        "cache",
-        set(),
-        {"catalog_size", "zipf_exponent", "item_size_bits", "strategy", "cache_power_per_item_w"},
-    )
+    _check_keys(cache_doc, "cache", ("cache",))
     strategy = _str(cache_doc, "strategy", "cache", "none")
     if strategy not in STRATEGIES:
         raise SchemaError(f"cache.strategy: expected one of {STRATEGIES}, got '{strategy}'")
     cache = CacheConfig(
         catalog_size=_int(cache_doc, "catalog_size", "cache", 1),
         zipf_exponent=_num(cache_doc, "zipf_exponent", "cache", 0.0),
-        item_size_bits=_num(cache_doc, "item_size_bits", "cache", 1.0),
         strategy=strategy,
         cache_power_per_item_w=_num(cache_doc, "cache_power_per_item_w", "cache", 0.0),
     )
 
     traffic_doc = document.get("traffic", {})
-    _check_keys(traffic_doc, "traffic", set(), {"peak_to_min_ratio", "peak_hour", "samples_per_day"})
+    _check_keys(traffic_doc, "traffic", ("traffic",))
     traffic = TrafficProfile(
         peak_to_min_ratio=_num(traffic_doc, "peak_to_min_ratio", "traffic", 1.0),
         peak_hour=_num(traffic_doc, "peak_hour", "traffic", 0.0),
@@ -553,10 +573,19 @@ def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario
     else:
         benchmark = _num(document, "benchmark_cost", "document")
 
+    if {"kinds", "base_stations"} <= shared:
+        stations = base[1].base_stations
+    else:
+        stations = _build_base_stations(document["base_stations"], {k.kind_id: k for k in kinds})
+    if "ues" in shared and seed == base[1].rng_seed:
+        ues = base[1].ues
+    else:
+        ues = _build_ues(document["ues"], seed)
+
     return NetworkScenario(
         kinds=kinds,
-        base_stations=_build_base_stations(document["base_stations"], kinds_by_id),
-        ues=_build_ues(document["ues"], seed),
+        base_stations=stations,
+        ues=ues,
         cache=cache,
         traffic=traffic,
         benchmark_cost=benchmark,
@@ -616,7 +645,6 @@ def scenario_to_document(s: NetworkScenario) -> dict[str, Any]:
         "cache": {
             "catalog_size": s.cache.catalog_size,
             "zipf_exponent": s.cache.zipf_exponent,
-            "item_size_bits": s.cache.item_size_bits,
             "strategy": s.cache.strategy,
             "cache_power_per_item_w": s.cache.cache_power_per_item_w,
         },

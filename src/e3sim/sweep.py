@@ -1,23 +1,24 @@
-"""Parameter sweeps over scenario knobs: grids, argmax, Pareto fronts.
+"""Parameter sweeps over scenario documents: grids, argmax, Pareto fronts.
 
-A sweep evaluates copies of a base scenario with one or two parameters set
-to each grid value, never touching the base. Parameter paths address
-scenario fields by name: ``kinds.<kind_id>.cache_size``,
-``kinds[0].xhaul.capacity_bps``, ``cache.strategy``,
-``traffic.peak_to_min_ratio``, ``ues[3].demand_peak_bps``,
-``benchmark_cost``. Rows that fail a domain invariant are recorded with
-their error and the sweep continues.
+A sweep evaluates copies of a base scenario document with one or two
+values set to each grid value, never touching the base. A parameter path
+addresses a value of the parsed JSON document by key, ``key[i]`` list
+index, or list-entry id: ``kinds.ap.cache_size``, ``kinds[0].xhaul.medium``,
+``base_stations.grid.kind``, ``ues.uniform_random.count``, ``seed``. Its
+last key may be one the document leaves at its default. Each grid point is
+built by ``model``; a row that fails a schema or invariant check carries
+the message and the sweep continues.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from .energy_cost import total_cost_rate
 from .metrics import MetricReport, evaluate, evaluate_daily
-from .model import BaseStation, NetworkScenario
+from .model import NetworkScenario, _build, build_scenario, section_keys
 
 METRICS = ("se", "ee", "ce", "e3")
 
@@ -26,9 +27,12 @@ PARETO_OBJECTIVES = {"throughput": 1, "total_power": -1, "cost_rate": -1}
 
 _SEGMENT = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(\[(?P<index>\d+)\])?$")
 
+#: Keys that name a list entry, so ``kinds.ap`` is the kind whose kind_id is "ap".
+_ID_KEYS = ("kind_id", "bs_id", "ue_id")
+
 
 class ParameterPathError(ValueError):
-    """A sweep parameter path does not resolve in the scenario."""
+    """A sweep parameter path does not resolve in the scenario document."""
 
 
 @dataclass(frozen=True)
@@ -69,122 +73,68 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The rows of a sweep and the base scenario its document built."""
+
     spec: SweepSpec
     rows: tuple[SweepRow, ...]
+    base: NetworkScenario
 
 
-def _split_path(path: str) -> list[tuple[str, int | None]]:
-    segments = []
-    for raw in path.split("."):
+def _steps(document: Any, path: str) -> list[tuple[Any, Any]]:
+    """(container, key) pairs leading from the document root to ``path``."""
+    steps: list[tuple[Any, Any]] = []
+    node, section = document, ()
+    segments = path.split(".")
+    for n, raw in enumerate(segments):
         m = _SEGMENT.match(raw)
         if not m:
             raise ParameterPathError(f"unresolvable parameter path '{path}': bad segment '{raw}'")
-        index = m.group("index")
-        segments.append((m.group("name"), int(index) if index is not None else None))
-    return segments
-
-
-def _plain_field(segment: tuple[str, int | None], owner: Any, path: str) -> str:
-    field, index = segment
-    if index is not None or not hasattr(owner, field):
-        raise ParameterPathError(f"unresolvable parameter path '{path}'")
-    return field
-
-
-def _locate(s: NetworkScenario, path: str) -> tuple[str, Any, str]:
-    """Resolve a path to (kind of target, owning object, field name)."""
-    segments = _split_path(path)
-    name, index = segments[0]
-    if name == "benchmark_cost" and index is None and len(segments) == 1:
-        return "scenario", s, "benchmark_cost"
-    if name in ("cache", "traffic") and index is None and len(segments) == 2:
-        section = getattr(s, name)
-        return name, section, _plain_field(segments[1], section, path)
-    if name == "kinds":
-        if index is not None:
-            idx, rest = index, segments[1:]
-        elif len(segments) >= 2 and segments[1][1] is None:
-            # second segment addresses the kind by its kind_id
-            kind_id = segments[1][0]
-            matches = [i for i, k in enumerate(s.kinds) if k.kind_id == kind_id]
-            if not matches:
-                raise ParameterPathError(f"unresolvable parameter path '{path}': no kind '{kind_id}'")
-            idx, rest = matches[0], segments[2:]
+        name, index = m.group("name"), m.group("index")
+        if isinstance(node, list):
+            ids = (i for i, e in enumerate(node) if isinstance(e, dict) and name in map(e.get, _ID_KEYS))
+            key = next(ids, None)
+            if key is None:
+                raise ParameterPathError(f"unresolvable parameter path '{path}': no entry '{name}'")
+            section += ("*",)
+        elif isinstance(node, dict):
+            last = n == len(segments) - 1 and index is None
+            if name not in node and not (last and name in section_keys(section)):
+                raise ParameterPathError(f"unresolvable parameter path '{path}': no key '{name}'")
+            key, section = name, section + (name,)
         else:
-            raise ParameterPathError(f"unresolvable parameter path '{path}'")
-        if not 0 <= idx < len(s.kinds):
-            raise ParameterPathError(f"unresolvable parameter path '{path}': index {idx} out of range")
-        kind = s.kinds[idx]
-        if len(rest) == 1 and rest[0][0] != "xhaul":
-            return "kind", kind, _plain_field(rest[0], kind, path)
-        if len(rest) == 2 and rest[0] == ("xhaul", None):
-            return f"xhaul:{idx}", kind.xhaul, _plain_field(rest[1], kind.xhaul, path)
-        raise ParameterPathError(f"unresolvable parameter path '{path}'")
-    if name == "ues" and index is not None and len(segments) == 2:
-        if not 0 <= index < len(s.ues):
-            raise ParameterPathError(f"unresolvable parameter path '{path}': index {index} out of range")
-        return f"ue:{index}", s.ues[index], _plain_field(segments[1], s.ues[index], path)
-    raise ParameterPathError(f"unresolvable parameter path '{path}'")
+            raise ParameterPathError(f"unresolvable parameter path '{path}': '{raw}' is past a value")
+        steps.append((node, key))
+        node = node.get(key) if isinstance(node, dict) else node[key]
+        if index is not None:
+            if not isinstance(node, list) or not int(index) < len(node):
+                raise ParameterPathError(f"unresolvable parameter path '{path}': no entry {raw}")
+            steps.append((node, int(index)))
+            node, section = node[int(index)], section + ("*",)
+    if isinstance(node, (dict, list)):
+        raise ParameterPathError(f"unresolvable parameter path '{path}': a section, not a value")
+    return steps
 
 
-def resolve_parameter(s: NetworkScenario, path: str) -> Any:
-    """Current value of the parameter addressed by ``path``."""
-    _, owner, field = _locate(s, path)
-    return getattr(owner, field)
+def resolve_parameter(document: dict[str, Any], path: str) -> Any:
+    """Value at ``path`` in the document; None for a key left at its default.
 
-
-def _coerce(current: Any, value: Any, path: str) -> Any:
-    if isinstance(current, bool):
-        raise ParameterPathError(f"parameter '{path}' is not sweepable")
-    if isinstance(current, int) and not isinstance(value, str):
-        f = float(value)
-        if not f.is_integer():
-            raise ValueError(f"parameter '{path}' takes integers, got {value}")
-        return int(f)
-    if isinstance(current, float) and not isinstance(value, str):
-        return float(value)
-    if isinstance(current, str) and isinstance(value, str):
-        return value
-    if isinstance(current, (int, float)) and isinstance(value, str):
-        raise ValueError(f"parameter '{path}' takes numbers, got '{value}'")
-    raise ParameterPathError(f"parameter '{path}' is not sweepable")
-
-
-def set_parameter(s: NetworkScenario, path: str, value: Any) -> NetworkScenario:
-    """Copy of ``s`` with the parameter at ``path`` set to ``value``.
-
-    The copy is re-validated on construction, so an out-of-range value
-    raises the same invariant error a hand-built scenario would.
+    Raises ParameterPathError, naming the path, when it does not resolve.
     """
-    target, owner, field = _locate(s, path)
-    if target == "scenario":
-        # benchmark_cost is float-or-sentinel; accept either form directly
-        coerced = value if isinstance(value, str) else float(value)
-        return replace(s, **{field: coerced})
-    coerced = _coerce(getattr(owner, field), value, path)
-    if target in ("cache", "traffic"):
-        return replace(s, **{target: replace(owner, **{field: coerced})})
-    if target == "kind":
-        return _replace_kind(s, owner.kind_id, replace(owner, **{field: coerced}))
-    if target.startswith("xhaul:"):
-        idx = int(target.split(":")[1])
-        kind = s.kinds[idx]
-        return _replace_kind(s, kind.kind_id, replace(kind, xhaul=replace(owner, **{field: coerced})))
-    if target.startswith("ue:"):
-        idx = int(target.split(":")[1])
-        ues = list(s.ues)
-        ues[idx] = replace(owner, **{field: coerced})
-        return replace(s, ues=tuple(ues))
-    raise AssertionError(f"unhandled target {target}")
+    container, key = _steps(document, path)[-1]
+    return container.get(key) if isinstance(container, dict) else container[key]
 
 
-def _replace_kind(s: NetworkScenario, kind_id: str, new_kind: Any) -> NetworkScenario:
-    kinds = tuple(new_kind if k.kind_id == kind_id else k for k in s.kinds)
-    stations = tuple(
-        BaseStation(b.bs_id, new_kind, b.position_m) if b.kind.kind_id == kind_id else b
-        for b in s.base_stations
-    )
-    return replace(s, kinds=kinds, base_stations=stations)
+def set_parameter(document: dict[str, Any], path: str, value: Any) -> dict[str, Any]:
+    """Copy of ``document`` with the value at ``path`` set to ``value``.
+
+    Only the dicts and lists along the path are copied; everything else is
+    shared with ``document``, which is never modified.
+    """
+    for container, key in reversed(_steps(document, path)):
+        copy = container.copy()
+        copy[key] = value
+        value = copy
+    return value
 
 
 def _grid(spec: SweepSpec) -> Iterable[tuple[Any, ...]]:
@@ -193,31 +143,32 @@ def _grid(spec: SweepSpec) -> Iterable[tuple[Any, ...]]:
     return ((v1, v2) for v1 in spec.values for v2 in spec.values2)
 
 
-def run_sweep(s: NetworkScenario, spec: SweepSpec) -> SweepResult:
-    """Evaluate the scenario at every grid point of the spec.
+def run_sweep(document: dict[str, Any], spec: SweepSpec) -> SweepResult:
+    """Evaluate the scenario document at every grid point of the spec.
 
-    Row order is row-major in axis order and deterministic. The base
-    scenario is never modified. Rows whose value violates an invariant
-    carry the error message instead of a report.
+    Row order is row-major in axis order and deterministic. The document is
+    never modified. It must build, and both paths must resolve in it, before
+    any row is evaluated; a row whose document fails to build carries the
+    error message instead of a report. Without ``spec.daily`` every row is
+    evaluated at ``spec.time_hours``, or else at the base scenario's peak hour.
     """
-    resolve_parameter(s, spec.param_path)
+    base = build_scenario(document)
+    resolve_parameter(document, spec.param_path)
     if spec.param2_path is not None:
-        resolve_parameter(s, spec.param2_path)
+        resolve_parameter(document, spec.param2_path)
+    t = spec.time_hours if spec.time_hours is not None else base.traffic.peak_hour
     rows = []
     for values in _grid(spec):
         try:
-            modified = set_parameter(s, spec.param_path, values[0])
+            point = set_parameter(document, spec.param_path, values[0])
             if spec.param2_path is not None:
-                modified = set_parameter(modified, spec.param2_path, values[1])
-            if spec.daily:
-                report = evaluate_daily(modified)
-            else:
-                t = spec.time_hours if spec.time_hours is not None else s.traffic.peak_hour
-                report = evaluate(modified, t)
+                point = set_parameter(point, spec.param2_path, values[1])
+            modified = _build(point, (document, base))
+            report = evaluate_daily(modified) if spec.daily else evaluate(modified, t)
             rows.append(SweepRow(values, report, total_cost_rate(modified)))
         except (ValueError, ArithmeticError) as exc:
             rows.append(SweepRow(values, None, None, error=str(exc)))
-    return SweepResult(spec=spec, rows=tuple(rows))
+    return SweepResult(spec=spec, rows=tuple(rows), base=base)
 
 
 def argmax(result: SweepResult, metric: str | None = None) -> tuple[tuple[Any, ...], float]:

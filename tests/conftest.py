@@ -11,6 +11,9 @@ from e3sim import (
     TrafficProfile,
     UserEquipment,
     XHaulSolution,
+    build_scenario,
+    scenario_to_document,
+    set_parameter,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -22,6 +25,11 @@ def scenario_path(name: str) -> Path:
 
 def load_document(name: str) -> dict:
     return json.loads(scenario_path(name).read_text())
+
+
+def with_parameter(scenario, path, value):
+    """``scenario`` rebuilt from its document with the value at ``path`` set."""
+    return build_scenario(set_parameter(scenario_to_document(scenario), path, value))
 
 
 def make_xhaul(capacity_bps=5e7, medium="wired", factor=None, solution_id="xh"):

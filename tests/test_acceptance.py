@@ -67,9 +67,9 @@ def test_c1_e3_reduces_to_ee_under_unit_coefficients():
 
 def test_c2_legacy_metrics_are_cost_blind():
     with budget("C2 cost blindness", 1.0):
-        s = build_scenario(load_document("fig3.json"))
-        base = evaluate(s, 20.0)
-        perturbed = evaluate(set_parameter(s, "kinds.ap.cost_per_area", 500.0), 20.0)
+        doc = load_document("fig3.json")
+        base = evaluate(build_scenario(doc), 20.0)
+        perturbed = evaluate(build_scenario(set_parameter(doc, "kinds.ap.cost_per_area", 500.0)), 20.0)
         assert perturbed.se == base.se  # bit-identical
         assert perturbed.ee == base.ee  # bit-identical
         assert perturbed.e3 != base.e3
@@ -103,14 +103,14 @@ def test_c3_xhaul_option_trend():
 
 def test_c4_cache_size_trend():
     with budget("C4 cache size trend", 10.0):
-        s = build_scenario(load_document("fig3.json"))
-        catalog = s.cache.catalog_size
+        doc = load_document("fig3.json")
+        catalog = build_scenario(doc).cache.catalog_size
         spec = SweepSpec(
             param_path="kinds.ap.cache_size", values=tuple(range(catalog + 1)), time_hours=20.0
         )
-        top = [row.report for row in run_sweep(s, spec).rows]
-        rand_scenario = set_parameter(s, "cache.strategy", "random_fill")
-        rand = [row.report for row in run_sweep(rand_scenario, spec).rows]
+        top = [row.report for row in run_sweep(doc, spec).rows]
+        rand_doc = set_parameter(doc, "cache.strategy", "random_fill")
+        rand = [row.report for row in run_sweep(rand_doc, spec).rows]
 
         for reports in (top, rand):
             se = [r.se for r in reports]
@@ -135,12 +135,12 @@ def test_c5_joint_xhaul_cache_trend():
     with budget("C5 joint trend", 10.0):
         optima = {}
         for name in ("fig4_c2.json", "fig4_c3.json"):
-            s = build_scenario(load_document(name))
-            catalog = s.cache.catalog_size
+            doc = load_document(name)
+            catalog = build_scenario(doc).cache.catalog_size
             spec = SweepSpec(
                 param_path="kinds.ap.cache_size", values=tuple(range(catalog + 1)), time_hours=20.0
             )
-            optima[name] = argmax(run_sweep(s, spec), "e3")
+            optima[name] = argmax(run_sweep(doc, spec), "e3")
         (m_small, e3_small) = optima["fig4_c2.json"]
         (m_large, e3_large) = optima["fig4_c3.json"]
         # a thinner X-Haul needs more cache at its optimum

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_kind, make_scenario
+from conftest import make_kind, make_scenario, with_parameter
 from oracles import allocate_bruteforce
 from e3sim import (
     BaseStation,
@@ -15,7 +15,6 @@ from e3sim import (
     associate,
     effective_bs_capacity,
     max_min_rates,
-    set_parameter,
 )
 
 demand_lists = st.lists(
@@ -181,7 +180,7 @@ class TestAllocate:
     def test_more_xhaul_never_hurts_anyone(self):
         s = caching_scenario(xhaul_capacity=1e7)
         rates_low = allocate(s, associate(s), 0.0).rates_bps
-        s_high = set_parameter(s, "kinds.pico.xhaul.capacity_bps", 3e7)
+        s_high = with_parameter(s, "kinds.pico.xhaul.capacity_bps", 3e7)
         rates_high = allocate(s_high, associate(s_high), 0.0).rates_bps
         assert all(rates_high[k] >= rates_low[k] - 1e-9 for k in rates_low)
 

@@ -2,12 +2,13 @@
 
 import csv
 import json
+from dataclasses import astuple
 
 import pytest
 
 from conftest import load_document, scenario_path
-from e3sim import build_scenario, evaluate, evaluate_daily
-from e3sim.cli import CSV_COLUMNS, main
+from e3sim import SweepSpec, build_scenario, evaluate, evaluate_daily, run_sweep
+from e3sim.cli import CSV_COLUMNS, MAX_GRID_POINTS, _parse_values, main
 
 FIG3 = str(scenario_path("fig3.json"))
 
@@ -101,10 +102,9 @@ class TestSweep:
                      "--argmax", "e3", "--time", "20", "--out", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
-        scenario = build_scenario(load_document("fig3.json"))
         spec = SweepSpec(param_path="kinds.ap.cache_size",
                          values=tuple(float(v) for v in range(21)), time_hours=20.0)
-        values, best = argmax(run_sweep(scenario, spec), "e3")
+        values, best = argmax(run_sweep(load_document("fig3.json"), spec), "e3")
         assert f"kinds.ap.cache_size={values[0]:g}" in printed
         assert format(best, ".12g") in printed
 
@@ -115,6 +115,12 @@ class TestSweep:
         assert main(["sweep", FIG3, "--param", "kinds.ap.nope=1,2",
                      "--out", str(out)]) == 1
 
+    def test_unresolvable_path_writes_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", FIG3, "--param", "kinds.ap.xhaul.nope=1,2", "--out", str(out)]) == 1
+        assert "unresolvable parameter path 'kinds.ap.xhaul.nope'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rows_match_library_sweep(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
         main(["sweep", FIG3, "--param", "kinds.ap.cache_size=0:20:5",
@@ -122,14 +128,99 @@ class TestSweep:
         _, header, rows = read_csv(out)
         from e3sim import SweepSpec, run_sweep
 
-        scenario = build_scenario(load_document("fig3.json"))
         spec = SweepSpec(param_path="kinds.ap.cache_size",
                          values=tuple(float(v) for v in range(0, 21, 5)), time_hours=20.0)
-        result = run_sweep(scenario, spec)
+        result = run_sweep(load_document("fig3.json"), spec)
         for row, expected in zip(rows, result.rows):
             record = dict(zip(header, row))
             assert record["e3_bit_per_joule"] == format(expected.report.e3, ".12g")
             assert record["weighted_power_w"] == format(expected.report.weighted_power_w, ".12g")
+
+
+class TestDocumentPaths:
+    """Sweeps over generator sections and defaulted keys, row for row."""
+
+    def sweep(self, tmp_path, scenario, *flags):
+        out = tmp_path / "p.csv"
+        assert main(["sweep", str(scenario), *flags, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        return [dict(zip(header, row)) for row in rows]
+
+    def assert_row_is(self, record, report):
+        assert record["error"] == ""
+        for column, value in zip(CSV_COLUMNS[2:10], astuple(report)[:8]):
+            assert record[column] == format(value, ".12g"), column
+
+    def test_fig2_xhaul_options(self, tmp_path, capsys):
+        options = ("opt1", "opt2", "opt3", "opt4", "opt5")
+        fig2 = scenario_path("fig2.json")
+        records = self.sweep(tmp_path, fig2, "--param", "base_stations.grid.kind=" + ",".join(options),
+                             "--daily", "--argmax", "e3")
+        assert "argmax e3: base_stations.grid.kind=opt3 " in capsys.readouterr().out
+        spec = SweepSpec(param_path="base_stations.grid.kind", values=options, daily=True)
+        rows = run_sweep(load_document("fig2.json"), spec).rows
+        for option, record, row in zip(options, records, rows):
+            doc = load_document("fig2.json")  # edited by hand, as acceptance test C3 does
+            doc["base_stations"]["grid"]["kind"] = option
+            expected = evaluate_daily(build_scenario(doc))
+            assert row.report == expected
+            assert record["param1"] == option
+            self.assert_row_is(record, expected)
+
+    @pytest.mark.parametrize(
+        "path, spec, values",
+        [
+            ("ues.uniform_random.count", "5:15:5", (5, 10, 15)),
+            ("seed", "1,2", (1, 2)),
+            ("radio_mode", "abstract,physical", ("abstract", "physical")),
+        ],
+    )
+    def test_generator_and_top_level_keys(self, tmp_path, capsys, path, spec, values):
+        records = self.sweep(tmp_path, FIG3, "--param", f"{path}={spec}", "--time", "20")
+        assert len(records) == len(values)
+        for record, value in zip(records, values):
+            doc = load_document("fig3.json")
+            section = doc["ues"]["uniform_random"] if path.startswith("ues.") else doc
+            section[path.rsplit(".", 1)[-1]] = value
+            self.assert_row_is(record, evaluate(build_scenario(doc), 20.0))
+
+    def test_wireless_medium_gets_its_default_power_factor(self, tmp_path, capsys):
+        doc = load_document("fig3.json")
+        del doc["kinds"][0]["xhaul"]["xhaul_power_factor"]
+        scenario = tmp_path / "no_factor.json"
+        scenario.write_text(json.dumps(doc))
+        [record] = self.sweep(tmp_path, scenario, "--param", "kinds.ap.xhaul.medium=wireless",
+                              "--time", "20")
+        doc["kinds"][0]["xhaul"].update(medium="wireless", xhaul_power_factor=3.0)
+        self.assert_row_is(record, evaluate(build_scenario(doc), 20.0))
+
+
+class TestGridLimit:
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--param", "kinds.ap.cache_size=0:1e9:1"], "--param"),
+            (["--param", "kinds.ap.cache_size=0:20:1", "--param2", "cache.zipf_exponent=0:1e12:0.5"],
+             "--param2"),
+            (["--param", "kinds.ap.cache_size=0:999:1", "--param2", "cache.zipf_exponent=0:999:1"],
+             "--param2"),
+        ],
+    )
+    def test_oversized_grid_exits_1_before_any_row(self, tmp_path, capsys, flags, flag):
+        out = tmp_path / "big.csv"
+        assert main(["sweep", FIG3, *flags, "--out", str(out)]) == 1
+        assert f"{flag}: more than {MAX_GRID_POINTS} grid points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["0:inf:1", "nan:1:1", "0:1:nan"])
+    def test_non_finite_range_exits_1(self, tmp_path, capsys, spec):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", FIG3, "--param", f"kinds.ap.cache_size={spec}", "--out", str(out)]) == 1
+        assert "--param: range bounds must be finite" in capsys.readouterr().err
+
+    def test_limit_sized_axis_is_accepted(self):
+        values = _parse_values(f"1:{MAX_GRID_POINTS}:1", "--param")
+        assert len(values) == MAX_GRID_POINTS and values[-1] == MAX_GRID_POINTS
 
 
 class TestDeterminismAndSeed:

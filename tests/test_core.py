@@ -23,10 +23,13 @@ from e3sim import (
     UserEquipment,
     allocate,
     associate,
+    build_scenario,
     evaluate,
     evaluate_daily,
     radio,
     radio_capacity,
+    scenario_to_document,
+    set_parameter,
 )
 
 NUMBERS = slice(0, 8)  # the eight numbers of a MetricReport, time_hours excluded
@@ -209,3 +212,48 @@ class TestMetamorphic:
         else:
             assert astuple(daily)[NUMBERS] == astuple(instant)[NUMBERS]
             assert daily.time_hours is None
+
+    @settings(max_examples=15, deadline=None)
+    @given(s=scenarios(), t=hours, data=st.data())
+    def test_se_and_ee_are_blind_to_every_cost_input(self, s, t, data):
+        document = scenario_to_document(s)
+        kind = draw_kind_id(data, s)
+        path, value = data.draw(
+            st.one_of(
+                st.tuples(st.just(f"kinds.{kind}.cost_per_area"), st.floats(1e-3, 1e4)),
+                st.tuples(st.just(f"kinds.{kind}.cache_item_cost_per_area"), st.floats(0.0, 1e3)),
+                st.tuples(st.just("benchmark_cost"), st.floats(1e-3, 1e4) | st.just("max-kind")),
+            )
+        )
+        base = outcome(evaluate, build_scenario(document), t)
+        other = outcome(evaluate, build_scenario(set_parameter(document, path, value)), t)
+        if isinstance(base, tuple):
+            assert other == base
+        else:
+            assert (other.se, other.ee) == (base.se, base.ee)  # bitwise
+
+    @settings(max_examples=15, deadline=None)
+    @given(s=scenarios(), t=hours, data=st.data())
+    def test_se_is_non_decreasing_in_xhaul_capacity(self, s, t, data):
+        path = f"kinds.{draw_kind_id(data, s)}.xhaul.capacity_bps"
+        low, high = sorted(data.draw(st.lists(st.floats(1e5, 1e9), min_size=2, max_size=2)))
+        assert_non_decreasing_se(scenario_to_document(s), path, low, high, t)
+
+    @settings(max_examples=15, deadline=None)
+    @given(s=scenarios(), t=hours, data=st.data())
+    def test_se_is_non_decreasing_in_top_popular_cache_size(self, s, t, data):
+        document = set_parameter(scenario_to_document(s), "cache.strategy", "top_popular")
+        path = f"kinds.{draw_kind_id(data, s)}.cache_size"
+        low, high = sorted(data.draw(st.lists(st.integers(0, s.cache.catalog_size), min_size=2, max_size=2)))
+        assert_non_decreasing_se(document, path, low, high, t)
+
+
+def draw_kind_id(data, s):
+    return data.draw(st.sampled_from([k.kind_id for k in s.kinds]))
+
+
+def assert_non_decreasing_se(document, path, low, high, t):
+    """SE at the higher value is at least SE at the lower one, within 1e-12 relative."""
+    se_low = evaluate(build_scenario(set_parameter(document, path, low)), t).se
+    se_high = evaluate(build_scenario(set_parameter(document, path, high)), t).se
+    assert se_high >= se_low * (1 - 1e-12), (path, low, high, se_low, se_high)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from conftest import make_kind, make_scenario, make_xhaul
+from conftest import make_kind, make_scenario, make_xhaul, with_parameter
 from e3sim import (
     SECONDS_PER_YEAR,
     BaseStation,
@@ -12,6 +12,7 @@ from e3sim import (
     UserEquipment,
     evaluate,
     evaluate_daily,
+    scenario_to_document,
     set_parameter,
     total_cost_rate,
 )
@@ -63,7 +64,7 @@ class TestEvaluate:
     def test_cost_perturbation_leaves_se_and_ee_bit_identical(self):
         s = hand_case_scenario()
         base = evaluate(s, 0.0)
-        pricier = evaluate(set_parameter(s, "kinds.pico.cost_per_area", 500.0), 0.0)
+        pricier = evaluate(with_parameter(s, "kinds.pico.cost_per_area", 500.0), 0.0)
         assert pricier.se == base.se
         assert pricier.ee == base.ee
         assert pricier.e3 != base.e3
@@ -77,12 +78,12 @@ class TestEvaluate:
     def test_se_ignores_power_parameters(self):
         s = hand_case_scenario()
         base = evaluate(s, 0.0)
-        heavier = evaluate(set_parameter(s, "kinds.pico.static_power_w", 60.0), 0.0)
+        heavier = evaluate(with_parameter(s, "kinds.pico.static_power_w", 60.0), 0.0)
         assert heavier.se == base.se
 
     def test_weight_scaling_scales_both_weighted_metrics(self):
         s = hand_case_scenario()
-        scaled = set_parameter(s, "ues[0].weight", 3.0)
+        scaled = with_parameter(s, "ues[0].weight", 3.0)
         base, up = evaluate(s, 0.0), evaluate(scaled, 0.0)
         assert up.e3 == pytest.approx(3.0 * base.e3, rel=1e-12)
         assert up.ee == pytest.approx(3.0 * base.ee, rel=1e-12)
@@ -96,6 +97,7 @@ class TestEvaluate:
                              xhaul=make_xhaul(capacity_bps=6e6)),),
             cache=None,
         )
+        s = scenario_to_document(s)
         s = set_parameter(s, "cache.catalog_size", 10)
         s = set_parameter(s, "cache.strategy", "top_popular")
         spec = SweepSpec(param_path="kinds.pico.cache_size", values=tuple(range(11)), time_hours=0.0)

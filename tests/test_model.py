@@ -6,6 +6,8 @@ import pytest
 
 from conftest import load_document, make_kind, make_scenario, make_xhaul
 from e3sim import (
+    CacheConfig,
+    CostBreakdown,
     InvariantError,
     SchemaError,
     UnknownKindError,
@@ -16,6 +18,16 @@ from e3sim import (
     resolve_benchmark_cost,
     scenario_to_document,
     validate_scenario,
+)
+
+BREAKDOWN_COMPONENTS = (
+    "infrastructure",
+    "site_installation",
+    "site_operation",
+    "optimization_maintenance",
+    "cache_placement",
+    "xhaul_configuration",
+    "content_delivery",
 )
 
 MINIMAL_DOC = {
@@ -244,4 +256,34 @@ def test_non_finite_json_number_is_rejected_with_path(value):
 )
 def test_positive_invariants_reject_non_finite_values(build):
     with pytest.raises(InvariantError, match="must be finite and > 0"):
+        build()
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_xhaul(medium="wireless", factor=INF),
+        lambda: make_kind(cache_size=INF),
+        lambda: make_kind(cache_item_cost_per_area=INF),
+        lambda: CacheConfig(zipf_exponent=INF),
+        lambda: CacheConfig(cache_power_per_item_w=INF),
+    ]
+    + [
+        lambda name=name: CostBreakdown(**{**{c: 1.0 for c in BREAKDOWN_COMPONENTS}, name: INF})
+        for name in BREAKDOWN_COMPONENTS
+    ],
+    ids=[
+        "xhaul_power_factor",
+        "cache_size",
+        "cache_item_cost_per_area",
+        "zipf_exponent",
+        "cache_power_per_item_w",
+        *BREAKDOWN_COMPONENTS,
+    ],
+)
+def test_non_negative_invariants_reject_infinity(build):
+    with pytest.raises(InvariantError, match="must be finite and >= 0"):
         build()

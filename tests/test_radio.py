@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_kind, make_scenario
+from conftest import make_kind, make_scenario, with_parameter
 from e3sim import (
     BaseStation,
     TrafficProfile,
@@ -13,7 +13,6 @@ from e3sim import (
     associate,
     demand_at,
     radio_capacity,
-    set_parameter,
 )
 
 
@@ -144,7 +143,7 @@ class TestRadioCapacity:
         )
         caps = []
         for tx in (0.5, 1.0, 2.0, 8.0):
-            s2 = set_parameter(s, "kinds.b.tx_power_w", tx)
+            s2 = with_parameter(s, "kinds.b.tx_power_w", tx)
             caps.append(radio_capacity(s2.base_stations[0], associate(s2), s2))
         assert all(caps[i + 1] <= caps[i] for i in range(len(caps) - 1))
 

@@ -1,24 +1,37 @@
 """Parameter paths, grid sweeps, argmax, and Pareto extraction."""
 
+import copy
+import re
+
 import pytest
 
 from conftest import load_document
 from e3sim import (
+    InvariantError,
     ParameterPathError,
+    SchemaError,
     SweepSpec,
     argmax,
     build_scenario,
     evaluate,
+    evaluate_daily,
     pareto_front,
     resolve_parameter,
     run_sweep,
+    scenario_to_document,
     set_parameter,
+    total_cost_rate,
 )
+from e3sim.model import _build
 
 
 @pytest.fixture()
 def fig3():
-    return build_scenario(load_document("fig3.json"))
+    return load_document("fig3.json")
+
+
+def built(document, path, value):
+    return build_scenario(set_parameter(document, path, value))
 
 
 class TestSetParameter:
@@ -26,29 +39,32 @@ class TestSetParameter:
         by_id = set_parameter(fig3, "kinds.ap.cache_size", 12)
         by_index = set_parameter(fig3, "kinds[0].cache_size", 12)
         assert by_id == by_index
-        assert by_id.kinds[0].cache_size == 12
-        # stations are relinked to the replaced kind
-        assert by_id.base_stations[0].kind.cache_size == 12
+        assert by_id["kinds"][0]["cache_size"] == 12
+        # stations are built with the edited kind
+        assert build_scenario(by_id).base_stations[0].kind.cache_size == 12
 
     def test_nested_xhaul_field(self, fig3):
-        s = set_parameter(fig3, "kinds.ap.xhaul.capacity_bps", 2.4e7)
+        s = built(fig3, "kinds.ap.xhaul.capacity_bps", 2.4e7)
         assert s.kinds[0].xhaul.capacity_bps == 2.4e7
 
     def test_cache_traffic_ue_and_benchmark(self, fig3):
-        assert set_parameter(fig3, "cache.strategy", "random_fill").cache.strategy == "random_fill"
-        assert set_parameter(fig3, "traffic.peak_to_min_ratio", 8.0).traffic.peak_to_min_ratio == 8.0
-        assert set_parameter(fig3, "ues[0].weight", 2.5).ues[0].weight == 2.5
-        assert set_parameter(fig3, "benchmark_cost", 200.0).benchmark_cost == 200.0
+        assert built(fig3, "cache.strategy", "random_fill").cache.strategy == "random_fill"
+        assert built(fig3, "traffic.peak_to_min_ratio", 8.0).traffic.peak_to_min_ratio == 8.0
+        explicit = scenario_to_document(build_scenario(fig3))  # UEs as a list
+        assert built(explicit, "ues[0].weight", 2.5).ues[0].weight == 2.5
+        assert built(fig3, "benchmark_cost", 200.0).benchmark_cost == 200.0
 
     def test_base_scenario_is_untouched(self, fig3):
-        before = evaluate(fig3, 20.0)
+        before = evaluate(build_scenario(fig3), 20.0)
+        snapshot = copy.deepcopy(fig3)
         set_parameter(fig3, "kinds.ap.cache_size", 15)
-        assert evaluate(fig3, 20.0) == before
+        assert fig3 == snapshot
+        assert evaluate(build_scenario(fig3), 20.0) == before
 
     def test_integer_fields_reject_fractions(self, fig3):
-        assert set_parameter(fig3, "kinds.ap.cache_size", 3.0).kinds[0].cache_size == 3
-        with pytest.raises(ValueError, match="integers"):
-            set_parameter(fig3, "kinds.ap.cache_size", 3.5)
+        assert built(fig3, "kinds.ap.cache_size", 3.0).kinds[0].cache_size == 3
+        with pytest.raises(SchemaError, match=r"kinds\[0\]\.cache_size: expected an integer, got 3.5"):
+            built(fig3, "kinds.ap.cache_size", 3.5)
 
     @pytest.mark.parametrize(
         "path",
@@ -68,10 +84,83 @@ class TestSetParameter:
             resolve_parameter(fig3, path)
 
     def test_invariant_violations_surface(self, fig3):
-        from e3sim import InvariantError
-
         with pytest.raises(InvariantError):
-            set_parameter(fig3, "kinds.ap.xhaul.capacity_bps", -1.0)
+            built(fig3, "kinds.ap.xhaul.capacity_bps", -1.0)
+
+
+class TestDocumentPaths:
+    def test_entries_by_id_and_generator_sections(self, fig3):
+        assert resolve_parameter(fig3, "base_stations.ap000.position_m[0]") == 0.0
+        assert built(fig3, "base_stations.ap000.position_m[1]", 5.0).base_stations[0].position_m == (0.0, 5.0)
+        assert resolve_parameter(fig3, "ues.uniform_random.count") == 10
+        assert len(built(fig3, "ues.uniform_random.count", 4).ues) == 4
+        assert built(fig3, "seed", 8).rng_seed == 8
+        assert built(fig3, "radio_mode", "physical").radio_mode == "physical"
+        fig2 = load_document("fig2.json")
+        s = built(fig2, "base_stations.grid.kind", "opt5")
+        assert {b.kind.kind_id for b in s.base_stations} == {"opt5"}
+        explicit = scenario_to_document(build_scenario(fig3))
+        assert built(explicit, "ues.ue003.demand_peak_bps", 1e6).ues[3].demand_peak_bps == 1e6
+
+    def test_defaulted_key_gets_the_schema_rules(self, fig3):
+        del fig3["kinds"][0]["xhaul"]["xhaul_power_factor"]
+        del fig3["kinds"][0]["tx_power_w"]
+        assert resolve_parameter(fig3, "kinds.ap.xhaul.xhaul_power_factor") is None
+        # the medium default applies at build time, so a wireless point gets its factor
+        assert built(fig3, "kinds.ap.xhaul.medium", "wireless").kinds[0].xhaul.xhaul_power_factor == 3.0
+        assert built(fig3, "kinds.ap.tx_power_w", 0.5).kinds[0].tx_power_w == 0.5
+
+    def test_only_the_path_is_copied(self, fig3):
+        edited = set_parameter(fig3, "kinds.ap.cache_size", 3)
+        assert edited["kinds"] is not fig3["kinds"] and edited["kinds"][0] is not fig3["kinds"][0]
+        assert edited["kinds"][0]["xhaul"] is fig3["kinds"][0]["xhaul"]
+        assert all(edited[key] is fig3[key] for key in fig3 if key != "kinds")
+        assert fig3["kinds"][0]["cache_size"] == 6
+
+    @pytest.mark.parametrize(
+        "path",
+        ["kinds.ap", "cache", "kinds.ap.cache_size[0]", "seed.x", "kinds.ap.cost_breakdown.infrastructure",
+         "base_stations.ap001.kind", "ues.uniform_random.area_m[2]", "kinds.ap-1.cache_size"],
+    )
+    def test_sections_and_missing_entries_do_not_resolve(self, fig3, path):
+        with pytest.raises(ParameterPathError, match=f"unresolvable parameter path '{re.escape(path)}'"):
+            set_parameter(fig3, path, 1.0)
+
+    @pytest.mark.parametrize(
+        "path, values",
+        [
+            ("kinds.ap.cache_size", (0, 6)),
+            ("seed", (7, 8)),
+            ("radio_mode", ("abstract", "physical")),
+            ("ues.uniform_random.count", (5, 10)),
+            ("base_stations.ap000.position_m[0]", (0.0, 20.0)),
+            ("traffic.peak_to_min_ratio", (2.0,)),
+        ],
+    )
+    def test_rows_equal_fresh_builds_of_each_point(self, fig3, path, values):
+        # points reuse the base's built sections; the rows must not show it
+        result = run_sweep(fig3, SweepSpec(param_path=path, values=values, daily=True))
+        for value, row in zip(values, result.rows):
+            assert row.report == evaluate_daily(built(fig3, path, value))
+            assert row.cost_rate == total_cost_rate(built(fig3, path, value))
+
+    def test_points_share_the_sections_they_do_not_touch(self, fig3):
+        base = build_scenario(fig3)
+        seeded = _build(set_parameter(fig3, "seed", 9), (fig3, base))
+        assert seeded.kinds is base.kinds and seeded.base_stations is base.base_stations
+        assert seeded.ues != base.ues
+        resized = _build(set_parameter(fig3, "kinds.ap.cache_size", 2), (fig3, base))
+        assert resized.ues is base.ues and resized.base_stations[0].kind.cache_size == 2
+
+    def test_bad_value_at_a_valid_path_is_a_row_error(self, fig3):
+        spec = SweepSpec(param_path="cache.strategy", values=("lru", "none"), time_hours=20.0)
+        rows = run_sweep(fig3, spec).rows
+        assert rows[0].error.startswith("cache.strategy: expected one of")
+        assert rows[1].error is None
+
+    def test_result_carries_the_base_scenario(self, fig3):
+        spec = SweepSpec(param_path="seed", values=(1,), time_hours=20.0)
+        assert run_sweep(fig3, spec).base == build_scenario(fig3)
 
 
 class TestRunSweep:
@@ -79,16 +168,16 @@ class TestRunSweep:
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=(6,), time_hours=20.0)
         result = run_sweep(fig3, spec)
         assert len(result.rows) == 1
-        assert result.rows[0].report == evaluate(fig3, 20.0)
+        assert result.rows[0].report == evaluate(build_scenario(fig3), 20.0)
 
     def test_rows_match_independent_evaluations(self):
         # each sweep row equals a standalone evaluation of the modified copy
-        s = build_scenario(load_document("fig2.json"))
+        s = load_document("fig2.json")
         values = (12e6, 24e6, 48e6, 96e6, 192e6)
         spec = SweepSpec(param_path="kinds.opt3.xhaul.capacity_bps", values=values, time_hours=20.0)
         result = run_sweep(s, spec)
         for value, row in zip(values, result.rows):
-            expected = evaluate(set_parameter(s, "kinds.opt3.xhaul.capacity_bps", value), 20.0)
+            expected = evaluate(built(s, "kinds.opt3.xhaul.capacity_bps", value), 20.0)
             assert row.report == expected
             assert row.error is None
 
@@ -111,9 +200,9 @@ class TestRunSweep:
             run_sweep(fig3, spec)
 
     def test_base_scenario_reproduces_after_sweep(self, fig3):
-        before = evaluate(fig3, 20.0)
+        before = evaluate(build_scenario(fig3), 20.0)
         run_sweep(fig3, SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)), time_hours=20.0))
-        assert evaluate(fig3, 20.0) == before
+        assert evaluate(build_scenario(fig3), 20.0) == before
 
     def test_repeat_runs_are_identical(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(0, 21, 2)), daily=True)
