@@ -8,17 +8,10 @@ points.
 
 __version__ = "0.1.0"
 
-from .allocation import (
-    AllocationResult,
-    allocate,
-    effective_bs_capacity,
-    max_min_rates,
-)
+from .allocation import effective_bs_capacity, max_min_rates
 from .cache import Popularity, hit_ratio, zipf_popularity
 from .energy_cost import (
-    PowerDraw,
     cost_coefficient,
-    dynamic_power,
     effective_cost_per_area,
     resolve_benchmark_cost,
     total_cost_rate,
@@ -41,7 +34,6 @@ from .model import (
     scenario_to_document,
     validate_scenario,
 )
-from .radio import Association, associate, demand_at, path_loss_db, radio_capacity
 from .sweep import (
     ParameterPathError,
     SweepResult,
@@ -56,8 +48,6 @@ from .sweep import (
 
 __all__ = [
     "__version__",
-    "AllocationResult",
-    "Association",
     "BaseStation",
     "BsKind",
     "CacheConfig",
@@ -67,7 +57,6 @@ __all__ = [
     "NetworkScenario",
     "ParameterPathError",
     "Popularity",
-    "PowerDraw",
     "ScenarioError",
     "SchemaError",
     "SECONDS_PER_YEAR",
@@ -78,13 +67,9 @@ __all__ = [
     "UnknownKindError",
     "UserEquipment",
     "XHaulSolution",
-    "allocate",
     "argmax",
-    "associate",
     "build_scenario",
     "cost_coefficient",
-    "demand_at",
-    "dynamic_power",
     "effective_bs_capacity",
     "effective_cost_per_area",
     "evaluate",
@@ -92,8 +77,6 @@ __all__ = [
     "hit_ratio",
     "max_min_rates",
     "pareto_front",
-    "path_loss_db",
-    "radio_capacity",
     "resolve_benchmark_cost",
     "resolve_parameter",
     "run_sweep",

@@ -21,29 +21,10 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .cache import hit_ratio, zipf_popularity
-from .radio import (
-    Association,
-    chunk_rows,
-    demand_factor,
-    nearest_stations,
-    physical_capacities,
-    positions,
-)
+from .radio import chunk_rows, nearest_stations, physical_capacities
 
 if TYPE_CHECKING:
     from .model import NetworkScenario
-
-
-@dataclass(frozen=True)
-class AllocationResult:
-    """Per-UE granted rates plus per-station load and traffic split."""
-
-    rates_bps: dict[str, float]
-    served_bps: dict[str, float]
-    hit_bps: dict[str, float]
-    miss_bps: dict[str, float]
-    radio_load: dict[str, float]
-    xhaul_utilization: dict[str, float]
 
 
 def effective_bs_capacity(radio_cap_bps: float, xhaul_cap_bps: float, hit_fraction: float) -> float:
@@ -112,8 +93,6 @@ class AllocationPlan:
     serving: np.ndarray
     peaks: np.ndarray
     radio_cap: np.ndarray
-    xhaul_cap: np.ndarray
-    hit: np.ndarray
     capacity: np.ndarray
     counts: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -142,42 +121,34 @@ def _blocks(serving: np.ndarray, peaks: np.ndarray, counts: np.ndarray, samples:
     return tuple(blocks)
 
 
-def plan_allocation(
-    s: NetworkScenario, samples: int, serving: np.ndarray | None = None
-) -> AllocationPlan:
+def plan_allocation(s: NetworkScenario, samples: int) -> AllocationPlan:
     """Compile ``s`` for allocating ``samples`` hours.
 
-    ``serving`` (station index per UE) defaults to nearest-station
-    association. Radio capacity, hit ratio and effective capacity are
-    computed once per station here, in ``s.base_stations`` order, with the
-    same checks as the per-station functions.
+    Associates every UE with its nearest station, then computes radio
+    capacity, hit ratio and effective capacity once per station, in
+    ``s.base_stations`` order.
     """
-    if serving is None:
-        serving = nearest_stations(s)
+    serving = nearest_stations(s)
     n_bs = len(s.base_stations)
     counts = np.bincount(serving, minlength=n_bs)
     peaks = np.array([u.demand_peak_bps for u in s.ues], dtype=float)
     if s.radio_mode == "abstract":
         radio_cap = np.array([b.kind.radio_capacity_bps for b in s.base_stations])
     else:
-        radio_cap = physical_capacities(s, positions(s.ues), serving)
+        radio_cap = physical_capacities(s, serving)
     popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
     hits: dict[int, float] = {}
-    hit = np.empty(n_bs)
     capacity = np.empty(n_bs)
     for i, bs in enumerate(s.base_stations):
         size = bs.kind.cache_size
         if size not in hits:
             hits[size] = hit_ratio(s.cache.strategy, size, popularity)
-        hit[i] = hits[size]
         capacity[i] = effective_bs_capacity(float(radio_cap[i]), bs.kind.xhaul.capacity_bps, hits[size])
     per_chunk = min(samples, chunk_rows(len(peaks)))
     return AllocationPlan(
         serving=serving,
         peaks=peaks,
         radio_cap=radio_cap,
-        xhaul_cap=np.array([b.kind.xhaul.capacity_bps for b in s.base_stations]),
-        hit=hit,
         capacity=capacity,
         counts=counts,
         blocks=_blocks(serving, peaks, counts, per_chunk),
@@ -185,14 +156,15 @@ def plan_allocation(
     )
 
 
-def fill(plan: AllocationPlan, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fill(plan: AllocationPlan, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grant max-min fair rates for a batch of demand factors f(t).
 
-    Returns the granted rates (samples x U), and the served rate and radio
-    load of every station (samples x B). Every UE demands ``peak * f``;
-    each station's level comes from its sorted demands (sorting by peak
-    sorts the demands, as f > 0), and a UE gets ``min(demand, level)``.
-    Station totals add the rates in UE order, one at a time, like a Python
+    Returns the granted rates (samples x U) and the radio load of every
+    station (samples x B). Every UE demands ``peak * f``; each station's
+    level comes from its sorted demands (sorting by peak sorts the
+    demands, as f > 0), and a UE gets ``min(demand, level)``. A station's
+    load is its served rate over its radio capacity, capped at 1; the
+    served rate adds the rates in UE order, one at a time, like a Python
     ``sum`` over the attachment list.
     """
     n_samples, n_bs = len(factors), len(plan.capacity)
@@ -206,35 +178,4 @@ def fill(plan: AllocationPlan, factors: np.ndarray) -> tuple[np.ndarray, np.ndar
     served = served.reshape(n_samples, n_bs)
     with np.errstate(divide="ignore", invalid="ignore"):
         load = np.where(plan.radio_cap > 0, np.minimum(served / plan.radio_cap, 1.0), 0.0)
-    return rates, served, load
-
-
-def allocate(s: NetworkScenario, assoc: Association, t_hours: float) -> AllocationResult:
-    """Grant every UE its max-min fair rate at hour ``t_hours``.
-
-    Per station: demands come from the daily profile, the hit fraction from
-    the scenario strategy and the kind's cache size, and the cap from
-    ``effective_bs_capacity``. Hit traffic is the hit fraction of served
-    traffic; the rest crosses the X-Haul. Independent of UE input order.
-    """
-    factor = demand_factor(t_hours, s.traffic)
-    index = {b.bs_id: i for i, b in enumerate(s.base_stations)}
-    serving = np.array([index[assoc.serving[u.ue_id]] for u in s.ues], dtype=np.intp)
-    plan = plan_allocation(s, 1, serving)
-    granted, served, load = fill(plan, np.array([factor]))
-    ue_rates = granted[0].tolist()
-    station_major = np.argsort(serving, kind="stable").tolist()
-    rates = {s.ues[i].ue_id: ue_rates[i] for i in station_major}
-    served = served[0]
-    hit = plan.hit * served
-    miss = served - hit
-    utilization = np.minimum(miss / plan.xhaul_cap, 1.0)
-    bs_ids = list(index)
-    return AllocationResult(
-        rates_bps=rates,
-        served_bps=dict(zip(bs_ids, served.tolist())),
-        hit_bps=dict(zip(bs_ids, hit.tolist())),
-        miss_bps=dict(zip(bs_ids, miss.tolist())),
-        radio_load=dict(zip(bs_ids, load[0].tolist())),
-        xhaul_utilization=dict(zip(bs_ids, utilization.tolist())),
-    )
+    return rates, load

@@ -10,7 +10,6 @@ of a kind is its effective per-area cost divided by the benchmark cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -18,17 +17,7 @@ import numpy as np
 from .model import MAX_KIND
 
 if TYPE_CHECKING:
-    from .model import BaseStation, BsKind, NetworkScenario
-
-
-@dataclass(frozen=True)
-class PowerDraw:
-    """Static and dynamic watts of one station, dynamic split into parts."""
-
-    static_w: float
-    dynamic_w: float
-    transceiver_w: float
-    xhaul_w: float
+    from .model import BsKind, NetworkScenario
 
 
 def dynamic_parts(max_tx_dynamic_power_w, xhaul_power_factor, radio_load):
@@ -47,24 +36,6 @@ def dynamic_parts(max_tx_dynamic_power_w, xhaul_power_factor, radio_load):
         raise ValueError(f"radio_load must lie in [0, 1], got {float(load[bad].flat[0])}")
     transceiver = max_tx_dynamic_power_w * load
     return transceiver, xhaul_power_factor * transceiver
-
-
-def dynamic_power(bs: BaseStation, radio_load: float) -> PowerDraw:
-    """Power draw of ``bs`` at the given radio load fraction.
-
-    The transceiver part scales linearly from 0 at idle to the kind's
-    ``max_tx_dynamic_power_w`` at full load; the X-Haul part is
-    ``xhaul_power_factor`` times the transceiver part (0 for wired media).
-    Static power is load- and medium-independent.
-    """
-    kind = bs.kind
-    transceiver, xhaul = dynamic_parts(kind.max_tx_dynamic_power_w, kind.xhaul.xhaul_power_factor, radio_load)
-    return PowerDraw(
-        static_w=kind.static_power_w,
-        dynamic_w=float(transceiver + xhaul),
-        transceiver_w=float(transceiver),
-        xhaul_w=float(xhaul),
-    )
 
 
 def effective_cost_per_area(kind: BsKind) -> float:

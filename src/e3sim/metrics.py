@@ -81,7 +81,7 @@ def _sample_sums(s: NetworkScenario, times: Sequence[float]) -> np.ndarray:
     sums = np.empty((4, len(factors)))
     step = plan.samples_per_chunk
     for lo in range(0, len(factors), step):
-        rates, _, load = fill(plan, factors[lo : lo + step])
+        rates, load = fill(plan, factors[lo : lo + step])
         transceiver, xhaul = dynamic_parts(max_tx, xhaul_factor, load)
         dynamic = transceiver + xhaul
         sums[0, lo : lo + step] = _sequential_sum(rates[:, station_major])

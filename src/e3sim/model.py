@@ -198,7 +198,9 @@ class TrafficProfile:
     samples_per_day: int = 24
 
     def __post_init__(self) -> None:
-        _require(self.peak_to_min_ratio >= 1, "TrafficProfile: peak_to_min_ratio must be >= 1")
+        _require(
+            1 <= self.peak_to_min_ratio < math.inf, "TrafficProfile: peak_to_min_ratio must be finite and >= 1"
+        )
         _require(0 <= self.peak_hour < 24, "TrafficProfile: peak_hour must lie in [0, 24)")
         _require(self.samples_per_day >= 1, "TrafficProfile: samples_per_day must be >= 1")
 
@@ -354,6 +356,14 @@ def _as_number(value: Any, path: str) -> float:
     return number
 
 
+def _position(doc: Mapping[str, Any], path: str) -> tuple[float, float]:
+    value = doc["position_m"]
+    if not isinstance(value, list) or len(value) != 2:
+        raise SchemaError(f"{path}.position_m: expected [x, y]")
+    x, y = (_as_number(v, f"{path}.position_m[{i}]") for i, v in enumerate(value))
+    return x, y
+
+
 def _int(doc: Mapping[str, Any], key: str, path: str, default: int | None = None) -> int:
     if key not in doc:
         if default is None:
@@ -460,7 +470,7 @@ def _build_base_stations(
         if kind_id not in kinds_by_id:
             raise UnknownKindError(f"{path}: unknown kind_id '{kind_id}'")
         stations.append(
-            BaseStation(_str(entry, "bs_id", path), kinds_by_id[kind_id], entry["position_m"])
+            BaseStation(_str(entry, "bs_id", path), kinds_by_id[kind_id], _position(entry, path))
         )
     return tuple(stations)
 
@@ -497,7 +507,7 @@ def _build_ues(doc: Any, seed: int) -> tuple[UserEquipment, ...]:
         ues.append(
             UserEquipment(
                 _str(entry, "ue_id", path),
-                entry["position_m"],
+                _position(entry, path),
                 _num(entry, "demand_peak_bps", path),
                 _num(entry, "weight", path, 1.0),
             )
@@ -535,6 +545,8 @@ def _build(
     """
     _check_keys(document, "", ())
     seed = _int(document, "seed", "document", 0)
+    if seed < 0:
+        raise SchemaError(f"document.seed: must be >= 0, got {seed}")
     shared = {k for k in ("kinds", "base_stations", "ues") if base and document[k] is base[0][k]}
 
     if "kinds" in shared:

@@ -10,13 +10,12 @@ distance matrix in chunks of UEs whose temporaries stay within
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .model import BaseStation, NetworkScenario, TrafficProfile, UserEquipment
+    from .model import NetworkScenario, TrafficProfile
 
 # Physical-mode propagation defaults: log-distance path loss with urban
 # exponent, thermal noise floor, all interferers at full power (worst case).
@@ -39,14 +38,6 @@ _TIE_RTOL = 1e-12
 def chunk_rows(width: int) -> int:
     """Rows of ``width`` float64 values that fit one chunk temporary."""
     return max(1, CHUNK_BYTES // (8 * max(width, 1)))
-
-
-@dataclass(frozen=True)
-class Association:
-    """Which station serves each UE, and the reverse attachment lists."""
-
-    serving: dict[str, str]
-    attached: dict[str, tuple[str, ...]]
 
 
 def positions(items) -> np.ndarray:
@@ -85,21 +76,6 @@ def nearest_stations(s: NetworkScenario) -> np.ndarray:
     return serving
 
 
-def associate(s: NetworkScenario) -> Association:
-    """Attach every UE to its nearest station (ties: smallest bs_id).
-
-    Deterministic and independent of UE ordering; every station appears in
-    the attachment map, possibly with an empty list.
-    """
-    bs_ids = [b.bs_id for b in s.base_stations]
-    serving: dict[str, str] = {}
-    attached: dict[str, list[str]] = {bs_id: [] for bs_id in bs_ids}
-    for ue, index in zip(s.ues, nearest_stations(s).tolist()):
-        serving[ue.ue_id] = bs_ids[index]
-        attached[bs_ids[index]].append(ue.ue_id)
-    return Association(serving=serving, attached={k: tuple(v) for k, v in attached.items()})
-
-
 def path_loss_db(distance_m):
     """Log-distance path loss in dB; distances below the reference clamp to it.
 
@@ -109,10 +85,10 @@ def path_loss_db(distance_m):
     return PATHLOSS_REF_DB + 10.0 * PATHLOSS_EXPONENT * np.log10(d / PATHLOSS_REF_DISTANCE_M)
 
 
-def physical_capacities(s: NetworkScenario, ue_xy: np.ndarray, serving: np.ndarray) -> np.ndarray:
+def physical_capacities(s: NetworkScenario, serving: np.ndarray) -> np.ndarray:
     """Physical-mode air-interface capacity of every station in bit/s.
 
-    Each station splits its kind's bandwidth equally among the UEs it
+    ``serving`` is the station index of each UE. Each station splits its kind's bandwidth equally among the UEs it
     serves and sums their Shannon rates, with SINR taken over the full
     band under full-power interference from every other station. One
     received-power row per UE, built chunk by chunk. Stations serving no
@@ -120,6 +96,7 @@ def physical_capacities(s: NetworkScenario, ue_xy: np.ndarray, serving: np.ndarr
     """
     n_bs = len(s.base_stations)
     bs = positions(s.base_stations)
+    ue_xy = positions(s.ues)
     tx_w = np.array([b.kind.tx_power_w for b in s.base_stations])
     bandwidth = np.array([b.kind.bandwidth_hz for b in s.base_stations])
     noise_w = _NOISE_W_PER_HZ * bandwidth
@@ -139,31 +116,13 @@ def physical_capacities(s: NetworkScenario, ue_xy: np.ndarray, serving: np.ndarr
     return np.bincount(serving, weights=rates, minlength=n_bs)
 
 
-def radio_capacity(bs: BaseStation, assoc: Association, s: NetworkScenario) -> float:
-    """Aggregate air-interface capacity of one station in bit/s.
-
-    Abstract mode returns the kind's configured capacity. Physical mode
-    splits the kind's bandwidth equally among the attached UEs and sums
-    their Shannon rates, with SINR taken over the full band under
-    full-power interference from every other station.
-    """
-    if s.radio_mode == "abstract":
-        return bs.kind.radio_capacity_bps
-    attached = set(assoc.attached[bs.bs_id])
-    if not attached:
-        return 0.0
-    index = s.base_stations.index(bs)
-    ue_xy = positions([u for u in s.ues if u.ue_id in attached])
-    serving = np.full(len(ue_xy), index, dtype=np.intp)
-    return float(physical_capacities(s, ue_xy, serving)[index])
-
-
 def demand_factor(t_hours: float, profile: TrafficProfile) -> float:
     """Share of the peak demand that every UE requests at hour ``t_hours``.
 
-    Sinusoidal shape peaking at ``peak_hour`` with the configured
-    peak-to-minimum ratio: 1 at the peak and ``1 / peak_to_min_ratio`` at
-    the trough. Periodic with period 24 h.
+    A UE demands its ``demand_peak_bps`` times this factor. Sinusoidal
+    shape peaking at ``peak_hour`` with the configured peak-to-minimum
+    ratio: 1 at the peak and ``1 / peak_to_min_ratio`` at the trough.
+    Periodic with period 24 h.
 
     Raises:
         ValueError: ``t_hours`` is NaN or infinite.
@@ -173,13 +132,3 @@ def demand_factor(t_hours: float, profile: TrafficProfile) -> float:
     rho = profile.peak_to_min_ratio
     phase = (1.0 + math.cos(2.0 * math.pi * (t_hours - profile.peak_hour) / 24.0)) / 2.0
     return 1.0 / rho + (1.0 - 1.0 / rho) * phase
-
-
-def demand_at(ue: UserEquipment, t_hours: float, profile: TrafficProfile) -> float:
-    """Demanded rate of one UE at hour ``t_hours`` of the day, in bit/s.
-
-    The UE's ``demand_peak_bps`` times ``demand_factor``: the maximum
-    equals ``demand_peak_bps`` and the minimum equals ``demand_peak_bps /
-    peak_to_min_ratio``.
-    """
-    return ue.demand_peak_bps * demand_factor(t_hours, profile)

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import numpy as np
+
 from e3sim import (
     BaseStation,
     BsKind,
@@ -15,6 +17,8 @@ from e3sim import (
     scenario_to_document,
     set_parameter,
 )
+from e3sim.allocation import fill, plan_allocation
+from e3sim.radio import demand_factor, nearest_stations
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -30,6 +34,21 @@ def load_document(name: str) -> dict:
 def with_parameter(scenario, path, value):
     """``scenario`` rebuilt from its document with the value at ``path`` set."""
     return build_scenario(set_parameter(scenario_to_document(scenario), path, value))
+
+
+def allocation_at(s, t_hours):
+    """Granted rate of each UE and radio load of each station at ``t_hours``.
+
+    The one-sample case of what the evaluation runs: ``plan_allocation``
+    then ``fill``. Arrays in ``s.ues`` and ``s.base_stations`` order.
+    """
+    rates, load = fill(plan_allocation(s, 1), np.array([demand_factor(t_hours, s.traffic)]))
+    return rates[0], load[0]
+
+
+def serving_ids(s):
+    """The bs_id serving each UE, in ``s.ues`` order."""
+    return [s.base_stations[i].bs_id for i in nearest_stations(s).tolist()]
 
 
 def make_xhaul(capacity_bps=5e7, medium="wired", factor=None, solution_id="xh"):

@@ -10,6 +10,7 @@ by design; use on small scenarios only.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -17,25 +18,43 @@ import numpy as np
 
 from e3sim import (
     SECONDS_PER_YEAR,
-    AllocationResult,
-    Association,
     MetricReport,
     NetworkScenario,
     Popularity,
     cost_coefficient,
-    demand_at,
-    dynamic_power,
     effective_bs_capacity,
     hit_ratio,
     resolve_benchmark_cost,
     total_cost_rate,
     zipf_popularity,
 )
-from e3sim.radio import _NOISE_W_PER_HZ, PATHLOSS_EXPONENT, PATHLOSS_REF_DB, PATHLOSS_REF_DISTANCE_M
+from e3sim.radio import (
+    _NOISE_W_PER_HZ,
+    PATHLOSS_EXPONENT,
+    PATHLOSS_REF_DB,
+    PATHLOSS_REF_DISTANCE_M,
+    demand_factor,
+)
 
 _BRUTEFORCE_MAX_UES = 4
 _BRUTEFORCE_GRID_STEPS = 1000
 _ORACLE_MAX_CATALOG = 20
+
+
+@dataclass(frozen=True)
+class Association:
+    """Serving bs_id of each ue_id, and the ue_ids attached to each bs_id."""
+
+    serving: dict[str, str]
+    attached: dict[str, tuple[str, ...]]
+
+
+@dataclass(frozen=True)
+class Allocation:
+    """Granted rate of each ue_id and radio load of each bs_id at one hour."""
+
+    rates_bps: dict[str, float]
+    radio_load: dict[str, float]
 
 
 def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -105,39 +124,24 @@ def max_min_rates(demands: Sequence[float], capacity: float) -> list[float]:
     return [min(float(d), level) for d in demands]
 
 
-def allocate(s: NetworkScenario, assoc: Association, t_hours: float) -> AllocationResult:
+def allocate(s: NetworkScenario, assoc: Association, t_hours: float) -> Allocation:
     """Station-by-station allocation at one hour, every input recomputed."""
     popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
-    ues_by_id = {u.ue_id: u for u in s.ues}
+    peaks = {u.ue_id: u.demand_peak_bps for u in s.ues}
+    factor = demand_factor(t_hours, s.traffic)
     rates: dict[str, float] = {}
-    served: dict[str, float] = {}
-    hit: dict[str, float] = {}
-    miss: dict[str, float] = {}
     load: dict[str, float] = {}
-    utilization: dict[str, float] = {}
     for bs in s.base_stations:
         ue_ids = assoc.attached[bs.bs_id]
-        demands = [demand_at(ues_by_id[u], t_hours, s.traffic) for u in ue_ids]
+        demands = [peaks[u] * factor for u in ue_ids]
         h = hit_ratio(s.cache.strategy, bs.kind.cache_size, popularity)
         radio_cap = radio_capacity(bs, assoc, s)
         cap = effective_bs_capacity(radio_cap, bs.kind.xhaul.capacity_bps, h)
         granted = max_min_rates(demands, cap)
         rates.update(zip(ue_ids, granted))
         total = sum(granted)
-        hit_part = h * total
-        served[bs.bs_id] = total
-        hit[bs.bs_id] = hit_part
-        miss[bs.bs_id] = total - hit_part
         load[bs.bs_id] = min(total / radio_cap, 1.0) if radio_cap > 0 else 0.0
-        utilization[bs.bs_id] = min((total - hit_part) / bs.kind.xhaul.capacity_bps, 1.0)
-    return AllocationResult(
-        rates_bps=rates,
-        served_bps=served,
-        hit_bps=hit,
-        miss_bps=miss,
-        radio_load=load,
-        xhaul_utilization=utilization,
-    )
+    return Allocation(rates_bps=rates, radio_load=load)
 
 
 def evaluate(s: NetworkScenario, t_hours: float) -> MetricReport:
@@ -151,11 +155,12 @@ def evaluate(s: NetworkScenario, t_hours: float) -> MetricReport:
     weighted_power = 0.0
     per_item_w = s.cache.cache_power_per_item_w
     for bs in s.base_stations:
-        draw = dynamic_power(bs, alloc.radio_load[bs.bs_id])
-        static = draw.static_w + per_item_w * bs.kind.cache_size
+        transceiver = bs.kind.max_tx_dynamic_power_w * alloc.radio_load[bs.bs_id]
+        dynamic = transceiver + bs.kind.xhaul.xhaul_power_factor * transceiver
+        static = bs.kind.static_power_w + per_item_w * bs.kind.cache_size
         cn = cost_coefficient(bs.kind, c0)
-        total_power += draw.dynamic_w + static
-        weighted_power += draw.dynamic_w + static * cn
+        total_power += dynamic + static
+        weighted_power += dynamic + static * cn
     if total_power <= 0 or weighted_power <= 0:
         raise ValueError("total power is zero; refusing to report infinite efficiency")
     total_bandwidth = sum(b.kind.bandwidth_hz for b in s.base_stations)

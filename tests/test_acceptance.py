@@ -15,16 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_document, make_kind, make_scenario, scenario_path
+from conftest import allocation_at, load_document, make_kind, make_scenario, scenario_path
 from e3sim import (
     BaseStation,
     SweepSpec,
     UserEquipment,
-    allocate,
     argmax,
-    associate,
     build_scenario,
-    dynamic_power,
     evaluate,
     hit_ratio,
     max_min_rates,
@@ -32,6 +29,7 @@ from e3sim import (
     set_parameter,
     zipf_popularity,
 )
+from e3sim.energy_cost import dynamic_parts
 from oracles import allocate_bruteforce, expected_random_hit_exact
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -177,9 +175,8 @@ def test_c6_allocation_matches_bruteforce_oracle():
                     for i, d in enumerate(demands)
                 )
                 s = make_scenario(kinds=(kind,), base_stations=stations, ues=ues)
-                alloc = allocate(s, associate(s), 0.0)
-                rates = [alloc.rates_bps[f"u{i}"] for i in range(len(demands))]
-                assert rates == max_min_rates(demands, capacity)
+                rates, _ = allocation_at(s, 0.0)
+                assert rates.tolist() == max_min_rates(demands, capacity)
 
 
 def test_c7_random_fill_matches_exact_expectation():
@@ -230,8 +227,9 @@ def test_c9_metric_arithmetic_and_wireless_rule():
         from conftest import make_xhaul
 
         wireless = make_kind(kind_id="wl", xhaul=make_xhaul(medium="wireless"))
-        station = BaseStation("b0", wireless, (0.0, 0.0))
         for load in (0.0, 0.25, 0.5, 1.0):
-            draw = dynamic_power(station, load)
-            assert draw.dynamic_w == 4.0 * draw.transceiver_w
-            assert draw.xhaul_w == 3.0 * draw.transceiver_w
+            transceiver, xhaul = dynamic_parts(
+                wireless.max_tx_dynamic_power_w, wireless.xhaul.xhaul_power_factor, load
+            )
+            assert transceiver + xhaul == 4.0 * transceiver
+            assert xhaul == 3.0 * transceiver

@@ -5,16 +5,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_kind, make_scenario, with_parameter
+from conftest import allocation_at, make_kind, make_scenario, with_parameter
 from oracles import allocate_bruteforce
 from e3sim import (
     BaseStation,
     CacheConfig,
     UserEquipment,
-    allocate,
-    associate,
     effective_bs_capacity,
+    hit_ratio,
     max_min_rates,
+    zipf_popularity,
 )
 
 demand_lists = st.lists(
@@ -134,38 +134,49 @@ def caching_scenario(xhaul_capacity=16e6, cache_size=0, strategy="top_popular"):
     )
 
 
+def rates_at(s, t_hours):
+    """Granted rate of each ue_id at hour ``t_hours``, and the radio load of each station."""
+    rates, load = allocation_at(s, t_hours)
+    return dict(zip((u.ue_id for u in s.ues), rates.tolist())), load
+
+
+def xhaul_traffic(s, rates):
+    """Miss share (1 - h) of the traffic the single station b0 serves."""
+    popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
+    h = hit_ratio(s.cache.strategy, s.kinds[0].cache_size, popularity)
+    return (1.0 - h) * sum(rates.values())
+
+
 class TestAllocate:
     def test_unconstrained_meets_all_demands(self):
         s = caching_scenario(xhaul_capacity=1e9)
-        alloc = allocate(s, associate(s), 0.0)
-        assert all(r == 4e6 for r in alloc.rates_bps.values())
-        assert alloc.served_bps["b0"] == pytest.approx(4e7)
-        assert alloc.xhaul_utilization["b0"] <= 1.0
+        rates, _ = rates_at(s, 0.0)
+        assert all(r == 4e6 for r in rates.values())
+        assert sum(rates.values()) == pytest.approx(4e7)
+        assert xhaul_traffic(s, rates) <= s.kinds[0].xhaul.capacity_bps
 
     def test_bottleneck_splits_fairly(self):
         s = caching_scenario(xhaul_capacity=2e7)
-        alloc = allocate(s, associate(s), 0.0)
-        assert all(r == pytest.approx(2e6) for r in alloc.rates_bps.values())
+        rates, _ = rates_at(s, 0.0)
+        assert all(r == pytest.approx(2e6) for r in rates.values())
 
     def test_accounting_identities(self):
         s = caching_scenario(cache_size=6)
-        alloc = allocate(s, associate(s), 0.0)
-        served = alloc.served_bps["b0"]
-        assert alloc.hit_bps["b0"] + alloc.miss_bps["b0"] == pytest.approx(served, abs=1e-9)
-        assert alloc.miss_bps["b0"] <= s.kinds[0].xhaul.capacity_bps * (1 + 1e-12)
-        assert 0.0 <= alloc.radio_load["b0"] <= 1.0
-        assert 0.0 <= alloc.xhaul_utilization["b0"] <= 1.0
+        rates, load = rates_at(s, 0.0)
+        assert xhaul_traffic(s, rates) <= s.kinds[0].xhaul.capacity_bps * (1 + 1e-12)
+        assert 0.0 <= load[0] <= 1.0
         assert all(
-            alloc.rates_bps[u.ue_id] <= u.demand_peak_bps + 1e-9 for u in s.ues
+            rates[u.ue_id] <= u.demand_peak_bps + 1e-9 for u in s.ues
         )
 
     def test_cache_hits_raise_served_traffic_and_every_rate(self):
         scenarios = [caching_scenario(cache_size=m) for m in (0, 4, 8)]
-        allocs = [allocate(s, associate(s), 0.0) for s in scenarios]
-        assert allocs[0].served_bps["b0"] <= allocs[1].served_bps["b0"] <= allocs[2].served_bps["b0"]
+        allocs = [rates_at(s, 0.0)[0] for s in scenarios]
+        served = [sum(rates.values()) for rates in allocs]
+        assert served[0] <= served[1] <= served[2]
         for smaller, larger in zip(allocs, allocs[1:]):
             assert all(
-                larger.rates_bps[u] >= smaller.rates_bps[u] - 1e-9 for u in smaller.rates_bps
+                larger[u] >= smaller[u] - 1e-9 for u in smaller
             )
 
     def test_permuting_ues_leaves_every_rate_unchanged(self):
@@ -173,17 +184,13 @@ class TestAllocate:
         from dataclasses import replace
 
         permuted = replace(s, ues=s.ues[::-1])
-        rates = allocate(s, associate(s), 5.0).rates_bps
-        rates_permuted = allocate(permuted, associate(permuted), 5.0).rates_bps
+        rates = rates_at(s, 5.0)[0]
+        rates_permuted = rates_at(permuted, 5.0)[0]
         assert rates == rates_permuted
 
     def test_more_xhaul_never_hurts_anyone(self):
         s = caching_scenario(xhaul_capacity=1e7)
-        rates_low = allocate(s, associate(s), 0.0).rates_bps
+        rates_low = rates_at(s, 0.0)[0]
         s_high = with_parameter(s, "kinds.pico.xhaul.capacity_bps", 3e7)
-        rates_high = allocate(s_high, associate(s_high), 0.0).rates_bps
+        rates_high = rates_at(s_high, 0.0)[0]
         assert all(rates_high[k] >= rates_low[k] - 1e-9 for k in rates_low)
-
-
-def allocate_served(s):
-    return allocate(s, associate(s), 0.0).served_bps["b0"]

@@ -1,9 +1,10 @@
 """The array evaluation core against the scalar oracles, plus metamorphic checks.
 
-Abstract-mode reports and allocations must equal the scalar loops of
-``oracles`` bit for bit; physical mode, whose interference sums add in
-another order, within 1e-10 relative. Association must match exactly,
-including exact distance ties on integer lattices.
+Abstract-mode reports and allocations (``plan_allocation`` + ``fill``)
+must equal the scalar loops of ``oracles`` bit for bit; physical mode,
+whose interference sums add in another order, within 1e-10 relative.
+Association (``nearest_stations``) must match exactly, including exact
+distance ties on integer lattices.
 """
 
 import math
@@ -11,26 +12,25 @@ import random
 from dataclasses import astuple, replace
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import make_kind, make_scenario, make_xhaul
+from conftest import allocation_at, make_kind, make_scenario, make_xhaul, serving_ids
 from e3sim import (
-    Association,
     BaseStation,
     CacheConfig,
     TrafficProfile,
     UserEquipment,
-    allocate,
-    associate,
+    allocation,
     build_scenario,
     evaluate,
     evaluate_daily,
     radio,
-    radio_capacity,
     scenario_to_document,
     set_parameter,
 )
+from e3sim.allocation import plan_allocation
 
 NUMBERS = slice(0, 8)  # the eight numbers of a MetricReport, time_hours excluded
 
@@ -107,6 +107,16 @@ def outcome(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
+def core_allocation(s, t):
+    return tuple(x.tolist() for x in allocation_at(s, t))
+
+
+def oracle_allocation(s, assoc, t):
+    """``oracles.allocate`` in the index order of ``allocation_at``."""
+    alloc = oracles.allocate(s, assoc, t)
+    return [alloc.rates_bps[u.ue_id] for u in s.ues], [alloc.radio_load[b.bs_id] for b in s.base_stations]
+
+
 def assert_close(a, b, rel=1e-10):
     assert all(math.isclose(x, y, rel_tol=rel, abs_tol=0.0) for x, y in zip(a, b)), (a, b)
 
@@ -125,7 +135,7 @@ class TestAgainstScalarOracle:
     @settings(max_examples=10, deadline=None)
     @given(s=scenarios(), t=hours)
     def test_abstract_allocation_is_bitwise_equal(self, s, t):
-        assert outcome(allocate, s, associate(s), t) == outcome(oracles.allocate, s, associate(s), t)
+        assert outcome(core_allocation, s, t) == outcome(oracle_allocation, s, oracles.associate(s), t)
 
     @settings(max_examples=10, deadline=None)
     @given(s=scenarios(), t=hours)
@@ -133,8 +143,11 @@ class TestAgainstScalarOracle:
         first = s.base_stations[0].bs_id
         attached = {b.bs_id: () for b in s.base_stations}
         attached[first] = tuple(u.ue_id for u in s.ues)
-        assoc = Association(serving={u.ue_id: first for u in s.ues}, attached=attached)
-        assert outcome(allocate, s, assoc, t) == outcome(oracles.allocate, s, assoc, t)
+        assoc = oracles.Association(serving={u.ue_id: first for u in s.ues}, attached=attached)
+        all_to_first = lambda s: np.zeros(len(s.ues), dtype=np.intp)
+        with mock.patch.object(allocation, "nearest_stations", all_to_first):
+            got = outcome(core_allocation, s, t)
+        assert got == outcome(oracle_allocation, s, assoc, t)
 
     @settings(max_examples=12, deadline=None)
     @given(s=scenarios(radio_mode="physical"), t=hours)
@@ -148,15 +161,15 @@ class TestAgainstScalarOracle:
     @settings(max_examples=10, deadline=None)
     @given(s=scenarios(radio_mode="physical"))
     def test_physical_capacity_within_1e_10(self, s):
-        assoc = associate(s)
-        got = [radio_capacity(b, assoc, s) for b in s.base_stations]
+        assoc = oracles.associate(s)
+        got = plan_allocation(s, 1).radio_cap.tolist()
         want = [oracles.radio_capacity(b, assoc, s) for b in s.base_stations]
         assert_close(got, want)
 
     @settings(max_examples=20, deadline=None)
     @given(s=scenarios(lattice=True))
     def test_association_matches_on_lattice_ties(self, s):
-        assert associate(s) == oracles.associate(s)
+        assert serving_ids(s) == [oracles.associate(s).serving[u.ue_id] for u in s.ues]
 
     def test_distances_equal_after_rounding_tie_like_math_hypot(self):
         # station "a" sits at the rounded distance of "b" from the UE, so the
@@ -168,7 +181,7 @@ class TestAgainstScalarOracle:
             x, y = rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0)
             stations = (BaseStation("b", kind, (x, y)), BaseStation("a", kind, (math.hypot(x, y), 0.0)))
             s = make_scenario(kinds=(kind,), base_stations=stations, ues=(ue,))
-            assert associate(s) == oracles.associate(s)
+            assert serving_ids(s) == [oracles.associate(s).serving["u0"]]
 
     @settings(max_examples=10, deadline=None)
     @given(s=scenarios())

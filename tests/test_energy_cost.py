@@ -7,50 +7,52 @@ from e3sim import (
     BaseStation,
     CostBreakdown,
     cost_coefficient,
-    dynamic_power,
     effective_cost_per_area,
     total_cost_rate,
 )
+from e3sim.energy_cost import dynamic_parts
 
 
 def station(kind):
     return BaseStation("b0", kind, (0.0, 0.0))
 
 
+def parts(kind, load):
+    """Transceiver and X-Haul watts of one station of ``kind`` at ``load``."""
+    return dynamic_parts(kind.max_tx_dynamic_power_w, kind.xhaul.xhaul_power_factor, load)
+
+
 class TestDynamicPower:
     def test_idle_draws_only_static(self):
-        draw = dynamic_power(station(make_kind(static_power_w=6.8)), 0.0)
-        assert draw.dynamic_w == 0.0
-        assert draw.static_w == 6.8
+        transceiver, xhaul = parts(make_kind(static_power_w=6.8), 0.0)
+        assert transceiver + xhaul == 0.0
 
     def test_wired_is_linear_in_load(self):
         kind = make_kind(max_tx_dynamic_power_w=2.0, xhaul=make_xhaul(medium="wired"))
-        assert dynamic_power(station(kind), 0.5).dynamic_w == pytest.approx(1.0)
+        assert sum(parts(kind, 0.5)) == pytest.approx(1.0)
 
     def test_wireless_overhead_triples_the_transceiver_part(self):
         kind = make_kind(max_tx_dynamic_power_w=2.0, xhaul=make_xhaul(medium="wireless"))
-        draw = dynamic_power(station(kind), 0.5)
-        assert draw.transceiver_w == pytest.approx(1.0)
-        assert draw.xhaul_w == pytest.approx(3.0)
-        assert draw.dynamic_w == pytest.approx(4.0)
+        transceiver, xhaul = parts(kind, 0.5)
+        assert transceiver == pytest.approx(1.0)
+        assert xhaul == pytest.approx(3.0)
+        assert transceiver + xhaul == pytest.approx(4.0)
 
     @pytest.mark.parametrize("load", [0.0, 0.25, 0.5, 1.0])
     def test_wireless_total_is_four_times_wired(self, load):
         wired = make_kind(kind_id="w", xhaul=make_xhaul(medium="wired"))
         wireless = make_kind(kind_id="wl", xhaul=make_xhaul(medium="wireless"))
-        d_wired = dynamic_power(station(wired), load)
-        d_wireless = dynamic_power(station(wireless), load)
-        assert d_wireless.dynamic_w == (1 + 3.0) * d_wired.dynamic_w
+        assert sum(parts(wireless, load)) == (1 + 3.0) * sum(parts(wired, load))
 
     def test_zero_factor_wireless_equals_wired(self):
         wired = make_kind(kind_id="w", xhaul=make_xhaul(medium="wired"))
         wireless = make_kind(kind_id="wl", xhaul=make_xhaul(medium="wireless", factor=0.0))
         for load in (0.0, 0.3, 1.0):
-            assert dynamic_power(station(wireless), load) == dynamic_power(station(wired), load)
+            assert parts(wireless, load) == parts(wired, load)
 
     def test_out_of_range_load_rejected(self):
         with pytest.raises(ValueError):
-            dynamic_power(station(make_kind()), 1.2)
+            parts(make_kind(), 1.2)
 
 
 def breakdown(infra=40.0, install=20.0, others=40.0, discount=0.0):

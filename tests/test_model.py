@@ -1,5 +1,6 @@
 """Scenario construction, schema errors, generators, and round-tripping."""
 
+import copy
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from e3sim import (
     CostBreakdown,
     InvariantError,
     SchemaError,
+    TrafficProfile,
     UnknownKindError,
     UserEquipment,
     build_scenario,
@@ -287,3 +289,36 @@ INF = float("inf")
 def test_non_negative_invariants_reject_infinity(build):
     with pytest.raises(InvariantError, match="must be finite and >= 0"):
         build()
+
+
+@pytest.mark.parametrize("ratio", [INF, float("nan"), 0.5])
+def test_peak_to_min_ratio_must_be_finite_and_at_least_one(ratio):
+    with pytest.raises(InvariantError, match="peak_to_min_ratio must be finite and >= 1"):
+        TrafficProfile(peak_to_min_ratio=ratio)
+
+
+def test_negative_seed_names_the_path():
+    # explicit UE lists never reach the generator, so only the check catches it
+    doc = copy.deepcopy(MINIMAL_DOC)
+    doc["seed"] = -1
+    with pytest.raises(SchemaError, match=r"document\.seed: must be >= 0, got -1"):
+        build_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "section, position, match",
+    [
+        ("base_stations", ["0", True], r"base_stations\[0\]\.position_m\[0\]: expected a number, got str"),
+        ("base_stations", [0.0, True], r"base_stations\[0\]\.position_m\[1\]: expected a number, got bool"),
+        ("base_stations", "12", r"base_stations\[0\]\.position_m: expected \[x, y\]"),
+        ("base_stations", [1.0, 2.0, 3.0], r"base_stations\[0\]\.position_m: expected \[x, y\]"),
+        ("ues", [10.0, None], r"ues\[0\]\.position_m\[1\]: expected a number, got NoneType"),
+        ("ues", {"x": 1.0, "y": 2.0}, r"ues\[0\]\.position_m: expected \[x, y\]"),
+    ],
+    ids=["bs-string", "bs-bool", "bs-text", "bs-triple", "ue-null", "ue-object"],
+)
+def test_position_must_be_two_numbers(section, position, match):
+    doc = copy.deepcopy(MINIMAL_DOC)
+    doc[section][0]["position_m"] = position
+    with pytest.raises(SchemaError, match=match):
+        build_scenario(doc)

@@ -5,15 +5,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_kind, make_scenario, with_parameter
-from e3sim import (
-    BaseStation,
-    TrafficProfile,
-    UserEquipment,
-    associate,
-    demand_at,
-    radio_capacity,
-)
+from conftest import make_kind, make_scenario, serving_ids, with_parameter
+from e3sim import BaseStation, TrafficProfile, UserEquipment
+from e3sim.allocation import plan_allocation
+from e3sim.radio import demand_factor, nearest_stations
 
 
 def line_scenario(positions, ues, kind=None, radio_mode="abstract"):
@@ -26,16 +21,20 @@ def ue(ue_id, x, demand=1e6):
     return UserEquipment(ue_id, (x, 0.0), demand, 1.0)
 
 
+def capacity(s, station=0):
+    """Radio capacity of one station as the evaluation computes it."""
+    return plan_allocation(s, 1).radio_cap[station]
+
+
 class TestAssociate:
     def test_single_bs_takes_everyone(self):
         s = line_scenario([0.0], (ue("u0", 5.0), ue("u1", 500.0)))
-        assoc = associate(s)
-        assert assoc.serving == {"u0": "b0", "u1": "b0"}
-        assert assoc.attached["b0"] == ("u0", "u1")
+        assert serving_ids(s) == ["b0", "b0"]
+        assert plan_allocation(s, 1).counts.tolist() == [2]
 
     def test_nearest_bs_wins(self):
         s = line_scenario([0.0, 100.0], (ue("u0", 30.0),))
-        assert associate(s).serving["u0"] == "b0"
+        assert serving_ids(s) == ["b0"]
 
     def test_tie_breaks_to_smallest_bs_id(self):
         kind = make_kind()
@@ -44,36 +43,34 @@ class TestAssociate:
             BaseStation("a", kind, (-100.0, 0.0)),
         )
         s = make_scenario(kinds=(kind,), base_stations=stations, ues=(ue("u0", 0.0),))
-        assert associate(s).serving["u0"] == "a"
+        assert serving_ids(s) == ["a"]
 
     def test_permutation_of_ues_gives_same_serving_map(self):
         ues = tuple(ue(f"u{i}", 37.0 * i % 211) for i in range(8))
         s1 = line_scenario([0.0, 100.0, 200.0], ues)
         s2 = line_scenario([0.0, 100.0, 200.0], ues[::-1])
-        assert associate(s1).serving == associate(s2).serving
+        assert serving_ids(s1) == serving_ids(s2)[::-1]
 
     def test_every_bs_is_listed_even_when_empty(self):
         s = line_scenario([0.0, 1000.0], (ue("u0", 1.0),))
-        assert associate(s).attached["b1"] == ()
+        assert plan_allocation(s, 1).counts.tolist() == [1, 0]
 
 
 class TestDemandProfile:
     def test_peak_hour_gives_peak_demand(self):
         profile = TrafficProfile(peak_to_min_ratio=4.0, peak_hour=20.0)
-        u = ue("u0", 0.0, demand=1e7)
-        assert demand_at(u, 20.0, profile) == pytest.approx(1e7, rel=1e-15)
+        assert 1e7 * demand_factor(20.0, profile) == pytest.approx(1e7, rel=1e-15)
 
     def test_half_day_after_peak_hits_minimum(self):
         profile = TrafficProfile(peak_to_min_ratio=2.0, peak_hour=0.0)
-        u = ue("u0", 0.0, demand=1e7)
-        assert demand_at(u, 12.0, profile) == pytest.approx(5e6, rel=1e-12)
+        assert 1e7 * demand_factor(12.0, profile) == pytest.approx(5e6, rel=1e-12)
 
     def test_quarter_day_offset_matches_closed_form(self):
         # direct re-evaluation of the profile formula, written out
         rho, peak, t, dp = 10.0, 8.0, 14.0, 1e7
         expected = dp * (1 / rho + (1 - 1 / rho) * (1 + math.cos(2 * math.pi * (t - peak) / 24)) / 2)
         profile = TrafficProfile(peak_to_min_ratio=rho, peak_hour=peak)
-        value = demand_at(ue("u0", 0.0, demand=dp), t, profile)
+        value = dp * demand_factor(t, profile)
         assert value == pytest.approx(expected, rel=1e-15)
         assert value == pytest.approx(0.55 * dp, rel=1e-12)
 
@@ -84,17 +81,16 @@ class TestDemandProfile:
     )
     def test_bounds_and_24h_period(self, t, rho, peak):
         profile = TrafficProfile(peak_to_min_ratio=rho, peak_hour=peak)
-        u = ue("u0", 0.0, demand=1e7)
-        d = demand_at(u, t, profile)
+        d = 1e7 * demand_factor(t, profile)
         assert 1e7 / rho - 1e-6 <= d <= 1e7 + 1e-6
-        assert demand_at(u, t + 24.0, profile) == pytest.approx(d, rel=1e-9, abs=1e-6)
+        assert 1e7 * demand_factor(t + 24.0, profile) == pytest.approx(d, rel=1e-9, abs=1e-6)
 
 
 class TestRadioCapacity:
     def test_abstract_mode_returns_configured_capacity(self):
         kind = make_kind(radio_capacity_bps=5e7)
         s = line_scenario([0.0], (ue("u0", 10.0),), kind=kind)
-        assert radio_capacity(s.base_stations[0], associate(s), s) == 5e7
+        assert capacity(s) == 5e7
 
     def test_single_bs_known_sinr(self):
         # tx power chosen so the received-power to noise ratio is exactly 15
@@ -102,15 +98,13 @@ class TestRadioCapacity:
         tx = 15 * (10 ** (-20.4) * 1e7) * 1e3
         kind = make_kind(kind_id="one", tx_power_w=tx, bandwidth_hz=1e7)
         s = line_scenario([0.0], (ue("u0", 0.0),), kind=kind, radio_mode="physical")
-        cap = radio_capacity(s.base_stations[0], associate(s), s)
-        assert cap == pytest.approx(4e7, rel=1e-12)
+        assert capacity(s) == pytest.approx(4e7, rel=1e-12)
 
     def test_three_bs_line_matches_hand_computation(self):
         kind = make_kind(kind_id="cell", tx_power_w=1.0, bandwidth_hz=1e7)
         ues = (ue("u0", 100.0), ue("u1", 150.0), ue("u2", 600.0))
         s = line_scenario([0.0, 500.0, 1000.0], ues, kind=kind, radio_mode="physical")
-        assoc = associate(s)
-        assert assoc.attached["b0"] == ("u0", "u1")
+        assert nearest_stations(s).tolist() == [0, 0, 1]
 
         # straight-line recomputation: log-distance path loss, full-power
         # interference from the two other cells, equal bandwidth split
@@ -124,7 +118,7 @@ class TestRadioCapacity:
             interference = 1.0 / pl_lin(500.0 - x) + 1.0 / pl_lin(1000.0 - x)
             expected += (1e7 / 2) * math.log2(1.0 + signal / (interference + noise_w))
 
-        cap = radio_capacity(s.base_stations[0], assoc, s)
+        cap = capacity(s)
         assert cap == pytest.approx(expected, rel=1e-12)
         assert cap == pytest.approx(55560914.333832785, rel=1e-9)
 
@@ -144,13 +138,13 @@ class TestRadioCapacity:
         caps = []
         for tx in (0.5, 1.0, 2.0, 8.0):
             s2 = with_parameter(s, "kinds.b.tx_power_w", tx)
-            caps.append(radio_capacity(s2.base_stations[0], associate(s2), s2))
+            caps.append(capacity(s2))
         assert all(caps[i + 1] <= caps[i] for i in range(len(caps) - 1))
 
     def test_zero_distance_clamps_to_reference(self):
         kind = make_kind(kind_id="cell", tx_power_w=1.0)
         s_at_zero = line_scenario([0.0], (ue("u0", 0.0),), kind=kind, radio_mode="physical")
         s_at_ref = line_scenario([0.0], (ue("u0", 1.0),), kind=kind, radio_mode="physical")
-        cap0 = radio_capacity(s_at_zero.base_stations[0], associate(s_at_zero), s_at_zero)
-        cap1 = radio_capacity(s_at_ref.base_stations[0], associate(s_at_ref), s_at_ref)
+        cap0 = capacity(s_at_zero)
+        cap1 = capacity(s_at_ref)
         assert math.isfinite(cap0) and cap0 == cap1
