@@ -3,7 +3,7 @@
 Commands:
     e3 eval <scenario.json> [--time H | --daily] [--out report.csv]
     e3 sweep <scenario.json> --param PATH=SPEC [--param2 PATH=SPEC]
-             [--metric M] [--argmax M] [--time H | --daily] --out grid.csv
+             [--argmax M] [--time H | --daily] --out grid.csv
     e3 validate <scenario.json>
 
 SPEC is either an inclusive START:STOP:STEP range or a comma list of
@@ -231,7 +231,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         values=values1,
         param2_path=path2,
         values2=values2,
-        metric=args.metric,
         time_hours=args.time,
         daily=args.daily,
     )
@@ -285,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("scenario")
     p_sweep.add_argument("--param", required=True, metavar="PATH=SPEC")
     p_sweep.add_argument("--param2", metavar="PATH=SPEC")
-    p_sweep.add_argument("--metric", default="e3", choices=METRICS)
     p_sweep.add_argument("--argmax", metavar="METRIC", choices=METRICS)
     add_time_flags(p_sweep)
     p_sweep.add_argument("--out", required=True, metavar="F")

@@ -8,11 +8,13 @@ construction and safe to share across concurrent evaluations.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Any, Callable
 
 import numpy as np
 
@@ -24,18 +26,8 @@ RADIO_MODES = ("abstract", "physical")
 MAX_KIND = "max-kind"
 
 #: Dynamic-power multiple of the transceiver part, applied when a solution
-#: document does not set one explicitly.
+#: does not set one explicitly.
 DEFAULT_XHAUL_POWER_FACTOR = {"wired": 0.0, "wireless": 3.0}
-
-_BREAKDOWN_COMPONENTS = (
-    "infrastructure",
-    "site_installation",
-    "site_operation",
-    "optimization_maintenance",
-    "cache_placement",
-    "xhaul_configuration",
-    "content_delivery",
-)
 
 
 class ScenarioError(ValueError):
@@ -61,17 +53,23 @@ def _require(condition: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class XHaulSolution:
-    """One backhaul/fronthaul option: capacity, medium, power overhead rule."""
+    """One backhaul/fronthaul option: capacity, medium, power overhead rule.
+
+    ``xhaul_power_factor`` left at None takes the medium's default from
+    ``DEFAULT_XHAUL_POWER_FACTOR``.
+    """
 
     solution_id: str
     capacity_bps: float
     medium: str
-    xhaul_power_factor: float
+    xhaul_power_factor: float | None = None
 
     def __post_init__(self) -> None:
         label = f"XHaulSolution '{self.solution_id}'"
         _require(0 < self.capacity_bps < math.inf, f"{label}: capacity_bps must be finite and > 0")
         _require(self.medium in MEDIA, f"{label}: medium must be one of {MEDIA}")
+        if self.xhaul_power_factor is None:
+            object.__setattr__(self, "xhaul_power_factor", DEFAULT_XHAUL_POWER_FACTOR[self.medium])
         _require(
             0 <= self.xhaul_power_factor < math.inf,
             f"{label}: xhaul_power_factor must be finite and >= 0",
@@ -112,6 +110,10 @@ class CostBreakdown:
         """Component sum with the inherited discount applied to capital items."""
         capital = self.infrastructure + self.site_installation
         return self.total() - capital * self.inherited_discount
+
+
+#: The seven cost components: every CostBreakdown field but the discount.
+_BREAKDOWN_COMPONENTS = tuple(f.name for f in fields(CostBreakdown) if f.default is MISSING)
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ class UserEquipment:
 class TrafficProfile:
     """Daily demand shape: peak-to-minimum ratio, peak hour, sample count."""
 
-    peak_to_min_ratio: float
+    peak_to_min_ratio: float = 1.0
     peak_hour: float = 0.0
     samples_per_day: int = 24
 
@@ -236,7 +238,7 @@ class NetworkScenario:
     base_stations: tuple[BaseStation, ...]
     ues: tuple[UserEquipment, ...]
     cache: CacheConfig = field(default_factory=CacheConfig)
-    traffic: TrafficProfile = field(default_factory=lambda: TrafficProfile(1.0))
+    traffic: TrafficProfile = field(default_factory=TrafficProfile)
     benchmark_cost: float | str = MAX_KIND
     radio_mode: str = "abstract"
     rng_seed: int = 0
@@ -281,12 +283,19 @@ def _require_unique(what: str, ids: list[str]) -> None:
         seen.add(i)
 
 
+def _is_real(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _as_position(value: Any, label: str) -> tuple[float, float]:
     try:
         x, y = value
-        pos = (float(x), float(y))
     except (TypeError, ValueError):
         raise InvariantError(f"{label}: position_m must be an (x, y) pair") from None
+    # floats, as the parser and the generators give, skip the ~0.5 us ABC checks
+    if not (type(x) is type(y) is float or _is_real(x) and _is_real(y)):
+        raise InvariantError(f"{label}: position_m must hold two real numbers, got ({x!r}, {y!r})")
+    pos = (float(x), float(y))
     _require(math.isfinite(pos[0]) and math.isfinite(pos[1]), f"{label}: position_m must be finite")
     return pos
 
@@ -294,26 +303,34 @@ def _as_position(value: Any, label: str) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Document parsing
 
-#: (required, optional) keys of each document section, by the section's key
-#: path with ``*`` for a list entry. ``("base_stations",)`` and ``("ues",)``
-#: are the generator forms of those sections.
+#: The record sections by key path, ``*`` standing for a list entry. Each is
+#: read into the dataclass whose fields are its keys: a field without a
+#: default is a required key, and an absent optional key keeps the default.
+_RECORDS: dict[tuple[str, ...], type] = {
+    ("kinds", "*"): BsKind,
+    ("kinds", "*", "xhaul"): XHaulSolution,
+    ("kinds", "*", "cost_breakdown"): CostBreakdown,
+    ("base_stations", "*"): BaseStation,
+    ("ues", "*"): UserEquipment,
+    ("cache",): CacheConfig,
+    ("traffic",): TrafficProfile,
+}
+
+#: (required, optional) keys of each document section. The root and the
+#: generator forms ``("base_stations",)`` and ``("ues",)`` are written out;
+#: the record sections come from their dataclasses.
 _SECTIONS: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {
     (): (("kinds", "base_stations", "ues"), ("cache", "traffic", "benchmark_cost", "radio_mode", "seed")),
-    ("kinds", "*"): (
-        ("kind_id", "static_power_w", "max_tx_dynamic_power_w", "radio_capacity_bps", "bandwidth_hz",
-         "coverage_area_m2", "cost_per_area", "xhaul"),
-        ("tx_power_w", "cache_size", "cache_item_cost_per_area", "cost_breakdown"),
-    ),
-    ("kinds", "*", "xhaul"): (("solution_id", "capacity_bps", "medium"), ("xhaul_power_factor",)),
-    ("kinds", "*", "cost_breakdown"): (_BREAKDOWN_COMPONENTS, ("inherited_discount",)),
     ("base_stations",): (("grid",), ()),
     ("base_stations", "grid"): (("kind", "rows", "cols", "spacing_m"), ()),
-    ("base_stations", "*"): (("bs_id", "kind", "position_m"), ()),
     ("ues",): (("uniform_random",), ()),
     ("ues", "uniform_random"): (("count", "area_m", "demand_peak_bps"), ("weight",)),
-    ("ues", "*"): (("ue_id", "position_m", "demand_peak_bps"), ("weight",)),
-    ("cache",): ((), ("catalog_size", "zipf_exponent", "strategy", "cache_power_per_item_w")),
-    ("traffic",): ((), ("peak_to_min_ratio", "peak_hour", "samples_per_day")),
+    **{
+        section: tuple(
+            tuple(f.name for f in fields(cls) if (f.default is MISSING) == required) for required in (True, False)
+        )
+        for section, cls in _RECORDS.items()
+    },
 }
 
 
@@ -335,14 +352,6 @@ def _check_keys(doc: Any, path: str, section: tuple[str, ...]) -> None:
             raise SchemaError(f"{path or 'document'}: missing required key '{key}'")
 
 
-def _num(doc: Mapping[str, Any], key: str, path: str, default: float | None = None) -> float:
-    if key not in doc:
-        if default is None:
-            raise SchemaError(f"{path}.{key}: missing required key")
-        return default
-    return _as_number(doc[key], f"{path}.{key}")
-
-
 def _as_number(value: Any, path: str) -> float:
     """A JSON number as a finite float; anything else is a SchemaError at ``path``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -356,98 +365,104 @@ def _as_number(value: Any, path: str) -> float:
     return number
 
 
-def _position(doc: Mapping[str, Any], path: str) -> tuple[float, float]:
-    value = doc["position_m"]
+def _as_int(value: Any, path: str) -> int:
+    if isinstance(value, bool):
+        raise SchemaError(f"{path}: expected an integer")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise SchemaError(f"{path}: expected an integer, got {value}")
+        value = int(value)
+    if not isinstance(value, int):
+        raise SchemaError(f"{path}: expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _as_str(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{path}: expected a string, got {type(value).__name__}")
+    return value
+
+
+def _as_pair(value: Any, path: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
-        raise SchemaError(f"{path}.position_m: expected [x, y]")
-    x, y = (_as_number(v, f"{path}.position_m[{i}]") for i, v in enumerate(value))
+        raise SchemaError(f"{path}: expected [x, y]")
+    x, y = (_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
     return x, y
 
 
-def _int(doc: Mapping[str, Any], key: str, path: str, default: int | None = None) -> int:
-    if key not in doc:
-        if default is None:
-            raise SchemaError(f"{path}.{key}: missing required key")
-        return default
-    value = doc[key]
-    if isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}: expected an integer")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise SchemaError(f"{path}.{key}: expected an integer, got {value}")
-        value = int(value)
-    if not isinstance(value, int):
-        raise SchemaError(f"{path}.{key}: expected an integer, got {type(value).__name__}")
+def _as_choice(value: Any, path: str, choices: tuple[str, ...]) -> str:
+    """A string from the closed set ``choices``; anything else is a SchemaError at ``path``."""
+    if _as_str(value, path) not in choices:
+        raise SchemaError(f"{path}: expected one of {choices}, got '{value}'")
     return value
 
 
-def _str(doc: Mapping[str, Any], key: str, path: str, default: str | None = None) -> str:
-    if key not in doc:
-        if default is None:
-            raise SchemaError(f"{path}.{key}: missing required key")
-        return default
-    value = doc[key]
-    if not isinstance(value, str):
-        raise SchemaError(f"{path}.{key}: expected a string, got {type(value).__name__}")
-    return value
+Parser = Callable[[Any, str], Any]
+
+#: Parser of a plain field by its annotation, one per JSON value type.
+_VALUE_PARSERS: dict[str, Parser] = {
+    "float": _as_number,
+    "float | None": _as_number,
+    "int": _as_int,
+    "str": _as_str,
+    "tuple[float, float]": _as_pair,
+}
+
+#: Fields whose string must be one of a closed set.
+_CHOICES = {"medium": MEDIA, "strategy": STRATEGIES}
 
 
-def _build_xhaul(doc: Any, path: str) -> XHaulSolution:
-    _check_keys(doc, path, ("kinds", "*", "xhaul"))
-    medium = _str(doc, "medium", path)
-    if medium not in MEDIA:
-        raise SchemaError(f"{path}.medium: expected one of {MEDIA}, got '{medium}'")
-    factor = _num(doc, "xhaul_power_factor", path, DEFAULT_XHAUL_POWER_FACTOR[medium])
-    return XHaulSolution(
-        solution_id=_str(doc, "solution_id", path),
-        capacity_bps=_num(doc, "capacity_bps", path),
-        medium=medium,
-        xhaul_power_factor=factor,
-    )
+def _field_parser(section: tuple[str, ...], f: Any) -> Parser | None:
+    """How ``_record`` reads field ``f`` of ``section``; None where its caller must say."""
+    nested = section + (f.name,)
+    if nested in _RECORDS:
+        if f.default is None:
+            return lambda value, path: None if value is None else _record(nested, value, path)
+        return functools.partial(_record, nested)
+    if f.name in _CHOICES:
+        return functools.partial(_as_choice, choices=_CHOICES[f.name])
+    return _VALUE_PARSERS.get(f.type)
 
 
-def _build_breakdown(doc: Any, path: str) -> CostBreakdown:
-    _check_keys(doc, path, ("kinds", "*", "cost_breakdown"))
-    return CostBreakdown(
-        **{name: _num(doc, name, path) for name in _BREAKDOWN_COMPONENTS},
-        inherited_discount=_num(doc, "inherited_discount", path, 0.0),
-    )
+def _record(section: tuple[str, ...], doc: Any, path: str, **parsers: Parser) -> Any:
+    """The dataclass of record ``section`` read from ``doc`` at document ``path``.
+
+    Each key ``doc`` sets is parsed by its field's type, or by ``parsers``
+    for a field that is not a plain value (a station's ``kind``); each key
+    it leaves out keeps the dataclass default.
+    """
+    _check_keys(doc, path, section)
+    values = {}
+    for name, parse in _FIELDS[section]:
+        if name in doc:
+            values[name] = (parse or parsers[name])(doc[name], f"{path}.{name}")
+    return _RECORDS[section](**values)
 
 
-def _build_kind(doc: Any, path: str) -> BsKind:
-    _check_keys(doc, path, ("kinds", "*"))
-    breakdown = None
-    if "cost_breakdown" in doc and doc["cost_breakdown"] is not None:
-        breakdown = _build_breakdown(doc["cost_breakdown"], f"{path}.cost_breakdown")
-    return BsKind(
-        kind_id=_str(doc, "kind_id", path),
-        static_power_w=_num(doc, "static_power_w", path),
-        max_tx_dynamic_power_w=_num(doc, "max_tx_dynamic_power_w", path),
-        radio_capacity_bps=_num(doc, "radio_capacity_bps", path),
-        bandwidth_hz=_num(doc, "bandwidth_hz", path),
-        coverage_area_m2=_num(doc, "coverage_area_m2", path),
-        cost_per_area=_num(doc, "cost_per_area", path),
-        xhaul=_build_xhaul(doc["xhaul"], f"{path}.xhaul"),
-        tx_power_w=_num(doc, "tx_power_w", path, 0.13),
-        cache_size=_int(doc, "cache_size", path, 0),
-        cache_item_cost_per_area=_num(doc, "cache_item_cost_per_area", path, 0.0),
-        cost_breakdown=breakdown,
-    )
+#: (key, parser) of every field of each record section, in field order.
+_FIELDS = {
+    section: tuple((f.name, _field_parser(section, f)) for f in fields(cls)) for section, cls in _RECORDS.items()
+}
 
 
 def _build_base_stations(
     doc: Any, kinds_by_id: Mapping[str, BsKind]
 ) -> tuple[BaseStation, ...]:
+    def kind(value: Any, path: str) -> BsKind:
+        """The catalog kind that the station ``kind`` key at ``path`` names."""
+        kind_id = _as_str(value, path)
+        if kind_id not in kinds_by_id:
+            raise UnknownKindError(f"{path.removesuffix('.kind')}: unknown kind_id '{kind_id}'")
+        return kinds_by_id[kind_id]
+
     if isinstance(doc, Mapping):
         _check_keys(doc, "base_stations", ("base_stations",))
         grid = doc["grid"]
         path = "base_stations.grid"
         _check_keys(grid, path, ("base_stations", "grid"))
-        kind_id = _str(grid, "kind", path)
-        if kind_id not in kinds_by_id:
-            raise UnknownKindError(f"{path}: unknown kind_id '{kind_id}'")
-        rows, cols = _int(grid, "rows", path), _int(grid, "cols", path)
-        spacing = _num(grid, "spacing_m", path)
+        grid_kind = kind(grid["kind"], f"{path}.kind")
+        rows, cols = _as_int(grid["rows"], f"{path}.rows"), _as_int(grid["cols"], f"{path}.cols")
+        spacing = _as_number(grid["spacing_m"], f"{path}.spacing_m")
         if rows < 1 or cols < 1:
             raise SchemaError(f"{path}: rows and cols must be >= 1")
         if spacing <= 0:
@@ -456,23 +471,13 @@ def _build_base_stations(
         for r in range(rows):
             for c in range(cols):
                 idx = r * cols + c
-                stations.append(
-                    BaseStation(f"bs{idx:03d}", kinds_by_id[kind_id], (c * spacing, r * spacing))
-                )
+                stations.append(BaseStation(f"bs{idx:03d}", grid_kind, (c * spacing, r * spacing)))
         return tuple(stations)
     if not isinstance(doc, list) or not doc:
         raise SchemaError("base_stations: expected a non-empty list or a generator object")
-    stations = []
-    for i, entry in enumerate(doc):
-        path = f"base_stations[{i}]"
-        _check_keys(entry, path, ("base_stations", "*"))
-        kind_id = _str(entry, "kind", path)
-        if kind_id not in kinds_by_id:
-            raise UnknownKindError(f"{path}: unknown kind_id '{kind_id}'")
-        stations.append(
-            BaseStation(_str(entry, "bs_id", path), kinds_by_id[kind_id], _position(entry, path))
-        )
-    return tuple(stations)
+    return tuple(
+        _record(("base_stations", "*"), entry, f"base_stations[{i}]", kind=kind) for i, entry in enumerate(doc)
+    )
 
 
 def _build_ues(doc: Any, seed: int) -> tuple[UserEquipment, ...]:
@@ -481,7 +486,7 @@ def _build_ues(doc: Any, seed: int) -> tuple[UserEquipment, ...]:
         gen = doc["uniform_random"]
         path = "ues.uniform_random"
         _check_keys(gen, path, ("ues", "uniform_random"))
-        count = _int(gen, "count", path)
+        count = _as_int(gen["count"], f"{path}.count")
         if count < 1:
             raise SchemaError(f"{path}.count: must be >= 1")
         area = gen["area_m"]
@@ -490,8 +495,8 @@ def _build_ues(doc: Any, seed: int) -> tuple[UserEquipment, ...]:
         width, height = (_as_number(v, f"{path}.area_m") for v in area)
         if width <= 0 or height <= 0:
             raise SchemaError(f"{path}.area_m: dimensions must be > 0")
-        demand = _num(gen, "demand_peak_bps", path)
-        weight = _num(gen, "weight", path, 1.0)
+        demand = _as_number(gen["demand_peak_bps"], f"{path}.demand_peak_bps")
+        weight = _as_number(gen["weight"], f"{path}.weight") if "weight" in gen else UserEquipment.weight
         rng = np.random.default_rng(seed)
         positions = rng.uniform((0.0, 0.0), (width, height), size=(count, 2))
         return tuple(
@@ -500,19 +505,7 @@ def _build_ues(doc: Any, seed: int) -> tuple[UserEquipment, ...]:
         )
     if not isinstance(doc, list) or not doc:
         raise SchemaError("ues: expected a non-empty list or a generator object")
-    ues = []
-    for i, entry in enumerate(doc):
-        path = f"ues[{i}]"
-        _check_keys(entry, path, ("ues", "*"))
-        ues.append(
-            UserEquipment(
-                _str(entry, "ue_id", path),
-                _position(entry, path),
-                _num(entry, "demand_peak_bps", path),
-                _num(entry, "weight", path, 1.0),
-            )
-        )
-    return tuple(ues)
+    return tuple(_record(("ues", "*"), entry, f"ues[{i}]") for i, entry in enumerate(doc))
 
 
 def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario:
@@ -544,7 +537,7 @@ def _build(
     seed is equal. The rest is rebuilt and the scenario validated as a whole.
     """
     _check_keys(document, "", ())
-    seed = _int(document, "seed", "document", 0)
+    seed = _as_int(document.get("seed", 0), "document.seed")
     if seed < 0:
         raise SchemaError(f"document.seed: must be >= 0, got {seed}")
     shared = {k for k in ("kinds", "base_stations", "ues") if base and document[k] is base[0][k]}
@@ -555,35 +548,17 @@ def _build(
         kinds_doc = document["kinds"]
         if not isinstance(kinds_doc, list) or not kinds_doc:
             raise SchemaError("kinds: expected a non-empty list")
-        kinds = tuple(_build_kind(k, f"kinds[{i}]") for i, k in enumerate(kinds_doc))
+        kinds = tuple(_record(("kinds", "*"), k, f"kinds[{i}]") for i, k in enumerate(kinds_doc))
 
-    cache_doc = document.get("cache", {})
-    _check_keys(cache_doc, "cache", ("cache",))
-    strategy = _str(cache_doc, "strategy", "cache", "none")
-    if strategy not in STRATEGIES:
-        raise SchemaError(f"cache.strategy: expected one of {STRATEGIES}, got '{strategy}'")
-    cache = CacheConfig(
-        catalog_size=_int(cache_doc, "catalog_size", "cache", 1),
-        zipf_exponent=_num(cache_doc, "zipf_exponent", "cache", 0.0),
-        strategy=strategy,
-        cache_power_per_item_w=_num(cache_doc, "cache_power_per_item_w", "cache", 0.0),
-    )
+    cache = _record(("cache",), document.get("cache", {}), "cache")
+    traffic = _record(("traffic",), document.get("traffic", {}), "traffic")
 
-    traffic_doc = document.get("traffic", {})
-    _check_keys(traffic_doc, "traffic", ("traffic",))
-    traffic = TrafficProfile(
-        peak_to_min_ratio=_num(traffic_doc, "peak_to_min_ratio", "traffic", 1.0),
-        peak_hour=_num(traffic_doc, "peak_hour", "traffic", 0.0),
-        samples_per_day=_int(traffic_doc, "samples_per_day", "traffic", 24),
-    )
-
-    benchmark: float | str
-    if "benchmark_cost" not in document:
-        benchmark = MAX_KIND
-    elif isinstance(document["benchmark_cost"], str):
-        benchmark = document["benchmark_cost"]
+    benchmark = document.get("benchmark_cost", MAX_KIND)
+    if isinstance(benchmark, str):
+        if benchmark != MAX_KIND:
+            raise SchemaError(f"document.benchmark_cost: expected a number or '{MAX_KIND}', got '{benchmark}'")
     else:
-        benchmark = _num(document, "benchmark_cost", "document")
+        benchmark = _as_number(benchmark, "document.benchmark_cost")
 
     if {"kinds", "base_stations"} <= shared:
         stations = base[1].base_stations
@@ -601,9 +576,15 @@ def _build(
         cache=cache,
         traffic=traffic,
         benchmark_cost=benchmark,
-        radio_mode=_str(document, "radio_mode", "document", "abstract"),
+        radio_mode=_as_choice(document.get("radio_mode", "abstract"), "document.radio_mode", RADIO_MODES),
         rng_seed=seed,
     )
+
+
+def _plain(record: Any, **given: Any) -> dict[str, Any]:
+    """``record`` as its document section: its fields in order, ``given``
+    values in place of field values, and no key for a None field."""
+    return {key: given.get(key, value) for key, value in asdict(record).items() if value is not None}
 
 
 def scenario_to_document(s: NetworkScenario) -> dict[str, Any]:
@@ -612,59 +593,14 @@ def scenario_to_document(s: NetworkScenario) -> dict[str, Any]:
     Round-trips: ``build_scenario(scenario_to_document(s)) == s``. Generator
     sections come back as the explicit entity lists they expanded to.
     """
-    kinds = []
-    for k in s.kinds:
-        entry: dict[str, Any] = {
-            "kind_id": k.kind_id,
-            "static_power_w": k.static_power_w,
-            "max_tx_dynamic_power_w": k.max_tx_dynamic_power_w,
-            "radio_capacity_bps": k.radio_capacity_bps,
-            "bandwidth_hz": k.bandwidth_hz,
-            "coverage_area_m2": k.coverage_area_m2,
-            "cost_per_area": k.cost_per_area,
-            "xhaul": {
-                "solution_id": k.xhaul.solution_id,
-                "capacity_bps": k.xhaul.capacity_bps,
-                "medium": k.xhaul.medium,
-                "xhaul_power_factor": k.xhaul.xhaul_power_factor,
-            },
-            "tx_power_w": k.tx_power_w,
-            "cache_size": k.cache_size,
-            "cache_item_cost_per_area": k.cache_item_cost_per_area,
-        }
-        if k.cost_breakdown is not None:
-            b = k.cost_breakdown
-            entry["cost_breakdown"] = {
-                **{name: getattr(b, name) for name in _BREAKDOWN_COMPONENTS},
-                "inherited_discount": b.inherited_discount,
-            }
-        kinds.append(entry)
     return {
-        "kinds": kinds,
+        "kinds": [_plain(k) for k in s.kinds],
         "base_stations": [
-            {"bs_id": b.bs_id, "kind": b.kind.kind_id, "position_m": list(b.position_m)}
-            for b in s.base_stations
+            _plain(b, kind=b.kind.kind_id, position_m=list(b.position_m)) for b in s.base_stations
         ],
-        "ues": [
-            {
-                "ue_id": u.ue_id,
-                "position_m": list(u.position_m),
-                "demand_peak_bps": u.demand_peak_bps,
-                "weight": u.weight,
-            }
-            for u in s.ues
-        ],
-        "cache": {
-            "catalog_size": s.cache.catalog_size,
-            "zipf_exponent": s.cache.zipf_exponent,
-            "strategy": s.cache.strategy,
-            "cache_power_per_item_w": s.cache.cache_power_per_item_w,
-        },
-        "traffic": {
-            "peak_to_min_ratio": s.traffic.peak_to_min_ratio,
-            "peak_hour": s.traffic.peak_hour,
-            "samples_per_day": s.traffic.samples_per_day,
-        },
+        "ues": [_plain(u, position_m=list(u.position_m)) for u in s.ues],
+        "cache": _plain(s.cache),
+        "traffic": _plain(s.traffic),
         "benchmark_cost": s.benchmark_cost,
         "radio_mode": s.radio_mode,
         "seed": s.rng_seed,

@@ -37,13 +37,12 @@ class ParameterPathError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes, metric, and evaluation time of one sweep."""
+    """Axes and evaluation time of one sweep."""
 
     param_path: str
     values: tuple[Any, ...]
     param2_path: str | None = None
     values2: tuple[Any, ...] | None = None
-    metric: str = "e3"
     time_hours: float | None = None
     daily: bool = False
 
@@ -57,8 +56,6 @@ class SweepSpec:
             raise ValueError("SweepSpec: param2_path and values2 must be given together")
         if self.values2 is not None and not self.values2:
             raise ValueError("SweepSpec: at least one value per axis required")
-        if self.metric not in METRICS:
-            raise ValueError(f"SweepSpec: metric must be one of {METRICS}")
 
 
 @dataclass(frozen=True)
@@ -171,18 +168,17 @@ def run_sweep(document: dict[str, Any], spec: SweepSpec) -> SweepResult:
     return SweepResult(spec=spec, rows=tuple(rows), base=base)
 
 
-def argmax(result: SweepResult, metric: str | None = None) -> tuple[tuple[Any, ...], float]:
+def argmax(result: SweepResult, metric: str = "e3") -> tuple[tuple[Any, ...], float]:
     """Grid point maximizing the metric, ties broken by smallest value(s).
 
     Returns (axis values, metric value). Raises if every row failed.
     """
-    name = metric if metric is not None else result.spec.metric
     best: SweepRow | None = None
     best_value = float("-inf")
     for row in result.rows:
         if row.report is None:
             continue
-        value = getattr(row.report, name)
+        value = getattr(row.report, metric)
         if best is None or value > best_value or (value == best_value and row.values < best.values):
             best, best_value = row, value
     if best is None:

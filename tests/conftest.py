@@ -52,8 +52,7 @@ def serving_ids(s):
 
 
 def make_xhaul(capacity_bps=5e7, medium="wired", factor=None, solution_id="xh"):
-    if factor is None:
-        factor = 0.0 if medium == "wired" else 3.0
+    """An X-Haul solution; ``factor`` None takes the medium's default."""
     return XHaulSolution(solution_id, capacity_bps, medium, factor)
 
 
@@ -109,7 +108,7 @@ def make_scenario(
         base_stations=tuple(base_stations),
         ues=tuple(ues),
         cache=cache or CacheConfig(),
-        traffic=traffic or TrafficProfile(1.0),
+        traffic=traffic or TrafficProfile(),
         benchmark_cost=benchmark_cost,
         radio_mode=radio_mode,
         rng_seed=rng_seed,

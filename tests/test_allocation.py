@@ -170,10 +170,14 @@ class TestAllocate:
         )
 
     def test_cache_hits_raise_served_traffic_and_every_rate(self):
-        scenarios = [caching_scenario(cache_size=m) for m in (0, 4, 8)]
-        allocs = [rates_at(s, 0.0)[0] for s in scenarios]
+        allocs = [rates_at(caching_scenario(cache_size=m), 0.0)[0] for m in (0, 4, 8)]
         served = [sum(rates.values()) for rates in allocs]
-        assert served[0] <= served[1] <= served[2]
+        assert served[0] < served[1] < served[2]
+        # the 16 Mbit/s X-Haul binds: it carries only the misses, up to the 40 Mbit/s demand
+        popularity = zipf_popularity(20, 0.8)
+        for m, total in zip((0, 4, 8), served):
+            miss = 1.0 - hit_ratio("top_popular", m, popularity)
+            assert total == pytest.approx(min(4e7, 16e6 / miss), rel=1e-12)
         for smaller, larger in zip(allocs, allocs[1:]):
             assert all(
                 larger[u] >= smaller[u] - 1e-9 for u in smaller

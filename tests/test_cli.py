@@ -270,6 +270,27 @@ class TestDeterminismAndSeed:
         errors = [dict(zip(header, row))["error"] for row in rows]
         assert errors == ["document.seed: must be >= 0, got -1", ""]
 
+    @pytest.mark.parametrize(
+        "param, error",
+        [
+            ("radio_mode=abstract,foo", "document.radio_mode: expected one of ('abstract', 'physical'), got 'foo'"),
+            ("benchmark_cost=100,cheap", "document.benchmark_cost: expected a number or 'max-kind', got 'cheap'"),
+        ],
+        ids=["radio_mode", "benchmark_cost"],
+    )
+    def test_closed_set_value_fails_its_row_naming_the_path(self, tmp_path, capsys, param, error):
+        out = tmp_path / "closed.csv"
+        assert main(["sweep", FIG3, "--param", param, "--time", "20", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert [dict(zip(header, row))["error"] for row in rows] == ["", error]
+
+    def test_metric_flag_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        with pytest.raises(SystemExit):
+            main(["sweep", FIG3, "--param", "kinds.ap.cache_size=0,1", "--metric", "e3", "--out", str(out)])
+        assert "--metric" in capsys.readouterr().err
+        assert not out.exists()
+
 
 #: sha256 of the non-``#`` lines of CLI runs on ``scenarios/``, recorded
 #: before the id-keyed allocation API was deleted; any change to the CSV

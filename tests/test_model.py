@@ -1,12 +1,16 @@
 """Scenario construction, schema errors, generators, and round-tripping."""
 
 import copy
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from conftest import load_document, make_kind, make_scenario, make_xhaul
 from e3sim import (
+    BaseStation,
     CacheConfig,
     CostBreakdown,
     InvariantError,
@@ -21,6 +25,7 @@ from e3sim import (
     scenario_to_document,
     validate_scenario,
 )
+from e3sim.model import _SECTIONS, section_keys
 
 BREAKDOWN_COMPONENTS = (
     "infrastructure",
@@ -322,3 +327,73 @@ def test_position_must_be_two_numbers(section, position, match):
     doc[section][0]["position_m"] = position
     with pytest.raises(SchemaError, match=match):
         build_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        ({"radio_mode": "foo"}, r"^document\.radio_mode: expected one of \('abstract', 'physical'\), got 'foo'$"),
+        ({"benchmark_cost": "cheap"}, r"^document\.benchmark_cost: expected a number or 'max-kind', got 'cheap'$"),
+    ],
+    ids=["radio_mode", "benchmark_cost"],
+)
+def test_closed_set_values_name_their_path(edit, match):
+    with pytest.raises(SchemaError, match=match):
+        build_scenario({**MINIMAL_DOC, **edit})
+
+
+def test_xhaul_medium_names_its_path():
+    doc = copy.deepcopy(MINIMAL_DOC)
+    doc["kinds"][0]["xhaul"]["medium"] = "fiber"
+    with pytest.raises(SchemaError, match=r"^kinds\[0\]\.xhaul\.medium: expected one of \('wired', 'wireless'\)"):
+        build_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "build, entity",
+    [
+        (lambda: BaseStation("b", make_kind(), "12"), "BaseStation 'b'"),
+        (lambda: BaseStation("b", make_kind(), ("1", 2.0)), "BaseStation 'b'"),
+        (lambda: UserEquipment("u", (True, 0), 1e6), "UserEquipment 'u'"),
+        (lambda: UserEquipment("u", (0.0, None), 1e6), "UserEquipment 'u'"),
+        (lambda: UserEquipment("u", (1j, 0.0), 1e6), "UserEquipment 'u'"),
+    ],
+    ids=["text", "string-coordinate", "bool-coordinate", "none-coordinate", "complex-coordinate"],
+)
+def test_library_positions_must_be_two_real_numbers(build, entity):
+    with pytest.raises(InvariantError, match=f"^{entity}: position_m must hold two real numbers"):
+        build()
+
+
+def breakdown_scenario():
+    """A kind with a cost breakdown and a wireless X-Haul left at its default factor."""
+    breakdown = CostBreakdown(10.0, 10.0, 10.0, 5.0, 5.0, 5.0, 5.0, inherited_discount=0.5)
+    return make_scenario(kinds=(make_kind(xhaul=make_xhaul(medium="wireless"), cost_breakdown=breakdown),))
+
+
+#: sha256 of ``json.dumps(scenario_to_document(build_scenario(doc)))``: pins the
+#: key order of every section and that no null key leaks into a document.
+DOCUMENT_SHA256 = {
+    "fig2.json": "fc06aab7fbf736a00c27873c7bde1c6f31ade61c0f1a8fccd98078f078c408f9",
+    "fig3.json": "ded9e1588ad90bed4f9de0aa039e836a8bec2f201a722832a9c7f0c10ff5b323",
+    "fig4_c2.json": "79dab0133057d093a0023a100725eaa063a6c51eb38c2169a93e7201b6995457",
+    "fig4_c3.json": "25114b965b18dd79bff5bcacd874239260ea0c2787256022ed5209c638b6123c",
+    "kind-with-breakdown": "9b82359c64f1c8c14fba137d833f20b2c92cc1be26e1c6df04e1bce1f88c2055",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENT_SHA256))
+def test_serialised_document_bytes_are_pinned(name):
+    if name == "kind-with-breakdown":
+        doc = scenario_to_document(breakdown_scenario())
+    else:
+        doc = load_document(name)
+    text = json.dumps(scenario_to_document(build_scenario(doc)))
+    assert hashlib.sha256(text.encode()).hexdigest() == DOCUMENT_SHA256[name]
+
+
+def test_schema_doc_names_every_admitted_key():
+    schema = (Path(__file__).resolve().parents[1] / "docs" / "schema.md").read_text()
+    documented = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", schema))
+    missing = {(section, key) for section in _SECTIONS for key in section_keys(section) if key not in documented}
+    assert not missing
