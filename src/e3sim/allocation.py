@@ -7,15 +7,18 @@ demands are granted max-min fairly: every UE receives its demand or the
 common fair level, whichever is smaller.
 
 Only the demands depend on the hour: every UE asks for its peak demand
-times one shared factor f(t). So ``plan_allocation`` compiles the rest of
-a scenario once (association, radio capacity, hit ratio, effective
-capacity, and the UEs of each station sorted by peak demand), and
-``fill`` grants the rates of a batch of samples from it.
+times one shared factor f(t). And only a few scalars per station depend
+on anything but the positions. So ``plan_geometry`` compiles what the
+positions fix (association, physical radio capacity, and the UEs of each
+station sorted by peak demand) once for every scenario that shares them
+(``same_geometry``); ``station_capacities`` gives one scenario's radio and
+effective capacity per station (hit ratio included); and ``fill`` grants
+the rates of a batch of rows, each row one sample of one scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -79,27 +82,42 @@ def max_min_rates(demands: Sequence[float], capacity: float) -> list[float]:
     return np.minimum(d, level[0]).tolist()
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
-    """The time-independent part of an allocation, in index form.
+@dataclass(frozen=True, eq=False)
+class Geometry:
+    """What station and UE positions fix for an allocation, in index form.
 
     Arrays are indexed by position in ``s.ues`` (U) and in
-    ``s.base_stations`` (B). ``blocks`` lists (stations, sorted peaks)
-    pairs: the peak demands of each station's UEs in ascending order, one
-    zero-padded row per station, stations grouped so that one block of a
-    ``samples_per_chunk`` batch stays within the chunk byte budget.
+    ``s.base_stations`` (B): the serving station of each UE, the UEs in
+    station-major order, peak demands and weights, the UE count of each
+    station, and in physical radio mode each station's radio capacity (None
+    in abstract mode, where each scenario's kinds give it). Every scenario
+    for which ``same_geometry`` holds with the compiled one shares it.
+    ``rows_per_chunk`` is how many rows (samples of scenarios) one ``fill``
+    call takes while its temporaries stay within the chunk byte budget.
     """
 
     serving: np.ndarray
+    station_major: np.ndarray
     peaks: np.ndarray
-    radio_cap: np.ndarray
-    capacity: np.ndarray
+    weights: np.ndarray
     counts: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    samples_per_chunk: int
+    radio_cap: list[float] | None
+    rows_per_chunk: int
+    _blocks: dict[int, tuple] = field(default_factory=dict, repr=False)
+
+    def blocks(self, rows: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(stations, sorted peaks) pairs for a batch of ``rows`` rows.
+
+        The peak demands of each station's UEs in ascending order, one
+        zero-padded row per station, stations grouped so that one block of
+        the batch stays within the chunk byte budget.
+        """
+        if rows not in self._blocks:
+            self._blocks[rows] = _blocks(self.serving, self.peaks, self.counts, rows)
+        return self._blocks[rows]
 
 
-def _blocks(serving: np.ndarray, peaks: np.ndarray, counts: np.ndarray, samples: int):
+def _blocks(serving: np.ndarray, peaks: np.ndarray, counts: np.ndarray, rows: int):
     """Group stations by attached count into zero-padded sorted-peak blocks."""
     by_station = np.lexsort((peaks, serving))
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
@@ -110,7 +128,7 @@ def _blocks(serving: np.ndarray, peaks: np.ndarray, counts: np.ndarray, samples:
     lo = 0
     while lo < len(stations):
         width = int(counts[stations[lo]])
-        hi = lo + max(1, chunk_rows(width) // samples)
+        hi = lo + max(1, chunk_rows(width) // rows)
         group = stations[lo:hi]
         column = np.arange(width)
         index = np.where(
@@ -121,61 +139,90 @@ def _blocks(serving: np.ndarray, peaks: np.ndarray, counts: np.ndarray, samples:
     return tuple(blocks)
 
 
-def plan_allocation(s: NetworkScenario, samples: int) -> AllocationPlan:
-    """Compile ``s`` for allocating ``samples`` hours.
-
-    Associates every UE with its nearest station, then computes radio
-    capacity, hit ratio and effective capacity once per station, in
-    ``s.base_stations`` order.
-    """
+def plan_geometry(s: NetworkScenario) -> Geometry:
+    """Compile the geometry of ``s``: association, and physical radio capacity."""
     serving = nearest_stations(s)
     n_bs = len(s.base_stations)
-    counts = np.bincount(serving, minlength=n_bs)
     peaks = np.array([u.demand_peak_bps for u in s.ues], dtype=float)
-    if s.radio_mode == "abstract":
-        radio_cap = np.array([b.kind.radio_capacity_bps for b in s.base_stations])
-    else:
-        radio_cap = physical_capacities(s, serving)
-    popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
-    hits: dict[int, float] = {}
-    capacity = np.empty(n_bs)
-    for i, bs in enumerate(s.base_stations):
-        size = bs.kind.cache_size
-        if size not in hits:
-            hits[size] = hit_ratio(s.cache.strategy, size, popularity)
-        capacity[i] = effective_bs_capacity(float(radio_cap[i]), bs.kind.xhaul.capacity_bps, hits[size])
-    per_chunk = min(samples, chunk_rows(len(peaks)))
-    return AllocationPlan(
+    return Geometry(
         serving=serving,
+        station_major=np.argsort(serving, kind="stable"),
         peaks=peaks,
-        radio_cap=radio_cap,
-        capacity=capacity,
-        counts=counts,
-        blocks=_blocks(serving, peaks, counts, per_chunk),
-        samples_per_chunk=per_chunk,
+        weights=np.array([u.weight for u in s.ues]),
+        counts=np.bincount(serving, minlength=n_bs),
+        radio_cap=physical_capacities(s, serving).tolist() if s.radio_mode == "physical" else None,
+        rows_per_chunk=chunk_rows(max(len(peaks), n_bs)),
     )
 
 
-def fill(plan: AllocationPlan, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Grant max-min fair rates for a batch of demand factors f(t).
+def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
+    """Whether ``plan_geometry(a)`` is the geometry of ``b`` too.
 
-    Returns the granted rates (samples x U) and the radio load of every
-    station (samples x B). Every UE demands ``peak * f``; each station's
-    level comes from its sorted demands (sorting by peak sorts the
-    demands, as f > 0), and a UE gets ``min(demand, level)``. A station's
-    load is its served rate over its radio capacity, capped at 1; the
-    served rate adds the rates in UE order, one at a time, like a Python
-    ``sum`` over the attachment list.
+    It is when both have the same UE tuple, radio mode and daily sample
+    count, and the same station ids and positions in the same order; in
+    physical mode also the same transmit power and bandwidth per station.
     """
-    n_samples, n_bs = len(factors), len(plan.capacity)
-    levels = np.zeros((n_samples, n_bs))
-    for stations, sorted_peaks in plan.blocks:
+    if b.ues is not a.ues or b.radio_mode != a.radio_mode:
+        return False
+    if b.traffic.samples_per_day != a.traffic.samples_per_day:
+        return False
+    if b.base_stations is a.base_stations:
+        return True
+    if len(b.base_stations) != len(a.base_stations):
+        return False
+    physical = a.radio_mode == "physical"
+    return all(
+        x.bs_id == y.bs_id
+        and x.position_m == y.position_m
+        and (not physical or (x.kind.tx_power_w, x.kind.bandwidth_hz) == (y.kind.tx_power_w, y.kind.bandwidth_hz))
+        for x, y in zip(a.base_stations, b.base_stations)
+    )
+
+
+def station_capacities(s: NetworkScenario, geometry: Geometry) -> tuple[list[float], list[float]]:
+    """Radio and effective capacity of every station of ``s``, in ``s.base_stations`` order.
+
+    Radio capacity is the geometry's in physical mode and each station's
+    kind's in abstract mode; the hit ratio is computed once per cache size.
+    """
+    radio_cap = geometry.radio_cap
+    if radio_cap is None:
+        radio_cap = [b.kind.radio_capacity_bps for b in s.base_stations]
+    popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
+    hits: dict[int, float] = {}
+    capacity = []
+    for bs, radio in zip(s.base_stations, radio_cap):
+        size = bs.kind.cache_size
+        if size not in hits:
+            hits[size] = hit_ratio(s.cache.strategy, size, popularity)
+        capacity.append(effective_bs_capacity(radio, bs.kind.xhaul.capacity_bps, hits[size]))
+    return radio_cap, capacity
+
+
+def fill(
+    geometry: Geometry, factors: np.ndarray, capacity: np.ndarray, radio_cap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grant max-min fair rates for a batch of rows.
+
+    Row r is one sample of one scenario of the geometry: demand factor
+    ``factors[r]``, and effective and radio capacity per station
+    ``capacity[r]`` and ``radio_cap[r]`` (rows x B). Returns the granted
+    rates (rows x U) and the radio load of every station (rows x B). Every
+    UE demands ``peak * f``; each station's level comes from its sorted
+    demands (sorting by peak sorts the demands, as f > 0), and a UE gets
+    ``min(demand, level)``. A station's load is its served rate over its
+    radio capacity, capped at 1; the served rate adds the rates in UE
+    order, one at a time, like a Python ``sum`` over the attachment list.
+    """
+    n_rows, n_bs = capacity.shape
+    levels = np.zeros((n_rows, n_bs))
+    for stations, sorted_peaks in geometry.blocks(n_rows):
         demands = factors[:, None, None] * sorted_peaks
-        levels[:, stations] = water_levels(demands, plan.counts[stations], plan.capacity[stations])
-    rates = np.minimum(factors[:, None] * plan.peaks, levels[:, plan.serving])
-    bins = (np.arange(n_samples)[:, None] * n_bs + plan.serving).ravel()
-    served = np.bincount(bins, weights=rates.ravel(), minlength=n_samples * n_bs)
-    served = served.reshape(n_samples, n_bs)
+        levels[:, stations] = water_levels(demands, geometry.counts[stations], capacity[:, stations])
+    rates = np.minimum(factors[:, None] * geometry.peaks, levels[:, geometry.serving])
+    bins = (np.arange(n_rows)[:, None] * n_bs + geometry.serving).ravel()
+    served = np.bincount(bins, weights=rates.ravel(), minlength=n_rows * n_bs)
+    served = served.reshape(n_rows, n_bs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        load = np.where(plan.radio_cap > 0, np.minimum(served / plan.radio_cap, 1.0), 0.0)
+        load = np.where(radio_cap > 0, np.minimum(served / radio_cap, 1.0), 0.0)
     return rates, load

@@ -11,7 +11,11 @@ the popularity).
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+
+from .radio import CHUNK_BYTES
 
 
 @dataclass(frozen=True)
@@ -36,19 +40,38 @@ class Popularity:
         return len(self.probabilities)
 
 
+#: Recently computed popularities by (catalog_size, exponent), oldest first,
+#: and the lock that guards them.
+_RECENT: OrderedDict[tuple[int, float], Popularity] = OrderedDict()
+_RECENT_LOCK = threading.Lock()
+
+
 def zipf_popularity(catalog_size: int, exponent: float) -> Popularity:
     """Zipf popularity over ``catalog_size`` ranked items.
 
     p_i = i^(-exponent) / sum_j j^(-exponent). Exponent 0 gives the uniform
-    distribution.
+    distribution. A sweep asks for the same few popularities at every
+    point, so recent ones are kept: beside the one just asked for, at
+    most ``CHUNK_BYTES`` worth of probabilities.
     """
-    if catalog_size < 1:
-        raise ValueError("catalog_size must be >= 1")
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    weights = [i ** -exponent for i in range(1, catalog_size + 1)]
-    total = math.fsum(weights)
-    return Popularity(tuple(w / total for w in weights))
+    key = (catalog_size, exponent)
+    with _RECENT_LOCK:
+        popularity = _RECENT.get(key)
+    if popularity is None:
+        if catalog_size < 1:
+            raise ValueError("catalog_size must be >= 1")
+        if exponent < 0:
+            raise ValueError("exponent must be >= 0")
+        weights = [i ** -exponent for i in range(1, catalog_size + 1)]
+        total = math.fsum(weights)
+        popularity = Popularity(tuple(w / total for w in weights))
+    with _RECENT_LOCK:
+        _RECENT.pop(key, None)
+        kept = sum(map(len, _RECENT.values()))
+        while kept > CHUNK_BYTES // 8:
+            kept -= len(_RECENT.popitem(last=False)[1])
+        _RECENT[key] = popularity
+    return popularity
 
 
 def hit_ratio(strategy: str, cache_size: int, popularity: Popularity) -> float:

@@ -23,12 +23,12 @@ import os
 import shlex
 import sys
 from dataclasses import dataclass
-from typing import Any, Sequence, TextIO
+from typing import Any, Iterable, Sequence, TextIO
 
 from . import __version__
 from .metrics import MetricReport, evaluate, evaluate_daily
 from .model import ScenarioError, build_scenario, validate_scenario
-from .sweep import METRICS, ParameterPathError, SweepSpec, argmax, run_sweep
+from .sweep import METRICS, Argmax, ParameterPathError, SweepSpec, open_sweep
 
 CSV_COLUMNS = (
     "param1",
@@ -102,7 +102,7 @@ def _report_row(values: tuple[Any, ...], report: MetricReport | None, error: str
     ]
 
 
-def _write_csv(path: str, manifest: RunManifest, rows: list[list[str]]) -> None:
+def _write_csv(path: str, manifest: RunManifest, rows: Iterable[list[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         for line in manifest.lines():
             f.write(line + "\n")
@@ -234,21 +234,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         time_hours=args.time,
         daily=args.daily,
     )
-    result = run_sweep(document, spec)
+    base, rows = open_sweep(document, spec)
     spec_text = f"sweep {path1}={len(values1)} values"
     if path2:
         spec_text += f"; {path2}={len(values2)} values"
-    spec_text += "; daily" if spec.daily else f"; t={spec.time_hours if spec.time_hours is not None else result.base.traffic.peak_hour:g}"
-    manifest = _manifest(args, spec_text, result.base.rng_seed, args.out)
-    _write_csv(args.out, manifest, [_report_row(r.values, r.report, r.error) for r in result.rows])
-    failed = sum(1 for r in result.rows if r.error)
-    print(f"wrote {len(result.rows)} rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
-    if args.argmax:
-        values, best = argmax(result, args.argmax)
+    spec_text += "; daily" if spec.daily else f"; t={spec.time_hours if spec.time_hours is not None else base.traffic.peak_hour:g}"
+    manifest = _manifest(args, spec_text, base.rng_seed, args.out)
+    best = Argmax(args.argmax) if args.argmax else None
+    written = failed = 0
+
+    def lines():
+        nonlocal written, failed
+        for row in rows:
+            written += 1
+            failed += bool(row.error)
+            if best is not None:
+                best.add(row)
+            yield _report_row(row.values, row.report, row.error)
+
+    _write_csv(args.out, manifest, lines())
+    print(f"wrote {written} rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
+    if best is not None:
+        values, value = best.result()
         desc = f"{path1}={_fmt(values[0])}"
         if len(values) > 1:
             desc += f", {path2}={_fmt(values[1])}"
-        print(f"argmax {args.argmax}: {desc} ({args.argmax}={_fmt(best)})")
+        print(f"argmax {args.argmax}: {desc} ({args.argmax}={_fmt(value)})")
     return EXIT_OK
 
 

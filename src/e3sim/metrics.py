@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .allocation import fill, plan_allocation
+from .allocation import Geometry, fill, plan_geometry, station_capacities
 from .energy_cost import cost_coefficient, dynamic_parts, resolve_benchmark_cost, total_cost_rate
 from .radio import demand_factor
 
@@ -57,40 +57,91 @@ def _sequential_sum(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1]
 
 
-def _sample_sums(s: NetworkScenario, times: Sequence[float]) -> np.ndarray:
-    """Throughput, weighted throughput, total and weighted power per sample.
-
-    Returns a (4, samples) array. The scenario is compiled once
-    (``plan_allocation``, static power and C_n per station); only demands,
-    max-min fill, load, dynamic power and the sums run per sample, in
-    chunks of samples. Every sum keeps the order of the per-hour
-    definition: UEs station by station for throughput, UEs in scenario
-    order for weighted throughput, stations in order for power.
-    """
-    factors = np.array([demand_factor(t, s.traffic) for t in times])
-    plan = plan_allocation(s, len(factors))
+def _point_inputs(s: NetworkScenario, geometry: Geometry) -> tuple[list[float], ...]:
+    """Per station of ``s``: radio and effective capacity, static power,
+    static power times C_n, maximum transceiver power and X-Haul factor."""
+    radio_cap, capacity = station_capacities(s, geometry)
     c0 = resolve_benchmark_cost(s)
     per_item_w = s.cache.cache_power_per_item_w
-    static = np.array([b.kind.static_power_w + per_item_w * b.kind.cache_size for b in s.base_stations])
-    cn = np.array([cost_coefficient(b.kind, c0) for b in s.base_stations])
-    weighted_static = static * cn
-    max_tx = np.array([b.kind.max_tx_dynamic_power_w for b in s.base_stations])
-    xhaul_factor = np.array([b.kind.xhaul.xhaul_power_factor for b in s.base_stations])
-    weights = np.array([u.weight for u in s.ues])
-    station_major = np.argsort(plan.serving, kind="stable")
+    static = [b.kind.static_power_w + per_item_w * b.kind.cache_size for b in s.base_stations]
+    weighted_static = [p * cost_coefficient(b.kind, c0) for p, b in zip(static, s.base_stations)]
+    max_tx = [b.kind.max_tx_dynamic_power_w for b in s.base_stations]
+    xhaul_factor = [b.kind.xhaul.xhaul_power_factor for b in s.base_stations]
+    return radio_cap, capacity, static, weighted_static, max_tx, xhaul_factor
+
+
+def _sample_sums(
+    geometry: Geometry, points: Sequence[NetworkScenario], times: Sequence[float]
+) -> list[np.ndarray | Exception]:
+    """Throughput, weighted throughput, total and weighted power of each point per sample.
+
+    ``points`` share ``geometry``. Returns, for each point, a (4, samples)
+    array, or the error that fails that point alone. Demand factors and
+    the per-station scalars are stacked on a leading point axis; max-min
+    fill, load, dynamic power and the sums then run once over rows that
+    are (point, sample) pairs, in chunks of ``geometry.rows_per_chunk``
+    rows. Every sum keeps the order of the per-hour definition: UEs
+    station by station for throughput, UEs in scenario order for weighted
+    throughput, stations in order for power.
+    """
+    outcomes: list = [None] * len(points)
+    kept, factors, inputs = [], [], []
+    by_traffic: dict[int, list[float]] = {}
+    for i, s in enumerate(points):
+        try:
+            key = id(s.traffic)
+            if key not in by_traffic:
+                by_traffic[key] = [demand_factor(t, s.traffic) for t in times]
+            inputs.append(_point_inputs(s, geometry))
+        except (ValueError, ArithmeticError) as exc:
+            outcomes[i] = exc
+            continue
+        kept.append(i)
+        factors.append(by_traffic[key])
+    if not kept:
+        return outcomes
+    radio_cap, capacity, static, weighted_static, max_tx, xhaul_factor = np.array(inputs).transpose(1, 0, 2)
+    factors = np.array(factors).ravel()
+    point = np.repeat(np.arange(len(kept)), len(times))
+    failed: dict[int, Exception] = {}
     sums = np.empty((4, len(factors)))
-    step = plan.samples_per_chunk
+    step = min(len(factors), geometry.rows_per_chunk)
     for lo in range(0, len(factors), step):
-        rates, load = fill(plan, factors[lo : lo + step])
-        transceiver, xhaul = dynamic_parts(max_tx, xhaul_factor, load)
+        rows = point[lo : lo + step]
+        rates, load = fill(geometry, factors[lo : lo + step], capacity[rows], radio_cap[rows])
+        try:
+            transceiver, xhaul = dynamic_parts(max_tx[rows], xhaul_factor[rows], load)
+        except ValueError:
+            load = _fail_out_of_range(load, rows, max_tx, xhaul_factor, failed)
+            transceiver, xhaul = dynamic_parts(max_tx[rows], xhaul_factor[rows], load)
         dynamic = transceiver + xhaul
-        sums[0, lo : lo + step] = _sequential_sum(rates[:, station_major])
-        sums[1, lo : lo + step] = _sequential_sum(weights * rates)
-        sums[2, lo : lo + step] = _sequential_sum(dynamic + static)
-        sums[3, lo : lo + step] = _sequential_sum(dynamic + weighted_static)
-    if np.any((sums[2] <= 0) | (sums[3] <= 0)):
-        raise ValueError("total power is zero; refusing to report infinite efficiency")
-    return sums
+        sums[0, lo : lo + step] = _sequential_sum(rates[:, geometry.station_major])
+        sums[1, lo : lo + step] = _sequential_sum(geometry.weights * rates)
+        sums[2, lo : lo + step] = _sequential_sum(dynamic + static[rows])
+        sums[3, lo : lo + step] = _sequential_sum(dynamic + weighted_static[rows])
+    sums = sums.reshape(4, len(kept), len(times))
+    zero_power = ((sums[2] <= 0) | (sums[3] <= 0)).any(axis=1)
+    for p, i in enumerate(kept):
+        if p in failed:
+            outcomes[i] = failed[p]
+        elif zero_power[p]:
+            outcomes[i] = ValueError("total power is zero; refusing to report infinite efficiency")
+        else:
+            outcomes[i] = sums[:, p]
+    return outcomes
+
+
+def _fail_out_of_range(
+    load: np.ndarray, rows: np.ndarray, max_tx: np.ndarray, xhaul_factor: np.ndarray, failed: dict
+) -> np.ndarray:
+    """``load`` with the rows of every point that has a load outside [0, 1]
+    zeroed; that point's error from ``dynamic_parts`` goes to ``failed``."""
+    for p in dict.fromkeys(rows.tolist()):
+        try:
+            dynamic_parts(max_tx[p], xhaul_factor[p], load[rows == p])
+        except ValueError as exc:
+            failed.setdefault(p, exc)
+    return np.where(np.isin(rows, list(failed))[:, None], 0.0, load)
 
 
 def _report(
@@ -115,14 +166,56 @@ def _report(
     )
 
 
+def evaluate_block(
+    points: Sequence[NetworkScenario], t_hours: float | None, geometry: Geometry | None = None
+) -> list[MetricReport | Exception]:
+    """Reports of scenarios that share one geometry, or the error that fails each.
+
+    Every pair of ``points`` must pass ``allocation.same_geometry``;
+    ``geometry`` is theirs, compiled from the first point when None. With
+    ``t_hours`` None each report is a daily average (``evaluate_daily``),
+    else the report at that hour (``evaluate``). A point that fails an
+    input check gets its ValueError or ArithmeticError in place of a
+    report, with the message a single evaluation raises.
+    """
+    if geometry is None:
+        geometry = plan_geometry(points[0])
+    if t_hours is None:
+        samples = points[0].traffic.samples_per_day
+        times = [24.0 * i / samples for i in range(samples)]
+    else:
+        times = [t_hours]
+    reports: list[MetricReport | Exception] = []
+    for s, outcome in zip(points, _sample_sums(geometry, points, times)):
+        if not isinstance(outcome, Exception):
+            try:
+                if t_hours is None:
+                    outcome = _report(s, *(sum(row) / len(times) for row in outcome.tolist()), None)
+                else:
+                    outcome = _report(s, *outcome[:, 0].tolist(), t_hours)
+            except (ValueError, ArithmeticError) as exc:
+                outcome = exc
+        reports.append(outcome)
+    return reports
+
+
+def _evaluate_one(s: NetworkScenario, t_hours: float | None) -> MetricReport:
+    (report,) = evaluate_block([s], t_hours)
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
 def evaluate(s: NetworkScenario, t_hours: float) -> MetricReport:
     """Evaluate all metrics at one hour of the day.
 
     Raises:
+        TypeError: ``t_hours`` is None (``evaluate_daily`` gives the daily average).
         ValueError: ``t_hours`` is not finite, or an input check fails.
     """
-    sums = _sample_sums(s, [t_hours])
-    return _report(s, *sums[:, 0].tolist(), t_hours)
+    if t_hours is None:
+        raise TypeError("t_hours must be a number, got None")
+    return _evaluate_one(s, t_hours)
 
 
 def evaluate_daily(s: NetworkScenario) -> MetricReport:
@@ -132,6 +225,4 @@ def evaluate_daily(s: NetworkScenario) -> MetricReport:
     numerator and denominator separately, then forms the ratios, so the
     daily E3 equals total weighted bits over total weighted Joules.
     """
-    samples = s.traffic.samples_per_day
-    sums = _sample_sums(s, [24.0 * i / samples for i in range(samples)])
-    return _report(s, *(sum(row) / samples for row in sums.tolist()), None)
+    return _evaluate_one(s, None)

@@ -288,16 +288,22 @@ def _is_real(value: Any) -> bool:
 
 
 def _as_position(value: Any, label: str) -> tuple[float, float]:
-    try:
-        x, y = value
-    except (TypeError, ValueError):
-        raise InvariantError(f"{label}: position_m must be an (x, y) pair") from None
+    if type(value) is not tuple:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if not isinstance(value, (tuple, list)):
+            raise InvariantError(f"{label}: position_m must hold two real numbers, got {value!r}")
+        value = tuple(value)
+    if len(value) != 2:
+        raise InvariantError(f"{label}: position_m must be an (x, y) pair")
+    x, y = value
     # floats, as the parser and the generators give, skip the ~0.5 us ABC checks
-    if not (type(x) is type(y) is float or _is_real(x) and _is_real(y)):
-        raise InvariantError(f"{label}: position_m must hold two real numbers, got ({x!r}, {y!r})")
-    pos = (float(x), float(y))
-    _require(math.isfinite(pos[0]) and math.isfinite(pos[1]), f"{label}: position_m must be finite")
-    return pos
+    if type(x) is not float or type(y) is not float:
+        if not (_is_real(x) and _is_real(y)):
+            raise InvariantError(f"{label}: position_m must hold two real numbers, got ({x!r}, {y!r})")
+        value = (float(x), float(y))
+    _require(math.isfinite(value[0]) and math.isfinite(value[1]), f"{label}: position_m must be finite")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +539,17 @@ def _build(
     A built section is reused when its inputs are the same objects in both
     documents, as a copy-on-write edit of the base document leaves every
     value off the edited path: the kinds when ``kinds`` is, the stations when
-    ``kinds`` and ``base_stations`` are, and the UEs when ``ues`` is and the
-    seed is equal. The rest is rebuilt and the scenario validated as a whole.
+    ``kinds`` and ``base_stations`` are, the UEs when ``ues`` is and the
+    seed is equal, and the cache and traffic records when their sections
+    are (or both documents leave them out). The rest is rebuilt and the
+    scenario validated as a whole.
     """
     _check_keys(document, "", ())
     seed = _as_int(document.get("seed", 0), "document.seed")
     if seed < 0:
         raise SchemaError(f"document.seed: must be >= 0, got {seed}")
-    shared = {k for k in ("kinds", "base_stations", "ues") if base and document[k] is base[0][k]}
+    sections = ("kinds", "base_stations", "ues", "cache", "traffic")
+    shared = {k for k in sections if base and document.get(k) is base[0].get(k)}
 
     if "kinds" in shared:
         kinds = base[1].kinds
@@ -550,8 +559,14 @@ def _build(
             raise SchemaError("kinds: expected a non-empty list")
         kinds = tuple(_record(("kinds", "*"), k, f"kinds[{i}]") for i, k in enumerate(kinds_doc))
 
-    cache = _record(("cache",), document.get("cache", {}), "cache")
-    traffic = _record(("traffic",), document.get("traffic", {}), "traffic")
+    if "cache" in shared:
+        cache = base[1].cache
+    else:
+        cache = _record(("cache",), document.get("cache", {}), "cache")
+    if "traffic" in shared:
+        traffic = base[1].traffic
+    else:
+        traffic = _record(("traffic",), document.get("traffic", {}), "traffic")
 
     benchmark = document.get("benchmark_cost", MAX_KIND)
     if isinstance(benchmark, str):

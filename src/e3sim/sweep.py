@@ -7,17 +7,19 @@ index, or list-entry id: ``kinds.ap.cache_size``, ``kinds[0].xhaul.medium``,
 ``base_stations.grid.kind``, ``ues.uniform_random.count``, ``seed``. Its
 last key may be one the document leaves at its default. Each grid point is
 built by ``model``; a row that fails a schema or invariant check carries
-the message and the sweep continues.
+the message and the sweep continues. Consecutive points that share a
+geometry are evaluated together, a block of points at a time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
+from .allocation import Geometry, plan_geometry, same_geometry
 from .energy_cost import total_cost_rate
-from .metrics import MetricReport, evaluate, evaluate_daily
+from .metrics import MetricReport, evaluate_block
 from .model import NetworkScenario, _build, build_scenario, section_keys
 
 METRICS = ("se", "ee", "ce", "e3")
@@ -140,50 +142,119 @@ def _grid(spec: SweepSpec) -> Iterable[tuple[Any, ...]]:
     return ((v1, v2) for v1 in spec.values for v2 in spec.values2)
 
 
-def run_sweep(document: dict[str, Any], spec: SweepSpec) -> SweepResult:
-    """Evaluate the scenario document at every grid point of the spec.
+def open_sweep(document: dict[str, Any], spec: SweepSpec) -> tuple[NetworkScenario, Iterator[SweepRow]]:
+    """The base scenario of a sweep, and an iterator over its rows.
 
-    Row order is row-major in axis order and deterministic. The document is
-    never modified. It must build, and both paths must resolve in it, before
-    any row is evaluated; a row whose document fails to build carries the
-    error message instead of a report. Without ``spec.daily`` every row is
-    evaluated at ``spec.time_hours``, or else at the base scenario's peak hour.
+    The document must build, and both paths must resolve in it, before
+    any row is evaluated; both checks run here. Rows come in grid order,
+    row-major in axis order, as each block of points is evaluated; a row
+    whose document fails to build or to evaluate carries the error message
+    instead of a report. The document is never modified. Without
+    ``spec.daily`` every row is evaluated at ``spec.time_hours``, or else
+    at the base scenario's peak hour.
     """
     base = build_scenario(document)
     resolve_parameter(document, spec.param_path)
     if spec.param2_path is not None:
         resolve_parameter(document, spec.param2_path)
-    t = spec.time_hours if spec.time_hours is not None else base.traffic.peak_hour
-    rows = []
+    if spec.daily:
+        t = None
+    else:
+        t = spec.time_hours if spec.time_hours is not None else base.traffic.peak_hour
+    return base, _rows(document, spec, base, t)
+
+
+def _rows(
+    document: dict[str, Any], spec: SweepSpec, base: NetworkScenario, t: float | None
+) -> Iterator[SweepRow]:
+    """Build every grid point and evaluate it in blocks of consecutive points
+    that share a geometry (``same_geometry`` with the group's first point).
+
+    A group's geometry is compiled once; a block holds as many points as
+    one chunk of rows takes, so memory does not grow with the grid.
+    """
+    block: list[tuple[tuple[Any, ...], NetworkScenario | Exception]] = []
+    first = geometry = None
+    per_block = 1
     for values in _grid(spec):
         try:
             point = set_parameter(document, spec.param_path, values[0])
             if spec.param2_path is not None:
                 point = set_parameter(point, spec.param2_path, values[1])
-            modified = _build(point, (document, base))
-            report = evaluate_daily(modified) if spec.daily else evaluate(modified, t)
-            rows.append(SweepRow(values, report, total_cost_rate(modified)))
+            built: NetworkScenario | Exception = _build(point, (document, base))
         except (ValueError, ArithmeticError) as exc:
-            rows.append(SweepRow(values, None, None, error=str(exc)))
+            built = exc
+        else:
+            if first is None or not same_geometry(first, built):
+                yield from _evaluated(block, geometry, t)
+                block = []
+                first, geometry = built, plan_geometry(built)
+                samples = built.traffic.samples_per_day if t is None else 1
+                per_block = max(1, geometry.rows_per_chunk // samples)
+        block.append((values, built))
+        if len(block) >= per_block:
+            yield from _evaluated(block, geometry, t)
+            block = []
+    yield from _evaluated(block, geometry, t)
+
+
+def _evaluated(block: list, geometry: Geometry | None, t: float | None) -> Iterator[SweepRow]:
+    """The rows of one block: its built points evaluated together."""
+    points = [built for _, built in block if isinstance(built, NetworkScenario)]
+    reports = iter(evaluate_block(points, t, geometry) if points else ())
+    for values, built in block:
+        report = next(reports) if isinstance(built, NetworkScenario) else built
+        if isinstance(report, MetricReport):
+            yield SweepRow(values, report, total_cost_rate(built))
+        else:
+            yield SweepRow(values, None, None, error=str(report))
+
+
+def run_sweep(document: dict[str, Any], spec: SweepSpec) -> SweepResult:
+    """Evaluate the scenario document at every grid point of the spec.
+
+    Collects the rows of ``open_sweep``, which says how they are made.
+    """
+    base, rows = open_sweep(document, spec)
     return SweepResult(spec=spec, rows=tuple(rows), base=base)
+
+
+class Argmax:
+    """Running argmax of a metric over sweep rows, ties to the smallest value(s)."""
+
+    def __init__(self, metric: str = "e3") -> None:
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric '{metric}', expected one of {METRICS}")
+        self.metric = metric
+        self.best: SweepRow | None = None
+        self.value = float("-inf")
+
+    def add(self, row: SweepRow) -> None:
+        """Take ``row`` into account; failed rows are skipped."""
+        if row.report is None:
+            return
+        value = getattr(row.report, self.metric)
+        best = self.best
+        if best is None or value > self.value or (value == self.value and row.values < best.values):
+            self.best, self.value = row, value
+
+    def result(self) -> tuple[tuple[Any, ...], float]:
+        """(axis values, metric value) of the best row. Raises if every row failed."""
+        if self.best is None:
+            raise ValueError("all sweep rows failed; nothing to maximize")
+        return self.best.values, self.value
 
 
 def argmax(result: SweepResult, metric: str = "e3") -> tuple[tuple[Any, ...], float]:
     """Grid point maximizing the metric, ties broken by smallest value(s).
 
-    Returns (axis values, metric value). Raises if every row failed.
+    Returns (axis values, metric value). Raises ValueError for a metric
+    not in ``METRICS`` and if every row failed.
     """
-    best: SweepRow | None = None
-    best_value = float("-inf")
+    best = Argmax(metric)
     for row in result.rows:
-        if row.report is None:
-            continue
-        value = getattr(row.report, metric)
-        if best is None or value > best_value or (value == best_value and row.values < best.values):
-            best, best_value = row, value
-    if best is None:
-        raise ValueError("all sweep rows failed; nothing to maximize")
-    return best.values, best_value
+        best.add(row)
+    return best.result()
 
 
 def _objective_vector(row: SweepRow, objectives: Sequence[str]) -> tuple[float, ...]:

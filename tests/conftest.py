@@ -17,7 +17,7 @@ from e3sim import (
     scenario_to_document,
     set_parameter,
 )
-from e3sim.allocation import fill, plan_allocation
+from e3sim.allocation import fill, plan_geometry, station_capacities
 from e3sim.radio import demand_factor, nearest_stations
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -39,11 +39,20 @@ def with_parameter(scenario, path, value):
 def allocation_at(s, t_hours):
     """Granted rate of each UE and radio load of each station at ``t_hours``.
 
-    The one-sample case of what the evaluation runs: ``plan_allocation``
-    then ``fill``. Arrays in ``s.ues`` and ``s.base_stations`` order.
+    The one-row case of what the evaluation runs: ``plan_geometry``,
+    ``station_capacities``, then ``fill``. Arrays in ``s.ues`` and
+    ``s.base_stations`` order.
     """
-    rates, load = fill(plan_allocation(s, 1), np.array([demand_factor(t_hours, s.traffic)]))
+    geometry = plan_geometry(s)
+    radio_cap, capacity = station_capacities(s, geometry)
+    factors = np.array([demand_factor(t_hours, s.traffic)])
+    rates, load = fill(geometry, factors, np.array([capacity]), np.array([radio_cap]))
     return rates[0], load[0]
+
+
+def radio_capacities(s):
+    """Radio capacity of every station as the evaluation computes it."""
+    return station_capacities(s, plan_geometry(s))[0]
 
 
 def serving_ids(s):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from e3sim import Popularity, hit_ratio, zipf_popularity
+from e3sim.radio import CHUNK_BYTES
 from oracles import expected_random_hit_exact
 
 
@@ -43,6 +44,20 @@ class TestZipfPopularity:
             Popularity((0.2, 0.8))
         with pytest.raises(ValueError, match="sum"):
             Popularity((0.5, 0.2))
+
+
+class TestPopularityReuse:
+    def test_repeated_requests_share_one_table(self):
+        assert zipf_popularity(20, 0.8) is zipf_popularity(20, 0.8)
+        assert zipf_popularity(20, 0.8) is not zipf_popularity(20, 0.9)
+
+    def test_kept_tables_stay_within_the_chunk_budget(self):
+        catalog = 3 * CHUNK_BYTES // 8
+        large = zipf_popularity(catalog, 1.0)
+        assert zipf_popularity(catalog, 1.0) is large  # the newest is kept whatever its size
+        zipf_popularity(20, 0.8)
+        again = zipf_popularity(catalog, 1.0)
+        assert again is not large and again == large
 
 
 class TestHitRatio:

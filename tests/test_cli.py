@@ -309,6 +309,14 @@ GOLDEN = {
                          "e3d112ea99bf1b65126ff5d61d4a1dfb23c08647b4a87180ad382ee631152161"),
     "fig3_cache_sweep": (["sweep", "fig3.json", "--param", "kinds.ap.cache_size=0:20:1", "--time", "20"],
                          "e980b7d628d296415b2bb3bb6f8b578a80bcd5a3afb91875c20bcbeed8781738"),
+    # 2,100 points in blocks that share one geometry
+    "fig3_cache_xhaul_daily": (["sweep", "fig3.json", "--param", "kinds.ap.cache_size=0:20:1",
+                                "--param2", "kinds.ap.xhaul.capacity_bps=1e6:1e8:1e6", "--daily"],
+                               "046d38413e70b5beff3912724a08ef7382ed4748c04734bbb17a2a6dad30c62a"),
+    # schema, invariant and evaluation errors mixed with good rows in one block
+    "fig3_failing_rows_daily": (["sweep", "fig3.json", "--param", "kinds.ap.cache_size=-1,0,2.5,1000,20,21",
+                                 "--param2", "cache.zipf_exponent=0,0.8", "--daily"],
+                                "916ad6cafb506bd623387579912d733b75e2f2b1aa9372a78e22c1777bb70245"),
 }
 
 

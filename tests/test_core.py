@@ -1,6 +1,6 @@
 """The array evaluation core against the scalar oracles, plus metamorphic checks.
 
-Abstract-mode reports and allocations (``plan_allocation`` + ``fill``)
+Abstract-mode reports and allocations (``plan_geometry`` + ``fill``)
 must equal the scalar loops of ``oracles`` bit for bit; physical mode,
 whose interference sums add in another order, within 1e-10 relative.
 Association (``nearest_stations``) must match exactly, including exact
@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import allocation_at, make_kind, make_scenario, make_xhaul, serving_ids
+from conftest import allocation_at, make_kind, make_scenario, make_xhaul, radio_capacities, serving_ids
 from e3sim import (
     BaseStation,
     CacheConfig,
@@ -30,7 +30,6 @@ from e3sim import (
     scenario_to_document,
     set_parameter,
 )
-from e3sim.allocation import plan_allocation
 
 NUMBERS = slice(0, 8)  # the eight numbers of a MetricReport, time_hours excluded
 
@@ -162,7 +161,7 @@ class TestAgainstScalarOracle:
     @given(s=scenarios(radio_mode="physical"))
     def test_physical_capacity_within_1e_10(self, s):
         assoc = oracles.associate(s)
-        got = plan_allocation(s, 1).radio_cap.tolist()
+        got = radio_capacities(s)
         want = [oracles.radio_capacity(b, assoc, s) for b in s.base_stations]
         assert_close(got, want)
 

@@ -105,6 +105,11 @@ class TestEvaluate:
         scaled_argmax = argmax(run_sweep(set_parameter(s, "ues[0].weight", 5.0), spec))
         assert scaled_argmax[0] == base_argmax[0]
 
+    def test_an_hour_of_none_is_a_type_error(self):
+        # None means a daily average to the block core, never to evaluate
+        with pytest.raises(TypeError, match="t_hours must be a number, got None"):
+            evaluate(make_scenario(), None)
+
 
 def daily_fixture():
     return make_scenario(traffic=TrafficProfile(peak_to_min_ratio=2.0, peak_hour=0.0, samples_per_day=24))

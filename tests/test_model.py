@@ -6,6 +6,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import load_document, make_kind, make_scenario, make_xhaul
@@ -357,12 +358,22 @@ def test_xhaul_medium_names_its_path():
         (lambda: UserEquipment("u", (True, 0), 1e6), "UserEquipment 'u'"),
         (lambda: UserEquipment("u", (0.0, None), 1e6), "UserEquipment 'u'"),
         (lambda: UserEquipment("u", (1j, 0.0), 1e6), "UserEquipment 'u'"),
+        (lambda: BaseStation("b", make_kind(), b"12"), "BaseStation 'b'"),
+        (lambda: UserEquipment("u", {3: "a", 4: "b"}, 1e6), "UserEquipment 'u'"),
+        (lambda: BaseStation("b", make_kind(), np.array(5.0)), "BaseStation 'b'"),
     ],
-    ids=["text", "string-coordinate", "bool-coordinate", "none-coordinate", "complex-coordinate"],
+    ids=["text", "string-coordinate", "bool-coordinate", "none-coordinate", "complex-coordinate",
+         "bytes", "dict", "scalar-array"],
 )
 def test_library_positions_must_be_two_real_numbers(build, entity):
     with pytest.raises(InvariantError, match=f"^{entity}: position_m must hold two real numbers"):
         build()
+
+
+@pytest.mark.parametrize("position", [(3, 4.0), [3.0, 4], np.array([3.0, 4.0]), np.array([3, 4])])
+def test_library_positions_may_be_a_tuple_list_or_array(position):
+    assert BaseStation("b", make_kind(), position).position_m == (3.0, 4.0)
+    assert type(UserEquipment("u", position, 1e6).position_m[0]) is float
 
 
 def breakdown_scenario():

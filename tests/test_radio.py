@@ -5,9 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_kind, make_scenario, serving_ids, with_parameter
+from conftest import make_kind, make_scenario, radio_capacities, serving_ids, with_parameter
 from e3sim import BaseStation, TrafficProfile, UserEquipment
-from e3sim.allocation import plan_allocation
+from e3sim.allocation import plan_geometry
 from e3sim.radio import demand_factor, nearest_stations
 
 
@@ -23,14 +23,14 @@ def ue(ue_id, x, demand=1e6):
 
 def capacity(s, station=0):
     """Radio capacity of one station as the evaluation computes it."""
-    return plan_allocation(s, 1).radio_cap[station]
+    return radio_capacities(s)[station]
 
 
 class TestAssociate:
     def test_single_bs_takes_everyone(self):
         s = line_scenario([0.0], (ue("u0", 5.0), ue("u1", 500.0)))
         assert serving_ids(s) == ["b0", "b0"]
-        assert plan_allocation(s, 1).counts.tolist() == [2]
+        assert plan_geometry(s).counts.tolist() == [2]
 
     def test_nearest_bs_wins(self):
         s = line_scenario([0.0, 100.0], (ue("u0", 30.0),))
@@ -53,7 +53,7 @@ class TestAssociate:
 
     def test_every_bs_is_listed_even_when_empty(self):
         s = line_scenario([0.0, 1000.0], (ue("u0", 1.0),))
-        assert plan_allocation(s, 1).counts.tolist() == [1, 0]
+        assert plan_geometry(s).counts.tolist() == [1, 0]
 
 
 class TestDemandProfile:

@@ -2,8 +2,11 @@
 
 import copy
 import re
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load_document
 from e3sim import (
@@ -11,11 +14,14 @@ from e3sim import (
     ParameterPathError,
     SchemaError,
     SweepSpec,
+    allocation,
     argmax,
     build_scenario,
     evaluate,
     evaluate_daily,
+    metrics,
     pareto_front,
+    radio,
     resolve_parameter,
     run_sweep,
     scenario_to_document,
@@ -23,6 +29,7 @@ from e3sim import (
     total_cost_rate,
 )
 from e3sim.model import _build
+from e3sim.sweep import open_sweep
 
 
 @pytest.fixture()
@@ -135,6 +142,10 @@ class TestDocumentPaths:
             ("ues.uniform_random.count", (5, 10)),
             ("base_stations.ap000.position_m[0]", (0.0, 20.0)),
             ("traffic.peak_to_min_ratio", (2.0,)),
+            ("traffic.peak_hour", (3.0, 20.0)),
+            ("traffic.samples_per_day", (5, 24)),
+            ("cache.zipf_exponent", (0.0, 1.2)),
+            ("cache.strategy", ("random_fill", "none")),
         ],
     )
     def test_rows_equal_fresh_builds_of_each_point(self, fig3, path, values):
@@ -151,6 +162,18 @@ class TestDocumentPaths:
         assert seeded.ues != base.ues
         resized = _build(set_parameter(fig3, "kinds.ap.cache_size", 2), (fig3, base))
         assert resized.ues is base.ues and resized.base_stations[0].kind.cache_size == 2
+        assert resized.cache is base.cache and resized.traffic is base.traffic
+        skewed = _build(set_parameter(fig3, "cache.zipf_exponent", 1.2), (fig3, base))
+        assert skewed.cache.zipf_exponent == 1.2 and skewed.traffic is base.traffic
+        shifted = _build(set_parameter(fig3, "traffic.peak_hour", 3.0), (fig3, base))
+        assert shifted.traffic.peak_hour == 3.0 and shifted.cache is base.cache
+
+    def test_left_out_cache_and_traffic_are_shared_defaults(self, fig3):
+        del fig3["cache"], fig3["traffic"]
+        base = build_scenario(fig3)
+        point = _build(set_parameter(fig3, "seed", 9), (fig3, base))
+        assert point.cache is base.cache and point.traffic is base.traffic
+        assert point == build_scenario(set_parameter(fig3, "seed", 9))
 
     def test_bad_value_at_a_valid_path_is_a_row_error(self, fig3):
         spec = SweepSpec(param_path="cache.strategy", values=("lru", "none"), time_hours=20.0)
@@ -223,6 +246,11 @@ class TestRunSweep:
 
 
 class TestArgmax:
+    def test_unknown_metric_is_a_typed_error(self, fig3):
+        result = run_sweep(fig3, SweepSpec(param_path="kinds.ap.cache_size", values=(1, 2), time_hours=20.0))
+        with pytest.raises(ValueError, match=r"unknown metric 'bogus', expected one of \('se', 'ee', 'ce', 'e3'\)"):
+            argmax(result, "bogus")
+
     def test_tie_breaks_to_smallest_value(self, fig3):
         s = set_parameter(fig3, "cache.strategy", "none")
         s = set_parameter(s, "kinds.ap.cache_item_cost_per_area", 0.0)
@@ -308,3 +336,156 @@ class TestParetoFront:
             pareto_front(cache_sweep, [])
         with pytest.raises(ValueError, match="unknown objective"):
             pareto_front(cache_sweep, ["latency"])
+
+
+def two_station_fig3():
+    """fig3 with a second station of the same kind, so positions move UEs."""
+    doc = load_document("fig3.json")
+    doc["base_stations"].append({"bs_id": "ap001", "kind": "ap", "position_m": [40.0, 40.0]})
+    return doc
+
+
+#: Sweep axes by document: each path with values that move the geometry,
+#: change traffic or physical capacity, or fail to build or to evaluate.
+AXES = {
+    "fig3": {
+        "seed": (0, 7, 8, -1),
+        "radio_mode": ("abstract", "physical", "foo"),
+        "ues.uniform_random.count": (1, 4, 10, 0),
+        "base_stations.ap001.position_m[0]": (0.0, 30.0, 40.0, 1e3, "x"),
+        "kinds.ap.tx_power_w": (0.05, 0.13, 2.0, 0.0),
+        "kinds.ap.xhaul.capacity_bps": (1e6, 1.6e7, 1e8, -1.0),
+        "kinds.ap.cache_size": (0, 6, 20, 21, 2.5),
+        "traffic.peak_to_min_ratio": (1.0, 4.0, 0.5),
+        "traffic.peak_hour": (0.0, 20.0, 24.0),
+        "traffic.samples_per_day": (1, 5, 24, 0),
+        "cache.zipf_exponent": (0.0, 0.8, -1.0),
+    },
+    "fig2": {
+        "base_stations.grid.kind": ("opt1", "opt3", "opt5", "opt9"),
+        "kinds.opt3.bandwidth_hz": (1e6, 2e7, 0.0),
+        "kinds.opt3.tx_power_w": (0.05, 1.0),
+        "kinds.opt3.xhaul.capacity_bps": (1e7, 1e8),
+        "radio_mode": ("abstract", "physical"),
+        "seed": (1, 2),
+        "traffic.peak_hour": (0.0, 12.0),
+    },
+}
+
+
+def fresh_outcome(document, spec, values):
+    """A grid point's (report, cost rate), or its error, from a fresh build."""
+    point = set_parameter(document, spec.param_path, values[0])
+    if spec.param2_path is not None:
+        point = set_parameter(point, spec.param2_path, values[1])
+    try:
+        s = build_scenario(point)
+        if spec.daily:
+            report = evaluate_daily(s)
+        else:
+            report = evaluate(s, spec.time_hours if spec.time_hours is not None else 20.0)
+        return report, total_cost_rate(s)
+    except (ValueError, ArithmeticError) as exc:
+        return str(exc)
+
+
+@st.composite
+def sweeps(draw):
+    name = draw(st.sampled_from(sorted(AXES)))
+    document = two_station_fig3() if name == "fig3" else load_document("fig2.json")
+    document["radio_mode"] = draw(st.sampled_from(("abstract", "physical")))
+    paths = draw(st.lists(st.sampled_from(sorted(AXES[name])), min_size=1, max_size=2, unique=True))
+    axes = [tuple(draw(st.lists(st.sampled_from(AXES[name][p]), min_size=1, max_size=4, unique=True))) for p in paths]
+    daily = draw(st.booleans())
+    spec = SweepSpec(
+        param_path=paths[0],
+        values=axes[0],
+        param2_path=paths[1] if len(paths) > 1 else None,
+        values2=axes[1] if len(paths) > 1 else None,
+        time_hours=None if daily else draw(st.sampled_from((None, 3.0, 20.0))),
+        daily=daily,
+    )
+    return document, spec
+
+
+class TestBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(sweep=sweeps(), chunk_bytes=st.sampled_from((8, 1024, radio.CHUNK_BYTES)))
+    def test_every_row_equals_a_fresh_evaluation(self, sweep, chunk_bytes):
+        # both fig3 and fig2 peak at hour 20, the default time of a row
+        document, spec = sweep
+        with mock.patch.object(radio, "CHUNK_BYTES", chunk_bytes):
+            rows = run_sweep(document, spec).rows
+        for row in rows:
+            want = fresh_outcome(document, spec, row.values)
+            assert (row.error if row.error is not None else (row.report, row.cost_rate)) == want
+
+    @pytest.mark.parametrize("mode", ["abstract", "physical"])
+    def test_a_sweep_that_moves_no_ue_associates_once(self, fig3, mode):
+        document = set_parameter(fig3, "radio_mode", mode)
+        spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=(1e7, 2e7, 4e7), time_hours=20.0)
+        nearest = mock.patch.object(allocation, "nearest_stations", wraps=allocation.nearest_stations)
+        physical = mock.patch.object(allocation, "physical_capacities", wraps=allocation.physical_capacities)
+        with nearest as associate, physical as capacities:
+            rows = run_sweep(document, spec).rows
+        assert associate.call_count == 1
+        assert capacities.call_count == (mode == "physical")
+        assert [row.report for row in rows] == [
+            evaluate(built(document, spec.param_path, v), 20.0) for v in spec.values
+        ]
+
+    def test_blocks_of_points_fit_one_chunk_of_rows(self, fig3):
+        spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)),
+                         param2_path="kinds.ap.xhaul.capacity_bps", values2=(1e6, 1e7, 1e8), daily=True)
+        sizes = []
+        real = metrics.evaluate_block
+
+        def recorded(points, t, geometry=None):
+            sizes.append(len(points))
+            return real(points, t, geometry)
+
+        with mock.patch("e3sim.sweep.evaluate_block", recorded):
+            run_sweep(fig3, spec)
+        per_block = radio.chunk_rows(10) // 24  # 10 UEs, 24 samples a day
+        assert sum(sizes) == 63 and max(sizes) == per_block and len(sizes) == -(-63 // per_block)
+
+    def test_rows_stream_before_the_grid_is_built(self, fig3):
+        spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=tuple(1e6 * v for v in range(1, 101)),
+                         daily=True)
+        with mock.patch("e3sim.sweep._build", wraps=_build) as build:
+            base, rows = open_sweep(fig3, spec)
+            assert base == build_scenario(fig3) and build.call_count == 0
+            first = next(rows)
+            assert build.call_count < len(spec.values)
+        assert first.report == evaluate_daily(built(fig3, spec.param_path, 1e6))
+
+    def test_out_of_range_load_fails_only_its_point(self, fig3):
+        spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=(1e7, 2e7, 4e7), time_hours=20.0)
+        real = allocation.fill
+
+        def nan_middle_point(geometry, factors, capacity, radio_cap):
+            rates, load = real(geometry, factors, capacity, radio_cap)
+            load[capacity[:, 0] == np.median(capacity[:, 0])] = np.nan
+            return rates, load
+
+        with mock.patch.object(metrics, "fill", nan_middle_point):
+            rows = run_sweep(fig3, spec).rows
+        assert [row.error for row in rows] == [None, "radio_load must lie in [0, 1], got nan", None]
+        for value in (1e7, 4e7):
+            row = rows[spec.values.index(value)]
+            assert row.report == evaluate(built(fig3, spec.param_path, value), 20.0)
+
+    def test_zero_power_fails_only_its_point(self, fig3):
+        spec = SweepSpec(param_path="kinds.ap.max_tx_dynamic_power_w", values=(1.0, 2.0, 3.0), daily=True)
+        real = metrics.dynamic_parts
+
+        def drained(max_tx, xhaul_factor, load):
+            transceiver, xhaul = real(max_tx, xhaul_factor, load)
+            return np.where(max_tx == 2.0, -1e9, transceiver), xhaul
+
+        with mock.patch.object(metrics, "dynamic_parts", drained):
+            rows = run_sweep(fig3, spec).rows
+        assert [row.error for row in rows] == [
+            None, "total power is zero; refusing to report infinite efficiency", None
+        ]
+        assert rows[2].report == evaluate_daily(built(fig3, spec.param_path, 3.0))
