@@ -27,6 +27,7 @@ from .model import (
     ScenarioError,
     SchemaError,
     TrafficProfile,
+    UePopulation,
     UnknownKindError,
     UserEquipment,
     XHaulSolution,
@@ -64,6 +65,7 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "TrafficProfile",
+    "UePopulation",
     "UnknownKindError",
     "UserEquipment",
     "XHaulSolution",

@@ -13,7 +13,10 @@ positions fix (association, physical radio capacity, and the UEs of each
 station sorted by peak demand) once for every scenario that shares them
 (``same_geometry``); ``station_capacities`` gives one scenario's radio and
 effective capacity per station (hit ratio included); and ``fill`` grants
-the rates of a batch of rows, each row one sample of one scenario.
+the rates of a batch of rows, each row one sample of one scenario. The
+per-UE inputs are the columns of the scenario's ``UePopulation``, used as
+they are: the geometry holds its read-only peak demand and weight arrays,
+and no step walks the UEs one at a time.
 """
 
 from __future__ import annotations
@@ -143,12 +146,12 @@ def plan_geometry(s: NetworkScenario) -> Geometry:
     """Compile the geometry of ``s``: association, and physical radio capacity."""
     serving = nearest_stations(s)
     n_bs = len(s.base_stations)
-    peaks = np.array([u.demand_peak_bps for u in s.ues], dtype=float)
+    peaks = s.ues.demand_peak_bps
     return Geometry(
         serving=serving,
         station_major=np.argsort(serving, kind="stable"),
         peaks=peaks,
-        weights=np.array([u.weight for u in s.ues]),
+        weights=s.ues.weight,
         counts=np.bincount(serving, minlength=n_bs),
         radio_cap=physical_capacities(s, serving).tolist() if s.radio_mode == "physical" else None,
         rows_per_chunk=chunk_rows(max(len(peaks), n_bs)),
@@ -158,7 +161,7 @@ def plan_geometry(s: NetworkScenario) -> Geometry:
 def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
     """Whether ``plan_geometry(a)`` is the geometry of ``b`` too.
 
-    It is when both have the same UE tuple, radio mode and daily sample
+    It is when both have the same UE record, radio mode and daily sample
     count, and the same station ids and positions in the same order; in
     physical mode also the same transmit power and bandwidth per station.
     """

@@ -12,9 +12,9 @@ import functools
 import json
 import math
 import numbers
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -191,6 +191,129 @@ class UserEquipment:
         _require(0 < self.weight < math.inf, f"{label}: weight must be finite and > 0")
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class UePopulation:
+    """Every user of a scenario as columns, one entry per UE.
+
+    The fields are those of ``UserEquipment``, each a column: ``ue_id`` the
+    ids of an explicit list, or None for a generated population, whose UEs
+    are named ``ue000``, ``ue001``, ...; ``position_m`` a (U, 2) array;
+    ``demand_peak_bps`` and ``weight`` length-U arrays. The arrays are
+    copied and made read-only. The invariants of ``UserEquipment`` and the
+    uniqueness of explicit ids are checked once, here, with array
+    operations; an error names the first UE that breaks one. Indexing and
+    iterating give ``UserEquipment`` records; a slice gives a population.
+    """
+
+    ue_id: tuple[str, ...] | None
+    position_m: np.ndarray
+    demand_peak_bps: np.ndarray
+    weight: np.ndarray
+
+    def __post_init__(self) -> None:
+        position = _real_array(self.position_m, "position_m")
+        if position.ndim != 2 or position.shape[1] != 2:
+            raise InvariantError(f"UePopulation: position_m must have shape (U, 2), got {position.shape}")
+        count = len(position)
+        object.__setattr__(self, "position_m", position)
+        for name in ("demand_peak_bps", "weight"):
+            column = _real_array(getattr(self, name), name)
+            if column.shape != (count,):
+                raise InvariantError(f"UePopulation: {name} must have shape ({count},), got {column.shape}")
+            object.__setattr__(self, name, column)
+        if self.ue_id is not None:
+            ids = tuple(self.ue_id)
+            if len(ids) != count or not all(type(i) is str for i in ids):
+                raise InvariantError(f"UePopulation: ue_id must hold {count} strings")
+            object.__setattr__(self, "ue_id", ids)
+        demand, weight = self.demand_peak_bps, self.weight
+        checks = (
+            (~np.isfinite(position).all(axis=1), "position_m must be finite"),
+            (~((demand > 0) & (demand < math.inf)), "demand_peak_bps must be finite and > 0"),
+            (~((weight > 0) & (weight < math.inf)), "weight must be finite and > 0"),
+        )
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():
+            i = int(bad.argmax())
+            rule = next(rule for mask, rule in checks if mask[i])
+            raise InvariantError(f"UserEquipment '{self._id(i)}': {rule}")
+        if self.ue_id is not None:
+            _require_unique("ue_id", self.ue_id)
+
+    @classmethod
+    def of(cls, ues: Iterable[UserEquipment]) -> UePopulation:
+        """The population of ``UserEquipment`` records, in their order."""
+        ues = tuple(ues)
+        for u in ues:
+            if not isinstance(u, UserEquipment):
+                raise InvariantError(f"NetworkScenario: ues must be UserEquipment records, got {u!r}")
+        return cls(
+            tuple(u.ue_id for u in ues),
+            np.array([u.position_m for u in ues], dtype=float).reshape(-1, 2),
+            [u.demand_peak_bps for u in ues],
+            [u.weight for u in ues],
+        )
+
+    def _id(self, i: int) -> str:
+        return f"ue{i:03d}" if self.ue_id is None else self.ue_id[i]
+
+    def ids(self) -> tuple[str, ...]:
+        """The id of every UE, generated names included."""
+        return self.ue_id if self.ue_id is not None else tuple(map(self._id, range(len(self))))
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+    def __getitem__(self, index: int | slice) -> UserEquipment | UePopulation:
+        if isinstance(index, slice):
+            return UePopulation(
+                self.ids()[index], self.position_m[index], self.demand_peak_bps[index], self.weight[index]
+            )
+        i = range(len(self))[index]
+        x, y = self.position_m[i].tolist()
+        return UserEquipment(self._id(i), (x, y), float(self.demand_peak_bps[i]), float(self.weight[i]))
+
+    def __iter__(self) -> Iterator[UserEquipment]:
+        columns = (self.position_m.tolist(), self.demand_peak_bps.tolist(), self.weight.tolist())
+        for ue_id, (x, y), demand, weight in zip(self.ids(), *columns):
+            yield UserEquipment(ue_id, (x, y), demand, weight)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UePopulation):
+            return NotImplemented
+        return self is other or (
+            len(self) == len(other)
+            and (self.ue_id == other.ue_id or self.ids() == other.ids())
+            and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _UE_ARRAYS)
+        )
+
+    def __hash__(self) -> int:
+        # equal populations have equal lengths; hashing the columns would cost O(U)
+        return hash(len(self))
+
+    def __repr__(self) -> str:
+        return f"UePopulation({len(self)} UEs)"
+
+
+#: The columns of a ``UePopulation``, its fields in the order of ``UserEquipment``'s.
+_UE_FIELDS = tuple(f.name for f in fields(UserEquipment))
+_UE_ARRAYS = _UE_FIELDS[1:]
+_UE_DEFAULTS = {f.name: f.default for f in fields(UserEquipment) if f.default is not MISSING}
+
+
+def _real_array(value: Any, name: str) -> np.ndarray:
+    """A read-only float64 copy of ``value``, which must hold real numbers."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf":
+        raise InvariantError(f"UePopulation: {name} must hold real numbers, got dtype {array.dtype}")
+    array = array.astype(float)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class TrafficProfile:
     """Daily demand shape: peak-to-minimum ratio, peak hour, sample count."""
@@ -232,11 +355,15 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class NetworkScenario:
-    """Complete immutable description of one deployment under evaluation."""
+    """Complete immutable description of one deployment under evaluation.
+
+    ``ues`` is a ``UePopulation``; a sequence of ``UserEquipment`` records
+    given in its place becomes one.
+    """
 
     kinds: tuple[BsKind, ...]
     base_stations: tuple[BaseStation, ...]
-    ues: tuple[UserEquipment, ...]
+    ues: UePopulation
     cache: CacheConfig = field(default_factory=CacheConfig)
     traffic: TrafficProfile = field(default_factory=TrafficProfile)
     benchmark_cost: float | str = MAX_KIND
@@ -246,13 +373,13 @@ class NetworkScenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "base_stations", tuple(self.base_stations))
-        object.__setattr__(self, "ues", tuple(self.ues))
+        if not isinstance(self.ues, UePopulation):
+            object.__setattr__(self, "ues", UePopulation.of(self.ues))
         _require(len(self.kinds) >= 1, "NetworkScenario: at least one kind required")
         _require(len(self.base_stations) >= 1, "NetworkScenario: at least one base station required")
         _require(len(self.ues) >= 1, "NetworkScenario: at least one UE required")
         _require_unique("kind_id", [k.kind_id for k in self.kinds])
         _require_unique("bs_id", [b.bs_id for b in self.base_stations])
-        _require_unique("ue_id", [u.ue_id for u in self.ues])
         by_id = {k.kind_id: k for k in self.kinds}
         for bs in self.base_stations:
             if by_id.get(bs.kind.kind_id) != bs.kind:
@@ -275,7 +402,7 @@ class NetworkScenario:
         )
 
 
-def _require_unique(what: str, ids: list[str]) -> None:
+def _require_unique(what: str, ids: Iterable[str]) -> None:
     seen: set[str] = set()
     for i in ids:
         if i in seen:
@@ -430,19 +557,22 @@ def _field_parser(section: tuple[str, ...], f: Any) -> Parser | None:
     return _VALUE_PARSERS.get(f.type)
 
 
-def _record(section: tuple[str, ...], doc: Any, path: str, **parsers: Parser) -> Any:
-    """The dataclass of record ``section`` read from ``doc`` at document ``path``.
+def _values(section: tuple[str, ...], doc: Any, path: str, **parsers: Parser) -> dict[str, Any]:
+    """The fields that ``doc``, record ``section`` at document ``path``, sets.
 
-    Each key ``doc`` sets is parsed by its field's type, or by ``parsers``
-    for a field that is not a plain value (a station's ``kind``); each key
-    it leaves out keeps the dataclass default.
+    Each key is parsed by its field's type, or by ``parsers`` for a field
+    that is not a plain value (a station's ``kind``).
     """
     _check_keys(doc, path, section)
-    values = {}
-    for name, parse in _FIELDS[section]:
-        if name in doc:
-            values[name] = (parse or parsers[name])(doc[name], f"{path}.{name}")
-    return _RECORDS[section](**values)
+    return {
+        name: (parse or parsers[name])(doc[name], f"{path}.{name}") for name, parse in _FIELDS[section] if name in doc
+    }
+
+
+def _record(section: tuple[str, ...], doc: Any, path: str, **parsers: Parser) -> Any:
+    """The dataclass of record ``section`` read from ``doc`` at document ``path``;
+    each key it leaves out keeps the dataclass default."""
+    return _RECORDS[section](**_values(section, doc, path, **parsers))
 
 
 #: (key, parser) of every field of each record section, in field order.
@@ -486,7 +616,7 @@ def _build_base_stations(
     )
 
 
-def _build_ues(doc: Any, seed: int) -> tuple[UserEquipment, ...]:
+def _build_ues(doc: Any, seed: int) -> UePopulation:
     if isinstance(doc, Mapping):
         _check_keys(doc, "ues", ("ues",))
         gen = doc["uniform_random"]
@@ -505,21 +635,20 @@ def _build_ues(doc: Any, seed: int) -> tuple[UserEquipment, ...]:
         weight = _as_number(gen["weight"], f"{path}.weight") if "weight" in gen else UserEquipment.weight
         rng = np.random.default_rng(seed)
         positions = rng.uniform((0.0, 0.0), (width, height), size=(count, 2))
-        return tuple(
-            UserEquipment(f"ue{idx:03d}", (float(x), float(y)), demand, weight)
-            for idx, (x, y) in enumerate(positions)
-        )
+        return UePopulation(None, positions, np.full(count, demand), np.full(count, weight))
     if not isinstance(doc, list) or not doc:
         raise SchemaError("ues: expected a non-empty list or a generator object")
-    return tuple(_record(("ues", "*"), entry, f"ues[{i}]") for i, entry in enumerate(doc))
+    entries = [{**_UE_DEFAULTS, **_values(("ues", "*"), entry, f"ues[{i}]")} for i, entry in enumerate(doc)]
+    return UePopulation(*([e[name] for e in entries] for name in _UE_FIELDS))
 
 
 def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario:
     """Build a validated scenario from a JSON document (text or parsed dict).
 
     Deterministic given the document content, including its ``seed``: two
-    calls produce structurally identical scenarios. Generators (``grid``,
-    ``uniform_random``) are expanded into explicit entity lists.
+    calls produce structurally identical scenarios. The ``grid`` generator
+    is expanded into stations; the UEs, listed or ``uniform_random``, become
+    one ``UePopulation``.
 
     Raises:
         SchemaError: a key is missing, unknown, or of the wrong type.
@@ -613,7 +742,10 @@ def scenario_to_document(s: NetworkScenario) -> dict[str, Any]:
         "base_stations": [
             _plain(b, kind=b.kind.kind_id, position_m=list(b.position_m)) for b in s.base_stations
         ],
-        "ues": [_plain(u, position_m=list(u.position_m)) for u in s.ues],
+        "ues": [
+            dict(zip(_UE_FIELDS, row))
+            for row in zip(s.ues.ids(), *(getattr(s.ues, name).tolist() for name in _UE_ARRAYS))
+        ],
         "cache": _plain(s.cache),
         "traffic": _plain(s.traffic),
         "benchmark_cost": s.benchmark_cost,
@@ -645,7 +777,7 @@ def validate_scenario(s: NetworkScenario) -> list[str]:
         warnings.append(
             f"cache strategy '{s.cache.strategy}' is configured but every kind has cache_size 0"
         )
-    min_demand = min(u.demand_peak_bps for u in s.ues) / s.traffic.peak_to_min_ratio
+    min_demand = float(s.ues.demand_peak_bps.min()) / s.traffic.peak_to_min_ratio
     for kind in s.kinds:
         if kind.xhaul.capacity_bps < min_demand:
             warnings.append(

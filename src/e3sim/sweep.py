@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .allocation import Geometry, plan_geometry, same_geometry
 from .energy_cost import total_cost_rate
@@ -129,17 +129,39 @@ def set_parameter(document: dict[str, Any], path: str, value: Any) -> dict[str, 
     Only the dicts and lists along the path are copied; everything else is
     shared with ``document``, which is never modified.
     """
-    for container, key in reversed(_steps(document, path)):
+    return _assign(_steps(document, path), value)
+
+
+def _assign(steps: list[tuple[Any, Any]], value: Any) -> Any:
+    """Copy of the document that ``steps`` of ``_steps`` lead through, with
+    ``value`` at their end: each container along them copied, in turn."""
+    for container, key in reversed(steps):
         copy = container.copy()
         copy[key] = value
         value = copy
     return value
 
 
-def _grid(spec: SweepSpec) -> Iterable[tuple[Any, ...]]:
-    if spec.values2 is None:
-        return ((v,) for v in spec.values)
-    return ((v1, v2) for v1 in spec.values for v2 in spec.values2)
+def _points(document: dict[str, Any], spec: SweepSpec) -> Iterator[tuple[tuple[Any, ...], Any]]:
+    """(axis values, document) of every grid point, in grid order; a point
+    whose second path does not resolve gets its ParameterPathError instead.
+
+    Each path is resolved once: the first on ``document``, the second once
+    per first-axis value, on that value's document, as setting the first
+    value may rename the entry the second path names.
+    """
+    steps = _steps(document, spec.param_path)
+    for v1 in spec.values:
+        point = _assign(steps, v1)
+        if spec.param2_path is None:
+            yield (v1,), point
+            continue
+        try:
+            steps2 = _steps(point, spec.param2_path)
+        except ParameterPathError as exc:
+            steps2, point = None, exc
+        for v2 in spec.values2:
+            yield (v1, v2), point if steps2 is None else _assign(steps2, v2)
 
 
 def open_sweep(document: dict[str, Any], spec: SweepSpec) -> tuple[NetworkScenario, Iterator[SweepRow]]:
@@ -176,21 +198,19 @@ def _rows(
     block: list[tuple[tuple[Any, ...], NetworkScenario | Exception]] = []
     first = geometry = None
     per_block = 1
-    for values in _grid(spec):
-        try:
-            point = set_parameter(document, spec.param_path, values[0])
-            if spec.param2_path is not None:
-                point = set_parameter(point, spec.param2_path, values[1])
-            built: NetworkScenario | Exception = _build(point, (document, base))
-        except (ValueError, ArithmeticError) as exc:
-            built = exc
-        else:
-            if first is None or not same_geometry(first, built):
-                yield from _evaluated(block, geometry, t)
-                block = []
-                first, geometry = built, plan_geometry(built)
-                samples = built.traffic.samples_per_day if t is None else 1
-                per_block = max(1, geometry.rows_per_chunk // samples)
+    for values, point in _points(document, spec):
+        built: NetworkScenario | Exception = point
+        if not isinstance(point, ParameterPathError):
+            try:
+                built = _build(point, (document, base))
+            except (ValueError, ArithmeticError) as exc:
+                built = exc
+        if isinstance(built, NetworkScenario) and (first is None or not same_geometry(first, built)):
+            yield from _evaluated(block, geometry, t)
+            block = []
+            first, geometry = built, plan_geometry(built)
+            samples = built.traffic.samples_per_day if t is None else 1
+            per_block = max(1, geometry.rows_per_chunk // samples)
         block.append((values, built))
         if len(block) >= per_block:
             yield from _evaluated(block, geometry, t)

@@ -191,6 +191,92 @@ class TestAgainstScalarOracle:
         assert got == outcome(oracles.evaluate_daily, s)
 
 
+def layout_scenario(stations, ues):
+    """One-kind scenario with stations and UEs at the given (x, y) points; the
+    bs_ids run against the station order, so id order is not position order."""
+    kind = make_kind()
+    return make_scenario(
+        kinds=(kind,),
+        base_stations=tuple(BaseStation(f"b{len(stations) - i:03d}", kind, xy) for i, xy in enumerate(stations)),
+        ues=tuple(UserEquipment(f"u{i}", xy, 1e6) for i, xy in enumerate(ues)),
+    )
+
+
+@st.composite
+def cell_layouts(draw):
+    """Station and UE points that stress the cell search of ``nearest_stations``.
+
+    A single station; stations on one horizontal or vertical line, so the
+    bounding box has no height or no width; coincident pairs with distinct
+    ids; integer lattices, some far from the origin, with UEs on the
+    half-integer lattice, so distances tie exactly; and stations spread
+    over a square. Some UEs lie far outside the stations. Apart from the
+    single station there are 30-80 stations, so the 3 x 3 cells around a
+    UE mostly hold fewer candidate slots than there are stations and the
+    cell search runs.
+    """
+    shape = draw(st.sampled_from(("single", "row", "column", "coincident", "lattice", "square")))
+    count = 1 if shape == "single" else draw(st.integers(30, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = 0.0
+    if shape == "row":
+        stations = np.column_stack([rng.uniform(-300.0, 300.0, count), np.full(count, rng.uniform(-300.0, 300.0))])
+    elif shape == "column":
+        stations = np.column_stack([np.full(count, rng.uniform(-300.0, 300.0)), rng.uniform(-300.0, 300.0, count)])
+    elif shape == "coincident":
+        stations = np.repeat(rng.uniform(-300.0, 300.0, (count // 2, 2)), 2, axis=0)
+    elif shape == "lattice":
+        offset = draw(st.sampled_from((0.0, 2.0**20, 1e9 + 0.5)))
+        cells = rng.choice(13 * 13, count, replace=False)
+        stations = offset + np.column_stack([cells % 13, cells // 13]).astype(float)
+    else:
+        stations = rng.uniform(-300.0, 300.0, (1, 2) if shape == "single" else (count, 2))
+    n_ues = draw(st.integers(1, 40))
+    low, high = stations.min(axis=0) - 20.0, stations.max(axis=0) + 20.0
+    if shape == "lattice":
+        ues = offset + rng.integers(-4, 30, (n_ues, 2)) / 2.0
+    else:
+        ues = rng.uniform(low, high, (n_ues, 2))
+    far = rng.random(n_ues) < draw(st.sampled_from((0.0, 0.3)))
+    ues[far] = (ues[far] - offset) * rng.choice((1.0, 50.0, 1e3), (far.sum(), 2)) + offset
+    return [tuple(xy) for xy in stations.tolist()], [tuple(xy) for xy in ues.tolist()]
+
+
+class TestCellSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(layout=cell_layouts(), chunk_bytes=st.sampled_from((8, 1024)))
+    def test_association_matches_the_scalar_oracle(self, layout, chunk_bytes):
+        # a small chunk sends scenarios this size through the cell search
+        s = layout_scenario(*layout)
+        with mock.patch.object(radio, "CHUNK_BYTES", chunk_bytes):
+            got = serving_ids(s)
+        serving = oracles.associate(s).serving
+        assert got == [serving[u.ue_id] for u in s.ues]
+
+    def test_rounding_ties_across_the_searched_cells_follow_math_hypot(self):
+        # "a" lies two cells right of the UE's, at the rounded distance of "b"
+        # in the 3 x 3 cells around it: their hypot distances tie although the
+        # squared distances may round apart; the ring of stations sets the cells
+        rng = random.Random(1)
+        ring = [(100.0 * c, 100.0 * r) for r in range(-4, 5) for c in range(-4, 5) if max(abs(c), abs(r)) >= 3]
+        for _ in range(50):
+            r, t = rng.uniform(130.0, 150.0), rng.uniform(0.5, 1.05)
+            x, y = r * math.cos(t), r * math.sin(t)
+            s = layout_scenario(ring + [(x, y), (math.hypot(x, y), 0.0)], [(0.0, 0.0)])
+            with mock.patch.object(radio, "CHUNK_BYTES", 8):
+                assert serving_ids(s) == [oracles.associate(s).serving["u0"]]
+
+    def test_settled_ues_of_a_large_seeded_layout_match_the_oracle(self):
+        rng = np.random.default_rng(0)
+        stations = [(100.0 * c + rng.normal(0, 20), 100.0 * r + rng.normal(0, 20)) for r in range(20) for c in range(21)]
+        ues = rng.uniform(-100.0, 2100.0, size=(1500, 2))
+        s = layout_scenario(stations, [tuple(xy) for xy in ues.tolist()])
+        _, settled = radio._cell_search(np.array(stations), ues)
+        assert settled.sum() > 1000  # most UEs are decided by the cell search alone
+        serving = oracles.associate(s).serving
+        assert serving_ids(s) == [serving[u.ue_id] for u in s.ues]
+
+
 class TestMetamorphic:
     @settings(max_examples=10, deadline=None)
     @given(s=scenarios(lattice=False), seed=st.integers(0, 2**16), t=hours)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from e3sim import (
     InvariantError,
     SchemaError,
     TrafficProfile,
+    UePopulation,
     UnknownKindError,
     UserEquipment,
     build_scenario,
@@ -24,9 +26,11 @@ from e3sim import (
     effective_cost_per_area,
     resolve_benchmark_cost,
     scenario_to_document,
+    set_parameter,
     validate_scenario,
 )
-from e3sim.model import _SECTIONS, section_keys
+from e3sim import model
+from e3sim.model import _SECTIONS, _build, section_keys
 
 BREAKDOWN_COMPONENTS = (
     "infrastructure",
@@ -408,3 +412,85 @@ def test_schema_doc_names_every_admitted_key():
     documented = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", schema))
     missing = {(section, key) for section in _SECTIONS for key in section_keys(section) if key not in documented}
     assert not missing
+
+
+def population(ids=("a", "b", "c"), position=((0.0, 0.0), (1.0, 2.0), (3.0, 4.0)), demand=(1e6,) * 3,
+               weight=(1.0,) * 3):
+    return UePopulation(ids, position, demand, weight)
+
+
+class TestUePopulation:
+    def test_columns_are_read_only_copies(self):
+        demand = np.array([1e6, 2e6, 3e6])
+        ues = population(demand=demand)
+        demand[0] = -1.0
+        assert ues.demand_peak_bps.tolist() == [1e6, 2e6, 3e6]
+        with pytest.raises(ValueError, match="read-only"):
+            ues.weight[0] = 2.0
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"demand": (1e6, 0.0, -1.0)}, "UserEquipment 'b': demand_peak_bps must be finite and > 0"),
+            ({"weight": (1.0, 1.0, float("nan"))}, "UserEquipment 'c': weight must be finite and > 0"),
+            ({"position": ((0.0, 0.0), (0.0, float("inf")), (0.0, 0.0)), "weight": (0.0, 1.0, 1.0)},
+             "UserEquipment 'a': weight must be finite and > 0"),
+            ({"position": ((0.0, 0.0), (0.0, float("inf")), (0.0, 0.0))}, "UserEquipment 'b': position_m must be finite"),
+            ({"ids": ("a", "b", "a")}, "NetworkScenario: duplicate ue_id 'a'"),
+            ({"ids": ("a", "b")}, "UePopulation: ue_id must hold 3 strings"),
+            ({"ids": ("a", "b", 3)}, "UePopulation: ue_id must hold 3 strings"),
+            ({"position": (0.0, 1.0, 2.0)}, r"UePopulation: position_m must have shape \(U, 2\)"),
+            ({"demand": (1e6, 1e6)}, r"UePopulation: demand_peak_bps must have shape \(3,\)"),
+            ({"weight": (True, True, True)}, "UePopulation: weight must hold real numbers"),
+            ({"position": (("0", "1"), ("2", "3"), ("4", "5"))}, "UePopulation: position_m must hold real numbers"),
+            ({"position": ((0.0, 0.0), (1.0,), (2.0, 3.0))}, "UePopulation: position_m must hold real numbers"),
+        ],
+    )
+    def test_checks_name_the_first_bad_ue(self, edit, message):
+        with pytest.raises(InvariantError, match=f"^{message}"):
+            population(**edit)
+
+    def test_generated_ues_are_named_in_errors(self):
+        doc = load_document("fig3.json")
+        doc["ues"]["uniform_random"]["weight"] = 0.0
+        with pytest.raises(InvariantError, match="^UserEquipment 'ue000': weight must be finite and > 0"):
+            build_scenario(doc)
+
+    def test_records_index_slice_and_iterate_as_user_equipment(self):
+        s = build_scenario(load_document("fig3.json"))
+        assert s.ues.ue_id is None and s.ues.ids()[:2] == ("ue000", "ue001")
+        records = tuple(s.ues)
+        assert records[-1] == s.ues[-1] == s.ues[len(s.ues) - 1]
+        assert records[-1].ue_id == f"ue{len(s.ues) - 1:03d}"
+        assert s.ues[2:5] == UePopulation.of(records[2:5]) and s.ues[::-1].ids()[0] == records[-1].ue_id
+        assert make_scenario(ues=records).ues == s.ues  # explicit ids equal the generated names
+        with pytest.raises(IndexError):
+            s.ues[len(s.ues)]
+
+    def test_scenarios_take_ue_records_or_a_population_only(self):
+        with pytest.raises(InvariantError, match="ues must be UserEquipment records"):
+            make_scenario(ues=((0.0, 0.0),))
+        with pytest.raises(InvariantError, match="at least one UE"):
+            make_scenario(ues=())
+
+
+def test_a_generated_population_is_built_without_ue_records():
+    doc = load_document("fig3.json")
+    doc["ues"]["uniform_random"]["count"] = 10_000
+    check = mock.patch.object(UserEquipment, "__post_init__", autospec=True, side_effect=UserEquipment.__post_init__)
+    with check as made:
+        s = build_scenario(doc)
+        assert made.call_count == 0 and len(s.ues) == 10_000
+        assert s.ues[0].ue_id == "ue000" and made.call_count == 1  # the count sees a record made
+
+
+def test_a_sweep_point_that_reuses_the_ues_checks_no_ue_id():
+    doc = scenario_to_document(build_scenario(load_document("fig3.json")))  # the UEs as a list
+    base = build_scenario(doc)
+    point = set_parameter(doc, "kinds.ap.cache_size", 2)
+    with mock.patch.object(model, "_require_unique", wraps=model._require_unique) as unique:
+        reused = _build(point, (doc, base))
+        assert reused.ues is base.ues
+        assert [c.args[0] for c in unique.call_args_list].count("ue_id") == 0
+        build_scenario(point)
+        assert [c.args[0] for c in unique.call_args_list].count("ue_id") == 1

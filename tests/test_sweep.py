@@ -28,6 +28,7 @@ from e3sim import (
     set_parameter,
     total_cost_rate,
 )
+from e3sim import sweep
 from e3sim.model import _build
 from e3sim.sweep import open_sweep
 
@@ -374,11 +375,11 @@ AXES = {
 
 
 def fresh_outcome(document, spec, values):
-    """A grid point's (report, cost rate), or its error, from a fresh build."""
-    point = set_parameter(document, spec.param_path, values[0])
-    if spec.param2_path is not None:
-        point = set_parameter(point, spec.param2_path, values[1])
+    """A grid point's (report, cost rate), or its error, from a fresh edit and build."""
     try:
+        point = set_parameter(document, spec.param_path, values[0])
+        if spec.param2_path is not None:
+            point = set_parameter(point, spec.param2_path, values[1])
         s = build_scenario(point)
         if spec.daily:
             report = evaluate_daily(s)
@@ -419,6 +420,20 @@ class TestBlocks:
         for row in rows:
             want = fresh_outcome(document, spec, row.values)
             assert (row.error if row.error is not None else (row.report, row.cost_rate)) == want
+
+    def test_the_second_path_is_resolved_on_each_first_axis_point(self, fig3):
+        # renaming kind "ap" leaves no entry for the second path to name
+        spec = SweepSpec(param_path="kinds[0].kind_id", values=("ap", "zz", "ap"),
+                         param2_path="kinds.ap.cache_size", values2=(0, 5, 25), time_hours=20.0)
+        with mock.patch("e3sim.sweep._steps", wraps=sweep._steps) as steps:
+            rows = run_sweep(fig3, spec).rows
+        assert [row.values for row in rows] == [(v1, v2) for v1 in spec.values for v2 in spec.values2]
+        for row in rows:
+            want = fresh_outcome(fig3, spec, row.values)
+            assert (row.error if row.error is not None else (row.report, row.cost_rate)) == want
+        assert [row.error for row in rows[3:6]] == ["unresolvable parameter path 'kinds.ap.cache_size': no entry 'ap'"] * 3
+        # two checks of the base document, then the first path once and the second once per first value
+        assert steps.call_count == 2 + 1 + len(spec.values)
 
     @pytest.mark.parametrize("mode", ["abstract", "physical"])
     def test_a_sweep_that_moves_no_ue_associates_once(self, fig3, mode):
