@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .allocation import effective_bs_capacity, max_min_rates
 from .cache import Popularity, hit_ratio, zipf_popularity
+from .document import build_scenario, scenario_to_document
 from .energy_cost import (
     cost_coefficient,
     effective_cost_per_area,
@@ -31,8 +32,6 @@ from .model import (
     UnknownKindError,
     UserEquipment,
     XHaulSolution,
-    build_scenario,
-    scenario_to_document,
     validate_scenario,
 )
 from .sweep import (

@@ -182,23 +182,27 @@ def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
     )
 
 
-def station_capacities(s: NetworkScenario, geometry: Geometry) -> tuple[list[float], list[float]]:
+def station_capacities(
+    s: NetworkScenario, geometry: Geometry, hits: dict[tuple[int, int], float] | None = None
+) -> tuple[list[float], list[float]]:
     """Radio and effective capacity of every station of ``s``, in ``s.base_stations`` order.
 
     Radio capacity is the geometry's in physical mode and each station's
-    kind's in abstract mode; the hit ratio is computed once per cache size.
+    kind's in abstract mode. The hit ratio is computed once per cache
+    record and cache size: ``hits`` holds those computed so far, keyed by
+    ``(id(s.cache), cache_size)``, for calls on scenarios that all stay alive.
     """
     radio_cap = geometry.radio_cap
     if radio_cap is None:
         radio_cap = [b.kind.radio_capacity_bps for b in s.base_stations]
-    popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
-    hits: dict[int, float] = {}
+    hits = {} if hits is None else hits
     capacity = []
     for bs, radio in zip(s.base_stations, radio_cap):
-        size = bs.kind.cache_size
-        if size not in hits:
-            hits[size] = hit_ratio(s.cache.strategy, size, popularity)
-        capacity.append(effective_bs_capacity(radio, bs.kind.xhaul.capacity_bps, hits[size]))
+        key = (id(s.cache), bs.kind.cache_size)
+        if key not in hits:
+            popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
+            hits[key] = hit_ratio(s.cache.strategy, key[1], popularity)
+        capacity.append(effective_bs_capacity(radio, bs.kind.xhaul.capacity_bps, hits[key]))
     return radio_cap, capacity
 
 

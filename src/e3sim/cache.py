@@ -91,5 +91,6 @@ def hit_ratio(strategy: str, cache_size: int, popularity: Popularity) -> float:
     if strategy == "random_fill":
         return cache_size / catalog
     if strategy == "top_popular":
-        return math.fsum(popularity.probabilities[:cache_size])
+        # the rounded probabilities of a whole catalog may sum to just over 1
+        return min(1.0, math.fsum(popularity.probabilities[:cache_size]))
     raise ValueError(f"unknown caching strategy '{strategy}'")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -26,8 +27,9 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, TextIO
 
 from . import __version__
+from .document import build_scenario
 from .metrics import MetricReport, evaluate, evaluate_daily
-from .model import ScenarioError, build_scenario, validate_scenario
+from .model import ScenarioError, validate_scenario
 from .sweep import METRICS, Argmax, ParameterPathError, SweepSpec, open_sweep
 
 CSV_COLUMNS = (
@@ -75,7 +77,7 @@ class RunManifest:
 
 
 def _fmt(value: Any) -> str:
-    if value is None or value == "":
+    if value is None:
         return ""
     if isinstance(value, str):
         return value
@@ -273,6 +275,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: building one looks up gettext catalogs for every help text
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="e3",
@@ -309,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     raw = list(argv) if argv is not None else sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(raw)
+    args = build_parser().parse_args(raw)
     args.raw_argv = raw
     try:
         return args.func(args)

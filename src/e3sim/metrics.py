@@ -31,6 +31,8 @@ class MetricReport:
 
     ``time_hours`` is the evaluated hour of day, or None for a daily
     average (ratio of time-averaged numerators and denominators).
+    ``cost_rate`` is the yearly deployment cost, the denominator of CE
+    (``energy_cost.total_cost_rate``).
     """
 
     throughput_bps: float
@@ -42,6 +44,7 @@ class MetricReport:
     ce: float
     e3: float
     time_hours: float | None
+    cost_rate: float
 
     @property
     def is_daily_average(self) -> bool:
@@ -57,10 +60,11 @@ def _sequential_sum(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1]
 
 
-def _point_inputs(s: NetworkScenario, geometry: Geometry) -> tuple[list[float], ...]:
+def _point_inputs(s: NetworkScenario, geometry: Geometry, hits: dict) -> tuple[list[float], ...]:
     """Per station of ``s``: radio and effective capacity, static power,
-    static power times C_n, maximum transceiver power and X-Haul factor."""
-    radio_cap, capacity = station_capacities(s, geometry)
+    static power times C_n, maximum transceiver power and X-Haul factor.
+    ``hits`` is the hit ratio memo of ``station_capacities``."""
+    radio_cap, capacity = station_capacities(s, geometry, hits)
     c0 = resolve_benchmark_cost(s)
     per_item_w = s.cache.cache_power_per_item_w
     static = [b.kind.static_power_w + per_item_w * b.kind.cache_size for b in s.base_stations]
@@ -70,29 +74,31 @@ def _point_inputs(s: NetworkScenario, geometry: Geometry) -> tuple[list[float], 
     return radio_cap, capacity, static, weighted_static, max_tx, xhaul_factor
 
 
-def _sample_sums(
+def _sample_means(
     geometry: Geometry, points: Sequence[NetworkScenario], times: Sequence[float]
-) -> list[np.ndarray | Exception]:
-    """Throughput, weighted throughput, total and weighted power of each point per sample.
+) -> list[list[float] | Exception]:
+    """Throughput, weighted throughput, total and weighted power of each point, averaged over ``times``.
 
-    ``points`` share ``geometry``. Returns, for each point, a (4, samples)
-    array, or the error that fails that point alone. Demand factors and
+    ``points`` share ``geometry``. Returns, for each point, those four
+    means, or the error that fails that point alone. Demand factors and
     the per-station scalars are stacked on a leading point axis; max-min
     fill, load, dynamic power and the sums then run once over rows that
     are (point, sample) pairs, in chunks of ``geometry.rows_per_chunk``
-    rows. Every sum keeps the order of the per-hour definition: UEs
-    station by station for throughput, UEs in scenario order for weighted
-    throughput, stations in order for power.
+    rows, and the means once over the block. Every sum keeps the order of
+    the per-hour definition: UEs station by station for throughput, UEs in
+    scenario order for weighted throughput, stations in order for power,
+    and samples in time order for a mean.
     """
     outcomes: list = [None] * len(points)
     kept, factors, inputs = [], [], []
     by_traffic: dict[int, list[float]] = {}
+    hits: dict[tuple[int, int], float] = {}
     for i, s in enumerate(points):
         try:
             key = id(s.traffic)
             if key not in by_traffic:
                 by_traffic[key] = [demand_factor(t, s.traffic) for t in times]
-            inputs.append(_point_inputs(s, geometry))
+            inputs.append(_point_inputs(s, geometry, hits))
         except (ValueError, ArithmeticError) as exc:
             outcomes[i] = exc
             continue
@@ -120,14 +126,15 @@ def _sample_sums(
         sums[2, lo : lo + step] = _sequential_sum(dynamic + static[rows])
         sums[3, lo : lo + step] = _sequential_sum(dynamic + weighted_static[rows])
     sums = sums.reshape(4, len(kept), len(times))
-    zero_power = ((sums[2] <= 0) | (sums[3] <= 0)).any(axis=1)
+    zero_power = ((sums[2] <= 0) | (sums[3] <= 0)).any(axis=1).tolist()
+    means = (_sequential_sum(sums) / len(times)).T.tolist()
     for p, i in enumerate(kept):
         if p in failed:
             outcomes[i] = failed[p]
         elif zero_power[p]:
             outcomes[i] = ValueError("total power is zero; refusing to report infinite efficiency")
         else:
-            outcomes[i] = sums[:, p]
+            outcomes[i] = means[p]
     return outcomes
 
 
@@ -153,6 +160,7 @@ def _report(
     t_hours: float | None,
 ) -> MetricReport:
     total_bandwidth = sum(b.kind.bandwidth_hz for b in s.base_stations)
+    cost_rate = total_cost_rate(s)
     return MetricReport(
         throughput_bps=throughput,
         weighted_throughput_bps=weighted_throughput,
@@ -160,9 +168,10 @@ def _report(
         weighted_power_w=weighted_power,
         se=throughput / total_bandwidth,
         ee=weighted_throughput / total_power,
-        ce=throughput * SECONDS_PER_YEAR / total_cost_rate(s),
+        ce=throughput * SECONDS_PER_YEAR / cost_rate,
         e3=weighted_throughput / weighted_power,
         time_hours=t_hours,
+        cost_rate=cost_rate,
     )
 
 
@@ -186,13 +195,10 @@ def evaluate_block(
     else:
         times = [t_hours]
     reports: list[MetricReport | Exception] = []
-    for s, outcome in zip(points, _sample_sums(geometry, points, times)):
+    for s, outcome in zip(points, _sample_means(geometry, points, times)):
         if not isinstance(outcome, Exception):
             try:
-                if t_hours is None:
-                    outcome = _report(s, *(sum(row) / len(times) for row in outcome.tolist()), None)
-                else:
-                    outcome = _report(s, *outcome[:, 0].tolist(), t_hours)
+                outcome = _report(s, *outcome, t_hours)
             except (ValueError, ArithmeticError) as exc:
                 outcome = exc
         reports.append(outcome)

@@ -1,20 +1,19 @@
-"""Deployment scenario model: domain types, JSON loading, and validation.
+"""Deployment scenario model: domain types, their invariants, and validation.
 
 A scenario bundles everything one evaluation needs: the catalog of base
 station kinds, the placed stations, the user population, cache and traffic
 settings, and the cost benchmark. Scenario objects are immutable after
-construction and safe to share across concurrent evaluations.
+construction and safe to share across concurrent evaluations. Their JSON
+document form is read and written by ``document``.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 import numbers
-from collections.abc import Iterable, Mapping
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any, Callable, Iterator
+from collections.abc import Iterable
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -46,6 +45,7 @@ class UnknownKindError(ScenarioError):
     """A base station references a kind_id missing from the catalog."""
 
 
+# A check whose message names a value raises inline, so a check that passes formats nothing.
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvariantError(message)
@@ -65,15 +65,14 @@ class XHaulSolution:
     xhaul_power_factor: float | None = None
 
     def __post_init__(self) -> None:
-        label = f"XHaulSolution '{self.solution_id}'"
-        _require(0 < self.capacity_bps < math.inf, f"{label}: capacity_bps must be finite and > 0")
-        _require(self.medium in MEDIA, f"{label}: medium must be one of {MEDIA}")
+        if not 0 < self.capacity_bps < math.inf:
+            raise InvariantError(f"XHaulSolution '{self.solution_id}': capacity_bps must be finite and > 0")
+        if self.medium not in MEDIA:
+            raise InvariantError(f"XHaulSolution '{self.solution_id}': medium must be one of {MEDIA}")
         if self.xhaul_power_factor is None:
             object.__setattr__(self, "xhaul_power_factor", DEFAULT_XHAUL_POWER_FACTOR[self.medium])
-        _require(
-            0 <= self.xhaul_power_factor < math.inf,
-            f"{label}: xhaul_power_factor must be finite and >= 0",
-        )
+        if not 0 <= self.xhaul_power_factor < math.inf:
+            raise InvariantError(f"XHaulSolution '{self.solution_id}': xhaul_power_factor must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,8 @@ class CostBreakdown:
 
     def __post_init__(self) -> None:
         for name in _BREAKDOWN_COMPONENTS:
-            _require(0 <= getattr(self, name) < math.inf, f"CostBreakdown: {name} must be finite and >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvariantError(f"CostBreakdown: {name} must be finite and >= 0")
         _require(
             0.0 <= self.inherited_discount <= 1.0,
             "CostBreakdown: inherited_discount must lie in [0, 1]",
@@ -141,7 +141,6 @@ class BsKind:
     cost_breakdown: CostBreakdown | None = None
 
     def __post_init__(self) -> None:
-        label = f"BsKind '{self.kind_id}'"
         for name in (
             "static_power_w",
             "max_tx_dynamic_power_w",
@@ -151,16 +150,18 @@ class BsKind:
             "cost_per_area",
             "tx_power_w",
         ):
-            _require(0 < getattr(self, name) < math.inf, f"{label}: {name} must be finite and > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvariantError(f"BsKind '{self.kind_id}': {name} must be finite and > 0")
         for name in ("cache_size", "cache_item_cost_per_area"):
-            _require(0 <= getattr(self, name) < math.inf, f"{label}: {name} must be finite and >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvariantError(f"BsKind '{self.kind_id}': {name} must be finite and >= 0")
         if self.cost_breakdown is not None:
             total = self.cost_breakdown.total()
-            _require(
-                abs(total - self.cost_per_area) <= 1e-9 * max(abs(self.cost_per_area), 1.0),
-                f"{label}: cost_breakdown components sum to {total}, "
-                f"expected cost_per_area {self.cost_per_area}",
-            )
+            if not abs(total - self.cost_per_area) <= 1e-9 * max(abs(self.cost_per_area), 1.0):
+                raise InvariantError(
+                    f"BsKind '{self.kind_id}': cost_breakdown components sum to {total}, "
+                    f"expected cost_per_area {self.cost_per_area}"
+                )
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ class BaseStation:
     position_m: tuple[float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position_m", _as_position(self.position_m, f"BaseStation '{self.bs_id}'"))
+        object.__setattr__(self, "position_m", _as_position(self.position_m, "BaseStation", self.bs_id))
 
 
 @dataclass(frozen=True)
@@ -185,10 +186,10 @@ class UserEquipment:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        label = f"UserEquipment '{self.ue_id}'"
-        object.__setattr__(self, "position_m", _as_position(self.position_m, label))
-        _require(0 < self.demand_peak_bps < math.inf, f"{label}: demand_peak_bps must be finite and > 0")
-        _require(0 < self.weight < math.inf, f"{label}: weight must be finite and > 0")
+        object.__setattr__(self, "position_m", _as_position(self.position_m, "UserEquipment", self.ue_id))
+        for name in ("demand_peak_bps", "weight"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvariantError(f"UserEquipment '{self.ue_id}': {name} must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -298,7 +299,6 @@ class UePopulation:
 #: The columns of a ``UePopulation``, its fields in the order of ``UserEquipment``'s.
 _UE_FIELDS = tuple(f.name for f in fields(UserEquipment))
 _UE_ARRAYS = _UE_FIELDS[1:]
-_UE_DEFAULTS = {f.name: f.default for f in fields(UserEquipment) if f.default is not MISSING}
 
 
 def _real_array(value: Any, name: str) -> np.ndarray:
@@ -346,11 +346,10 @@ class CacheConfig:
     def __post_init__(self) -> None:
         _require(self.catalog_size >= 1, "CacheConfig: catalog_size must be >= 1")
         for name in ("zipf_exponent", "cache_power_per_item_w"):
-            _require(0 <= getattr(self, name) < math.inf, f"CacheConfig: {name} must be finite and >= 0")
-        _require(
-            self.strategy in STRATEGIES,
-            f"CacheConfig: strategy must be one of {STRATEGIES}",
-        )
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvariantError(f"CacheConfig: {name} must be finite and >= 0")
+        if self.strategy not in STRATEGIES:
+            raise InvariantError(f"CacheConfig: strategy must be one of {STRATEGIES}")
 
 
 @dataclass(frozen=True)
@@ -382,24 +381,18 @@ class NetworkScenario:
         _require_unique("bs_id", [b.bs_id for b in self.base_stations])
         by_id = {k.kind_id: k for k in self.kinds}
         for bs in self.base_stations:
-            if by_id.get(bs.kind.kind_id) != bs.kind:
+            kind = by_id.get(bs.kind.kind_id)
+            if kind is not bs.kind and kind != bs.kind:
                 raise UnknownKindError(
                     f"BaseStation '{bs.bs_id}': kind '{bs.kind.kind_id}' is not in the scenario catalog"
                 )
         if isinstance(self.benchmark_cost, str):
-            _require(
-                self.benchmark_cost == MAX_KIND,
-                f"NetworkScenario: benchmark_cost must be a number or '{MAX_KIND}'",
-            )
+            if self.benchmark_cost != MAX_KIND:
+                raise InvariantError(f"NetworkScenario: benchmark_cost must be a number or '{MAX_KIND}'")
         else:
-            _require(
-                0 < self.benchmark_cost < math.inf,
-                "NetworkScenario: benchmark_cost must be finite and > 0",
-            )
-        _require(
-            self.radio_mode in RADIO_MODES,
-            f"NetworkScenario: radio_mode must be one of {RADIO_MODES}",
-        )
+            _require(0 < self.benchmark_cost < math.inf, "NetworkScenario: benchmark_cost must be finite and > 0")
+        if self.radio_mode not in RADIO_MODES:
+            raise InvariantError(f"NetworkScenario: radio_mode must be one of {RADIO_MODES}")
 
 
 def _require_unique(what: str, ids: Iterable[str]) -> None:
@@ -414,344 +407,24 @@ def _is_real(value: Any) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _as_position(value: Any, label: str) -> tuple[float, float]:
+def _as_position(value: Any, owner: str, owner_id: str) -> tuple[float, float]:
     if type(value) is not tuple:
         if isinstance(value, np.ndarray):
             value = value.tolist()
         if not isinstance(value, (tuple, list)):
-            raise InvariantError(f"{label}: position_m must hold two real numbers, got {value!r}")
+            raise InvariantError(f"{owner} '{owner_id}': position_m must hold two real numbers, got {value!r}")
         value = tuple(value)
     if len(value) != 2:
-        raise InvariantError(f"{label}: position_m must be an (x, y) pair")
+        raise InvariantError(f"{owner} '{owner_id}': position_m must be an (x, y) pair")
     x, y = value
     # floats, as the parser and the generators give, skip the ~0.5 us ABC checks
     if type(x) is not float or type(y) is not float:
         if not (_is_real(x) and _is_real(y)):
-            raise InvariantError(f"{label}: position_m must hold two real numbers, got ({x!r}, {y!r})")
+            raise InvariantError(f"{owner} '{owner_id}': position_m must hold two real numbers, got ({x!r}, {y!r})")
         value = (float(x), float(y))
-    _require(math.isfinite(value[0]) and math.isfinite(value[1]), f"{label}: position_m must be finite")
+    if not (math.isfinite(value[0]) and math.isfinite(value[1])):
+        raise InvariantError(f"{owner} '{owner_id}': position_m must be finite")
     return value
-
-
-# ---------------------------------------------------------------------------
-# Document parsing
-
-#: The record sections by key path, ``*`` standing for a list entry. Each is
-#: read into the dataclass whose fields are its keys: a field without a
-#: default is a required key, and an absent optional key keeps the default.
-_RECORDS: dict[tuple[str, ...], type] = {
-    ("kinds", "*"): BsKind,
-    ("kinds", "*", "xhaul"): XHaulSolution,
-    ("kinds", "*", "cost_breakdown"): CostBreakdown,
-    ("base_stations", "*"): BaseStation,
-    ("ues", "*"): UserEquipment,
-    ("cache",): CacheConfig,
-    ("traffic",): TrafficProfile,
-}
-
-#: (required, optional) keys of each document section. The root and the
-#: generator forms ``("base_stations",)`` and ``("ues",)`` are written out;
-#: the record sections come from their dataclasses.
-_SECTIONS: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {
-    (): (("kinds", "base_stations", "ues"), ("cache", "traffic", "benchmark_cost", "radio_mode", "seed")),
-    ("base_stations",): (("grid",), ()),
-    ("base_stations", "grid"): (("kind", "rows", "cols", "spacing_m"), ()),
-    ("ues",): (("uniform_random",), ()),
-    ("ues", "uniform_random"): (("count", "area_m", "demand_peak_bps"), ("weight",)),
-    **{
-        section: tuple(
-            tuple(f.name for f in fields(cls) if (f.default is MISSING) == required) for required in (True, False)
-        )
-        for section, cls in _RECORDS.items()
-    },
-}
-
-
-def section_keys(section: tuple[str, ...]) -> tuple[str, ...]:
-    """Keys the schema admits in the section at a key path such as ``("kinds", "*")``."""
-    required, optional = _SECTIONS.get(section, ((), ()))
-    return required + optional
-
-
-def _check_keys(doc: Any, path: str, section: tuple[str, ...]) -> None:
-    if not isinstance(doc, Mapping):
-        raise SchemaError(f"{path or 'document'}: expected an object")
-    required, optional = _SECTIONS[section]
-    for key in doc:
-        if key not in required and key not in optional:
-            raise SchemaError(f"{path + '.' if path else ''}{key}: unknown key")
-    for key in required:
-        if key not in doc:
-            raise SchemaError(f"{path or 'document'}: missing required key '{key}'")
-
-
-def _as_number(value: Any, path: str) -> float:
-    """A JSON number as a finite float; anything else is a SchemaError at ``path``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise SchemaError(f"{path}: expected a finite number, got {number}")
-    return number
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool):
-        raise SchemaError(f"{path}: expected an integer")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise SchemaError(f"{path}: expected an integer, got {value}")
-        value = int(value)
-    if not isinstance(value, int):
-        raise SchemaError(f"{path}: expected an integer, got {type(value).__name__}")
-    return value
-
-
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{path}: expected a string, got {type(value).__name__}")
-    return value
-
-
-def _as_pair(value: Any, path: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise SchemaError(f"{path}: expected [x, y]")
-    x, y = (_as_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-    return x, y
-
-
-def _as_choice(value: Any, path: str, choices: tuple[str, ...]) -> str:
-    """A string from the closed set ``choices``; anything else is a SchemaError at ``path``."""
-    if _as_str(value, path) not in choices:
-        raise SchemaError(f"{path}: expected one of {choices}, got '{value}'")
-    return value
-
-
-Parser = Callable[[Any, str], Any]
-
-#: Parser of a plain field by its annotation, one per JSON value type.
-_VALUE_PARSERS: dict[str, Parser] = {
-    "float": _as_number,
-    "float | None": _as_number,
-    "int": _as_int,
-    "str": _as_str,
-    "tuple[float, float]": _as_pair,
-}
-
-#: Fields whose string must be one of a closed set.
-_CHOICES = {"medium": MEDIA, "strategy": STRATEGIES}
-
-
-def _field_parser(section: tuple[str, ...], f: Any) -> Parser | None:
-    """How ``_record`` reads field ``f`` of ``section``; None where its caller must say."""
-    nested = section + (f.name,)
-    if nested in _RECORDS:
-        if f.default is None:
-            return lambda value, path: None if value is None else _record(nested, value, path)
-        return functools.partial(_record, nested)
-    if f.name in _CHOICES:
-        return functools.partial(_as_choice, choices=_CHOICES[f.name])
-    return _VALUE_PARSERS.get(f.type)
-
-
-def _values(section: tuple[str, ...], doc: Any, path: str, **parsers: Parser) -> dict[str, Any]:
-    """The fields that ``doc``, record ``section`` at document ``path``, sets.
-
-    Each key is parsed by its field's type, or by ``parsers`` for a field
-    that is not a plain value (a station's ``kind``).
-    """
-    _check_keys(doc, path, section)
-    return {
-        name: (parse or parsers[name])(doc[name], f"{path}.{name}") for name, parse in _FIELDS[section] if name in doc
-    }
-
-
-def _record(section: tuple[str, ...], doc: Any, path: str, **parsers: Parser) -> Any:
-    """The dataclass of record ``section`` read from ``doc`` at document ``path``;
-    each key it leaves out keeps the dataclass default."""
-    return _RECORDS[section](**_values(section, doc, path, **parsers))
-
-
-#: (key, parser) of every field of each record section, in field order.
-_FIELDS = {
-    section: tuple((f.name, _field_parser(section, f)) for f in fields(cls)) for section, cls in _RECORDS.items()
-}
-
-
-def _build_base_stations(
-    doc: Any, kinds_by_id: Mapping[str, BsKind]
-) -> tuple[BaseStation, ...]:
-    def kind(value: Any, path: str) -> BsKind:
-        """The catalog kind that the station ``kind`` key at ``path`` names."""
-        kind_id = _as_str(value, path)
-        if kind_id not in kinds_by_id:
-            raise UnknownKindError(f"{path.removesuffix('.kind')}: unknown kind_id '{kind_id}'")
-        return kinds_by_id[kind_id]
-
-    if isinstance(doc, Mapping):
-        _check_keys(doc, "base_stations", ("base_stations",))
-        grid = doc["grid"]
-        path = "base_stations.grid"
-        _check_keys(grid, path, ("base_stations", "grid"))
-        grid_kind = kind(grid["kind"], f"{path}.kind")
-        rows, cols = _as_int(grid["rows"], f"{path}.rows"), _as_int(grid["cols"], f"{path}.cols")
-        spacing = _as_number(grid["spacing_m"], f"{path}.spacing_m")
-        if rows < 1 or cols < 1:
-            raise SchemaError(f"{path}: rows and cols must be >= 1")
-        if spacing <= 0:
-            raise SchemaError(f"{path}.spacing_m: must be > 0")
-        stations = []
-        for r in range(rows):
-            for c in range(cols):
-                idx = r * cols + c
-                stations.append(BaseStation(f"bs{idx:03d}", grid_kind, (c * spacing, r * spacing)))
-        return tuple(stations)
-    if not isinstance(doc, list) or not doc:
-        raise SchemaError("base_stations: expected a non-empty list or a generator object")
-    return tuple(
-        _record(("base_stations", "*"), entry, f"base_stations[{i}]", kind=kind) for i, entry in enumerate(doc)
-    )
-
-
-def _build_ues(doc: Any, seed: int) -> UePopulation:
-    if isinstance(doc, Mapping):
-        _check_keys(doc, "ues", ("ues",))
-        gen = doc["uniform_random"]
-        path = "ues.uniform_random"
-        _check_keys(gen, path, ("ues", "uniform_random"))
-        count = _as_int(gen["count"], f"{path}.count")
-        if count < 1:
-            raise SchemaError(f"{path}.count: must be >= 1")
-        area = gen["area_m"]
-        if not isinstance(area, list) or len(area) != 2:
-            raise SchemaError(f"{path}.area_m: expected [width, height]")
-        width, height = (_as_number(v, f"{path}.area_m") for v in area)
-        if width <= 0 or height <= 0:
-            raise SchemaError(f"{path}.area_m: dimensions must be > 0")
-        demand = _as_number(gen["demand_peak_bps"], f"{path}.demand_peak_bps")
-        weight = _as_number(gen["weight"], f"{path}.weight") if "weight" in gen else UserEquipment.weight
-        rng = np.random.default_rng(seed)
-        positions = rng.uniform((0.0, 0.0), (width, height), size=(count, 2))
-        return UePopulation(None, positions, np.full(count, demand), np.full(count, weight))
-    if not isinstance(doc, list) or not doc:
-        raise SchemaError("ues: expected a non-empty list or a generator object")
-    entries = [{**_UE_DEFAULTS, **_values(("ues", "*"), entry, f"ues[{i}]")} for i, entry in enumerate(doc)]
-    return UePopulation(*([e[name] for e in entries] for name in _UE_FIELDS))
-
-
-def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario:
-    """Build a validated scenario from a JSON document (text or parsed dict).
-
-    Deterministic given the document content, including its ``seed``: two
-    calls produce structurally identical scenarios. The ``grid`` generator
-    is expanded into stations; the UEs, listed or ``uniform_random``, become
-    one ``UePopulation``.
-
-    Raises:
-        SchemaError: a key is missing, unknown, or of the wrong type.
-        InvariantError: a domain invariant fails (names entity and rule).
-        UnknownKindError: a base station references a kind_id not in ``kinds``.
-    """
-    if isinstance(document, (str, bytes)):
-        document = json.loads(document)
-    return _build(document)
-
-
-def _build(
-    document: Any, base: tuple[Mapping[str, Any], NetworkScenario] | None = None
-) -> NetworkScenario:
-    """Build ``document``, reusing what ``base``, a (document, scenario) pair, built.
-
-    A built section is reused when its inputs are the same objects in both
-    documents, as a copy-on-write edit of the base document leaves every
-    value off the edited path: the kinds when ``kinds`` is, the stations when
-    ``kinds`` and ``base_stations`` are, the UEs when ``ues`` is and the
-    seed is equal, and the cache and traffic records when their sections
-    are (or both documents leave them out). The rest is rebuilt and the
-    scenario validated as a whole.
-    """
-    _check_keys(document, "", ())
-    seed = _as_int(document.get("seed", 0), "document.seed")
-    if seed < 0:
-        raise SchemaError(f"document.seed: must be >= 0, got {seed}")
-    sections = ("kinds", "base_stations", "ues", "cache", "traffic")
-    shared = {k for k in sections if base and document.get(k) is base[0].get(k)}
-
-    if "kinds" in shared:
-        kinds = base[1].kinds
-    else:
-        kinds_doc = document["kinds"]
-        if not isinstance(kinds_doc, list) or not kinds_doc:
-            raise SchemaError("kinds: expected a non-empty list")
-        kinds = tuple(_record(("kinds", "*"), k, f"kinds[{i}]") for i, k in enumerate(kinds_doc))
-
-    if "cache" in shared:
-        cache = base[1].cache
-    else:
-        cache = _record(("cache",), document.get("cache", {}), "cache")
-    if "traffic" in shared:
-        traffic = base[1].traffic
-    else:
-        traffic = _record(("traffic",), document.get("traffic", {}), "traffic")
-
-    benchmark = document.get("benchmark_cost", MAX_KIND)
-    if isinstance(benchmark, str):
-        if benchmark != MAX_KIND:
-            raise SchemaError(f"document.benchmark_cost: expected a number or '{MAX_KIND}', got '{benchmark}'")
-    else:
-        benchmark = _as_number(benchmark, "document.benchmark_cost")
-
-    if {"kinds", "base_stations"} <= shared:
-        stations = base[1].base_stations
-    else:
-        stations = _build_base_stations(document["base_stations"], {k.kind_id: k for k in kinds})
-    if "ues" in shared and seed == base[1].rng_seed:
-        ues = base[1].ues
-    else:
-        ues = _build_ues(document["ues"], seed)
-
-    return NetworkScenario(
-        kinds=kinds,
-        base_stations=stations,
-        ues=ues,
-        cache=cache,
-        traffic=traffic,
-        benchmark_cost=benchmark,
-        radio_mode=_as_choice(document.get("radio_mode", "abstract"), "document.radio_mode", RADIO_MODES),
-        rng_seed=seed,
-    )
-
-
-def _plain(record: Any, **given: Any) -> dict[str, Any]:
-    """``record`` as its document section: its fields in order, ``given``
-    values in place of field values, and no key for a None field."""
-    return {key: given.get(key, value) for key, value in asdict(record).items() if value is not None}
-
-
-def scenario_to_document(s: NetworkScenario) -> dict[str, Any]:
-    """Serialize a scenario back to a plain JSON-compatible document.
-
-    Round-trips: ``build_scenario(scenario_to_document(s)) == s``. Generator
-    sections come back as the explicit entity lists they expanded to.
-    """
-    return {
-        "kinds": [_plain(k) for k in s.kinds],
-        "base_stations": [
-            _plain(b, kind=b.kind.kind_id, position_m=list(b.position_m)) for b in s.base_stations
-        ],
-        "ues": [
-            dict(zip(_UE_FIELDS, row))
-            for row in zip(s.ues.ids(), *(getattr(s.ues, name).tolist() for name in _UE_ARRAYS))
-        ],
-        "cache": _plain(s.cache),
-        "traffic": _plain(s.traffic),
-        "benchmark_cost": s.benchmark_cost,
-        "radio_mode": s.radio_mode,
-        "seed": s.rng_seed,
-    }
 
 
 def validate_scenario(s: NetworkScenario) -> list[str]:

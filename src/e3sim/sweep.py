@@ -6,7 +6,7 @@ addresses a value of the parsed JSON document by key, ``key[i]`` list
 index, or list-entry id: ``kinds.ap.cache_size``, ``kinds[0].xhaul.medium``,
 ``base_stations.grid.kind``, ``ues.uniform_random.count``, ``seed``. Its
 last key may be one the document leaves at its default. Each grid point is
-built by ``model``; a row that fails a schema or invariant check carries
+built by ``document``; a row that fails a schema or invariant check carries
 the message and the sweep continues. Consecutive points that share a
 geometry are evaluated together, a block of points at a time.
 """
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from .allocation import Geometry, plan_geometry, same_geometry
-from .energy_cost import total_cost_rate
+from .document import _build, build_scenario, section_keys
 from .metrics import MetricReport, evaluate_block
-from .model import NetworkScenario, _build, build_scenario, section_keys
+from .model import NetworkScenario
 
 METRICS = ("se", "ee", "ce", "e3")
 
@@ -62,11 +62,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point: axis value(s), its report, and the yearly cost rate."""
+    """One grid point: axis value(s) and its report, or the error that failed it."""
 
     values: tuple[Any, ...]
     report: MetricReport | None
-    cost_rate: float | None
     error: str | None = None
 
 
@@ -225,9 +224,9 @@ def _evaluated(block: list, geometry: Geometry | None, t: float | None) -> Itera
     for values, built in block:
         report = next(reports) if isinstance(built, NetworkScenario) else built
         if isinstance(report, MetricReport):
-            yield SweepRow(values, report, total_cost_rate(built))
+            yield SweepRow(values, report)
         else:
-            yield SweepRow(values, None, None, error=str(report))
+            yield SweepRow(values, None, error=str(report))
 
 
 def run_sweep(document: dict[str, Any], spec: SweepSpec) -> SweepResult:
@@ -285,7 +284,7 @@ def _objective_vector(row: SweepRow, objectives: Sequence[str]) -> tuple[float, 
         elif name == "total_power":
             out.append(row.report.total_power_w)
         elif name == "cost_rate":
-            out.append(row.cost_rate)
+            out.append(row.report.cost_rate)
         else:
             raise ValueError(f"unknown objective '{name}', expected one of {tuple(PARETO_OBJECTIVES)}")
     return tuple(out)

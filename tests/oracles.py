@@ -174,6 +174,7 @@ def evaluate(s: NetworkScenario, t_hours: float) -> MetricReport:
         ce=throughput * SECONDS_PER_YEAR / total_cost_rate(s),
         e3=weighted_throughput / weighted_power,
         time_hours=t_hours,
+        cost_rate=total_cost_rate(s),
     )
 
 
@@ -196,6 +197,7 @@ def evaluate_daily(s: NetworkScenario) -> MetricReport:
         ce=throughput * SECONDS_PER_YEAR / total_cost_rate(s),
         e3=weighted_throughput / weighted_power,
         time_hours=None,
+        cost_rate=total_cost_rate(s),
     )
 
 

@@ -71,6 +71,12 @@ class TestHitRatio:
         assert hit_ratio("random_fill", 5, pop) == pytest.approx(1.0, abs=1e-12)
         assert hit_ratio("top_popular", 5, pop) == pytest.approx(1.0, abs=1e-12)
 
+    def test_a_full_top_popular_cache_hits_at_most_one(self):
+        # the rounded Zipf probabilities at F = 18, s = 1.5 sum to 1 + 2.2e-16
+        pop = zipf_popularity(18, 1.5)
+        assert math.fsum(pop.probabilities) > 1.0
+        assert hit_ratio("top_popular", 18, pop) == 1.0
+
     def test_none_ignores_cache_size(self):
         assert hit_ratio("none", 3, zipf_popularity(5, 1.0)) == 0.0
 

@@ -51,6 +51,16 @@ class TestEval:
         assert main(["eval", str(path)]) == 1
         assert "cache_size" in capsys.readouterr().err
 
+    def test_a_full_top_popular_cache_evaluates(self, tmp_path, capsys):
+        # every item cached, and the rounded probabilities sum to just over 1
+        doc = load_document("fig3.json")
+        doc["cache"].update(catalog_size=18, zipf_exponent=1.5)
+        doc["kinds"][0]["cache_size"] = 18
+        path = tmp_path / "full_cache.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), "--daily"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("hour", ["nan", "inf"])
     def test_non_finite_time_exits_1_naming_it(self, hour, capsys):
         assert main(["eval", FIG3, "--time", hour]) == 1

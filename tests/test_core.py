@@ -13,10 +13,18 @@ from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import allocation_at, make_kind, make_scenario, make_xhaul, radio_capacities, serving_ids
+from conftest import (
+    allocation_at,
+    load_document,
+    make_kind,
+    make_scenario,
+    make_xhaul,
+    radio_capacities,
+    serving_ids,
+)
 from e3sim import (
     BaseStation,
     CacheConfig,
@@ -168,7 +176,8 @@ class TestAgainstScalarOracle:
     @settings(max_examples=20, deadline=None)
     @given(s=scenarios(lattice=True))
     def test_association_matches_on_lattice_ties(self, s):
-        assert serving_ids(s) == [oracles.associate(s).serving[u.ue_id] for u in s.ues]
+        serving = oracles.associate(s).serving
+        assert serving_ids(s) == [serving[u.ue_id] for u in s.ues]
 
     def test_distances_equal_after_rounding_tie_like_math_hypot(self):
         # station "a" sits at the rounded distance of "b" from the UE, so the
@@ -277,6 +286,23 @@ class TestCellSearch:
         assert serving_ids(s) == [serving[u.ue_id] for u in s.ues]
 
 
+class Draws:
+    """Fixed values for the ``st.data()`` draws of an explicit example, in draw order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy, label=None):
+        return self.values.pop(0)
+
+
+#: fig3 with an 18-item catalog at Zipf exponent 1.5, whose rounded
+#: probabilities sum to just over 1: a cache holding all of it hits at most 1.
+FULL_CACHE = build_scenario(
+    set_parameter(set_parameter(load_document("fig3.json"), "cache.catalog_size", 18), "cache.zipf_exponent", 1.5)
+)
+
+
 class TestMetamorphic:
     @settings(max_examples=10, deadline=None)
     @given(s=scenarios(lattice=False), seed=st.integers(0, 2**16), t=hours)
@@ -339,6 +365,7 @@ class TestMetamorphic:
 
     @settings(max_examples=15, deadline=None)
     @given(s=scenarios(), t=hours, data=st.data())
+    @example(s=FULL_CACHE, t=20.0, data=Draws("ap", [17, 18]))
     def test_se_is_non_decreasing_in_top_popular_cache_size(self, s, t, data):
         document = set_parameter(scenario_to_document(s), "cache.strategy", "top_popular")
         path = f"kinds.{draw_kind_id(data, s)}.cache_size"

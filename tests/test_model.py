@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_document, make_kind, make_scenario, make_xhaul
 from e3sim import (
@@ -16,6 +17,7 @@ from e3sim import (
     CacheConfig,
     CostBreakdown,
     InvariantError,
+    NetworkScenario,
     SchemaError,
     TrafficProfile,
     UePopulation,
@@ -30,7 +32,7 @@ from e3sim import (
     validate_scenario,
 )
 from e3sim import model
-from e3sim.model import _SECTIONS, _build, section_keys
+from e3sim.document import _FIELDS, _RECORDS, _SECTIONS, _build, _record, section_keys
 
 BREAKDOWN_COMPONENTS = (
     "infrastructure",
@@ -494,3 +496,134 @@ def test_a_sweep_point_that_reuses_the_ues_checks_no_ue_id():
         assert [c.args[0] for c in unique.call_args_list].count("ue_id") == 0
         build_scenario(point)
         assert [c.args[0] for c in unique.call_args_list].count("ue_id") == 1
+
+
+def reuse_documents():
+    """The four paper documents, and one with listed stations and UEs whose
+    first kind has a cost breakdown and whose second an explicit null one."""
+    documents = {name: load_document(name) for name in ("fig2.json", "fig3.json", "fig4_c2.json", "fig4_c3.json")}
+    listed = scenario_to_document(breakdown_scenario())
+    listed["kinds"].append({**listed["kinds"][0], "kind_id": "k2", "cost_breakdown": None})
+    listed["base_stations"].append({"bs_id": "bs001", "kind": "k2", "position_m": [30.0, 0.0]})
+    documents["listed"] = listed
+    return documents
+
+
+REUSE_DOCUMENTS = reuse_documents()
+
+
+def value_paths(document):
+    """Key paths of every value of every record section of ``document``, the
+    keys it leaves at their default included, and of each nested record."""
+    paths = []
+
+    def walk(node, keys, section):
+        for key in section_keys(section):
+            paths.append(keys + (key,))
+            if section + (key,) in _RECORDS and isinstance(node.get(key), dict):
+                walk(node[key], keys + (key,), section + (key,))
+
+    for key, value in document.items():
+        if isinstance(value, list):
+            for i, entry in enumerate(value):
+                if isinstance(entry, dict):
+                    walk(entry, (key, i), (key, "*"))
+        elif isinstance(value, dict) and (key,) in _RECORDS:
+            walk(value, (key,), (key,))
+    return paths
+
+
+def lookup(document, keys):
+    for key in keys:
+        document = document.get(key) if isinstance(document, dict) else document[key]
+    return document
+
+
+def edited(document, keys, value):
+    """Copy of ``document`` with ``value`` at ``keys``, copying only the containers along them."""
+    copy = document.copy()
+    copy[keys[0]] = value if len(keys) == 1 else edited(document[keys[0]], keys[1:], value)
+    return copy
+
+
+def candidates(document, keys):
+    """Values to try at ``keys``: mostly valid ones (equal but not the same
+    object, or changed), and others, mostly invalid."""
+    old = lookup(document, keys)
+    valid = []
+    if isinstance(old, float):
+        valid = [old + 0.0, old * 2, old * 0.5]
+    elif isinstance(old, int) and not isinstance(old, bool) and old < 2**63:
+        valid = [float(old), old + 1, old // 2]
+    elif isinstance(old, str):
+        valid = [old[:1] + old[1:], old + "x", "ap", "k2", "opt3", "wireless", "top_popular", "random_fill"]
+    elif isinstance(old, list) and len(old) == 2:
+        valid = [[old[0] + 1.0, old[1]], [old[0]]]
+    elif isinstance(old, dict):
+        valid = [dict(old), {**old, "typo": 1.0}] + [{**old, key: 5.0} for key in list(old)[:1]]
+    if keys[-1] == "cost_breakdown":
+        cost = lookup(document, keys[:-1] + ("cost_per_area",))
+        valid.append({name: cost / 7 for name in BREAKDOWN_COMPONENTS})
+    others = [None, True, False, "zz", -1, 0, 2.5, 12, 3e7, 10**400, [1.0, 2.0], {}]
+    return valid or others, others
+
+
+@st.composite
+def reuse_edits(draw):
+    """A document, and a copy-on-write copy of it with one or two values set."""
+    name = draw(st.sampled_from(sorted(REUSE_DOCUMENTS)))
+    document = point = REUSE_DOCUMENTS[name]
+    for _ in range(draw(st.integers(1, 2))):
+        keys = draw(st.sampled_from(value_paths(point)))
+        valid, others = candidates(point, keys)
+        point = edited(point, keys, draw(st.sampled_from(valid) | st.sampled_from(others)))
+    return document, point
+
+
+def built_or_error(build, document):
+    try:
+        return build(document)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reuse_example(name, keys, value):
+    document = REUSE_DOCUMENTS[name]
+    return document, edited(document, keys, value)
+
+
+class TestValueReuse:
+    @settings(max_examples=300, deadline=None)
+    @given(edit=reuse_edits())
+    # a value equal to the base's but no number (False == 0.0), a rename of the
+    # kind the station names, and a cost breakdown set to null
+    @example(edit=reuse_example("fig3.json", ("kinds", 0, "xhaul", "xhaul_power_factor"), False))
+    @example(edit=reuse_example("fig3.json", ("kinds", 0, "kind_id"), "zz"))
+    @example(edit=reuse_example("listed", ("kinds", 0, "cost_breakdown"), None))
+    def test_a_point_built_on_its_base_equals_a_fresh_build(self, edit):
+        document, point = edit
+        base = build_scenario(document)
+        reused = built_or_error(lambda d: _build(d, (document, base)), point)
+        assert reused == built_or_error(build_scenario, point)
+        if isinstance(reused, NetworkScenario):
+            by_id = {k.kind_id: k for k in reused.kinds}
+            assert all(b.kind is by_id[b.kind.kind_id] for b in reused.base_stations)
+
+    def test_an_xhaul_edit_parses_one_value_and_relinks_the_stations(self):
+        document = REUSE_DOCUMENTS["fig3.json"]
+        base = build_scenario(document)
+        point = set_parameter(document, "kinds.ap.xhaul.capacity_bps", 2e7)
+        parsed = []
+
+        def recorded(parse):
+            return lambda value, path: (parsed.append(path), parse(value, path))[1]
+
+        fields = {section: tuple((k, parse and recorded(parse)) for k, parse in pairs)
+                  for section, pairs in _FIELDS.items()}
+        with mock.patch.dict(_FIELDS, fields), mock.patch("e3sim.document._record", wraps=_record) as record:
+            s = _build(point, (document, base))
+        assert parsed == ["kinds[0].xhaul.capacity_bps"]
+        assert [c.args[0] for c in record.call_args_list] == [("kinds", "*"), ("kinds", "*", "xhaul")]
+        assert s.base_stations[0].kind is s.kinds[0] and s.kinds[0].xhaul.capacity_bps == 2e7
+        assert s.base_stations[0].position_m is base.base_stations[0].position_m
+        assert s == build_scenario(point)

@@ -29,7 +29,7 @@ from e3sim import (
     total_cost_rate,
 )
 from e3sim import sweep
-from e3sim.model import _build
+from e3sim.document import _build
 from e3sim.sweep import open_sweep
 
 
@@ -154,7 +154,7 @@ class TestDocumentPaths:
         result = run_sweep(fig3, SweepSpec(param_path=path, values=values, daily=True))
         for value, row in zip(values, result.rows):
             assert row.report == evaluate_daily(built(fig3, path, value))
-            assert row.cost_rate == total_cost_rate(built(fig3, path, value))
+            assert row.report.cost_rate == total_cost_rate(built(fig3, path, value))
 
     def test_points_share_the_sections_they_do_not_touch(self, fig3):
         base = build_scenario(fig3)
@@ -309,7 +309,7 @@ class TestParetoFront:
         front = pareto_front(cache_sweep, objectives)
 
         def key(row):
-            return (row.report.throughput_bps, -row.report.total_power_w, -row.cost_rate)
+            return (row.report.throughput_bps, -row.report.total_power_w, -row.report.cost_rate)
 
         rows = list(cache_sweep.rows)
         expected = []
@@ -328,7 +328,7 @@ class TestParetoFront:
     def test_front_contains_each_objectives_optimum(self, cache_sweep):
         front_ids = {id(row) for row in pareto_front(cache_sweep, ["throughput", "cost_rate"])}
         best_throughput = max(cache_sweep.rows, key=lambda r: (r.report.throughput_bps, -r.values[0]))
-        best_cost = min(cache_sweep.rows, key=lambda r: (r.cost_rate, r.values[0]))
+        best_cost = min(cache_sweep.rows, key=lambda r: (r.report.cost_rate, r.values[0]))
         assert id(best_throughput) in front_ids
         assert id(best_cost) in front_ids
 
@@ -419,7 +419,7 @@ class TestBlocks:
             rows = run_sweep(document, spec).rows
         for row in rows:
             want = fresh_outcome(document, spec, row.values)
-            assert (row.error if row.error is not None else (row.report, row.cost_rate)) == want
+            assert (row.error if row.error is not None else (row.report, row.report.cost_rate)) == want
 
     def test_the_second_path_is_resolved_on_each_first_axis_point(self, fig3):
         # renaming kind "ap" leaves no entry for the second path to name
@@ -430,7 +430,7 @@ class TestBlocks:
         assert [row.values for row in rows] == [(v1, v2) for v1 in spec.values for v2 in spec.values2]
         for row in rows:
             want = fresh_outcome(fig3, spec, row.values)
-            assert (row.error if row.error is not None else (row.report, row.cost_rate)) == want
+            assert (row.error if row.error is not None else (row.report, row.report.cost_rate)) == want
         assert [row.error for row in rows[3:6]] == ["unresolvable parameter path 'kinds.ap.cache_size': no entry 'ap'"] * 3
         # two checks of the base document, then the first path once and the second once per first value
         assert steps.call_count == 2 + 1 + len(spec.values)
@@ -448,6 +448,15 @@ class TestBlocks:
         assert [row.report for row in rows] == [
             evaluate(built(document, spec.param_path, v), 20.0) for v in spec.values
         ]
+
+    def test_a_seed_sweep_of_listed_ues_associates_once(self, fig3):
+        # a listed population does not depend on the seed, so every point keeps the base's
+        document = scenario_to_document(build_scenario(fig3))  # the UEs as a list
+        spec = SweepSpec(param_path="seed", values=(1, 2, 3), time_hours=20.0)
+        with mock.patch.object(allocation, "nearest_stations", wraps=allocation.nearest_stations) as associate:
+            rows = run_sweep(document, spec).rows
+        assert associate.call_count == 1
+        assert [row.report for row in rows] == [evaluate(built(document, "seed", v), 20.0) for v in spec.values]
 
     def test_blocks_of_points_fit_one_chunk_of_rows(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)),
