@@ -24,16 +24,14 @@ from .model import (
     CacheConfig,
     CostBreakdown,
     InvariantError,
-    NetworkScenario,
     ScenarioError,
     SchemaError,
     TrafficProfile,
-    UePopulation,
     UnknownKindError,
     UserEquipment,
     XHaulSolution,
-    validate_scenario,
 )
+from .scenario import NetworkScenario, StationLayout, UePopulation, validate_scenario
 from .sweep import (
     ParameterPathError,
     SweepResult,
@@ -60,6 +58,7 @@ __all__ = [
     "ScenarioError",
     "SchemaError",
     "SECONDS_PER_YEAR",
+    "StationLayout",
     "SweepResult",
     "SweepRow",
     "SweepSpec",

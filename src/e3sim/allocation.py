@@ -7,20 +7,23 @@ demands are granted max-min fairly: every UE receives its demand or the
 common fair level, whichever is smaller.
 
 Only the demands depend on the hour: every UE asks for its peak demand
-times one shared factor f(t). And only a few scalars per station depend
-on anything but the positions. So ``plan_geometry`` compiles what the
-positions fix (association, physical radio capacity, and the UEs of each
-station sorted by peak demand) once for every scenario that shares them
-(``same_geometry``); ``station_capacities`` gives one scenario's radio and
-effective capacity per station (hit ratio included); and ``fill`` grants
+times one shared factor f(t). And only a few scalars per station kind
+depend on anything but the positions. So ``plan_geometry`` compiles what
+the positions fix (association, physical radio capacity, and the UEs of
+each station sorted by peak demand) once for every scenario that shares
+them (``same_geometry``); ``xhaul_limits`` gives the X-Haul bound of each
+placed kind (hit ratio included) and ``station_capacities`` one
+scenario's radio and effective capacity per station; and ``fill`` grants
 the rates of a batch of rows, each row one sample of one scenario. The
-per-UE inputs are the columns of the scenario's ``UePopulation``, used as
-they are: the geometry holds its read-only peak demand and weight arrays,
-and no step walks the UEs one at a time.
+per-UE and per-station inputs are the columns of the scenario's
+``UePopulation`` and ``StationLayout``, used as they are: the geometry
+holds its read-only peak demand and weight arrays, and no step walks the
+UEs or the stations one at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -30,7 +33,7 @@ from .cache import hit_ratio, zipf_popularity
 from .radio import chunk_rows, nearest_stations, physical_capacities
 
 if TYPE_CHECKING:
-    from .model import NetworkScenario
+    from .scenario import NetworkScenario
 
 
 def effective_bs_capacity(radio_cap_bps: float, xhaul_cap_bps: float, hit_fraction: float) -> float:
@@ -104,7 +107,7 @@ class Geometry:
     peaks: np.ndarray
     weights: np.ndarray
     counts: np.ndarray
-    radio_cap: list[float] | None
+    radio_cap: np.ndarray | None
     rows_per_chunk: int
     _blocks: dict[int, tuple] = field(default_factory=dict, repr=False)
 
@@ -153,7 +156,7 @@ def plan_geometry(s: NetworkScenario) -> Geometry:
         peaks=peaks,
         weights=s.ues.weight,
         counts=np.bincount(serving, minlength=n_bs),
-        radio_cap=physical_capacities(s, serving).tolist() if s.radio_mode == "physical" else None,
+        radio_cap=physical_capacities(s, serving) if s.radio_mode == "physical" else None,
         rows_per_chunk=chunk_rows(max(len(peaks), n_bs)),
     )
 
@@ -162,48 +165,67 @@ def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
     """Whether ``plan_geometry(a)`` is the geometry of ``b`` too.
 
     It is when both have the same UE record, radio mode and daily sample
-    count, and the same station ids and positions in the same order; in
-    physical mode also the same transmit power and bandwidth per station.
+    count, and the same station layout (the same record, or the same ids
+    and positions in the same order); in physical mode also the same
+    transmit power and bandwidth per station, compared per placed kind
+    when the layout is the same record.
     """
     if b.ues is not a.ues or b.radio_mode != a.radio_mode:
         return False
     if b.traffic.samples_per_day != a.traffic.samples_per_day:
         return False
-    if b.base_stations is a.base_stations:
-        return True
-    if len(b.base_stations) != len(a.base_stations):
+    x, y = a.base_stations, b.base_stations
+    if x is not y and not (
+        len(x) == len(y)
+        and (x.bs_id == y.bs_id or x.ids() == y.ids())
+        and np.array_equal(x.position_m, y.position_m)
+    ):
         return False
-    physical = a.radio_mode == "physical"
+    if a.radio_mode != "physical":
+        return True
+    if x is y:
+        return [(k.tx_power_w, k.bandwidth_hz) for k in a.placed_kinds] == [
+            (k.tx_power_w, k.bandwidth_hz) for k in b.placed_kinds
+        ]
     return all(
-        x.bs_id == y.bs_id
-        and x.position_m == y.position_m
-        and (not physical or (x.kind.tx_power_w, x.kind.bandwidth_hz) == (y.kind.tx_power_w, y.kind.bandwidth_hz))
-        for x, y in zip(a.base_stations, b.base_stations)
+        np.array_equal(a.station_values(value), b.station_values(value))
+        for value in (lambda k: k.tx_power_w, lambda k: k.bandwidth_hz)
     )
 
 
-def station_capacities(
-    s: NetworkScenario, geometry: Geometry, hits: dict[tuple[int, int], float] | None = None
-) -> tuple[list[float], list[float]]:
-    """Radio and effective capacity of every station of ``s``, in ``s.base_stations`` order.
+def xhaul_limits(s: NetworkScenario, hits: dict[tuple[int, int], float] | None = None) -> list[float]:
+    """The X-Haul bound on effective capacity of each of ``s.placed_kinds``.
 
-    Radio capacity is the geometry's in physical mode and each station's
-    kind's in abstract mode. The hit ratio is computed once per cache
-    record and cache size: ``hits`` holds those computed so far, keyed by
-    ``(id(s.cache), cache_size)``, for calls on scenarios that all stay alive.
+    A station's effective capacity is the smaller of its radio capacity and
+    this bound: ``effective_bs_capacity`` at unbounded radio capacity, the
+    X-Haul capacity over the miss fraction, or inf at hit ratio 1. The hit
+    ratio is computed once per cache record and cache size: ``hits`` holds
+    those computed so far, keyed by ``(id(s.cache), cache_size)``, for calls
+    on scenarios that all stay alive.
     """
-    radio_cap = geometry.radio_cap
-    if radio_cap is None:
-        radio_cap = [b.kind.radio_capacity_bps for b in s.base_stations]
     hits = {} if hits is None else hits
-    capacity = []
-    for bs, radio in zip(s.base_stations, radio_cap):
-        key = (id(s.cache), bs.kind.cache_size)
+    limits = []
+    for kind in s.placed_kinds:
+        key = (id(s.cache), kind.cache_size)
         if key not in hits:
             popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
             hits[key] = hit_ratio(s.cache.strategy, key[1], popularity)
-        capacity.append(effective_bs_capacity(radio, bs.kind.xhaul.capacity_bps, hits[key]))
-    return radio_cap, capacity
+        limits.append(effective_bs_capacity(math.inf, kind.xhaul.capacity_bps, hits[key]))
+    return limits
+
+
+def station_capacities(s: NetworkScenario, geometry: Geometry) -> tuple[list[float], list[float]]:
+    """Radio and effective capacity of every station of ``s``, in ``s.base_stations`` order.
+
+    Radio capacity is the geometry's in physical mode and each station's
+    kind's in abstract mode; effective capacity is the smaller of it and
+    the station's kind's ``xhaul_limits``.
+    """
+    radio_cap = geometry.radio_cap
+    if radio_cap is None:
+        radio_cap = s.station_values(lambda k: k.radio_capacity_bps)
+    limit = np.array(xhaul_limits(s))[s.base_stations.kind]
+    return radio_cap.tolist(), np.minimum(radio_cap, limit).tolist()
 
 
 def fill(

@@ -29,7 +29,8 @@ from typing import Any, Iterable, Sequence, TextIO
 from . import __version__
 from .document import build_scenario
 from .metrics import MetricReport, evaluate, evaluate_daily
-from .model import ScenarioError, validate_scenario
+from .model import ScenarioError
+from .scenario import validate_scenario
 from .sweep import METRICS, Argmax, ParameterPathError, SweepSpec, open_sweep
 
 CSV_COLUMNS = (

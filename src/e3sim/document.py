@@ -21,6 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .model import (
+    MAX_CATALOG_SIZE,
     MAX_KIND,
     MEDIA,
     RADIO_MODES,
@@ -29,17 +30,15 @@ from .model import (
     BsKind,
     CacheConfig,
     CostBreakdown,
-    NetworkScenario,
     SchemaError,
     TrafficProfile,
-    UePopulation,
     UnknownKindError,
     UserEquipment,
     XHaulSolution,
-    _UE_ARRAYS,
-    _UE_FIELDS,
 )
+from .scenario import _UE_ARRAYS, _UE_FIELDS, NetworkScenario, StationLayout, UePopulation
 
+_BS_FIELDS = tuple(f.name for f in fields(BaseStation))
 _UE_DEFAULTS = {f.name: f.default for f in fields(UserEquipment) if f.default is not MISSING}
 
 #: The record sections by key path, ``*`` standing for a list entry. Each is
@@ -104,7 +103,8 @@ def _as_number(value: Any, path: str) -> float:
     return number
 
 
-def _as_int(value: Any, path: str) -> int:
+def _as_int(value: Any, path: str, most: int | None = None) -> int:
+    """A JSON integer, at most ``most`` if given; anything else is a SchemaError at ``path``."""
     if isinstance(value, bool):
         raise SchemaError(f"{path}: expected an integer")
     if isinstance(value, float):
@@ -113,6 +113,8 @@ def _as_int(value: Any, path: str) -> int:
         value = int(value)
     if not isinstance(value, int):
         raise SchemaError(f"{path}: expected an integer, got {type(value).__name__}")
+    if most is not None and value > most:
+        raise SchemaError(f"{path}: must be <= {most}")
     return value
 
 
@@ -150,6 +152,9 @@ _VALUE_PARSERS: dict[str, Parser] = {
 #: Fields whose string must be one of a closed set.
 _CHOICES = {"medium": MEDIA, "strategy": STRATEGIES}
 
+#: Integer fields with an upper bound: the popularity table holds one weight per catalog item.
+_LIMITS = {"catalog_size": MAX_CATALOG_SIZE}
+
 
 def _field_parser(section: tuple[str, ...], f: Any) -> Parser | None:
     """How ``_record`` reads field ``f`` of ``section``; None where its caller must say."""
@@ -160,6 +165,8 @@ def _field_parser(section: tuple[str, ...], f: Any) -> Parser | None:
         return functools.partial(_record, nested)
     if f.name in _CHOICES:
         return functools.partial(_as_choice, choices=_CHOICES[f.name])
+    if f.name in _LIMITS:
+        return functools.partial(_as_int, most=_LIMITS[f.name])
     return _VALUE_PARSERS.get(f.type)
 
 
@@ -213,9 +220,7 @@ _FIELDS = {
 }
 
 
-def _build_base_stations(
-    doc: Any, kinds_by_id: Mapping[str, BsKind]
-) -> tuple[BaseStation, ...]:
+def _build_base_stations(doc: Any, kinds_by_id: Mapping[str, BsKind]) -> StationLayout:
     def kind(value: Any, path: str) -> BsKind:
         """The catalog kind that the station ``kind`` key at ``path`` names."""
         kind_id = _as_str(value, path)
@@ -235,16 +240,20 @@ def _build_base_stations(
             raise SchemaError(f"{path}: rows and cols must be >= 1")
         if spacing <= 0:
             raise SchemaError(f"{path}.spacing_m: must be > 0")
-        stations = []
-        for r in range(rows):
-            for c in range(cols):
-                idx = r * cols + c
-                stations.append(BaseStation(f"bs{idx:03d}", grid_kind, (c * spacing, r * spacing)))
-        return tuple(stations)
+        # station r * cols + c stands at (c * spacing, r * spacing)
+        x = np.tile(np.arange(cols) * spacing, rows)
+        y = np.repeat(np.arange(rows) * spacing, cols)
+        return StationLayout(None, np.zeros(rows * cols, dtype=np.intp), np.column_stack([x, y]), (grid_kind,))
     if not isinstance(doc, list) or not doc:
         raise SchemaError("base_stations: expected a non-empty list or a generator object")
-    return tuple(
-        _record(("base_stations", "*"), entry, f"base_stations[{i}]", kind=kind) for i, entry in enumerate(doc)
+    entries = [_values(("base_stations", "*"), entry, f"base_stations[{i}]", kind=kind) for i, entry in enumerate(doc)]
+    kinds: dict[str, int] = {}
+    index = [kinds.setdefault(e["kind"].kind_id, len(kinds)) for e in entries]
+    return StationLayout(
+        tuple(e["bs_id"] for e in entries),
+        index,
+        [e["position_m"] for e in entries],
+        tuple(kinds_by_id[kind_id] for kind_id in kinds),
     )
 
 
@@ -278,9 +287,9 @@ def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario
     """Build a validated scenario from a JSON document (text or parsed dict).
 
     Deterministic given the document content, including its ``seed``: two
-    calls produce structurally identical scenarios. The ``grid`` generator
-    is expanded into stations; the UEs, listed or ``uniform_random``, become
-    one ``UePopulation``.
+    calls produce structurally identical scenarios. The stations, listed or
+    a ``grid``, become one ``StationLayout``; the UEs, listed or
+    ``uniform_random``, one ``UePopulation``.
 
     Raises:
         SchemaError: a key is missing, unknown, or of the wrong type.
@@ -299,14 +308,14 @@ def _build(
 
     What is built from the same objects in both documents is reused, as a
     copy-on-write edit of the base document leaves every value off the
-    edited path: the kinds when ``kinds`` is; the stations when
-    ``base_stations`` is and the kinds are, or keep their ids in order (the
-    base's stations are then linked to the new kinds by id); the UEs when
-    ``ues`` is and the seed is equal or the UEs are a list; and the cache
-    and traffic records when their sections are (or both leave them out).
-    Each other kind, cache and traffic record is read against the base's
-    with ``_record``, which parses only its edited values. The scenario is
-    validated as a whole.
+    edited path: the kinds when ``kinds`` is; the station layout when
+    ``base_stations`` is and the kinds hold every kind_id it places, as a
+    scenario reads its stations' kinds from its own catalog by kind_id; the
+    UEs when ``ues`` is and the seed is equal or the UEs are a list; and the
+    cache and traffic records when their sections are (or both leave them
+    out). Each other kind, cache and traffic record is read against the
+    base's with ``_record``, which parses only its edited values. The
+    scenario is validated as a whole.
     """
     _check_keys(document, "", ())
     seed = _as_int(document.get("seed", 0), "document.seed")
@@ -342,16 +351,11 @@ def _build(
     else:
         benchmark = _as_number(benchmark, "document.benchmark_cost")
 
-    if {"kinds", "base_stations"} <= shared:
+    by_id = {k.kind_id: k for k in kinds}
+    if "base_stations" in shared and all(k.kind_id in by_id for k in base[1].base_stations.kinds):
         stations = base[1].base_stations
-    elif "base_stations" in shared and [k.kind_id for k in kinds] == [k.kind_id for k in base[1].kinds]:
-        by_id = {k.kind_id: k for k in kinds}
-        stations = tuple(
-            b if b.kind is by_id[b.kind.kind_id] else BaseStation(b.bs_id, by_id[b.kind.kind_id], b.position_m)
-            for b in base[1].base_stations
-        )
     else:
-        stations = _build_base_stations(document["base_stations"], {k.kind_id: k for k in kinds})
+        stations = _build_base_stations(document["base_stations"], by_id)
     if "ues" in shared and (seed == base[1].rng_seed or isinstance(document["ues"], list)):
         ues = base[1].ues
     else:
@@ -384,7 +388,8 @@ def scenario_to_document(s: NetworkScenario) -> dict[str, Any]:
     return {
         "kinds": [_plain(k) for k in s.kinds],
         "base_stations": [
-            _plain(b, kind=b.kind.kind_id, position_m=list(b.position_m)) for b in s.base_stations
+            dict(zip(_BS_FIELDS, row))
+            for row in zip(s.base_stations.ids(), s.base_stations.kind_ids(), s.base_stations.position_m.tolist())
         ],
         "ues": [
             dict(zip(_UE_FIELDS, row))

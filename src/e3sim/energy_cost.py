@@ -17,7 +17,8 @@ import numpy as np
 from .model import MAX_KIND
 
 if TYPE_CHECKING:
-    from .model import BsKind, NetworkScenario
+    from .model import BsKind
+    from .scenario import NetworkScenario
 
 
 def dynamic_parts(max_tx_dynamic_power_w, xhaul_power_factor, radio_load):
@@ -76,6 +77,12 @@ def resolve_benchmark_cost(s: NetworkScenario) -> float:
     return float(s.benchmark_cost)
 
 
+def station_cost_rate(kind: BsKind) -> float:
+    """Yearly cost of one station of ``kind``: per-area cost times coverage."""
+    return effective_cost_per_area(kind) * kind.coverage_area_m2
+
+
 def total_cost_rate(s: NetworkScenario) -> float:
-    """Total yearly cost of the deployment: per-area cost times coverage, summed."""
-    return sum(effective_cost_per_area(b.kind) * b.kind.coverage_area_m2 for b in s.base_stations)
+    """Total yearly cost of the deployment: station cost rates, summed in station order."""
+    # a cumulative sum adds one station at a time, as a Python sum does
+    return float(np.cumsum(s.station_values(station_cost_rate))[-1])

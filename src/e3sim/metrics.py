@@ -15,12 +15,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .allocation import Geometry, fill, plan_geometry, station_capacities
-from .energy_cost import cost_coefficient, dynamic_parts, resolve_benchmark_cost, total_cost_rate
+from .allocation import Geometry, fill, plan_geometry, xhaul_limits
+from .energy_cost import cost_coefficient, dynamic_parts, resolve_benchmark_cost, station_cost_rate
 from .radio import demand_factor
 
 if TYPE_CHECKING:
-    from .model import NetworkScenario
+    from .scenario import NetworkScenario
 
 SECONDS_PER_YEAR = 365 * 24 * 3600
 
@@ -60,37 +60,50 @@ def _sequential_sum(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1]
 
 
-def _point_inputs(s: NetworkScenario, geometry: Geometry, hits: dict) -> tuple[list[float], ...]:
-    """Per station of ``s``: radio and effective capacity, static power,
-    static power times C_n, maximum transceiver power and X-Haul factor.
-    ``hits`` is the hit ratio memo of ``station_capacities``."""
-    radio_cap, capacity = station_capacities(s, geometry, hits)
+def _kind_inputs(s: NetworkScenario, hits: dict) -> list[tuple[float, ...]]:
+    """One row per kind of ``s.placed_kinds``: abstract radio capacity, the
+    X-Haul limit on effective capacity, static power, static power times
+    C_n, maximum transceiver power, X-Haul factor, bandwidth and the cost
+    rate of one station. ``hits`` is the hit ratio memo of ``xhaul_limits``."""
+    limits = xhaul_limits(s, hits)
     c0 = resolve_benchmark_cost(s)
     per_item_w = s.cache.cache_power_per_item_w
-    static = [b.kind.static_power_w + per_item_w * b.kind.cache_size for b in s.base_stations]
-    weighted_static = [p * cost_coefficient(b.kind, c0) for p, b in zip(static, s.base_stations)]
-    max_tx = [b.kind.max_tx_dynamic_power_w for b in s.base_stations]
-    xhaul_factor = [b.kind.xhaul.xhaul_power_factor for b in s.base_stations]
-    return radio_cap, capacity, static, weighted_static, max_tx, xhaul_factor
+    rows = []
+    for kind, limit in zip(s.placed_kinds, limits):
+        static = kind.static_power_w + per_item_w * kind.cache_size
+        rows.append((
+            kind.radio_capacity_bps,
+            limit,
+            static,
+            static * cost_coefficient(kind, c0),
+            kind.max_tx_dynamic_power_w,
+            kind.xhaul.xhaul_power_factor,
+            kind.bandwidth_hz,
+            station_cost_rate(kind),
+        ))
+    return rows
 
 
 def _sample_means(
     geometry: Geometry, points: Sequence[NetworkScenario], times: Sequence[float]
 ) -> list[list[float] | Exception]:
-    """Throughput, weighted throughput, total and weighted power of each point, averaged over ``times``.
+    """Throughput, weighted throughput, total and weighted power of each point,
+    averaged over ``times``, then its total bandwidth and cost rate.
 
-    ``points`` share ``geometry``. Returns, for each point, those four
-    means, or the error that fails that point alone. Demand factors and
-    the per-station scalars are stacked on a leading point axis; max-min
-    fill, load, dynamic power and the sums then run once over rows that
-    are (point, sample) pairs, in chunks of ``geometry.rows_per_chunk``
+    ``points`` share ``geometry``. Returns, for each point, those six
+    numbers, or the error that fails that point alone. The per-kind
+    scalars of every point (``_kind_inputs``) go into one table, and one
+    gather by each point's station kinds gives the per-station scalars of
+    the whole block; demand factors are stacked on a leading point axis.
+    Max-min fill, load, dynamic power and the sums then run once over rows
+    that are (point, sample) pairs, in chunks of ``geometry.rows_per_chunk``
     rows, and the means once over the block. Every sum keeps the order of
     the per-hour definition: UEs station by station for throughput, UEs in
     scenario order for weighted throughput, stations in order for power,
-    and samples in time order for a mean.
+    bandwidth and cost, and samples in time order for a mean.
     """
     outcomes: list = [None] * len(points)
-    kept, factors, inputs = [], [], []
+    kept, factors, table, offsets = [], [], [], []
     by_traffic: dict[int, list[float]] = {}
     hits: dict[tuple[int, int], float] = {}
     for i, s in enumerate(points):
@@ -98,15 +111,23 @@ def _sample_means(
             key = id(s.traffic)
             if key not in by_traffic:
                 by_traffic[key] = [demand_factor(t, s.traffic) for t in times]
-            inputs.append(_point_inputs(s, geometry, hits))
+            kind_rows = _kind_inputs(s, hits)
         except (ValueError, ArithmeticError) as exc:
             outcomes[i] = exc
             continue
         kept.append(i)
         factors.append(by_traffic[key])
+        offsets.append(len(table))
+        table += kind_rows
     if not kept:
         return outcomes
-    radio_cap, capacity, static, weighted_static, max_tx, xhaul_factor = np.array(inputs).transpose(1, 0, 2)
+    # station j of kept point p reads table row offsets[p] + its kind index
+    station_rows = np.array(offsets)[:, None] + np.array([points[i].base_stations.kind for i in kept])
+    per_station = np.array(table).T[:, station_rows]
+    radio_cap, limit, static, weighted_static, max_tx, xhaul_factor, bandwidth, cost = per_station
+    if geometry.radio_cap is not None:
+        radio_cap = np.broadcast_to(geometry.radio_cap, limit.shape)
+    capacity = np.minimum(radio_cap, limit)
     factors = np.array(factors).ravel()
     point = np.repeat(np.arange(len(kept)), len(times))
     failed: dict[int, Exception] = {}
@@ -128,13 +149,14 @@ def _sample_means(
     sums = sums.reshape(4, len(kept), len(times))
     zero_power = ((sums[2] <= 0) | (sums[3] <= 0)).any(axis=1).tolist()
     means = (_sequential_sum(sums) / len(times)).T.tolist()
+    totals = _sequential_sum(np.stack([bandwidth, cost])).T.tolist()
     for p, i in enumerate(kept):
         if p in failed:
             outcomes[i] = failed[p]
         elif zero_power[p]:
             outcomes[i] = ValueError("total power is zero; refusing to report infinite efficiency")
         else:
-            outcomes[i] = means[p]
+            outcomes[i] = means[p] + totals[p]
     return outcomes
 
 
@@ -152,15 +174,14 @@ def _fail_out_of_range(
 
 
 def _report(
-    s: NetworkScenario,
     throughput: float,
     weighted_throughput: float,
     total_power: float,
     weighted_power: float,
+    total_bandwidth: float,
+    cost_rate: float,
     t_hours: float | None,
 ) -> MetricReport:
-    total_bandwidth = sum(b.kind.bandwidth_hz for b in s.base_stations)
-    cost_rate = total_cost_rate(s)
     return MetricReport(
         throughput_bps=throughput,
         weighted_throughput_bps=weighted_throughput,
@@ -195,10 +216,10 @@ def evaluate_block(
     else:
         times = [t_hours]
     reports: list[MetricReport | Exception] = []
-    for s, outcome in zip(points, _sample_means(geometry, points, times)):
+    for outcome in _sample_means(geometry, points, times):
         if not isinstance(outcome, Exception):
             try:
-                outcome = _report(s, *outcome, t_hours)
+                outcome = _report(*outcome, t_hours)
             except (ValueError, ArithmeticError) as exc:
                 outcome = exc
         reports.append(outcome)

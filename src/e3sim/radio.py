@@ -1,15 +1,16 @@
 """UE-to-station association, air-interface capacity, and daily demand shape.
 
-The array functions here work on index form: UE positions as the (U, 2)
-``s.ues.position_m`` array, stations in ``s.base_stations`` order, and the
-serving station of each UE as an index into it. Association does not walk
-the U x B distance matrix: it buckets the stations into a grid of square
-cells and scores each UE against the stations of the 3 x 3 cells around
-its own, falling back to every station only for the UEs that this cannot
-decide exactly. The physical-mode interference sum does walk the whole
-matrix, as every station interferes with every UE. Both take UEs in
-chunks whose temporaries stay within ``CHUNK_BYTES``, so working memory
-does not grow with the number of stations.
+The array functions here work on index form: UE and station positions as
+the (U, 2) ``s.ues.position_m`` and (B, 2) ``s.base_stations.position_m``
+arrays, and the serving station of each UE as an index into the stations.
+Association does not walk the U x B distance matrix: it buckets the
+stations into a grid of square cells and scores each UE against the
+stations of the 3 x 3 cells around its own, falling back to every station
+only for the UEs that this cannot decide exactly. The physical-mode
+interference sum does walk the whole matrix, as every station interferes
+with every UE. Both take UEs in chunks whose temporaries stay within
+``CHUNK_BYTES``, so working memory does not grow with the number of
+stations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .model import NetworkScenario, TrafficProfile
+    from .model import TrafficProfile
+    from .scenario import NetworkScenario
 
 # Physical-mode propagation defaults: log-distance path loss with urban
 # exponent, thermal noise floor, all interferers at full power (worst case).
@@ -53,26 +55,23 @@ def chunk_rows(width: int) -> int:
     return max(1, CHUNK_BYTES // (8 * max(width, 1)))
 
 
-def _station_positions(s: NetworkScenario) -> np.ndarray:
-    return np.array([b.position_m for b in s.base_stations], dtype=float)
-
-
 def nearest_stations(s: NetworkScenario) -> np.ndarray:
     """Index into ``s.base_stations`` of the station serving each UE.
 
     Nearest station by Euclidean distance, ties to the smallest bs_id: an
-    ``argmin`` over stations sorted by bs_id keeps the first of equal
-    squared distances. Where two candidates lie within rounding of each
-    other, the exact ``math.hypot`` distances decide, so the result is the
-    same as comparing ``(math.hypot(...), bs_id)`` for every pair.
+    ``argmin`` over stations sorted by bs_id (``StationLayout.id_order``,
+    sorted once per layout) keeps the first of equal squared distances.
+    Where two candidates lie within rounding of each other, the exact
+    ``math.hypot`` distances decide, so the result is the same as comparing
+    ``(math.hypot(...), bs_id)`` for every pair.
 
     Where the U x B squared distances fill more than one chunk, the cell
     search (``_cell_search``) settles every UE whose answer it can prove to
     be that one; the rest, or every UE of a smaller scenario, are scored
     against every station (``_nearest_of_all``).
     """
-    order = np.array(sorted(range(len(s.base_stations)), key=lambda i: s.base_stations[i].bs_id))
-    bs = _station_positions(s)[order]
+    order = s.base_stations.id_order
+    bs = s.base_stations.position_m[order]
     ue = s.ues.position_m
     if len(ue) * len(bs) <= chunk_rows(1):
         return order[_nearest_of_all(bs, ue)]
@@ -204,10 +203,10 @@ def physical_capacities(s: NetworkScenario, serving: np.ndarray) -> np.ndarray:
     no UE get 0.
     """
     n_bs = len(s.base_stations)
-    bs = _station_positions(s)
+    bs = s.base_stations.position_m
     ue_xy = s.ues.position_m
-    gain = np.array([b.kind.tx_power_w for b in s.base_stations]) * _GAIN
-    bandwidth = np.array([b.kind.bandwidth_hz for b in s.base_stations])
+    gain = s.station_values(lambda k: k.tx_power_w) * _GAIN
+    bandwidth = s.station_values(lambda k: k.bandwidth_hz)
     noise_w = _NOISE_W_PER_HZ * bandwidth
     share_hz = bandwidth / np.maximum(np.bincount(serving, minlength=n_bs), 1)
     rates = np.empty(len(ue_xy))

@@ -20,7 +20,7 @@ from typing import Any, Iterator, Sequence
 from .allocation import Geometry, plan_geometry, same_geometry
 from .document import _build, build_scenario, section_keys
 from .metrics import MetricReport, evaluate_block
-from .model import NetworkScenario
+from .scenario import NetworkScenario
 
 METRICS = ("se", "ee", "ce", "e3")
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import load_document, scenario_path
 from e3sim import SweepSpec, build_scenario, evaluate, evaluate_daily, run_sweep
 from e3sim.cli import CSV_COLUMNS, MAX_GRID_POINTS, _parse_values, main
+from e3sim.model import MAX_CATALOG_SIZE
 
 FIG3 = str(scenario_path("fig3.json"))
 
@@ -50,6 +51,16 @@ class TestEval:
         path.write_text(json.dumps(doc))
         assert main(["eval", str(path)]) == 1
         assert "cache_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [MAX_CATALOG_SIZE + 1, 10**400], ids=["limit_plus_1", "401_digits"])
+    def test_oversized_catalog_exits_1_naming_the_path(self, tmp_path, capsys, size):
+        # a popularity table of 10**400 weights would grow until memory runs out
+        doc = load_document("fig3.json")
+        doc["cache"]["catalog_size"] = size
+        path = tmp_path / "huge_catalog.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: cache.catalog_size: must be <= {MAX_CATALOG_SIZE}\n"
 
     def test_a_full_top_popular_cache_evaluates(self, tmp_path, capsys):
         # every item cached, and the rounded probabilities sum to just over 1

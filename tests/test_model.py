@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +20,7 @@ from e3sim import (
     InvariantError,
     NetworkScenario,
     SchemaError,
+    StationLayout,
     TrafficProfile,
     UePopulation,
     UnknownKindError,
@@ -31,7 +33,7 @@ from e3sim import (
     set_parameter,
     validate_scenario,
 )
-from e3sim import model
+from e3sim import model, scenario
 from e3sim.document import _FIELDS, _RECORDS, _SECTIONS, _build, _record, section_keys
 
 BREAKDOWN_COMPONENTS = (
@@ -303,6 +305,13 @@ def test_non_negative_invariants_reject_infinity(build):
         build()
 
 
+def test_catalog_size_is_bounded():
+    # the popularity table holds one weight per catalog item
+    assert CacheConfig(catalog_size=model.MAX_CATALOG_SIZE).catalog_size == model.MAX_CATALOG_SIZE
+    with pytest.raises(InvariantError, match=f"^CacheConfig: catalog_size must be <= {model.MAX_CATALOG_SIZE}$"):
+        CacheConfig(catalog_size=model.MAX_CATALOG_SIZE + 1)
+
+
 @pytest.mark.parametrize("ratio", [INF, float("nan"), 0.5])
 def test_peak_to_min_ratio_must_be_finite_and_at_least_one(ratio):
     with pytest.raises(InvariantError, match="peak_to_min_ratio must be finite and >= 1"):
@@ -486,11 +495,75 @@ def test_a_generated_population_is_built_without_ue_records():
         assert s.ues[0].ue_id == "ue000" and made.call_count == 1  # the count sees a record made
 
 
+def layout(ids=("a", "b", "c"), kind=(0, 1, 0), position=((0.0, 0.0), (1.0, 2.0), (3.0, 4.0)),
+           kinds=(make_kind(), make_kind(kind_id="macro"))):
+    return StationLayout(ids, kind, position, kinds)
+
+
+class TestStationLayout:
+    def test_columns_are_read_only_copies(self):
+        position = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+        stations = layout(position=position)
+        position[0, 0] = np.nan
+        assert stations.position_m[0].tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            stations.kind[0] = 1
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"position": ((0.0, 0.0), (np.nan, 0.0), (np.inf, 0.0))}, "BaseStation 'b': position_m must be finite"),
+            ({"ids": ("a", "b", "a")}, "NetworkScenario: duplicate bs_id 'a'"),
+            ({"ids": ("a", "b")}, "StationLayout: bs_id must hold 3 strings"),
+            ({"kind": (0, 2, 0)}, "StationLayout: kind must hold 3 indices into kinds"),
+            ({"kind": (0.0, 1.0, 0.0)}, "StationLayout: kind must hold 3 indices into kinds"),
+            ({"position": (0.0, 1.0, 2.0)}, r"StationLayout: position_m must have shape \(B, 2\)"),
+            ({"position": (("0", "1"), ("2", "3"), ("4", "5"))}, "StationLayout: position_m must hold real numbers"),
+            ({"kinds": (make_kind(), make_kind())}, "StationLayout: kinds must be BsKind records with distinct"),
+        ],
+    )
+    def test_checks_name_the_first_bad_station(self, edit, message):
+        with pytest.raises(InvariantError, match=f"^{message}"):
+            layout(**edit)
+
+    def test_records_index_and_iterate_as_base_stations(self):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["base_stations"] = {"grid": {"kind": "pico", "rows": 2, "cols": 3, "spacing_m": 50.0}}
+        s = build_scenario(doc)
+        assert s.base_stations.bs_id is None and s.base_stations.ids()[:2] == ("bs000", "bs001")
+        records = tuple(s.base_stations)
+        assert records[-1] == s.base_stations[-1] == BaseStation("bs005", s.kinds[0], (100.0, 50.0))
+        assert make_scenario(kinds=s.kinds, base_stations=records).base_stations == s.base_stations
+        with pytest.raises(IndexError):
+            s.base_stations[len(records)]
+
+    def test_a_kind_missing_from_the_catalog_names_the_first_station(self):
+        with pytest.raises(UnknownKindError, match="^BaseStation 'b': kind 'macro' is not in the scenario catalog"):
+            replace(make_scenario(), base_stations=layout())
+
+    def test_scenarios_take_station_records_or_a_layout_only(self):
+        with pytest.raises(InvariantError, match="base_stations must be BaseStation records"):
+            make_scenario(base_stations=((0.0, 0.0),))
+        with pytest.raises(InvariantError, match="at least one base station"):
+            make_scenario(base_stations=())
+
+
+def test_a_grid_is_built_without_station_records():
+    doc = load_document("fig3.json")
+    doc["base_stations"] = {"grid": {"kind": "ap", "rows": 20, "cols": 30, "spacing_m": 0.1}}
+    check = mock.patch.object(BaseStation, "__post_init__", autospec=True, side_effect=BaseStation.__post_init__)
+    with check as made:
+        s = build_scenario(doc)
+        assert made.call_count == 0 and len(s.base_stations) == 600
+    # station r * cols + c stands at (c * spacing, r * spacing), as Python multiplies
+    assert s.base_stations.position_m.tolist() == [[c * 0.1, r * 0.1] for r in range(20) for c in range(30)]
+
+
 def test_a_sweep_point_that_reuses_the_ues_checks_no_ue_id():
     doc = scenario_to_document(build_scenario(load_document("fig3.json")))  # the UEs as a list
     base = build_scenario(doc)
     point = set_parameter(doc, "kinds.ap.cache_size", 2)
-    with mock.patch.object(model, "_require_unique", wraps=model._require_unique) as unique:
+    with mock.patch.object(scenario, "_require_unique", wraps=scenario._require_unique) as unique:
         reused = _build(point, (doc, base))
         assert reused.ues is base.ues
         assert [c.args[0] for c in unique.call_args_list].count("ue_id") == 0
@@ -607,9 +680,9 @@ class TestValueReuse:
         assert reused == built_or_error(build_scenario, point)
         if isinstance(reused, NetworkScenario):
             by_id = {k.kind_id: k for k in reused.kinds}
-            assert all(b.kind is by_id[b.kind.kind_id] for b in reused.base_stations)
+            assert all(k is by_id[k.kind_id] for k in reused.placed_kinds)
 
-    def test_an_xhaul_edit_parses_one_value_and_relinks_the_stations(self):
+    def test_an_xhaul_edit_parses_one_value_and_keeps_the_station_layout(self):
         document = REUSE_DOCUMENTS["fig3.json"]
         base = build_scenario(document)
         point = set_parameter(document, "kinds.ap.xhaul.capacity_bps", 2e7)
@@ -624,6 +697,6 @@ class TestValueReuse:
             s = _build(point, (document, base))
         assert parsed == ["kinds[0].xhaul.capacity_bps"]
         assert [c.args[0] for c in record.call_args_list] == [("kinds", "*"), ("kinds", "*", "xhaul")]
-        assert s.base_stations[0].kind is s.kinds[0] and s.kinds[0].xhaul.capacity_bps == 2e7
-        assert s.base_stations[0].position_m is base.base_stations[0].position_m
+        assert s.placed_kinds[0] is s.kinds[0] and s.kinds[0].xhaul.capacity_bps == 2e7
+        assert s.base_stations is base.base_stations
         assert s == build_scenario(point)

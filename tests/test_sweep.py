@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import load_document
 from e3sim import (
+    BaseStation,
     InvariantError,
     ParameterPathError,
     SchemaError,
@@ -162,7 +163,8 @@ class TestDocumentPaths:
         assert seeded.kinds is base.kinds and seeded.base_stations is base.base_stations
         assert seeded.ues != base.ues
         resized = _build(set_parameter(fig3, "kinds.ap.cache_size", 2), (fig3, base))
-        assert resized.ues is base.ues and resized.base_stations[0].kind.cache_size == 2
+        assert resized.ues is base.ues and resized.base_stations is base.base_stations
+        assert resized.placed_kinds[0].cache_size == 2
         assert resized.cache is base.cache and resized.traffic is base.traffic
         skewed = _build(set_parameter(fig3, "cache.zipf_exponent", 1.2), (fig3, base))
         assert skewed.cache.zipf_exponent == 1.2 and skewed.traffic is base.traffic
@@ -409,6 +411,13 @@ def sweeps(draw):
     return document, spec
 
 
+def grid_fig3():
+    """fig3 with its station replaced by a 2 x 2 grid of the same kind."""
+    doc = load_document("fig3.json")
+    doc["base_stations"] = {"grid": {"kind": "ap", "rows": 2, "cols": 2, "spacing_m": 30.0}}
+    return doc
+
+
 class TestBlocks:
     @settings(max_examples=40, deadline=None)
     @given(sweep=sweeps(), chunk_bytes=st.sampled_from((8, 1024, radio.CHUNK_BYTES)))
@@ -457,6 +466,39 @@ class TestBlocks:
             rows = run_sweep(document, spec).rows
         assert associate.call_count == 1
         assert [row.report for row in rows] == [evaluate(built(document, "seed", v), 20.0) for v in spec.values]
+
+    def test_a_kind_sweep_of_a_grid_makes_no_station_record_per_point(self):
+        document = grid_fig3()
+        spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=(1e7, 2e7, 4e7), time_hours=20.0)
+        points = []
+
+        def recorded(point, base):
+            points.append(_build(point, base))
+            return points[-1]
+
+        check = mock.patch.object(BaseStation, "__post_init__", autospec=True, side_effect=BaseStation.__post_init__)
+        with check as made, mock.patch("e3sim.sweep._build", recorded):
+            base, rows = open_sweep(document, spec)
+            rows = list(rows)
+        assert made.call_count == 0 and len(points) == 3
+        assert all(s.base_stations is base.base_stations for s in points)
+        assert [row.report for row in rows] == [
+            evaluate(built(document, spec.param_path, v), 20.0) for v in spec.values
+        ]
+
+    @pytest.mark.parametrize(
+        "document, path, error",
+        [
+            (load_document("fig3.json"), "kinds.ap.kind_id", "base_stations[0]: unknown kind_id 'ap'"),
+            (grid_fig3(), "kinds.ap.kind_id", "base_stations.grid: unknown kind_id 'ap'"),
+            (grid_fig3(), "base_stations.grid.kind", "base_stations.grid: unknown kind_id 'nope'"),
+        ],
+    )
+    def test_a_kind_rename_fails_only_the_point_whose_stations_lose_their_kind(self, document, path, error):
+        value = "other" if path.startswith("kinds") else "nope"
+        rows = run_sweep(document, SweepSpec(param_path=path, values=("ap", value), time_hours=20.0)).rows
+        assert [row.error for row in rows] == [None, error]
+        assert rows[0].report == evaluate(build_scenario(document), 20.0)
 
     def test_blocks_of_points_fit_one_chunk_of_rows(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)),
