@@ -165,36 +165,29 @@ def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
     """Whether ``plan_geometry(a)`` is the geometry of ``b`` too.
 
     It is when both have the same UE record, radio mode and daily sample
-    count, and the same station layout (the same record, or the same ids
-    and positions in the same order); in physical mode also the same
-    transmit power and bandwidth per station, compared per placed kind
-    when the layout is the same record.
+    count, and the same station columns (shared, as a sweep point's layout
+    shares its base's, or equal ids and positions in the same order); in
+    physical mode also the same transmit power and bandwidth per station.
     """
     if b.ues is not a.ues or b.radio_mode != a.radio_mode:
         return False
     if b.traffic.samples_per_day != a.traffic.samples_per_day:
         return False
     x, y = a.base_stations, b.base_stations
-    if x is not y and not (
+    if x.position_m is not y.position_m and not (
         len(x) == len(y)
         and (x.bs_id == y.bs_id or x.ids() == y.ids())
         and np.array_equal(x.position_m, y.position_m)
     ):
         return False
-    if a.radio_mode != "physical":
-        return True
-    if x is y:
-        return [(k.tx_power_w, k.bandwidth_hz) for k in a.placed_kinds] == [
-            (k.tx_power_w, k.bandwidth_hz) for k in b.placed_kinds
-        ]
-    return all(
-        np.array_equal(a.station_values(value), b.station_values(value))
+    return a.radio_mode != "physical" or all(
+        np.array_equal(x.values(value), y.values(value))
         for value in (lambda k: k.tx_power_w, lambda k: k.bandwidth_hz)
     )
 
 
 def xhaul_limits(s: NetworkScenario, hits: dict[tuple[int, int], float] | None = None) -> list[float]:
-    """The X-Haul bound on effective capacity of each of ``s.placed_kinds``.
+    """The X-Haul bound on effective capacity of each of ``s.base_stations.kinds``.
 
     A station's effective capacity is the smaller of its radio capacity and
     this bound: ``effective_bs_capacity`` at unbounded radio capacity, the
@@ -205,7 +198,7 @@ def xhaul_limits(s: NetworkScenario, hits: dict[tuple[int, int], float] | None =
     """
     hits = {} if hits is None else hits
     limits = []
-    for kind in s.placed_kinds:
+    for kind in s.base_stations.kinds:
         key = (id(s.cache), kind.cache_size)
         if key not in hits:
             popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
@@ -223,7 +216,7 @@ def station_capacities(s: NetworkScenario, geometry: Geometry) -> tuple[list[flo
     """
     radio_cap = geometry.radio_cap
     if radio_cap is None:
-        radio_cap = s.station_values(lambda k: k.radio_capacity_bps)
+        radio_cap = s.base_stations.values(lambda k: k.radio_capacity_bps)
     limit = np.array(xhaul_limits(s))[s.base_stations.kind]
     return radio_cap.tolist(), np.minimum(radio_cap, limit).tolist()
 

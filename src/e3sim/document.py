@@ -308,14 +308,15 @@ def _build(
 
     What is built from the same objects in both documents is reused, as a
     copy-on-write edit of the base document leaves every value off the
-    edited path: the kinds when ``kinds`` is; the station layout when
+    edited path: the kinds when ``kinds`` is; the station columns when
     ``base_stations`` is and the kinds hold every kind_id it places, as a
-    scenario reads its stations' kinds from its own catalog by kind_id; the
-    UEs when ``ues`` is and the seed is equal or the UEs are a list; and the
-    cache and traffic records when their sections are (or both leave them
-    out). Each other kind, cache and traffic record is read against the
-    base's with ``_record``, which parses only its edited values. The
-    scenario is validated as a whole.
+    scenario resolves its layout's kinds against its own catalog by kind_id
+    (``StationLayout.resolved``), making no station record; the UEs when
+    ``ues`` is and the seed is equal or the UEs are a list; and the cache
+    and traffic records when their sections are (or both leave them out).
+    Each other kind, cache and traffic record is read against the base's
+    with ``_record``, which parses only its edited values. The scenario is
+    validated as a whole.
     """
     _check_keys(document, "", ())
     seed = _as_int(document.get("seed", 0), "document.seed")

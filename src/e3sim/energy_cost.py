@@ -85,4 +85,4 @@ def station_cost_rate(kind: BsKind) -> float:
 def total_cost_rate(s: NetworkScenario) -> float:
     """Total yearly cost of the deployment: station cost rates, summed in station order."""
     # a cumulative sum adds one station at a time, as a Python sum does
-    return float(np.cumsum(s.station_values(station_cost_rate))[-1])
+    return float(np.cumsum(s.base_stations.values(station_cost_rate))[-1])

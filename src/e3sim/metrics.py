@@ -61,15 +61,16 @@ def _sequential_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _kind_inputs(s: NetworkScenario, hits: dict) -> list[tuple[float, ...]]:
-    """One row per kind of ``s.placed_kinds``: abstract radio capacity, the
-    X-Haul limit on effective capacity, static power, static power times
-    C_n, maximum transceiver power, X-Haul factor, bandwidth and the cost
-    rate of one station. ``hits`` is the hit ratio memo of ``xhaul_limits``."""
+    """One row per kind of ``s.base_stations.kinds``: abstract radio
+    capacity, the X-Haul limit on effective capacity, static power, static
+    power times C_n, maximum transceiver power, X-Haul factor, bandwidth
+    and the cost rate of one station. ``hits`` is the hit ratio memo of
+    ``xhaul_limits``."""
     limits = xhaul_limits(s, hits)
     c0 = resolve_benchmark_cost(s)
     per_item_w = s.cache.cache_power_per_item_w
     rows = []
-    for kind, limit in zip(s.placed_kinds, limits):
+    for kind, limit in zip(s.base_stations.kinds, limits):
         static = kind.static_power_w + per_item_w * kind.cache_size
         rows.append((
             kind.radio_capacity_bps,

@@ -12,7 +12,8 @@ form is read and written by ``document``.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+import operator
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any, Iterator
@@ -34,25 +35,92 @@ from .model import (
 )
 
 
+class _Columns:
+    """What ``StationLayout`` and ``UePopulation`` share.
+
+    Each holds the fields of one record type, ``_RECORD``, as columns, one
+    entry per entity. The id column, ``_ID``, holds the ids of an explicit
+    list, or None for generated entities, which are named after the id's
+    prefix: ``bs000``, ``ue001``, ... ``position_m`` is an (N, 2) array. The
+    arrays are read-only copies. Equality compares the ids and
+    ``_compared()``; equal records have equal lengths, which is their hash,
+    as hashing the columns would cost O(N).
+    """
+
+    def _start(self) -> np.ndarray:
+        """Check and store the position and id columns; returns the positions."""
+        owner = type(self).__name__
+        position = _real_array(self.position_m, "position_m", owner)
+        if position.ndim != 2 or position.shape[1] != 2:
+            raise InvariantError(
+                f"{owner}: position_m must have shape ({self._ID[0].upper()}, 2), got {position.shape}"
+            )
+        object.__setattr__(self, "position_m", position)
+        ids = getattr(self, self._ID)
+        if ids is not None:
+            ids = tuple(ids)
+            if len(ids) != len(position) or not all(type(i) is str for i in ids):
+                raise InvariantError(f"{owner}: {self._ID} must hold {len(position)} strings")
+            object.__setattr__(self, self._ID, ids)
+        return position
+
+    def _finish(self, checks: list[tuple[np.ndarray, str]]) -> None:
+        """Raise for the first entity that breaks one of ``checks``, each a
+        (mask, rule) pair, then for the first duplicate id."""
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():
+            i = int(bad.argmax())
+            rule = next(rule for mask, rule in checks if mask[i])
+            raise InvariantError(f"{self._RECORD.__name__} '{self._id(i)}': {rule}")
+        if getattr(self, self._ID) is not None:
+            _require_unique(self._ID, getattr(self, self._ID))
+
+    def _id(self, i: int) -> str:
+        ids = getattr(self, self._ID)
+        return f"{self._ID[:2]}{i:03d}" if ids is None else ids[i]
+
+    def ids(self) -> tuple[str, ...]:
+        """The id of every entity, generated names included."""
+        ids = getattr(self, self._ID)
+        return ids if ids is not None else tuple(map(self._id, range(len(self))))
+
+    def __len__(self) -> int:
+        return len(self.position_m)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (
+            len(self) == len(other)
+            and (getattr(self, self._ID) == getattr(other, self._ID) or self.ids() == other.ids())
+            and all(map(np.array_equal, self._compared(), other._compared()))
+        )
+
+    def __hash__(self) -> int:
+        return hash(len(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} x {self._RECORD.__name__})"
+
+
 @dataclass(frozen=True, eq=False, repr=False)
-class StationLayout:
+class StationLayout(_Columns):
     """Every base station of a scenario as columns, one entry per station.
 
     The fields are those of ``BaseStation``, each a column: ``bs_id`` the
     ids of an explicit list, or None for a grid, whose stations are named
     ``bs000``, ``bs001``, ...; ``kind`` each station's index into
     ``kinds``, the distinct kinds the stations were placed with, in order
-    of first use; ``position_m`` a (B, 2) array. The arrays are copied and
-    made read-only. Finite positions, valid kind indices and unique
-    explicit ids are checked once, here, with array operations; an error
-    names the first station that breaks a rule.
-
-    A scenario reads each station's kind from its own catalog by the
-    kind_id of its entry in ``kinds`` (``NetworkScenario.placed_kinds``),
-    so one layout serves every catalog that holds those ids: a sweep point
-    that edits a kind keeps its base's layout. Indexing and iterating give
-    ``BaseStation`` records with the kinds of ``kinds``; equality compares
+    of first use; ``position_m`` a (B, 2) array. Finite positions, valid
+    kind indices and unique explicit ids are checked once, here, with array
+    operations; an error names the first station that breaks a rule.
+    Indexing and iterating give ``BaseStation`` records; equality compares
     ids, kind ids and positions.
+
+    A scenario holds its layout resolved against its own catalog by kind_id
+    (``resolved``): the kinds are its catalog's, and the columns are the
+    ones it was given, so a sweep point that edits a kind shares its base's
+    columns and makes no station record.
     """
 
     bs_id: tuple[str, ...] | None
@@ -60,12 +128,11 @@ class StationLayout:
     position_m: np.ndarray
     kinds: tuple[BsKind, ...]
 
+    _ID = "bs_id"
+    _RECORD = BaseStation
+
     def __post_init__(self) -> None:
-        position = _real_array(self.position_m, "position_m", "StationLayout")
-        if position.ndim != 2 or position.shape[1] != 2:
-            raise InvariantError(f"StationLayout: position_m must have shape (B, 2), got {position.shape}")
-        count = len(position)
-        object.__setattr__(self, "position_m", position)
+        count = len(self._start())
         kinds = tuple(self.kinds)
         if not all(isinstance(k, BsKind) for k in kinds) or len({k.kind_id for k in kinds}) != len(kinds):
             raise InvariantError("StationLayout: kinds must be BsKind records with distinct kind_ids")
@@ -76,16 +143,7 @@ class StationLayout:
         kind = kind.astype(np.intp)
         kind.flags.writeable = False
         object.__setattr__(self, "kind", kind)
-        if self.bs_id is not None:
-            ids = tuple(self.bs_id)
-            if len(ids) != count or not all(type(i) is str for i in ids):
-                raise InvariantError(f"StationLayout: bs_id must hold {count} strings")
-            object.__setattr__(self, "bs_id", ids)
-        bad = ~np.isfinite(position).all(axis=1)
-        if bad.any():
-            raise InvariantError(f"BaseStation '{self._id(int(bad.argmax()))}': position_m must be finite")
-        if self.bs_id is not None:
-            _require_unique("bs_id", self.bs_id)
+        self._finish([(~np.isfinite(self.position_m).all(axis=1), "position_m must be finite")])
 
     @classmethod
     def of(cls, stations: Iterable[BaseStation]) -> StationLayout:
@@ -105,17 +163,31 @@ class StationLayout:
             tuple(kinds.values()),
         )
 
-    def _id(self, i: int) -> str:
-        return f"bs{i:03d}" if self.bs_id is None else self.bs_id[i]
+    def resolved(self, catalog: Mapping[str, BsKind]) -> StationLayout:
+        """This layout with the kinds of ``catalog``, a map by kind_id.
 
-    def ids(self) -> tuple[str, ...]:
-        """The id of every station, generated names included."""
-        return self.bs_id if self.bs_id is not None else tuple(map(self._id, range(len(self))))
+        The result shares this layout's columns, and is this layout when
+        ``catalog`` holds its very kinds. Raises ``UnknownKindError`` naming
+        the first station whose kind_id ``catalog`` lacks.
+        """
+        kinds = tuple(catalog.get(k.kind_id) for k in self.kinds)
+        unknown = [j for j, k in enumerate(kinds) if k is None]
+        if unknown:
+            raise _unknown_kind(self[int(np.isin(self.kind, unknown).argmax())])
+        if all(map(operator.is_, kinds, self.kinds)):
+            return self
+        layout = object.__new__(StationLayout)
+        layout.__dict__.update(self.__dict__, kinds=kinds)
+        return layout
 
     def kind_ids(self) -> list[str]:
         """The kind_id of every station."""
         names = [k.kind_id for k in self.kinds]
         return [names[j] for j in self.kind.tolist()]
+
+    def values(self, value: Callable[[BsKind], float]) -> np.ndarray:
+        """``value`` of each station's kind, in station order; it is called once per kind."""
+        return np.array([value(k) for k in self.kinds], dtype=float)[self.kind]
 
     @cached_property
     def id_order(self) -> np.ndarray:
@@ -123,9 +195,6 @@ class StationLayout:
         order = np.array(sorted(range(len(self)), key=self.ids().__getitem__), dtype=np.intp)
         order.flags.writeable = False
         return order
-
-    def __len__(self) -> int:
-        return len(self.kind)
 
     def __getitem__(self, index: int) -> BaseStation:
         i = range(len(self))[index]
@@ -137,36 +206,22 @@ class StationLayout:
         for bs_id, kind, (x, y) in zip(self.ids(), kinds, self.position_m.tolist()):
             yield BaseStation(bs_id, kind, (x, y))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StationLayout):
-            return NotImplemented
-        return self is other or (
-            len(self) == len(other)
-            and (self.bs_id == other.bs_id or self.ids() == other.ids())
-            and self.kind_ids() == other.kind_ids()
-            and np.array_equal(self.position_m, other.position_m)
-        )
-
-    def __hash__(self) -> int:
-        # equal layouts have equal lengths; hashing the columns would cost O(B)
-        return hash(len(self))
-
-    def __repr__(self) -> str:
-        return f"StationLayout({len(self)} stations)"
+    def _compared(self) -> tuple:
+        return self.kind_ids(), self.position_m
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class UePopulation:
+class UePopulation(_Columns):
     """Every user of a scenario as columns, one entry per UE.
 
     The fields are those of ``UserEquipment``, each a column: ``ue_id`` the
     ids of an explicit list, or None for a generated population, whose UEs
     are named ``ue000``, ``ue001``, ...; ``position_m`` a (U, 2) array;
-    ``demand_peak_bps`` and ``weight`` length-U arrays. The arrays are
-    copied and made read-only. The invariants of ``UserEquipment`` and the
-    uniqueness of explicit ids are checked once, here, with array
-    operations; an error names the first UE that breaks one. Indexing and
-    iterating give ``UserEquipment`` records; a slice gives a population.
+    ``demand_peak_bps`` and ``weight`` length-U arrays. The invariants of
+    ``UserEquipment`` and the uniqueness of explicit ids are checked once,
+    here, with array operations; an error names the first UE that breaks
+    one. Indexing and iterating give ``UserEquipment`` records; a slice
+    gives a population.
     """
 
     ue_id: tuple[str, ...] | None
@@ -174,35 +229,23 @@ class UePopulation:
     demand_peak_bps: np.ndarray
     weight: np.ndarray
 
+    _ID = "ue_id"
+    _RECORD = UserEquipment
+
     def __post_init__(self) -> None:
-        position = _real_array(self.position_m, "position_m")
-        if position.ndim != 2 or position.shape[1] != 2:
-            raise InvariantError(f"UePopulation: position_m must have shape (U, 2), got {position.shape}")
+        position = self._start()
         count = len(position)
-        object.__setattr__(self, "position_m", position)
-        for name in ("demand_peak_bps", "weight"):
+        for name in _UE_ARRAYS[1:]:
             column = _real_array(getattr(self, name), name)
             if column.shape != (count,):
                 raise InvariantError(f"UePopulation: {name} must have shape ({count},), got {column.shape}")
             object.__setattr__(self, name, column)
-        if self.ue_id is not None:
-            ids = tuple(self.ue_id)
-            if len(ids) != count or not all(type(i) is str for i in ids):
-                raise InvariantError(f"UePopulation: ue_id must hold {count} strings")
-            object.__setattr__(self, "ue_id", ids)
         demand, weight = self.demand_peak_bps, self.weight
-        checks = (
+        self._finish([
             (~np.isfinite(position).all(axis=1), "position_m must be finite"),
             (~((demand > 0) & (demand < math.inf)), "demand_peak_bps must be finite and > 0"),
             (~((weight > 0) & (weight < math.inf)), "weight must be finite and > 0"),
-        )
-        bad = np.logical_or.reduce([mask for mask, _ in checks])
-        if bad.any():
-            i = int(bad.argmax())
-            rule = next(rule for mask, rule in checks if mask[i])
-            raise InvariantError(f"UserEquipment '{self._id(i)}': {rule}")
-        if self.ue_id is not None:
-            _require_unique("ue_id", self.ue_id)
+        ])
 
     @classmethod
     def of(cls, ues: Iterable[UserEquipment]) -> UePopulation:
@@ -218,16 +261,6 @@ class UePopulation:
             [u.weight for u in ues],
         )
 
-    def _id(self, i: int) -> str:
-        return f"ue{i:03d}" if self.ue_id is None else self.ue_id[i]
-
-    def ids(self) -> tuple[str, ...]:
-        """The id of every UE, generated names included."""
-        return self.ue_id if self.ue_id is not None else tuple(map(self._id, range(len(self))))
-
-    def __len__(self) -> int:
-        return len(self.weight)
-
     def __getitem__(self, index: int | slice) -> UserEquipment | UePopulation:
         if isinstance(index, slice):
             return UePopulation(
@@ -242,21 +275,8 @@ class UePopulation:
         for ue_id, (x, y), demand, weight in zip(self.ids(), *columns):
             yield UserEquipment(ue_id, (x, y), demand, weight)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UePopulation):
-            return NotImplemented
-        return self is other or (
-            len(self) == len(other)
-            and (self.ue_id == other.ue_id or self.ids() == other.ids())
-            and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _UE_ARRAYS)
-        )
-
-    def __hash__(self) -> int:
-        # equal populations have equal lengths; hashing the columns would cost O(U)
-        return hash(len(self))
-
-    def __repr__(self) -> str:
-        return f"UePopulation({len(self)} UEs)"
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in _UE_ARRAYS)
 
 
 #: The columns of a ``UePopulation``, its fields in the order of ``UserEquipment``'s.
@@ -283,9 +303,9 @@ class NetworkScenario:
 
     ``base_stations`` is a ``StationLayout`` and ``ues`` a ``UePopulation``;
     a sequence of ``BaseStation`` or ``UserEquipment`` records given in
-    their place becomes one. ``placed_kinds`` holds, for each of
-    ``base_stations.kinds``, the kind of this catalog with its kind_id:
-    station i is of kind ``placed_kinds[base_stations.kind[i]]``.
+    their place becomes one. The layout is held resolved against
+    ``kinds`` by kind_id, so station i is of kind
+    ``base_stations.kinds[base_stations.kind[i]]``, a record of ``kinds``.
     """
 
     kinds: tuple[BsKind, ...]
@@ -296,7 +316,6 @@ class NetworkScenario:
     benchmark_cost: float | str = MAX_KIND
     radio_mode: str = "abstract"
     rng_seed: int = 0
-    placed_kinds: tuple[BsKind, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kinds", tuple(self.kinds))
@@ -310,20 +329,14 @@ class NetworkScenario:
         _require(len(self.ues) >= 1, "NetworkScenario: at least one UE required")
         _require_unique("kind_id", [k.kind_id for k in self.kinds])
         by_id = {k.kind_id: k for k in self.kinds}
-        if isinstance(stations, StationLayout):
-            unknown = [j for j, k in enumerate(stations.kinds) if k.kind_id not in by_id]
-            if unknown:
-                i = int(np.isin(stations.kind, unknown).argmax())
-                raise _unknown_kind(stations[i])
-        else:
+        if not isinstance(stations, StationLayout):
             layout = StationLayout.of(stations)
             for bs in stations:
                 kind = by_id.get(bs.kind.kind_id)
                 if kind is not bs.kind and kind != bs.kind:
                     raise _unknown_kind(bs)
             stations = layout
-        object.__setattr__(self, "base_stations", stations)
-        object.__setattr__(self, "placed_kinds", tuple(by_id[k.kind_id] for k in stations.kinds))
+        object.__setattr__(self, "base_stations", stations.resolved(by_id))
         if isinstance(self.benchmark_cost, str):
             if self.benchmark_cost != MAX_KIND:
                 raise InvariantError(f"NetworkScenario: benchmark_cost must be a number or '{MAX_KIND}'")
@@ -331,10 +344,6 @@ class NetworkScenario:
             _require(0 < self.benchmark_cost < math.inf, "NetworkScenario: benchmark_cost must be finite and > 0")
         if self.radio_mode not in RADIO_MODES:
             raise InvariantError(f"NetworkScenario: radio_mode must be one of {RADIO_MODES}")
-
-    def station_values(self, value: Callable[[BsKind], float]) -> np.ndarray:
-        """``value`` of each station's kind, in station order; it is called once per placed kind."""
-        return np.array([value(k) for k in self.placed_kinds], dtype=float)[self.base_stations.kind]
 
 
 def _unknown_kind(bs: BaseStation) -> UnknownKindError:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from conftest import load_document, make_kind, make_scenario, make_xhaul
 from e3sim import (
     BaseStation,
@@ -28,6 +29,7 @@ from e3sim import (
     build_scenario,
     cost_coefficient,
     effective_cost_per_area,
+    evaluate,
     resolve_benchmark_cost,
     scenario_to_document,
     set_parameter,
@@ -541,6 +543,17 @@ class TestStationLayout:
         with pytest.raises(UnknownKindError, match="^BaseStation 'b': kind 'macro' is not in the scenario catalog"):
             replace(make_scenario(), base_stations=layout())
 
+    def test_a_scenario_resolves_its_layout_against_its_own_kinds(self):
+        s = make_scenario(kinds=(make_kind(), make_kind(kind_id="macro")), base_stations=layout())
+        assert s.base_stations == layout() and replace(s, rng_seed=1).base_stations is s.base_stations
+        pico = replace(s.kinds[0], static_power_w=9.0)
+        edited = replace(s, kinds=(pico, s.kinds[1]))
+        assert [b.kind for b in edited.base_stations] == [pico, edited.kinds[1], pico]
+        assert edited.base_stations[0].kind is pico and edited.base_stations.kinds[0] is pico
+        assert edited.base_stations.position_m is s.base_stations.position_m
+        fresh = replace(s, kinds=edited.kinds, base_stations=tuple(edited.base_stations))
+        assert evaluate(edited, 20.0) == evaluate(fresh, 20.0) == oracles.evaluate(edited, 20.0)
+
     def test_scenarios_take_station_records_or_a_layout_only(self):
         with pytest.raises(InvariantError, match="base_stations must be BaseStation records"):
             make_scenario(base_stations=((0.0, 0.0),))
@@ -636,7 +649,8 @@ def candidates(document, keys):
         valid = [dict(old), {**old, "typo": 1.0}] + [{**old, key: 5.0} for key in list(old)[:1]]
     if keys[-1] == "cost_breakdown":
         cost = lookup(document, keys[:-1] + ("cost_per_area",))
-        valid.append({name: cost / 7 for name in BREAKDOWN_COMPONENTS})
+        if isinstance(cost, float) or (isinstance(cost, int) and not isinstance(cost, bool) and cost < 2**63):
+            valid.append({name: cost / 7 for name in BREAKDOWN_COMPONENTS})  # else an earlier edit broke it
     others = [None, True, False, "zz", -1, 0, 2.5, 12, 3e7, 10**400, [1.0, 2.0], {}]
     return valid or others, others
 
@@ -680,9 +694,10 @@ class TestValueReuse:
         assert reused == built_or_error(build_scenario, point)
         if isinstance(reused, NetworkScenario):
             by_id = {k.kind_id: k for k in reused.kinds}
-            assert all(k is by_id[k.kind_id] for k in reused.placed_kinds)
+            assert all(b.kind is by_id[b.kind.kind_id] for b in reused.base_stations)
+            assert list(reused.base_stations) == list(built_or_error(build_scenario, point).base_stations)
 
-    def test_an_xhaul_edit_parses_one_value_and_keeps_the_station_layout(self):
+    def test_an_xhaul_edit_parses_one_value_and_relinks_the_stations(self):
         document = REUSE_DOCUMENTS["fig3.json"]
         base = build_scenario(document)
         point = set_parameter(document, "kinds.ap.xhaul.capacity_bps", 2e7)
@@ -697,6 +712,8 @@ class TestValueReuse:
             s = _build(point, (document, base))
         assert parsed == ["kinds[0].xhaul.capacity_bps"]
         assert [c.args[0] for c in record.call_args_list] == [("kinds", "*"), ("kinds", "*", "xhaul")]
-        assert s.placed_kinds[0] is s.kinds[0] and s.kinds[0].xhaul.capacity_bps == 2e7
-        assert s.base_stations is base.base_stations
+        assert s.base_stations[0].kind is s.kinds[0] and s.kinds[0].xhaul.capacity_bps == 2e7
+        # the kinds are resolved against the new catalog; the columns are the base's
+        columns = ("bs_id", "kind", "position_m")
+        assert all(getattr(s.base_stations, c) is getattr(base.base_stations, c) for c in columns)
         assert s == build_scenario(point)

@@ -163,8 +163,8 @@ class TestDocumentPaths:
         assert seeded.kinds is base.kinds and seeded.base_stations is base.base_stations
         assert seeded.ues != base.ues
         resized = _build(set_parameter(fig3, "kinds.ap.cache_size", 2), (fig3, base))
-        assert resized.ues is base.ues and resized.base_stations is base.base_stations
-        assert resized.placed_kinds[0].cache_size == 2
+        assert resized.ues is base.ues and resized.base_stations[0].kind.cache_size == 2
+        assert resized.base_stations.position_m is base.base_stations.position_m
         assert resized.cache is base.cache and resized.traffic is base.traffic
         skewed = _build(set_parameter(fig3, "cache.zipf_exponent", 1.2), (fig3, base))
         assert skewed.cache.zipf_exponent == 1.2 and skewed.traffic is base.traffic
@@ -481,7 +481,11 @@ class TestBlocks:
             base, rows = open_sweep(document, spec)
             rows = list(rows)
         assert made.call_count == 0 and len(points) == 3
-        assert all(s.base_stations is base.base_stations for s in points)
+        # each point's layout holds its own kinds over the base's columns
+        for s in points:
+            assert s.base_stations.kind is base.base_stations.kind
+            assert s.base_stations.position_m is base.base_stations.position_m
+            assert s.base_stations[0].kind is s.kinds[0]
         assert [row.report for row in rows] == [
             evaluate(built(document, spec.param_path, v), 20.0) for v in spec.values
         ]
