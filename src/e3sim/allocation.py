@@ -186,20 +186,20 @@ def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
     )
 
 
-def xhaul_limits(s: NetworkScenario, hits: dict[tuple[int, int], float] | None = None) -> list[float]:
+def xhaul_limits(s: NetworkScenario, hits: dict | None = None) -> list[float]:
     """The X-Haul bound on effective capacity of each of ``s.base_stations.kinds``.
 
     A station's effective capacity is the smaller of its radio capacity and
     this bound: ``effective_bs_capacity`` at unbounded radio capacity, the
     X-Haul capacity over the miss fraction, or inf at hit ratio 1. The hit
     ratio is computed once per cache record and cache size: ``hits`` holds
-    those computed so far, keyed by ``(id(s.cache), cache_size)``, for calls
-    on scenarios that all stay alive.
+    those computed so far, keyed by the value of the ``CacheConfig`` record
+    and the cache size, so it may outlive the scenarios it was filled for.
     """
     hits = {} if hits is None else hits
     limits = []
     for kind in s.base_stations.kinds:
-        key = (id(s.cache), kind.cache_size)
+        key = (s.cache, kind.cache_size)
         if key not in hits:
             popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
             hits[key] = hit_ratio(s.cache.strategy, key[1], popularity)

@@ -85,14 +85,10 @@ def _fmt(value: Any) -> str:
     return format(value, ".12g")
 
 
-def _report_row(values: tuple[Any, ...], report: MetricReport | None, error: str | None) -> list[str]:
-    param1 = _fmt(values[0]) if len(values) >= 1 else ""
-    param2 = _fmt(values[1]) if len(values) >= 2 else ""
+def _metric_cells(report: MetricReport | None) -> list[str]:
     if report is None:
-        return [param1, param2, "", "", "", "", "", "", "", "", error or ""]
+        return [""] * 8
     return [
-        param1,
-        param2,
         _fmt(report.throughput_bps),
         _fmt(report.weighted_throughput_bps),
         _fmt(report.total_power_w),
@@ -101,8 +97,13 @@ def _report_row(values: tuple[Any, ...], report: MetricReport | None, error: str
         _fmt(report.ee),
         _fmt(report.ce),
         _fmt(report.e3),
-        error or "",
     ]
+
+
+def _report_row(values: tuple[Any, ...], cells: list[str], error: str | None) -> list[str]:
+    param1 = _fmt(values[0]) if len(values) >= 1 else ""
+    param2 = _fmt(values[1]) if len(values) >= 2 else ""
+    return [param1, param2, *cells, error or ""]
 
 
 def _write_csv(path: str, manifest: RunManifest, rows: Iterable[list[str]]) -> None:
@@ -218,7 +219,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _print_report(report, sys.stdout)
     if args.out:
         manifest = _manifest(args, spec_text, scenario.rng_seed, args.out)
-        _write_csv(args.out, manifest, [_report_row((), report, None)])
+        _write_csv(args.out, manifest, [_report_row((), _metric_cells(report), None)])
     return EXIT_OK
 
 
@@ -248,12 +249,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     def lines():
         nonlocal written, failed
+        report = cells = None
         for row in rows:
             written += 1
             failed += bool(row.error)
             if best is not None:
                 best.add(row)
-            yield _report_row(row.values, row.report, row.error)
+            # the rows of a run of equal points share one report, formatted once
+            if cells is None or row.report is not report:
+                report, cells = row.report, _metric_cells(row.report)
+            yield _report_row(row.values, cells, row.error)
 
     _write_csv(args.out, manifest, lines())
     print(f"wrote {written} rows to {args.out}" + (f" ({failed} failed)" if failed else ""))

@@ -23,6 +23,8 @@ import numpy as np
 from .model import (
     MAX_CATALOG_SIZE,
     MAX_KIND,
+    MAX_STATIONS,
+    MAX_UES,
     MEDIA,
     RADIO_MODES,
     STRATEGIES,
@@ -238,6 +240,8 @@ def _build_base_stations(doc: Any, kinds_by_id: Mapping[str, BsKind]) -> Station
         spacing = _as_number(grid["spacing_m"], f"{path}.spacing_m")
         if rows < 1 or cols < 1:
             raise SchemaError(f"{path}: rows and cols must be >= 1")
+        if rows * cols > MAX_STATIONS:
+            raise SchemaError(f"{path}: rows * cols must be <= {MAX_STATIONS}")
         if spacing <= 0:
             raise SchemaError(f"{path}.spacing_m: must be > 0")
         # station r * cols + c stands at (c * spacing, r * spacing)
@@ -263,7 +267,7 @@ def _build_ues(doc: Any, seed: int) -> UePopulation:
         gen = doc["uniform_random"]
         path = "ues.uniform_random"
         _check_keys(gen, path, ("ues", "uniform_random"))
-        count = _as_int(gen["count"], f"{path}.count")
+        count = _as_int(gen["count"], f"{path}.count", MAX_UES)
         if count < 1:
             raise SchemaError(f"{path}.count: must be >= 1")
         area = gen["area_m"]

@@ -60,21 +60,34 @@ def _sequential_sum(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1]
 
 
-def _kind_inputs(s: NetworkScenario, hits: dict) -> list[tuple[float, ...]]:
-    """One row per kind of ``s.base_stations.kinds``: abstract radio
-    capacity, the X-Haul limit on effective capacity, static power, static
-    power times C_n, maximum transceiver power, X-Haul factor, bandwidth
-    and the cost rate of one station. ``hits`` is the hit ratio memo of
-    ``xhaul_limits``."""
-    limits = xhaul_limits(s, hits)
+def point_inputs(s: NetworkScenario, t_hours: float | None, memo: dict) -> tuple[np.ndarray, ...]:
+    """What the report of ``s`` at ``t_hours`` (None: the daily average)
+    depends on besides its geometry, as three arrays: the demand factor of
+    each sample, each station's index into ``s.base_stations.kinds``, and
+    one row per such kind of radio capacity, effective capacity (in
+    physical mode, where the geometry gives radio capacity, the X-Haul
+    limit on it), static power, static power times C_n, maximum
+    transceiver power, X-Haul factor, bandwidth and the cost rate of one
+    station. Two points of one geometry whose arrays have equal bytes have
+    equal reports. ``memo`` holds the factors by traffic record and the
+    hit ratios of ``xhaul_limits`` by cache record and size.
+    """
+    factors = memo.get(s.traffic)
+    if factors is None:
+        n = s.traffic.samples_per_day
+        times = [24.0 * i / n for i in range(n)] if t_hours is None else [t_hours]
+        factors = memo[s.traffic] = np.array([demand_factor(t, s.traffic) for t in times])
+    limits = xhaul_limits(s, memo)
     c0 = resolve_benchmark_cost(s)
     per_item_w = s.cache.cache_power_per_item_w
+    physical = s.radio_mode == "physical"
     rows = []
     for kind, limit in zip(s.base_stations.kinds, limits):
         static = kind.static_power_w + per_item_w * kind.cache_size
+        radio = kind.radio_capacity_bps
         rows.append((
-            kind.radio_capacity_bps,
-            limit,
+            radio,
+            limit if physical else min(radio, limit),
             static,
             static * cost_coefficient(kind, c0),
             kind.max_tx_dynamic_power_w,
@@ -82,55 +95,41 @@ def _kind_inputs(s: NetworkScenario, hits: dict) -> list[tuple[float, ...]]:
             kind.bandwidth_hz,
             station_cost_rate(kind),
         ))
-    return rows
+    return factors, s.base_stations.kind, np.array(rows, dtype=float)
 
 
-def _sample_means(
-    geometry: Geometry, points: Sequence[NetworkScenario], times: Sequence[float]
-) -> list[list[float] | Exception]:
+def _sample_means(geometry: Geometry, inputs: Sequence[tuple | Exception]) -> list[list[float] | Exception]:
     """Throughput, weighted throughput, total and weighted power of each point,
-    averaged over ``times``, then its total bandwidth and cost rate.
+    averaged over its samples, then its total bandwidth and cost rate.
 
-    ``points`` share ``geometry``. Returns, for each point, those six
-    numbers, or the error that fails that point alone. The per-kind
-    scalars of every point (``_kind_inputs``) go into one table, and one
-    gather by each point's station kinds gives the per-station scalars of
-    the whole block; demand factors are stacked on a leading point axis.
-    Max-min fill, load, dynamic power and the sums then run once over rows
-    that are (point, sample) pairs, in chunks of ``geometry.rows_per_chunk``
-    rows, and the means once over the block. Every sum keeps the order of
-    the per-hour definition: UEs station by station for throughput, UEs in
-    scenario order for weighted throughput, stations in order for power,
-    bandwidth and cost, and samples in time order for a mean.
+    ``inputs`` are the ``point_inputs`` of points that share ``geometry``,
+    or the error that fails a point. Returns, for each point, those six
+    numbers, or the error that fails that point alone. The per-kind tables
+    of the block are stacked, and one gather by each point's station kinds
+    gives the per-station scalars of the whole block; demand factors are
+    stacked on a leading point axis. Max-min fill, load, dynamic power and
+    the sums then run once over rows that are (point, sample) pairs, in
+    chunks of ``geometry.rows_per_chunk`` rows, and the means once over the
+    block. Every sum keeps the order of the per-hour definition: UEs station
+    by station for throughput, UEs in scenario order for weighted
+    throughput, stations in order for power, bandwidth and cost, and
+    samples in time order for a mean.
     """
-    outcomes: list = [None] * len(points)
-    kept, factors, table, offsets = [], [], [], []
-    by_traffic: dict[int, list[float]] = {}
-    hits: dict[tuple[int, int], float] = {}
-    for i, s in enumerate(points):
-        try:
-            key = id(s.traffic)
-            if key not in by_traffic:
-                by_traffic[key] = [demand_factor(t, s.traffic) for t in times]
-            kind_rows = _kind_inputs(s, hits)
-        except (ValueError, ArithmeticError) as exc:
-            outcomes[i] = exc
-            continue
-        kept.append(i)
-        factors.append(by_traffic[key])
-        offsets.append(len(table))
-        table += kind_rows
+    outcomes: list = list(inputs)
+    kept = [i for i, x in enumerate(inputs) if not isinstance(x, Exception)]
     if not kept:
         return outcomes
+    factors, kinds, tables = zip(*(inputs[i] for i in kept))
     # station j of kept point p reads table row offsets[p] + its kind index
-    station_rows = np.array(offsets)[:, None] + np.array([points[i].base_stations.kind for i in kept])
-    per_station = np.array(table).T[:, station_rows]
-    radio_cap, limit, static, weighted_static, max_tx, xhaul_factor, bandwidth, cost = per_station
+    offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
+    per_station = np.concatenate(tables).T[:, offsets[:, None] + np.array(kinds)]
+    radio_cap, capacity, static, weighted_static, max_tx, xhaul_factor, bandwidth, cost = per_station
     if geometry.radio_cap is not None:
-        radio_cap = np.broadcast_to(geometry.radio_cap, limit.shape)
-    capacity = np.minimum(radio_cap, limit)
-    factors = np.array(factors).ravel()
-    point = np.repeat(np.arange(len(kept)), len(times))
+        radio_cap = np.broadcast_to(geometry.radio_cap, capacity.shape)
+        capacity = np.minimum(radio_cap, capacity)
+    n_times = len(factors[0])
+    factors = np.concatenate(factors)
+    point = np.repeat(np.arange(len(kept)), n_times)
     failed: dict[int, Exception] = {}
     sums = np.empty((4, len(factors)))
     step = min(len(factors), geometry.rows_per_chunk)
@@ -147,9 +146,9 @@ def _sample_means(
         sums[1, lo : lo + step] = _sequential_sum(geometry.weights * rates)
         sums[2, lo : lo + step] = _sequential_sum(dynamic + static[rows])
         sums[3, lo : lo + step] = _sequential_sum(dynamic + weighted_static[rows])
-    sums = sums.reshape(4, len(kept), len(times))
+    sums = sums.reshape(4, len(kept), n_times)
     zero_power = ((sums[2] <= 0) | (sums[3] <= 0)).any(axis=1).tolist()
-    means = (_sequential_sum(sums) / len(times)).T.tolist()
+    means = (_sequential_sum(sums) / n_times).T.tolist()
     totals = _sequential_sum(np.stack([bandwidth, cost])).T.tolist()
     for p, i in enumerate(kept):
         if p in failed:
@@ -198,26 +197,33 @@ def _report(
 
 
 def evaluate_block(
-    points: Sequence[NetworkScenario], t_hours: float | None, geometry: Geometry | None = None
+    points: Sequence[NetworkScenario],
+    t_hours: float | None,
+    geometry: Geometry | None = None,
+    inputs: Sequence[tuple] | None = None,
 ) -> list[MetricReport | Exception]:
     """Reports of scenarios that share one geometry, or the error that fails each.
 
     Every pair of ``points`` must pass ``allocation.same_geometry``;
-    ``geometry`` is theirs, compiled from the first point when None. With
-    ``t_hours`` None each report is a daily average (``evaluate_daily``),
-    else the report at that hour (``evaluate``). A point that fails an
-    input check gets its ValueError or ArithmeticError in place of a
-    report, with the message a single evaluation raises.
+    ``geometry`` is theirs, compiled from the first point when None, and
+    ``inputs`` their ``point_inputs`` at ``t_hours``, computed here when
+    None. With ``t_hours`` None each report is a daily average
+    (``evaluate_daily``), else the report at that hour (``evaluate``). A
+    point that fails an input check gets its ValueError or ArithmeticError
+    in place of a report, with the message a single evaluation raises.
     """
     if geometry is None:
         geometry = plan_geometry(points[0])
-    if t_hours is None:
-        samples = points[0].traffic.samples_per_day
-        times = [24.0 * i / samples for i in range(samples)]
-    else:
-        times = [t_hours]
+    if inputs is None:
+        memo: dict = {}
+        inputs = []
+        for s in points:
+            try:
+                inputs.append(point_inputs(s, t_hours, memo))
+            except (ValueError, ArithmeticError) as exc:
+                inputs.append(exc)
     reports: list[MetricReport | Exception] = []
-    for outcome in _sample_means(geometry, points, times):
+    for outcome in _sample_means(geometry, inputs):
         if not isinstance(outcome, Exception):
             try:
                 outcome = _report(*outcome, t_hours)

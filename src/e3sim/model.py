@@ -27,6 +27,11 @@ MAX_KIND = "max-kind"
 #: Largest ``cache.catalog_size``: the popularity table holds one weight per item.
 MAX_CATALOG_SIZE = 10**6
 
+#: Most stations a ``grid`` and UEs a ``uniform_random`` generator may make:
+#: each is one row of every station or UE array.
+MAX_STATIONS = 10**6
+MAX_UES = 10**7
+
 #: Dynamic-power multiple of the transceiver part, applied when a solution
 #: does not set one explicitly.
 DEFAULT_XHAUL_POWER_FACTOR = {"wired": 0.0, "wireless": 3.0}

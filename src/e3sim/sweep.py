@@ -8,7 +8,8 @@ index, or list-entry id: ``kinds.ap.cache_size``, ``kinds[0].xhaul.medium``,
 last key may be one the document leaves at its default. Each grid point is
 built by ``document``; a row that fails a schema or invariant check carries
 the message and the sweep continues. Consecutive points that share a
-geometry are evaluated together, a block of points at a time.
+geometry are evaluated together, a block of points at a time, and a point
+whose evaluation inputs equal the previous point's takes its report.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Iterator, Sequence
 
 from .allocation import Geometry, plan_geometry, same_geometry
 from .document import _build, build_scenario, section_keys
-from .metrics import MetricReport, evaluate_block
+from .metrics import MetricReport, evaluate_block, point_inputs
 from .scenario import NetworkScenario
 
 METRICS = ("se", "ee", "ce", "e3")
@@ -191,42 +192,73 @@ def _rows(
     """Build every grid point and evaluate it in blocks of consecutive points
     that share a geometry (``same_geometry`` with the group's first point).
 
-    A group's geometry is compiled once; a block holds as many points as
-    one chunk of rows takes, so memory does not grow with the grid.
+    A group's geometry is compiled once. A point of the group whose
+    ``point_inputs`` have the bytes of the previous point's is a repeat: it
+    takes that point's report or error, and is not evaluated. A point that
+    fails ends such a run. A block holds as many points as one chunk of
+    rows takes, repeats included, so memory does not grow with the grid; a
+    repeat of a point whose block is done is yielded at once.
     """
-    block: list[tuple[tuple[Any, ...], NetworkScenario | Exception]] = []
-    first = geometry = None
+    block: list[tuple[tuple[Any, ...], NetworkScenario | Exception | None]] = []
+    inputs: list[tuple] = []
+    first = geometry = last = row = None
     per_block = 1
     for values, point in _points(document, spec):
-        built: NetworkScenario | Exception = point
+        built: NetworkScenario | Exception | None = point
         if not isinstance(point, ParameterPathError):
             try:
                 built = _build(point, (document, base))
             except (ValueError, ArithmeticError) as exc:
                 built = exc
-        if isinstance(built, NetworkScenario) and (first is None or not same_geometry(first, built)):
-            yield from _evaluated(block, geometry, t)
-            block = []
-            first, geometry = built, plan_geometry(built)
-            samples = built.traffic.samples_per_day if t is None else 1
-            per_block = max(1, geometry.rows_per_chunk // samples)
+        new = None
+        if isinstance(built, NetworkScenario):
+            if first is None or not same_geometry(first, built):
+                row = yield from _evaluated(block, geometry, t, inputs, row)
+                block, inputs, memo, last = [], [], {}, None
+                first, geometry = built, plan_geometry(built)
+                samples = built.traffic.samples_per_day if t is None else 1
+                per_block = max(1, geometry.rows_per_chunk // samples)
+            try:
+                new = point_inputs(built, t, memo)
+            except (ValueError, ArithmeticError) as exc:
+                built = exc
+        if new is not None and last is not None and all(
+            x is y or x.tobytes() == y.tobytes() for x, y in zip(new, last)
+        ):
+            built = None
+            if not block:  # the point before is done
+                row = SweepRow(values, row.report, row.error)
+                yield row
+                continue
+        elif new is not None:
+            inputs.append(new)
+        last = new
         block.append((values, built))
         if len(block) >= per_block:
-            yield from _evaluated(block, geometry, t)
-            block = []
-    yield from _evaluated(block, geometry, t)
+            row = yield from _evaluated(block, geometry, t, inputs, row)
+            block, inputs, memo = [], [], {}
+    yield from _evaluated(block, geometry, t, inputs, row)
 
 
-def _evaluated(block: list, geometry: Geometry | None, t: float | None) -> Iterator[SweepRow]:
-    """The rows of one block: its built points evaluated together."""
+def _evaluated(
+    block: list, geometry: Geometry | None, t: float | None, inputs: list, row: SweepRow | None
+) -> Iterator[SweepRow]:
+    """The rows of one block: its built points evaluated together, and each
+    repeat (None) given the outcome of the row before it, ``row`` for the
+    first. Returns the last row."""
     points = [built for _, built in block if isinstance(built, NetworkScenario)]
-    reports = iter(evaluate_block(points, t, geometry) if points else ())
+    reports = iter(evaluate_block(points, t, geometry, inputs) if points else ())
     for values, built in block:
-        report = next(reports) if isinstance(built, NetworkScenario) else built
-        if isinstance(report, MetricReport):
-            yield SweepRow(values, report)
+        if built is None:
+            row = SweepRow(values, row.report, row.error)
         else:
-            yield SweepRow(values, None, error=str(report))
+            report = next(reports) if isinstance(built, NetworkScenario) else built
+            if isinstance(report, MetricReport):
+                row = SweepRow(values, report)
+            else:
+                row = SweepRow(values, None, error=str(report))
+        yield row
+    return row
 
 
 def run_sweep(document: dict[str, Any], spec: SweepSpec) -> SweepResult:

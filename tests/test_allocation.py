@@ -11,6 +11,7 @@ from e3sim import (
     BaseStation,
     CacheConfig,
     UserEquipment,
+    allocation,
     effective_bs_capacity,
     hit_ratio,
     max_min_rates,
@@ -38,6 +39,13 @@ class TestEffectiveCapacity:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             effective_bs_capacity(1.0, 1.0, 1.5)
+
+    def test_the_hit_ratio_memo_is_keyed_by_value(self):
+        # a sweep frees the points it does not evaluate, and a later cache record may take a freed one's id
+        cache = CacheConfig(catalog_size=20, zipf_exponent=0.8, strategy="top_popular")
+        hits = {}
+        allocation.xhaul_limits(make_scenario(kinds=(make_kind(cache_size=6),), cache=cache), hits)
+        assert hits == {(CacheConfig(20, 0.8, "top_popular"), 6): hit_ratio("top_popular", 6, zipf_popularity(20, 0.8))}
 
 
 class TestMaxMinRates:

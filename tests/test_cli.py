@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from conftest import load_document, scenario_path
 from e3sim import SweepSpec, build_scenario, evaluate, evaluate_daily, run_sweep
 from e3sim.cli import CSV_COLUMNS, MAX_GRID_POINTS, _parse_values, main
-from e3sim.model import MAX_CATALOG_SIZE
+from e3sim.model import MAX_CATALOG_SIZE, MAX_STATIONS, MAX_UES
 
 FIG3 = str(scenario_path("fig3.json"))
 
@@ -61,6 +62,32 @@ class TestEval:
         path.write_text(json.dumps(doc))
         assert main(["eval", str(path)]) == 1
         assert capsys.readouterr().err == f"error: cache.catalog_size: must be <= {MAX_CATALOG_SIZE}\n"
+
+    @pytest.mark.parametrize(
+        "rows, cols, count, error",
+        [
+            (10**5, 10**5, 10, f"base_stations.grid: rows * cols must be <= {MAX_STATIONS}"),
+            (1001, 1000, 10, f"base_stations.grid: rows * cols must be <= {MAX_STATIONS}"),
+            (1, 1, 10**10, f"ues.uniform_random.count: must be <= {MAX_UES}"),
+            (1, 1, MAX_UES + 1, f"ues.uniform_random.count: must be <= {MAX_UES}"),
+        ],
+        ids=["grid_1e10", "grid_limit_plus_1000", "ues_1e10", "ues_limit_plus_1"],
+    )
+    def test_oversized_generators_exit_1_naming_the_path(self, tmp_path, capsys, rows, cols, count, error):
+        # a 10**10-row station or UE array is refused before any of it is allocated
+        doc = load_document("fig3.json")
+        doc["base_stations"] = {"grid": {"kind": "ap", "rows": rows, "cols": cols, "spacing_m": 10.0}}
+        doc["ues"]["uniform_random"]["count"] = count
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            assert main(["eval", str(path)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert peak < 1 << 20
 
     def test_a_full_top_popular_cache_evaluates(self, tmp_path, capsys):
         # every item cached, and the rounded probabilities sum to just over 1

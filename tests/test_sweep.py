@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_document
 from e3sim import (
@@ -18,6 +18,7 @@ from e3sim import (
     allocation,
     argmax,
     build_scenario,
+    cache,
     evaluate,
     evaluate_daily,
     metrics,
@@ -363,6 +364,10 @@ AXES = {
         "traffic.peak_hour": (0.0, 20.0, 24.0),
         "traffic.samples_per_day": (1, 5, 24, 0),
         "cache.zipf_exponent": (0.0, 0.8, -1.0),
+        # above about 4e7 bit/s the X-Haul binds: equal effective capacity, but load and power differ
+        "kinds.ap.radio_capacity_bps": (2e7, 5e7, 6e7, 1.2e8, 0.0),
+        "cache.strategy": ("none", "random_fill", "top_popular", "lru"),
+        "kinds.ap.max_tx_dynamic_power_w": (1.0, 3.2, 8.0, -1.0),
     },
     "fig2": {
         "base_stations.grid.kind": ("opt1", "opt3", "opt5", "opt9"),
@@ -421,6 +426,11 @@ def grid_fig3():
 class TestBlocks:
     @settings(max_examples=40, deadline=None)
     @given(sweep=sweeps(), chunk_bytes=st.sampled_from((8, 1024, radio.CHUNK_BYTES)))
+    @example(
+        sweep=(two_station_fig3(), SweepSpec(param_path="kinds.ap.radio_capacity_bps", values=(5e7, 6e7, 1.2e8),
+                                             time_hours=20.0)),
+        chunk_bytes=radio.CHUNK_BYTES,
+    )
     def test_every_row_equals_a_fresh_evaluation(self, sweep, chunk_bytes):
         # both fig3 and fig2 peak at hour 20, the default time of a row
         document, spec = sweep
@@ -510,14 +520,16 @@ class TestBlocks:
         sizes = []
         real = metrics.evaluate_block
 
-        def recorded(points, t, geometry=None):
+        def recorded(points, *args):
             sizes.append(len(points))
-            return real(points, t, geometry)
+            return real(points, *args)
 
         with mock.patch("e3sim.sweep.evaluate_block", recorded):
             run_sweep(fig3, spec)
         per_block = radio.chunk_rows(10) // 24  # 10 UEs, 24 samples a day
-        assert sum(sizes) == 63 and max(sizes) == per_block and len(sizes) == -(-63 // per_block)
+        # a block ends after per_block of the 63 points, repeats included; the 9 points whose
+        # X-Haul limit, like the point's before, exceeds the radio capacity are not evaluated
+        assert sum(sizes) == 63 - 9 and max(sizes) == per_block and len(sizes) == -(-63 // per_block)
 
     def test_rows_stream_before_the_grid_is_built(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=tuple(1e6 * v for v in range(1, 101)),
@@ -528,6 +540,54 @@ class TestBlocks:
             first = next(rows)
             assert build.call_count < len(spec.values)
         assert first.report == evaluate_daily(built(fig3, spec.param_path, 1e6))
+
+    def test_a_long_xhaul_run_evaluates_each_binding_point_once(self, fig3):
+        # from 2.4e7 bit/s up the X-Haul limit exceeds the 6e7 bit/s radio capacity, so 76 of
+        # the 100 points repeat the point before; a block still ends after per_block points
+        values = tuple(1e6 * v for v in range(1, 101))
+        spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=values, daily=True)
+        miss = 1.0 - cache.hit_ratio("top_popular", 6, cache.zipf_popularity(20, 0.8))
+        evaluated, blocks = [], []
+        real_block, real_evaluated = metrics.evaluate_block, sweep._evaluated
+
+        def recorded_points(points, *args):
+            evaluated.extend(points)
+            return real_block(points, *args)
+
+        def recorded_block(block, *args):
+            blocks.append(len(block))
+            return real_evaluated(block, *args)
+
+        with mock.patch("e3sim.sweep.evaluate_block", recorded_points), \
+                mock.patch("e3sim.sweep._evaluated", recorded_block):
+            rows = run_sweep(fig3, spec).rows
+        assert len(evaluated) == sum(v / miss < 6e7 for v in values) + 1 == 24
+        assert max(blocks) <= radio.chunk_rows(10) // 24
+        assert all(row.report is rows[23].report for row in rows[24:])
+        for value, row in zip(values, rows):
+            assert row.report == evaluate_daily(built(fig3, spec.param_path, value))
+
+    def test_a_failing_point_ends_a_run_of_equal_points(self, fig3):
+        # cache_size 25 exceeds the 20-item catalog, and kind "zz" leaves the second path no entry
+        spec = SweepSpec(param_path="kinds[0].kind_id", values=("ap", "zz", "ap"),
+                         param2_path="kinds.ap.cache_size", values2=(20, 20, 25, 20), time_hours=20.0)
+        evaluated = []
+        real = metrics.evaluate_block
+
+        def recorded(points, *args):
+            evaluated.extend(points)
+            return real(points, *args)
+
+        with mock.patch("e3sim.sweep.evaluate_block", recorded):
+            rows = run_sweep(fig3, spec).rows
+        for row in rows:
+            want = fresh_outcome(fig3, spec, row.values)
+            assert (row.error if row.error is not None else (row.report, row.report.cost_rate)) == want
+        ok = [True, True, False, True]
+        assert [row.error is None for row in rows] == ok + [False] * 4 + ok
+        # each first-axis "ap" evaluates (ap, 20) once for the run of two, and again after the error
+        assert len(evaluated) == 4 and rows[1].report is rows[0].report
+        assert rows[3].report is not rows[1].report and rows[3].report == rows[1].report
 
     def test_out_of_range_load_fails_only_its_point(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=(1e7, 2e7, 4e7), time_hours=20.0)
