@@ -19,7 +19,6 @@ from .energy_cost import (
 )
 from .metrics import SECONDS_PER_YEAR, MetricReport, evaluate, evaluate_daily
 from .model import (
-    BaseStation,
     BsKind,
     CacheConfig,
     CostBreakdown,
@@ -28,7 +27,6 @@ from .model import (
     SchemaError,
     TrafficProfile,
     UnknownKindError,
-    UserEquipment,
     XHaulSolution,
 )
 from .scenario import NetworkScenario, StationLayout, UePopulation, validate_scenario
@@ -46,7 +44,6 @@ from .sweep import (
 
 __all__ = [
     "__version__",
-    "BaseStation",
     "BsKind",
     "CacheConfig",
     "CostBreakdown",
@@ -65,7 +62,6 @@ __all__ = [
     "TrafficProfile",
     "UePopulation",
     "UnknownKindError",
-    "UserEquipment",
     "XHaulSolution",
     "argmax",
     "build_scenario",

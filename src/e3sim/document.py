@@ -1,9 +1,12 @@
 """The JSON document form of a scenario: its schema, reading and writing.
 
 Each record section of a document (a kind, its X-Haul and cost breakdown,
-a listed station or UE, the cache and traffic settings) is read into the
-``model`` dataclass of the same shape, whose fields are the section's keys;
-the generator sections (``grid``, ``uniform_random``) are expanded here.
+a listed station or UE, the cache and traffic settings) has the keys of
+the fields of the ``model`` dataclass of the same shape. A kind, cache or
+traffic section is read into its dataclass; the listed stations and UEs
+are read into the columns of one ``StationLayout`` and one
+``UePopulation``, and the generator sections (``grid``,
+``uniform_random``) are expanded into them here.
 ``build_scenario`` reads a whole document, ``_build`` one that shares
 sections with an already built base (a sweep point), and
 ``scenario_to_document`` writes a scenario back.
@@ -23,6 +26,7 @@ import numpy as np
 from .model import (
     MAX_CATALOG_SIZE,
     MAX_KIND,
+    MAX_SAMPLES_PER_DAY,
     MAX_STATIONS,
     MAX_UES,
     MEDIA,
@@ -154,8 +158,9 @@ _VALUE_PARSERS: dict[str, Parser] = {
 #: Fields whose string must be one of a closed set.
 _CHOICES = {"medium": MEDIA, "strategy": STRATEGIES}
 
-#: Integer fields with an upper bound: the popularity table holds one weight per catalog item.
-_LIMITS = {"catalog_size": MAX_CATALOG_SIZE}
+#: Integer fields with an upper bound: the popularity table holds one weight
+#: per catalog item, and a daily evaluation one row per sample.
+_LIMITS = {"catalog_size": MAX_CATALOG_SIZE, "samples_per_day": MAX_SAMPLES_PER_DAY}
 
 
 def _field_parser(section: tuple[str, ...], f: Any) -> Parser | None:
@@ -255,8 +260,8 @@ def _build_base_stations(doc: Any, kinds_by_id: Mapping[str, BsKind]) -> Station
     index = [kinds.setdefault(e["kind"].kind_id, len(kinds)) for e in entries]
     return StationLayout(
         tuple(e["bs_id"] for e in entries),
-        index,
-        [e["position_m"] for e in entries],
+        np.array(index, dtype=np.intp),
+        np.array([e["position_m"] for e in entries], dtype=float),
         tuple(kinds_by_id[kind_id] for kind_id in kinds),
     )
 
@@ -284,7 +289,9 @@ def _build_ues(doc: Any, seed: int) -> UePopulation:
     if not isinstance(doc, list) or not doc:
         raise SchemaError("ues: expected a non-empty list or a generator object")
     entries = [{**_UE_DEFAULTS, **_values(("ues", "*"), entry, f"ues[{i}]")} for i, entry in enumerate(doc)]
-    return UePopulation(*([e[name] for e in entries] for name in _UE_FIELDS))
+    # the parsed values are floats, so the columns go in as arrays, which skip the bool scan
+    columns = (np.array([e[name] for e in entries], dtype=float) for name in _UE_ARRAYS)
+    return UePopulation(tuple(e["ue_id"] for e in entries), *columns)
 
 
 def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario:
@@ -315,7 +322,7 @@ def _build(
     edited path: the kinds when ``kinds`` is; the station columns when
     ``base_stations`` is and the kinds hold every kind_id it places, as a
     scenario resolves its layout's kinds against its own catalog by kind_id
-    (``StationLayout.resolved``), making no station record; the UEs when
+    (``StationLayout.resolved``), which keeps the columns; the UEs when
     ``ues`` is and the seed is equal or the UEs are a list; and the cache
     and traffic records when their sections are (or both leave them out).
     Each other kind, cache and traffic record is read against the base's

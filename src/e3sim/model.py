@@ -1,21 +1,21 @@
-"""Deployment scenario model: the records of one kind, station, UE, cache
-and traffic setting, their invariants, and the errors that report them.
+"""Deployment scenario model: the records of one kind, cache and traffic
+setting, their invariants, and the errors that report them; and the schema
+of one station and one UE.
 
-``scenario`` holds the columnar station and UE records and the whole
-``NetworkScenario``; ``document`` reads and writes the JSON form. Every
-record is immutable after construction and safe to share across concurrent
-evaluations.
+``BaseStation`` and ``UserEquipment`` are schema only: their fields and
+defaults are the keys of a ``base_stations`` or ``ues`` list entry, and
+their names name an entity in errors. Stations and UEs are held, and their
+invariants checked, only as columns, in ``scenario.StationLayout`` and
+``scenario.UePopulation``, which ``NetworkScenario`` bundles with the rest;
+``document`` reads and writes the JSON form. Every record is immutable after
+construction and safe to share across concurrent evaluations.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields
-from typing import Any
-
-import numpy as np
 
 MEDIA = ("wired", "wireless")
 STRATEGIES = ("none", "random_fill", "top_popular")
@@ -26,6 +26,9 @@ MAX_KIND = "max-kind"
 
 #: Largest ``cache.catalog_size``: the popularity table holds one weight per item.
 MAX_CATALOG_SIZE = 10**6
+
+#: Most samples of a daily average: the day is evaluated one row per sample.
+MAX_SAMPLES_PER_DAY = 86_400
 
 #: Most stations a ``grid`` and UEs a ``uniform_random`` generator may make:
 #: each is one row of every station or UE array.
@@ -174,30 +177,21 @@ class BsKind:
 
 @dataclass(frozen=True)
 class BaseStation:
-    """One placed station: identifier, kind reference, planar position."""
+    """Schema of one placed station: identifier, kind reference, planar position."""
 
     bs_id: str
     kind: BsKind
     position_m: tuple[float, float]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position_m", _as_position(self.position_m, "BaseStation", self.bs_id))
-
 
 @dataclass(frozen=True)
 class UserEquipment:
-    """One active user: position, peak-hour demand, and priority weight."""
+    """Schema of one active user: position, peak-hour demand, and priority weight."""
 
     ue_id: str
     position_m: tuple[float, float]
     demand_peak_bps: float
     weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position_m", _as_position(self.position_m, "UserEquipment", self.ue_id))
-        for name in ("demand_peak_bps", "weight"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvariantError(f"UserEquipment '{self.ue_id}': {name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -214,6 +208,8 @@ class TrafficProfile:
         )
         _require(0 <= self.peak_hour < 24, "TrafficProfile: peak_hour must lie in [0, 24)")
         _require(self.samples_per_day >= 1, "TrafficProfile: samples_per_day must be >= 1")
+        if self.samples_per_day > MAX_SAMPLES_PER_DAY:
+            raise InvariantError(f"TrafficProfile: samples_per_day must be <= {MAX_SAMPLES_PER_DAY}")
 
 
 @dataclass(frozen=True)
@@ -246,27 +242,3 @@ def _require_unique(what: str, ids: Iterable[str]) -> None:
         if i in seen:
             raise InvariantError(f"NetworkScenario: duplicate {what} '{i}'")
         seen.add(i)
-
-
-def _is_real(value: Any) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _as_position(value: Any, owner: str, owner_id: str) -> tuple[float, float]:
-    if type(value) is not tuple:
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        if not isinstance(value, (tuple, list)):
-            raise InvariantError(f"{owner} '{owner_id}': position_m must hold two real numbers, got {value!r}")
-        value = tuple(value)
-    if len(value) != 2:
-        raise InvariantError(f"{owner} '{owner_id}': position_m must be an (x, y) pair")
-    x, y = value
-    # floats, as the parser and the generators give, skip the ~0.5 us ABC checks
-    if type(x) is not float or type(y) is not float:
-        if not (_is_real(x) and _is_real(y)):
-            raise InvariantError(f"{owner} '{owner_id}': position_m must hold two real numbers, got ({x!r}, {y!r})")
-        value = (float(x), float(y))
-    if not (math.isfinite(value[0]) and math.isfinite(value[1])):
-        raise InvariantError(f"{owner} '{owner_id}': position_m must be finite")
-    return value

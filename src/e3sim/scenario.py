@@ -1,22 +1,24 @@
-"""A whole scenario: its station and UE records as columns, and its validation.
+"""A whole scenario: its stations and UEs as columns, and its validation.
 
 ``NetworkScenario`` bundles everything one evaluation needs: the catalog of
 base station kinds (``model.BsKind``), the placed stations as one
 ``StationLayout``, the users as one ``UePopulation``, cache and traffic
-settings, and the cost benchmark. Its records are immutable after
-construction and safe to share across concurrent evaluations; a sweep point
-shares every record its edit leaves alone with its base. The JSON document
-form is read and written by ``document``.
+settings, and the cost benchmark. The two tables are the only form that
+stations and UEs take, and the only place their invariants are checked.
+Its records are immutable after construction and safe to share across
+concurrent evaluations; a sweep point shares every record its edit leaves
+alone with its base. The JSON document form is read and written by
+``document``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -38,12 +40,14 @@ from .model import (
 class _Columns:
     """What ``StationLayout`` and ``UePopulation`` share.
 
-    Each holds the fields of one record type, ``_RECORD``, as columns, one
-    entry per entity. The id column, ``_ID``, holds the ids of an explicit
-    list, or None for generated entities, which are named after the id's
-    prefix: ``bs000``, ``ue001``, ... ``position_m`` is an (N, 2) array. The
-    arrays are read-only copies. Equality compares the ids and
-    ``_compared()``; equal records have equal lengths, which is their hash,
+    Each holds the fields of one schema dataclass, ``_RECORD``, as columns,
+    one entry per entity, and names an entity in its errors after that
+    class: ``BaseStation 'b': ...``. The id column, ``_ID``, holds the ids of
+    an explicit list, or None for generated entities, which are named after
+    the id's prefix: ``bs000``, ``ue001``, ... ``position_m`` is an (N, 2)
+    array. The arrays are read-only copies; a column given as a Python
+    sequence must hold no bool (``_holds_bool``). Equality compares the ids and
+    ``_compared()``; equal tables have equal lengths, which is their hash,
     as hashing the columns would cost O(N).
     """
 
@@ -110,17 +114,19 @@ class StationLayout(_Columns):
     The fields are those of ``BaseStation``, each a column: ``bs_id`` the
     ids of an explicit list, or None for a grid, whose stations are named
     ``bs000``, ``bs001``, ...; ``kind`` each station's index into
-    ``kinds``, the distinct kinds the stations were placed with, in order
-    of first use; ``position_m`` a (B, 2) array. Finite positions, valid
-    kind indices and unique explicit ids are checked once, here, with array
-    operations; an error names the first station that breaks a rule.
-    Indexing and iterating give ``BaseStation`` records; equality compares
-    ids, kind ids and positions.
+    ``kinds``, the distinct kinds the stations were placed with (a
+    document's in order of first use); ``position_m`` a (B, 2) array.
+    Finite positions, valid kind indices, kinds that each place a station
+    (the evaluation computes per kind of ``kinds``, so an unplaced one could
+    fail a scenario that equals one without it) and unique explicit ids are
+    checked once, here, with array operations; an error names the first
+    station that breaks a rule.
+    Equality compares ids, kind ids and positions.
 
     A scenario holds its layout resolved against its own catalog by kind_id
     (``resolved``): the kinds are its catalog's, and the columns are the
     ones it was given, so a sweep point that edits a kind shares its base's
-    columns and makes no station record.
+    columns.
     """
 
     bs_id: tuple[str, ...] | None
@@ -138,30 +144,16 @@ class StationLayout(_Columns):
             raise InvariantError("StationLayout: kinds must be BsKind records with distinct kind_ids")
         object.__setattr__(self, "kinds", kinds)
         kind = np.array(self.kind)
-        if kind.shape != (count,) or kind.dtype.kind not in "iu" or not ((kind >= 0) & (kind < len(kinds))).all():
+        indices = kind.dtype.kind in "iu" and not _holds_bool(self.kind)
+        if kind.shape != (count,) or not indices or not ((kind >= 0) & (kind < len(kinds))).all():
             raise InvariantError(f"StationLayout: kind must hold {count} indices into kinds")
         kind = kind.astype(np.intp)
         kind.flags.writeable = False
         object.__setattr__(self, "kind", kind)
+        unplaced = np.bincount(kind, minlength=len(kinds)) == 0
+        if unplaced.any():
+            raise InvariantError(f"StationLayout: no station is of kind '{kinds[int(unplaced.argmax())].kind_id}'")
         self._finish([(~np.isfinite(self.position_m).all(axis=1), "position_m must be finite")])
-
-    @classmethod
-    def of(cls, stations: Iterable[BaseStation]) -> StationLayout:
-        """The layout of ``BaseStation`` records, in their order; stations of
-        one kind_id take the kind of the first of them."""
-        stations = tuple(stations)
-        kinds: dict[str, BsKind] = {}
-        for b in stations:
-            if not isinstance(b, BaseStation):
-                raise InvariantError(f"NetworkScenario: base_stations must be BaseStation records, got {b!r}")
-            kinds.setdefault(b.kind.kind_id, b.kind)
-        index = {kind_id: i for i, kind_id in enumerate(kinds)}
-        return cls(
-            tuple(b.bs_id for b in stations),
-            np.array([index[b.kind.kind_id] for b in stations], dtype=np.intp),
-            np.array([b.position_m for b in stations], dtype=float).reshape(-1, 2),
-            tuple(kinds.values()),
-        )
 
     def resolved(self, catalog: Mapping[str, BsKind]) -> StationLayout:
         """This layout with the kinds of ``catalog``, a map by kind_id.
@@ -173,7 +165,8 @@ class StationLayout(_Columns):
         kinds = tuple(catalog.get(k.kind_id) for k in self.kinds)
         unknown = [j for j, k in enumerate(kinds) if k is None]
         if unknown:
-            raise _unknown_kind(self[int(np.isin(self.kind, unknown).argmax())])
+            i = int(np.isin(self.kind, unknown).argmax())
+            raise _unknown_kind(self._id(i), self.kinds[self.kind[i]].kind_id)
         if all(map(operator.is_, kinds, self.kinds)):
             return self
         layout = object.__new__(StationLayout)
@@ -196,16 +189,6 @@ class StationLayout(_Columns):
         order.flags.writeable = False
         return order
 
-    def __getitem__(self, index: int) -> BaseStation:
-        i = range(len(self))[index]
-        x, y = self.position_m[i].tolist()
-        return BaseStation(self._id(i), self.kinds[self.kind[i]], (x, y))
-
-    def __iter__(self) -> Iterator[BaseStation]:
-        kinds = [self.kinds[j] for j in self.kind.tolist()]
-        for bs_id, kind, (x, y) in zip(self.ids(), kinds, self.position_m.tolist()):
-            yield BaseStation(bs_id, kind, (x, y))
-
     def _compared(self) -> tuple:
         return self.kind_ids(), self.position_m
 
@@ -218,10 +201,9 @@ class UePopulation(_Columns):
     ids of an explicit list, or None for a generated population, whose UEs
     are named ``ue000``, ``ue001``, ...; ``position_m`` a (U, 2) array;
     ``demand_peak_bps`` and ``weight`` length-U arrays. The invariants of
-    ``UserEquipment`` and the uniqueness of explicit ids are checked once,
-    here, with array operations; an error names the first UE that breaks
-    one. Indexing and iterating give ``UserEquipment`` records; a slice
-    gives a population.
+    ``UserEquipment`` (finite positions, finite positive demands and
+    weights) and the uniqueness of explicit ids are checked once, here,
+    with array operations; an error names the first UE that breaks one.
     """
 
     ue_id: tuple[str, ...] | None
@@ -247,34 +229,6 @@ class UePopulation(_Columns):
             (~((weight > 0) & (weight < math.inf)), "weight must be finite and > 0"),
         ])
 
-    @classmethod
-    def of(cls, ues: Iterable[UserEquipment]) -> UePopulation:
-        """The population of ``UserEquipment`` records, in their order."""
-        ues = tuple(ues)
-        for u in ues:
-            if not isinstance(u, UserEquipment):
-                raise InvariantError(f"NetworkScenario: ues must be UserEquipment records, got {u!r}")
-        return cls(
-            tuple(u.ue_id for u in ues),
-            np.array([u.position_m for u in ues], dtype=float).reshape(-1, 2),
-            [u.demand_peak_bps for u in ues],
-            [u.weight for u in ues],
-        )
-
-    def __getitem__(self, index: int | slice) -> UserEquipment | UePopulation:
-        if isinstance(index, slice):
-            return UePopulation(
-                self.ids()[index], self.position_m[index], self.demand_peak_bps[index], self.weight[index]
-            )
-        i = range(len(self))[index]
-        x, y = self.position_m[i].tolist()
-        return UserEquipment(self._id(i), (x, y), float(self.demand_peak_bps[i]), float(self.weight[i]))
-
-    def __iter__(self) -> Iterator[UserEquipment]:
-        columns = (self.position_m.tolist(), self.demand_peak_bps.tolist(), self.weight.tolist())
-        for ue_id, (x, y), demand, weight in zip(self.ids(), *columns):
-            yield UserEquipment(ue_id, (x, y), demand, weight)
-
     def _compared(self) -> tuple:
         return tuple(getattr(self, name) for name in _UE_ARRAYS)
 
@@ -285,26 +239,38 @@ _UE_ARRAYS = _UE_FIELDS[1:]
 
 
 def _real_array(value: Any, name: str, owner: str = "UePopulation") -> np.ndarray:
-    """A read-only float64 copy of ``value``, which must hold real numbers."""
+    """A read-only float64 copy of ``value``, which must hold real numbers:
+    no bool, as an array's dtype or (``_holds_bool``) a sequence's element."""
     try:
         array = np.asarray(value)
     except ValueError:  # ragged nesting
         array = np.asarray(None)
-    if array.dtype.kind not in "iuf":
-        raise InvariantError(f"{owner}: {name} must hold real numbers, got dtype {array.dtype}")
+    dtype = array.dtype
+    if dtype.kind in "iuf" and _holds_bool(value):
+        dtype = np.dtype(bool)
+    if dtype.kind not in "iuf":
+        raise InvariantError(f"{owner}: {name} must hold real numbers, got dtype {dtype}")
     array = array.astype(float)
     array.flags.writeable = False
     return array
+
+
+def _holds_bool(value: Any) -> bool:
+    """Whether ``value``, a Python sequence of numbers, holds a bool anywhere,
+    which ``np.asarray`` would turn into a number. An array holds none: its
+    dtype tells."""
+    if isinstance(value, np.ndarray):
+        return False
+    return any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat)
 
 
 @dataclass(frozen=True)
 class NetworkScenario:
     """Complete immutable description of one deployment under evaluation.
 
-    ``base_stations`` is a ``StationLayout`` and ``ues`` a ``UePopulation``;
-    a sequence of ``BaseStation`` or ``UserEquipment`` records given in
-    their place becomes one. The layout is held resolved against
-    ``kinds`` by kind_id, so station i is of kind
+    ``base_stations`` must be a ``StationLayout`` and ``ues`` a
+    ``UePopulation``. The layout is held resolved against ``kinds`` by
+    kind_id, so station i is of kind
     ``base_stations.kinds[base_stations.kind[i]]``, a record of ``kinds``.
     """
 
@@ -319,24 +285,18 @@ class NetworkScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        stations = self.base_stations
-        if not isinstance(stations, StationLayout):
-            stations = tuple(stations)
-        if not isinstance(self.ues, UePopulation):
-            object.__setattr__(self, "ues", UePopulation.of(self.ues))
+        for name, table in (("base_stations", StationLayout), ("ues", UePopulation)):
+            value = getattr(self, name)
+            if not isinstance(value, table):
+                raise InvariantError(
+                    f"NetworkScenario: {name} must be a {table.__name__}, got {type(value).__name__}"
+                )
         _require(len(self.kinds) >= 1, "NetworkScenario: at least one kind required")
-        _require(len(stations) >= 1, "NetworkScenario: at least one base station required")
+        _require(len(self.base_stations) >= 1, "NetworkScenario: at least one base station required")
         _require(len(self.ues) >= 1, "NetworkScenario: at least one UE required")
         _require_unique("kind_id", [k.kind_id for k in self.kinds])
         by_id = {k.kind_id: k for k in self.kinds}
-        if not isinstance(stations, StationLayout):
-            layout = StationLayout.of(stations)
-            for bs in stations:
-                kind = by_id.get(bs.kind.kind_id)
-                if kind is not bs.kind and kind != bs.kind:
-                    raise _unknown_kind(bs)
-            stations = layout
-        object.__setattr__(self, "base_stations", stations.resolved(by_id))
+        object.__setattr__(self, "base_stations", self.base_stations.resolved(by_id))
         if isinstance(self.benchmark_cost, str):
             if self.benchmark_cost != MAX_KIND:
                 raise InvariantError(f"NetworkScenario: benchmark_cost must be a number or '{MAX_KIND}'")
@@ -346,8 +306,8 @@ class NetworkScenario:
             raise InvariantError(f"NetworkScenario: radio_mode must be one of {RADIO_MODES}")
 
 
-def _unknown_kind(bs: BaseStation) -> UnknownKindError:
-    return UnknownKindError(f"BaseStation '{bs.bs_id}': kind '{bs.kind.kind_id}' is not in the scenario catalog")
+def _unknown_kind(bs_id: str, kind_id: str) -> UnknownKindError:
+    return UnknownKindError(f"BaseStation '{bs_id}': kind '{kind_id}' is not in the scenario catalog")
 
 
 def validate_scenario(s: NetworkScenario) -> list[str]:

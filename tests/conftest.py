@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 
 from e3sim import (
-    BaseStation,
     BsKind,
     CacheConfig,
     NetworkScenario,
+    StationLayout,
     TrafficProfile,
-    UserEquipment,
+    UePopulation,
     XHaulSolution,
     build_scenario,
     scenario_to_document,
@@ -57,7 +57,8 @@ def radio_capacities(s):
 
 def serving_ids(s):
     """The bs_id serving each UE, in ``s.ues`` order."""
-    return [s.base_stations[i].bs_id for i in nearest_stations(s).tolist()]
+    ids = s.base_stations.ids()
+    return [ids[i] for i in nearest_stations(s).tolist()]
 
 
 def make_xhaul(capacity_bps=5e7, medium="wired", factor=None, solution_id="xh"):
@@ -95,6 +96,28 @@ def make_kind(
     )
 
 
+def make_stations(positions, kinds, ids=None):
+    """A ``StationLayout`` of one station at each of ``positions``, of the
+    kind at the same index of ``kinds``, named ``ids`` (None: ``bs000``,
+    ``bs001``, ...). The layout holds the distinct kinds by kind_id in order
+    of first use, as a document's station list does."""
+    placed = {}
+    for kind in kinds:
+        placed.setdefault(kind.kind_id, kind)
+    index = list(placed)
+    return StationLayout(
+        ids, np.array([index.index(k.kind_id) for k in kinds], dtype=np.intp), positions, tuple(placed.values())
+    )
+
+
+def make_ues(positions, demand=1e6, weight=1.0, ids=None):
+    """A ``UePopulation`` of one UE at each of ``positions``; ``demand`` and
+    ``weight`` are one value for every UE or one per UE, and ``ids`` None
+    names them ``ue000``, ``ue001``, ..."""
+    count = len(positions)
+    return UePopulation(ids, positions, np.broadcast_to(demand, count), np.broadcast_to(weight, count))
+
+
 def make_scenario(
     kinds=None,
     base_stations=None,
@@ -109,13 +132,13 @@ def make_scenario(
     if kinds is None:
         kinds = (make_kind(),)
     if base_stations is None:
-        base_stations = (BaseStation("bs000", kinds[0], (0.0, 0.0)),)
+        base_stations = make_stations([(0.0, 0.0)], kinds[:1], ids=("bs000",))
     if ues is None:
-        ues = (UserEquipment("ue000", (10.0, 0.0), 1e7, 1.0),)
+        ues = make_ues([(10.0, 0.0)], 1e7, ids=("ue000",))
     return NetworkScenario(
         kinds=tuple(kinds),
-        base_stations=tuple(base_stations),
-        ues=tuple(ues),
+        base_stations=base_stations,
+        ues=ues,
         cache=cache or CacheConfig(),
         traffic=traffic or TrafficProfile(),
         benchmark_cost=benchmark_cost,

@@ -2,9 +2,11 @@
 
 Plain scalar loops, one UE and one station at a time: nearest-station
 association, physical-mode capacity, per-station max-min filling, and the
-per-hour and daily metric evaluation built from them. Also the brute-force
-oracles of the max-min allocation and of the random-fill hit ratio. Slow
-by design; use on small scenarios only.
+per-hour and daily metric evaluation built from them. They read a
+scenario's station and UE columns through ``stations`` and ``ues``, small
+read-only records of one entity each. Also the brute-force oracles of the
+max-min allocation and of the random-fill hit ratio. Slow by design; use
+on small scenarios only.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from e3sim import (
     SECONDS_PER_YEAR,
+    BsKind,
     MetricReport,
     NetworkScenario,
     Popularity,
@@ -39,6 +42,39 @@ from e3sim.radio import (
 _BRUTEFORCE_MAX_UES = 4
 _BRUTEFORCE_GRID_STEPS = 1000
 _ORACLE_MAX_CATALOG = 20
+
+
+@dataclass(frozen=True)
+class Station:
+    """One station of a scenario, read from its layout's columns."""
+
+    bs_id: str
+    kind: BsKind
+    position_m: tuple[float, float]
+
+
+@dataclass(frozen=True)
+class Ue:
+    """One UE of a scenario, read from its population's columns."""
+
+    ue_id: str
+    position_m: tuple[float, float]
+    demand_peak_bps: float
+    weight: float
+
+
+def stations(s: NetworkScenario) -> list[Station]:
+    """Every station of ``s``, in layout order, with the scenario's kinds."""
+    layout = s.base_stations
+    kinds = [layout.kinds[j] for j in layout.kind.tolist()]
+    return [Station(i, k, (x, y)) for i, k, (x, y) in zip(layout.ids(), kinds, layout.position_m.tolist())]
+
+
+def ues(s: NetworkScenario) -> list[Ue]:
+    """Every UE of ``s``, in population order."""
+    p = s.ues
+    columns = (p.position_m.tolist(), p.demand_peak_bps.tolist(), p.weight.tolist())
+    return [Ue(i, (x, y), d, w) for i, (x, y), d, w in zip(p.ids(), *columns)]
 
 
 @dataclass(frozen=True)
@@ -64,9 +100,10 @@ def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
 def associate(s: NetworkScenario) -> Association:
     """Nearest station per UE by ``(distance, bs_id)``, one UE at a time."""
     serving: dict[str, str] = {}
-    attached: dict[str, list[str]] = {b.bs_id: [] for b in s.base_stations}
-    for ue in s.ues:
-        best = min(s.base_stations, key=lambda b: (_distance(b.position_m, ue.position_m), b.bs_id))
+    all_stations = stations(s)
+    attached: dict[str, list[str]] = {b.bs_id: [] for b in all_stations}
+    for ue in ues(s):
+        best = min(all_stations, key=lambda b: (_distance(b.position_m, ue.position_m), b.bs_id))
         serving[ue.ue_id] = best.bs_id
         attached[best.bs_id].append(ue.ue_id)
     return Association(serving=serving, attached={k: tuple(v) for k, v in attached.items()})
@@ -81,7 +118,7 @@ def _received_power_w(tx_power_w: float, distance_m: float) -> float:
     return tx_power_w / 10.0 ** (_path_loss_db(distance_m) / 10.0)
 
 
-def radio_capacity(bs, assoc: Association, s: NetworkScenario) -> float:
+def radio_capacity(bs: Station, assoc: Association, s: NetworkScenario) -> float:
     """Station capacity with every interferer summed per UE in Python."""
     if s.radio_mode == "abstract":
         return bs.kind.radio_capacity_bps
@@ -89,7 +126,8 @@ def radio_capacity(bs, assoc: Association, s: NetworkScenario) -> float:
     m = len(ue_ids)
     if m == 0:
         return 0.0
-    ues_by_id = {u.ue_id: u for u in s.ues}
+    ues_by_id = {u.ue_id: u for u in ues(s)}
+    others = [other for other in stations(s) if other.bs_id != bs.bs_id]
     bandwidth = bs.kind.bandwidth_hz
     noise_w = _NOISE_W_PER_HZ * bandwidth
     total = 0.0
@@ -97,9 +135,7 @@ def radio_capacity(bs, assoc: Association, s: NetworkScenario) -> float:
         ue = ues_by_id[ue_id]
         signal = _received_power_w(bs.kind.tx_power_w, _distance(bs.position_m, ue.position_m))
         interference = sum(
-            _received_power_w(other.kind.tx_power_w, _distance(other.position_m, ue.position_m))
-            for other in s.base_stations
-            if other.bs_id != bs.bs_id
+            _received_power_w(other.kind.tx_power_w, _distance(other.position_m, ue.position_m)) for other in others
         )
         sinr = signal / (interference + noise_w)
         total += (bandwidth / m) * math.log2(1.0 + sinr)
@@ -127,11 +163,11 @@ def max_min_rates(demands: Sequence[float], capacity: float) -> list[float]:
 def allocate(s: NetworkScenario, assoc: Association, t_hours: float) -> Allocation:
     """Station-by-station allocation at one hour, every input recomputed."""
     popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
-    peaks = {u.ue_id: u.demand_peak_bps for u in s.ues}
+    peaks = {u.ue_id: u.demand_peak_bps for u in ues(s)}
     factor = demand_factor(t_hours, s.traffic)
     rates: dict[str, float] = {}
     load: dict[str, float] = {}
-    for bs in s.base_stations:
+    for bs in stations(s):
         ue_ids = assoc.attached[bs.bs_id]
         demands = [peaks[u] * factor for u in ue_ids]
         h = hit_ratio(s.cache.strategy, bs.kind.cache_size, popularity)
@@ -149,12 +185,12 @@ def evaluate(s: NetworkScenario, t_hours: float) -> MetricReport:
     assoc = associate(s)
     alloc = allocate(s, assoc, t_hours)
     throughput = sum(alloc.rates_bps.values())
-    weighted_throughput = sum(u.weight * alloc.rates_bps[u.ue_id] for u in s.ues)
+    weighted_throughput = sum(u.weight * alloc.rates_bps[u.ue_id] for u in ues(s))
     c0 = resolve_benchmark_cost(s)
     total_power = 0.0
     weighted_power = 0.0
     per_item_w = s.cache.cache_power_per_item_w
-    for bs in s.base_stations:
+    for bs in stations(s):
         transceiver = bs.kind.max_tx_dynamic_power_w * alloc.radio_load[bs.bs_id]
         dynamic = transceiver + bs.kind.xhaul.xhaul_power_factor * transceiver
         static = bs.kind.static_power_w + per_item_w * bs.kind.cache_size
@@ -163,7 +199,7 @@ def evaluate(s: NetworkScenario, t_hours: float) -> MetricReport:
         weighted_power += dynamic + static * cn
     if total_power <= 0 or weighted_power <= 0:
         raise ValueError("total power is zero; refusing to report infinite efficiency")
-    total_bandwidth = sum(b.kind.bandwidth_hz for b in s.base_stations)
+    total_bandwidth = sum(b.kind.bandwidth_hz for b in stations(s))
     return MetricReport(
         throughput_bps=throughput,
         weighted_throughput_bps=weighted_throughput,
@@ -186,7 +222,7 @@ def evaluate_daily(s: NetworkScenario) -> MetricReport:
     weighted_throughput = sum(r.weighted_throughput_bps for r in reports) / samples
     total_power = sum(r.total_power_w for r in reports) / samples
     weighted_power = sum(r.weighted_power_w for r in reports) / samples
-    total_bandwidth = sum(b.kind.bandwidth_hz for b in s.base_stations)
+    total_bandwidth = sum(b.kind.bandwidth_hz for b in stations(s))
     return MetricReport(
         throughput_bps=throughput,
         weighted_throughput_bps=weighted_throughput,

@@ -15,11 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import allocation_at, load_document, make_kind, make_scenario, scenario_path
+from conftest import allocation_at, load_document, make_kind, make_scenario, make_stations, make_ues, scenario_path
 from e3sim import (
-    BaseStation,
     SweepSpec,
-    UserEquipment,
     argmax,
     build_scenario,
     evaluate,
@@ -50,14 +48,8 @@ def test_c1_e3_reduces_to_ee_under_unit_coefficients():
             make_kind(kind_id="a", cost_per_area=70.0),
             make_kind(kind_id="b", cost_per_area=70.0),
         )
-        stations = (
-            BaseStation("b0", kinds[0], (0.0, 0.0)),
-            BaseStation("b1", kinds[1], (200.0, 0.0)),
-        )
-        ues = (
-            UserEquipment("u0", (5.0, 0.0), 1e7, 1.0),
-            UserEquipment("u1", (195.0, 0.0), 6e6, 1.5),
-        )
+        stations = make_stations([(0.0, 0.0), (200.0, 0.0)], kinds, ids=("b0", "b1"))
+        ues = make_ues([(5.0, 0.0), (195.0, 0.0)], (1e7, 6e6), (1.0, 1.5), ids=("u0", "u1"))
         s = make_scenario(kinds=kinds, base_stations=stations, ues=ues, benchmark_cost="max-kind")
         report = evaluate(s, 0.0)
         assert abs(report.e3 - report.ee) / report.ee <= 1e-12
@@ -169,10 +161,9 @@ def test_c6_allocation_matches_bruteforce_oracle():
                 kind = make_kind(
                     radio_capacity_bps=1e9, xhaul=make_xhaul(capacity_bps=capacity)
                 )
-                stations = (BaseStation("b0", kind, (0.0, 0.0)),)
-                ues = tuple(
-                    UserEquipment(f"u{i}", (float(i), 0.0), d, 1.0)
-                    for i, d in enumerate(demands)
+                stations = make_stations([(0.0, 0.0)], [kind], ids=("b0",))
+                ues = make_ues(
+                    [(float(i), 0.0) for i in range(len(demands))], demands, ids=[f"u{i}" for i in range(len(demands))]
                 )
                 s = make_scenario(kinds=(kind,), base_stations=stations, ues=ues)
                 rates, _ = allocation_at(s, 0.0)

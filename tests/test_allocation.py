@@ -5,12 +5,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import allocation_at, make_kind, make_scenario, with_parameter
+from conftest import allocation_at, make_kind, make_scenario, make_stations, make_ues, with_parameter
 from oracles import allocate_bruteforce
 from e3sim import (
-    BaseStation,
     CacheConfig,
-    UserEquipment,
+    UePopulation,
     allocation,
     effective_bs_capacity,
     hit_ratio,
@@ -132,8 +131,8 @@ def caching_scenario(xhaul_capacity=16e6, cache_size=0, strategy="top_popular"):
         xhaul=make_xhaul(capacity_bps=xhaul_capacity),
         cache_size=cache_size,
     )
-    stations = (BaseStation("b0", kind, (0.0, 0.0)),)
-    ues = tuple(UserEquipment(f"u{i}", (float(i), 0.0), 4e6, 1.0) for i in range(10))
+    stations = make_stations([(0.0, 0.0)], [kind], ids=("b0",))
+    ues = make_ues([(float(i), 0.0) for i in range(10)], 4e6, ids=[f"u{i}" for i in range(10)])
     return make_scenario(
         kinds=(kind,),
         base_stations=stations,
@@ -145,7 +144,7 @@ def caching_scenario(xhaul_capacity=16e6, cache_size=0, strategy="top_popular"):
 def rates_at(s, t_hours):
     """Granted rate of each ue_id at hour ``t_hours``, and the radio load of each station."""
     rates, load = allocation_at(s, t_hours)
-    return dict(zip((u.ue_id for u in s.ues), rates.tolist())), load
+    return dict(zip(s.ues.ids(), rates.tolist())), load
 
 
 def xhaul_traffic(s, rates):
@@ -174,7 +173,7 @@ class TestAllocate:
         assert xhaul_traffic(s, rates) <= s.kinds[0].xhaul.capacity_bps * (1 + 1e-12)
         assert 0.0 <= load[0] <= 1.0
         assert all(
-            rates[u.ue_id] <= u.demand_peak_bps + 1e-9 for u in s.ues
+            rates[u] <= demand + 1e-9 for u, demand in zip(s.ues.ids(), s.ues.demand_peak_bps.tolist())
         )
 
     def test_cache_hits_raise_served_traffic_and_every_rate(self):
@@ -195,7 +194,10 @@ class TestAllocate:
         s = caching_scenario(xhaul_capacity=2.3e7, cache_size=3)
         from dataclasses import replace
 
-        permuted = replace(s, ues=s.ues[::-1])
+        u = s.ues
+        permuted = replace(
+            s, ues=UePopulation(u.ids()[::-1], u.position_m[::-1], u.demand_peak_bps[::-1], u.weight[::-1])
+        )
         rates = rates_at(s, 5.0)[0]
         rates_permuted = rates_at(permuted, 5.0)[0]
         assert rates == rates_permuted

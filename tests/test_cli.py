@@ -11,7 +11,7 @@ import pytest
 from conftest import load_document, scenario_path
 from e3sim import SweepSpec, build_scenario, evaluate, evaluate_daily, run_sweep
 from e3sim.cli import CSV_COLUMNS, MAX_GRID_POINTS, _parse_values, main
-from e3sim.model import MAX_CATALOG_SIZE, MAX_STATIONS, MAX_UES
+from e3sim.model import MAX_CATALOG_SIZE, MAX_SAMPLES_PER_DAY, MAX_STATIONS, MAX_UES
 
 FIG3 = str(scenario_path("fig3.json"))
 
@@ -62,6 +62,30 @@ class TestEval:
         path.write_text(json.dumps(doc))
         assert main(["eval", str(path)]) == 1
         assert capsys.readouterr().err == f"error: cache.catalog_size: must be <= {MAX_CATALOG_SIZE}\n"
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES_PER_DAY + 1, 10**9], ids=["limit_plus_1", "1e9"])
+    def test_oversized_samples_per_day_exits_1_naming_the_path(self, tmp_path, capsys, samples):
+        # a daily evaluation holds one row per sample: 10**9 of them ran out of memory
+        doc = load_document("fig3.json")
+        doc["traffic"]["samples_per_day"] = samples
+        path = tmp_path / "huge_day.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            assert main(["eval", str(path), "--daily"]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == f"error: traffic.samples_per_day: must be <= {MAX_SAMPLES_PER_DAY}\n"
+        assert peak < 1 << 20
+
+    def test_a_day_of_one_sample_a_second_evaluates(self, tmp_path, capsys):
+        doc = load_document("fig3.json")
+        doc["traffic"]["samples_per_day"] = MAX_SAMPLES_PER_DAY
+        path = tmp_path / "fine_day.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), "--daily"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "rows, cols, count, error",

@@ -21,15 +21,17 @@ from conftest import (
     load_document,
     make_kind,
     make_scenario,
+    make_stations,
+    make_ues,
     make_xhaul,
     radio_capacities,
     serving_ids,
 )
 from e3sim import (
-    BaseStation,
     CacheConfig,
+    StationLayout,
     TrafficProfile,
-    UserEquipment,
+    UePopulation,
     allocation,
     build_scenario,
     evaluate,
@@ -76,15 +78,19 @@ def scenarios(draw, radio_mode="abstract", lattice=None, unit_costs=False):
         )
     n_bs = draw(st.integers(1, 6))
     names = draw(st.permutations([f"b{i}" for i in range(n_bs)]))
-    xy = coordinate(lattice)
-    stations = tuple(
-        BaseStation(names[i], draw(st.sampled_from(kinds)), (draw(xy), draw(xy))) for i in range(n_bs)
+    xy = st.tuples(coordinate(lattice), coordinate(lattice))
+    stations = make_stations(
+        draw(st.lists(xy, min_size=n_bs, max_size=n_bs)),
+        draw(st.lists(st.sampled_from(kinds), min_size=n_bs, max_size=n_bs)),
+        ids=names,
     )
-    ues = tuple(
-        UserEquipment(
-            f"u{i}", (draw(xy), draw(xy)), draw(st.floats(1e5, 2e7)), draw(st.floats(0.5, 3.0))
-        )
-        for i in range(draw(st.integers(1, 14)))
+    n_ues = draw(st.integers(1, 14))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n_ues, max_size=n_ues))
+
+    ues = make_ues(
+        column(xy), column(st.floats(1e5, 2e7)), column(st.floats(0.5, 3.0)), ids=[f"u{i}" for i in range(n_ues)]
     )
     return make_scenario(
         kinds=tuple(kinds),
@@ -121,7 +127,7 @@ def core_allocation(s, t):
 def oracle_allocation(s, assoc, t):
     """``oracles.allocate`` in the index order of ``allocation_at``."""
     alloc = oracles.allocate(s, assoc, t)
-    return [alloc.rates_bps[u.ue_id] for u in s.ues], [alloc.radio_load[b.bs_id] for b in s.base_stations]
+    return [alloc.rates_bps[u] for u in s.ues.ids()], [alloc.radio_load[b] for b in s.base_stations.ids()]
 
 
 def assert_close(a, b, rel=1e-10):
@@ -147,10 +153,10 @@ class TestAgainstScalarOracle:
     @settings(max_examples=10, deadline=None)
     @given(s=scenarios(), t=hours)
     def test_allocation_follows_a_given_association(self, s, t):
-        first = s.base_stations[0].bs_id
-        attached = {b.bs_id: () for b in s.base_stations}
-        attached[first] = tuple(u.ue_id for u in s.ues)
-        assoc = oracles.Association(serving={u.ue_id: first for u in s.ues}, attached=attached)
+        first = s.base_stations.ids()[0]
+        attached = {b: () for b in s.base_stations.ids()}
+        attached[first] = s.ues.ids()
+        assoc = oracles.Association(serving={u: first for u in s.ues.ids()}, attached=attached)
         all_to_first = lambda s: np.zeros(len(s.ues), dtype=np.intp)
         with mock.patch.object(allocation, "nearest_stations", all_to_first):
             got = outcome(core_allocation, s, t)
@@ -170,25 +176,25 @@ class TestAgainstScalarOracle:
     def test_physical_capacity_within_1e_10(self, s):
         assoc = oracles.associate(s)
         got = radio_capacities(s)
-        want = [oracles.radio_capacity(b, assoc, s) for b in s.base_stations]
+        want = [oracles.radio_capacity(b, assoc, s) for b in oracles.stations(s)]
         assert_close(got, want)
 
     @settings(max_examples=20, deadline=None)
     @given(s=scenarios(lattice=True))
     def test_association_matches_on_lattice_ties(self, s):
         serving = oracles.associate(s).serving
-        assert serving_ids(s) == [serving[u.ue_id] for u in s.ues]
+        assert serving_ids(s) == [serving[u] for u in s.ues.ids()]
 
     def test_distances_equal_after_rounding_tie_like_math_hypot(self):
         # station "a" sits at the rounded distance of "b" from the UE, so the
         # hypot distances tie although the squared distances may round apart
         rng = random.Random(1)
         kind = make_kind()
-        ue = UserEquipment("u0", (0.0, 0.0), 1e6)
+        ue = make_ues([(0.0, 0.0)], ids=("u0",))
         for _ in range(50):
             x, y = rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0)
-            stations = (BaseStation("b", kind, (x, y)), BaseStation("a", kind, (math.hypot(x, y), 0.0)))
-            s = make_scenario(kinds=(kind,), base_stations=stations, ues=(ue,))
+            stations = make_stations([(x, y), (math.hypot(x, y), 0.0)], [kind, kind], ids=("b", "a"))
+            s = make_scenario(kinds=(kind,), base_stations=stations, ues=ue)
             assert serving_ids(s) == [oracles.associate(s).serving["u0"]]
 
     @settings(max_examples=10, deadline=None)
@@ -206,8 +212,10 @@ def layout_scenario(stations, ues):
     kind = make_kind()
     return make_scenario(
         kinds=(kind,),
-        base_stations=tuple(BaseStation(f"b{len(stations) - i:03d}", kind, xy) for i, xy in enumerate(stations)),
-        ues=tuple(UserEquipment(f"u{i}", xy, 1e6) for i, xy in enumerate(ues)),
+        base_stations=make_stations(
+            stations, [kind] * len(stations), ids=[f"b{len(stations) - i:03d}" for i in range(len(stations))]
+        ),
+        ues=make_ues(ues, ids=[f"u{i}" for i in range(len(ues))]),
     )
 
 
@@ -260,7 +268,7 @@ class TestCellSearch:
         with mock.patch.object(radio, "CHUNK_BYTES", chunk_bytes):
             got = serving_ids(s)
         serving = oracles.associate(s).serving
-        assert got == [serving[u.ue_id] for u in s.ues]
+        assert got == [serving[u] for u in s.ues.ids()]
 
     def test_rounding_ties_across_the_searched_cells_follow_math_hypot(self):
         # "a" lies two cells right of the UE's, at the rounded distance of "b"
@@ -283,7 +291,7 @@ class TestCellSearch:
         _, settled = radio._cell_search(np.array(stations), ues)
         assert settled.sum() > 1000  # most UEs are decided by the cell search alone
         serving = oracles.associate(s).serving
-        assert serving_ids(s) == [serving[u.ue_id] for u in s.ues]
+        assert serving_ids(s) == [serving[u] for u in s.ues.ids()]
 
 
 class Draws:
@@ -308,10 +316,15 @@ class TestMetamorphic:
     @given(s=scenarios(lattice=False), seed=st.integers(0, 2**16), t=hours)
     def test_reordering_ues_and_stations_leaves_the_report(self, s, seed, t):
         rng = random.Random(seed)
-        ues, stations = list(s.ues), list(s.base_stations)
-        rng.shuffle(ues)
-        rng.shuffle(stations)
-        shuffled = replace(s, ues=tuple(ues), base_stations=tuple(stations))
+        u, b = s.ues, s.base_stations
+        ue_order, bs_order = list(range(len(u))), list(range(len(b)))
+        rng.shuffle(ue_order)
+        rng.shuffle(bs_order)
+        ues = UePopulation(
+            [u.ids()[i] for i in ue_order], u.position_m[ue_order], u.demand_peak_bps[ue_order], u.weight[ue_order]
+        )
+        stations = StationLayout([b.ids()[i] for i in bs_order], b.kind[bs_order], b.position_m[bs_order], b.kinds)
+        shuffled = replace(s, ues=ues, base_stations=stations)
         base, other = outcome(evaluate, s, t), outcome(evaluate, shuffled, t)
         if isinstance(base, tuple):
             assert other == base

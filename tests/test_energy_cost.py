@@ -2,9 +2,8 @@
 
 import pytest
 
-from conftest import make_kind, make_scenario, make_xhaul
+from conftest import make_kind, make_scenario, make_stations, make_xhaul
 from e3sim import (
-    BaseStation,
     CostBreakdown,
     cost_coefficient,
     effective_cost_per_area,
@@ -14,7 +13,7 @@ from e3sim.energy_cost import dynamic_parts
 
 
 def station(kind):
-    return BaseStation("b0", kind, (0.0, 0.0))
+    return make_stations([(0.0, 0.0)], [kind], ids=("b0",))
 
 
 def parts(kind, load):
@@ -104,14 +103,14 @@ class TestCostCoefficient:
 class TestTotalCostRate:
     def test_single_station(self):
         kind = make_kind(cost_per_area=100.0, coverage_area_m2=10.0)
-        s = make_scenario(kinds=(kind,), base_stations=(station(kind),))
+        s = make_scenario(kinds=(kind,), base_stations=station(kind))
         assert total_cost_rate(s) == pytest.approx(1000.0)
 
     def test_doubles_when_costs_double(self):
         kind1 = make_kind(cost_per_area=100.0, coverage_area_m2=10.0)
         kind2 = make_kind(cost_per_area=200.0, coverage_area_m2=10.0)
-        s1 = make_scenario(kinds=(kind1,), base_stations=(station(kind1),))
-        s2 = make_scenario(kinds=(kind2,), base_stations=(station(kind2),))
+        s1 = make_scenario(kinds=(kind1,), base_stations=station(kind1))
+        s2 = make_scenario(kinds=(kind2,), base_stations=station(kind2))
         assert total_cost_rate(s2) == pytest.approx(2 * total_cost_rate(s1))
 
     def test_mixed_kinds_match_hand_sum(self):
@@ -133,10 +132,8 @@ class TestTotalCostRate:
                 inherited_discount=0.25,
             ),
         )
-        stations = (
-            BaseStation("b0", kind_a, (0.0, 0.0)),
-            BaseStation("b1", kind_a, (10.0, 0.0)),
-            BaseStation("b2", kind_b, (20.0, 0.0)),
+        stations = make_stations(
+            [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)], [kind_a, kind_a, kind_b], ids=("b0", "b1", "b2")
         )
         s = make_scenario(kinds=(kind_a, kind_b), base_stations=stations)
         assert effective_cost_per_area(kind_b) == pytest.approx(100.0)

@@ -4,12 +4,10 @@ import math
 
 import pytest
 
-from conftest import make_kind, make_scenario, make_xhaul, with_parameter
+from conftest import make_kind, make_scenario, make_stations, make_ues, make_xhaul, with_parameter
 from e3sim import (
     SECONDS_PER_YEAR,
-    BaseStation,
     TrafficProfile,
-    UserEquipment,
     evaluate,
     evaluate_daily,
     scenario_to_document,
@@ -43,14 +41,8 @@ class TestEvaluate:
 
     def test_unit_coefficients_make_e3_equal_ee(self):
         kinds = (make_kind(kind_id="a", cost_per_area=70.0), make_kind(kind_id="b", cost_per_area=70.0))
-        stations = (
-            BaseStation("b0", kinds[0], (0.0, 0.0)),
-            BaseStation("b1", kinds[1], (100.0, 0.0)),
-        )
-        ues = (
-            UserEquipment("u0", (1.0, 0.0), 1e7, 1.0),
-            UserEquipment("u1", (99.0, 0.0), 5e6, 2.0),
-        )
+        stations = make_stations([(0.0, 0.0), (100.0, 0.0)], kinds, ids=("b0", "b1"))
+        ues = make_ues([(1.0, 0.0), (99.0, 0.0)], (1e7, 5e6), (1.0, 2.0), ids=("u0", "u1"))
         s = make_scenario(kinds=kinds, base_stations=stations, ues=ues, benchmark_cost="max-kind")
         report = evaluate(s, 0.0)
         assert report.e3 == report.ee

@@ -13,9 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import load_document, make_kind, make_scenario, make_xhaul
+from conftest import load_document, make_kind, make_scenario, make_stations, make_ues, make_xhaul
 from e3sim import (
-    BaseStation,
     CacheConfig,
     CostBreakdown,
     InvariantError,
@@ -25,7 +24,6 @@ from e3sim import (
     TrafficProfile,
     UePopulation,
     UnknownKindError,
-    UserEquipment,
     build_scenario,
     cost_coefficient,
     effective_cost_per_area,
@@ -36,6 +34,7 @@ from e3sim import (
     validate_scenario,
 )
 from e3sim import model, scenario
+from e3sim.model import BaseStation, UserEquipment
 from e3sim.document import _FIELDS, _RECORDS, _SECTIONS, _build, _record, section_keys
 
 BREAKDOWN_COMPONENTS = (
@@ -119,10 +118,10 @@ def test_grid_generator_layout():
     doc["base_stations"] = {"grid": {"kind": "pico", "rows": 2, "cols": 3, "spacing_m": 50.0}}
     s = build_scenario(doc)
     assert len(s.base_stations) == 6
-    assert [b.bs_id for b in s.base_stations] == [f"bs{i:03d}" for i in range(6)]
-    assert s.base_stations[0].position_m == (0.0, 0.0)
-    assert s.base_stations[2].position_m == (100.0, 0.0)
-    assert s.base_stations[3].position_m == (0.0, 50.0)
+    assert s.base_stations.ids() == tuple(f"bs{i:03d}" for i in range(6))
+    assert s.base_stations.position_m[0].tolist() == [0.0, 0.0]
+    assert s.base_stations.position_m[2].tolist() == [100.0, 0.0]
+    assert s.base_stations.position_m[3].tolist() == [0.0, 50.0]
 
 
 def test_uniform_random_generator_is_seeded():
@@ -133,8 +132,9 @@ def test_uniform_random_generator_is_seeded():
     doc["seed"] = 5
     a = build_scenario(doc)
     assert len(a.ues) == 12
-    assert all(0 <= u.position_m[0] <= 200 and 0 <= u.position_m[1] <= 100 for u in a.ues)
-    assert all(u.demand_peak_bps == 4e6 and u.weight == 1.0 for u in a.ues)
+    x, y = a.ues.position_m.T
+    assert ((0 <= x) & (x <= 200) & (0 <= y) & (y <= 100)).all()
+    assert (a.ues.demand_peak_bps == 4e6).all() and (a.ues.weight == 1.0).all()
     assert build_scenario(doc) == a
     doc["seed"] = 6
     assert build_scenario(doc) != a
@@ -226,9 +226,7 @@ def test_max_kind_benchmark_keeps_coefficients_in_unit_interval():
         make_kind(kind_id="b", cost_per_area=70.0),
         make_kind(kind_id="c", cost_per_area=100.0),
     )
-    from e3sim import BaseStation
-
-    stations = tuple(BaseStation(f"bs{i}", k, (float(i), 0.0)) for i, k in enumerate(kinds))
+    stations = make_stations([(float(i), 0.0) for i in range(3)], kinds, ids=[f"bs{i}" for i in range(3)])
     s = make_scenario(kinds=kinds, base_stations=stations, benchmark_cost="max-kind")
     c0 = resolve_benchmark_cost(s)
     for kind in s.kinds:
@@ -265,8 +263,8 @@ def test_non_finite_json_number_is_rejected_with_path(value):
         lambda: make_kind(cost_per_area=float("inf")),
         lambda: make_kind(coverage_area_m2=float("inf")),
         lambda: make_xhaul(capacity_bps=float("inf")),
-        lambda: UserEquipment("u0", (0.0, 0.0), float("inf")),
-        lambda: UserEquipment("u0", (0.0, 0.0), 1e6, weight=float("inf")),
+        lambda: make_ues([(0.0, 0.0)], float("inf")),
+        lambda: make_ues([(0.0, 0.0)], 1e6, weight=float("inf")),
         lambda: make_scenario(benchmark_cost=float("inf")),
         lambda: make_scenario(benchmark_cost=float("nan")),
     ],
@@ -305,6 +303,18 @@ INF = float("inf")
 def test_non_negative_invariants_reject_infinity(build):
     with pytest.raises(InvariantError, match="must be finite and >= 0"):
         build()
+
+
+def test_samples_per_day_is_bounded():
+    # a daily evaluation holds one row per sample
+    most = model.MAX_SAMPLES_PER_DAY
+    assert TrafficProfile(samples_per_day=most).samples_per_day == most == 86_400
+    with pytest.raises(InvariantError, match=f"^TrafficProfile: samples_per_day must be <= {most}$"):
+        TrafficProfile(samples_per_day=most + 1)
+    doc = copy.deepcopy(MINIMAL_DOC)
+    doc["traffic"] = {"samples_per_day": most + 1}
+    with pytest.raises(SchemaError, match=f"^traffic.samples_per_day: must be <= {most}$"):
+        build_scenario(doc)
 
 
 def test_catalog_size_is_bounded():
@@ -367,30 +377,38 @@ def test_xhaul_medium_names_its_path():
         build_scenario(doc)
 
 
+def one_station(position):
+    return StationLayout(("b",), [0], [position], (make_kind(),))
+
+
+def one_ue(position):
+    return UePopulation(("u",), [position], [1e6], [1.0])
+
+
 @pytest.mark.parametrize(
-    "build, entity",
+    "build, message",
     [
-        (lambda: BaseStation("b", make_kind(), "12"), "BaseStation 'b'"),
-        (lambda: BaseStation("b", make_kind(), ("1", 2.0)), "BaseStation 'b'"),
-        (lambda: UserEquipment("u", (True, 0), 1e6), "UserEquipment 'u'"),
-        (lambda: UserEquipment("u", (0.0, None), 1e6), "UserEquipment 'u'"),
-        (lambda: UserEquipment("u", (1j, 0.0), 1e6), "UserEquipment 'u'"),
-        (lambda: BaseStation("b", make_kind(), b"12"), "BaseStation 'b'"),
-        (lambda: UserEquipment("u", {3: "a", 4: "b"}, 1e6), "UserEquipment 'u'"),
-        (lambda: BaseStation("b", make_kind(), np.array(5.0)), "BaseStation 'b'"),
+        (lambda: one_station("12"), r"StationLayout: position_m must hold real numbers, got dtype <U2"),
+        (lambda: one_station(("1", 2.0)), r"StationLayout: position_m must hold real numbers, got dtype <U32"),
+        (lambda: one_ue((True, 0)), r"UePopulation: position_m must hold real numbers, got dtype bool"),
+        (lambda: one_ue((0.0, None)), r"UePopulation: position_m must hold real numbers, got dtype object"),
+        (lambda: one_ue((1j, 0.0)), r"UePopulation: position_m must hold real numbers, got dtype complex128"),
+        (lambda: one_station(b"12"), r"StationLayout: position_m must hold real numbers, got dtype \|S2"),
+        (lambda: one_ue({3: "a", 4: "b"}), r"UePopulation: position_m must hold real numbers, got dtype object"),
+        (lambda: one_station(np.array(5.0)), r"StationLayout: position_m must have shape \(B, 2\), got \(1,\)"),
     ],
     ids=["text", "string-coordinate", "bool-coordinate", "none-coordinate", "complex-coordinate",
          "bytes", "dict", "scalar-array"],
 )
-def test_library_positions_must_be_two_real_numbers(build, entity):
-    with pytest.raises(InvariantError, match=f"^{entity}: position_m must hold two real numbers"):
+def test_library_positions_must_be_two_real_numbers(build, message):
+    with pytest.raises(InvariantError, match=f"^{message}$"):
         build()
 
 
 @pytest.mark.parametrize("position", [(3, 4.0), [3.0, 4], np.array([3.0, 4.0]), np.array([3, 4])])
 def test_library_positions_may_be_a_tuple_list_or_array(position):
-    assert BaseStation("b", make_kind(), position).position_m == (3.0, 4.0)
-    assert type(UserEquipment("u", position, 1e6).position_m[0]) is float
+    assert one_station(position).position_m.tolist() == [[3.0, 4.0]]
+    assert one_ue(position).position_m.dtype == np.float64 and one_ue(position).position_m.tolist() == [[3.0, 4.0]]
 
 
 def breakdown_scenario():
@@ -457,6 +475,11 @@ class TestUePopulation:
             ({"weight": (True, True, True)}, "UePopulation: weight must hold real numbers"),
             ({"position": (("0", "1"), ("2", "3"), ("4", "5"))}, "UePopulation: position_m must hold real numbers"),
             ({"position": ((0.0, 0.0), (1.0,), (2.0, 3.0))}, "UePopulation: position_m must hold real numbers"),
+            # a bool anywhere in a sequence, which np.asarray would take for a number
+            ({"position": ((0.0, 0.0), (1.0, True), (2.0, 3.0))},
+             "UePopulation: position_m must hold real numbers, got dtype bool$"),
+            ({"demand": (1e6, np.True_, 2e6)}, "UePopulation: demand_peak_bps must hold real numbers, got dtype bool$"),
+            ({"weight": [1.0, 1.0, False]}, "UePopulation: weight must hold real numbers, got dtype bool$"),
         ],
     )
     def test_checks_name_the_first_bad_ue(self, edit, message):
@@ -469,32 +492,33 @@ class TestUePopulation:
         with pytest.raises(InvariantError, match="^UserEquipment 'ue000': weight must be finite and > 0"):
             build_scenario(doc)
 
-    def test_records_index_slice_and_iterate_as_user_equipment(self):
+    def test_generated_names_equal_listed_ids(self):
         s = build_scenario(load_document("fig3.json"))
-        assert s.ues.ue_id is None and s.ues.ids()[:2] == ("ue000", "ue001")
-        records = tuple(s.ues)
-        assert records[-1] == s.ues[-1] == s.ues[len(s.ues) - 1]
-        assert records[-1].ue_id == f"ue{len(s.ues) - 1:03d}"
-        assert s.ues[2:5] == UePopulation.of(records[2:5]) and s.ues[::-1].ids()[0] == records[-1].ue_id
-        assert make_scenario(ues=records).ues == s.ues  # explicit ids equal the generated names
-        with pytest.raises(IndexError):
-            s.ues[len(s.ues)]
+        u = s.ues
+        assert u.ue_id is None and u.ids()[:2] == ("ue000", "ue001") and u.ids()[-1] == f"ue{len(u) - 1:03d}"
+        listed = UePopulation(u.ids(), u.position_m, u.demand_peak_bps, u.weight)
+        assert listed.ue_id == u.ids() and listed == u and make_scenario(ues=listed).ues == u
+        assert UePopulation(u.ids()[::-1], u.position_m, u.demand_peak_bps, u.weight) != u
 
-    def test_scenarios_take_ue_records_or_a_population_only(self):
-        with pytest.raises(InvariantError, match="ues must be UserEquipment records"):
-            make_scenario(ues=((0.0, 0.0),))
-        with pytest.raises(InvariantError, match="at least one UE"):
-            make_scenario(ues=())
+    def test_scenarios_take_a_population_only(self):
+        for value in ((), ((0.0, 0.0),), [UserEquipment("u", (0.0, 0.0), 1e6)], {"ue_id": "u"}):
+            message = f"^NetworkScenario: ues must be a UePopulation, got {type(value).__name__}$"
+            with pytest.raises(InvariantError, match=message):
+                make_scenario(ues=value)
+        empty = UePopulation((), np.empty((0, 2)), [], [])
+        with pytest.raises(InvariantError, match="^NetworkScenario: at least one UE required$"):
+            make_scenario(ues=empty)
 
 
 def test_a_generated_population_is_built_without_ue_records():
     doc = load_document("fig3.json")
     doc["ues"]["uniform_random"]["count"] = 10_000
-    check = mock.patch.object(UserEquipment, "__post_init__", autospec=True, side_effect=UserEquipment.__post_init__)
-    with check as made:
+    with mock.patch.object(UserEquipment, "__init__", autospec=True, side_effect=UserEquipment.__init__) as made:
         s = build_scenario(doc)
+        evaluate(s, 20.0)
         assert made.call_count == 0 and len(s.ues) == 10_000
-        assert s.ues[0].ue_id == "ue000" and made.call_count == 1  # the count sees a record made
+        UserEquipment("u", (0.0, 0.0), 1e6)
+        assert made.call_count == 1  # the count sees a record made
 
 
 def layout(ids=("a", "b", "c"), kind=(0, 1, 0), position=((0.0, 0.0), (1.0, 2.0), (3.0, 4.0)),
@@ -522,22 +546,26 @@ class TestStationLayout:
             ({"position": (0.0, 1.0, 2.0)}, r"StationLayout: position_m must have shape \(B, 2\)"),
             ({"position": (("0", "1"), ("2", "3"), ("4", "5"))}, "StationLayout: position_m must hold real numbers"),
             ({"kinds": (make_kind(), make_kind())}, "StationLayout: kinds must be BsKind records with distinct"),
+            ({"kind": (0, True, 0)}, "StationLayout: kind must hold 3 indices into kinds"),
+            # a kind of the layout that no station places
+            ({"kind": (0, 0, 0)}, "StationLayout: no station is of kind 'macro'$"),
         ],
     )
     def test_checks_name_the_first_bad_station(self, edit, message):
         with pytest.raises(InvariantError, match=f"^{message}"):
             layout(**edit)
 
-    def test_records_index_and_iterate_as_base_stations(self):
+    def test_generated_names_equal_listed_ids(self):
         doc = json.loads(json.dumps(MINIMAL_DOC))
         doc["base_stations"] = {"grid": {"kind": "pico", "rows": 2, "cols": 3, "spacing_m": 50.0}}
         s = build_scenario(doc)
-        assert s.base_stations.bs_id is None and s.base_stations.ids()[:2] == ("bs000", "bs001")
-        records = tuple(s.base_stations)
-        assert records[-1] == s.base_stations[-1] == BaseStation("bs005", s.kinds[0], (100.0, 50.0))
-        assert make_scenario(kinds=s.kinds, base_stations=records).base_stations == s.base_stations
-        with pytest.raises(IndexError):
-            s.base_stations[len(records)]
+        b = s.base_stations
+        assert b.bs_id is None and b.ids()[:2] == ("bs000", "bs001") and b.ids()[-1] == "bs005"
+        assert b.position_m[-1].tolist() == [100.0, 50.0] and b.kinds[b.kind[-1]] is s.kinds[0]
+        listed = StationLayout(b.ids(), b.kind, b.position_m, b.kinds)
+        assert listed.bs_id == b.ids() and listed == b
+        assert make_scenario(kinds=s.kinds, base_stations=listed).base_stations == b
+        assert StationLayout(b.ids()[::-1], b.kind, b.position_m, b.kinds) != b
 
     def test_a_kind_missing_from_the_catalog_names_the_first_station(self):
         with pytest.raises(UnknownKindError, match="^BaseStation 'b': kind 'macro' is not in the scenario catalog"):
@@ -548,26 +576,31 @@ class TestStationLayout:
         assert s.base_stations == layout() and replace(s, rng_seed=1).base_stations is s.base_stations
         pico = replace(s.kinds[0], static_power_w=9.0)
         edited = replace(s, kinds=(pico, s.kinds[1]))
-        assert [b.kind for b in edited.base_stations] == [pico, edited.kinds[1], pico]
-        assert edited.base_stations[0].kind is pico and edited.base_stations.kinds[0] is pico
+        assert [station.kind for station in oracles.stations(edited)] == [pico, edited.kinds[1], pico]
+        assert oracles.stations(edited)[0].kind is pico and edited.base_stations.kinds[0] is pico
         assert edited.base_stations.position_m is s.base_stations.position_m
-        fresh = replace(s, kinds=edited.kinds, base_stations=tuple(edited.base_stations))
+        fresh = replace(s, kinds=edited.kinds, base_stations=layout(kinds=edited.kinds))
         assert evaluate(edited, 20.0) == evaluate(fresh, 20.0) == oracles.evaluate(edited, 20.0)
 
-    def test_scenarios_take_station_records_or_a_layout_only(self):
-        with pytest.raises(InvariantError, match="base_stations must be BaseStation records"):
-            make_scenario(base_stations=((0.0, 0.0),))
-        with pytest.raises(InvariantError, match="at least one base station"):
-            make_scenario(base_stations=())
+    def test_scenarios_take_a_layout_only(self):
+        for value in ((), ((0.0, 0.0),), [BaseStation("b", make_kind(), (0.0, 0.0))], {"bs_id": "b"}):
+            message = f"^NetworkScenario: base_stations must be a StationLayout, got {type(value).__name__}$"
+            with pytest.raises(InvariantError, match=message):
+                make_scenario(base_stations=value)
+        empty = layout(ids=(), kind=np.empty(0, dtype=np.intp), position=np.empty((0, 2)), kinds=())
+        with pytest.raises(InvariantError, match="^NetworkScenario: at least one base station required$"):
+            make_scenario(base_stations=empty)
 
 
 def test_a_grid_is_built_without_station_records():
     doc = load_document("fig3.json")
     doc["base_stations"] = {"grid": {"kind": "ap", "rows": 20, "cols": 30, "spacing_m": 0.1}}
-    check = mock.patch.object(BaseStation, "__post_init__", autospec=True, side_effect=BaseStation.__post_init__)
-    with check as made:
+    with mock.patch.object(BaseStation, "__init__", autospec=True, side_effect=BaseStation.__init__) as made:
         s = build_scenario(doc)
+        evaluate(s, 20.0)
         assert made.call_count == 0 and len(s.base_stations) == 600
+        BaseStation("b", s.kinds[0], (0.0, 0.0))
+        assert made.call_count == 1  # the count sees a record made
     # station r * cols + c stands at (c * spacing, r * spacing), as Python multiplies
     assert s.base_stations.position_m.tolist() == [[c * 0.1, r * 0.1] for r in range(20) for c in range(30)]
 
@@ -694,8 +727,8 @@ class TestValueReuse:
         assert reused == built_or_error(build_scenario, point)
         if isinstance(reused, NetworkScenario):
             by_id = {k.kind_id: k for k in reused.kinds}
-            assert all(b.kind is by_id[b.kind.kind_id] for b in reused.base_stations)
-            assert list(reused.base_stations) == list(built_or_error(build_scenario, point).base_stations)
+            assert all(k is by_id[k.kind_id] for k in reused.base_stations.kinds)
+            assert oracles.stations(reused) == oracles.stations(built_or_error(build_scenario, point))
 
     def test_an_xhaul_edit_parses_one_value_and_relinks_the_stations(self):
         document = REUSE_DOCUMENTS["fig3.json"]
@@ -712,7 +745,7 @@ class TestValueReuse:
             s = _build(point, (document, base))
         assert parsed == ["kinds[0].xhaul.capacity_bps"]
         assert [c.args[0] for c in record.call_args_list] == [("kinds", "*"), ("kinds", "*", "xhaul")]
-        assert s.base_stations[0].kind is s.kinds[0] and s.kinds[0].xhaul.capacity_bps == 2e7
+        assert oracles.stations(s)[0].kind is s.kinds[0] and s.kinds[0].xhaul.capacity_bps == 2e7
         # the kinds are resolved against the new catalog; the columns are the base's
         columns = ("bs_id", "kind", "position_m")
         assert all(getattr(s.base_stations, c) is getattr(base.base_stations, c) for c in columns)

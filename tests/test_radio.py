@@ -5,20 +5,23 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_kind, make_scenario, radio_capacities, serving_ids, with_parameter
-from e3sim import BaseStation, TrafficProfile, UserEquipment
+from conftest import make_kind, make_scenario, make_stations, make_ues, radio_capacities, serving_ids, with_parameter
+from e3sim import TrafficProfile
 from e3sim.allocation import plan_geometry
 from e3sim.radio import demand_factor, nearest_stations
 
 
-def line_scenario(positions, ues, kind=None, radio_mode="abstract"):
+def line_scenario(positions, ue_xs, kind=None, radio_mode="abstract"):
+    """Stations b0, b1, ... at (x, 0) for each of ``positions``, and UEs at ``ue_xs``."""
     kind = kind or make_kind()
-    stations = tuple(BaseStation(f"b{i}", kind, (x, 0.0)) for i, x in enumerate(positions))
-    return make_scenario(kinds=(kind,), base_stations=stations, ues=ues, radio_mode=radio_mode)
+    ids = [f"b{i}" for i in range(len(positions))]
+    stations = make_stations([(x, 0.0) for x in positions], [kind] * len(positions), ids=ids)
+    return make_scenario(kinds=(kind,), base_stations=stations, ues=line_ues(*ue_xs), radio_mode=radio_mode)
 
 
-def ue(ue_id, x, demand=1e6):
-    return UserEquipment(ue_id, (x, 0.0), demand, 1.0)
+def line_ues(*xs):
+    """UEs u0, u1, ... of demand 1e6 at (x, 0) for each of ``xs``."""
+    return make_ues([(x, 0.0) for x in xs], ids=[f"u{i}" for i in range(len(xs))])
 
 
 def capacity(s, station=0):
@@ -28,31 +31,28 @@ def capacity(s, station=0):
 
 class TestAssociate:
     def test_single_bs_takes_everyone(self):
-        s = line_scenario([0.0], (ue("u0", 5.0), ue("u1", 500.0)))
+        s = line_scenario([0.0], (5.0, 500.0))
         assert serving_ids(s) == ["b0", "b0"]
         assert plan_geometry(s).counts.tolist() == [2]
 
     def test_nearest_bs_wins(self):
-        s = line_scenario([0.0, 100.0], (ue("u0", 30.0),))
+        s = line_scenario([0.0, 100.0], (30.0,))
         assert serving_ids(s) == ["b0"]
 
     def test_tie_breaks_to_smallest_bs_id(self):
         kind = make_kind()
-        stations = (
-            BaseStation("b", kind, (100.0, 0.0)),
-            BaseStation("a", kind, (-100.0, 0.0)),
-        )
-        s = make_scenario(kinds=(kind,), base_stations=stations, ues=(ue("u0", 0.0),))
+        stations = make_stations([(100.0, 0.0), (-100.0, 0.0)], [kind, kind], ids=("b", "a"))
+        s = make_scenario(kinds=(kind,), base_stations=stations, ues=line_ues(0.0))
         assert serving_ids(s) == ["a"]
 
     def test_permutation_of_ues_gives_same_serving_map(self):
-        ues = tuple(ue(f"u{i}", 37.0 * i % 211) for i in range(8))
+        ues = tuple(37.0 * i % 211 for i in range(8))
         s1 = line_scenario([0.0, 100.0, 200.0], ues)
         s2 = line_scenario([0.0, 100.0, 200.0], ues[::-1])
         assert serving_ids(s1) == serving_ids(s2)[::-1]
 
     def test_every_bs_is_listed_even_when_empty(self):
-        s = line_scenario([0.0, 1000.0], (ue("u0", 1.0),))
+        s = line_scenario([0.0, 1000.0], (1.0,))
         assert plan_geometry(s).counts.tolist() == [1, 0]
 
 
@@ -89,7 +89,7 @@ class TestDemandProfile:
 class TestRadioCapacity:
     def test_abstract_mode_returns_configured_capacity(self):
         kind = make_kind(radio_capacity_bps=5e7)
-        s = line_scenario([0.0], (ue("u0", 10.0),), kind=kind)
+        s = line_scenario([0.0], (10.0,), kind=kind)
         assert capacity(s) == 5e7
 
     def test_single_bs_known_sinr(self):
@@ -97,12 +97,12 @@ class TestRadioCapacity:
         # at the reference distance: rate = B * log2(16) = 4e7 bit/s
         tx = 15 * (10 ** (-20.4) * 1e7) * 1e3
         kind = make_kind(kind_id="one", tx_power_w=tx, bandwidth_hz=1e7)
-        s = line_scenario([0.0], (ue("u0", 0.0),), kind=kind, radio_mode="physical")
+        s = line_scenario([0.0], (0.0,), kind=kind, radio_mode="physical")
         assert capacity(s) == pytest.approx(4e7, rel=1e-12)
 
     def test_three_bs_line_matches_hand_computation(self):
         kind = make_kind(kind_id="cell", tx_power_w=1.0, bandwidth_hz=1e7)
-        ues = (ue("u0", 100.0), ue("u1", 150.0), ue("u2", 600.0))
+        ues = (100.0, 150.0, 600.0)
         s = line_scenario([0.0, 500.0, 1000.0], ues, kind=kind, radio_mode="physical")
         assert nearest_stations(s).tolist() == [0, 0, 1]
 
@@ -125,14 +125,11 @@ class TestRadioCapacity:
     def test_stronger_interferer_never_helps(self):
         kind_a = make_kind(kind_id="a", tx_power_w=1.0)
         kind_b = make_kind(kind_id="b", tx_power_w=1.0)
-        stations = (
-            BaseStation("b0", kind_a, (0.0, 0.0)),
-            BaseStation("b1", kind_b, (300.0, 0.0)),
-        )
+        stations = make_stations([(0.0, 0.0), (300.0, 0.0)], [kind_a, kind_b], ids=("b0", "b1"))
         s = make_scenario(
             kinds=(kind_a, kind_b),
             base_stations=stations,
-            ues=(ue("u0", 50.0), ue("u1", 280.0)),
+            ues=line_ues(50.0, 280.0),
             radio_mode="physical",
         )
         caps = []
@@ -143,8 +140,8 @@ class TestRadioCapacity:
 
     def test_zero_distance_clamps_to_reference(self):
         kind = make_kind(kind_id="cell", tx_power_w=1.0)
-        s_at_zero = line_scenario([0.0], (ue("u0", 0.0),), kind=kind, radio_mode="physical")
-        s_at_ref = line_scenario([0.0], (ue("u0", 1.0),), kind=kind, radio_mode="physical")
+        s_at_zero = line_scenario([0.0], (0.0,), kind=kind, radio_mode="physical")
+        s_at_ref = line_scenario([0.0], (1.0,), kind=kind, radio_mode="physical")
         cap0 = capacity(s_at_zero)
         cap1 = capacity(s_at_ref)
         assert math.isfinite(cap0) and cap0 == cap1
