@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cache import hit_ratio, zipf_popularity
+from .cache import hit_ratio
 from .radio import chunk_rows, nearest_stations, physical_capacities
 
 if TYPE_CHECKING:
@@ -45,6 +46,10 @@ def effective_bs_capacity(radio_cap_bps: float, xhaul_cap_bps: float, hit_fracti
     """
     if not 0.0 <= hit_fraction <= 1.0:
         raise ValueError(f"hit_fraction must lie in [0, 1], got {hit_fraction}")
+    if not radio_cap_bps >= 0.0:
+        raise ValueError(f"radio_cap_bps must be >= 0, got {radio_cap_bps}")
+    if not xhaul_cap_bps >= 0.0:
+        raise ValueError(f"xhaul_cap_bps must be >= 0, got {xhaul_cap_bps}")
     if hit_fraction == 1.0:
         return radio_cap_bps
     return min(radio_cap_bps, xhaul_cap_bps / (1.0 - hit_fraction))
@@ -81,9 +86,14 @@ def max_min_rates(demands: Sequence[float], capacity: float) -> list[float]:
     ``water_levels``, so the result is bitwise independent of input order.
     Output order matches input order.
     """
-    if len(demands) == 0:
-        return []
     d = np.asarray(demands, dtype=float)
+    bad = ~np.isfinite(d) | (d < 0)
+    if bad.any():
+        raise ValueError(f"demands must be finite and >= 0, got {d[bad][0]}")
+    if not capacity >= 0:
+        raise ValueError(f"capacity must be >= 0, got {capacity}")
+    if len(d) == 0:
+        return []
     level = water_levels(np.sort(d)[None, :], np.array([len(d)]), np.array([float(capacity)]))
     return np.minimum(d, level[0]).tolist()
 
@@ -116,33 +126,33 @@ class Geometry:
 
         The peak demands of each station's UEs in ascending order, one
         zero-padded row per station, stations grouped so that one block of
-        the batch stays within the chunk byte budget.
+        the batch stays within the chunk byte budget. The peaks are sorted
+        once (``_blocks``); each new row count only regroups the stations.
         """
         if rows not in self._blocks:
-            self._blocks[rows] = _blocks(self.serving, self.peaks, self.counts, rows)
+            padded, starts, stations = self._sorted
+            counts, blocks, lo = self.counts, [], 0
+            while lo < len(stations):
+                width = int(counts[stations[lo]])
+                group = stations[lo : lo + max(1, chunk_rows(width) // rows)]
+                column = np.arange(width)
+                index = np.where(column < counts[group][:, None], starts[group][:, None] + column, -1)
+                blocks.append((group, padded[index]))
+                lo += len(group)
+            self._blocks[rows] = tuple(blocks)
         return self._blocks[rows]
 
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _blocks(self.serving, self.peaks, self.counts)
 
-def _blocks(serving: np.ndarray, peaks: np.ndarray, counts: np.ndarray, rows: int):
-    """Group stations by attached count into zero-padded sorted-peak blocks."""
-    by_station = np.lexsort((peaks, serving))
+
+def _blocks(serving: np.ndarray, peaks: np.ndarray, counts: np.ndarray):
+    """Peaks sorted by station then value, zero-padded; station starts; stations by UE count."""
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    padded = np.append(peaks[by_station], 0.0)
     stations = np.argsort(-counts, kind="stable")
-    stations = stations[counts[stations] > 0]
-    blocks = []
-    lo = 0
-    while lo < len(stations):
-        width = int(counts[stations[lo]])
-        hi = lo + max(1, chunk_rows(width) // rows)
-        group = stations[lo:hi]
-        column = np.arange(width)
-        index = np.where(
-            column < counts[group][:, None], starts[group][:, None] + column, len(peaks)
-        )
-        blocks.append((group, padded[index]))
-        lo = hi
-    return tuple(blocks)
+    padded = np.append(peaks[np.lexsort((peaks, serving))], 0.0)
+    return padded, starts, stations[counts[stations] > 0]
 
 
 def plan_geometry(s: NetworkScenario) -> Geometry:
@@ -191,19 +201,22 @@ def xhaul_limits(s: NetworkScenario, hits: dict | None = None) -> list[float]:
 
     A station's effective capacity is the smaller of its radio capacity and
     this bound: ``effective_bs_capacity`` at unbounded radio capacity, the
-    X-Haul capacity over the miss fraction, or inf at hit ratio 1. The hit
-    ratio is computed once per cache record and cache size: ``hits`` holds
-    those computed so far, keyed by the value of the ``CacheConfig`` record
-    and the cache size, so it may outlive the scenarios it was filled for.
+    X-Haul capacity over the miss fraction, or inf at hit ratio 1. ``hits``
+    holds the hit ratios computed so far, a dict by cache size for each
+    ``CacheConfig`` keyed by value, and under "cache" the record last looked
+    up with its dict, so a point sharing that object skips its hash. Only
+    ``top_popular`` builds a Zipf popularity (``hit_ratio``).
     """
     hits = {} if hits is None else hits
+    cache, sizes = hits.get("cache", (None, None))
+    if s.cache is not cache:
+        cache, sizes = hits["cache"] = s.cache, hits.setdefault(s.cache, {})
     limits = []
     for kind in s.base_stations.kinds:
-        key = (s.cache, kind.cache_size)
-        if key not in hits:
-            popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
-            hits[key] = hit_ratio(s.cache.strategy, key[1], popularity)
-        limits.append(effective_bs_capacity(math.inf, kind.xhaul.capacity_bps, hits[key]))
+        hit = sizes.get(kind.cache_size)
+        if hit is None:
+            hit = sizes[kind.cache_size] = hit_ratio(cache.strategy, kind.cache_size, cache)
+        limits.append(effective_bs_capacity(math.inf, kind.xhaul.capacity_bps, hit))
     return limits
 
 

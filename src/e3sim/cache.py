@@ -11,10 +11,12 @@ the popularity).
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from .model import CacheConfig
 from .radio import CHUNK_BYTES
 
 
@@ -28,8 +30,8 @@ class Popularity:
         p = self.probabilities
         if len(p) < 1:
             raise ValueError("Popularity: at least one item required")
-        if any(x < 0 for x in p):
-            raise ValueError("Popularity: probabilities must be >= 0")
+        if not all(0 <= x <= 1 for x in p):
+            raise ValueError("Popularity: probabilities must be finite and in [0, 1]")
         if any(p[i + 1] > p[i] + 1e-12 for i in range(len(p) - 1)):
             raise ValueError("Popularity: probabilities must be non-increasing")
         total = math.fsum(p)
@@ -54,14 +56,14 @@ def zipf_popularity(catalog_size: int, exponent: float) -> Popularity:
     point, so recent ones are kept: beside the one just asked for, at
     most ``CHUNK_BYTES`` worth of probabilities.
     """
+    if isinstance(catalog_size, bool) or not isinstance(catalog_size, numbers.Integral) or catalog_size < 1:
+        raise ValueError(f"catalog_size must be an integer >= 1, got {catalog_size!r}")
+    if not 0 <= exponent < math.inf:
+        raise ValueError(f"exponent must be finite and >= 0, got {exponent}")
     key = (catalog_size, exponent)
     with _RECENT_LOCK:
         popularity = _RECENT.get(key)
     if popularity is None:
-        if catalog_size < 1:
-            raise ValueError("catalog_size must be >= 1")
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
         weights = [i ** -exponent for i in range(1, catalog_size + 1)]
         total = math.fsum(weights)
         popularity = Popularity(tuple(w / total for w in weights))
@@ -74,14 +76,15 @@ def zipf_popularity(catalog_size: int, exponent: float) -> Popularity:
     return popularity
 
 
-def hit_ratio(strategy: str, cache_size: int, popularity: Popularity) -> float:
+def hit_ratio(strategy: str, cache_size: int, popularity: Popularity | CacheConfig) -> float:
     """Expected fraction of requested traffic served from the cache.
 
     ``none`` caches nothing; ``random_fill`` holds ``cache_size`` uniformly
     random distinct items (expectation M/F); ``top_popular`` holds the
-    ``cache_size`` most popular items.
+    ``cache_size`` most popular items. Given a ``CacheConfig`` for
+    ``popularity``, only ``top_popular`` builds its Zipf popularity.
     """
-    catalog = len(popularity)
+    catalog = len(popularity) if isinstance(popularity, Popularity) else popularity.catalog_size
     if not 0 <= cache_size <= catalog:
         raise ValueError(
             f"cache larger than catalog: cache_size {cache_size}, catalog {catalog}"
@@ -91,6 +94,8 @@ def hit_ratio(strategy: str, cache_size: int, popularity: Popularity) -> float:
     if strategy == "random_fill":
         return cache_size / catalog
     if strategy == "top_popular":
+        if not isinstance(popularity, Popularity):
+            popularity = zipf_popularity(popularity.catalog_size, popularity.zipf_exponent)
         # the rounded probabilities of a whole catalog may sum to just over 1
         return min(1.0, math.fsum(popularity.probabilities[:cache_size]))
     raise ValueError(f"unknown caching strategy '{strategy}'")

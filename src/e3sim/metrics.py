@@ -17,7 +17,7 @@ import numpy as np
 
 from .allocation import Geometry, fill, plan_geometry, xhaul_limits
 from .energy_cost import cost_coefficient, dynamic_parts, resolve_benchmark_cost, station_cost_rate
-from .radio import demand_factor
+from .radio import chunk_rows, demand_factor
 
 if TYPE_CHECKING:
     from .scenario import NetworkScenario
@@ -69,14 +69,21 @@ def point_inputs(s: NetworkScenario, t_hours: float | None, memo: dict) -> tuple
     limit on it), static power, static power times C_n, maximum
     transceiver power, X-Haul factor, bandwidth and the cost rate of one
     station. Two points of one geometry whose arrays have equal bytes have
-    equal reports. ``memo`` holds the factors by traffic record and the
-    hit ratios of ``xhaul_limits`` by cache record and size.
+    equal reports. ``memo`` serves a whole sweep. It holds the factors by
+    traffic record value, emptied before it holds more than a chunk of
+    them, the hit ratios of ``xhaul_limits``, and under "traffic" the
+    record last looked up, so a point sharing that object skips its hash.
     """
-    factors = memo.get(s.traffic)
-    if factors is None:
-        n = s.traffic.samples_per_day
-        times = [24.0 * i / n for i in range(n)] if t_hours is None else [t_hours]
-        factors = memo[s.traffic] = np.array([demand_factor(t, s.traffic) for t in times])
+    traffic, factors = memo.get("traffic", (None, None))
+    if s.traffic is not traffic:
+        factors = memo.get(s.traffic)
+        if factors is None:
+            n = s.traffic.samples_per_day
+            times = [24.0 * i / n for i in range(n)] if t_hours is None else [t_hours]
+            if len(memo) > chunk_rows(len(times)):
+                memo.clear()
+            factors = memo[s.traffic] = np.array([demand_factor(t, s.traffic) for t in times])
+        memo["traffic"] = s.traffic, factors
     limits = xhaul_limits(s, memo)
     c0 = resolve_benchmark_cost(s)
     per_item_w = s.cache.cache_power_per_item_w

@@ -192,17 +192,19 @@ def _rows(
     """Build every grid point and evaluate it in blocks of consecutive points
     that share a geometry (``same_geometry`` with the group's first point).
 
-    A group's geometry is compiled once. A point of the group whose
-    ``point_inputs`` have the bytes of the previous point's is a repeat: it
-    takes that point's report or error, and is not evaluated. A point that
-    fails ends such a run. A block holds as many points as one chunk of
-    rows takes, repeats included, so memory does not grow with the grid; a
-    repeat of a point whose block is done is yielded at once.
+    A group's geometry is compiled once, and one ``point_inputs`` memo serves
+    the sweep. A point of the group whose ``point_inputs`` have the bytes of
+    the previous point's is a repeat: it takes that point's report or error,
+    and is not evaluated. A point that fails ends such a run. Repeats and
+    failed points take no rows: a block ends once its evaluated points fill
+    one chunk of rows, or it holds a chunk's number of entries. A repeat of
+    a point whose block is done is yielded at once.
     """
     block: list[tuple[tuple[Any, ...], NetworkScenario | Exception | None]] = []
     inputs: list[tuple] = []
+    memo: dict = {}
     first = geometry = last = row = None
-    per_block = 1
+    per_block = entries = 1
     for values, point in _points(document, spec):
         built: NetworkScenario | Exception | None = point
         if not isinstance(point, ParameterPathError):
@@ -214,10 +216,11 @@ def _rows(
         if isinstance(built, NetworkScenario):
             if first is None or not same_geometry(first, built):
                 row = yield from _evaluated(block, geometry, t, inputs, row)
-                block, inputs, memo, last = [], [], {}, None
+                block, inputs, last = [], [], None
                 first, geometry = built, plan_geometry(built)
                 samples = built.traffic.samples_per_day if t is None else 1
-                per_block = max(1, geometry.rows_per_chunk // samples)
+                entries = geometry.rows_per_chunk
+                per_block = max(1, entries // samples)
             try:
                 new = point_inputs(built, t, memo)
             except (ValueError, ArithmeticError) as exc:
@@ -234,9 +237,9 @@ def _rows(
             inputs.append(new)
         last = new
         block.append((values, built))
-        if len(block) >= per_block:
+        if len(inputs) >= per_block or len(block) >= entries:
             row = yield from _evaluated(block, geometry, t, inputs, row)
-            block, inputs, memo = [], [], {}
+            block, inputs = [], []
     yield from _evaluated(block, geometry, t, inputs, row)
 
 

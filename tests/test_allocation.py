@@ -1,6 +1,8 @@
 """Max-min fair rate allocation and its grid-search oracle."""
 
 import math
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,12 +41,36 @@ class TestEffectiveCapacity:
         with pytest.raises(ValueError):
             effective_bs_capacity(1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "radio, xhaul, hit, name",
+        [(math.nan, 1e6, 0.5, "radio_cap_bps"), (1e6, math.nan, 0.5, "xhaul_cap_bps"),
+         (-1.0, 1e6, 0.5, "radio_cap_bps"), (1e6, -1.0, 0.0, "xhaul_cap_bps"), (math.nan, 1e6, 1.0, "radio_cap_bps")],
+    )
+    def test_bad_capacities_rejected_naming_them(self, radio, xhaul, hit, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got "):
+            effective_bs_capacity(radio, xhaul, hit)
+
+    def test_an_unbounded_radio_capacity_leaves_the_xhaul_limit(self):
+        assert effective_bs_capacity(math.inf, 1e6, 0.5) == 2e6
+        assert effective_bs_capacity(math.inf, 1e6, 1.0) == math.inf
+
     def test_the_hit_ratio_memo_is_keyed_by_value(self):
         # a sweep frees the points it does not evaluate, and a later cache record may take a freed one's id
-        cache = CacheConfig(catalog_size=20, zipf_exponent=0.8, strategy="top_popular")
+        # so the memo holds each record by value, and the record it last looked up as the object itself
         hits = {}
-        allocation.xhaul_limits(make_scenario(kinds=(make_kind(cache_size=6),), cache=cache), hits)
-        assert hits == {(CacheConfig(20, 0.8, "top_popular"), 6): hit_ratio("top_popular", 6, zipf_popularity(20, 0.8))}
+        computed = mock.patch.object(allocation, "hit_ratio", wraps=allocation.hit_ratio)
+        with computed as hit:
+            for exponent in (0.8, 0.9, 0.8):
+                cache = CacheConfig(catalog_size=20, zipf_exponent=exponent, strategy="top_popular")
+                allocation.xhaul_limits(make_scenario(kinds=(make_kind(cache_size=6),), cache=cache), hits)
+        assert hit.call_count == 2
+        ratio = {e: hit_ratio("top_popular", 6, zipf_popularity(20, e)) for e in (0.8, 0.9)}
+        assert hits == {
+            CacheConfig(20, 0.8, "top_popular"): {6: ratio[0.8]},
+            CacheConfig(20, 0.9, "top_popular"): {6: ratio[0.9]},
+            "cache": (cache, {6: ratio[0.8]}),
+        }
+        assert hits["cache"][0] is cache
 
 
 class TestMaxMinRates:
@@ -59,6 +85,24 @@ class TestMaxMinRates:
 
     def test_zero_capacity(self):
         assert max_min_rates([1.0, 2.0], 0.0) == [0.0, 0.0]
+
+    def test_unbounded_capacity_grants_demands(self):
+        assert max_min_rates([1.0, 2.0], math.inf) == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "demands, capacity, error",
+        [
+            ([1.0, math.nan], 5.0, "demands must be finite and >= 0, got nan"),
+            ([1.0, math.inf], 5.0, "demands must be finite and >= 0, got inf"),
+            ([-1.0, 2.0], 5.0, "demands must be finite and >= 0, got -1.0"),
+            ([1.0, 2.0], math.nan, "capacity must be >= 0, got nan"),
+            ([1.0, 2.0], -1.0, "capacity must be >= 0, got -1.0"),
+            ([], math.nan, "capacity must be >= 0, got nan"),
+        ],
+    )
+    def test_bad_input_rejected_naming_it(self, demands, capacity, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            max_min_rates(demands, capacity)
 
     @given(demands=demand_lists, capacity=capacities)
     def test_sum_is_pareto_efficient(self, demands, capacity):

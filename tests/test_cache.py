@@ -1,11 +1,13 @@
 """Popularity model, strategy hit ratios, and the combinatorial oracle."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from e3sim import Popularity, hit_ratio, zipf_popularity
+from e3sim import CacheConfig, Popularity, cache, hit_ratio, zipf_popularity
 from e3sim.radio import CHUNK_BYTES
 from oracles import expected_random_hit_exact
 
@@ -44,6 +46,30 @@ class TestZipfPopularity:
             Popularity((0.2, 0.8))
         with pytest.raises(ValueError, match="sum"):
             Popularity((0.5, 0.2))
+
+    @pytest.mark.parametrize("probabilities", [(math.nan,) * 20, (1.0, math.nan), (math.inf,), (0.5, 0.5, -0.0, -1e-300)])
+    def test_non_finite_or_negative_probabilities_rejected(self, probabilities):
+        with pytest.raises(ValueError, match=r"Popularity: probabilities must be finite and in \[0, 1\]"):
+            Popularity(probabilities)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf, -0.5])
+    def test_non_finite_or_negative_exponent_rejected(self, exponent):
+        with pytest.raises(ValueError, match=f"^exponent must be finite and >= 0, got {exponent}$"):
+            zipf_popularity(20, exponent)
+
+    @pytest.mark.parametrize("catalog", [True, False, 20.0, 2.5, "20", None, 0, -3])
+    def test_catalog_size_must_be_an_integer_of_at_least_one(self, catalog):
+        with pytest.raises(ValueError, match=f"^catalog_size must be an integer >= 1, got {catalog!r}$"):
+            zipf_popularity(catalog, 0.8)
+
+    def test_a_true_catalog_size_is_not_one_item(self):
+        # True == 1 and hash(True) == hash(1), so a kept 1-item table must not answer for it
+        zipf_popularity(1, 0.8)
+        with pytest.raises(ValueError, match="catalog_size must be an integer"):
+            zipf_popularity(True, 0.8)
+
+    def test_numpy_integer_catalog_size_accepted(self):
+        assert zipf_popularity(np.int64(3), 1.0) == zipf_popularity(3, 1.0)
 
 
 class TestPopularityReuse:
@@ -92,6 +118,21 @@ class TestHitRatio:
     def test_oversized_cache_rejected(self):
         with pytest.raises(ValueError, match="cache larger than catalog"):
             hit_ratio("top_popular", 6, zipf_popularity(5, 1.0))
+
+    def test_a_nan_exponent_gives_no_hit_ratio(self):
+        # NaN probabilities once summed to a hit ratio of 1.0
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            hit_ratio("top_popular", 6, zipf_popularity(20, float("nan")))
+
+    @pytest.mark.parametrize("strategy", ["none", "random_fill", "top_popular"])
+    def test_a_cache_config_builds_the_popularity_only_for_top_popular(self, strategy):
+        config = CacheConfig(catalog_size=20, zipf_exponent=0.8, strategy=strategy)
+        want = hit_ratio(strategy, 6, zipf_popularity(20, 0.8))
+        with mock.patch.object(cache, "zipf_popularity", wraps=cache.zipf_popularity) as build:
+            assert hit_ratio(strategy, 6, config) == want
+            with pytest.raises(ValueError, match="^cache larger than catalog: cache_size 21, catalog 20$"):
+                hit_ratio(strategy, 21, config)
+        assert build.call_count == (strategy == "top_popular")
 
     @given(pop=popularity_vectors, s=st.floats(0.0, 2.5))
     def test_monotone_in_cache_size_and_strategy_order(self, pop, s):

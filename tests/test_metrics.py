@@ -1,12 +1,15 @@
 """Metric arithmetic, equivalences, and daily averaging."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import pytest
 
 from conftest import make_kind, make_scenario, make_stations, make_ues, make_xhaul, with_parameter
 from e3sim import (
     SECONDS_PER_YEAR,
+    CacheConfig,
     TrafficProfile,
     evaluate,
     evaluate_daily,
@@ -14,6 +17,8 @@ from e3sim import (
     set_parameter,
     total_cost_rate,
 )
+from e3sim.metrics import point_inputs
+from e3sim.radio import CHUNK_BYTES
 
 
 def hand_case_scenario():
@@ -145,3 +150,26 @@ class TestEvaluateDaily:
         bits = sum(r.weighted_throughput_bps for r in reports)
         joules = sum(r.weighted_power_w for r in reports)
         assert evaluate_daily(s).e3 == pytest.approx(bits / joules, rel=1e-12)
+
+
+class TestPointInputsMemo:
+    @pytest.mark.parametrize("samples, points", [(24, 400), (4096, 8)])
+    def test_the_memo_holds_at_most_a_chunk_of_factors(self, samples, points):
+        # one memo serves a whole sweep, and a sweep may give every point its own traffic record
+        memo = {}
+        for i in range(points):
+            traffic = TrafficProfile(peak_to_min_ratio=1.0 + i, samples_per_day=samples)
+            factors, _, _ = point_inputs(make_scenario(traffic=traffic), None, memo)
+            assert memo["traffic"] == (traffic, factors)
+            kept = [len(v) for k, v in memo.items() if isinstance(k, TrafficProfile)]
+            assert sum(kept) <= max(samples, CHUNK_BYTES // 8)
+
+    def test_a_point_sharing_the_previous_records_hashes_neither(self):
+        s = make_scenario()
+        memo = {}
+        point_inputs(s, None, memo)
+        with mock.patch.object(TrafficProfile, "__hash__") as traffic, \
+                mock.patch.object(CacheConfig, "__hash__") as cache:
+            again = point_inputs(dataclasses.replace(s, benchmark_cost=50.0), None, memo)
+        assert traffic.call_count == cache.call_count == 0
+        assert again[0] is memo["traffic"][1]

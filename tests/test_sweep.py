@@ -1,5 +1,6 @@
 """Parameter paths, grid sweeps, argmax, and Pareto extraction."""
 
+import contextlib
 import copy
 import re
 from unittest import mock
@@ -424,7 +425,83 @@ def grid_fig3():
     return doc
 
 
+@contextlib.contextmanager
+def recorded_blocks():
+    """Record (entries, evaluated points) of every non-empty block a sweep evaluates."""
+    blocks = []
+    real = sweep._evaluated
+
+    def recorded(block, geometry, t, inputs, row):
+        if block:
+            blocks.append((len(block), len(inputs)))
+        return real(block, geometry, t, inputs, row)
+
+    with mock.patch("e3sim.sweep._evaluated", recorded):
+        yield blocks
+
+
+def assert_blocks_within_one_chunk(blocks, rows_per_chunk, samples):
+    """Each block's evaluated points fill at most one chunk of rows, and it
+    holds at most a chunk's number of entries."""
+    for entries, points in blocks:
+        assert points <= max(1, rows_per_chunk // samples) and entries <= rows_per_chunk
+
+
+#: X-Haul capacities for fig3's ``top_popular`` cache: at cache size 6 the limit binds below
+#: about 2.4e7 bit/s, and above it every point repeats the one before; -1.0 fails to build.
+XHAUL_RUNS = (1e6, 2e6, 1.6e7, 3e7, 5e7, 1e8, 2e8, -1.0)
+
+
+@st.composite
+def long_runs(draw):
+    """fig3 sweeps over cache size (21 exceeds the catalog, so its points fail)
+    and a long X-Haul axis full of runs of equal points."""
+    sizes = tuple(draw(st.lists(st.sampled_from((0, 6, 20, 21)), min_size=1, max_size=3)))
+    xhaul = tuple(draw(st.lists(st.sampled_from(XHAUL_RUNS), min_size=20, max_size=60)))
+    daily = draw(st.booleans())
+    spec = SweepSpec(param_path="kinds.ap.cache_size", values=sizes, param2_path="kinds.ap.xhaul.capacity_bps",
+                     values2=xhaul, time_hours=None if daily else draw(st.sampled_from((None, 3.0))), daily=daily)
+    return load_document("fig3.json"), spec
+
+
 class TestBlocks:
+    @settings(max_examples=25, deadline=None)
+    @given(sweep=long_runs(), chunk_bytes=st.sampled_from((8, 1024, 8192, radio.CHUNK_BYTES)))
+    def test_long_runs_and_failing_points_give_the_rows_of_fresh_evaluations(self, sweep, chunk_bytes):
+        document, spec = sweep
+        with mock.patch.object(radio, "CHUNK_BYTES", chunk_bytes), recorded_blocks() as blocks:
+            rows = run_sweep(document, spec).rows
+            rows_per_chunk = radio.chunk_rows(10)  # fig3 has 10 UEs and one station
+        assert [row.values for row in rows] == [(v1, v2) for v1 in spec.values for v2 in spec.values2]
+        for row in rows:
+            want = fresh_outcome(document, spec, row.values)
+            assert (row.error if row.error is not None else (row.report, row.report.cost_rate)) == want
+        assert_blocks_within_one_chunk(blocks, rows_per_chunk, samples=24 if spec.daily else 1)
+
+    def test_the_fig3_cache_xhaul_study_evaluates_full_blocks(self, fig3):
+        # the Fig. 3 study: 21 cache sizes x 100 X-Haul capacities, daily; above the binding
+        # capacity each point repeats the one before, so 402 of the 2,100 points are evaluated
+        spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)),
+                         param2_path="kinds.ap.xhaul.capacity_bps", values2=tuple(1e6 * v for v in range(1, 101)),
+                         daily=True)
+        sizes = []
+        real = metrics.evaluate_block
+
+        def recorded(points, *args):
+            sizes.append(len(points))
+            return real(points, *args)
+
+        compiled = mock.patch.object(allocation, "_blocks", wraps=allocation._blocks)
+        popularity = mock.patch.object(cache, "zipf_popularity", wraps=cache.zipf_popularity)
+        with mock.patch("e3sim.sweep.evaluate_block", recorded), compiled as sort, popularity as zipf:
+            rows = run_sweep(fig3, spec).rows
+        per_block = radio.chunk_rows(10) // 24
+        assert len(rows) == 2100 and all(row.error is None for row in rows)
+        assert sum(sizes) == 402
+        assert len(sizes) <= -(-402 // per_block) == 12
+        assert sort.call_count == 1  # the peaks are sorted once for the geometry
+        assert zipf.call_count <= len(spec.values)  # one popularity per cache size at most
+
     @settings(max_examples=40, deadline=None)
     @given(sweep=sweeps(), chunk_bytes=st.sampled_from((8, 1024, radio.CHUNK_BYTES)))
     @example(
@@ -533,37 +610,34 @@ class TestBlocks:
         assert sum(sizes) == 63 - 9 and max(sizes) == per_block and len(sizes) == -(-63 // per_block)
 
     def test_rows_stream_before_the_grid_is_built(self, fig3):
-        spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=tuple(1e6 * v for v in range(1, 101)),
+        # below 2.4e7 bit/s the X-Haul binds, so each of the 100 points is evaluated: three blocks
+        spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=tuple(1e5 * v for v in range(1, 101)),
                          daily=True)
         with mock.patch("e3sim.sweep._build", wraps=_build) as build:
             base, rows = open_sweep(fig3, spec)
             assert base == build_scenario(fig3) and build.call_count == 0
             first = next(rows)
-            assert build.call_count < len(spec.values)
-        assert first.report == evaluate_daily(built(fig3, spec.param_path, 1e6))
+            assert build.call_count == radio.chunk_rows(10) // 24 < len(spec.values)
+        assert first.report == evaluate_daily(built(fig3, spec.param_path, 1e5))
 
     def test_a_long_xhaul_run_evaluates_each_binding_point_once(self, fig3):
         # from 2.4e7 bit/s up the X-Haul limit exceeds the 6e7 bit/s radio capacity, so 76 of
-        # the 100 points repeat the point before; a block still ends after per_block points
+        # the 100 points repeat the point before; they take no rows, so one block holds them all
         values = tuple(1e6 * v for v in range(1, 101))
         spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=values, daily=True)
         miss = 1.0 - cache.hit_ratio("top_popular", 6, cache.zipf_popularity(20, 0.8))
-        evaluated, blocks = [], []
-        real_block, real_evaluated = metrics.evaluate_block, sweep._evaluated
+        evaluated = []
+        real_block = metrics.evaluate_block
 
         def recorded_points(points, *args):
             evaluated.extend(points)
             return real_block(points, *args)
 
-        def recorded_block(block, *args):
-            blocks.append(len(block))
-            return real_evaluated(block, *args)
-
-        with mock.patch("e3sim.sweep.evaluate_block", recorded_points), \
-                mock.patch("e3sim.sweep._evaluated", recorded_block):
+        with mock.patch("e3sim.sweep.evaluate_block", recorded_points), recorded_blocks() as blocks:
             rows = run_sweep(fig3, spec).rows
         assert len(evaluated) == sum(v / miss < 6e7 for v in values) + 1 == 24
-        assert max(blocks) <= radio.chunk_rows(10) // 24
+        assert blocks == [(100, 24)]
+        assert_blocks_within_one_chunk(blocks, rows_per_chunk=radio.chunk_rows(10), samples=24)
         assert all(row.report is rows[23].report for row in rows[24:])
         for value, row in zip(values, rows):
             assert row.report == evaluate_daily(built(fig3, spec.param_path, value))
