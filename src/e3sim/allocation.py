@@ -69,9 +69,9 @@ def water_levels(sorted_demands: np.ndarray, counts: np.ndarray, capacity: np.nd
     """
     capacity = np.broadcast_to(capacity, sorted_demands.shape[:-1])
     steps = np.concatenate([capacity[..., None], sorted_demands[..., :-1]], axis=-1)
-    remaining = np.subtract.accumulate(steps, axis=-1)
+    share = np.subtract.accumulate(steps, axis=-1, out=steps)  # the remaining capacity
     left = counts[..., None] - np.arange(sorted_demands.shape[-1])
-    share = remaining / np.maximum(left, 1)
+    share /= np.maximum(left, 1)
     over = (sorted_demands > share) & (left > 0)
     first = over.argmax(axis=-1)
     level = np.take_along_axis(share, first[..., None], axis=-1)[..., 0]
@@ -205,7 +205,7 @@ def xhaul_limits(s: NetworkScenario, hits: dict | None = None) -> list[float]:
     holds the hit ratios computed so far, a dict by cache size for each
     ``CacheConfig`` keyed by value, and under "cache" the record last looked
     up with its dict, so a point sharing that object skips its hash. Only
-    ``top_popular`` builds a Zipf popularity (``hit_ratio``).
+    ``top_popular`` reads a Zipf table (``hit_ratio``).
     """
     hits = {} if hits is None else hits
     cache, sizes = hits.get("cache", (None, None))

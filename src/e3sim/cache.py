@@ -10,14 +10,12 @@ the popularity).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
-from .model import CacheConfig
-from .radio import CHUNK_BYTES
+from .model import CacheConfig, _is_int
 
 
 @dataclass(frozen=True)
@@ -27,10 +25,15 @@ class Popularity:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        p = self.probabilities
+        try:
+            p = tuple(self.probabilities)
+            in_range = all(0 <= x <= 1 for x in p)
+        except TypeError:
+            raise ValueError("Popularity: probabilities must be a sequence of numbers") from None
+        object.__setattr__(self, "probabilities", p)
         if len(p) < 1:
             raise ValueError("Popularity: at least one item required")
-        if not all(0 <= x <= 1 for x in p):
+        if not in_range:
             raise ValueError("Popularity: probabilities must be finite and in [0, 1]")
         if any(p[i + 1] > p[i] + 1e-12 for i in range(len(p) - 1)):
             raise ValueError("Popularity: probabilities must be non-increasing")
@@ -42,38 +45,26 @@ class Popularity:
         return len(self.probabilities)
 
 
-#: Recently computed popularities by (catalog_size, exponent), oldest first,
-#: and the lock that guards them.
-_RECENT: OrderedDict[tuple[int, float], Popularity] = OrderedDict()
-_RECENT_LOCK = threading.Lock()
+@functools.lru_cache(maxsize=1)
+def _zipf_probabilities(catalog_size: int, exponent: float) -> tuple[float, ...]:
+    weights = [i ** -exponent for i in range(1, catalog_size + 1)]
+    total = math.fsum(weights)
+    return tuple(w / total for w in weights)
 
 
 def zipf_popularity(catalog_size: int, exponent: float) -> Popularity:
     """Zipf popularity over ``catalog_size`` ranked items.
 
-    p_i = i^(-exponent) / sum_j j^(-exponent). Exponent 0 gives the uniform
-    distribution. A sweep asks for the same few popularities at every
-    point, so recent ones are kept: beside the one just asked for, at
-    most ``CHUNK_BYTES`` worth of probabilities.
+    p_i = i^(-exponent) / sum_j j^(-exponent); exponent 0 is uniform. The
+    last table is kept, as a sweep asks for the same one at every point.
     """
-    if isinstance(catalog_size, bool) or not isinstance(catalog_size, numbers.Integral) or catalog_size < 1:
+    if not _is_int(catalog_size) or catalog_size < 1:
         raise ValueError(f"catalog_size must be an integer >= 1, got {catalog_size!r}")
+    if isinstance(exponent, bool) or not isinstance(exponent, numbers.Real):
+        raise ValueError(f"exponent must be a number, got {exponent!r}")
     if not 0 <= exponent < math.inf:
         raise ValueError(f"exponent must be finite and >= 0, got {exponent}")
-    key = (catalog_size, exponent)
-    with _RECENT_LOCK:
-        popularity = _RECENT.get(key)
-    if popularity is None:
-        weights = [i ** -exponent for i in range(1, catalog_size + 1)]
-        total = math.fsum(weights)
-        popularity = Popularity(tuple(w / total for w in weights))
-    with _RECENT_LOCK:
-        _RECENT.pop(key, None)
-        kept = sum(map(len, _RECENT.values()))
-        while kept > CHUNK_BYTES // 8:
-            kept -= len(_RECENT.popitem(last=False)[1])
-        _RECENT[key] = popularity
-    return popularity
+    return Popularity(_zipf_probabilities(catalog_size, float(exponent)))
 
 
 def hit_ratio(strategy: str, cache_size: int, popularity: Popularity | CacheConfig) -> float:
@@ -81,9 +72,11 @@ def hit_ratio(strategy: str, cache_size: int, popularity: Popularity | CacheConf
 
     ``none`` caches nothing; ``random_fill`` holds ``cache_size`` uniformly
     random distinct items (expectation M/F); ``top_popular`` holds the
-    ``cache_size`` most popular items. Given a ``CacheConfig`` for
-    ``popularity``, only ``top_popular`` builds its Zipf popularity.
+    ``cache_size`` most popular items, and alone reads the Zipf table of a
+    ``CacheConfig``, summing its head without making a ``Popularity``.
     """
+    if not _is_int(cache_size):
+        raise ValueError(f"cache_size must be an integer, got {cache_size!r}")
     catalog = len(popularity) if isinstance(popularity, Popularity) else popularity.catalog_size
     if not 0 <= cache_size <= catalog:
         raise ValueError(
@@ -94,8 +87,10 @@ def hit_ratio(strategy: str, cache_size: int, popularity: Popularity | CacheConf
     if strategy == "random_fill":
         return cache_size / catalog
     if strategy == "top_popular":
-        if not isinstance(popularity, Popularity):
-            popularity = zipf_popularity(popularity.catalog_size, popularity.zipf_exponent)
+        if isinstance(popularity, Popularity):
+            probabilities = popularity.probabilities
+        else:
+            probabilities = _zipf_probabilities(catalog, float(popularity.zipf_exponent))
         # the rounded probabilities of a whole catalog may sum to just over 1
-        return min(1.0, math.fsum(popularity.probabilities[:cache_size]))
+        return min(1.0, math.fsum(probabilities[:cache_size]))
     raise ValueError(f"unknown caching strategy '{strategy}'")

@@ -14,6 +14,7 @@ construction and safe to share across concurrent evaluations.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields
 
@@ -60,6 +61,15 @@ class UnknownKindError(ScenarioError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvariantError(message)
+
+
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer, a numpy one included, and not a bool.
+
+    A plain int is settled first: the ``numbers.Integral`` check is an ABC
+    lookup, and every sweep point that edits a kind makes a new record.
+    """
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -166,6 +176,8 @@ class BsKind:
         for name in ("cache_size", "cache_item_cost_per_area"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise InvariantError(f"BsKind '{self.kind_id}': {name} must be finite and >= 0")
+        if not _is_int(self.cache_size):
+            raise InvariantError(f"BsKind '{self.kind_id}': cache_size must be an integer")
         if self.cost_breakdown is not None:
             total = self.cost_breakdown.total()
             if not abs(total - self.cost_per_area) <= 1e-9 * max(abs(self.cost_per_area), 1.0):
@@ -210,6 +222,7 @@ class TrafficProfile:
         _require(self.samples_per_day >= 1, "TrafficProfile: samples_per_day must be >= 1")
         if self.samples_per_day > MAX_SAMPLES_PER_DAY:
             raise InvariantError(f"TrafficProfile: samples_per_day must be <= {MAX_SAMPLES_PER_DAY}")
+        _require(_is_int(self.samples_per_day), "TrafficProfile: samples_per_day must be an integer")
 
 
 @dataclass(frozen=True)
@@ -229,6 +242,7 @@ class CacheConfig:
         _require(self.catalog_size >= 1, "CacheConfig: catalog_size must be >= 1")
         if self.catalog_size > MAX_CATALOG_SIZE:
             raise InvariantError(f"CacheConfig: catalog_size must be <= {MAX_CATALOG_SIZE}")
+        _require(_is_int(self.catalog_size), "CacheConfig: catalog_size must be an integer")
         for name in ("zipf_exponent", "cache_power_per_item_w"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise InvariantError(f"CacheConfig: {name} must be finite and >= 0")

@@ -4,10 +4,12 @@ import math
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import allocation_at, make_kind, make_scenario, make_stations, make_ues, with_parameter
+import oracles
 from oracles import allocate_bruteforce
 from e3sim import (
     CacheConfig,
@@ -103,6 +105,18 @@ class TestMaxMinRates:
     def test_bad_input_rejected_naming_it(self, demands, capacity, error):
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             max_min_rates(demands, capacity)
+
+    @given(rows=st.lists(st.tuples(demand_lists, capacities), min_size=1, max_size=6))
+    def test_a_batch_of_padded_rows_gets_the_scalar_levels_bitwise(self, rows):
+        # water_levels works in place on its steps; each row's rates must still be the scalar loop's
+        width = max(len(demands) for demands, _ in rows)
+        padded = np.zeros((len(rows), 1, width))
+        for r, (demands, _) in enumerate(rows):
+            padded[r, 0, : len(demands)] = sorted(demands)
+        counts = np.array([[len(demands)] for demands, _ in rows])
+        levels = allocation.water_levels(padded, counts, np.array([[capacity] for _, capacity in rows]))
+        for (demands, capacity), level in zip(rows, levels[:, 0]):
+            assert [min(d, level) for d in demands] == oracles.max_min_rates(demands, capacity)
 
     @given(demands=demand_lists, capacity=capacities)
     def test_sum_is_pareto_efficient(self, demands, capacity):

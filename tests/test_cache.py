@@ -1,6 +1,7 @@
 """Popularity model, strategy hit ratios, and the combinatorial oracle."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from e3sim import CacheConfig, Popularity, cache, hit_ratio, zipf_popularity
-from e3sim.radio import CHUNK_BYTES
 from oracles import expected_random_hit_exact
 
 
@@ -71,19 +71,26 @@ class TestZipfPopularity:
     def test_numpy_integer_catalog_size_accepted(self):
         assert zipf_popularity(np.int64(3), 1.0) == zipf_popularity(3, 1.0)
 
+    @pytest.mark.parametrize("exponent", [True, False, "0.8", None, 1j])
+    def test_exponent_must_be_a_number(self, exponent):
+        # True once gave the exponent-1 table, and "0.8" a bare TypeError
+        with pytest.raises(ValueError, match=f"^exponent must be a number, got {re.escape(repr(exponent))}$"):
+            zipf_popularity(20, exponent)
 
-class TestPopularityReuse:
-    def test_repeated_requests_share_one_table(self):
-        assert zipf_popularity(20, 0.8) is zipf_popularity(20, 0.8)
-        assert zipf_popularity(20, 0.8) is not zipf_popularity(20, 0.9)
+    def test_numpy_exponent_accepted(self):
+        assert zipf_popularity(20, np.float32(0.5)) == zipf_popularity(20, 0.5)
 
-    def test_kept_tables_stay_within_the_chunk_budget(self):
-        catalog = 3 * CHUNK_BYTES // 8
-        large = zipf_popularity(catalog, 1.0)
-        assert zipf_popularity(catalog, 1.0) is large  # the newest is kept whatever its size
-        zipf_popularity(20, 0.8)
-        again = zipf_popularity(catalog, 1.0)
-        assert again is not large and again == large
+
+class TestPopularityRecord:
+    def test_a_list_is_stored_as_a_tuple(self):
+        pop = Popularity([0.75, 0.25])
+        assert pop.probabilities == (0.75, 0.25) and isinstance(pop.probabilities, tuple)
+        assert hash(pop) == hash(Popularity((0.75, 0.25)))
+
+    @pytest.mark.parametrize("probabilities", [("a",), (0.5, None), 0.5, None])
+    def test_non_numbers_are_rejected(self, probabilities):
+        with pytest.raises(ValueError, match=r"^Popularity: probabilities must be a sequence of numbers$"):
+            Popularity(probabilities)
 
 
 class TestHitRatio:
@@ -128,11 +135,46 @@ class TestHitRatio:
     def test_a_cache_config_builds_the_popularity_only_for_top_popular(self, strategy):
         config = CacheConfig(catalog_size=20, zipf_exponent=0.8, strategy=strategy)
         want = hit_ratio(strategy, 6, zipf_popularity(20, 0.8))
-        with mock.patch.object(cache, "zipf_popularity", wraps=cache.zipf_popularity) as build:
+        with mock.patch.object(cache, "_zipf_probabilities", wraps=cache._zipf_probabilities) as build:
             assert hit_ratio(strategy, 6, config) == want
             with pytest.raises(ValueError, match="^cache larger than catalog: cache_size 21, catalog 20$"):
                 hit_ratio(strategy, 21, config)
         assert build.call_count == (strategy == "top_popular")
+
+    @pytest.mark.parametrize("catalog", [1, 20, 4097])
+    @pytest.mark.parametrize("exponent", [0.0, 0.8, 2.5])
+    def test_a_cache_config_makes_no_popularity_and_equals_the_record_path(self, catalog, exponent):
+        sizes = sorted({0, 1, catalog // 3, catalog - 1, catalog})
+        want = {
+            (strategy, m): hit_ratio(strategy, m, zipf_popularity(catalog, exponent))
+            for strategy in ("none", "random_fill", "top_popular")
+            for m in sizes
+        }
+        cache._zipf_probabilities.cache_clear()  # a cold table too, not only the one just built
+        config = CacheConfig(catalog_size=catalog, zipf_exponent=exponent, strategy="top_popular")
+        with mock.patch.object(Popularity, "__post_init__", side_effect=AssertionError("made a Popularity")):
+            got = {(strategy, m): hit_ratio(strategy, m, config) for strategy, m in want}
+        assert {key: value.hex() for key, value in got.items()} == {key: value.hex() for key, value in want.items()}
+
+    def test_a_repeated_cache_config_computes_its_table_once(self):
+        config = CacheConfig(catalog_size=4097, zipf_exponent=0.8, strategy="top_popular")
+        cache._zipf_probabilities.cache_clear()
+        for m in range(0, 4097, 97):
+            hit_ratio("top_popular", m, config)
+        assert cache._zipf_probabilities.cache_info().misses == 1
+
+    @pytest.mark.parametrize("strategy", ["none", "random_fill", "top_popular"])
+    @pytest.mark.parametrize("size", [True, False, 2.5, 6.0, "6", None])
+    def test_cache_size_must_be_an_integer(self, strategy, size):
+        # True once hit as one item, and 2.5 gave 2.5/F under random_fill
+        config = CacheConfig(catalog_size=20, zipf_exponent=0.8, strategy=strategy)
+        for popularity in (config, zipf_popularity(20, 0.8)):
+            with pytest.raises(ValueError, match=f"^cache_size must be an integer, got {re.escape(repr(size))}$"):
+                hit_ratio(strategy, size, popularity)
+
+    def test_numpy_integer_cache_size_accepted(self):
+        config = CacheConfig(catalog_size=20, zipf_exponent=0.8, strategy="top_popular")
+        assert hit_ratio("top_popular", np.int64(6), config) == hit_ratio("top_popular", 6, config)
 
     @given(pop=popularity_vectors, s=st.floats(0.0, 2.5))
     def test_monotone_in_cache_size_and_strategy_order(self, pop, s):

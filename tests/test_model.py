@@ -28,6 +28,7 @@ from e3sim import (
     cost_coefficient,
     effective_cost_per_area,
     evaluate,
+    evaluate_daily,
     resolve_benchmark_cost,
     scenario_to_document,
     set_parameter,
@@ -322,6 +323,43 @@ def test_catalog_size_is_bounded():
     assert CacheConfig(catalog_size=model.MAX_CATALOG_SIZE).catalog_size == model.MAX_CATALOG_SIZE
     with pytest.raises(InvariantError, match=f"^CacheConfig: catalog_size must be <= {model.MAX_CATALOG_SIZE}$"):
         CacheConfig(catalog_size=model.MAX_CATALOG_SIZE + 1)
+
+
+@pytest.mark.parametrize("value", [2.5, 24.0, True])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: TrafficProfile(samples_per_day=v), "TrafficProfile: samples_per_day must be an integer"),
+        (lambda v: make_kind(cache_size=v), "BsKind 'pico': cache_size must be an integer"),
+        (lambda v: CacheConfig(catalog_size=v), "CacheConfig: catalog_size must be an integer"),
+    ],
+    ids=["samples_per_day", "cache_size", "catalog_size"],
+)
+def test_integer_fields_reject_bools_and_fractions(build, message, value):
+    # a fractional samples_per_day or cache_size once failed later with a bare TypeError
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        build(value)
+
+
+def test_integer_fields_accept_numpy_integers():
+    s = make_scenario(
+        kinds=(make_kind(cache_size=np.int64(4)),),
+        cache=CacheConfig(catalog_size=np.int32(20), zipf_exponent=0.8, strategy="top_popular"),
+        traffic=TrafficProfile(peak_to_min_ratio=4.0, samples_per_day=np.int64(6)),
+    )
+    plain = make_scenario(
+        kinds=(make_kind(cache_size=4),),
+        cache=CacheConfig(catalog_size=20, zipf_exponent=0.8, strategy="top_popular"),
+        traffic=TrafficProfile(peak_to_min_ratio=4.0, samples_per_day=6),
+    )
+    assert evaluate_daily(s) == evaluate_daily(plain)
+
+
+def test_a_fractional_integer_field_in_a_document_keeps_its_schema_error():
+    doc = copy.deepcopy(MINIMAL_DOC)
+    doc["traffic"] = {"samples_per_day": 2.5}
+    with pytest.raises(SchemaError, match=r"^traffic.samples_per_day: expected an integer, got 2.5$"):
+        build_scenario(doc)
 
 
 @pytest.mark.parametrize("ratio", [INF, float("nan"), 0.5])

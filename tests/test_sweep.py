@@ -3,6 +3,8 @@
 import contextlib
 import copy
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -492,15 +494,41 @@ class TestBlocks:
             return real(points, *args)
 
         compiled = mock.patch.object(allocation, "_blocks", wraps=allocation._blocks)
-        popularity = mock.patch.object(cache, "zipf_popularity", wraps=cache.zipf_popularity)
-        with mock.patch("e3sim.sweep.evaluate_block", recorded), compiled as sort, popularity as zipf:
+        cache._zipf_probabilities.cache_clear()
+        with mock.patch("e3sim.sweep.evaluate_block", recorded), compiled as sort:
             rows = run_sweep(fig3, spec).rows
         per_block = radio.chunk_rows(10) // 24
         assert len(rows) == 2100 and all(row.error is None for row in rows)
         assert sum(sizes) == 402
         assert len(sizes) <= -(-402 // per_block) == 12
         assert sort.call_count == 1  # the peaks are sorted once for the geometry
-        assert zipf.call_count <= len(spec.values)  # one popularity per cache size at most
+        assert cache._zipf_probabilities.cache_info().misses <= 1  # one Zipf table for the whole sweep
+
+    def test_concurrent_sweeps_give_the_rows_of_serial_runs(self, fig3):
+        # records are shared across concurrent evaluations; the fig3 sweep alternates Zipf
+        # tables at every point, while the fig4_c3 one (random_fill) reads none
+        exponents = {"fig3": (0.4, 0.8, 1.2), "c3": tuple(0.2 * i for i in range(11))}
+        jobs = [
+            (document, SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)),
+                                 param2_path="cache.zipf_exponent", values2=exponents[name], daily=True))
+            for name, document in (("fig3", fig3), ("c3", load_document("fig4_c3.json")))
+        ]
+
+        def rows(job):
+            return [(row.values, row.report, row.report and row.report.cost_rate, row.error)
+                    for row in run_sweep(*job).rows]
+
+        serial = [rows(job) for job in jobs]
+        start = threading.Barrier(len(jobs), timeout=60)
+
+        def together(job):
+            start.wait()
+            return [rows(job) for _ in range(3)]
+
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            concurrent = list(pool.map(together, jobs))
+        assert concurrent == [[want] * 3 for want in serial]
+        assert all(row[3] is None for want in serial for row in want)
 
     @settings(max_examples=40, deadline=None)
     @given(sweep=sweeps(), chunk_bytes=st.sampled_from((8, 1024, radio.CHUNK_BYTES)))
