@@ -8,15 +8,9 @@ points.
 
 __version__ = "0.1.0"
 
-from .allocation import effective_bs_capacity, max_min_rates
-from .cache import Popularity, hit_ratio, zipf_popularity
+from .cache import hit_ratio
 from .document import build_scenario, scenario_to_document
-from .energy_cost import (
-    cost_coefficient,
-    effective_cost_per_area,
-    resolve_benchmark_cost,
-    total_cost_rate,
-)
+from .energy_cost import cost_coefficient, effective_cost_per_area, resolve_benchmark_cost
 from .metrics import SECONDS_PER_YEAR, MetricReport, evaluate, evaluate_daily
 from .model import (
     BsKind,
@@ -51,7 +45,6 @@ __all__ = [
     "MetricReport",
     "NetworkScenario",
     "ParameterPathError",
-    "Popularity",
     "ScenarioError",
     "SchemaError",
     "SECONDS_PER_YEAR",
@@ -66,19 +59,15 @@ __all__ = [
     "argmax",
     "build_scenario",
     "cost_coefficient",
-    "effective_bs_capacity",
     "effective_cost_per_area",
     "evaluate",
     "evaluate_daily",
     "hit_ratio",
-    "max_min_rates",
     "pareto_front",
     "resolve_benchmark_cost",
     "resolve_parameter",
     "run_sweep",
     "scenario_to_document",
     "set_parameter",
-    "total_cost_rate",
     "validate_scenario",
-    "zipf_popularity",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,24 +35,6 @@ from .radio import chunk_rows, nearest_stations, physical_capacities
 
 if TYPE_CHECKING:
     from .scenario import NetworkScenario
-
-
-def effective_bs_capacity(radio_cap_bps: float, xhaul_cap_bps: float, hit_fraction: float) -> float:
-    """Station serving capacity given its cache hit fraction.
-
-    Only the miss share (1 - h) of served traffic crosses the X-Haul, so a
-    served rate x is feasible while (1 - h) * x <= X-Haul capacity. At
-    h = 1 the X-Haul is bypassed entirely and the radio alone limits.
-    """
-    if not 0.0 <= hit_fraction <= 1.0:
-        raise ValueError(f"hit_fraction must lie in [0, 1], got {hit_fraction}")
-    if not radio_cap_bps >= 0.0:
-        raise ValueError(f"radio_cap_bps must be >= 0, got {radio_cap_bps}")
-    if not xhaul_cap_bps >= 0.0:
-        raise ValueError(f"xhaul_cap_bps must be >= 0, got {xhaul_cap_bps}")
-    if hit_fraction == 1.0:
-        return radio_cap_bps
-    return min(radio_cap_bps, xhaul_cap_bps / (1.0 - hit_fraction))
 
 
 def water_levels(sorted_demands: np.ndarray, counts: np.ndarray, capacity: np.ndarray) -> np.ndarray:
@@ -77,25 +59,6 @@ def water_levels(sorted_demands: np.ndarray, counts: np.ndarray, capacity: np.nd
     level = np.take_along_axis(share, first[..., None], axis=-1)[..., 0]
     level = np.where(over.any(axis=-1), level, np.inf)
     return np.where(capacity > 0, level, 0.0)
-
-
-def max_min_rates(demands: Sequence[float], capacity: float) -> list[float]:
-    """Max-min fair share of ``capacity`` among the given demands.
-
-    Every demand is granted ``min(demand, level)`` with the level of
-    ``water_levels``, so the result is bitwise independent of input order.
-    Output order matches input order.
-    """
-    d = np.asarray(demands, dtype=float)
-    bad = ~np.isfinite(d) | (d < 0)
-    if bad.any():
-        raise ValueError(f"demands must be finite and >= 0, got {d[bad][0]}")
-    if not capacity >= 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
-    if len(d) == 0:
-        return []
-    level = water_levels(np.sort(d)[None, :], np.array([len(d)]), np.array([float(capacity)]))
-    return np.minimum(d, level[0]).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +163,9 @@ def xhaul_limits(s: NetworkScenario, hits: dict | None = None) -> list[float]:
     """The X-Haul bound on effective capacity of each of ``s.base_stations.kinds``.
 
     A station's effective capacity is the smaller of its radio capacity and
-    this bound: ``effective_bs_capacity`` at unbounded radio capacity, the
-    X-Haul capacity over the miss fraction, or inf at hit ratio 1. ``hits``
+    this bound. Only the miss share (1 - h) of served traffic crosses the
+    X-Haul, so the bound is the X-Haul capacity over the miss fraction, or
+    inf at hit ratio 1, where the X-Haul is bypassed entirely. ``hits``
     holds the hit ratios computed so far, a dict by cache size for each
     ``CacheConfig`` keyed by value, and under "cache" the record last looked
     up with its dict, so a point sharing that object skips its hash. Only
@@ -215,8 +179,8 @@ def xhaul_limits(s: NetworkScenario, hits: dict | None = None) -> list[float]:
     for kind in s.base_stations.kinds:
         hit = sizes.get(kind.cache_size)
         if hit is None:
-            hit = sizes[kind.cache_size] = hit_ratio(cache.strategy, kind.cache_size, cache)
-        limits.append(effective_bs_capacity(math.inf, kind.xhaul.capacity_bps, hit))
+            hit = sizes[kind.cache_size] = hit_ratio(cache, kind.cache_size)
+        limits.append(math.inf if hit == 1.0 else kind.xhaul.capacity_bps / (1.0 - hit))
     return limits
 
 

@@ -81,8 +81,3 @@ def station_cost_rate(kind: BsKind) -> float:
     """Yearly cost of one station of ``kind``: per-area cost times coverage."""
     return effective_cost_per_area(kind) * kind.coverage_area_m2
 
-
-def total_cost_rate(s: NetworkScenario) -> float:
-    """Total yearly cost of the deployment: station cost rates, summed in station order."""
-    # a cumulative sum adds one station at a time, as a Python sum does
-    return float(np.cumsum(s.base_stations.values(station_cost_rate))[-1])

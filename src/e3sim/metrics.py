@@ -17,6 +17,7 @@ import numpy as np
 
 from .allocation import Geometry, fill, plan_geometry, xhaul_limits
 from .energy_cost import cost_coefficient, dynamic_parts, resolve_benchmark_cost, station_cost_rate
+from .model import _is_real
 from .radio import chunk_rows, demand_factor
 
 if TYPE_CHECKING:
@@ -31,8 +32,9 @@ class MetricReport:
 
     ``time_hours`` is the evaluated hour of day, or None for a daily
     average (ratio of time-averaged numerators and denominators).
-    ``cost_rate`` is the yearly deployment cost, the denominator of CE
-    (``energy_cost.total_cost_rate``).
+    ``cost_rate`` is the yearly deployment cost, the denominator of CE: the
+    ``energy_cost.station_cost_rate`` of every station, summed in station
+    order.
     """
 
     throughput_bps: float
@@ -251,11 +253,12 @@ def evaluate(s: NetworkScenario, t_hours: float) -> MetricReport:
     """Evaluate all metrics at one hour of the day.
 
     Raises:
-        TypeError: ``t_hours`` is None (``evaluate_daily`` gives the daily average).
+        TypeError: ``t_hours`` is None (``evaluate_daily`` gives the daily
+            average), a bool or no number.
         ValueError: ``t_hours`` is not finite, or an input check fails.
     """
-    if t_hours is None:
-        raise TypeError("t_hours must be a number, got None")
+    if not _is_real(t_hours):
+        raise TypeError(f"t_hours must be a number, got {t_hours!r}")
     return _evaluate_one(s, t_hours)
 
 

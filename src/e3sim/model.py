@@ -13,8 +13,10 @@ construction and safe to share across concurrent evaluations.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields
 
@@ -72,6 +74,40 @@ def _is_int(value: object) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value: object) -> bool:
+    """Whether ``value`` is a real number, a numpy one included, and not a bool.
+
+    A plain float or int is settled first, for the reason ``_is_int`` gives.
+    """
+    return type(value) is float or type(value) is int or isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+#: What each number field of a record must hold, by its annotation.
+_NUMBER_RULES = {"float": "a number", "float | None": "a number", "int": "an integer"}
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
+@functools.cache
+def _number_fields(record: type) -> tuple[operator.attrgetter, tuple[tuple[str, str], ...]]:
+    pairs = tuple((f.name, f.type) for f in fields(record) if f.type in _NUMBER_RULES)
+    return operator.attrgetter(*(name for name, _ in pairs)), pairs
+
+
+def _require_numbers(record: object, id_field: str | None = None) -> None:
+    """Raise an InvariantError naming the record (by ``id_field`` too, if
+    given) and its first number field that holds a bool or no real number
+    (``_is_real``). Range checks follow, and an integer field's own check
+    rejects a fraction. Plain floats and ints pass in one C-level scan."""
+    values_of, pairs = _number_fields(type(record))
+    values = values_of(record)
+    if _PLAIN_NUMBERS.issuperset(map(type, values)):
+        return
+    owner = type(record).__name__ + ("" if id_field is None else f" '{getattr(record, id_field)}'")
+    for (name, annotation), value in zip(pairs, values):
+        if not _is_real(value):
+            raise InvariantError(f"{owner}: {name} must be {_NUMBER_RULES[annotation]}")
+
+
 @dataclass(frozen=True)
 class XHaulSolution:
     """One backhaul/fronthaul option: capacity, medium, power overhead rule.
@@ -86,12 +122,13 @@ class XHaulSolution:
     xhaul_power_factor: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.capacity_bps < math.inf:
-            raise InvariantError(f"XHaulSolution '{self.solution_id}': capacity_bps must be finite and > 0")
         if self.medium not in MEDIA:
             raise InvariantError(f"XHaulSolution '{self.solution_id}': medium must be one of {MEDIA}")
         if self.xhaul_power_factor is None:
             object.__setattr__(self, "xhaul_power_factor", DEFAULT_XHAUL_POWER_FACTOR[self.medium])
+        _require_numbers(self, "solution_id")
+        if not 0 < self.capacity_bps < math.inf:
+            raise InvariantError(f"XHaulSolution '{self.solution_id}': capacity_bps must be finite and > 0")
         if not 0 <= self.xhaul_power_factor < math.inf:
             raise InvariantError(f"XHaulSolution '{self.solution_id}': xhaul_power_factor must be finite and >= 0")
 
@@ -115,6 +152,7 @@ class CostBreakdown:
     inherited_discount: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_numbers(self)
         for name in _BREAKDOWN_COMPONENTS:
             if not 0 <= getattr(self, name) < math.inf:
                 raise InvariantError(f"CostBreakdown: {name} must be finite and >= 0")
@@ -162,6 +200,7 @@ class BsKind:
     cost_breakdown: CostBreakdown | None = None
 
     def __post_init__(self) -> None:
+        _require_numbers(self, "kind_id")
         for name in (
             "static_power_w",
             "max_tx_dynamic_power_w",
@@ -215,6 +254,7 @@ class TrafficProfile:
     samples_per_day: int = 24
 
     def __post_init__(self) -> None:
+        _require_numbers(self)
         _require(
             1 <= self.peak_to_min_ratio < math.inf, "TrafficProfile: peak_to_min_ratio must be finite and >= 1"
         )
@@ -239,6 +279,7 @@ class CacheConfig:
     cache_power_per_item_w: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_numbers(self)
         _require(self.catalog_size >= 1, "CacheConfig: catalog_size must be >= 1")
         if self.catalog_size > MAX_CATALOG_SIZE:
             raise InvariantError(f"CacheConfig: catalog_size must be <= {MAX_CATALOG_SIZE}")

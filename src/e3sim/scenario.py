@@ -32,6 +32,7 @@ from .model import (
     TrafficProfile,
     UnknownKindError,
     UserEquipment,
+    _is_real,
     _require,
     _require_unique,
 )
@@ -297,10 +298,9 @@ class NetworkScenario:
         _require_unique("kind_id", [k.kind_id for k in self.kinds])
         by_id = {k.kind_id: k for k in self.kinds}
         object.__setattr__(self, "base_stations", self.base_stations.resolved(by_id))
-        if isinstance(self.benchmark_cost, str):
-            if self.benchmark_cost != MAX_KIND:
+        if self.benchmark_cost != MAX_KIND:
+            if not _is_real(self.benchmark_cost):
                 raise InvariantError(f"NetworkScenario: benchmark_cost must be a number or '{MAX_KIND}'")
-        else:
             _require(0 < self.benchmark_cost < math.inf, "NetworkScenario: benchmark_cost must be finite and > 0")
         if self.radio_mode not in RADIO_MODES:
             raise InvariantError(f"NetworkScenario: radio_mode must be one of {RADIO_MODES}")

@@ -21,6 +21,7 @@ from typing import Any, Iterator, Sequence
 from .allocation import Geometry, plan_geometry, same_geometry
 from .document import _build, build_scenario, section_keys
 from .metrics import MetricReport, evaluate_block, point_inputs
+from .model import _is_real
 from .scenario import NetworkScenario
 
 METRICS = ("se", "ee", "ce", "e3")
@@ -40,7 +41,12 @@ class ParameterPathError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes and evaluation time of one sweep."""
+    """Axes and evaluation time of one sweep.
+
+    ``daily`` evaluates every point's daily average, and then ``time_hours``
+    must be None; else each point is evaluated at ``time_hours``, or at its
+    base's peak hour when that is None.
+    """
 
     param_path: str
     values: tuple[Any, ...]
@@ -59,6 +65,11 @@ class SweepSpec:
             raise ValueError("SweepSpec: param2_path and values2 must be given together")
         if self.values2 is not None and not self.values2:
             raise ValueError("SweepSpec: at least one value per axis required")
+        if self.time_hours is not None:
+            if not _is_real(self.time_hours):
+                raise TypeError(f"SweepSpec: time_hours must be a number, got {self.time_hours!r}")
+            if self.daily:
+                raise ValueError("SweepSpec: time_hours must be None for a daily sweep")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from e3sim import (
     scenario_to_document,
     set_parameter,
 )
-from e3sim.allocation import fill, plan_geometry, station_capacities
+from e3sim.allocation import fill, plan_geometry, station_capacities, water_levels
 from e3sim.radio import demand_factor, nearest_stations
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -48,6 +48,20 @@ def allocation_at(s, t_hours):
     factors = np.array([demand_factor(t_hours, s.traffic)])
     rates, load = fill(geometry, factors, np.array([capacity]), np.array([radio_cap]))
     return rates[0], load[0]
+
+
+def water_rates(demands, capacity):
+    """The rates ``allocation.water_levels`` grants one station's ``demands``, in their order."""
+    d = np.asarray(demands, dtype=float)
+    level = water_levels(np.sort(d)[None, :], np.array([len(d)]), np.array([float(capacity)]))
+    return np.minimum(d, level[0]).tolist()
+
+
+def water_rates(demands, capacity):
+    """The rates ``allocation.water_levels`` grants one station's ``demands``, in their order."""
+    d = np.asarray(demands, dtype=float)
+    level = water_levels(np.sort(d)[None, :], np.array([len(d)]), np.array([float(capacity)]))
+    return np.minimum(d, level[0]).tolist()
 
 
 def radio_capacities(s):

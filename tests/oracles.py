@@ -4,9 +4,14 @@ Plain scalar loops, one UE and one station at a time: nearest-station
 association, physical-mode capacity, per-station max-min filling, and the
 per-hour and daily metric evaluation built from them. They read a
 scenario's station and UE columns through ``stations`` and ``ues``, small
-read-only records of one entity each. Also the brute-force oracles of the
-max-min allocation and of the random-fill hit ratio. Slow by design; use
-on small scenarios only.
+read-only records of one entity each. The closed forms the evaluation
+rests on are written out here too, not imported: the Zipf table and hit
+ratios, the effective capacity, the demand factor, per-area costs, the
+cost coefficient and the yearly cost rate. Each keeps the engine's order
+of operations, so the abstract-mode checks can be bitwise. From ``e3sim``
+this module imports only records, errors, constants and ``MetricReport``.
+Also the brute-force oracles of the max-min allocation and of the
+random-fill hit ratio. Slow by design; use on small scenarios only.
 """
 
 from __future__ import annotations
@@ -18,26 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from e3sim import (
-    SECONDS_PER_YEAR,
-    BsKind,
-    MetricReport,
-    NetworkScenario,
-    Popularity,
-    cost_coefficient,
-    effective_bs_capacity,
-    hit_ratio,
-    resolve_benchmark_cost,
-    total_cost_rate,
-    zipf_popularity,
-)
-from e3sim.radio import (
-    _NOISE_W_PER_HZ,
-    PATHLOSS_EXPONENT,
-    PATHLOSS_REF_DB,
-    PATHLOSS_REF_DISTANCE_M,
-    demand_factor,
-)
+from e3sim import SECONDS_PER_YEAR, BsKind, CacheConfig, MetricReport, NetworkScenario, TrafficProfile
+from e3sim.model import MAX_KIND
+from e3sim.radio import _NOISE_W_PER_HZ, PATHLOSS_EXPONENT, PATHLOSS_REF_DB, PATHLOSS_REF_DISTANCE_M
 
 _BRUTEFORCE_MAX_UES = 4
 _BRUTEFORCE_GRID_STEPS = 1000
@@ -91,6 +79,82 @@ class Allocation:
 
     rates_bps: dict[str, float]
     radio_load: dict[str, float]
+
+
+def zipf_probabilities(catalog_size: int, exponent: float) -> tuple[float, ...]:
+    """p_i = i^(-exponent) / sum_j j^(-exponent), most popular first."""
+    weights = [i ** -float(exponent) for i in range(1, catalog_size + 1)]
+    total = math.fsum(weights)
+    return tuple(w / total for w in weights)
+
+
+def hit_ratio(cache: CacheConfig, cache_size: int) -> float:
+    """Expected hit ratio of ``cache.strategy`` with ``cache_size`` items."""
+    catalog = cache.catalog_size
+    if not 0 <= cache_size <= catalog:
+        raise ValueError(f"cache larger than catalog: cache_size {cache_size}, catalog {catalog}")
+    if cache.strategy == "none":
+        return 0.0
+    if cache.strategy == "random_fill":
+        return cache_size / catalog
+    return min(1.0, math.fsum(zipf_probabilities(catalog, cache.zipf_exponent)[:cache_size]))
+
+
+def effective_capacity(radio_cap_bps: float, xhaul_cap_bps: float, hit: float) -> float:
+    """The radio capacity, or the X-Haul capacity over the miss share if smaller."""
+    if hit == 1.0:
+        return radio_cap_bps
+    return min(radio_cap_bps, xhaul_cap_bps / (1.0 - hit))
+
+
+def demand_factor(t_hours: float, profile: TrafficProfile) -> float:
+    """Sinusoidal share of the peak demand: 1 at the peak hour, 1 / ratio at the trough."""
+    if not math.isfinite(t_hours):
+        raise ValueError(f"t_hours must be finite, got {t_hours}")
+    rho = profile.peak_to_min_ratio
+    phase = (1.0 + math.cos(2.0 * math.pi * (t_hours - profile.peak_hour) / 24.0)) / 2.0
+    return 1.0 / rho + (1.0 - 1.0 / rho) * phase
+
+
+def effective_cost_per_area(kind: BsKind) -> float:
+    """Per-area cost, the capital items discounted when broken down, plus the cache items."""
+    b = kind.cost_breakdown
+    if b is None:
+        base = kind.cost_per_area
+    else:
+        components = (
+            b.infrastructure,
+            b.site_installation,
+            b.site_operation,
+            b.optimization_maintenance,
+            b.cache_placement,
+            b.xhaul_configuration,
+            b.content_delivery,
+        )
+        base = math.fsum(components) - (b.infrastructure + b.site_installation) * b.inherited_discount
+    return base + kind.cache_size * kind.cache_item_cost_per_area
+
+
+def resolve_benchmark_cost(s: NetworkScenario) -> float:
+    """The pinned benchmark cost, or under ``max-kind`` the costliest kind's per-area cost."""
+    if s.benchmark_cost == MAX_KIND:
+        c0 = max(effective_cost_per_area(k) for k in s.kinds)
+        if c0 <= 0:
+            raise ValueError("max-kind benchmark resolved to a non-positive cost")
+        return c0
+    return float(s.benchmark_cost)
+
+
+def cost_coefficient(kind: BsKind, benchmark_cost: float) -> float:
+    """C_n: the kind's per-area cost over the benchmark cost."""
+    if benchmark_cost <= 0:
+        raise ValueError(f"benchmark cost must be positive, got {benchmark_cost}")
+    return effective_cost_per_area(kind) / benchmark_cost
+
+
+def total_cost_rate(s: NetworkScenario) -> float:
+    """Yearly deployment cost: per-area cost times coverage, summed station by station."""
+    return sum(effective_cost_per_area(b.kind) * b.kind.coverage_area_m2 for b in stations(s))
 
 
 def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -162,7 +226,6 @@ def max_min_rates(demands: Sequence[float], capacity: float) -> list[float]:
 
 def allocate(s: NetworkScenario, assoc: Association, t_hours: float) -> Allocation:
     """Station-by-station allocation at one hour, every input recomputed."""
-    popularity = zipf_popularity(s.cache.catalog_size, s.cache.zipf_exponent)
     peaks = {u.ue_id: u.demand_peak_bps for u in ues(s)}
     factor = demand_factor(t_hours, s.traffic)
     rates: dict[str, float] = {}
@@ -170,9 +233,9 @@ def allocate(s: NetworkScenario, assoc: Association, t_hours: float) -> Allocati
     for bs in stations(s):
         ue_ids = assoc.attached[bs.bs_id]
         demands = [peaks[u] * factor for u in ue_ids]
-        h = hit_ratio(s.cache.strategy, bs.kind.cache_size, popularity)
+        h = hit_ratio(s.cache, bs.kind.cache_size)
         radio_cap = radio_capacity(bs, assoc, s)
-        cap = effective_bs_capacity(radio_cap, bs.kind.xhaul.capacity_bps, h)
+        cap = effective_capacity(radio_cap, bs.kind.xhaul.capacity_bps, h)
         granted = max_min_rates(demands, cap)
         rates.update(zip(ue_ids, granted))
         total = sum(granted)
@@ -263,13 +326,14 @@ def allocate_bruteforce(demands: Sequence[float], capacity: float) -> list[float
     return [float(min(x, level)) for x in d]
 
 
-def expected_random_hit_exact(cache_size: int, popularity: Popularity) -> float:
+def expected_random_hit_exact(cache_size: int, probabilities: tuple[float, ...]) -> float:
     """Exact expected hit ratio of a uniformly random cache fill.
 
+    ``probabilities`` are the request probabilities of the F catalog items.
     Enumerates every C(F, M) equally likely cached subset and averages the
     probability mass it covers. Limited to small catalogs.
     """
-    catalog = len(popularity)
+    catalog = len(probabilities)
     if catalog > _ORACLE_MAX_CATALOG:
         raise ValueError(f"oracle instance too large: catalog {catalog} > {_ORACLE_MAX_CATALOG}")
     if not 0 <= cache_size <= catalog:
@@ -278,5 +342,5 @@ def expected_random_hit_exact(cache_size: int, popularity: Popularity) -> float:
         )
     if cache_size == 0:
         return 0.0
-    subsets = list(combinations(popularity.probabilities, cache_size))
+    subsets = list(combinations(probabilities, cache_size))
     return math.fsum(math.fsum(subset) for subset in subsets) / len(subsets)

@@ -15,18 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import allocation_at, load_document, make_kind, make_scenario, make_stations, make_ues, scenario_path
-from e3sim import (
-    SweepSpec,
-    argmax,
-    build_scenario,
-    evaluate,
-    hit_ratio,
-    max_min_rates,
-    run_sweep,
-    set_parameter,
-    zipf_popularity,
+import oracles
+from conftest import (
+    allocation_at,
+    load_document,
+    make_kind,
+    make_scenario,
+    make_stations,
+    make_ues,
+    scenario_path,
+    water_rates,
 )
+from e3sim import CacheConfig, SweepSpec, argmax, build_scenario, evaluate, hit_ratio, run_sweep, set_parameter
 from e3sim.energy_cost import dynamic_parts
 from oracles import allocate_bruteforce, expected_random_hit_exact
 
@@ -144,16 +144,16 @@ def test_c6_allocation_matches_bruteforce_oracle():
         for n in range(1, 5):
             for demands in itertools.product((1.0, 2.0, 3.0, 4.0, 5.0), repeat=n):
                 for capacity in range(1, 11):
-                    exact = max_min_rates(demands, float(capacity))
+                    exact = water_rates(demands, float(capacity))
                     oracle = allocate_bruteforce(demands, float(capacity))
                     assert all(abs(a - b) <= 1e-2 for a, b in zip(exact, oracle))
                     if sum(demands) <= capacity:
                         assert exact == list(demands)
                         assert oracle == list(demands)
         # closed-form hand cases hold exactly
-        assert max_min_rates([5.0, 5.0], 6.0) == [3.0, 3.0]
-        assert max_min_rates([2.0, 5.0, 5.0], 9.0) == [2.0, 3.5, 3.5]
-        # the scenario-level allocator delegates to the same arithmetic
+        assert water_rates([5.0, 5.0], 6.0) == [3.0, 3.0]
+        assert water_rates([2.0, 5.0, 5.0], 9.0) == [2.0, 3.5, 3.5]
+        # the scenario-level allocator grants the scalar progressive filling's rates
         from conftest import make_xhaul
 
         for demands in itertools.product((1.0, 3.0, 5.0), repeat=2):
@@ -167,17 +167,18 @@ def test_c6_allocation_matches_bruteforce_oracle():
                 )
                 s = make_scenario(kinds=(kind,), base_stations=stations, ues=ues)
                 rates, _ = allocation_at(s, 0.0)
-                assert rates.tolist() == max_min_rates(demands, capacity)
+                assert rates.tolist() == oracles.max_min_rates(demands, capacity)
 
 
 def test_c7_random_fill_matches_exact_expectation():
     with budget("C7 cache oracle", 5.0):
         for exponent in (0.0, 0.5, 0.8, 1.0, 1.5):
             for catalog in range(1, 11):
-                pop = zipf_popularity(catalog, exponent)
+                config = CacheConfig(catalog_size=catalog, zipf_exponent=exponent, strategy="random_fill")
+                probabilities = oracles.zipf_probabilities(catalog, exponent)
                 for m in range(catalog + 1):
-                    formula = hit_ratio("random_fill", m, pop)
-                    exact = expected_random_hit_exact(m, pop)
+                    formula = hit_ratio(config, m)
+                    exact = expected_random_hit_exact(m, probabilities)
                     assert abs(formula - exact) <= 1e-12
 
 

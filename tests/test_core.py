@@ -7,9 +7,13 @@ Association (``nearest_stations``) must match exactly, including exact
 distance ties on integer lattices.
 """
 
+import ast
+import importlib
+import inspect
 import math
 import random
 from dataclasses import astuple, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -395,3 +399,18 @@ def assert_non_decreasing_se(document, path, low, high, t):
     se_low = evaluate(build_scenario(set_parameter(document, path, low)), t).se
     se_high = evaluate(build_scenario(set_parameter(document, path, high)), t).se
     assert se_high >= se_low * (1 - 1e-12), (path, low, high, se_low, se_high)
+
+
+def test_the_oracles_import_no_engine_function():
+    # an oracle that calls the engine checks the engine against itself
+    imported = []
+    for node in ast.walk(ast.parse(Path(oracles.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "e3sim" for alias in node.names), "a module import binds functions"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "e3sim":
+            module = importlib.import_module(node.module)
+            imported += [(f"{node.module}.{alias.name}", getattr(module, alias.name)) for alias in node.names]
+    assert imported
+    for name, value in imported:
+        # records, errors and MetricReport are classes; constants are neither callable nor modules
+        assert inspect.isclass(value) or not (callable(value) or inspect.ismodule(value)), name

@@ -3,12 +3,7 @@
 import pytest
 
 from conftest import make_kind, make_scenario, make_stations, make_xhaul
-from e3sim import (
-    CostBreakdown,
-    cost_coefficient,
-    effective_cost_per_area,
-    total_cost_rate,
-)
+from e3sim import CostBreakdown, cost_coefficient, effective_cost_per_area, evaluate
 from e3sim.energy_cost import dynamic_parts
 
 
@@ -100,18 +95,23 @@ class TestCostCoefficient:
         assert cost_coefficient(plain, 100.0) == pytest.approx(0.50)
 
 
+def cost_rate(s):
+    """The yearly deployment cost an evaluation reports for ``s``."""
+    return evaluate(s, 0.0).cost_rate
+
+
 class TestTotalCostRate:
     def test_single_station(self):
         kind = make_kind(cost_per_area=100.0, coverage_area_m2=10.0)
         s = make_scenario(kinds=(kind,), base_stations=station(kind))
-        assert total_cost_rate(s) == pytest.approx(1000.0)
+        assert cost_rate(s) == pytest.approx(1000.0)
 
     def test_doubles_when_costs_double(self):
         kind1 = make_kind(cost_per_area=100.0, coverage_area_m2=10.0)
         kind2 = make_kind(cost_per_area=200.0, coverage_area_m2=10.0)
         s1 = make_scenario(kinds=(kind1,), base_stations=station(kind1))
         s2 = make_scenario(kinds=(kind2,), base_stations=station(kind2))
-        assert total_cost_rate(s2) == pytest.approx(2 * total_cost_rate(s1))
+        assert cost_rate(s2) == pytest.approx(2 * cost_rate(s1))
 
     def test_mixed_kinds_match_hand_sum(self):
         # two 80/m2 stations on 10 m2 plus one discounted-breakdown station:
@@ -137,4 +137,4 @@ class TestTotalCostRate:
         )
         s = make_scenario(kinds=(kind_a, kind_b), base_stations=stations)
         assert effective_cost_per_area(kind_b) == pytest.approx(100.0)
-        assert total_cost_rate(s) == pytest.approx(2100.0)
+        assert cost_rate(s) == pytest.approx(2100.0)

@@ -6,6 +6,7 @@ from unittest import mock
 
 import pytest
 
+import oracles
 from conftest import make_kind, make_scenario, make_stations, make_ues, make_xhaul, with_parameter
 from e3sim import (
     SECONDS_PER_YEAR,
@@ -15,7 +16,6 @@ from e3sim import (
     evaluate_daily,
     scenario_to_document,
     set_parameter,
-    total_cost_rate,
 )
 from e3sim.metrics import point_inputs
 from e3sim.radio import CHUNK_BYTES
@@ -42,7 +42,7 @@ class TestEvaluate:
     def test_ce_uses_yearly_cost(self):
         s = hand_case_scenario()
         report = evaluate(s, 0.0)
-        assert report.ce == pytest.approx(1e7 * SECONDS_PER_YEAR / total_cost_rate(s), rel=1e-12)
+        assert report.ce == pytest.approx(1e7 * SECONDS_PER_YEAR / oracles.total_cost_rate(s), rel=1e-12)
 
     def test_unit_coefficients_make_e3_equal_ee(self):
         kinds = (make_kind(kind_id="a", cost_per_area=70.0), make_kind(kind_id="b", cost_per_area=70.0))
@@ -106,6 +106,12 @@ class TestEvaluate:
         # None means a daily average to the block core, never to evaluate
         with pytest.raises(TypeError, match="t_hours must be a number, got None"):
             evaluate(make_scenario(), None)
+
+    @pytest.mark.parametrize("hour", [True, False, "20"])
+    def test_a_bool_or_string_hour_is_a_type_error(self, hour):
+        # True was evaluated as hour 1
+        with pytest.raises(TypeError, match=f"^t_hours must be a number, got {hour!r}$"):
+            evaluate(make_scenario(), hour)
 
 
 def daily_fixture():

@@ -355,6 +355,47 @@ def test_integer_fields_accept_numpy_integers():
     assert evaluate_daily(s) == evaluate_daily(plain)
 
 
+#: Every float field of the records, and the record that holds it: (owner in errors, record, field).
+FLOAT_FIELDS = [
+    *(("XHaulSolution 'xh'", make_xhaul(), name) for name in ("capacity_bps", "xhaul_power_factor")),
+    *(("CostBreakdown", CostBreakdown(*[1.0] * 7), name) for name in (*BREAKDOWN_COMPONENTS, "inherited_discount")),
+    *(
+        ("BsKind 'pico'", make_kind(), name)
+        for name in (
+            "static_power_w",
+            "max_tx_dynamic_power_w",
+            "radio_capacity_bps",
+            "bandwidth_hz",
+            "coverage_area_m2",
+            "cost_per_area",
+            "tx_power_w",
+            "cache_item_cost_per_area",
+        )
+    ),
+    *(("TrafficProfile", TrafficProfile(), name) for name in ("peak_to_min_ratio", "peak_hour")),
+    *(("CacheConfig", CacheConfig(), name) for name in ("zipf_exponent", "cache_power_per_item_w")),
+    ("NetworkScenario", make_scenario(), "benchmark_cost"),
+]
+
+
+FLOAT_FIELD_IDS = [f"{owner.split()[0]}.{name}" for owner, _, name in FLOAT_FIELDS]
+
+
+@pytest.mark.parametrize("value", [True, False, "1.0"])
+@pytest.mark.parametrize("owner, record, name", FLOAT_FIELDS, ids=FLOAT_FIELD_IDS)
+def test_float_fields_reject_bools_and_strings(owner, record, name, value):
+    # True was read as 1.0, and "1.0" failed a comparison with a bare TypeError
+    rule = "a number or 'max-kind'" if name == "benchmark_cost" else "a number"
+    with pytest.raises(InvariantError, match=f"^{re.escape(f'{owner}: {name} must be {rule}')}$"):
+        replace(record, **{name: value})
+
+
+@pytest.mark.parametrize("owner, record, name", FLOAT_FIELDS, ids=FLOAT_FIELD_IDS)
+def test_float_fields_accept_numpy_floats(owner, record, name):
+    value = np.float32(getattr(record, name))
+    assert getattr(replace(record, **{name: value}), name) is value
+
+
 def test_a_fractional_integer_field_in_a_document_keeps_its_schema_error():
     doc = copy.deepcopy(MINIMAL_DOC)
     doc["traffic"] = {"samples_per_day": 2.5}

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from conftest import load_document
 from e3sim import (
+    CacheConfig,
     InvariantError,
     ParameterPathError,
     SchemaError,
@@ -31,7 +32,6 @@ from e3sim import (
     run_sweep,
     scenario_to_document,
     set_parameter,
-    total_cost_rate,
 )
 from e3sim import sweep
 from e3sim.document import _build
@@ -160,7 +160,7 @@ class TestDocumentPaths:
         result = run_sweep(fig3, SweepSpec(param_path=path, values=values, daily=True))
         for value, row in zip(values, result.rows):
             assert row.report == evaluate_daily(built(fig3, path, value))
-            assert row.report.cost_rate == total_cost_rate(built(fig3, path, value))
+            assert row.report.cost_rate == oracles.total_cost_rate(built(fig3, path, value))
 
     def test_points_share_the_sections_they_do_not_touch(self, fig3):
         base = build_scenario(fig3)
@@ -251,6 +251,17 @@ class TestRunSweep:
         assert [row.values for row in result.rows] == [
             (0, 0.5), (0, 1.0), (5, 0.5), (5, 1.0), (10, 0.5), (10, 1.0)
         ]
+
+    def test_a_daily_sweep_takes_no_hour(self):
+        # every row of such a sweep once reported the daily average, the hour dropped
+        with pytest.raises(ValueError, match="^SweepSpec: time_hours must be None for a daily sweep$"):
+            SweepSpec(param_path="kinds.ap.cache_size", values=(0, 6), time_hours=20.0, daily=True)
+
+    @pytest.mark.parametrize("hour", [True, False, "20"])
+    def test_the_hour_must_be_a_number(self, hour):
+        # True was evaluated as hour 1
+        with pytest.raises(TypeError, match=f"^SweepSpec: time_hours must be a number, got {hour!r}$"):
+            SweepSpec(param_path="kinds.ap.cache_size", values=(0, 6), time_hours=hour)
 
 
 class TestArgmax:
@@ -396,7 +407,7 @@ def fresh_outcome(document, spec, values):
             report = evaluate_daily(s)
         else:
             report = evaluate(s, spec.time_hours if spec.time_hours is not None else 20.0)
-        return report, total_cost_rate(s)
+        return report, oracles.total_cost_rate(s)
     except (ValueError, ArithmeticError) as exc:
         return str(exc)
 
@@ -653,7 +664,7 @@ class TestBlocks:
         # the 100 points repeat the point before; they take no rows, so one block holds them all
         values = tuple(1e6 * v for v in range(1, 101))
         spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=values, daily=True)
-        miss = 1.0 - cache.hit_ratio("top_popular", 6, cache.zipf_popularity(20, 0.8))
+        miss = 1.0 - oracles.hit_ratio(CacheConfig(catalog_size=20, zipf_exponent=0.8, strategy="top_popular"), 6)
         evaluated = []
         real_block = metrics.evaluate_block
 
