@@ -12,7 +12,8 @@ depend on anything but the positions. So ``plan_geometry`` compiles what
 the positions fix (association, physical radio capacity, and the UEs of
 each station sorted by peak demand) once for every scenario that shares
 them (``same_geometry``); ``xhaul_limits`` gives the X-Haul bound of each
-placed kind (hit ratio included) and ``station_capacities`` one
+placed kind from its hit ratio (``cache.hit_ratio``, which keeps the
+``top_popular`` head sums it computes) and ``station_capacities`` one
 scenario's radio and effective capacity per station; and ``fill`` grants
 the rates of a batch of rows, each row one sample of one scenario. The
 per-UE and per-station inputs are the columns of the scenario's
@@ -159,27 +160,18 @@ def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
     )
 
 
-def xhaul_limits(s: NetworkScenario, hits: dict | None = None) -> list[float]:
+def xhaul_limits(s: NetworkScenario) -> list[float]:
     """The X-Haul bound on effective capacity of each of ``s.base_stations.kinds``.
 
     A station's effective capacity is the smaller of its radio capacity and
     this bound. Only the miss share (1 - h) of served traffic crosses the
     X-Haul, so the bound is the X-Haul capacity over the miss fraction, or
-    inf at hit ratio 1, where the X-Haul is bypassed entirely. ``hits``
-    holds the hit ratios computed so far, a dict by cache size for each
-    ``CacheConfig`` keyed by value, and under "cache" the record last looked
-    up with its dict, so a point sharing that object skips its hash. Only
-    ``top_popular`` reads a Zipf table (``hit_ratio``).
+    inf at hit ratio 1, where the X-Haul is bypassed entirely; h is the
+    ``cache.hit_ratio`` of the kind's cache size.
     """
-    hits = {} if hits is None else hits
-    cache, sizes = hits.get("cache", (None, None))
-    if s.cache is not cache:
-        cache, sizes = hits["cache"] = s.cache, hits.setdefault(s.cache, {})
     limits = []
     for kind in s.base_stations.kinds:
-        hit = sizes.get(kind.cache_size)
-        if hit is None:
-            hit = sizes[kind.cache_size] = hit_ratio(cache, kind.cache_size)
+        hit = hit_ratio(s.cache, kind.cache_size)
         limits.append(math.inf if hit == 1.0 else kind.xhaul.capacity_bps / (1.0 - hit))
     return limits
 

@@ -33,12 +33,14 @@ def hit_ratio(cache: CacheConfig, cache_size: int) -> float:
     ``cache.strategy`` ``none`` caches nothing; ``random_fill`` holds
     ``cache_size`` uniformly random distinct items (expectation M/F); and
     ``top_popular`` holds the ``cache_size`` most popular items, the head
-    sum of the Zipf table of ``cache``.
+    sum of the Zipf table of ``cache`` (``_head_sum``).
     """
     if not _is_int(cache_size):
         raise ValueError(f"cache_size must be an integer, got {cache_size!r}")
+    if cache_size < 0:
+        raise ValueError(f"cache_size must be >= 0, got {cache_size}")
     catalog = cache.catalog_size
-    if not 0 <= cache_size <= catalog:
+    if cache_size > catalog:
         raise ValueError(
             f"cache larger than catalog: cache_size {cache_size}, catalog {catalog}"
         )
@@ -46,6 +48,12 @@ def hit_ratio(cache: CacheConfig, cache_size: int) -> float:
         return 0.0
     if cache.strategy == "random_fill":
         return cache_size / catalog
-    probabilities = _zipf_probabilities(catalog, float(cache.zipf_exponent))
+    return _head_sum(catalog, float(cache.zipf_exponent), cache_size)
+
+
+@functools.lru_cache(maxsize=1024)
+def _head_sum(catalog_size: int, exponent: float, cache_size: int) -> float:
+    """Zipf share of the ``cache_size`` most popular items; a sweep sums each head once."""
+    probabilities = _zipf_probabilities(catalog_size, exponent)
     # the rounded probabilities of a whole catalog may sum to just over 1
     return min(1.0, math.fsum(probabilities[:cache_size]))

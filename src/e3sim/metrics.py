@@ -10,6 +10,7 @@ moved in a sustained year by the yearly deployment cost.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from .allocation import Geometry, fill, plan_geometry, xhaul_limits
 from .energy_cost import cost_coefficient, dynamic_parts, resolve_benchmark_cost, station_cost_rate
-from .model import _is_real
-from .radio import chunk_rows, demand_factor
+from .model import TrafficProfile, _is_real
+from .radio import demand_factor
 
 if TYPE_CHECKING:
     from .scenario import NetworkScenario
@@ -62,7 +63,18 @@ def _sequential_sum(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1]
 
 
-def point_inputs(s: NetworkScenario, t_hours: float | None, memo: dict) -> tuple[np.ndarray, ...]:
+@functools.lru_cache(maxsize=1)
+def _demand_factors(t_hours: float | None, peak_to_min_ratio: float, peak_hour: float, samples: int) -> np.ndarray:
+    """The demand factors at ``t_hours``, or at each of ``samples`` equispaced
+    hours when that is None, read-only; the last array is kept."""
+    profile = TrafficProfile(peak_to_min_ratio, peak_hour, samples)
+    times = [24.0 * i / samples for i in range(samples)] if t_hours is None else [t_hours]
+    factors = np.array([demand_factor(t, profile) for t in times])
+    factors.flags.writeable = False
+    return factors
+
+
+def point_inputs(s: NetworkScenario, t_hours: float | None) -> tuple[np.ndarray, ...]:
     """What the report of ``s`` at ``t_hours`` (None: the daily average)
     depends on besides its geometry, as three arrays: the demand factor of
     each sample, each station's index into ``s.base_stations.kinds``, and
@@ -71,22 +83,12 @@ def point_inputs(s: NetworkScenario, t_hours: float | None, memo: dict) -> tuple
     limit on it), static power, static power times C_n, maximum
     transceiver power, X-Haul factor, bandwidth and the cost rate of one
     station. Two points of one geometry whose arrays have equal bytes have
-    equal reports. ``memo`` serves a whole sweep. It holds the factors by
-    traffic record value, emptied before it holds more than a chunk of
-    them, the hit ratios of ``xhaul_limits``, and under "traffic" the
-    record last looked up, so a point sharing that object skips its hash.
+    equal reports. Points of equal traffic values in a row share one
+    factors array (``_demand_factors``).
     """
-    traffic, factors = memo.get("traffic", (None, None))
-    if s.traffic is not traffic:
-        factors = memo.get(s.traffic)
-        if factors is None:
-            n = s.traffic.samples_per_day
-            times = [24.0 * i / n for i in range(n)] if t_hours is None else [t_hours]
-            if len(memo) > chunk_rows(len(times)):
-                memo.clear()
-            factors = memo[s.traffic] = np.array([demand_factor(t, s.traffic) for t in times])
-        memo["traffic"] = s.traffic, factors
-    limits = xhaul_limits(s, memo)
+    traffic = s.traffic
+    factors = _demand_factors(t_hours, traffic.peak_to_min_ratio, traffic.peak_hour, traffic.samples_per_day)
+    limits = xhaul_limits(s)
     c0 = resolve_benchmark_cost(s)
     per_item_w = s.cache.cache_power_per_item_w
     physical = s.radio_mode == "physical"
@@ -107,29 +109,24 @@ def point_inputs(s: NetworkScenario, t_hours: float | None, memo: dict) -> tuple
     return factors, s.base_stations.kind, np.array(rows, dtype=float)
 
 
-def _sample_means(geometry: Geometry, inputs: Sequence[tuple | Exception]) -> list[list[float] | Exception]:
+def _sample_means(geometry: Geometry, inputs: Sequence[tuple]) -> list[list[float] | Exception]:
     """Throughput, weighted throughput, total and weighted power of each point,
     averaged over its samples, then its total bandwidth and cost rate.
 
-    ``inputs`` are the ``point_inputs`` of points that share ``geometry``,
-    or the error that fails a point. Returns, for each point, those six
-    numbers, or the error that fails that point alone. The per-kind tables
-    of the block are stacked, and one gather by each point's station kinds
-    gives the per-station scalars of the whole block; demand factors are
-    stacked on a leading point axis. Max-min fill, load, dynamic power and
-    the sums then run once over rows that are (point, sample) pairs, in
-    chunks of ``geometry.rows_per_chunk`` rows, and the means once over the
-    block. Every sum keeps the order of the per-hour definition: UEs station
-    by station for throughput, UEs in scenario order for weighted
-    throughput, stations in order for power, bandwidth and cost, and
-    samples in time order for a mean.
+    ``inputs`` are the ``point_inputs`` of points that share ``geometry``.
+    Returns, for each point, those six numbers, or the error that fails that
+    point alone. The per-kind tables of the block are stacked, and one
+    gather by each point's station kinds gives the per-station scalars of
+    the whole block; demand factors are stacked on a leading point axis.
+    Max-min fill, load, dynamic power and the sums then run once over rows
+    that are (point, sample) pairs, in chunks of ``geometry.rows_per_chunk``
+    rows, and the means once over the block. Every sum keeps the order of
+    the per-hour definition: UEs station by station for throughput, UEs in
+    scenario order for weighted throughput, stations in order for power,
+    bandwidth and cost, and samples in time order for a mean.
     """
-    outcomes: list = list(inputs)
-    kept = [i for i, x in enumerate(inputs) if not isinstance(x, Exception)]
-    if not kept:
-        return outcomes
-    factors, kinds, tables = zip(*(inputs[i] for i in kept))
-    # station j of kept point p reads table row offsets[p] + its kind index
+    factors, kinds, tables = zip(*inputs)
+    # station j of point p reads table row offsets[p] + its kind index
     offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
     per_station = np.concatenate(tables).T[:, offsets[:, None] + np.array(kinds)]
     radio_cap, capacity, static, weighted_static, max_tx, xhaul_factor, bandwidth, cost = per_station
@@ -138,7 +135,7 @@ def _sample_means(geometry: Geometry, inputs: Sequence[tuple | Exception]) -> li
         capacity = np.minimum(radio_cap, capacity)
     n_times = len(factors[0])
     factors = np.concatenate(factors)
-    point = np.repeat(np.arange(len(kept)), n_times)
+    point = np.repeat(np.arange(len(inputs)), n_times)
     failed: dict[int, Exception] = {}
     sums = np.empty((4, len(factors)))
     step = min(len(factors), geometry.rows_per_chunk)
@@ -155,18 +152,16 @@ def _sample_means(geometry: Geometry, inputs: Sequence[tuple | Exception]) -> li
         sums[1, lo : lo + step] = _sequential_sum(geometry.weights * rates)
         sums[2, lo : lo + step] = _sequential_sum(dynamic + static[rows])
         sums[3, lo : lo + step] = _sequential_sum(dynamic + weighted_static[rows])
-    sums = sums.reshape(4, len(kept), n_times)
+    sums = sums.reshape(4, len(inputs), n_times)
     zero_power = ((sums[2] <= 0) | (sums[3] <= 0)).any(axis=1).tolist()
     means = (_sequential_sum(sums) / n_times).T.tolist()
     totals = _sequential_sum(np.stack([bandwidth, cost])).T.tolist()
-    for p, i in enumerate(kept):
-        if p in failed:
-            outcomes[i] = failed[p]
-        elif zero_power[p]:
-            outcomes[i] = ValueError("total power is zero; refusing to report infinite efficiency")
-        else:
-            outcomes[i] = means[p] + totals[p]
-    return outcomes
+    return [
+        failed[p] if p in failed
+        else ValueError("total power is zero; refusing to report infinite efficiency") if zero_power[p]
+        else means[p] + totals[p]
+        for p in range(len(inputs))
+    ]
 
 
 def _fail_out_of_range(
@@ -206,31 +201,18 @@ def _report(
 
 
 def evaluate_block(
-    points: Sequence[NetworkScenario],
-    t_hours: float | None,
-    geometry: Geometry | None = None,
-    inputs: Sequence[tuple] | None = None,
+    geometry: Geometry, inputs: Sequence[tuple], t_hours: float | None
 ) -> list[MetricReport | Exception]:
-    """Reports of scenarios that share one geometry, or the error that fails each.
+    """Reports of points that share one geometry, or the error that fails each.
 
-    Every pair of ``points`` must pass ``allocation.same_geometry``;
-    ``geometry`` is theirs, compiled from the first point when None, and
-    ``inputs`` their ``point_inputs`` at ``t_hours``, computed here when
-    None. With ``t_hours`` None each report is a daily average
-    (``evaluate_daily``), else the report at that hour (``evaluate``). A
-    point that fails an input check gets its ValueError or ArithmeticError
-    in place of a report, with the message a single evaluation raises.
+    ``geometry`` is the points' ``plan_geometry`` and ``inputs`` their
+    ``point_inputs`` at ``t_hours``, at least one. With ``t_hours`` None
+    each report is a daily average (``evaluate_daily``), else the report at
+    that hour (``evaluate``). A point that fails a check of its evaluation
+    (a load outside [0, 1], zero total power) gets its ValueError or
+    ArithmeticError in place of a report, with the message a single
+    evaluation raises.
     """
-    if geometry is None:
-        geometry = plan_geometry(points[0])
-    if inputs is None:
-        memo: dict = {}
-        inputs = []
-        for s in points:
-            try:
-                inputs.append(point_inputs(s, t_hours, memo))
-            except (ValueError, ArithmeticError) as exc:
-                inputs.append(exc)
     reports: list[MetricReport | Exception] = []
     for outcome in _sample_means(geometry, inputs):
         if not isinstance(outcome, Exception):
@@ -243,7 +225,7 @@ def evaluate_block(
 
 
 def _evaluate_one(s: NetworkScenario, t_hours: float | None) -> MetricReport:
-    (report,) = evaluate_block([s], t_hours)
+    (report,) = evaluate_block(plan_geometry(s), [point_inputs(s, t_hours)], t_hours)
     if isinstance(report, Exception):
         raise report
     return report

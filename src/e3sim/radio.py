@@ -9,7 +9,7 @@ stations of the 3 x 3 cells around its own, falling back to every station
 only for the UEs that this cannot decide exactly. The physical-mode
 interference sum does walk the whole matrix, as every station interferes
 with every UE. Both take UEs in chunks whose temporaries stay within
-``CHUNK_BYTES``, so working memory does not grow with the number of
+``CHUNK_BYTES``, so their working space does not grow with the number of
 stations.
 """
 

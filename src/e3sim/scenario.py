@@ -32,6 +32,7 @@ from .model import (
     TrafficProfile,
     UnknownKindError,
     UserEquipment,
+    _is_int,
     _is_real,
     _require,
     _require_unique,
@@ -304,6 +305,8 @@ class NetworkScenario:
             _require(0 < self.benchmark_cost < math.inf, "NetworkScenario: benchmark_cost must be finite and > 0")
         if self.radio_mode not in RADIO_MODES:
             raise InvariantError(f"NetworkScenario: radio_mode must be one of {RADIO_MODES}")
+        if not _is_int(self.rng_seed) or self.rng_seed < 0:
+            raise InvariantError(f"NetworkScenario: rng_seed must be an integer >= 0, got {self.rng_seed!r}")
 
 
 def _unknown_kind(bs_id: str, kind_id: str) -> UnknownKindError:

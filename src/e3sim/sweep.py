@@ -26,8 +26,12 @@ from .scenario import NetworkScenario
 
 METRICS = ("se", "ee", "ce", "e3")
 
-#: Pareto objectives and their optimization direction (+1 max, -1 min).
-PARETO_OBJECTIVES = {"throughput": 1, "total_power": -1, "cost_rate": -1}
+#: Pareto objectives: optimization direction (+1 max, -1 min) and ``MetricReport`` attribute.
+PARETO_OBJECTIVES = {
+    "throughput": (1, "throughput_bps"),
+    "total_power": (-1, "total_power_w"),
+    "cost_rate": (-1, "cost_rate"),
+}
 
 _SEGMENT = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(\[(?P<index>\d+)\])?$")
 
@@ -203,17 +207,16 @@ def _rows(
     """Build every grid point and evaluate it in blocks of consecutive points
     that share a geometry (``same_geometry`` with the group's first point).
 
-    A group's geometry is compiled once, and one ``point_inputs`` memo serves
-    the sweep. A point of the group whose ``point_inputs`` have the bytes of
-    the previous point's is a repeat: it takes that point's report or error,
-    and is not evaluated. A point that fails ends such a run. Repeats and
-    failed points take no rows: a block ends once its evaluated points fill
-    one chunk of rows, or it holds a chunk's number of entries. A repeat of
-    a point whose block is done is yielded at once.
+    A group's geometry is compiled once. A point of the group whose
+    ``point_inputs`` have the bytes of the previous point's is a repeat: it
+    takes that point's report or error, and is not evaluated. A point that
+    fails ends such a run. Repeats and failed points take no rows: a block
+    ends once its evaluated points fill one chunk of rows, or it holds a
+    chunk's number of entries. A repeat of a point whose block is done is
+    yielded at once.
     """
     block: list[tuple[tuple[Any, ...], NetworkScenario | Exception | None]] = []
     inputs: list[tuple] = []
-    memo: dict = {}
     first = geometry = last = row = None
     per_block = entries = 1
     for values, point in _points(document, spec):
@@ -233,7 +236,7 @@ def _rows(
                 entries = geometry.rows_per_chunk
                 per_block = max(1, entries // samples)
             try:
-                new = point_inputs(built, t, memo)
+                new = point_inputs(built, t)
             except (ValueError, ArithmeticError) as exc:
                 built = exc
         if new is not None and last is not None and all(
@@ -260,8 +263,7 @@ def _evaluated(
     """The rows of one block: its built points evaluated together, and each
     repeat (None) given the outcome of the row before it, ``row`` for the
     first. Returns the last row."""
-    points = [built for _, built in block if isinstance(built, NetworkScenario)]
-    reports = iter(evaluate_block(points, t, geometry, inputs) if points else ())
+    reports = iter(evaluate_block(geometry, inputs, t) if inputs else ())
     for values, built in block:
         if built is None:
             row = SweepRow(values, row.report, row.error)
@@ -322,20 +324,6 @@ def argmax(result: SweepResult, metric: str = "e3") -> tuple[tuple[Any, ...], fl
     return best.result()
 
 
-def _objective_vector(row: SweepRow, objectives: Sequence[str]) -> tuple[float, ...]:
-    out = []
-    for name in objectives:
-        if name == "throughput":
-            out.append(row.report.throughput_bps)
-        elif name == "total_power":
-            out.append(row.report.total_power_w)
-        elif name == "cost_rate":
-            out.append(row.report.cost_rate)
-        else:
-            raise ValueError(f"unknown objective '{name}', expected one of {tuple(PARETO_OBJECTIVES)}")
-    return tuple(out)
-
-
 def pareto_front(result: SweepResult, objectives: Sequence[str]) -> tuple[SweepRow, ...]:
     """Non-dominated rows under the stated objectives, in axis order.
 
@@ -345,16 +333,13 @@ def pareto_front(result: SweepResult, objectives: Sequence[str]) -> tuple[SweepR
     """
     if not objectives:
         raise ValueError("at least one objective required")
-    directions = []
+    chosen = []
     for name in objectives:
         if name not in PARETO_OBJECTIVES:
             raise ValueError(f"unknown objective '{name}', expected one of {tuple(PARETO_OBJECTIVES)}")
-        directions.append(PARETO_OBJECTIVES[name])
+        chosen.append(PARETO_OBJECTIVES[name])
     candidates = [row for row in result.rows if row.report is not None]
-    vectors = {
-        id(row): tuple(d * v for d, v in zip(directions, _objective_vector(row, objectives)))
-        for row in candidates
-    }
+    vectors = {id(row): tuple(d * getattr(row.report, field) for d, field in chosen) for row in candidates}
 
     def dominates(a: SweepRow, b: SweepRow) -> bool:
         va, vb = vectors[id(a)], vectors[id(b)]

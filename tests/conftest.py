@@ -1,9 +1,11 @@
 """Shared fixture paths and small scenario factories for the test suite."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from e3sim import (
     BsKind,
@@ -17,10 +19,26 @@ from e3sim import (
     scenario_to_document,
     set_parameter,
 )
+import e3sim.cli  # noqa: F401 (every engine module, for ENGINE_CACHES)
 from e3sim.allocation import fill, plan_geometry, station_capacities, water_levels
 from e3sim.radio import demand_factor, nearest_stations
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+#: The process-wide function caches of the engine's modules.
+ENGINE_CACHES = tuple({
+    id(value): value
+    for name, module in sorted(sys.modules.items()) if name.startswith("e3sim.")
+    for value in vars(module).values() if callable(getattr(value, "cache_clear", None))
+}.values())
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Start every test with every engine cache empty, so that no test's
+    outcome depends on the tests run before it."""
+    for function in ENGINE_CACHES:
+        function.cache_clear()
 
 
 def scenario_path(name: str) -> Path:
@@ -48,13 +66,6 @@ def allocation_at(s, t_hours):
     factors = np.array([demand_factor(t_hours, s.traffic)])
     rates, load = fill(geometry, factors, np.array([capacity]), np.array([radio_cap]))
     return rates[0], load[0]
-
-
-def water_rates(demands, capacity):
-    """The rates ``allocation.water_levels`` grants one station's ``demands``, in their order."""
-    d = np.asarray(demands, dtype=float)
-    level = water_levels(np.sort(d)[None, :], np.array([len(d)]), np.array([float(capacity)]))
-    return np.minimum(d, level[0]).tolist()
 
 
 def water_rates(demands, capacity):

@@ -1,7 +1,6 @@
 """Effective capacity, max-min fair rate allocation, and its oracles."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from conftest import (
 )
 import oracles
 from oracles import allocate_bruteforce
-from e3sim import CacheConfig, UePopulation, allocation, hit_ratio
+from e3sim import CacheConfig, UePopulation, allocation, cache
 
 demand_lists = st.lists(
     st.floats(min_value=0.0, max_value=50.0, allow_nan=False), min_size=1, max_size=8
@@ -57,23 +56,15 @@ class TestEffectiveCapacity:
         s = make_scenario(kinds=kinds, base_stations=stations, cache=CacheConfig(catalog_size=2, strategy="random_fill"))
         assert allocation.xhaul_limits(s) == [2e6, math.inf]
 
-    def test_the_hit_ratio_memo_is_keyed_by_value(self):
-        # a sweep frees the points it does not evaluate, and a later cache record may take a freed one's id
-        # so the memo holds each record by value, and the record it last looked up as the object itself
-        hits = {}
-        computed = mock.patch.object(allocation, "hit_ratio", wraps=allocation.hit_ratio)
-        with computed as hit:
-            for exponent in (0.8, 0.9, 0.8):
-                cache = CacheConfig(catalog_size=20, zipf_exponent=exponent, strategy="top_popular")
-                allocation.xhaul_limits(make_scenario(kinds=(make_kind(cache_size=6),), cache=cache), hits)
-        assert hit.call_count == 2
-        ratio = {e: hit_ratio(CacheConfig(20, e, "top_popular"), 6) for e in (0.8, 0.9)}
-        assert hits == {
-            CacheConfig(20, 0.8, "top_popular"): {6: ratio[0.8]},
-            CacheConfig(20, 0.9, "top_popular"): {6: ratio[0.9]},
-            "cache": (cache, {6: ratio[0.8]}),
-        }
-        assert hits["cache"][0] is cache
+    def test_hit_ratios_are_kept_by_value(self):
+        # a sweep frees the points it does not evaluate, and a later cache record may take a freed one's id,
+        # so a head sum is kept by the numbers of its config, not by the record
+        for exponent in (0.8, 0.9, 0.8):
+            config = CacheConfig(catalog_size=20, zipf_exponent=exponent, strategy="top_popular")
+            limits = allocation.xhaul_limits(make_scenario(kinds=(make_kind(cache_size=6),), cache=config))
+            assert limits == [5e7 / (1.0 - oracles.hit_ratio(config, 6))]
+        info = cache._head_sum.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
 
 
 class TestWaterLevels:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from conftest import ENGINE_CACHES
 from e3sim import CacheConfig, InvariantError, cache, hit_ratio
 from oracles import expected_random_hit_exact
 
@@ -107,6 +108,13 @@ class TestHitRatio:
                 hit_ratio(config, 21)
 
     @pytest.mark.parametrize("strategy", ["none", "random_fill", "top_popular"])
+    def test_negative_cache_size_rejected_before_any_lookup(self, strategy):
+        config = CacheConfig(catalog_size=20, zipf_exponent=0.8, strategy=strategy)
+        with pytest.raises(ValueError, match="^cache_size must be >= 0, got -1$"):
+            hit_ratio(config, -1)
+        assert cache._head_sum.cache_info().currsize == cache._zipf_probabilities.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("strategy", ["none", "random_fill", "top_popular"])
     def test_only_top_popular_reads_the_zipf_table(self, strategy):
         config = CacheConfig(catalog_size=20, zipf_exponent=0.8, strategy=strategy)
         with mock.patch.object(cache, "_zipf_probabilities", wraps=cache._zipf_probabilities) as build:
@@ -121,16 +129,22 @@ class TestHitRatio:
             CacheConfig(catalog_size=catalog, zipf_exponent=exponent, strategy=strategy)
             for strategy in ("none", "random_fill", "top_popular")
         ]
-        cache._zipf_probabilities.cache_clear()  # a cold table too, not only a kept one
+        assert cache._zipf_probabilities.cache_info().currsize == 0  # a cold table too, not only a kept one
         got = [hit_ratio(config, m).hex() for config in configs for m in sizes]
         assert got == [oracles.hit_ratio(config, m).hex() for config in configs for m in sizes]
 
     def test_a_repeated_cache_config_computes_its_table_once(self):
         config = top_popular(4097, 0.8)
-        cache._zipf_probabilities.cache_clear()
         for m in range(0, 4097, 97):
             hit_ratio(config, m)
         assert cache._zipf_probabilities.cache_info().misses == 1
+
+    def test_the_head_sums_kept_are_bounded(self):
+        config = top_popular(2000, 0.8)
+        for m in range(1100):
+            hit_ratio(config, m)
+        info = cache._head_sum.cache_info()
+        assert info.misses == 1100 and info.currsize == info.maxsize == 1024
 
     @pytest.mark.parametrize("strategy", ["none", "random_fill", "top_popular"])
     @pytest.mark.parametrize("size", [True, False, 2.5, 6.0, "6", None])
@@ -187,3 +201,8 @@ class TestExpectedRandomHitExact:
         m = data.draw(st.integers(0, len(probabilities)))
         exact = expected_random_hit_exact(m, probabilities)
         assert exact == pytest.approx(m / len(probabilities), abs=1e-12)
+
+
+def test_each_test_starts_with_the_engine_caches_empty():
+    assert {"_zipf_probabilities", "_head_sum", "_demand_factors"} <= {f.__name__ for f in ENGINE_CACHES}
+    assert all(f.cache_info().currsize == 0 for f in ENGINE_CACHES)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from unittest import mock
 
 import pytest
 
@@ -10,15 +9,15 @@ import oracles
 from conftest import make_kind, make_scenario, make_stations, make_ues, make_xhaul, with_parameter
 from e3sim import (
     SECONDS_PER_YEAR,
-    CacheConfig,
     TrafficProfile,
     evaluate,
     evaluate_daily,
+    metrics,
     scenario_to_document,
     set_parameter,
 )
 from e3sim.metrics import point_inputs
-from e3sim.radio import CHUNK_BYTES
+from e3sim.radio import demand_factor
 
 
 def hand_case_scenario():
@@ -158,24 +157,19 @@ class TestEvaluateDaily:
         assert evaluate_daily(s).e3 == pytest.approx(bits / joules, rel=1e-12)
 
 
-class TestPointInputsMemo:
+class TestDemandFactors:
+    def test_a_point_sharing_its_bases_traffic_gets_the_same_factors(self):
+        s = make_scenario(traffic=TrafficProfile(peak_to_min_ratio=2.0))
+        factors = point_inputs(s, None)[0]
+        assert point_inputs(dataclasses.replace(s, benchmark_cost=50.0), None)[0] is factors
+        with pytest.raises(ValueError, match="read-only"):
+            factors[0] = 0.0  # every sharing point reads this array
+
     @pytest.mark.parametrize("samples, points", [(24, 400), (4096, 8)])
-    def test_the_memo_holds_at_most_a_chunk_of_factors(self, samples, points):
-        # one memo serves a whole sweep, and a sweep may give every point its own traffic record
-        memo = {}
+    def test_the_cache_keeps_one_array(self, samples, points):
+        # a sweep may give every point its own traffic record
         for i in range(points):
             traffic = TrafficProfile(peak_to_min_ratio=1.0 + i, samples_per_day=samples)
-            factors, _, _ = point_inputs(make_scenario(traffic=traffic), None, memo)
-            assert memo["traffic"] == (traffic, factors)
-            kept = [len(v) for k, v in memo.items() if isinstance(k, TrafficProfile)]
-            assert sum(kept) <= max(samples, CHUNK_BYTES // 8)
-
-    def test_a_point_sharing_the_previous_records_hashes_neither(self):
-        s = make_scenario()
-        memo = {}
-        point_inputs(s, None, memo)
-        with mock.patch.object(TrafficProfile, "__hash__") as traffic, \
-                mock.patch.object(CacheConfig, "__hash__") as cache:
-            again = point_inputs(dataclasses.replace(s, benchmark_cost=50.0), None, memo)
-        assert traffic.call_count == cache.call_count == 0
-        assert again[0] is memo["traffic"][1]
+            factors, _, _ = point_inputs(make_scenario(traffic=traffic), None)
+            assert factors.tolist() == [demand_factor(24.0 * j / samples, traffic) for j in range(samples)]
+            assert metrics._demand_factors.cache_info().currsize == 1

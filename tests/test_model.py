@@ -409,6 +409,19 @@ def test_peak_to_min_ratio_must_be_finite_and_at_least_one(ratio):
         TrafficProfile(peak_to_min_ratio=ratio)
 
 
+@pytest.mark.parametrize("seed", [True, False, "3", 2.5, 3.0, None, -1])
+def test_rng_seed_must_be_an_integer_at_least_zero(seed):
+    # "3" was accepted, and scenario_to_document then wrote a seed that build_scenario rejects
+    message = f"NetworkScenario: rng_seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        make_scenario(rng_seed=seed)
+
+
+def test_rng_seed_accepts_numpy_integers():
+    seed = np.int64(7)
+    assert make_scenario(rng_seed=seed).rng_seed is seed
+
+
 def test_negative_seed_names_the_path():
     # explicit UE lists never reach the generator, so only the check catches it
     doc = copy.deepcopy(MINIMAL_DOC)

@@ -500,12 +500,11 @@ class TestBlocks:
         sizes = []
         real = metrics.evaluate_block
 
-        def recorded(points, *args):
-            sizes.append(len(points))
-            return real(points, *args)
+        def recorded(geometry, inputs, *args):
+            sizes.append(len(inputs))
+            return real(geometry, inputs, *args)
 
         compiled = mock.patch.object(allocation, "_blocks", wraps=allocation._blocks)
-        cache._zipf_probabilities.cache_clear()
         with mock.patch("e3sim.sweep.evaluate_block", recorded), compiled as sort:
             rows = run_sweep(fig3, spec).rows
         per_block = radio.chunk_rows(10) // 24
@@ -513,7 +512,17 @@ class TestBlocks:
         assert sum(sizes) == 402
         assert len(sizes) <= -(-402 // per_block) == 12
         assert sort.call_count == 1  # the peaks are sorted once for the geometry
-        assert cache._zipf_probabilities.cache_info().misses <= 1  # one Zipf table for the whole sweep
+        assert cache._zipf_probabilities.cache_info().misses == 1  # one Zipf table for the whole sweep
+
+    def test_a_top_popular_cache_size_sweep_sums_each_head_once(self, fig3):
+        # the cache size is the inner axis, so each of its 21 values comes back at every X-Haul capacity
+        spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=(1e6, 1e7, 1e8),
+                         param2_path="kinds.ap.cache_size", values2=tuple(range(21)), time_hours=20.0)
+        rows = run_sweep(fig3, spec).rows
+        assert all(row.error is None for row in rows)
+        info = cache._head_sum.cache_info()
+        assert (info.misses, info.hits) == (21, 42)
+        assert cache._zipf_probabilities.cache_info().misses == 1
 
     def test_concurrent_sweeps_give_the_rows_of_serial_runs(self, fig3):
         # records are shared across concurrent evaluations; the fig3 sweep alternates Zipf
@@ -637,9 +646,9 @@ class TestBlocks:
         sizes = []
         real = metrics.evaluate_block
 
-        def recorded(points, *args):
-            sizes.append(len(points))
-            return real(points, *args)
+        def recorded(geometry, inputs, *args):
+            sizes.append(len(inputs))
+            return real(geometry, inputs, *args)
 
         with mock.patch("e3sim.sweep.evaluate_block", recorded):
             run_sweep(fig3, spec)
@@ -668,9 +677,9 @@ class TestBlocks:
         evaluated = []
         real_block = metrics.evaluate_block
 
-        def recorded_points(points, *args):
-            evaluated.extend(points)
-            return real_block(points, *args)
+        def recorded_points(geometry, inputs, *args):
+            evaluated.extend(inputs)
+            return real_block(geometry, inputs, *args)
 
         with mock.patch("e3sim.sweep.evaluate_block", recorded_points), recorded_blocks() as blocks:
             rows = run_sweep(fig3, spec).rows
@@ -688,9 +697,9 @@ class TestBlocks:
         evaluated = []
         real = metrics.evaluate_block
 
-        def recorded(points, *args):
-            evaluated.extend(points)
-            return real(points, *args)
+        def recorded(geometry, inputs, *args):
+            evaluated.extend(inputs)
+            return real(geometry, inputs, *args)
 
         with mock.patch("e3sim.sweep.evaluate_block", recorded):
             rows = run_sweep(fig3, spec).rows
