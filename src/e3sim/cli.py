@@ -31,7 +31,7 @@ from .document import build_scenario
 from .metrics import MetricReport, evaluate, evaluate_daily
 from .model import ScenarioError
 from .scenario import validate_scenario
-from .sweep import METRICS, Argmax, ParameterPathError, SweepSpec, open_sweep
+from .sweep import METRICS, Argmax, SweepSpec, open_sweep
 
 CSV_COLUMNS = (
     "param1",
@@ -322,13 +322,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.raw_argv = raw
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ScenarioError, ParameterPathError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

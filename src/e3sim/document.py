@@ -385,10 +385,15 @@ def _build(
     )
 
 
-def _plain(record: Any, **given: Any) -> dict[str, Any]:
-    """``record`` as its document section: its fields in order, ``given``
-    values in place of field values, and no key for a None field."""
-    return {key: given.get(key, value) for key, value in asdict(record).items() if value is not None}
+def _python(value: Any) -> Any:
+    """``value``, or the Python number a numpy number holds."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _plain(record: Any) -> dict[str, Any]:
+    """``record`` as its document section: its fields in order, numpy
+    numbers as Python numbers, and no key for a None field."""
+    return asdict(record, dict_factory=lambda items: {key: _python(value) for key, value in items if value is not None})
 
 
 def scenario_to_document(s: NetworkScenario) -> dict[str, Any]:
@@ -409,7 +414,7 @@ def scenario_to_document(s: NetworkScenario) -> dict[str, Any]:
         ],
         "cache": _plain(s.cache),
         "traffic": _plain(s.traffic),
-        "benchmark_cost": s.benchmark_cost,
+        "benchmark_cost": _python(s.benchmark_cost),
         "radio_mode": s.radio_mode,
-        "seed": s.rng_seed,
+        "seed": _python(s.rng_seed),
     }

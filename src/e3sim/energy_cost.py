@@ -27,15 +27,8 @@ def dynamic_parts(max_tx_dynamic_power_w, xhaul_power_factor, radio_load):
     Takes numbers or arrays that broadcast together. The transceiver part
     scales linearly from 0 at idle to ``max_tx_dynamic_power_w`` at full
     load; the X-Haul part is ``xhaul_power_factor`` times it.
-
-    Raises:
-        ValueError: a radio load lies outside [0, 1] (the first one is named).
     """
-    load = np.asarray(radio_load, dtype=float)
-    bad = ~((load >= 0.0) & (load <= 1.0))
-    if bad.any():
-        raise ValueError(f"radio_load must lie in [0, 1], got {float(load[bad].flat[0])}")
-    transceiver = max_tx_dynamic_power_w * load
+    transceiver = max_tx_dynamic_power_w * np.asarray(radio_load, dtype=float)
     return transceiver, xhaul_power_factor * transceiver
 
 

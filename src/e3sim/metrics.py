@@ -11,6 +11,7 @@ moved in a sustained year by the yearly deployment cost.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -109,15 +110,22 @@ def point_inputs(s: NetworkScenario, t_hours: float | None) -> tuple[np.ndarray,
     return factors, s.base_stations.kind, np.array(rows, dtype=float)
 
 
-def _sample_means(geometry: Geometry, inputs: Sequence[tuple]) -> list[list[float] | Exception]:
+#: The six sums of a report and its four ratios, in the order ``evaluate_block`` checks them.
+_SUMS = (
+    "throughput_bps", "weighted_throughput_bps", "total_power_w", "weighted_power_w", "total_bandwidth_hz", "cost_rate"
+)
+_RATIOS = ("se", "ee", "ce", "e3")
+
+
+def _sample_means(geometry: Geometry, inputs: Sequence[tuple]) -> np.ndarray:
     """Throughput, weighted throughput, total and weighted power of each point,
     averaged over its samples, then its total bandwidth and cost rate.
 
     ``inputs`` are the ``point_inputs`` of points that share ``geometry``.
-    Returns, for each point, those six numbers, or the error that fails that
-    point alone. The per-kind tables of the block are stacked, and one
-    gather by each point's station kinds gives the per-station scalars of
-    the whole block; demand factors are stacked on a leading point axis.
+    Returns those six sums, one row each, with a column for each point. The
+    per-kind tables of the block are stacked, and one gather by each point's
+    station kinds gives the per-station scalars of the whole block; demand
+    factors are stacked on a leading point axis.
     Max-min fill, load, dynamic power and the sums then run once over rows
     that are (point, sample) pairs, in chunks of ``geometry.rows_per_chunk``
     rows, and the means once over the block. Every sum keeps the order of
@@ -136,92 +144,64 @@ def _sample_means(geometry: Geometry, inputs: Sequence[tuple]) -> list[list[floa
     n_times = len(factors[0])
     factors = np.concatenate(factors)
     point = np.repeat(np.arange(len(inputs)), n_times)
-    failed: dict[int, Exception] = {}
     sums = np.empty((4, len(factors)))
     step = min(len(factors), geometry.rows_per_chunk)
     for lo in range(0, len(factors), step):
         rows = point[lo : lo + step]
         rates, load = fill(geometry, factors[lo : lo + step], capacity[rows], radio_cap[rows])
-        try:
-            transceiver, xhaul = dynamic_parts(max_tx[rows], xhaul_factor[rows], load)
-        except ValueError:
-            load = _fail_out_of_range(load, rows, max_tx, xhaul_factor, failed)
-            transceiver, xhaul = dynamic_parts(max_tx[rows], xhaul_factor[rows], load)
+        transceiver, xhaul = dynamic_parts(max_tx[rows], xhaul_factor[rows], load)
         dynamic = transceiver + xhaul
         sums[0, lo : lo + step] = _sequential_sum(rates[:, geometry.station_major])
         sums[1, lo : lo + step] = _sequential_sum(geometry.weights * rates)
         sums[2, lo : lo + step] = _sequential_sum(dynamic + static[rows])
         sums[3, lo : lo + step] = _sequential_sum(dynamic + weighted_static[rows])
-    sums = sums.reshape(4, len(inputs), n_times)
-    zero_power = ((sums[2] <= 0) | (sums[3] <= 0)).any(axis=1).tolist()
-    means = (_sequential_sum(sums) / n_times).T.tolist()
-    totals = _sequential_sum(np.stack([bandwidth, cost])).T.tolist()
-    return [
-        failed[p] if p in failed
-        else ValueError("total power is zero; refusing to report infinite efficiency") if zero_power[p]
-        else means[p] + totals[p]
-        for p in range(len(inputs))
-    ]
+    means = _sequential_sum(sums.reshape(4, len(inputs), n_times)) / n_times
+    return np.concatenate([means, _sequential_sum(np.stack([bandwidth, cost]))])
 
 
-def _fail_out_of_range(
-    load: np.ndarray, rows: np.ndarray, max_tx: np.ndarray, xhaul_factor: np.ndarray, failed: dict
-) -> np.ndarray:
-    """``load`` with the rows of every point that has a load outside [0, 1]
-    zeroed; that point's error from ``dynamic_parts`` goes to ``failed``."""
-    for p in dict.fromkeys(rows.tolist()):
-        try:
-            dynamic_parts(max_tx[p], xhaul_factor[p], load[rows == p])
-        except ValueError as exc:
-            failed.setdefault(p, exc)
-    return np.where(np.isin(rows, list(failed))[:, None], 0.0, load)
-
-
-def _report(
-    throughput: float,
-    weighted_throughput: float,
-    total_power: float,
-    weighted_power: float,
-    total_bandwidth: float,
-    cost_rate: float,
-    t_hours: float | None,
-) -> MetricReport:
-    return MetricReport(
-        throughput_bps=throughput,
-        weighted_throughput_bps=weighted_throughput,
-        total_power_w=total_power,
-        weighted_power_w=weighted_power,
-        se=throughput / total_bandwidth,
-        ee=weighted_throughput / total_power,
-        ce=throughput * SECONDS_PER_YEAR / cost_rate,
-        e3=weighted_throughput / weighted_power,
-        time_hours=t_hours,
-        cost_rate=cost_rate,
-    )
+def _checked(values: list[float], t_hours: float | None) -> MetricReport | ValueError:
+    """The report made of one point's six sums and four ratios (``_SUMS``
+    then ``_RATIOS``), or the ValueError of the first check it fails: every
+    sum finite, both powers > 0, the cost rate > 0, every ratio finite."""
+    for name, value in zip(_SUMS, values):
+        if not math.isfinite(value):
+            return ValueError(f"{name} must be finite, got {value}")
+    throughput, weighted_throughput, total_power, weighted_power, _, cost_rate, *ratios = values
+    if total_power <= 0 or weighted_power <= 0:
+        return ValueError("total power is zero; refusing to report infinite efficiency")
+    if cost_rate <= 0:
+        return ValueError(f"cost_rate must be > 0, got {cost_rate}")
+    for name, value in zip(_RATIOS, ratios):
+        if not math.isfinite(value):
+            return ValueError(f"{name} must be finite, got {value}")
+    return MetricReport(throughput, weighted_throughput, total_power, weighted_power, *ratios, t_hours, cost_rate)
 
 
 def evaluate_block(
     geometry: Geometry, inputs: Sequence[tuple], t_hours: float | None
-) -> list[MetricReport | Exception]:
+) -> list[MetricReport | ValueError]:
     """Reports of points that share one geometry, or the error that fails each.
 
     ``geometry`` is the points' ``plan_geometry`` and ``inputs`` their
     ``point_inputs`` at ``t_hours``, at least one. With ``t_hours`` None
     each report is a daily average (``evaluate_daily``), else the report at
-    that hour (``evaluate``). A point that fails a check of its evaluation
-    (a load outside [0, 1], zero total power) gets its ValueError or
-    ArithmeticError in place of a report, with the message a single
-    evaluation raises.
+    that hour (``evaluate``). The sums and ratios of the whole block are
+    computed first, and overflow to inf or nan is let through; then each
+    point is checked on its own numbers (``_checked``). A point whose
+    report would hold a number that is not finite, or zero power or cost
+    rate, gets its ValueError in place of a report, with the message a
+    single evaluation raises.
     """
-    reports: list[MetricReport | Exception] = []
-    for outcome in _sample_means(geometry, inputs):
-        if not isinstance(outcome, Exception):
-            try:
-                outcome = _report(*outcome, t_hours)
-            except (ValueError, ArithmeticError) as exc:
-                outcome = exc
-        reports.append(outcome)
-    return reports
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sums = _sample_means(geometry, inputs)
+        throughput, weighted_throughput, total_power, weighted_power, bandwidth, cost_rate = sums
+        ratios = (
+            throughput / bandwidth,
+            weighted_throughput / total_power,
+            throughput * SECONDS_PER_YEAR / cost_rate,
+            weighted_throughput / weighted_power,
+        )
+    return [_checked(values, t_hours) for values in np.concatenate([sums, ratios]).T.tolist()]
 
 
 def _evaluate_one(s: NetworkScenario, t_hours: float | None) -> MetricReport:
@@ -237,7 +217,9 @@ def evaluate(s: NetworkScenario, t_hours: float) -> MetricReport:
     Raises:
         TypeError: ``t_hours`` is None (``evaluate_daily`` gives the daily
             average), a bool or no number.
-        ValueError: ``t_hours`` is not finite, or an input check fails.
+        ValueError: ``t_hours`` is not finite, an input check fails, or
+            the report would hold a number that is not finite, zero power
+            or a zero cost rate.
     """
     if not _is_real(t_hours):
         raise TypeError(f"t_hours must be a number, got {t_hours!r}")

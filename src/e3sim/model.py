@@ -160,6 +160,10 @@ class CostBreakdown:
             0.0 <= self.inherited_discount <= 1.0,
             "CostBreakdown: inherited_discount must lie in [0, 1]",
         )
+        try:
+            self.total()
+        except OverflowError:
+            raise InvariantError("CostBreakdown: components must sum to a finite number") from None
 
     def total(self) -> float:
         """Undiscounted sum of all components."""

@@ -243,8 +243,8 @@ def allocate(s: NetworkScenario, assoc: Association, t_hours: float) -> Allocati
     return Allocation(rates_bps=rates, radio_load=load)
 
 
-def evaluate(s: NetworkScenario, t_hours: float) -> MetricReport:
-    """All metrics at one hour from the scalar association and allocation."""
+def _hour_sums(s: NetworkScenario, t_hours: float) -> tuple[float, float, float, float]:
+    """Throughput, weighted throughput, total and weighted power at one hour."""
     assoc = associate(s)
     alloc = allocate(s, assoc, t_hours)
     throughput = sum(alloc.rates_bps.values())
@@ -260,44 +260,55 @@ def evaluate(s: NetworkScenario, t_hours: float) -> MetricReport:
         cn = cost_coefficient(bs.kind, c0)
         total_power += dynamic + static
         weighted_power += dynamic + static * cn
+    return throughput, weighted_throughput, total_power, weighted_power
+
+
+def _report(s: NetworkScenario, sums: Sequence[float], t_hours: float | None) -> MetricReport:
+    """The report made of the four ``sums``, or the ValueError of the first
+    check it fails: every sum finite, both powers > 0, the cost rate > 0,
+    every ratio finite."""
+    throughput, weighted_throughput, total_power, weighted_power = sums
+    total_bandwidth = sum(b.kind.bandwidth_hz for b in stations(s))
+    cost_rate = total_cost_rate(s)
+    names = ("throughput_bps", "weighted_throughput_bps", "total_power_w", "weighted_power_w", "total_bandwidth_hz",
+             "cost_rate")
+    for name, value in zip(names, (*sums, total_bandwidth, cost_rate)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if total_power <= 0 or weighted_power <= 0:
         raise ValueError("total power is zero; refusing to report infinite efficiency")
-    total_bandwidth = sum(b.kind.bandwidth_hz for b in stations(s))
+    if cost_rate <= 0:
+        raise ValueError(f"cost_rate must be > 0, got {cost_rate}")
+    ratios = {
+        "se": throughput / total_bandwidth,
+        "ee": weighted_throughput / total_power,
+        "ce": throughput * SECONDS_PER_YEAR / cost_rate,
+        "e3": weighted_throughput / weighted_power,
+    }
+    for name, value in ratios.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return MetricReport(
         throughput_bps=throughput,
         weighted_throughput_bps=weighted_throughput,
         total_power_w=total_power,
         weighted_power_w=weighted_power,
-        se=throughput / total_bandwidth,
-        ee=weighted_throughput / total_power,
-        ce=throughput * SECONDS_PER_YEAR / total_cost_rate(s),
-        e3=weighted_throughput / weighted_power,
+        **ratios,
         time_hours=t_hours,
-        cost_rate=total_cost_rate(s),
+        cost_rate=cost_rate,
     )
+
+
+def evaluate(s: NetworkScenario, t_hours: float) -> MetricReport:
+    """All metrics at one hour from the scalar association and allocation."""
+    return _report(s, _hour_sums(s, t_hours), t_hours)
 
 
 def evaluate_daily(s: NetworkScenario) -> MetricReport:
-    """Ratio of daily averages, one full ``evaluate`` per sample."""
+    """Ratio of daily averages, the sums of each sample from the scalar loops."""
     samples = s.traffic.samples_per_day
-    reports = [evaluate(s, 24.0 * i / samples) for i in range(samples)]
-    throughput = sum(r.throughput_bps for r in reports) / samples
-    weighted_throughput = sum(r.weighted_throughput_bps for r in reports) / samples
-    total_power = sum(r.total_power_w for r in reports) / samples
-    weighted_power = sum(r.weighted_power_w for r in reports) / samples
-    total_bandwidth = sum(b.kind.bandwidth_hz for b in stations(s))
-    return MetricReport(
-        throughput_bps=throughput,
-        weighted_throughput_bps=weighted_throughput,
-        total_power_w=total_power,
-        weighted_power_w=weighted_power,
-        se=throughput / total_bandwidth,
-        ee=weighted_throughput / total_power,
-        ce=throughput * SECONDS_PER_YEAR / total_cost_rate(s),
-        e3=weighted_throughput / weighted_power,
-        time_hours=None,
-        cost_rate=total_cost_rate(s),
-    )
+    hours = [_hour_sums(s, 24.0 * i / samples) for i in range(samples)]
+    return _report(s, [sum(column) / samples for column in zip(*hours)], None)
 
 
 def allocate_bruteforce(demands: Sequence[float], capacity: float) -> list[float]:

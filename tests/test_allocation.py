@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     allocation_at,
@@ -130,6 +130,31 @@ class TestWaterLevels:
         r_low = water_rates(demands, low)
         r_high = water_rates(demands, high)
         assert all(a <= b + 1e-12 for a, b in zip(r_low, r_high))
+
+
+#: Non-negative floats over the whole range: 0, subnormals and 1e308 included.
+magnitudes = st.floats(min_value=0.0, max_value=1e308)
+
+
+class TestFill:
+    @settings(deadline=None)
+    @given(data=st.data(), n_bs=st.integers(1, 4), n_ues=st.integers(1, 8), n_rows=st.integers(1, 3))
+    def test_rates_and_loads_stay_in_range(self, data, n_bs, n_ues, n_rows):
+        # dynamic power is linear in the load and is not range-checked: it rests on this invariant
+        def draw_list(values, size):
+            return data.draw(st.lists(values, min_size=size, max_size=size))
+
+        xy = st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0))
+        stations = make_stations(draw_list(xy, n_bs), [make_kind()] * n_bs)
+        ues = make_ues(draw_list(xy, n_ues), draw_list(st.floats(0.0, 1e308, exclude_min=True), n_ues))
+        geometry = allocation.plan_geometry(make_scenario(base_stations=stations, ues=ues))
+        factors = np.array(draw_list(st.floats(0.0, 1.0, exclude_min=True), n_rows))
+        radio_cap = np.array(draw_list(st.lists(magnitudes, min_size=n_bs, max_size=n_bs), n_rows))
+        capacity = np.minimum(radio_cap, draw_list(st.lists(magnitudes, min_size=n_bs, max_size=n_bs), n_rows))
+        rates, load = allocation.fill(geometry, factors, capacity, radio_cap)
+        demands = factors[:, None] * geometry.peaks
+        assert ((0.0 <= rates) & (rates <= demands)).all(), (rates, demands)
+        assert ((0.0 <= load) & (load <= 1.0)).all(), load
 
 
 class TestBruteforceOracle:

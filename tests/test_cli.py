@@ -11,7 +11,7 @@ import pytest
 from conftest import load_document, scenario_path
 from e3sim import SweepSpec, build_scenario, evaluate, evaluate_daily, run_sweep
 from e3sim.cli import CSV_COLUMNS, MAX_GRID_POINTS, _parse_values, main
-from e3sim.model import MAX_CATALOG_SIZE, MAX_SAMPLES_PER_DAY, MAX_STATIONS, MAX_UES
+from e3sim.model import _BREAKDOWN_COMPONENTS, MAX_CATALOG_SIZE, MAX_SAMPLES_PER_DAY, MAX_STATIONS, MAX_UES
 
 FIG3 = str(scenario_path("fig3.json"))
 
@@ -140,6 +140,68 @@ class TestEval:
         assert row["e3_bit_per_joule"] == format(report.e3, ".12g")
         assert row["throughput_bps"] == format(report.throughput_bps, ".12g")
         assert row["param1"] == "" and row["error"] == ""
+
+
+def overflowing_document():
+    """fig3 with two stations whose radio and X-Haul carry 1e308 bit/s, and
+    UEs that ask for as much: the two stations' throughputs sum past the
+    largest float."""
+    doc = load_document("fig3.json")
+    kind = doc["kinds"][0]
+    kind["radio_capacity_bps"] = kind["xhaul"]["capacity_bps"] = 1e308
+    doc["base_stations"].append({"bs_id": "ap001", "kind": "ap", "position_m": [40.0, 40.0]})
+    doc["ues"]["uniform_random"]["demand_peak_bps"] = 1e308
+    return doc
+
+
+def breakdown(**given):
+    """A cost breakdown document section: the ``given`` items, every other component 0."""
+    return {**dict.fromkeys(_BREAKDOWN_COMPONENTS, 0.0), **given}
+
+
+class TestReportChecks:
+    """A document whose report would hold a number that is not finite, or a
+    zero cost rate, exits 1 naming it, with no traceback or warning."""
+
+    def run(self, tmp_path, capsys, doc, *flags):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = main([flags[0], str(path), *flags[1:]])
+        return code, capsys.readouterr()
+
+    def test_an_overflowing_throughput_exits_1_naming_it(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, overflowing_document(), "eval", "--daily")
+        assert (code, out.out, out.err) == (1, "", "error: throughput_bps must be finite, got inf\n")
+
+    def test_an_overflowing_sweep_point_fails_only_its_row(self, tmp_path, capsys):
+        out = tmp_path / "overflow.csv"
+        param = "kinds.ap.xhaul.capacity_bps=1e7,1e308,2e7"
+        code, printed = self.run(tmp_path, capsys, overflowing_document(), "sweep", "--param", param, "--daily",
+                                 "--out", str(out))
+        assert code == 0 and "Warning" not in printed.err
+        _, header, rows = read_csv(out)
+        rows = [dict(zip(header, row)) for row in rows]
+        assert [row["error"] for row in rows] == ["", "throughput_bps must be finite, got inf", ""]
+        assert all(rows[i]["e3_bit_per_joule"] != "" for i in (0, 2))
+
+    def test_a_zero_cost_rate_exits_1_naming_it(self, tmp_path, capsys):
+        # capital items only, all inherited: the yearly cost is 0, so CE would be inf
+        doc = load_document("fig3.json")
+        kind = doc["kinds"][0]
+        kind.update(cost_per_area=50.0, cache_item_cost_per_area=0.0)
+        kind["cost_breakdown"] = breakdown(infrastructure=30.0, site_installation=20.0, inherited_discount=1.0)
+        code, out = self.run(tmp_path, capsys, doc, "eval", "--daily")
+        assert (code, out.err) == (1, "error: cost_rate must be > 0, got 0.0\n")
+
+    @pytest.mark.parametrize("command", [["validate"], ["eval"], ["sweep", "--param", "kinds.ap.cache_size=1,2"]],
+                             ids=["validate", "eval", "sweep"])
+    def test_a_cost_breakdown_past_the_largest_float_exits_1(self, tmp_path, capsys, command):
+        doc = load_document("fig3.json")
+        doc["kinds"][0]["cost_per_area"] = 1e308
+        doc["kinds"][0]["cost_breakdown"] = breakdown(infrastructure=1e308, site_installation=1e308)
+        flags = ["--out", str(tmp_path / "r.csv")] if command[0] == "sweep" else []
+        code, out = self.run(tmp_path, capsys, doc, *command, *flags)
+        assert (code, out.err) == (1, "error: CostBreakdown: components must sum to a finite number\n")
 
 
 class TestSweep:

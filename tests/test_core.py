@@ -33,6 +33,7 @@ from conftest import (
 )
 from e3sim import (
     CacheConfig,
+    CostBreakdown,
     StationLayout,
     TrafficProfile,
     UePopulation,
@@ -57,27 +58,41 @@ def coordinate(lattice):
 
 
 @st.composite
-def scenarios(draw, radio_mode="abstract", lattice=None, unit_costs=False):
-    """Small random deployments: 1-3 kinds, 1-6 stations, 1-14 UEs."""
+def scenarios(draw, radio_mode="abstract", lattice=None, unit_costs=False, extreme=False):
+    """Small random deployments: 1-3 kinds, 1-6 stations, 1-14 UEs.
+
+    With ``extreme``, power, capacity, demand and cost may also lie near the
+    largest float and bandwidth near 1e-300, and a kind may cost nothing
+    (capital items only, all inherited), so sums and ratios can overflow
+    and the cost rate can be 0.
+    """
     if lattice is None:
         lattice = draw(st.booleans())
+
+    def wide(lo, hi):
+        """Floats in [lo, hi]; with ``extreme`` up to 1e308."""
+        return st.floats(lo, 1e308) if extreme else st.floats(lo, hi)
+
     catalog = draw(st.integers(1, 12))
     cost = draw(st.floats(1.0, 100.0))
     kinds = []
     for i in range(draw(st.integers(1, 3))):
         medium = draw(st.sampled_from(("wired", "wireless")))
+        kind_cost = cost if unit_costs else draw(wide(1.0, 100.0))
+        free = extreme and draw(st.booleans())
         kinds.append(
             make_kind(
                 kind_id=f"k{i}",
-                static_power_w=draw(st.floats(0.5, 50.0)),
-                max_tx_dynamic_power_w=draw(st.floats(0.5, 50.0)),
-                radio_capacity_bps=draw(st.floats(1e6, 1e8)),
-                bandwidth_hz=draw(st.floats(1e6, 2e7)),
-                cost_per_area=cost if unit_costs else draw(st.floats(1.0, 100.0)),
-                xhaul=make_xhaul(capacity_bps=draw(st.floats(1e6, 1e8)), medium=medium),
+                static_power_w=draw(wide(0.5, 50.0)),
+                max_tx_dynamic_power_w=draw(wide(0.5, 50.0)),
+                radio_capacity_bps=draw(wide(1e6, 1e8)),
+                bandwidth_hz=draw(st.floats(1e-300 if extreme else 1e6, 2e7)),
+                cost_per_area=kind_cost,
+                xhaul=make_xhaul(capacity_bps=draw(wide(1e6, 1e8)), medium=medium),
                 tx_power_w=draw(st.floats(0.05, 5.0)),
                 cache_size=draw(st.integers(0, catalog)),
-                cache_item_cost_per_area=0.0 if unit_costs else draw(st.floats(0.0, 5.0)),
+                cache_item_cost_per_area=0.0 if unit_costs or free else draw(st.floats(0.0, 5.0)),
+                cost_breakdown=CostBreakdown(kind_cost, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0) if free else None,
             )
         )
     n_bs = draw(st.integers(1, 6))
@@ -94,7 +109,7 @@ def scenarios(draw, radio_mode="abstract", lattice=None, unit_costs=False):
         return draw(st.lists(values, min_size=n_ues, max_size=n_ues))
 
     ues = make_ues(
-        column(xy), column(st.floats(1e5, 2e7)), column(st.floats(0.5, 3.0)), ids=[f"u{i}" for i in range(n_ues)]
+        column(xy), column(wide(1e5, 2e7)), column(st.floats(0.5, 3.0)), ids=[f"u{i}" for i in range(n_ues)]
     )
     return make_scenario(
         kinds=tuple(kinds),
@@ -208,6 +223,25 @@ class TestAgainstScalarOracle:
         with mock.patch.object(radio, "CHUNK_BYTES", 8):
             got = outcome(evaluate_daily, s)
         assert got == outcome(oracles.evaluate_daily, s)
+
+
+class TestReportChecks:
+    """Near the limits of a float, every report has eight finite numbers, or
+    the evaluation raises the ValueError the oracle raises."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=scenarios(extreme=True), t=hours)
+    def test_an_hourly_report_is_finite_or_a_value_error(self, s, t):
+        got = outcome(evaluate, s, t)
+        assert got == outcome(oracles.evaluate, s, t)
+        assert isinstance(got, tuple) or all(map(math.isfinite, astuple(got)[NUMBERS]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(s=scenarios(extreme=True))
+    def test_a_daily_report_is_finite_or_a_value_error(self, s):
+        got = outcome(evaluate_daily, s)
+        assert got == outcome(oracles.evaluate_daily, s)
+        assert isinstance(got, tuple) or all(map(math.isfinite, astuple(got)[NUMBERS]))
 
 
 def layout_scenario(stations, ues):

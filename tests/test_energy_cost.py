@@ -44,10 +44,6 @@ class TestDynamicPower:
         for load in (0.0, 0.3, 1.0):
             assert parts(wireless, load) == parts(wired, load)
 
-    def test_out_of_range_load_rejected(self):
-        with pytest.raises(ValueError):
-            parts(make_kind(), 1.2)
-
 
 def breakdown(infra=40.0, install=20.0, others=40.0, discount=0.0):
     return CostBreakdown(

@@ -422,6 +422,20 @@ def test_rng_seed_accepts_numpy_integers():
     assert make_scenario(rng_seed=seed).rng_seed is seed
 
 
+def test_numpy_integers_round_trip_through_a_json_document():
+    # the document held them as numpy integers, which build_scenario and json.dumps reject
+    s = make_scenario(
+        kinds=(make_kind(cache_size=np.int64(2)),),
+        cache=CacheConfig(catalog_size=np.int64(5)),
+        traffic=TrafficProfile(samples_per_day=np.int64(6)),
+        rng_seed=np.int64(3),
+    )
+    doc = json.loads(json.dumps(scenario_to_document(s)))
+    assert build_scenario(doc) == s
+    assert (doc["seed"], doc["traffic"]["samples_per_day"], doc["cache"]["catalog_size"]) == (3, 6, 5)
+    assert doc["kinds"][0]["cache_size"] == 2
+
+
 def test_negative_seed_names_the_path():
     # explicit UE lists never reach the generator, so only the check catches it
     doc = copy.deepcopy(MINIMAL_DOC)

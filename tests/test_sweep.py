@@ -723,7 +723,7 @@ class TestBlocks:
 
         with mock.patch.object(metrics, "fill", nan_middle_point):
             rows = run_sweep(fig3, spec).rows
-        assert [row.error for row in rows] == [None, "radio_load must lie in [0, 1], got nan", None]
+        assert [row.error for row in rows] == [None, "total_power_w must be finite, got nan", None]
         for value in (1e7, 4e7):
             row = rows[spec.values.index(value)]
             assert row.report == evaluate(built(fig3, spec.param_path, value), 20.0)
