@@ -139,7 +139,7 @@ def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
     """Whether ``plan_geometry(a)`` is the geometry of ``b`` too.
 
     It is when both have the same UE record, radio mode and daily sample
-    count, and the same station columns (shared, as a sweep point's layout
+    count, and the same station layout (the very object, as a sweep point
     shares its base's, or equal ids and positions in the same order); in
     physical mode also the same transmit power and bandwidth per station.
     """
@@ -148,20 +148,20 @@ def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
     if b.traffic.samples_per_day != a.traffic.samples_per_day:
         return False
     x, y = a.base_stations, b.base_stations
-    if x.position_m is not y.position_m and not (
+    if x is not y and not (
         len(x) == len(y)
         and (x.bs_id == y.bs_id or x.ids() == y.ids())
         and np.array_equal(x.position_m, y.position_m)
     ):
         return False
     return a.radio_mode != "physical" or all(
-        np.array_equal(x.values(value), y.values(value))
+        np.array_equal(a.station_values(value), b.station_values(value))
         for value in (lambda k: k.tx_power_w, lambda k: k.bandwidth_hz)
     )
 
 
 def xhaul_limits(s: NetworkScenario) -> list[float]:
-    """The X-Haul bound on effective capacity of each of ``s.base_stations.kinds``.
+    """The X-Haul bound on effective capacity of each of ``s.placed_kinds``.
 
     A station's effective capacity is the smaller of its radio capacity and
     this bound. Only the miss share (1 - h) of served traffic crosses the
@@ -170,7 +170,7 @@ def xhaul_limits(s: NetworkScenario) -> list[float]:
     ``cache.hit_ratio`` of the kind's cache size.
     """
     limits = []
-    for kind in s.base_stations.kinds:
+    for kind in s.placed_kinds:
         hit = hit_ratio(s.cache, kind.cache_size)
         limits.append(math.inf if hit == 1.0 else kind.xhaul.capacity_bps / (1.0 - hit))
     return limits
@@ -185,7 +185,7 @@ def station_capacities(s: NetworkScenario, geometry: Geometry) -> tuple[list[flo
     """
     radio_cap = geometry.radio_cap
     if radio_cap is None:
-        radio_cap = s.base_stations.values(lambda k: k.radio_capacity_bps)
+        radio_cap = s.station_values(lambda k: k.radio_capacity_bps)
     limit = np.array(xhaul_limits(s))[s.base_stations.kind]
     return radio_cap.tolist(), np.minimum(radio_cap, limit).tolist()
 

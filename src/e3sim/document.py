@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Container, Mapping
 from dataclasses import MISSING, asdict, fields
 from typing import Any, Callable
 
@@ -163,8 +163,8 @@ _CHOICES = {"medium": MEDIA, "strategy": STRATEGIES}
 _LIMITS = {"catalog_size": MAX_CATALOG_SIZE, "samples_per_day": MAX_SAMPLES_PER_DAY}
 
 
-def _field_parser(section: tuple[str, ...], f: Any) -> Parser | None:
-    """How ``_record`` reads field ``f`` of ``section``; None where its caller must say."""
+def _field_parser(section: tuple[str, ...], f: Any) -> Parser:
+    """How ``_record`` reads field ``f`` of ``section``."""
     nested = section + (f.name,)
     if nested in _RECORDS:
         if f.default is None:
@@ -174,24 +174,17 @@ def _field_parser(section: tuple[str, ...], f: Any) -> Parser | None:
         return functools.partial(_as_choice, choices=_CHOICES[f.name])
     if f.name in _LIMITS:
         return functools.partial(_as_int, most=_LIMITS[f.name])
-    return _VALUE_PARSERS.get(f.type)
+    return _VALUE_PARSERS[f.type]
 
 
-def _values(section: tuple[str, ...], doc: Any, path: str, **parsers: Parser) -> dict[str, Any]:
-    """The fields that ``doc``, record ``section`` at document ``path``, sets.
-
-    Each key is parsed by its field's type, or by ``parsers`` for a field
-    that is not a plain value (a station's ``kind``).
-    """
+def _values(section: tuple[str, ...], doc: Any, path: str) -> dict[str, Any]:
+    """The fields that ``doc``, record ``section`` at document ``path``, sets,
+    each key parsed by its field's type."""
     _check_keys(doc, path, section)
-    return {
-        name: (parse or parsers[name])(doc[name], f"{path}.{name}") for name, parse in _FIELDS[section] if name in doc
-    }
+    return {name: parse(doc[name], f"{path}.{name}") for name, parse in _FIELDS[section] if name in doc}
 
 
-def _record(
-    section: tuple[str, ...], doc: Any, path: str, base: tuple[Any, Any] | None = None, **parsers: Parser
-) -> Any:
+def _record(section: tuple[str, ...], doc: Any, path: str, base: tuple[Any, Any] | None = None) -> Any:
     """The dataclass of record ``section`` read from ``doc`` at document ``path``;
     each key it leaves out keeps the dataclass default.
 
@@ -206,7 +199,7 @@ def _record(
     if base is not None and doc is base[0]:
         return base[1]
     if base is None or not isinstance(doc, dict) or doc.keys() != base[0].keys():
-        return _RECORDS[section](**_values(section, doc, path, **parsers))
+        return _RECORDS[section](**_values(section, doc, path))
     was, record = base
     values = {}
     for name, parse in _FIELDS[section]:
@@ -227,20 +220,20 @@ _FIELDS = {
 }
 
 
-def _build_base_stations(doc: Any, kinds_by_id: Mapping[str, BsKind]) -> StationLayout:
-    def kind(value: Any, path: str) -> BsKind:
-        """The catalog kind that the station ``kind`` key at ``path`` names."""
-        kind_id = _as_str(value, path)
-        if kind_id not in kinds_by_id:
-            raise UnknownKindError(f"{path.removesuffix('.kind')}: unknown kind_id '{kind_id}'")
-        return kinds_by_id[kind_id]
+def _build_base_stations(doc: Any, kind_ids: Container[str]) -> StationLayout:
+    """The layout of section ``doc``; each station must name one of ``kind_ids``."""
+
+    def known(kind_id: str, path: str) -> str:
+        if kind_id not in kind_ids:
+            raise UnknownKindError(f"{path}: unknown kind_id '{kind_id}'")
+        return kind_id
 
     if isinstance(doc, Mapping):
         _check_keys(doc, "base_stations", ("base_stations",))
         grid = doc["grid"]
         path = "base_stations.grid"
         _check_keys(grid, path, ("base_stations", "grid"))
-        grid_kind = kind(grid["kind"], f"{path}.kind")
+        grid_kind = known(_as_str(grid["kind"], f"{path}.kind"), path)
         rows, cols = _as_int(grid["rows"], f"{path}.rows"), _as_int(grid["cols"], f"{path}.cols")
         spacing = _as_number(grid["spacing_m"], f"{path}.spacing_m")
         if rows < 1 or cols < 1:
@@ -255,14 +248,17 @@ def _build_base_stations(doc: Any, kinds_by_id: Mapping[str, BsKind]) -> Station
         return StationLayout(None, np.zeros(rows * cols, dtype=np.intp), np.column_stack([x, y]), (grid_kind,))
     if not isinstance(doc, list) or not doc:
         raise SchemaError("base_stations: expected a non-empty list or a generator object")
-    entries = [_values(("base_stations", "*"), entry, f"base_stations[{i}]", kind=kind) for i, entry in enumerate(doc)]
-    kinds: dict[str, int] = {}
-    index = [kinds.setdefault(e["kind"].kind_id, len(kinds)) for e in entries]
+    entries = []
+    for i, entry in enumerate(doc):  # entry by entry, so the first bad entry is the error
+        entries.append(_values(("base_stations", "*"), entry, f"base_stations[{i}]"))
+        known(entries[-1]["kind"], f"base_stations[{i}]")
+    placed: dict[str, int] = {}
+    index = [placed.setdefault(e["kind"], len(placed)) for e in entries]
     return StationLayout(
         tuple(e["bs_id"] for e in entries),
         np.array(index, dtype=np.intp),
         np.array([e["position_m"] for e in entries], dtype=float),
-        tuple(kinds_by_id[kind_id] for kind_id in kinds),
+        tuple(placed),
     )
 
 
@@ -319,10 +315,10 @@ def _build(
 
     What is built from the same objects in both documents is reused, as a
     copy-on-write edit of the base document leaves every value off the
-    edited path: the kinds when ``kinds`` is; the station columns when
+    edited path: the kinds when ``kinds`` is; the station layout when
     ``base_stations`` is and the kinds hold every kind_id it places, as a
-    scenario resolves its layout's kinds against its own catalog by kind_id
-    (``StationLayout.resolved``), which keeps the columns; the UEs when
+    layout names its kinds by kind_id and the scenario looks up their
+    records in its own catalog; the UEs when
     ``ues`` is and the seed is equal or the UEs are a list; and the cache
     and traffic records when their sections are (or both leave them out).
     Each other kind, cache and traffic record is read against the base's
@@ -363,11 +359,11 @@ def _build(
     else:
         benchmark = _as_number(benchmark, "document.benchmark_cost")
 
-    by_id = {k.kind_id: k for k in kinds}
-    if "base_stations" in shared and all(k.kind_id in by_id for k in base[1].base_stations.kinds):
+    kind_ids = {k.kind_id for k in kinds}
+    if "base_stations" in shared and kind_ids.issuperset(base[1].base_stations.kind_ids):
         stations = base[1].base_stations
     else:
-        stations = _build_base_stations(document["base_stations"], by_id)
+        stations = _build_base_stations(document["base_stations"], kind_ids)
     if "ues" in shared and (seed == base[1].rng_seed or isinstance(document["ues"], list)):
         ues = base[1].ues
     else:
@@ -402,11 +398,12 @@ def scenario_to_document(s: NetworkScenario) -> dict[str, Any]:
     Round-trips: ``build_scenario(scenario_to_document(s)) == s``. Generator
     sections come back as the explicit entity lists they expanded to.
     """
+    layout = s.base_stations
     return {
         "kinds": [_plain(k) for k in s.kinds],
         "base_stations": [
             dict(zip(_BS_FIELDS, row))
-            for row in zip(s.base_stations.ids(), s.base_stations.kind_ids(), s.base_stations.position_m.tolist())
+            for row in zip(layout.ids(), [layout.kind_ids[j] for j in layout.kind.tolist()], layout.position_m.tolist())
         ],
         "ues": [
             dict(zip(_UE_FIELDS, row))

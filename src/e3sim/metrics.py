@@ -78,7 +78,7 @@ def _demand_factors(t_hours: float | None, peak_to_min_ratio: float, peak_hour: 
 def point_inputs(s: NetworkScenario, t_hours: float | None) -> tuple[np.ndarray, ...]:
     """What the report of ``s`` at ``t_hours`` (None: the daily average)
     depends on besides its geometry, as three arrays: the demand factor of
-    each sample, each station's index into ``s.base_stations.kinds``, and
+    each sample, each station's index into ``s.placed_kinds``, and
     one row per such kind of radio capacity, effective capacity (in
     physical mode, where the geometry gives radio capacity, the X-Haul
     limit on it), static power, static power times C_n, maximum
@@ -94,7 +94,7 @@ def point_inputs(s: NetworkScenario, t_hours: float | None) -> tuple[np.ndarray,
     per_item_w = s.cache.cache_power_per_item_w
     physical = s.radio_mode == "physical"
     rows = []
-    for kind, limit in zip(s.base_stations.kinds, limits):
+    for kind, limit in zip(s.placed_kinds, limits):
         static = kind.static_power_w + per_item_w * kind.cache_size
         radio = kind.radio_capacity_bps
         rows.append((

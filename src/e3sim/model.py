@@ -205,6 +205,10 @@ class BsKind:
 
     def __post_init__(self) -> None:
         _require_numbers(self, "kind_id")
+        if not isinstance(self.xhaul, XHaulSolution):
+            raise InvariantError(
+                f"BsKind '{self.kind_id}': xhaul must be an XHaulSolution, got {type(self.xhaul).__name__}"
+            )
         for name in (
             "static_power_w",
             "max_tx_dynamic_power_w",
@@ -222,6 +226,11 @@ class BsKind:
         if not _is_int(self.cache_size):
             raise InvariantError(f"BsKind '{self.kind_id}': cache_size must be an integer")
         if self.cost_breakdown is not None:
+            if not isinstance(self.cost_breakdown, CostBreakdown):
+                raise InvariantError(
+                    f"BsKind '{self.kind_id}': cost_breakdown must be a CostBreakdown or None, "
+                    f"got {type(self.cost_breakdown).__name__}"
+                )
             total = self.cost_breakdown.total()
             if not abs(total - self.cost_per_area) <= 1e-9 * max(abs(self.cost_per_area), 1.0):
                 raise InvariantError(
@@ -232,10 +241,10 @@ class BsKind:
 
 @dataclass(frozen=True)
 class BaseStation:
-    """Schema of one placed station: identifier, kind reference, planar position."""
+    """Schema of one placed station: identifier, the kind_id of its kind, planar position."""
 
     bs_id: str
-    kind: BsKind
+    kind: str
     position_m: tuple[float, float]
 
 

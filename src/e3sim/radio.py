@@ -205,8 +205,8 @@ def physical_capacities(s: NetworkScenario, serving: np.ndarray) -> np.ndarray:
     n_bs = len(s.base_stations)
     bs = s.base_stations.position_m
     ue_xy = s.ues.position_m
-    gain = s.base_stations.values(lambda k: k.tx_power_w) * _GAIN
-    bandwidth = s.base_stations.values(lambda k: k.bandwidth_hz)
+    gain = s.station_values(lambda k: k.tx_power_w) * _GAIN
+    bandwidth = s.station_values(lambda k: k.bandwidth_hz)
     noise_w = _NOISE_W_PER_HZ * bandwidth
     share_hz = bandwidth / np.maximum(np.bincount(serving, minlength=n_bs), 1)
     rates = np.empty(len(ue_xy))

@@ -5,17 +5,17 @@ base station kinds (``model.BsKind``), the placed stations as one
 ``StationLayout``, the users as one ``UePopulation``, cache and traffic
 settings, and the cost benchmark. The two tables are the only form that
 stations and UEs take, and the only place their invariants are checked.
-Its records are immutable after construction and safe to share across
-concurrent evaluations; a sweep point shares every record its edit leaves
-alone with its base. The JSON document form is read and written by
+A kind record is held only in the catalog; the layout names kinds by
+kind_id. Its records are immutable after construction and safe to share
+across concurrent evaluations; a sweep point shares every record its edit
+leaves alone with its base. The JSON document form is read and written by
 ``document``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any
@@ -116,73 +116,45 @@ class StationLayout(_Columns):
     The fields are those of ``BaseStation``, each a column: ``bs_id`` the
     ids of an explicit list, or None for a grid, whose stations are named
     ``bs000``, ``bs001``, ...; ``kind`` each station's index into
-    ``kinds``, the distinct kinds the stations were placed with (a
+    ``kind_ids``, the distinct kind_ids the stations were placed with (a
     document's in order of first use); ``position_m`` a (B, 2) array.
-    Finite positions, valid kind indices, kinds that each place a station
-    (the evaluation computes per kind of ``kinds``, so an unplaced one could
-    fail a scenario that equals one without it) and unique explicit ids are
+    Finite positions, valid kind indices, kind_ids that each place a station
+    (the evaluation computes per placed kind, so an unplaced one could fail
+    a scenario that equals one without it) and unique explicit ids are
     checked once, here, with array operations; an error names the first
     station that breaks a rule.
-    Equality compares ids, kind ids and positions.
+    Equality compares ids, each station's kind_id and positions.
 
-    A scenario holds its layout resolved against its own catalog by kind_id
-    (``resolved``): the kinds are its catalog's, and the columns are the
-    ones it was given, so a sweep point that edits a kind shares its base's
-    columns.
+    A layout names its kinds only by kind_id: the records are the
+    scenario's catalog's (``NetworkScenario.placed_kinds``), so a sweep
+    point that edits a kind shares its base's layout.
     """
 
     bs_id: tuple[str, ...] | None
     kind: np.ndarray
     position_m: np.ndarray
-    kinds: tuple[BsKind, ...]
+    kind_ids: tuple[str, ...]
 
     _ID = "bs_id"
     _RECORD = BaseStation
 
     def __post_init__(self) -> None:
         count = len(self._start())
-        kinds = tuple(self.kinds)
-        if not all(isinstance(k, BsKind) for k in kinds) or len({k.kind_id for k in kinds}) != len(kinds):
-            raise InvariantError("StationLayout: kinds must be BsKind records with distinct kind_ids")
-        object.__setattr__(self, "kinds", kinds)
+        kind_ids = tuple(self.kind_ids)
+        if not all(type(k) is str for k in kind_ids) or len(set(kind_ids)) != len(kind_ids):
+            raise InvariantError("StationLayout: kind_ids must be distinct strings")
+        object.__setattr__(self, "kind_ids", kind_ids)
         kind = np.array(self.kind)
         indices = kind.dtype.kind in "iu" and not _holds_bool(self.kind)
-        if kind.shape != (count,) or not indices or not ((kind >= 0) & (kind < len(kinds))).all():
+        if kind.shape != (count,) or not indices or not ((kind >= 0) & (kind < len(kind_ids))).all():
             raise InvariantError(f"StationLayout: kind must hold {count} indices into kinds")
         kind = kind.astype(np.intp)
         kind.flags.writeable = False
         object.__setattr__(self, "kind", kind)
-        unplaced = np.bincount(kind, minlength=len(kinds)) == 0
+        unplaced = np.bincount(kind, minlength=len(kind_ids)) == 0
         if unplaced.any():
-            raise InvariantError(f"StationLayout: no station is of kind '{kinds[int(unplaced.argmax())].kind_id}'")
+            raise InvariantError(f"StationLayout: no station is of kind '{kind_ids[int(unplaced.argmax())]}'")
         self._finish([(~np.isfinite(self.position_m).all(axis=1), "position_m must be finite")])
-
-    def resolved(self, catalog: Mapping[str, BsKind]) -> StationLayout:
-        """This layout with the kinds of ``catalog``, a map by kind_id.
-
-        The result shares this layout's columns, and is this layout when
-        ``catalog`` holds its very kinds. Raises ``UnknownKindError`` naming
-        the first station whose kind_id ``catalog`` lacks.
-        """
-        kinds = tuple(catalog.get(k.kind_id) for k in self.kinds)
-        unknown = [j for j, k in enumerate(kinds) if k is None]
-        if unknown:
-            i = int(np.isin(self.kind, unknown).argmax())
-            raise _unknown_kind(self._id(i), self.kinds[self.kind[i]].kind_id)
-        if all(map(operator.is_, kinds, self.kinds)):
-            return self
-        layout = object.__new__(StationLayout)
-        layout.__dict__.update(self.__dict__, kinds=kinds)
-        return layout
-
-    def kind_ids(self) -> list[str]:
-        """The kind_id of every station."""
-        names = [k.kind_id for k in self.kinds]
-        return [names[j] for j in self.kind.tolist()]
-
-    def values(self, value: Callable[[BsKind], float]) -> np.ndarray:
-        """``value`` of each station's kind, in station order; it is called once per kind."""
-        return np.array([value(k) for k in self.kinds], dtype=float)[self.kind]
 
     @cached_property
     def id_order(self) -> np.ndarray:
@@ -192,7 +164,7 @@ class StationLayout(_Columns):
         return order
 
     def _compared(self) -> tuple:
-        return self.kind_ids(), self.position_m
+        return [self.kind_ids[j] for j in self.kind.tolist()], self.position_m
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -270,10 +242,12 @@ def _holds_bool(value: Any) -> bool:
 class NetworkScenario:
     """Complete immutable description of one deployment under evaluation.
 
-    ``base_stations`` must be a ``StationLayout`` and ``ues`` a
-    ``UePopulation``. The layout is held resolved against ``kinds`` by
-    kind_id, so station i is of kind
-    ``base_stations.kinds[base_stations.kind[i]]``, a record of ``kinds``.
+    ``kinds`` must hold ``BsKind`` records, ``base_stations`` be a
+    ``StationLayout``, ``ues`` a ``UePopulation``, ``cache`` a
+    ``CacheConfig`` and ``traffic`` a ``TrafficProfile``. The layout names
+    its kinds by kind_id; ``placed_kinds``, derived here, holds the catalog
+    record of each of its ``kind_ids``, so station i is of kind
+    ``placed_kinds[base_stations.kind[i]]``.
     """
 
     kinds: tuple[BsKind, ...]
@@ -284,21 +258,33 @@ class NetworkScenario:
     benchmark_cost: float | str = MAX_KIND
     radio_mode: str = "abstract"
     rng_seed: int = 0
+    placed_kinds: tuple[BsKind, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        for name, table in (("base_stations", StationLayout), ("ues", UePopulation)):
+        for kind in self.kinds:
+            if not isinstance(kind, BsKind):
+                raise InvariantError(f"NetworkScenario: kinds must hold BsKind records, got {type(kind).__name__}")
+        records = {"base_stations": StationLayout, "ues": UePopulation, "cache": CacheConfig, "traffic": TrafficProfile}
+        for name, record in records.items():
             value = getattr(self, name)
-            if not isinstance(value, table):
+            if not isinstance(value, record):
                 raise InvariantError(
-                    f"NetworkScenario: {name} must be a {table.__name__}, got {type(value).__name__}"
+                    f"NetworkScenario: {name} must be a {record.__name__}, got {type(value).__name__}"
                 )
         _require(len(self.kinds) >= 1, "NetworkScenario: at least one kind required")
         _require(len(self.base_stations) >= 1, "NetworkScenario: at least one base station required")
         _require(len(self.ues) >= 1, "NetworkScenario: at least one UE required")
         _require_unique("kind_id", [k.kind_id for k in self.kinds])
         by_id = {k.kind_id: k for k in self.kinds}
-        object.__setattr__(self, "base_stations", self.base_stations.resolved(by_id))
+        layout = self.base_stations
+        placed = tuple(map(by_id.get, layout.kind_ids))
+        if not all(placed):
+            i, j = next((i, j) for i, j in enumerate(layout.kind.tolist()) if placed[j] is None)
+            raise UnknownKindError(
+                f"BaseStation '{layout._id(i)}': kind '{layout.kind_ids[j]}' is not in the scenario catalog"
+            )
+        object.__setattr__(self, "placed_kinds", placed)
         if self.benchmark_cost != MAX_KIND:
             if not _is_real(self.benchmark_cost):
                 raise InvariantError(f"NetworkScenario: benchmark_cost must be a number or '{MAX_KIND}'")
@@ -308,9 +294,9 @@ class NetworkScenario:
         if not _is_int(self.rng_seed) or self.rng_seed < 0:
             raise InvariantError(f"NetworkScenario: rng_seed must be an integer >= 0, got {self.rng_seed!r}")
 
-
-def _unknown_kind(bs_id: str, kind_id: str) -> UnknownKindError:
-    return UnknownKindError(f"BaseStation '{bs_id}': kind '{kind_id}' is not in the scenario catalog")
+    def station_values(self, value: Callable[[BsKind], float]) -> np.ndarray:
+        """``value`` of each station's kind, in station order; it is called once per placed kind."""
+        return np.array([value(k) for k in self.placed_kinds], dtype=float)[self.base_stations.kind]
 
 
 def validate_scenario(s: NetworkScenario) -> list[str]:

@@ -14,6 +14,8 @@ whose evaluation inputs equal the previous point's takes its report.
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
@@ -48,8 +50,8 @@ class SweepSpec:
     """Axes and evaluation time of one sweep.
 
     ``daily`` evaluates every point's daily average, and then ``time_hours``
-    must be None; else each point is evaluated at ``time_hours``, or at its
-    base's peak hour when that is None.
+    must be None; else each point is evaluated at ``time_hours``, a finite
+    number, or at its base's peak hour when that is None.
     """
 
     param_path: str
@@ -72,6 +74,8 @@ class SweepSpec:
         if self.time_hours is not None:
             if not _is_real(self.time_hours):
                 raise TypeError(f"SweepSpec: time_hours must be a number, got {self.time_hours!r}")
+            if not math.isfinite(self.time_hours):
+                raise ValueError(f"SweepSpec: time_hours must be finite, got {self.time_hours}")
             if self.daily:
                 raise ValueError("SweepSpec: time_hours must be None for a daily sweep")
 
@@ -287,7 +291,8 @@ def run_sweep(document: dict[str, Any], spec: SweepSpec) -> SweepResult:
 
 
 class Argmax:
-    """Running argmax of a metric over sweep rows, ties to the smallest value(s)."""
+    """Running argmax of a metric over sweep rows, ties to the smallest value(s)
+    (``_ordered``: a number before any other value)."""
 
     def __init__(self, metric: str = "e3") -> None:
         if metric not in METRICS:
@@ -302,7 +307,9 @@ class Argmax:
             return
         value = getattr(row.report, self.metric)
         best = self.best
-        if best is None or value > self.value or (value == self.value and row.values < best.values):
+        if best is None or value > self.value or (
+            value == self.value and _ordered(row.values) < _ordered(best.values)
+        ):
             self.best, self.value = row, value
 
     def result(self) -> tuple[tuple[Any, ...], float]:
@@ -312,8 +319,16 @@ class Argmax:
         return self.best.values, self.value
 
 
+def _ordered(values: tuple[Any, ...]) -> tuple[tuple[int, str, Any], ...]:
+    """The sort key of a row's axis values, as an axis may mix types
+    (``benchmark_cost=max-kind,100``): a number before any other value,
+    other values by type name, and values of one type in their own order."""
+    return tuple((0, "", v) if isinstance(v, numbers.Real) else (1, type(v).__name__, v) for v in values)
+
+
 def argmax(result: SweepResult, metric: str = "e3") -> tuple[tuple[Any, ...], float]:
-    """Grid point maximizing the metric, ties broken by smallest value(s).
+    """Grid point maximizing the metric, ties broken by smallest value(s),
+    a number before any other value (``_ordered``).
 
     Returns (axis values, metric value). Raises ValueError for a metric
     not in ``METRICS`` and if every row failed.

@@ -124,15 +124,11 @@ def make_kind(
 def make_stations(positions, kinds, ids=None):
     """A ``StationLayout`` of one station at each of ``positions``, of the
     kind at the same index of ``kinds``, named ``ids`` (None: ``bs000``,
-    ``bs001``, ...). The layout holds the distinct kinds by kind_id in order
-    of first use, as a document's station list does."""
+    ``bs001``, ...). The layout names the distinct kind_ids in order of
+    first use, as a document's station list does."""
     placed = {}
-    for kind in kinds:
-        placed.setdefault(kind.kind_id, kind)
-    index = list(placed)
-    return StationLayout(
-        ids, np.array([index.index(k.kind_id) for k in kinds], dtype=np.intp), positions, tuple(placed.values())
-    )
+    index = [placed.setdefault(k.kind_id, len(placed)) for k in kinds]
+    return StationLayout(ids, np.array(index, dtype=np.intp), positions, tuple(placed))
 
 
 def make_ues(positions, demand=1e6, weight=1.0, ids=None):

@@ -52,9 +52,11 @@ class Ue:
 
 
 def stations(s: NetworkScenario) -> list[Station]:
-    """Every station of ``s``, in layout order, with the scenario's kinds."""
+    """Every station of ``s``, in layout order, with the kind of its catalog
+    that its kind_id names."""
     layout = s.base_stations
-    kinds = [layout.kinds[j] for j in layout.kind.tolist()]
+    by_id = {k.kind_id: k for k in s.kinds}
+    kinds = [by_id[layout.kind_ids[j]] for j in layout.kind.tolist()]
     return [Station(i, k, (x, y)) for i, k, (x, y) in zip(layout.ids(), kinds, layout.position_m.tolist())]
 
 

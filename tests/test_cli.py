@@ -243,6 +243,23 @@ class TestSweep:
         assert f"kinds.ap.cache_size={values[0]:g}" in printed
         assert format(best, ".12g") in printed
 
+    def test_argmax_of_a_tie_between_a_string_and_a_number(self, tmp_path, capsys):
+        # SE is blind to cost: the two rows tie, and comparing their values ended in a TypeError
+        out = tmp_path / "y.csv"
+        code = main(["sweep", FIG3, "--param", "benchmark_cost=max-kind,100", "--argmax", "se", "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "argmax se: benchmark_cost=100 (se=4)" in captured.out and captured.err == ""
+        assert [row[0] for row in read_csv(out)[2]] == ["max-kind", "100"]
+
+    @pytest.mark.parametrize("hour", ["nan", "inf"])
+    def test_a_non_finite_hour_exits_1_before_any_row(self, tmp_path, capsys, hour):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", FIG3, "--param", "kinds.ap.cache_size=0:2:1", "--time", hour, "--out", str(out)])
+        assert code == 1
+        assert f"SweepSpec: time_hours must be finite, got {hour}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_param_spec_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["sweep", FIG3, "--param", "kinds.ap.cache_size=0:10:-1",

@@ -361,7 +361,7 @@ class TestMetamorphic:
         ues = UePopulation(
             [u.ids()[i] for i in ue_order], u.position_m[ue_order], u.demand_peak_bps[ue_order], u.weight[ue_order]
         )
-        stations = StationLayout([b.ids()[i] for i in bs_order], b.kind[bs_order], b.position_m[bs_order], b.kinds)
+        stations = StationLayout([b.ids()[i] for i in bs_order], b.kind[bs_order], b.position_m[bs_order], b.kind_ids)
         shuffled = replace(s, ues=ues, base_stations=stations)
         base, other = outcome(evaluate, s, t), outcome(evaluate, shuffled, t)
         if isinstance(base, tuple):

@@ -396,6 +396,26 @@ def test_float_fields_accept_numpy_floats(owner, record, name):
     assert getattr(replace(record, **{name: value}), name) is value
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: replace(make_scenario(), kinds=(1,)), "NetworkScenario: kinds must hold BsKind records, got int"),
+        (lambda: replace(make_scenario(), cache=None), "NetworkScenario: cache must be a CacheConfig, got NoneType"),
+        (lambda: replace(make_scenario(), traffic="x"), "NetworkScenario: traffic must be a TrafficProfile, got str"),
+        (lambda: replace(make_kind(), xhaul=None), "BsKind 'pico': xhaul must be an XHaulSolution, got NoneType"),
+        (lambda: replace(make_kind(), xhaul={"solution_id": "xh", "capacity_bps": 5e7, "medium": "wired"}),
+         "BsKind 'pico': xhaul must be an XHaulSolution, got dict"),
+        (lambda: replace(make_kind(), cost_breakdown=5),
+         "BsKind 'pico': cost_breakdown must be a CostBreakdown or None, got int"),
+    ],
+    ids=["kinds", "cache", "traffic", "xhaul-none", "xhaul-dict", "cost_breakdown"],
+)
+def test_record_fields_reject_other_types(build, message):
+    # each once passed construction and failed later with a bare AttributeError
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_a_fractional_integer_field_in_a_document_keeps_its_schema_error():
     doc = copy.deepcopy(MINIMAL_DOC)
     doc["traffic"] = {"samples_per_day": 2.5}
@@ -484,7 +504,7 @@ def test_xhaul_medium_names_its_path():
 
 
 def one_station(position):
-    return StationLayout(("b",), [0], [position], (make_kind(),))
+    return StationLayout(("b",), [0], [position], ("pico",))
 
 
 def one_ue(position):
@@ -628,8 +648,8 @@ def test_a_generated_population_is_built_without_ue_records():
 
 
 def layout(ids=("a", "b", "c"), kind=(0, 1, 0), position=((0.0, 0.0), (1.0, 2.0), (3.0, 4.0)),
-           kinds=(make_kind(), make_kind(kind_id="macro"))):
-    return StationLayout(ids, kind, position, kinds)
+           kind_ids=("pico", "macro")):
+    return StationLayout(ids, kind, position, kind_ids)
 
 
 class TestStationLayout:
@@ -651,7 +671,7 @@ class TestStationLayout:
             ({"kind": (0.0, 1.0, 0.0)}, "StationLayout: kind must hold 3 indices into kinds"),
             ({"position": (0.0, 1.0, 2.0)}, r"StationLayout: position_m must have shape \(B, 2\)"),
             ({"position": (("0", "1"), ("2", "3"), ("4", "5"))}, "StationLayout: position_m must hold real numbers"),
-            ({"kinds": (make_kind(), make_kind())}, "StationLayout: kinds must be BsKind records with distinct"),
+            ({"kind_ids": ("pico", "pico")}, "StationLayout: kind_ids must be distinct strings$"),
             ({"kind": (0, True, 0)}, "StationLayout: kind must hold 3 indices into kinds"),
             # a kind of the layout that no station places
             ({"kind": (0, 0, 0)}, "StationLayout: no station is of kind 'macro'$"),
@@ -667,11 +687,11 @@ class TestStationLayout:
         s = build_scenario(doc)
         b = s.base_stations
         assert b.bs_id is None and b.ids()[:2] == ("bs000", "bs001") and b.ids()[-1] == "bs005"
-        assert b.position_m[-1].tolist() == [100.0, 50.0] and b.kinds[b.kind[-1]] is s.kinds[0]
-        listed = StationLayout(b.ids(), b.kind, b.position_m, b.kinds)
+        assert b.position_m[-1].tolist() == [100.0, 50.0] and s.placed_kinds[b.kind[-1]] is s.kinds[0]
+        listed = StationLayout(b.ids(), b.kind, b.position_m, b.kind_ids)
         assert listed.bs_id == b.ids() and listed == b
         assert make_scenario(kinds=s.kinds, base_stations=listed).base_stations == b
-        assert StationLayout(b.ids()[::-1], b.kind, b.position_m, b.kinds) != b
+        assert StationLayout(b.ids()[::-1], b.kind, b.position_m, b.kind_ids) != b
 
     def test_a_kind_missing_from_the_catalog_names_the_first_station(self):
         with pytest.raises(UnknownKindError, match="^BaseStation 'b': kind 'macro' is not in the scenario catalog"):
@@ -683,17 +703,17 @@ class TestStationLayout:
         pico = replace(s.kinds[0], static_power_w=9.0)
         edited = replace(s, kinds=(pico, s.kinds[1]))
         assert [station.kind for station in oracles.stations(edited)] == [pico, edited.kinds[1], pico]
-        assert oracles.stations(edited)[0].kind is pico and edited.base_stations.kinds[0] is pico
-        assert edited.base_stations.position_m is s.base_stations.position_m
-        fresh = replace(s, kinds=edited.kinds, base_stations=layout(kinds=edited.kinds))
+        assert oracles.stations(edited)[0].kind is pico and edited.placed_kinds[0] is pico
+        assert edited.base_stations is s.base_stations
+        fresh = replace(s, kinds=edited.kinds, base_stations=layout())
         assert evaluate(edited, 20.0) == evaluate(fresh, 20.0) == oracles.evaluate(edited, 20.0)
 
     def test_scenarios_take_a_layout_only(self):
-        for value in ((), ((0.0, 0.0),), [BaseStation("b", make_kind(), (0.0, 0.0))], {"bs_id": "b"}):
+        for value in ((), ((0.0, 0.0),), [BaseStation("b", "pico", (0.0, 0.0))], {"bs_id": "b"}):
             message = f"^NetworkScenario: base_stations must be a StationLayout, got {type(value).__name__}$"
             with pytest.raises(InvariantError, match=message):
                 make_scenario(base_stations=value)
-        empty = layout(ids=(), kind=np.empty(0, dtype=np.intp), position=np.empty((0, 2)), kinds=())
+        empty = layout(ids=(), kind=np.empty(0, dtype=np.intp), position=np.empty((0, 2)), kind_ids=())
         with pytest.raises(InvariantError, match="^NetworkScenario: at least one base station required$"):
             make_scenario(base_stations=empty)
 
@@ -705,7 +725,7 @@ def test_a_grid_is_built_without_station_records():
         s = build_scenario(doc)
         evaluate(s, 20.0)
         assert made.call_count == 0 and len(s.base_stations) == 600
-        BaseStation("b", s.kinds[0], (0.0, 0.0))
+        BaseStation("b", "ap", (0.0, 0.0))
         assert made.call_count == 1  # the count sees a record made
     # station r * cols + c stands at (c * spacing, r * spacing), as Python multiplies
     assert s.base_stations.position_m.tolist() == [[c * 0.1, r * 0.1] for r in range(20) for c in range(30)]
@@ -833,7 +853,7 @@ class TestValueReuse:
         assert reused == built_or_error(build_scenario, point)
         if isinstance(reused, NetworkScenario):
             by_id = {k.kind_id: k for k in reused.kinds}
-            assert all(k is by_id[k.kind_id] for k in reused.base_stations.kinds)
+            assert all(k is by_id[k.kind_id] for k in reused.placed_kinds)
             assert oracles.stations(reused) == oracles.stations(built_or_error(build_scenario, point))
 
     def test_an_xhaul_edit_parses_one_value_and_relinks_the_stations(self):
@@ -845,14 +865,13 @@ class TestValueReuse:
         def recorded(parse):
             return lambda value, path: (parsed.append(path), parse(value, path))[1]
 
-        fields = {section: tuple((k, parse and recorded(parse)) for k, parse in pairs)
+        fields = {section: tuple((k, recorded(parse)) for k, parse in pairs)
                   for section, pairs in _FIELDS.items()}
         with mock.patch.dict(_FIELDS, fields), mock.patch("e3sim.document._record", wraps=_record) as record:
             s = _build(point, (document, base))
         assert parsed == ["kinds[0].xhaul.capacity_bps"]
         assert [c.args[0] for c in record.call_args_list] == [("kinds", "*"), ("kinds", "*", "xhaul")]
         assert oracles.stations(s)[0].kind is s.kinds[0] and s.kinds[0].xhaul.capacity_bps == 2e7
-        # the kinds are resolved against the new catalog; the columns are the base's
-        columns = ("bs_id", "kind", "position_m")
-        assert all(getattr(s.base_stations, c) is getattr(base.base_stations, c) for c in columns)
+        # the kinds are looked up in the new catalog; the layout is the base's
+        assert s.base_stations is base.base_stations
         assert s == build_scenario(point)

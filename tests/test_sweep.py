@@ -12,12 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import load_document
+from conftest import load_document, make_scenario
 from e3sim import (
     CacheConfig,
     InvariantError,
     ParameterPathError,
     SchemaError,
+    SweepResult,
+    SweepRow,
     SweepSpec,
     allocation,
     argmax,
@@ -112,7 +114,7 @@ class TestDocumentPaths:
         assert built(fig3, "radio_mode", "physical").radio_mode == "physical"
         fig2 = load_document("fig2.json")
         s = built(fig2, "base_stations.grid.kind", "opt5")
-        assert set(s.base_stations.kind_ids()) == {"opt5"}
+        assert s.base_stations.kind_ids == ("opt5",)
         explicit = scenario_to_document(build_scenario(fig3))
         assert built(explicit, "ues.ue003.demand_peak_bps", 1e6).ues.demand_peak_bps[3] == 1e6
 
@@ -169,7 +171,7 @@ class TestDocumentPaths:
         assert seeded.ues != base.ues
         resized = _build(set_parameter(fig3, "kinds.ap.cache_size", 2), (fig3, base))
         assert resized.ues is base.ues and oracles.stations(resized)[0].kind.cache_size == 2
-        assert resized.base_stations.position_m is base.base_stations.position_m
+        assert resized.base_stations is base.base_stations
         assert resized.cache is base.cache and resized.traffic is base.traffic
         skewed = _build(set_parameter(fig3, "cache.zipf_exponent", 1.2), (fig3, base))
         assert skewed.cache.zipf_exponent == 1.2 and skewed.traffic is base.traffic
@@ -263,6 +265,12 @@ class TestRunSweep:
         with pytest.raises(TypeError, match=f"^SweepSpec: time_hours must be a number, got {hour!r}$"):
             SweepSpec(param_path="kinds.ap.cache_size", values=(0, 6), time_hours=hour)
 
+    @pytest.mark.parametrize("hour", [float("nan"), float("inf"), -float("inf")])
+    def test_the_hour_must_be_finite(self, hour):
+        # every row of such a sweep once failed with the same t_hours error, and the sweep exited 0
+        with pytest.raises(ValueError, match=f"^SweepSpec: time_hours must be finite, got {hour}$"):
+            SweepSpec(param_path="kinds.ap.cache_size", values=(0, 6), time_hours=hour)
+
 
 class TestArgmax:
     def test_unknown_metric_is_a_typed_error(self, fig3):
@@ -276,6 +284,26 @@ class TestArgmax:
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=(1, 2, 3), time_hours=20.0)
         values, _ = argmax(run_sweep(s, spec))
         assert values == (1,)
+
+    @pytest.mark.parametrize("values", [("max-kind", 100.0), (100.0, "max-kind")])
+    def test_a_tie_between_a_string_and_a_number_goes_to_the_number(self, fig3, values):
+        # SE is blind to cost, so both rows tie; comparing them once raised a TypeError
+        spec = SweepSpec(param_path="benchmark_cost", values=values, time_hours=20.0)
+        result = run_sweep(fig3, spec)
+        assert result.rows[0].report.se == result.rows[1].report.se
+        assert argmax(result, "se")[0] == (100.0,)
+
+    def test_ties_order_numbers_first_then_other_types_by_name(self):
+        report = evaluate(make_scenario(), 20.0)
+
+        def best(*values):
+            return argmax(SweepResult(spec=None, rows=tuple(SweepRow(v, report) for v in values), base=None))[0]
+
+        # values of one type keep their own order
+        assert best(("b", 2.0), ("a", 3.0), ("a", 1.0)) == ("a", 1.0)
+        assert best(("b", 2.0), ("a", 3.0), (2.0, "z"), (10.0, "a")) == (2.0, "z")
+        assert best(({"k": 1.0},), ("s",), (None,)) == (None,)
+        assert best(({"k": 1.0},), ("s",), (None,), (7,)) == (7,)
 
     def test_matches_exhaustive_scan(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)), time_hours=20.0)
@@ -436,6 +464,30 @@ def grid_fig3():
     doc = load_document("fig3.json")
     doc["base_stations"] = {"grid": {"kind": "ap", "rows": 2, "cols": 2, "spacing_m": 30.0}}
     return doc
+
+
+def assert_kind_sweep_shares_the_base_layout(document, spec):
+    """Run a sweep of one kind value at hour 20: every point is built on the
+    base's very layout with no station record made, its stations are of
+    its own catalog's kinds, and its row equals a fresh build's report and
+    the oracle's."""
+    points = []
+
+    def recorded(point, base):
+        points.append(_build(point, base))
+        return points[-1]
+
+    check = mock.patch.object(BaseStation, "__init__", autospec=True, side_effect=BaseStation.__init__)
+    with check as made, mock.patch("e3sim.sweep._build", recorded):
+        base, rows = open_sweep(document, spec)
+        rows = list(rows)
+    assert made.call_count == 0 and len(points) == len(spec.values)
+    for s in points:
+        assert s.base_stations is base.base_stations
+        assert oracles.stations(s)[0].kind is s.kinds[0]
+    fresh = [built(document, spec.param_path, v) for v in spec.values]
+    assert [row.report for row in rows] == [evaluate(s, 20.0) for s in fresh]
+    assert [row.report for row in rows] == [oracles.evaluate(s, 20.0) for s in fresh]
 
 
 @contextlib.contextmanager
@@ -604,27 +656,12 @@ class TestBlocks:
         assert [row.report for row in rows] == [evaluate(built(document, "seed", v), 20.0) for v in spec.values]
 
     def test_a_kind_sweep_of_a_grid_makes_no_station_record_per_point(self):
-        document = grid_fig3()
         spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=(1e7, 2e7, 4e7), time_hours=20.0)
-        points = []
+        assert_kind_sweep_shares_the_base_layout(grid_fig3(), spec)
 
-        def recorded(point, base):
-            points.append(_build(point, base))
-            return points[-1]
-
-        check = mock.patch.object(BaseStation, "__init__", autospec=True, side_effect=BaseStation.__init__)
-        with check as made, mock.patch("e3sim.sweep._build", recorded):
-            base, rows = open_sweep(document, spec)
-            rows = list(rows)
-        assert made.call_count == 0 and len(points) == 3
-        # each point's layout holds its own kinds over the base's columns
-        for s in points:
-            assert s.base_stations.kind is base.base_stations.kind
-            assert s.base_stations.position_m is base.base_stations.position_m
-            assert oracles.stations(s)[0].kind is s.kinds[0]
-        assert [row.report for row in rows] == [
-            evaluate(built(document, spec.param_path, v), 20.0) for v in spec.values
-        ]
+    def test_a_cache_size_sweep_shares_the_base_layout(self, fig3):
+        spec = SweepSpec(param_path="kinds.ap.cache_size", values=(0, 2, 5), time_hours=20.0)
+        assert_kind_sweep_shares_the_base_layout(fig3, spec)
 
     @pytest.mark.parametrize(
         "document, path, error",
