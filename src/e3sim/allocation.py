@@ -52,7 +52,9 @@ def water_levels(sorted_demands: np.ndarray, counts: np.ndarray, capacity: np.nd
     """
     capacity = np.broadcast_to(capacity, sorted_demands.shape[:-1])
     steps = np.concatenate([capacity[..., None], sorted_demands[..., :-1]], axis=-1)
-    share = np.subtract.accumulate(steps, axis=-1, out=steps)  # the remaining capacity
+    # the remaining capacity; it overflows to -inf only past a demand that exceeds its share, which no level reads
+    with np.errstate(over="ignore"):
+        share = np.subtract.accumulate(steps, axis=-1, out=steps)
     left = counts[..., None] - np.arange(sorted_demands.shape[-1])
     share /= np.maximum(left, 1)
     over = (sorted_demands > share) & (left > 0)

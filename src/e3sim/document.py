@@ -7,9 +7,9 @@ traffic section is read into its dataclass; the listed stations and UEs
 are read into the columns of one ``StationLayout`` and one
 ``UePopulation``, and the generator sections (``grid``,
 ``uniform_random``) are expanded into them here.
-``build_scenario`` reads a whole document, ``_build`` one that shares
-sections with an already built base (a sweep point), and
-``scenario_to_document`` writes a scenario back.
+``build_scenario`` reads a whole document, ``_rebuild`` a sweep point's
+from its base scenario, reading only the sections on the edited paths,
+and ``scenario_to_document`` writes a scenario back.
 """
 
 from __future__ import annotations
@@ -184,34 +184,37 @@ def _values(section: tuple[str, ...], doc: Any, path: str) -> dict[str, Any]:
     return {name: parse(doc[name], f"{path}.{name}") for name, parse in _FIELDS[section] if name in doc}
 
 
-def _record(section: tuple[str, ...], doc: Any, path: str, base: tuple[Any, Any] | None = None) -> Any:
+def _record(section: tuple[str, ...], doc: Any, path: str) -> Any:
     """The dataclass of record ``section`` read from ``doc`` at document ``path``;
-    each key it leaves out keeps the dataclass default.
+    each key it leaves out keeps the dataclass default."""
+    return _RECORDS[section](**_values(section, doc, path))
 
-    ``base``, an optional (dict, record) pair of the same section, is reused:
-    its record when ``doc`` is its dict; when ``doc`` is a dict with the same
-    keys, each field whose value is the same object in both dicts, and a
-    nested record (``xhaul``, ``cost_breakdown``) that is a dict in both is
-    read against the base's in turn. Only the other values are parsed, and
-    the record is made through its class, so every invariant runs again and
-    the first error is the one a full parse gives.
-    """
-    if base is not None and doc is base[0]:
-        return base[1]
-    if base is None or not isinstance(doc, dict) or doc.keys() != base[0].keys():
-        return _RECORDS[section](**_values(section, doc, path))
-    was, record = base
-    values = {}
+
+def _maker(section: tuple[str, ...], record: Any, doc: Any, edits: dict[str, Any] | None) -> Parser:
+    """A parser of record ``section`` for edits of ``doc``, the section
+    ``record`` was read from, at the keys in ``edits`` (a tree of
+    ``_makers``; None for all). It makes the record once through its class
+    from ``record``'s value of each other key ``doc`` sets and the edited
+    keys parsed in field order, a nested record edited below made so at its
+    field's position, so the first error is a full parse's."""
+    if edits is None:
+        return functools.partial(_record, section)
+    cls, kept, edited = _RECORDS[section], {}, []
     for name, parse in _FIELDS[section]:
-        if name in doc:
-            value, old = doc[name], was[name]
-            if value is old:
-                values[name] = getattr(record, name)
-            elif isinstance(value, dict) and isinstance(old, dict):
-                values[name] = _record(section + (name,), value, f"{path}.{name}", (old, getattr(record, name)))
-            else:
-                values[name] = parse(value, f"{path}.{name}")
-    return _RECORDS[section](**values)
+        if name in edits:
+            if edits[name] is not None:
+                parse = _maker(section + (name,), getattr(record, name), doc[name], edits[name])
+            edited.append((name, parse))
+        elif name in doc:
+            kept[name] = getattr(record, name)
+
+    def make(doc: Any, path: str) -> Any:
+        values = kept.copy()
+        for name, parse in edited:
+            values[name] = parse(doc[name], f"{path}.{name}")
+        return cls(**values)
+
+    return make
 
 
 #: (key, parser) of every field of each record section, in field order.
@@ -308,77 +311,93 @@ def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario
     return _build(document)
 
 
-def _build(
-    document: Any, base: tuple[Mapping[str, Any], NetworkScenario] | None = None
-) -> NetworkScenario:
-    """Build ``document``, reusing what ``base``, a (document, scenario) pair, built.
-
-    What is built from the same objects in both documents is reused, as a
-    copy-on-write edit of the base document leaves every value off the
-    edited path: the kinds when ``kinds`` is; the station layout when
-    ``base_stations`` is and the kinds hold every kind_id it places, as a
-    layout names its kinds by kind_id and the scenario looks up their
-    records in its own catalog; the UEs when
-    ``ues`` is and the seed is equal or the UEs are a list; and the cache
-    and traffic records when their sections are (or both leave them out).
-    Each other kind, cache and traffic record is read against the base's
-    with ``_record``, which parses only its edited values. The scenario is
-    validated as a whole.
-    """
+def _build(document: Any) -> NetworkScenario:
+    """Build ``document``, every section read whole, and validate the scenario
+    as a whole. ``_rebuild`` reads the sections in this order too, which
+    decides the error a document with two bad sections gives."""
     _check_keys(document, "", ())
+    seed = _seed(document)
+    entries = document["kinds"]
+    if not isinstance(entries, list) or not entries:
+        raise SchemaError("kinds: expected a non-empty list")
+    kinds = tuple(_record(("kinds", "*"), k, f"kinds[{i}]") for i, k in enumerate(entries))
+    cache, traffic = (_record((key,), document.get(key, {}), key) for key in ("cache", "traffic"))
+    benchmark = _benchmark_cost(document)
+    stations = _build_base_stations(document["base_stations"], {k.kind_id for k in kinds})
+    ues = _build_ues(document["ues"], seed)
+    radio_mode = _as_choice(document.get("radio_mode", "abstract"), "document.radio_mode", RADIO_MODES)
+    return NetworkScenario(kinds, stations, ues, cache, traffic, benchmark, radio_mode, seed)
+
+
+def _makers(base: NetworkScenario, document: Any, paths: list[list[tuple[Any, Any]]]) -> dict[str, Any]:
+    """What ``_rebuild`` takes for ``document``, an edit of ``base``'s at
+    ``paths``, each the (container, key) steps from the root to an edited
+    value: the tree of edited keys, each mapped to the keys edited below it
+    and a path's last key to None, with each edited kind, cache or traffic
+    record's maker (``_maker``) in place of its keys. A key one path sets
+    whole stays whole when another goes below it, as ``document`` holds both."""
+    edits: dict[Any, Any] = {}
+    for steps in paths:
+        node = edits
+        for _, key in steps[:-1]:
+            node = node.setdefault(key, {})
+            if node is None:
+                break
+        else:
+            node[steps[-1][1]] = None
+    if "kinds" in edits:
+        edits["kinds"] = {i: _maker(("kinds", "*"), base.kinds[i], document["kinds"][i], below)
+                          for i, below in sorted(edits["kinds"].items())}
+    for key in ("cache", "traffic"):
+        if key in edits:
+            edits[key] = _maker((key,), getattr(base, key), document.get(key, {}), edits[key])
+    return edits
+
+
+def _rebuild(base: NetworkScenario, document: Any, makers: Mapping[str, Any]) -> NetworkScenario:
+    """The scenario of ``document``, an edit of ``base``'s whose edited keys
+    ``makers`` (``_makers``) names. Only the sections on those paths are
+    read again, in ``_build``'s order (keep the two in step), so the first
+    error is a fresh build's; so are the stations when the kinds lose a
+    kind_id the layout names, and generated UEs when the seed changes.
+    Every other section is the base's own object; the scenario is validated
+    whole."""
+    seed = _seed(document) if "seed" in makers else base.rng_seed
+    kinds = base.kinds
+    if "kinds" in makers:
+        kinds = list(kinds)
+        for i, make in makers["kinds"].items():
+            kinds[i] = make(document["kinds"][i], f"kinds[{i}]")
+    cache = makers["cache"](document["cache"], "cache") if "cache" in makers else base.cache
+    traffic = makers["traffic"](document["traffic"], "traffic") if "traffic" in makers else base.traffic
+    benchmark = _benchmark_cost(document) if "benchmark_cost" in makers else base.benchmark_cost
+    kind_ids = {k.kind_id for k in kinds}
+    stations = base.base_stations
+    if "base_stations" in makers or not kind_ids.issuperset(stations.kind_ids):
+        stations = _build_base_stations(document["base_stations"], kind_ids)
+    ues = base.ues
+    if "ues" in makers or seed != base.rng_seed and not isinstance(document["ues"], list):
+        ues = _build_ues(document["ues"], seed)
+    radio_mode = base.radio_mode
+    if "radio_mode" in makers:
+        radio_mode = _as_choice(document["radio_mode"], "document.radio_mode", RADIO_MODES)
+    return NetworkScenario(kinds, stations, ues, cache, traffic, benchmark, radio_mode, seed)
+
+
+def _seed(document: Any) -> int:
     seed = _as_int(document.get("seed", 0), "document.seed")
     if seed < 0:
         raise SchemaError(f"document.seed: must be >= 0, got {seed}")
-    sections = ("kinds", "base_stations", "ues", "cache", "traffic")
-    shared = {k for k in sections if base and document.get(k) is base[0].get(k)}
+    return seed
 
-    if "kinds" in shared:
-        kinds = base[1].kinds
-    else:
-        kinds_doc = document["kinds"]
-        if not isinstance(kinds_doc, list) or not kinds_doc:
-            raise SchemaError("kinds: expected a non-empty list")
-        olds = list(zip(base[0]["kinds"], base[1].kinds)) if base else []
-        kinds = tuple(
-            _record(("kinds", "*"), k, f"kinds[{i}]", olds[i] if i < len(olds) else None)
-            for i, k in enumerate(kinds_doc)
-        )
 
-    records = {}
-    for key in ("cache", "traffic"):
-        if key in shared:
-            records[key] = getattr(base[1], key)
-        else:
-            old = (base[0][key], getattr(base[1], key)) if base and key in base[0] else None
-            records[key] = _record((key,), document.get(key, {}), key, old)
-
+def _benchmark_cost(document: Any) -> float | str:
     benchmark = document.get("benchmark_cost", MAX_KIND)
-    if isinstance(benchmark, str):
-        if benchmark != MAX_KIND:
-            raise SchemaError(f"document.benchmark_cost: expected a number or '{MAX_KIND}', got '{benchmark}'")
-    else:
-        benchmark = _as_number(benchmark, "document.benchmark_cost")
-
-    kind_ids = {k.kind_id for k in kinds}
-    if "base_stations" in shared and kind_ids.issuperset(base[1].base_stations.kind_ids):
-        stations = base[1].base_stations
-    else:
-        stations = _build_base_stations(document["base_stations"], kind_ids)
-    if "ues" in shared and (seed == base[1].rng_seed or isinstance(document["ues"], list)):
-        ues = base[1].ues
-    else:
-        ues = _build_ues(document["ues"], seed)
-
-    return NetworkScenario(
-        kinds=kinds,
-        base_stations=stations,
-        ues=ues,
-        cache=records["cache"],
-        traffic=records["traffic"],
-        benchmark_cost=benchmark,
-        radio_mode=_as_choice(document.get("radio_mode", "abstract"), "document.radio_mode", RADIO_MODES),
-        rng_seed=seed,
-    )
+    if not isinstance(benchmark, str):
+        return _as_number(benchmark, "document.benchmark_cost")
+    if benchmark != MAX_KIND:
+        raise SchemaError(f"document.benchmark_cost: expected a number or '{MAX_KIND}', got '{benchmark}'")
+    return benchmark
 
 
 def _python(value: Any) -> Any:

@@ -5,10 +5,12 @@ values set to each grid value, never touching the base. A parameter path
 addresses a value of the parsed JSON document by key, ``key[i]`` list
 index, or list-entry id: ``kinds.ap.cache_size``, ``kinds[0].xhaul.medium``,
 ``base_stations.grid.kind``, ``ues.uniform_random.count``, ``seed``. Its
-last key may be one the document leaves at its default. Each grid point is
-built by ``document``; a row that fails a schema or invariant check carries
-the message and the sweep continues. Consecutive points that share a
-geometry are evaluated together, a block of points at a time, and a point
+last key may be one the document leaves at its default, and the two paths
+of a sweep must address different values. Each grid point is the base
+scenario with only the sections on its paths read again
+(``document._rebuild``); a row that fails a schema or invariant check
+carries the message and the sweep continues. Consecutive points that share
+a geometry are evaluated together, a block of points at a time, and a point
 whose evaluation inputs equal the previous point's takes its report.
 """
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from .allocation import Geometry, plan_geometry, same_geometry
-from .document import _build, build_scenario, section_keys
+from .document import _makers, _rebuild, build_scenario, section_keys
 from .metrics import MetricReport, evaluate_block, point_inputs
 from .model import _is_real
 from .scenario import NetworkScenario
@@ -161,43 +163,47 @@ def _assign(steps: list[tuple[Any, Any]], value: Any) -> Any:
     return value
 
 
-def _points(document: dict[str, Any], spec: SweepSpec) -> Iterator[tuple[tuple[Any, ...], Any]]:
-    """(axis values, document) of every grid point, in grid order; a point
-    whose second path does not resolve gets its ParameterPathError instead.
+def _points(document: dict[str, Any], spec: SweepSpec, base: NetworkScenario) -> Iterator[tuple[tuple, Any, Any]]:
+    """(axis values, document, makers) of every grid point, in grid order,
+    for ``document._rebuild`` on ``base``; a point whose second path does not
+    resolve gets its ParameterPathError.
 
-    Each path is resolved once: the first on ``document``, the second once
-    per first-axis value, on that value's document, as setting the first
-    value may rename the entry the second path names.
+    Each path is resolved and compiled (``document._makers``) once: the
+    first on ``document``, the second once per first-axis value, on that
+    value's document, as setting the first value may rename the entry the
+    second path names.
     """
     steps = _steps(document, spec.param_path)
+    makers = _makers(base, document, [steps])
     for v1 in spec.values:
         point = _assign(steps, v1)
         if spec.param2_path is None:
-            yield (v1,), point
+            yield (v1,), point, makers
             continue
         try:
             steps2 = _steps(point, spec.param2_path)
         except ParameterPathError as exc:
             steps2, point = None, exc
+        both = _makers(base, point, [steps, steps2]) if steps2 else None
         for v2 in spec.values2:
-            yield (v1, v2), point if steps2 is None else _assign(steps2, v2)
+            yield (v1, v2), point if steps2 is None else _assign(steps2, v2), both
 
 
 def open_sweep(document: dict[str, Any], spec: SweepSpec) -> tuple[NetworkScenario, Iterator[SweepRow]]:
     """The base scenario of a sweep, and an iterator over its rows.
 
-    The document must build, and both paths must resolve in it, before
-    any row is evaluated; both checks run here. Rows come in grid order,
-    row-major in axis order, as each block of points is evaluated; a row
-    whose document fails to build or to evaluate carries the error message
-    instead of a report. The document is never modified. Without
-    ``spec.daily`` every row is evaluated at ``spec.time_hours``, or else
-    at the base scenario's peak hour.
+    The document must build, and both paths must resolve in it to two
+    different values, before any row is evaluated; these checks run here.
+    Rows come in grid order, row-major in axis order, as each block of
+    points is evaluated; a row whose document fails to build or to evaluate
+    carries the error message instead of a report. The document is never
+    modified. Without ``spec.daily`` every row is evaluated at
+    ``spec.time_hours``, or else at the base scenario's peak hour.
     """
     base = build_scenario(document)
-    resolve_parameter(document, spec.param_path)
-    if spec.param2_path is not None:
-        resolve_parameter(document, spec.param2_path)
+    steps = _steps(document, spec.param_path)
+    if spec.param2_path is not None and [k for _, k in steps] == [k for _, k in _steps(document, spec.param2_path)]:
+        raise ParameterPathError(f"parameter paths '{spec.param_path}' and '{spec.param2_path}' address the same value")
     if spec.daily:
         t = None
     else:
@@ -223,11 +229,11 @@ def _rows(
     inputs: list[tuple] = []
     first = geometry = last = row = None
     per_block = entries = 1
-    for values, point in _points(document, spec):
+    for values, point, makers in _points(document, spec, base):
         built: NetworkScenario | Exception | None = point
         if not isinstance(point, ParameterPathError):
             try:
-                built = _build(point, (document, base))
+                built = _rebuild(base, point, makers)
             except (ValueError, ArithmeticError) as exc:
                 built = exc
         new = None
@@ -319,11 +325,17 @@ class Argmax:
         return self.best.values, self.value
 
 
-def _ordered(values: tuple[Any, ...]) -> tuple[tuple[int, str, Any], ...]:
-    """The sort key of a row's axis values, as an axis may mix types
-    (``benchmark_cost=max-kind,100``): a number before any other value,
-    other values by type name, and values of one type in their own order."""
-    return tuple((0, "", v) if isinstance(v, numbers.Real) else (1, type(v).__name__, v) for v in values)
+def _ordered(value: Any) -> tuple[int, str, Any]:
+    """The sort key of a row's axis values, a total order as an axis may mix
+    types (``benchmark_cost=max-kind,100``) or hold records: a number before
+    any other value, other values by type name, and values of one type in
+    their own order, a list or tuple entry by entry, a dict by its sorted
+    items."""
+    if isinstance(value, numbers.Real):
+        return (0, "", value)
+    if isinstance(value, dict):
+        return (1, "dict", tuple(sorted((str(k), _ordered(v)) for k, v in value.items())))
+    return (1, type(value).__name__, tuple(map(_ordered, value)) if isinstance(value, (list, tuple)) else value)
 
 
 def argmax(result: SweepResult, metric: str = "e3") -> tuple[tuple[Any, ...], float]:

@@ -83,6 +83,14 @@ class TestWaterLevels:
     def test_unbounded_capacity_grants_demands(self):
         assert water_rates([1.0, 2.0], math.inf) == [1.0, 2.0]
 
+    @pytest.mark.parametrize("capacity", [0.0, 1.0])
+    def test_demands_that_sum_past_the_largest_float_keep_their_level(self, capacity):
+        # the remaining capacity runs to -inf after the first demand that exceeds its share;
+        # that once raised an overflow warning, which this suite turns into an error
+        demands = [8.618848185961624e307, 9.358083162661534e307]
+        levels = allocation.water_levels(np.array([[demands + [0.0]]]), np.array([[2]]), np.array([[capacity]]))
+        assert levels.tolist() == [[capacity / 2]]
+
     @given(rows=st.lists(st.tuples(demand_lists, capacities), min_size=1, max_size=6))
     def test_a_batch_of_padded_rows_gets_the_scalar_levels_bitwise(self, rows):
         # water_levels works in place on its steps; each row's rates must still be the scalar loop's

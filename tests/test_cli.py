@@ -273,6 +273,25 @@ class TestSweep:
         assert "unresolvable parameter path 'kinds.ap.xhaul.nope'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_two_paths_to_one_value_write_no_csv(self, tmp_path, capsys):
+        # every row was once evaluated at the second path's value, so the first axis did nothing
+        out = tmp_path / "x.csv"
+        assert main(["sweep", FIG3, "--param", "kinds.ap.cache_size=1,2", "--param2", "kinds[0].cache_size=3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: parameter paths 'kinds.ap.cache_size' and 'kinds[0].cache_size' address the same value\n"
+        )
+        assert not out.exists()
+
+    def test_a_left_out_section_set_whole_fails_its_rows(self, tmp_path, capsys):
+        doc = load_document("fig3.json")
+        del doc["traffic"]
+        path, out = tmp_path / "no_traffic.json", tmp_path / "t.csv"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", str(path), "--param", "traffic=5", "--time", "20", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert [dict(zip(header, row))["error"] for row in rows] == ["traffic: expected an object"]
+
     def test_rows_match_library_sweep(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
         main(["sweep", FIG3, "--param", "kinds.ap.cache_size=0:20:5",
@@ -468,6 +487,10 @@ GOLDEN = {
     "fig3_failing_rows_daily": (["sweep", "fig3.json", "--param", "kinds.ap.cache_size=-1,0,2.5,1000,20,21",
                                  "--param2", "cache.zipf_exponent=0,0.8", "--daily"],
                                 "916ad6cafb506bd623387579912d733b75e2f2b1aa9372a78e22c1777bb70245"),
+    # both edits of one kind invalid: xhaul precedes cache_size in field order, so its error wins
+    "fig3_both_axes_fail_daily": (["sweep", "fig3.json", "--param", "kinds.ap.cache_size=2.5,3",
+                                   "--param2", "kinds.ap.xhaul.capacity_bps=0,1e7", "--daily"],
+                                  "592ab248765dabf4013689f4cc96d2bb19586764a6b129ea89c8107668462e48"),
 }
 
 

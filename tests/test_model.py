@@ -1,5 +1,6 @@
 """Scenario construction, schema errors, generators, and round-tripping."""
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -15,15 +16,18 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from conftest import load_document, make_kind, make_scenario, make_stations, make_ues, make_xhaul
 from e3sim import (
+    BsKind,
     CacheConfig,
     CostBreakdown,
     InvariantError,
     NetworkScenario,
     SchemaError,
     StationLayout,
+    SweepSpec,
     TrafficProfile,
     UePopulation,
     UnknownKindError,
+    XHaulSolution,
     build_scenario,
     cost_coefficient,
     effective_cost_per_area,
@@ -34,9 +38,9 @@ from e3sim import (
     set_parameter,
     validate_scenario,
 )
-from e3sim import model, scenario
+from e3sim import model, scenario, sweep
 from e3sim.model import BaseStation, UserEquipment
-from e3sim.document import _FIELDS, _RECORDS, _SECTIONS, _build, _record, section_keys
+from e3sim.document import _FIELDS, _RECORDS, _SECTIONS, _maker, _makers, _rebuild, section_keys
 
 BREAKDOWN_COMPONENTS = (
     "infrastructure",
@@ -734,19 +738,28 @@ def test_a_grid_is_built_without_station_records():
 def test_a_sweep_point_that_reuses_the_ues_checks_no_ue_id():
     doc = scenario_to_document(build_scenario(load_document("fig3.json")))  # the UEs as a list
     base = build_scenario(doc)
-    point = set_parameter(doc, "kinds.ap.cache_size", 2)
+    point, makers = point_of(doc, base, "kinds.ap.cache_size", 2)
     with mock.patch.object(scenario, "_require_unique", wraps=scenario._require_unique) as unique:
-        reused = _build(point, (doc, base))
+        reused = _rebuild(base, point, makers)
         assert reused.ues is base.ues
         assert [c.args[0] for c in unique.call_args_list].count("ue_id") == 0
         build_scenario(point)
         assert [c.args[0] for c in unique.call_args_list].count("ue_id") == 1
 
 
+def point_of(document, base, path, value):
+    """The document of a sweep point with ``value`` at ``path``, and its makers on ``base``."""
+    steps = sweep._steps(document, path)
+    return sweep._assign(steps, value), _makers(base, document, [steps])
+
+
 def reuse_documents():
-    """The four paper documents, and one with listed stations and UEs whose
+    """The four paper documents, fig3 with its X-Haul's power factor and its
+    traffic section left out, and one with listed stations and UEs whose
     first kind has a cost breakdown and whose second an explicit null one."""
     documents = {name: load_document(name) for name in ("fig2.json", "fig3.json", "fig4_c2.json", "fig4_c3.json")}
+    documents["defaults"] = load_document("fig3.json")
+    del documents["defaults"]["kinds"][0]["xhaul"]["xhaul_power_factor"], documents["defaults"]["traffic"]
     listed = scenario_to_document(breakdown_scenario())
     listed["kinds"].append({**listed["kinds"][0], "kind_id": "k2", "cost_breakdown": None})
     listed["base_stations"].append({"bs_id": "bs001", "kind": "k2", "position_m": [30.0, 0.0]})
@@ -758,8 +771,9 @@ REUSE_DOCUMENTS = reuse_documents()
 
 
 def value_paths(document):
-    """Key paths of every value of every record section of ``document``, the
-    keys it leaves at their default included, and of each nested record."""
+    """Key paths of every value of every section of ``document``, the keys it
+    leaves at their default included, of each nested record, and of each
+    root value or record section it leaves out."""
     paths = []
 
     def walk(node, keys, section):
@@ -768,13 +782,19 @@ def value_paths(document):
             if section + (key,) in _RECORDS and isinstance(node.get(key), dict):
                 walk(node[key], keys + (key,), section + (key,))
 
-    for key, value in document.items():
+    for key in section_keys(()):
+        value = document.get(key)
         if isinstance(value, list):
             for i, entry in enumerate(value):
                 if isinstance(entry, dict):
                     walk(entry, (key, i), (key, "*"))
         elif isinstance(value, dict) and (key,) in _RECORDS:
             walk(value, (key,), (key,))
+        elif isinstance(value, dict):  # a generator: grid or uniform_random
+            for form, generator in value.items():
+                walk(generator, (key, form), (key, form))
+        else:
+            paths.append((key,))
     return paths
 
 
@@ -816,14 +836,16 @@ def candidates(document, keys):
 
 @st.composite
 def reuse_edits(draw):
-    """A document, and a copy-on-write copy of it with one or two values set."""
+    """A document, copy-on-write copies of it with one and then maybe a
+    second value set, and the key paths of the values set."""
     name = draw(st.sampled_from(sorted(REUSE_DOCUMENTS)))
-    document = point = REUSE_DOCUMENTS[name]
+    documents, paths = [REUSE_DOCUMENTS[name]], []
     for _ in range(draw(st.integers(1, 2))):
-        keys = draw(st.sampled_from(value_paths(point)))
-        valid, others = candidates(point, keys)
-        point = edited(point, keys, draw(st.sampled_from(valid) | st.sampled_from(others)))
-    return document, point
+        keys = draw(st.sampled_from(value_paths(documents[-1])))
+        valid, others = candidates(documents[-1], keys)
+        documents.append(edited(documents[-1], keys, draw(st.sampled_from(valid) | st.sampled_from(others))))
+        paths.append(keys)
+    return documents, paths
 
 
 def built_or_error(build, document):
@@ -833,9 +855,25 @@ def built_or_error(build, document):
         return type(exc), str(exc)
 
 
-def reuse_example(name, keys, value):
-    document = REUSE_DOCUMENTS[name]
-    return document, edited(document, keys, value)
+def reuse_example(name, *edits):
+    """Document ``name``, and its copies with each (keys, value) pair of ``edits`` set in turn."""
+    documents = [REUSE_DOCUMENTS[name]]
+    for keys, value in edits:
+        documents.append(edited(documents[-1], keys, value))
+    return documents, [keys for keys, _ in edits]
+
+
+def recorded_parsers(parsed):
+    """``_FIELDS`` with each parser appending the document path it parses to ``parsed``."""
+    def recorded(parse):
+        return lambda value, path: (parsed.append(path), parse(value, path))[1]
+
+    return {section: tuple((k, recorded(parse)) for k, parse in pairs) for section, pairs in _FIELDS.items()}
+
+
+def makers_of(base, document, paths):
+    """The makers (``_makers``) of ``document``, an edit of ``base``'s at key paths from the root."""
+    return _makers(base, document, [[(None, key) for key in keys] for keys in paths])
 
 
 class TestValueReuse:
@@ -843,13 +881,32 @@ class TestValueReuse:
     @given(edit=reuse_edits())
     # a value equal to the base's but no number (False == 0.0), a rename of the
     # kind the station names, and a cost breakdown set to null
-    @example(edit=reuse_example("fig3.json", ("kinds", 0, "xhaul", "xhaul_power_factor"), False))
-    @example(edit=reuse_example("fig3.json", ("kinds", 0, "kind_id"), "zz"))
-    @example(edit=reuse_example("listed", ("kinds", 0, "cost_breakdown"), None))
+    @example(edit=reuse_example("fig3.json", (("kinds", 0, "xhaul", "xhaul_power_factor"), False)))
+    @example(edit=reuse_example("fig3.json", (("kinds", 0, "kind_id"), "zz")))
+    @example(edit=reuse_example("listed", (("kinds", 0, "cost_breakdown"), None)))
+    # both edits of one kind invalid: the X-Haul comes first in field order, so its error wins
+    @example(edit=reuse_example("fig3.json", (("kinds", 0, "cache_size"), 2.5),
+                                (("kinds", 0, "xhaul", "capacity_bps"), 0)))
+    # the medium's default power factor, as the solution leaves the factor out
+    @example(edit=reuse_example("defaults", (("kinds", 0, "xhaul", "medium"), "wireless")))
+    # a section the document leaves out, set whole
+    @example(edit=reuse_example("defaults", (("traffic",), {"peak_hour": 3.0})))
+    @example(edit=reuse_example("defaults", (("traffic",), 5)))
+    # a kind renamed, and the listed station that names it renamed with it
+    @example(edit=reuse_example("listed", (("kinds", 1, "kind_id"), "k3"), (("base_stations", 1, "kind"), "k3")))
+    # a new seed regenerates the uniform_random UEs
+    @example(edit=reuse_example("fig3.json", (("seed",), 8)))
+    # a cost breakdown set whole, then one value below it
+    @example(edit=reuse_example("fig3.json",
+                                (("kinds", 0, "cost_breakdown"), dict.fromkeys(BREAKDOWN_COMPONENTS, 50.0 / 7)),
+                                (("kinds", 0, "cost_breakdown", "inherited_discount"), 0.5)))
     def test_a_point_built_on_its_base_equals_a_fresh_build(self, edit):
-        document, point = edit
-        base = build_scenario(document)
-        reused = built_or_error(lambda d: _build(d, (document, base)), point)
+        # the makers are compiled as a sweep compiles them: on the base document
+        # for one path, and for two on the document with the first value set
+        documents, paths = edit
+        base, point = build_scenario(documents[0]), documents[-1]
+        makers = makers_of(base, documents[-2], paths)
+        reused = built_or_error(lambda d: _rebuild(base, d, makers), point)
         assert reused == built_or_error(build_scenario, point)
         if isinstance(reused, NetworkScenario):
             by_id = {k.kind_id: k for k in reused.kinds}
@@ -859,19 +916,33 @@ class TestValueReuse:
     def test_an_xhaul_edit_parses_one_value_and_relinks_the_stations(self):
         document = REUSE_DOCUMENTS["fig3.json"]
         base = build_scenario(document)
-        point = set_parameter(document, "kinds.ap.xhaul.capacity_bps", 2e7)
         parsed = []
-
-        def recorded(parse):
-            return lambda value, path: (parsed.append(path), parse(value, path))[1]
-
-        fields = {section: tuple((k, recorded(parse)) for k, parse in pairs)
-                  for section, pairs in _FIELDS.items()}
-        with mock.patch.dict(_FIELDS, fields), mock.patch("e3sim.document._record", wraps=_record) as record:
-            s = _build(point, (document, base))
+        with mock.patch.dict(_FIELDS, recorded_parsers(parsed)), \
+                mock.patch("e3sim.document._maker", wraps=_maker) as record:
+            point, makers = point_of(document, base, "kinds.ap.xhaul.capacity_bps", 2e7)
+            s = _rebuild(base, point, makers)
         assert parsed == ["kinds[0].xhaul.capacity_bps"]
         assert [c.args[0] for c in record.call_args_list] == [("kinds", "*"), ("kinds", "*", "xhaul")]
         assert oracles.stations(s)[0].kind is s.kinds[0] and s.kinds[0].xhaul.capacity_bps == 2e7
         # the kinds are looked up in the new catalog; the layout is the base's
         assert s.base_stations is base.base_stations
         assert s == build_scenario(point)
+
+    def test_a_cache_xhaul_point_parses_its_two_values_and_makes_three_records(self):
+        document = REUSE_DOCUMENTS["fig3.json"]
+        spec = SweepSpec("kinds.ap.cache_size", (2,), "kinds.ap.xhaul.capacity_bps", (2e7,), time_hours=20.0)
+        base = build_scenario(document)
+        parsed = []
+        classes = (XHaulSolution, CostBreakdown, BsKind, CacheConfig, TrafficProfile, StationLayout, UePopulation,
+                   NetworkScenario)
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.dict(_FIELDS, recorded_parsers(parsed)))
+            made = {cls.__name__: stack.enter_context(
+                mock.patch.object(cls, "__init__", autospec=True, side_effect=cls.__init__)) for cls in classes}
+            ((_, point, makers),) = sweep._points(document, spec, base)
+            s = _rebuild(base, point, makers)
+        assert parsed == ["kinds[0].xhaul.capacity_bps", "kinds[0].cache_size"]  # in field order
+        assert {name: m.call_count for name, m in made.items() if m.call_count} == {
+            "XHaulSolution": 1, "BsKind": 1, "NetworkScenario": 1}
+        assert s == build_scenario(point) and s.ues is base.ues and s.base_stations is base.base_stations
+        assert s.kinds[0].cache_size == 2 and s.kinds[0].xhaul.capacity_bps == 2e7

@@ -36,7 +36,7 @@ from e3sim import (
     set_parameter,
 )
 from e3sim import sweep
-from e3sim.document import _build
+from e3sim.document import _makers, _rebuild
 from e3sim.model import BaseStation
 from e3sim.sweep import open_sweep
 
@@ -48,6 +48,12 @@ def fig3():
 
 def built(document, path, value):
     return build_scenario(set_parameter(document, path, value))
+
+
+def rebuilt(document, base, path, value):
+    """The scenario of a sweep point of ``document`` with ``value`` at ``path``, built on ``base``."""
+    steps = sweep._steps(document, path)
+    return _rebuild(base, sweep._assign(steps, value), _makers(base, document, [steps]))
 
 
 class TestSetParameter:
@@ -166,22 +172,22 @@ class TestDocumentPaths:
 
     def test_points_share_the_sections_they_do_not_touch(self, fig3):
         base = build_scenario(fig3)
-        seeded = _build(set_parameter(fig3, "seed", 9), (fig3, base))
+        seeded = rebuilt(fig3, base, "seed", 9)
         assert seeded.kinds is base.kinds and seeded.base_stations is base.base_stations
         assert seeded.ues != base.ues
-        resized = _build(set_parameter(fig3, "kinds.ap.cache_size", 2), (fig3, base))
+        resized = rebuilt(fig3, base, "kinds.ap.cache_size", 2)
         assert resized.ues is base.ues and oracles.stations(resized)[0].kind.cache_size == 2
         assert resized.base_stations is base.base_stations
         assert resized.cache is base.cache and resized.traffic is base.traffic
-        skewed = _build(set_parameter(fig3, "cache.zipf_exponent", 1.2), (fig3, base))
+        skewed = rebuilt(fig3, base, "cache.zipf_exponent", 1.2)
         assert skewed.cache.zipf_exponent == 1.2 and skewed.traffic is base.traffic
-        shifted = _build(set_parameter(fig3, "traffic.peak_hour", 3.0), (fig3, base))
+        shifted = rebuilt(fig3, base, "traffic.peak_hour", 3.0)
         assert shifted.traffic.peak_hour == 3.0 and shifted.cache is base.cache
 
     def test_left_out_cache_and_traffic_are_shared_defaults(self, fig3):
         del fig3["cache"], fig3["traffic"]
         base = build_scenario(fig3)
-        point = _build(set_parameter(fig3, "seed", 9), (fig3, base))
+        point = rebuilt(fig3, base, "seed", 9)
         assert point.cache is base.cache and point.traffic is base.traffic
         assert point == build_scenario(set_parameter(fig3, "seed", 9))
 
@@ -231,6 +237,41 @@ class TestRunSweep:
         spec = SweepSpec(param_path="kinds.ap.bogus", values=(1,))
         with pytest.raises(ParameterPathError):
             run_sweep(fig3, spec)
+
+    @pytest.mark.parametrize("path2", ["kinds[0].cache_size", "kinds.ap.cache_size"])
+    def test_two_paths_to_one_value_raise_up_front(self, fig3, path2):
+        # every point once took the second value, so the first axis did nothing
+        spec = SweepSpec(param_path="kinds.ap.cache_size", values=(1, 2), param2_path=path2, values2=(3,),
+                         time_hours=20.0)
+        message = f"parameter paths 'kinds.ap.cache_size' and '{path2}' address the same value"
+        with pytest.raises(ParameterPathError, match=f"^{re.escape(message)}$"):
+            open_sweep(fig3, spec)
+
+    def test_a_second_path_that_reaches_the_first_value_takes_the_second_value(self, fig3):
+        # naming kind 1 "x" makes it the entry that kinds.x names, so at that point both paths set one value
+        fig3["kinds"] += [{**fig3["kinds"][0], "kind_id": kind_id} for kind_id in ("b", "x")]
+        spec = SweepSpec(param_path="kinds[1].kind_id", values=("b", "x"), param2_path="kinds.x.kind_id",
+                         values2=("y",), time_hours=20.0)
+        points = []
+
+        def recorded(*args):
+            points.append(_rebuild(*args))
+            return points[-1]
+
+        with mock.patch("e3sim.sweep._rebuild", recorded):
+            rows = run_sweep(fig3, spec).rows
+        assert points == [built(fig3, "kinds[2].kind_id", "y"), built(fig3, "kinds[1].kind_id", "y")]
+        assert [tuple(k.kind_id for k in p.kinds) for p in points] == [("ap", "b", "y"), ("ap", "y", "x")]
+        assert [row.report for row in rows] == [evaluate(p, 20.0) for p in points]
+
+    @pytest.mark.parametrize("key, value", [("traffic", {"peak_hour": 3.0}), ("cache", {"catalog_size": 20})])
+    def test_a_section_the_document_leaves_out_can_be_set_whole(self, fig3, key, value):
+        del fig3[key]
+        for spec in (SweepSpec(key, (value, 5), time_hours=20.0),
+                     SweepSpec("seed", (0,), key, (value, 5), time_hours=20.0)):
+            rows = run_sweep(fig3, spec).rows
+            assert rows[0].report == evaluate(built(fig3, key, value), 20.0)
+            assert rows[1].error == f"{key}: expected an object"
 
     def test_base_scenario_reproduces_after_sweep(self, fig3):
         before = evaluate(build_scenario(fig3), 20.0)
@@ -304,6 +345,21 @@ class TestArgmax:
         assert best(("b", 2.0), ("a", 3.0), (2.0, "z"), (10.0, "a")) == (2.0, "z")
         assert best(({"k": 1.0},), ("s",), (None,)) == (None,)
         assert best(({"k": 1.0},), ("s",), (None,), (7,)) == (7,)
+        # lists entry by entry, and dicts by their sorted items
+        assert best(([1.0, 3.0],), ([1.0, 2.0, 0.0],), ([1.0, 2.0],)) == ([1.0, 2.0],)
+        assert best(({"b": 1.0, "a": 2.0},), ({"a": 1.0, "b": 5.0},)) == ({"a": 1.0, "b": 5.0},)
+        assert best(([{"k": 2.0}],), ([{"k": "x"}],), ([{"k": 1.0}],)) == ([{"k": 1.0}],)
+
+    @pytest.mark.parametrize("discounts", [(0.5, 0.2), (0.2, 0.5)])
+    def test_a_tie_between_two_cost_breakdowns_goes_to_the_smaller(self, fig3, discounts):
+        # SE is blind to cost, so both rows tie; comparing the two dicts once raised a TypeError
+        parts = {"infrastructure": 20.0, "site_installation": 10.0, "site_operation": 5.0,
+                 "optimization_maintenance": 5.0, "cache_placement": 5.0, "xhaul_configuration": 3.0,
+                 "content_delivery": 2.0}
+        a, b = ({**parts, "inherited_discount": d} for d in discounts)
+        result = run_sweep(fig3, SweepSpec("kinds.ap.cost_breakdown", (a, b), time_hours=20.0))
+        assert result.rows[0].report.se == result.rows[1].report.se
+        assert argmax(result, "se")[0] == ({**parts, "inherited_discount": 0.2},)
 
     def test_matches_exhaustive_scan(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)), time_hours=20.0)
@@ -473,12 +529,12 @@ def assert_kind_sweep_shares_the_base_layout(document, spec):
     the oracle's."""
     points = []
 
-    def recorded(point, base):
-        points.append(_build(point, base))
+    def recorded(base, point, edits):
+        points.append(_rebuild(base, point, edits))
         return points[-1]
 
     check = mock.patch.object(BaseStation, "__init__", autospec=True, side_effect=BaseStation.__init__)
-    with check as made, mock.patch("e3sim.sweep._build", recorded):
+    with check as made, mock.patch("e3sim.sweep._rebuild", recorded):
         base, rows = open_sweep(document, spec)
         rows = list(rows)
     assert made.call_count == 0 and len(points) == len(spec.values)
@@ -698,7 +754,7 @@ class TestBlocks:
         # below 2.4e7 bit/s the X-Haul binds, so each of the 100 points is evaluated: three blocks
         spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=tuple(1e5 * v for v in range(1, 101)),
                          daily=True)
-        with mock.patch("e3sim.sweep._build", wraps=_build) as build:
+        with mock.patch("e3sim.sweep._rebuild", wraps=_rebuild) as build:
             base, rows = open_sweep(fig3, spec)
             assert base == build_scenario(fig3) and build.call_count == 0
             first = next(rows)
