@@ -7,9 +7,10 @@ traffic section is read into its dataclass; the listed stations and UEs
 are read into the columns of one ``StationLayout`` and one
 ``UePopulation``, and the generator sections (``grid``,
 ``uniform_random``) are expanded into them here.
-``build_scenario`` reads a whole document, ``_rebuild`` a sweep point's
-from its base scenario, reading only the sections on the edited paths,
-and ``scenario_to_document`` writes a scenario back.
+One reader, ``_build``, reads the root sections: all of them for
+``build_scenario``, and for a sweep point only those on the edited paths,
+the rest taken from its base scenario. ``scenario_to_document`` writes a
+scenario back.
 """
 
 from __future__ import annotations
@@ -222,6 +223,9 @@ _FIELDS = {
     section: tuple((f.name, _field_parser(section, f)) for f in fields(cls)) for section, cls in _RECORDS.items()
 }
 
+#: What ``_build`` takes to read every section: each root key set whole.
+_WHOLE = dict.fromkeys(section_keys(())) | {key: functools.partial(_record, (key,)) for key in ("cache", "traffic")}
+
 
 def _build_base_stations(doc: Any, kind_ids: Container[str]) -> StationLayout:
     """The layout of section ``doc``; each station must name one of ``kind_ids``."""
@@ -311,31 +315,47 @@ def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario
     return _build(document)
 
 
-def _build(document: Any) -> NetworkScenario:
-    """Build ``document``, every section read whole, and validate the scenario
-    as a whole. ``_rebuild`` reads the sections in this order too, which
-    decides the error a document with two bad sections gives."""
-    _check_keys(document, "", ())
-    seed = _seed(document)
-    entries = document["kinds"]
-    if not isinstance(entries, list) or not entries:
-        raise SchemaError("kinds: expected a non-empty list")
-    kinds = tuple(_record(("kinds", "*"), k, f"kinds[{i}]") for i, k in enumerate(entries))
-    cache, traffic = (_record((key,), document.get(key, {}), key) for key in ("cache", "traffic"))
-    benchmark = _benchmark_cost(document)
-    stations = _build_base_stations(document["base_stations"], {k.kind_id for k in kinds})
-    ues = _build_ues(document["ues"], seed)
-    radio_mode = _as_choice(document.get("radio_mode", "abstract"), "document.radio_mode", RADIO_MODES)
+def _build(document: Any, base: NetworkScenario | None = None, makers: Mapping[str, Any] = _WHOLE) -> NetworkScenario:
+    """The scenario of ``document``, validated whole. With ``base``, of whose
+    document it is an edit at the keys ``makers`` (``_makers``) names, only
+    the sections on those paths are read, the stations also when the kinds
+    lose a kind_id the layout names and generated UEs when the seed changes;
+    every other section is the base's own object. Without, all are read. The
+    one order here decides the error of a document bad in two sections."""
+    if base is None:
+        _check_keys(document, "", ())
+    seed = _seed(document) if "seed" in makers else base.rng_seed
+    if base is None:
+        entries = document["kinds"]
+        if not isinstance(entries, list) or not entries:
+            raise SchemaError("kinds: expected a non-empty list")
+        kinds = tuple(_record(("kinds", "*"), k, f"kinds[{i}]") for i, k in enumerate(entries))
+    elif "kinds" in makers:
+        kinds = list(base.kinds)
+        for i, make in makers["kinds"].items():
+            kinds[i] = make(document["kinds"][i], f"kinds[{i}]")
+    else:
+        kinds = base.kinds
+    cache = makers["cache"](document.get("cache", {}), "cache") if "cache" in makers else base.cache
+    traffic = makers["traffic"](document.get("traffic", {}), "traffic") if "traffic" in makers else base.traffic
+    benchmark = _benchmark_cost(document) if "benchmark_cost" in makers else base.benchmark_cost
+    kind_ids = {k.kind_id for k in kinds}
+    stations_kept = "base_stations" not in makers and kind_ids.issuperset(base.base_stations.kind_ids)
+    stations = base.base_stations if stations_kept else _build_base_stations(document["base_stations"], kind_ids)
+    ues_kept = "ues" not in makers and (seed == base.rng_seed or isinstance(document["ues"], list))
+    ues = base.ues if ues_kept else _build_ues(document["ues"], seed)
+    radio_mode = (_as_choice(document.get("radio_mode", "abstract"), "document.radio_mode", RADIO_MODES)
+                  if "radio_mode" in makers else base.radio_mode)
     return NetworkScenario(kinds, stations, ues, cache, traffic, benchmark, radio_mode, seed)
 
 
 def _makers(base: NetworkScenario, document: Any, paths: list[list[tuple[Any, Any]]]) -> dict[str, Any]:
-    """What ``_rebuild`` takes for ``document``, an edit of ``base``'s at
-    ``paths``, each the (container, key) steps from the root to an edited
-    value: the tree of edited keys, each mapped to the keys edited below it
-    and a path's last key to None, with each edited kind, cache or traffic
-    record's maker (``_maker``) in place of its keys. A key one path sets
-    whole stays whole when another goes below it, as ``document`` holds both."""
+    """What ``_build`` takes on ``base`` for ``document``, an edit of
+    ``base``'s at ``paths``, each the (container, key) steps from the root
+    to an edited value: the tree of edited keys, each mapped to the keys
+    edited below it and a path's last key to None, with each edited kind,
+    cache or traffic record's maker (``_maker``) in place of its keys. A key
+    one path sets whole stays whole when another goes below it."""
     edits: dict[Any, Any] = {}
     for steps in paths:
         node = edits
@@ -352,36 +372,6 @@ def _makers(base: NetworkScenario, document: Any, paths: list[list[tuple[Any, An
         if key in edits:
             edits[key] = _maker((key,), getattr(base, key), document.get(key, {}), edits[key])
     return edits
-
-
-def _rebuild(base: NetworkScenario, document: Any, makers: Mapping[str, Any]) -> NetworkScenario:
-    """The scenario of ``document``, an edit of ``base``'s whose edited keys
-    ``makers`` (``_makers``) names. Only the sections on those paths are
-    read again, in ``_build``'s order (keep the two in step), so the first
-    error is a fresh build's; so are the stations when the kinds lose a
-    kind_id the layout names, and generated UEs when the seed changes.
-    Every other section is the base's own object; the scenario is validated
-    whole."""
-    seed = _seed(document) if "seed" in makers else base.rng_seed
-    kinds = base.kinds
-    if "kinds" in makers:
-        kinds = list(kinds)
-        for i, make in makers["kinds"].items():
-            kinds[i] = make(document["kinds"][i], f"kinds[{i}]")
-    cache = makers["cache"](document["cache"], "cache") if "cache" in makers else base.cache
-    traffic = makers["traffic"](document["traffic"], "traffic") if "traffic" in makers else base.traffic
-    benchmark = _benchmark_cost(document) if "benchmark_cost" in makers else base.benchmark_cost
-    kind_ids = {k.kind_id for k in kinds}
-    stations = base.base_stations
-    if "base_stations" in makers or not kind_ids.issuperset(stations.kind_ids):
-        stations = _build_base_stations(document["base_stations"], kind_ids)
-    ues = base.ues
-    if "ues" in makers or seed != base.rng_seed and not isinstance(document["ues"], list):
-        ues = _build_ues(document["ues"], seed)
-    radio_mode = base.radio_mode
-    if "radio_mode" in makers:
-        radio_mode = _as_choice(document["radio_mode"], "document.radio_mode", RADIO_MODES)
-    return NetworkScenario(kinds, stations, ues, cache, traffic, benchmark, radio_mode, seed)
 
 
 def _seed(document: Any) -> int:

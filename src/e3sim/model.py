@@ -82,6 +82,17 @@ def _is_real(value: object) -> bool:
     return type(value) is float or type(value) is int or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _finite(value: float, name: str) -> float:
+    """Real ``value`` as a float; a ValueError naming ``name`` unless finite."""
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the largest float
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 #: What each number field of a record must hold, by its annotation.
 _NUMBER_RULES = {"float": "a number", "float | None": "a number", "int": "an integer"}
 _PLAIN_NUMBERS = frozenset((float, int))

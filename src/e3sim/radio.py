@@ -20,8 +20,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .model import TrafficProfile, _finite
+
 if TYPE_CHECKING:
-    from .model import TrafficProfile
     from .scenario import NetworkScenario
 
 # Physical-mode propagation defaults: log-distance path loss with urban
@@ -235,10 +236,10 @@ def demand_factor(t_hours: float, profile: TrafficProfile) -> float:
     Periodic with period 24 h.
 
     Raises:
-        ValueError: ``t_hours`` is NaN or infinite.
+        ValueError: ``t_hours`` is NaN, infinite or an int past any float.
     """
-    if not math.isfinite(t_hours):
-        raise ValueError(f"t_hours must be finite, got {t_hours}")
+    t_hours = _finite(t_hours, "t_hours")
     rho = profile.peak_to_min_ratio
-    phase = (1.0 + math.cos(2.0 * math.pi * (t_hours - profile.peak_hour) / 24.0)) / 2.0
+    # the offset from the peak is taken within one day first, as 2 pi times a huge hour overflows
+    phase = (1.0 + math.cos(2.0 * math.pi * math.fmod(t_hours - profile.peak_hour, 24.0) / 24.0)) / 2.0
     return 1.0 / rho + (1.0 - 1.0 / rho) * phase

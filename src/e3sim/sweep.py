@@ -7,25 +7,24 @@ index, or list-entry id: ``kinds.ap.cache_size``, ``kinds[0].xhaul.medium``,
 ``base_stations.grid.kind``, ``ues.uniform_random.count``, ``seed``. Its
 last key may be one the document leaves at its default, and the two paths
 of a sweep must address different values. Each grid point is the base
-scenario with only the sections on its paths read again
-(``document._rebuild``); a row that fails a schema or invariant check
-carries the message and the sweep continues. Consecutive points that share
-a geometry are evaluated together, a block of points at a time, and a point
-whose evaluation inputs equal the previous point's takes its report.
+scenario with only the sections on its paths read again by the one reader
+(``document._build`` on the base); a row that fails a schema or invariant
+check carries the message and the sweep continues. Consecutive points that
+share a geometry are evaluated together, a block of points at a time, and a
+point whose evaluation inputs equal the previous point's takes its report.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import re
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from .allocation import Geometry, plan_geometry, same_geometry
-from .document import _makers, _rebuild, build_scenario, section_keys
+from .document import _build, _makers, build_scenario, section_keys
 from .metrics import MetricReport, evaluate_block, point_inputs
-from .model import _is_real
+from .model import _finite, _is_real
 from .scenario import NetworkScenario
 
 METRICS = ("se", "ee", "ce", "e3")
@@ -76,8 +75,7 @@ class SweepSpec:
         if self.time_hours is not None:
             if not _is_real(self.time_hours):
                 raise TypeError(f"SweepSpec: time_hours must be a number, got {self.time_hours!r}")
-            if not math.isfinite(self.time_hours):
-                raise ValueError(f"SweepSpec: time_hours must be finite, got {self.time_hours}")
+            _finite(self.time_hours, "SweepSpec: time_hours")
             if self.daily:
                 raise ValueError("SweepSpec: time_hours must be None for a daily sweep")
 
@@ -163,21 +161,21 @@ def _assign(steps: list[tuple[Any, Any]], value: Any) -> Any:
     return value
 
 
-def _points(document: dict[str, Any], spec: SweepSpec, base: NetworkScenario) -> Iterator[tuple[tuple, Any, Any]]:
+def _points(document: dict, steps: list, spec: SweepSpec, base: NetworkScenario) -> Iterator[tuple[tuple, Any, Any]]:
     """(axis values, document, makers) of every grid point, in grid order,
-    for ``document._rebuild`` on ``base``; a point whose second path does not
+    for ``document._build`` on ``base``; a point whose second path does not
     resolve gets its ParameterPathError.
 
+    ``steps`` lead to the first path's value in ``document`` (``_steps``).
     Each path is resolved and compiled (``document._makers``) once: the
-    first on ``document``, the second once per first-axis value, on that
-    value's document, as setting the first value may rename the entry the
-    second path names.
+    first on ``document`` for a one-path sweep; the second, with the first,
+    once per first-axis value, on that value's document, as setting the
+    first value may rename the entry the second path names.
     """
-    steps = _steps(document, spec.param_path)
-    makers = _makers(base, document, [steps])
+    makers = _makers(base, document, [steps]) if spec.param2_path is None else None
     for v1 in spec.values:
         point = _assign(steps, v1)
-        if spec.param2_path is None:
+        if makers is not None:
             yield (v1,), point, makers
             continue
         try:
@@ -208,14 +206,13 @@ def open_sweep(document: dict[str, Any], spec: SweepSpec) -> tuple[NetworkScenar
         t = None
     else:
         t = spec.time_hours if spec.time_hours is not None else base.traffic.peak_hour
-    return base, _rows(document, spec, base, t)
+    return base, _rows(_points(document, steps, spec, base), base, t)
 
 
-def _rows(
-    document: dict[str, Any], spec: SweepSpec, base: NetworkScenario, t: float | None
-) -> Iterator[SweepRow]:
-    """Build every grid point and evaluate it in blocks of consecutive points
-    that share a geometry (``same_geometry`` with the group's first point).
+def _rows(points: Iterator[tuple[tuple, Any, Any]], base: NetworkScenario, t: float | None) -> Iterator[SweepRow]:
+    """Build every grid point of ``points`` (``_points``) on ``base`` and
+    evaluate it in blocks of consecutive points that share a geometry
+    (``same_geometry`` with the group's first point).
 
     A group's geometry is compiled once. A point of the group whose
     ``point_inputs`` have the bytes of the previous point's is a repeat: it
@@ -229,11 +226,11 @@ def _rows(
     inputs: list[tuple] = []
     first = geometry = last = row = None
     per_block = entries = 1
-    for values, point, makers in _points(document, spec, base):
+    for values, point, makers in points:
         built: NetworkScenario | Exception | None = point
         if not isinstance(point, ParameterPathError):
             try:
-                built = _rebuild(base, point, makers)
+                built = _build(point, base, makers)
             except (ValueError, ArithmeticError) as exc:
                 built = exc
         new = None

@@ -114,7 +114,7 @@ def demand_factor(t_hours: float, profile: TrafficProfile) -> float:
     if not math.isfinite(t_hours):
         raise ValueError(f"t_hours must be finite, got {t_hours}")
     rho = profile.peak_to_min_ratio
-    phase = (1.0 + math.cos(2.0 * math.pi * (t_hours - profile.peak_hour) / 24.0)) / 2.0
+    phase = (1.0 + math.cos(2.0 * math.pi * math.fmod(t_hours - profile.peak_hour, 24.0) / 24.0)) / 2.0
     return 1.0 / rho + (1.0 - 1.0 / rho) * phase
 
 

@@ -129,6 +129,11 @@ class TestEval:
         err = capsys.readouterr().err
         assert "t_hours must be finite" in err and hour in err
 
+    def test_a_huge_hour_evaluates(self, capsys):
+        # 2 pi times 1e308 overflowed: "error: math domain error", exit 1
+        assert main(["eval", FIG3, "--time", "1e308"]) == 0
+        assert "t = 1e+308 h" in capsys.readouterr().out
+
     def test_daily_csv_matches_library_call(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert main(["eval", FIG3, "--daily", "--out", str(out)]) == 0
@@ -217,6 +222,13 @@ class TestSweep:
         errors = [dict(zip(header, r))["error"] for r in rows]
         assert errors[:3] == ["", "", ""]
         assert all("cache larger than catalog" in e for e in errors[3:])
+
+    def test_a_huge_hour_evaluates_every_row(self, tmp_path, capsys):
+        # every row once failed with "math domain error"
+        out = tmp_path / "h.csv"
+        assert main(["sweep", FIG3, "--param", "kinds.ap.cache_size=0,6", "--time", "1e308", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert [dict(zip(header, r))["error"] for r in rows] == ["", ""]
 
     def test_two_axes_row_major(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
@@ -491,6 +503,11 @@ GOLDEN = {
     "fig3_both_axes_fail_daily": (["sweep", "fig3.json", "--param", "kinds.ap.cache_size=2.5,3",
                                    "--param2", "kinds.ap.xhaul.capacity_bps=0,1e7", "--daily"],
                                   "592ab248765dabf4013689f4cc96d2bb19586764a6b129ea89c8107668462e48"),
+    # two sections bad at one point: the traffic section is read before the benchmark cost, so its error
+    # wins over both a bad benchmark cost value and the scenario's check of a zero one
+    "fig3_two_sections_fail_daily": (["sweep", "fig3.json", "--param", "traffic.peak_hour=30,20",
+                                      "--param2", "benchmark_cost=cheap,0,100", "--daily"],
+                                     "2bcf471aa940782fd431397fe1079b3e6dc3258f3788fa64ae7705af378e7385"),
 }
 
 
@@ -502,6 +519,34 @@ def test_golden_output_on_paper_scenarios(name, tmp_path, capsys):
     lines = out.read_bytes().splitlines(keepends=True)
     body = b"".join(line for line in lines if not line.startswith(b"#"))
     assert hashlib.sha256(body).hexdigest() == digest
+
+
+#: sha256 of the stdout of ``e3 validate``, ``e3 eval`` (peak hour) and
+#: ``e3 eval --daily`` on each of ``scenarios/``, run from the repository
+#: root; recorded before the fresh and the sweep-point document readers were
+#: merged into one.
+STDOUT_SHA256 = {
+    "validate fig2.json": "14708f20e98fc5d036bef72cd7c6ccc36e94490bbcac40b1eab89a2e5576de75",
+    "eval fig2.json": "ca2f2830fd1dfa4b1ac8dac41ab4f5ccb040d6e13c3afdccf381f7c39b6298fd",
+    "eval fig2.json --daily": "d08c43008d9860d17aeaad162f3e0ba37e25c8b76194deca918b732a026ffe4b",
+    "validate fig3.json": "752fc90937017319041d5f424e7a6457facfb7db2ae1932a56c8e942a1a506d9",
+    "eval fig3.json": "5f91352ad257649f667fcd4005bb784449a6ed9bb32349066957ff7d9c3020fd",
+    "eval fig3.json --daily": "c353c53aceee947bb139b4a1f696cb67135ef28500d2f678e09e5a0220bac078",
+    "validate fig4_c2.json": "8dc90426c9555c06227375117f4674bd9fbd50f9d1f6b5d20634de610eea780e",
+    "eval fig4_c2.json": "c1adf2b079bb4e7917dbe640c741ec08f990435c7ca4a8d8534b0348de3280df",
+    "eval fig4_c2.json --daily": "4f267c7598c1c225e9a725d5c7894640771ba894a7702f51f8f3b1612ad5aac1",
+    "validate fig4_c3.json": "8dc90426c9555c06227375117f4674bd9fbd50f9d1f6b5d20634de610eea780e",
+    "eval fig4_c3.json": "1da50faf9a391b99842b43e2be3bd7ea501c0a48b06a14868c9c8dad53945309",
+    "eval fig4_c3.json --daily": "0d8835d362ec637b8017b9f2633983bced49d1b6f9db5aa8d037e5a550a0de1e",
+}
+
+
+@pytest.mark.parametrize("run", list(STDOUT_SHA256))
+def test_stdout_on_paper_scenarios(run, monkeypatch, capsys):
+    command, scenario, *flags = run.split()
+    monkeypatch.chdir(scenario_path(scenario).parent.parent)
+    assert main([command, f"scenarios/{scenario}", *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_SHA256[run]
 
 
 class TestValidate:

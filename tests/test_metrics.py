@@ -112,6 +112,18 @@ class TestEvaluate:
         with pytest.raises(TypeError, match=f"^t_hours must be a number, got {hour!r}$"):
             evaluate(make_scenario(), hour)
 
+    @pytest.mark.parametrize("hour, shown", [(10**400, "inf"), (-10**400, "-inf")], ids=["1e400", "-1e400"])
+    def test_an_int_past_the_largest_float_is_a_value_error_naming_the_hour(self, hour, shown):
+        # it ended in a bare OverflowError
+        with pytest.raises(ValueError, match=f"^t_hours must be finite, got {shown}$"):
+            evaluate(make_scenario(), hour)
+
+    @pytest.mark.parametrize("hour", [1e308, -1e308])
+    def test_a_huge_hour_is_evaluated(self, hour):
+        # 2 pi times 1e308 overflowed, and the evaluation failed with a math domain error
+        s = make_scenario()
+        assert evaluate(s, hour) == oracles.evaluate(s, hour)
+
 
 def daily_fixture():
     return make_scenario(traffic=TrafficProfile(peak_to_min_ratio=2.0, peak_hour=0.0, samples_per_day=24))

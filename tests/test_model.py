@@ -40,7 +40,7 @@ from e3sim import (
 )
 from e3sim import model, scenario, sweep
 from e3sim.model import BaseStation, UserEquipment
-from e3sim.document import _FIELDS, _RECORDS, _SECTIONS, _maker, _makers, _rebuild, section_keys
+from e3sim.document import _FIELDS, _RECORDS, _SECTIONS, _build, _maker, _makers, section_keys
 
 BREAKDOWN_COMPONENTS = (
     "infrastructure",
@@ -740,7 +740,7 @@ def test_a_sweep_point_that_reuses_the_ues_checks_no_ue_id():
     base = build_scenario(doc)
     point, makers = point_of(doc, base, "kinds.ap.cache_size", 2)
     with mock.patch.object(scenario, "_require_unique", wraps=scenario._require_unique) as unique:
-        reused = _rebuild(base, point, makers)
+        reused = _build(point, base, makers)
         assert reused.ues is base.ues
         assert [c.args[0] for c in unique.call_args_list].count("ue_id") == 0
         build_scenario(point)
@@ -906,7 +906,7 @@ class TestValueReuse:
         documents, paths = edit
         base, point = build_scenario(documents[0]), documents[-1]
         makers = makers_of(base, documents[-2], paths)
-        reused = built_or_error(lambda d: _rebuild(base, d, makers), point)
+        reused = built_or_error(lambda d: _build(d, base, makers), point)
         assert reused == built_or_error(build_scenario, point)
         if isinstance(reused, NetworkScenario):
             by_id = {k.kind_id: k for k in reused.kinds}
@@ -920,7 +920,7 @@ class TestValueReuse:
         with mock.patch.dict(_FIELDS, recorded_parsers(parsed)), \
                 mock.patch("e3sim.document._maker", wraps=_maker) as record:
             point, makers = point_of(document, base, "kinds.ap.xhaul.capacity_bps", 2e7)
-            s = _rebuild(base, point, makers)
+            s = _build(point, base, makers)
         assert parsed == ["kinds[0].xhaul.capacity_bps"]
         assert [c.args[0] for c in record.call_args_list] == [("kinds", "*"), ("kinds", "*", "xhaul")]
         assert oracles.stations(s)[0].kind is s.kinds[0] and s.kinds[0].xhaul.capacity_bps == 2e7
@@ -939,8 +939,8 @@ class TestValueReuse:
             stack.enter_context(mock.patch.dict(_FIELDS, recorded_parsers(parsed)))
             made = {cls.__name__: stack.enter_context(
                 mock.patch.object(cls, "__init__", autospec=True, side_effect=cls.__init__)) for cls in classes}
-            ((_, point, makers),) = sweep._points(document, spec, base)
-            s = _rebuild(base, point, makers)
+            ((_, point, makers),) = sweep._points(document, sweep._steps(document, spec.param_path), spec, base)
+            s = _build(point, base, makers)
         assert parsed == ["kinds[0].xhaul.capacity_bps", "kinds[0].cache_size"]  # in field order
         assert {name: m.call_count for name, m in made.items() if m.call_count} == {
             "XHaulSolution": 1, "BsKind": 1, "NetworkScenario": 1}

@@ -74,6 +74,12 @@ class TestDemandProfile:
         assert value == pytest.approx(expected, rel=1e-15)
         assert value == pytest.approx(0.55 * dp, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [1e308, -1e308, 2.0**60 + 20.0])
+    def test_a_huge_hour_gives_the_demand_of_its_offset_within_the_day(self, t):
+        # 2 pi times 1e308 overflowed: a math domain error
+        profile = TrafficProfile(peak_to_min_ratio=4.0, peak_hour=20.0)
+        assert demand_factor(t, profile) == demand_factor(20.0 + math.fmod(t - 20.0, 24.0), profile)
+
     @given(
         t=st.floats(min_value=-48.0, max_value=72.0),
         rho=st.floats(min_value=1.0, max_value=10.0),

@@ -36,7 +36,7 @@ from e3sim import (
     set_parameter,
 )
 from e3sim import sweep
-from e3sim.document import _makers, _rebuild
+from e3sim.document import _build, _makers
 from e3sim.model import BaseStation
 from e3sim.sweep import open_sweep
 
@@ -53,7 +53,7 @@ def built(document, path, value):
 def rebuilt(document, base, path, value):
     """The scenario of a sweep point of ``document`` with ``value`` at ``path``, built on ``base``."""
     steps = sweep._steps(document, path)
-    return _rebuild(base, sweep._assign(steps, value), _makers(base, document, [steps]))
+    return _build(sweep._assign(steps, value), base, _makers(base, document, [steps]))
 
 
 class TestSetParameter:
@@ -202,6 +202,20 @@ class TestDocumentPaths:
         assert run_sweep(fig3, spec).base == build_scenario(fig3)
 
 
+#: A path into each root section of fig3, in the order a build reads the
+#: sections, with a bad value, fig3's own value and the bad value's error.
+SECTION_ERRORS = [
+    ("seed", -1, 7, "document.seed: must be >= 0, got -1"),
+    ("kinds.ap.cache_size", 2.5, 6, "kinds[0].cache_size: expected an integer, got 2.5"),
+    ("cache.zipf_exponent", "x", 0.8, "cache.zipf_exponent: expected a number, got str"),
+    ("traffic.peak_hour", 30, 20.0, "TrafficProfile: peak_hour must lie in [0, 24)"),
+    ("benchmark_cost", "cheap", 100.0, "document.benchmark_cost: expected a number or 'max-kind', got 'cheap'"),
+    ("base_stations.ap000.kind", "zz", "ap", "base_stations[0]: unknown kind_id 'zz'"),
+    ("ues.uniform_random.count", 0, 10, "ues.uniform_random.count: must be >= 1"),
+    ("radio_mode", "foo", "abstract", "document.radio_mode: expected one of ('abstract', 'physical'), got 'foo'"),
+]
+
+
 class TestRunSweep:
     def test_single_value_axis_equals_direct_evaluate(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=(6,), time_hours=20.0)
@@ -255,10 +269,10 @@ class TestRunSweep:
         points = []
 
         def recorded(*args):
-            points.append(_rebuild(*args))
+            points.append(_build(*args))
             return points[-1]
 
-        with mock.patch("e3sim.sweep._rebuild", recorded):
+        with mock.patch("e3sim.sweep._build", recorded):
             rows = run_sweep(fig3, spec).rows
         assert points == [built(fig3, "kinds[2].kind_id", "y"), built(fig3, "kinds[1].kind_id", "y")]
         assert [tuple(k.kind_id for k in p.kinds) for p in points] == [("ap", "b", "y"), ("ap", "y", "x")]
@@ -272,6 +286,18 @@ class TestRunSweep:
             rows = run_sweep(fig3, spec).rows
             assert rows[0].report == evaluate(built(fig3, key, value), 20.0)
             assert rows[1].error == f"{key}: expected an object"
+
+    @pytest.mark.parametrize("earlier, later", zip(SECTION_ERRORS, SECTION_ERRORS[1:]),
+                             ids=[f"{a[0]}-{b[0]}" for a, b in zip(SECTION_ERRORS, SECTION_ERRORS[1:])])
+    def test_a_document_bad_in_two_sections_reports_the_earlier(self, fig3, earlier, later):
+        # the sections are read in one order, fresh or on a sweep's base, whichever axis sets which
+        (path1, bad1, good1, error1), (path2, bad2, good2, error2) = earlier, later
+        with pytest.raises(ValueError, match=f"^{re.escape(error1)}$"):
+            build_scenario(set_parameter(set_parameter(fig3, path1, bad1), path2, bad2))
+        spec = SweepSpec(path1, (bad1, good1), path2, (bad2, good2), time_hours=20.0)
+        assert [row.error for row in run_sweep(fig3, spec).rows] == [error1, error1, error2, None]
+        spec = SweepSpec(path2, (bad2, good2), path1, (bad1, good1), time_hours=20.0)
+        assert [row.error for row in run_sweep(fig3, spec).rows] == [error1, error2, error1, None]
 
     def test_base_scenario_reproduces_after_sweep(self, fig3):
         before = evaluate(build_scenario(fig3), 20.0)
@@ -311,6 +337,11 @@ class TestRunSweep:
         # every row of such a sweep once failed with the same t_hours error, and the sweep exited 0
         with pytest.raises(ValueError, match=f"^SweepSpec: time_hours must be finite, got {hour}$"):
             SweepSpec(param_path="kinds.ap.cache_size", values=(0, 6), time_hours=hour)
+
+    def test_an_int_hour_past_the_largest_float_is_a_value_error(self):
+        # it ended in a bare OverflowError
+        with pytest.raises(ValueError, match="^SweepSpec: time_hours must be finite, got inf$"):
+            SweepSpec(param_path="kinds.ap.cache_size", values=(0, 6), time_hours=10**400)
 
 
 class TestArgmax:
@@ -529,12 +560,12 @@ def assert_kind_sweep_shares_the_base_layout(document, spec):
     the oracle's."""
     points = []
 
-    def recorded(base, point, edits):
-        points.append(_rebuild(base, point, edits))
+    def recorded(point, base, edits):
+        points.append(_build(point, base, edits))
         return points[-1]
 
     check = mock.patch.object(BaseStation, "__init__", autospec=True, side_effect=BaseStation.__init__)
-    with check as made, mock.patch("e3sim.sweep._rebuild", recorded):
+    with check as made, mock.patch("e3sim.sweep._build", recorded):
         base, rows = open_sweep(document, spec)
         rows = list(rows)
     assert made.call_count == 0 and len(points) == len(spec.values)
@@ -678,15 +709,18 @@ class TestBlocks:
         # renaming kind "ap" leaves no entry for the second path to name
         spec = SweepSpec(param_path="kinds[0].kind_id", values=("ap", "zz", "ap"),
                          param2_path="kinds.ap.cache_size", values2=(0, 5, 25), time_hours=20.0)
-        with mock.patch("e3sim.sweep._steps", wraps=sweep._steps) as steps:
+        with mock.patch("e3sim.sweep._steps", wraps=sweep._steps) as steps, \
+                mock.patch("e3sim.sweep._makers", wraps=sweep._makers) as makers:
             rows = run_sweep(fig3, spec).rows
         assert [row.values for row in rows] == [(v1, v2) for v1 in spec.values for v2 in spec.values2]
         for row in rows:
             want = fresh_outcome(fig3, spec, row.values)
             assert (row.error if row.error is not None else (row.report, row.report.cost_rate)) == want
         assert [row.error for row in rows[3:6]] == ["unresolvable parameter path 'kinds.ap.cache_size': no entry 'ap'"] * 3
-        # two checks of the base document, then the first path once and the second once per first value
-        assert steps.call_count == 2 + 1 + len(spec.values)
+        # two checks of the base document, the first path's steps kept for the points, then the second
+        # path once per first value; both are compiled once per first value whose second path resolves
+        assert steps.call_count == 2 + len(spec.values)
+        assert [len(c.args[2]) for c in makers.call_args_list] == [2, 2]
 
     @pytest.mark.parametrize("mode", ["abstract", "physical"])
     def test_a_sweep_that_moves_no_ue_associates_once(self, fig3, mode):
@@ -754,7 +788,7 @@ class TestBlocks:
         # below 2.4e7 bit/s the X-Haul binds, so each of the 100 points is evaluated: three blocks
         spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=tuple(1e5 * v for v in range(1, 101)),
                          daily=True)
-        with mock.patch("e3sim.sweep._rebuild", wraps=_rebuild) as build:
+        with mock.patch("e3sim.sweep._build", wraps=_build) as build:
             base, rows = open_sweep(fig3, spec)
             assert base == build_scenario(fig3) and build.call_count == 0
             first = next(rows)
