@@ -86,6 +86,7 @@ class Geometry:
     radio_cap: np.ndarray | None
     rows_per_chunk: int
     _blocks: dict[int, tuple] = field(default_factory=dict, repr=False)
+    _bins: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def blocks(self, rows: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(stations, sorted peaks) pairs for a batch of ``rows`` rows.
@@ -107,6 +108,13 @@ class Geometry:
                 lo += len(group)
             self._blocks[rows] = tuple(blocks)
         return self._blocks[rows]
+
+    def bins(self, rows: int) -> np.ndarray:
+        """The bin of every rate of a batch of ``rows`` rows, flat: row r's UE
+        goes to r * B plus its serving station. Kept per row count (``_bins``)."""
+        if rows not in self._bins:
+            self._bins[rows] = (np.arange(rows)[:, None] * len(self.counts) + self.serving).ravel()
+        return self._bins[rows]
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,9 +220,9 @@ def fill(
     for stations, sorted_peaks in geometry.blocks(n_rows):
         demands = factors[:, None, None] * sorted_peaks
         levels[:, stations] = water_levels(demands, geometry.counts[stations], capacity[:, stations])
-    rates = np.minimum(factors[:, None] * geometry.peaks, levels[:, geometry.serving])
-    bins = (np.arange(n_rows)[:, None] * n_bs + geometry.serving).ravel()
-    served = np.bincount(bins, weights=rates.ravel(), minlength=n_rows * n_bs)
+    rates = np.multiply(factors[:, None], geometry.peaks)
+    np.minimum(rates, levels[:, geometry.serving], out=rates)
+    served = np.bincount(geometry.bins(n_rows), weights=rates.ravel(), minlength=n_rows * n_bs)
     served = served.reshape(n_rows, n_bs)
     with np.errstate(divide="ignore", invalid="ignore"):
         load = np.where(radio_cap > 0, np.minimum(served / radio_cap, 1.0), 0.0)

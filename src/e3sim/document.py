@@ -6,7 +6,8 @@ the fields of the ``model`` dataclass of the same shape. A kind, cache or
 traffic section is read into its dataclass; the listed stations and UEs
 are read into the columns of one ``StationLayout`` and one
 ``UePopulation``, and the generator sections (``grid``,
-``uniform_random``) are expanded into them here.
+``uniform_random``) are expanded into them here, the generated UE
+positions by ``rng.uniform_positions`` from the document's ``seed``.
 One reader, ``_build``, reads the root sections: all of them for
 ``build_scenario``, and for a sweep point only those on the edited paths,
 the rest taken from its base scenario. ``scenario_to_document`` writes a
@@ -43,6 +44,7 @@ from .model import (
     UserEquipment,
     XHaulSolution,
 )
+from .rng import uniform_positions
 from .scenario import _UE_ARRAYS, _UE_FIELDS, NetworkScenario, StationLayout, UePopulation
 
 _BS_FIELDS = tuple(f.name for f in fields(BaseStation))
@@ -286,8 +288,7 @@ def _build_ues(doc: Any, seed: int) -> UePopulation:
             raise SchemaError(f"{path}.area_m: dimensions must be > 0")
         demand = _as_number(gen["demand_peak_bps"], f"{path}.demand_peak_bps")
         weight = _as_number(gen["weight"], f"{path}.weight") if "weight" in gen else UserEquipment.weight
-        rng = np.random.default_rng(seed)
-        positions = rng.uniform((0.0, 0.0), (width, height), size=(count, 2))
+        positions = uniform_positions(seed, width, height, count)
         return UePopulation(None, positions, np.full(count, demand), np.full(count, weight))
     if not isinstance(doc, list) or not doc:
         raise SchemaError("ues: expected a non-empty list or a generator object")

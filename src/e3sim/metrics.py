@@ -162,11 +162,15 @@ def _sample_means(geometry: Geometry, inputs: Sequence[tuple]) -> np.ndarray:
 def _checked(values: list[float], t_hours: float | None) -> MetricReport | ValueError:
     """The report made of one point's six sums and four ratios (``_SUMS``
     then ``_RATIOS``), or the ValueError of the first check it fails: every
-    sum finite, both powers > 0, the cost rate > 0, every ratio finite."""
+    sum finite, the throughput > 0, both powers > 0, the cost rate > 0, every
+    ratio finite. Every demand, demand factor and abstract capacity is > 0,
+    so a zero throughput is received power that underflowed to 0 W."""
     for name, value in zip(_SUMS, values):
         if not math.isfinite(value):
             return ValueError(f"{name} must be finite, got {value}")
     throughput, weighted_throughput, total_power, weighted_power, _, cost_rate, *ratios = values
+    if throughput <= 0:
+        return ValueError(f"throughput_bps must be > 0, got {throughput}")
     if total_power <= 0 or weighted_power <= 0:
         return ValueError("total power is zero; refusing to report infinite efficiency")
     if cost_rate <= 0:

@@ -83,6 +83,8 @@ def nearest_stations(s: NetworkScenario) -> np.ndarray:
     return order[serving]
 
 
+# a squared distance past the largest float is inf: it still orders, and ties go to math.hypot
+@np.errstate(over="ignore")
 def _nearest_of_all(bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
     """Row of ``bs`` nearest to each UE, scoring every station: the rule of
     ``nearest_stations`` over stations in ``bs`` row order."""
@@ -105,6 +107,8 @@ def _nearest_of_all(bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
     return nearest
 
 
+# squared distances and gaps past the largest float are inf, and compare as the full scan's do
+@np.errstate(over="ignore")
 def _cell_search(bs: np.ndarray, ue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest row of ``bs`` for each UE from the stations around it, and
     whether that is provably the answer of ``_nearest_of_all``.
@@ -191,6 +195,8 @@ def _beyond(coordinate: np.ndarray, cell: np.ndarray, n: int) -> tuple[np.ndarra
     return below, above
 
 
+# a squared distance past the largest float is inf, and its received power 0 W
+@np.errstate(over="ignore")
 def physical_capacities(s: NetworkScenario, serving: np.ndarray) -> np.ndarray:
     """Physical-mode air-interface capacity of every station in bit/s.
 

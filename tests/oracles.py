@@ -11,7 +11,9 @@ cost coefficient and the yearly cost rate. Each keeps the engine's order
 of operations, so the abstract-mode checks can be bitwise. From ``e3sim``
 this module imports only records, errors, constants and ``MetricReport``.
 Also the brute-force oracles of the max-min allocation and of the
-random-fill hit ratio. Slow by design; use on small scenarios only.
+random-fill hit ratio. Slow by design; use on small scenarios only. The
+UE generator's oracle is NumPy's own random generator, whose stream
+``e3sim.rng`` reproduces without importing it.
 """
 
 from __future__ import annotations
@@ -311,6 +313,11 @@ def evaluate_daily(s: NetworkScenario) -> MetricReport:
     samples = s.traffic.samples_per_day
     hours = [_hour_sums(s, 24.0 * i / samples) for i in range(samples)]
     return _report(s, [sum(column) / samples for column in zip(*hours)], None)
+
+
+def uniform_positions(seed: int, width: float, height: float, count: int) -> np.ndarray:
+    """``count`` points uniform over [0, width] x [0, height], as NumPy draws them."""
+    return np.random.default_rng(seed).uniform((0.0, 0.0), (width, height), size=(count, 2))
 
 
 def allocate_bruteforce(demands: Sequence[float], capacity: float) -> list[float]:

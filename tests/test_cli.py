@@ -3,12 +3,18 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
-from conftest import load_document, scenario_path
+import e3sim
+import oracles
+from conftest import SCENARIO_DIR, load_document, scenario_path, serving_ids
 from e3sim import SweepSpec, build_scenario, evaluate, evaluate_daily, run_sweep
 from e3sim.cli import CSV_COLUMNS, MAX_GRID_POINTS, _parse_values, main
 from e3sim.model import _BREAKDOWN_COMPONENTS, MAX_CATALOG_SIZE, MAX_SAMPLES_PER_DAY, MAX_STATIONS, MAX_UES
@@ -207,6 +213,73 @@ class TestReportChecks:
         flags = ["--out", str(tmp_path / "r.csv")] if command[0] == "sweep" else []
         code, out = self.run(tmp_path, capsys, doc, *command, *flags)
         assert (code, out.err) == (1, "error: CostBreakdown: components must sum to a finite number\n")
+
+
+def far_document(rows, spacing_m, count, area_m, radio_mode="abstract"):
+    """fig3 with a rows x rows station grid and UEs so far out that squared
+    distances to the stations are past the largest float."""
+    doc = load_document("fig3.json")
+    doc["base_stations"] = {"grid": {"kind": "ap", "rows": rows, "cols": rows, "spacing_m": spacing_m}}
+    doc["ues"]["uniform_random"].update(count=count, area_m=area_m)
+    doc["radio_mode"] = radio_mode
+    return doc
+
+
+class TestFarLayouts:
+    """UEs whose squared distances overflow are associated exactly and without
+    a warning; in physical mode their received power underflows to 0 W, and a
+    throughput of 0 is an error, not a report of zeros."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        [(3, 2.5e299, 10, [1e300, 1e300]), (5, 100.0, 400, [1e200, 1.0])],
+        ids=["every_station_scored", "cell_search_first"],
+    )
+    def test_an_overflowing_squared_distance_evaluates_silently(self, tmp_path, capsys, layout):
+        doc = far_document(*layout)
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), "--daily"]) == 0
+        assert capsys.readouterr().err == ""
+        s = build_scenario(doc)
+        serving = oracles.associate(s).serving
+        assert serving_ids(s) == [serving[u] for u in s.ues.ids()]
+
+    def test_a_zero_physical_throughput_exits_1_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(far_document(3, 2.5e299, 10, [1e300, 1e300], "physical")))
+        assert main(["eval", str(path), "--daily"]) == 1
+        assert capsys.readouterr() == ("", "error: throughput_bps must be > 0, got 0.0\n")
+
+    def test_a_zero_physical_throughput_fails_only_its_sweep_row(self, tmp_path, capsys):
+        path, out = tmp_path / "far.json", tmp_path / "far.csv"
+        path.write_text(json.dumps(far_document(3, 2.5e299, 10, [1e300, 1e300])))
+        assert main(["sweep", str(path), "--param", "radio_mode=abstract,physical", "--daily", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, header, rows = read_csv(out)
+        rows = [dict(zip(header, row)) for row in rows]
+        assert [row["error"] for row in rows] == ["", "throughput_bps must be > 0, got 0.0"]
+        assert float(rows[0]["throughput_bps"]) > 0
+
+
+def test_a_run_never_imports_numpys_random_module(tmp_path):
+    # UE layouts come from e3sim.rng, which reproduces NumPy's stream without it
+    script = f"""
+import sys
+from pathlib import Path
+from e3sim import build_scenario
+from e3sim.cli import main
+for path in sorted(Path({str(SCENARIO_DIR)!r}).glob("*.json")):
+    build_scenario(path.read_text())
+assert main(["eval", {FIG3!r}, "--daily"]) == 0
+assert main(["sweep", {FIG3!r}, "--param", "kinds.ap.cache_size=0:4:1", "--daily", "--out", {str(tmp_path / "r.csv")!r}]) == 0
+print(sorted(name for name in sys.modules if name.startswith("numpy.random")))
+"""
+    src = str(Path(e3sim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 class TestSweep:

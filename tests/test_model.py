@@ -40,6 +40,8 @@ from e3sim import (
 )
 from e3sim import model, scenario, sweep
 from e3sim.model import BaseStation, UserEquipment
+from e3sim.radio import chunk_rows
+from e3sim.rng import uniform_positions
 from e3sim.document import _FIELDS, _RECORDS, _SECTIONS, _build, _maker, _makers, section_keys
 
 BREAKDOWN_COMPONENTS = (
@@ -137,12 +139,41 @@ def test_uniform_random_generator_is_seeded():
     doc["seed"] = 5
     a = build_scenario(doc)
     assert len(a.ues) == 12
+    assert a.ues.position_m.tobytes() == oracles.uniform_positions(5, 200.0, 100.0, 12).tobytes()
     x, y = a.ues.position_m.T
     assert ((0 <= x) & (x <= 200) & (0 <= y) & (y <= 100)).all()
     assert (a.ues.demand_peak_bps == 4e6).all() and (a.ues.weight == 1.0).all()
     assert build_scenario(doc) == a
     doc["seed"] = 6
     assert build_scenario(doc) != a
+
+
+#: Points per block of ``rng.uniform_positions``.
+BLOCK = chunk_rows(2)
+
+
+class TestUniformPositions:
+    """The UE generator gives NumPy's stream bit for bit, without NumPy's random module."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**130 - 1),
+        count=st.sampled_from((1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)),
+        width=st.floats(0.0, 1.7e308, exclude_min=True),
+        height=st.floats(0.0, 1.7e308, exclude_min=True),
+    )
+    @example(seed=0, count=1, width=60.0, height=60.0)
+    @example(seed=2**32 - 1, count=BLOCK - 1, width=1.7e308, height=5e-324)
+    @example(seed=2**32, count=BLOCK, width=1.0, height=1e300)
+    @example(seed=2**64, count=BLOCK + 1, width=200.0, height=100.0)
+    @example(seed=2**128, count=2 * BLOCK + 1, width=2000.0, height=2000.0)
+    def test_the_points_equal_numpys(self, seed, count, width, height):
+        got = uniform_positions(seed, width, height, count)
+        assert got.tobytes() == oracles.uniform_positions(seed, width, height, count).tobytes()
+
+    def test_a_hundred_thousand_points_equal_numpys(self):
+        got = uniform_positions(7, 2000.0, 1000.0, 10**5)
+        assert got.tobytes() == oracles.uniform_positions(7, 2000.0, 1000.0, 10**5).tobytes()
 
 
 def test_unknown_key_is_rejected_with_path():
