@@ -30,7 +30,6 @@ from .sweep import (
     SweepRow,
     SweepSpec,
     argmax,
-    pareto_front,
     resolve_parameter,
     run_sweep,
     set_parameter,
@@ -63,7 +62,6 @@ __all__ = [
     "evaluate",
     "evaluate_daily",
     "hit_ratio",
-    "pareto_front",
     "resolve_benchmark_cost",
     "resolve_parameter",
     "run_sweep",

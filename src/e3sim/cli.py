@@ -20,10 +20,10 @@ import csv
 import functools
 import json
 import math
+import operator
 import os
 import shlex
 import sys
-from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, TextIO
 
 from . import __version__
@@ -33,19 +33,23 @@ from .model import ScenarioError
 from .scenario import validate_scenario
 from .sweep import METRICS, Argmax, SweepSpec, open_sweep
 
-CSV_COLUMNS = (
-    "param1",
-    "param2",
-    "throughput_bps",
-    "weighted_throughput_bps",
-    "total_power_w",
-    "weighted_power_w",
-    "se_bps_per_hz",
-    "ee_bit_per_joule",
-    "ce_bit_per_cost",
-    "e3_bit_per_joule",
-    "error",
+#: The reported metrics, in CSV column order: ``MetricReport`` attribute,
+#: CSV column, printed label and unit.
+METRIC_TABLE = (
+    ("throughput_bps", "throughput_bps", "throughput", "bit/s"),
+    ("weighted_throughput_bps", "weighted_throughput_bps", "weighted throughput", "bit/s"),
+    ("total_power_w", "total_power_w", "total power", "W"),
+    ("weighted_power_w", "weighted_power_w", "weighted power", "W"),
+    ("se", "se_bps_per_hz", "se", "bit/s/Hz"),
+    ("ee", "ee_bit_per_joule", "ee", "bit/J"),
+    ("ce", "ce_bit_per_cost", "ce", "bit/cost-unit"),
+    ("e3", "e3_bit_per_joule", "e3", "bit/J"),
 )
+
+CSV_COLUMNS = ("param1", "param2", *(column for _, column, _, _ in METRIC_TABLE), "error")
+
+#: A report's metric values, in ``METRIC_TABLE`` order.
+_metric_values = operator.attrgetter(*(attribute for attribute, *_ in METRIC_TABLE))
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -53,28 +57,6 @@ EXIT_IO = 2
 
 #: Most values one sweep axis, or a whole two-axis grid, may hold.
 MAX_GRID_POINTS = 100_000
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility header echoed into every CSV output."""
-
-    command: str
-    scenario_path: str
-    spec: str
-    seed: int
-    output_path: str
-    tool_version: str = __version__
-
-    def lines(self) -> list[str]:
-        return [
-            f"# command: {self.command}",
-            f"# scenario: {self.scenario_path}",
-            f"# spec: {self.spec}",
-            f"# seed: {self.seed}",
-            f"# version: {self.tool_version}",
-            f"# out: {self.output_path}",
-        ]
 
 
 def _fmt(value: Any) -> str:
@@ -87,17 +69,8 @@ def _fmt(value: Any) -> str:
 
 def _metric_cells(report: MetricReport | None) -> list[str]:
     if report is None:
-        return [""] * 8
-    return [
-        _fmt(report.throughput_bps),
-        _fmt(report.weighted_throughput_bps),
-        _fmt(report.total_power_w),
-        _fmt(report.weighted_power_w),
-        _fmt(report.se),
-        _fmt(report.ee),
-        _fmt(report.ce),
-        _fmt(report.e3),
-    ]
+        return [""] * len(METRIC_TABLE)
+    return list(map(_fmt, _metric_values(report)))
 
 
 def _report_row(values: tuple[Any, ...], cells: list[str], error: str | None) -> list[str]:
@@ -106,9 +79,9 @@ def _report_row(values: tuple[Any, ...], cells: list[str], error: str | None) ->
     return [param1, param2, *cells, error or ""]
 
 
-def _write_csv(path: str, manifest: RunManifest, rows: Iterable[list[str]]) -> None:
+def _write_csv(path: str, manifest: list[str], rows: Iterable[list[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        for line in manifest.lines():
+        for line in manifest:
             f.write(line + "\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -118,14 +91,8 @@ def _write_csv(path: str, manifest: RunManifest, rows: Iterable[list[str]]) -> N
 def _print_report(report: MetricReport, out: TextIO) -> None:
     when = "daily-average" if report.is_daily_average else f"t = {report.time_hours:g} h"
     print(f"evaluated at: {when}", file=out)
-    print(f"  throughput            {report.throughput_bps:.6g} bit/s", file=out)
-    print(f"  weighted throughput   {report.weighted_throughput_bps:.6g} bit/s", file=out)
-    print(f"  total power           {report.total_power_w:.6g} W", file=out)
-    print(f"  weighted power        {report.weighted_power_w:.6g} W", file=out)
-    print(f"  se                    {report.se:.6g} bit/s/Hz", file=out)
-    print(f"  ee                    {report.ee:.6g} bit/J", file=out)
-    print(f"  ce                    {report.ce:.6g} bit/cost-unit", file=out)
-    print(f"  e3                    {report.e3:.6g} bit/J", file=out)
+    for attribute, _, label, unit in METRIC_TABLE:
+        print(f"  {label:<22}{getattr(report, attribute):.6g} {unit}", file=out)
 
 
 def _load_document(path: str) -> dict[str, Any]:
@@ -196,15 +163,18 @@ def _parse_param(arg: str, flag: str) -> tuple[str, tuple[Any, ...]]:
     return path, _parse_values(spec, flag)
 
 
-def _manifest(args: argparse.Namespace, spec_text: str, seed: int, out: str) -> RunManifest:
-    command = "e3 " + " ".join(shlex.quote(a) for a in args.raw_argv)
-    return RunManifest(
-        command=command,
-        scenario_path=args.scenario,
-        spec=spec_text,
-        seed=seed,
-        output_path=out,
-    )
+def _manifest(args: argparse.Namespace, spec_text: str, seed: int, out: str) -> list[str]:
+    """The ``#`` header lines of a CSV output, one per entry: a line break
+    in a value is written as ``\\n`` or ``\\r``, so it stays on its line."""
+    entries = {
+        "command": "e3 " + " ".join(shlex.quote(a) for a in args.raw_argv),
+        "scenario": args.scenario,
+        "spec": spec_text,
+        "seed": seed,
+        "version": __version__,
+        "out": out,
+    }
+    return [f"# {key}: " + str(value).replace("\r", "\\r").replace("\n", "\\n") for key, value in entries.items()]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -1,4 +1,4 @@
-"""Parameter sweeps over scenario documents: grids, argmax, Pareto fronts.
+"""Parameter sweeps over scenario documents: grids and argmax.
 
 A sweep evaluates copies of a base scenario document with one or two
 values set to each grid value, never touching the base. A parameter path
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 from .allocation import Geometry, plan_geometry, same_geometry
 from .document import _build, _makers, build_scenario, section_keys
@@ -28,13 +28,6 @@ from .model import _finite, _is_real
 from .scenario import NetworkScenario
 
 METRICS = ("se", "ee", "ce", "e3")
-
-#: Pareto objectives: optimization direction (+1 max, -1 min) and ``MetricReport`` attribute.
-PARETO_OBJECTIVES = {
-    "throughput": (1, "throughput_bps"),
-    "total_power": (-1, "total_power_w"),
-    "cost_rate": (-1, "cost_rate"),
-}
 
 _SEGMENT = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(\[(?P<index>\d+)\])?$")
 
@@ -93,7 +86,6 @@ class SweepRow:
 class SweepResult:
     """The rows of a sweep and the base scenario its document built."""
 
-    spec: SweepSpec
     rows: tuple[SweepRow, ...]
     base: NetworkScenario
 
@@ -290,7 +282,7 @@ def run_sweep(document: dict[str, Any], spec: SweepSpec) -> SweepResult:
     Collects the rows of ``open_sweep``, which says how they are made.
     """
     base, rows = open_sweep(document, spec)
-    return SweepResult(spec=spec, rows=tuple(rows), base=base)
+    return SweepResult(rows=tuple(rows), base=base)
 
 
 class Argmax:
@@ -347,28 +339,3 @@ def argmax(result: SweepResult, metric: str = "e3") -> tuple[tuple[Any, ...], fl
         best.add(row)
     return best.result()
 
-
-def pareto_front(result: SweepResult, objectives: Sequence[str]) -> tuple[SweepRow, ...]:
-    """Non-dominated rows under the stated objectives, in axis order.
-
-    Throughput is maximized; total power and cost rate are minimized. A row
-    is dropped when some other row is at least as good on every objective
-    and strictly better on one.
-    """
-    if not objectives:
-        raise ValueError("at least one objective required")
-    chosen = []
-    for name in objectives:
-        if name not in PARETO_OBJECTIVES:
-            raise ValueError(f"unknown objective '{name}', expected one of {tuple(PARETO_OBJECTIVES)}")
-        chosen.append(PARETO_OBJECTIVES[name])
-    candidates = [row for row in result.rows if row.report is not None]
-    vectors = {id(row): tuple(d * getattr(row.report, field) for d, field in chosen) for row in candidates}
-
-    def dominates(a: SweepRow, b: SweepRow) -> bool:
-        va, vb = vectors[id(a)], vectors[id(b)]
-        return all(x >= y for x, y in zip(va, vb)) and any(x > y for x, y in zip(va, vb))
-
-    return tuple(
-        row for row in candidates if not any(dominates(other, row) for other in candidates)
-    )

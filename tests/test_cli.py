@@ -622,6 +622,78 @@ def test_stdout_on_paper_scenarios(run, monkeypatch, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_SHA256[run]
 
 
+#: The ``#`` manifest lines of CLI runs from a directory that holds
+#: ``scenarios/``, with relative paths: (E3_SEED or None, argv, lines);
+#: recorded before the manifest was made by one function.
+_SWEEP = ["sweep", "scenarios/fig3.json", "--param", "kinds.ap.cache_size=0:20:10",
+          "--param2", "kinds.ap.xhaul.capacity_bps=1e7,2e7", "--time", "20", "--argmax", "e3"]
+MANIFESTS = {
+    "eval_peak": (None, ["eval", "scenarios/fig3.json", "--out", "eval.csv"], [
+        "# command: e3 eval scenarios/fig3.json --out eval.csv",
+        "# scenario: scenarios/fig3.json",
+        "# spec: eval t=20",
+        "# seed: 7",
+        "# version: 0.1.0",
+        "# out: eval.csv",
+    ]),
+    "eval_daily": (None, ["eval", "scenarios/fig3.json", "--daily", "--out", "daily.csv"], [
+        "# command: e3 eval scenarios/fig3.json --daily --out daily.csv",
+        "# scenario: scenarios/fig3.json",
+        "# spec: eval daily",
+        "# seed: 7",
+        "# version: 0.1.0",
+        "# out: daily.csv",
+    ]),
+    "sweep_two_axes": (None, [*_SWEEP, "--out", "sweep.csv"], [
+        "# command: e3 sweep scenarios/fig3.json --param kinds.ap.cache_size=0:20:10 --param2"
+        " kinds.ap.xhaul.capacity_bps=1e7,2e7 --time 20 --argmax e3 --out sweep.csv",
+        "# scenario: scenarios/fig3.json",
+        "# spec: sweep kinds.ap.cache_size=3 values; kinds.ap.xhaul.capacity_bps=2 values; t=20",
+        "# seed: 7",
+        "# version: 0.1.0",
+        "# out: sweep.csv",
+    ]),
+    "sweep_two_axes_env_seed": ("123", [*_SWEEP, "--out", "seeded.csv"], [
+        "# command: e3 sweep scenarios/fig3.json --param kinds.ap.cache_size=0:20:10 --param2"
+        " kinds.ap.xhaul.capacity_bps=1e7,2e7 --time 20 --argmax e3 --out seeded.csv",
+        "# scenario: scenarios/fig3.json",
+        "# spec: sweep kinds.ap.cache_size=3 values; kinds.ap.xhaul.capacity_bps=2 values; t=20",
+        "# seed: 123",
+        "# version: 0.1.0",
+        "# out: seeded.csv",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(MANIFESTS))
+def test_manifest_lines_on_paper_scenarios(name, tmp_path, monkeypatch, capsys):
+    env_seed, argv, lines = MANIFESTS[name]
+    if env_seed is not None:
+        monkeypatch.setenv("E3_SEED", env_seed)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenarios").symlink_to(SCENARIO_DIR)
+    assert main(argv) == 0
+    text = (tmp_path / argv[-1]).read_text(encoding="utf-8")
+    assert text.splitlines()[:7] == [*lines, ",".join(CSV_COLUMNS)]
+
+
+def test_a_line_break_in_a_path_stays_on_its_manifest_line(tmp_path, capsys):
+    # the scenario path once ran across two lines, and the second, without
+    # its '#', was read as the CSV header
+    folder = tmp_path / "a\nb\rc"
+    folder.mkdir()
+    scenario = folder / "s.json"
+    scenario.write_text(scenario_path("fig3.json").read_text())
+    out = tmp_path / "x.csv"
+    assert main(["eval", str(scenario), "--out", str(out)]) == 0
+    escaped = str(scenario).replace("\r", "\\r").replace("\n", "\\n")
+    manifest, header, rows = read_csv(out)
+    assert header == list(CSV_COLUMNS) and len(rows) == 1
+    assert manifest[1:] == [f"# scenario: {escaped}", "# spec: eval t=20", "# seed: 7", "# version: 0.1.0",
+                            f"# out: {out}"]
+    assert manifest[0].startswith("# command: e3 eval ") and escaped in manifest[0]
+
+
 class TestValidate:
     def test_clean_scenario_reports_ok(self, capsys):
         assert main(["validate", FIG3]) == 0

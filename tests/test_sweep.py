@@ -1,4 +1,4 @@
-"""Parameter paths, grid sweeps, argmax, and Pareto extraction."""
+"""Parameter paths, grid sweeps, and argmax."""
 
 import contextlib
 import copy
@@ -28,7 +28,6 @@ from e3sim import (
     evaluate,
     evaluate_daily,
     metrics,
-    pareto_front,
     radio,
     resolve_parameter,
     run_sweep,
@@ -241,6 +240,13 @@ class TestRunSweep:
         throughputs = {row.report.throughput_bps for row in result.rows}
         assert len(throughputs) == 1
 
+    def test_a_bigger_cache_at_equal_throughput_costs_more(self, fig3):
+        # from size 10 on the X-Haul no longer binds at fig3's peak, so only the cost of cache items grows
+        spec = SweepSpec(param_path="kinds.ap.cache_size", values=(10, 20), time_hours=20.0)
+        small, large = (row.report for row in run_sweep(fig3, spec).rows)
+        assert small.throughput_bps == large.throughput_bps
+        assert small.cost_rate < large.cost_rate
+
     def test_row_level_errors_do_not_abort(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=(0, 25, 10), time_hours=20.0)
         result = run_sweep(fig3, spec)
@@ -369,7 +375,7 @@ class TestArgmax:
         report = evaluate(make_scenario(), 20.0)
 
         def best(*values):
-            return argmax(SweepResult(spec=None, rows=tuple(SweepRow(v, report) for v in values), base=None))[0]
+            return argmax(SweepResult(rows=tuple(SweepRow(v, report) for v in values), base=None))[0]
 
         # values of one type keep their own order
         assert best(("b", 2.0), ("a", 3.0), ("a", 1.0)) == ("a", 1.0)
@@ -413,63 +419,6 @@ class TestArgmax:
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=(30, 40), time_hours=20.0)
         with pytest.raises(ValueError, match="all sweep rows failed"):
             argmax(run_sweep(fig3, spec))
-
-
-class TestParetoFront:
-    @pytest.fixture()
-    def cache_sweep(self, fig3):
-        spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(0, 21, 5)), time_hours=20.0)
-        return run_sweep(fig3, spec)
-
-    def test_single_objective_keeps_only_the_maximum(self, cache_sweep):
-        front = pareto_front(cache_sweep, ["throughput"])
-        best = max(row.report.throughput_bps for row in cache_sweep.rows)
-        assert front
-        assert all(row.report.throughput_bps == best for row in front)
-        assert {id(r) for r in front} == {
-            id(r) for r in cache_sweep.rows if r.report.throughput_bps == best
-        }
-
-    def test_dominated_row_is_dropped(self, fig3):
-        # a bigger cache with the same throughput costs strictly more
-        spec = SweepSpec(param_path="kinds.ap.cache_size", values=(10, 20), time_hours=20.0)
-        result = run_sweep(fig3, spec)
-        front = pareto_front(result, ["throughput", "cost_rate"])
-        assert [row.values for row in front] == [(10,)]
-
-    def test_matches_pairwise_dominance_oracle(self, cache_sweep):
-        objectives = ["throughput", "total_power", "cost_rate"]
-        front = pareto_front(cache_sweep, objectives)
-
-        def key(row):
-            return (row.report.throughput_bps, -row.report.total_power_w, -row.report.cost_rate)
-
-        rows = list(cache_sweep.rows)
-        expected = []
-        for a in rows:
-            dominated = False
-            for b in rows:
-                better_eq = all(x >= y for x, y in zip(key(b), key(a)))
-                strictly = any(x > y for x, y in zip(key(b), key(a)))
-                if better_eq and strictly:
-                    dominated = True
-                    break
-            if not dominated:
-                expected.append(a)
-        assert list(front) == expected
-
-    def test_front_contains_each_objectives_optimum(self, cache_sweep):
-        front_ids = {id(row) for row in pareto_front(cache_sweep, ["throughput", "cost_rate"])}
-        best_throughput = max(cache_sweep.rows, key=lambda r: (r.report.throughput_bps, -r.values[0]))
-        best_cost = min(cache_sweep.rows, key=lambda r: (r.report.cost_rate, r.values[0]))
-        assert id(best_throughput) in front_ids
-        assert id(best_cost) in front_ids
-
-    def test_requires_objectives(self, cache_sweep):
-        with pytest.raises(ValueError):
-            pareto_front(cache_sweep, [])
-        with pytest.raises(ValueError, match="unknown objective"):
-            pareto_front(cache_sweep, ["latency"])
 
 
 def two_station_fig3():
