@@ -25,7 +25,7 @@ UEs or the stations one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -75,7 +75,8 @@ class Geometry:
     in abstract mode, where each scenario's kinds give it). Every scenario
     for which ``same_geometry`` holds with the compiled one shares it.
     ``rows_per_chunk`` is how many rows (samples of scenarios) one ``fill``
-    call takes while its temporaries stay within the chunk byte budget.
+    call takes while its temporaries stay within the chunk byte budget, and
+    ``blocks`` groups the stations for a batch of that many rows.
     """
 
     serving: np.ndarray
@@ -85,40 +86,27 @@ class Geometry:
     counts: np.ndarray
     radio_cap: np.ndarray | None
     rows_per_chunk: int
-    _blocks: dict[int, tuple] = field(default_factory=dict, repr=False)
-    _bins: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
-    def blocks(self, rows: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(stations, sorted peaks) pairs for a batch of ``rows`` rows.
+    @cached_property
+    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(stations, sorted peaks) pairs for a batch of ``rows_per_chunk`` rows.
 
         The peak demands of each station's UEs in ascending order, one
         zero-padded row per station, stations grouped so that one block of
-        the batch stays within the chunk byte budget. The peaks are sorted
-        once (``_blocks``); each new row count only regroups the stations.
+        a ``rows_per_chunk``-row batch stays within the chunk byte budget.
+        Built at the first ``fill``; a caller passing ``fill`` more rows
+        gets temporaries larger by the same factor.
         """
-        if rows not in self._blocks:
-            padded, starts, stations = self._sorted
-            counts, blocks, lo = self.counts, [], 0
-            while lo < len(stations):
-                width = int(counts[stations[lo]])
-                group = stations[lo : lo + max(1, chunk_rows(width) // rows)]
-                column = np.arange(width)
-                index = np.where(column < counts[group][:, None], starts[group][:, None] + column, -1)
-                blocks.append((group, padded[index]))
-                lo += len(group)
-            self._blocks[rows] = tuple(blocks)
-        return self._blocks[rows]
-
-    def bins(self, rows: int) -> np.ndarray:
-        """The bin of every rate of a batch of ``rows`` rows, flat: row r's UE
-        goes to r * B plus its serving station. Kept per row count (``_bins``)."""
-        if rows not in self._bins:
-            self._bins[rows] = (np.arange(rows)[:, None] * len(self.counts) + self.serving).ravel()
-        return self._bins[rows]
-
-    @cached_property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _blocks(self.serving, self.peaks, self.counts)
+        padded, starts, stations = _blocks(self.serving, self.peaks, self.counts)
+        counts, blocks, lo = self.counts, [], 0
+        while lo < len(stations):
+            width = int(counts[stations[lo]])
+            group = stations[lo : lo + max(1, chunk_rows(width) // self.rows_per_chunk)]
+            column = np.arange(width)
+            index = np.where(column < counts[group][:, None], starts[group][:, None] + column, -1)
+            blocks.append((group, padded[index]))
+            lo += len(group)
+        return tuple(blocks)
 
 
 def _blocks(serving: np.ndarray, peaks: np.ndarray, counts: np.ndarray):
@@ -150,8 +138,11 @@ def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
 
     It is when both have the same UE record, radio mode and daily sample
     count, and the same station layout (the very object, as a sweep point
-    shares its base's, or equal ids and positions in the same order); in
-    physical mode also the same transmit power and bandwidth per station.
+    shares its base's, or equal ``bs_id`` columns, None for both grids, and
+    positions in the same order); in physical mode also the same transmit
+    power and bandwidth per station. A grid and a list of the same stations
+    differ, which a sweep never meets: its points keep their document's
+    station section form.
     """
     if b.ues is not a.ues or b.radio_mode != a.radio_mode:
         return False
@@ -160,7 +151,7 @@ def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
     x, y = a.base_stations, b.base_stations
     if x is not y and not (
         len(x) == len(y)
-        and (x.bs_id == y.bs_id or x.ids() == y.ids())
+        and x.bs_id == y.bs_id
         and np.array_equal(x.position_m, y.position_m)
     ):
         return False
@@ -214,15 +205,19 @@ def fill(
     ``min(demand, level)``. A station's load is its served rate over its
     radio capacity, capped at 1; the served rate adds the rates in UE
     order, one at a time, like a Python ``sum`` over the attachment list.
+    The levels are computed block by block (``geometry.blocks``), whose
+    temporaries stay within the chunk byte budget for up to
+    ``geometry.rows_per_chunk`` rows, the batch ``metrics`` passes.
     """
     n_rows, n_bs = capacity.shape
     levels = np.zeros((n_rows, n_bs))
-    for stations, sorted_peaks in geometry.blocks(n_rows):
+    for stations, sorted_peaks in geometry.blocks:
         demands = factors[:, None, None] * sorted_peaks
         levels[:, stations] = water_levels(demands, geometry.counts[stations], capacity[:, stations])
     rates = np.multiply(factors[:, None], geometry.peaks)
     np.minimum(rates, levels[:, geometry.serving], out=rates)
-    served = np.bincount(geometry.bins(n_rows), weights=rates.ravel(), minlength=n_rows * n_bs)
+    bins = (np.arange(n_rows)[:, None] * n_bs + geometry.serving).ravel()  # row r's UE to r * B + its station
+    served = np.bincount(bins, weights=rates.ravel(), minlength=n_rows * n_bs)
     served = served.reshape(n_rows, n_bs)
     with np.errstate(divide="ignore", invalid="ignore"):
         load = np.where(radio_cap > 0, np.minimum(served / radio_cap, 1.0), 0.0)

@@ -100,7 +100,7 @@ def _load_document(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as f:
         try:
             document = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nesting level
             raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     env_seed = os.environ.get("E3_SEED")
     if env_seed is not None:

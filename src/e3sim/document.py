@@ -38,6 +38,7 @@ from .model import (
     BsKind,
     CacheConfig,
     CostBreakdown,
+    ScenarioError,
     SchemaError,
     TrafficProfile,
     UnknownKindError,
@@ -307,12 +308,16 @@ def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario
     ``uniform_random``, one ``UePopulation``.
 
     Raises:
+        ScenarioError: the text is not valid JSON, or nests too deeply to decode.
         SchemaError: a key is missing, unknown, or of the wrong type.
         InvariantError: a domain invariant fails (names entity and rule).
         UnknownKindError: a base station references a kind_id not in ``kinds``.
     """
     if isinstance(document, (str, bytes)):
-        document = json.loads(document)
+        try:
+            document = json.loads(document)
+        except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nesting level
+            raise ScenarioError(f"not valid JSON ({exc})") from exc
     return _build(document)
 
 

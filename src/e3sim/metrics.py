@@ -110,11 +110,11 @@ def point_inputs(s: NetworkScenario, t_hours: float | None) -> tuple[np.ndarray,
     return factors, s.base_stations.kind, np.array(rows, dtype=float)
 
 
-#: The six sums of a report and its four ratios, in the order ``evaluate_block`` checks them.
+#: The six sums of a report and its four ratios, the metrics, in the order ``evaluate_block`` checks them.
 _SUMS = (
     "throughput_bps", "weighted_throughput_bps", "total_power_w", "weighted_power_w", "total_bandwidth_hz", "cost_rate"
 )
-_RATIOS = ("se", "ee", "ce", "e3")
+METRICS = ("se", "ee", "ce", "e3")
 
 
 def _sample_means(geometry: Geometry, inputs: Sequence[tuple]) -> np.ndarray:
@@ -161,7 +161,7 @@ def _sample_means(geometry: Geometry, inputs: Sequence[tuple]) -> np.ndarray:
 
 def _checked(values: list[float], t_hours: float | None) -> MetricReport | ValueError:
     """The report made of one point's six sums and four ratios (``_SUMS``
-    then ``_RATIOS``), or the ValueError of the first check it fails: every
+    then ``METRICS``), or the ValueError of the first check it fails: every
     sum finite, the throughput > 0, both powers > 0, the cost rate > 0, every
     ratio finite. Every demand, demand factor and abstract capacity is > 0,
     so a zero throughput is received power that underflowed to 0 W."""
@@ -175,7 +175,7 @@ def _checked(values: list[float], t_hours: float | None) -> MetricReport | Value
         return ValueError("total power is zero; refusing to report infinite efficiency")
     if cost_rate <= 0:
         return ValueError(f"cost_rate must be > 0, got {cost_rate}")
-    for name, value in zip(_RATIOS, ratios):
+    for name, value in zip(METRICS, ratios):
         if not math.isfinite(value):
             return ValueError(f"{name} must be finite, got {value}")
     return MetricReport(throughput, weighted_throughput, total_power, weighted_power, *ratios, t_hours, cost_rate)

@@ -22,6 +22,7 @@ from typing import Any
 
 import numpy as np
 
+from .energy_cost import cost_coefficient, resolve_benchmark_cost
 from .model import (
     MAX_KIND,
     RADIO_MODES,
@@ -307,12 +308,10 @@ def validate_scenario(s: NetworkScenario) -> list[str]:
     capacity, and an X-Haul too small to carry even the least demanding
     UE at the daily traffic minimum.
     """
-    from .energy_cost import effective_cost_per_area, resolve_benchmark_cost
-
     warnings: list[str] = []
     c0 = resolve_benchmark_cost(s)
     for kind in s.kinds:
-        cn = effective_cost_per_area(kind) / c0
+        cn = cost_coefficient(kind, c0)
         if cn > 1.0 + 1e-12:
             warnings.append(
                 f"cost coefficient of kind '{kind.kind_id}' exceeds 1 (C_n = {cn:.4g}); "

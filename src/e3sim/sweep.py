@@ -23,13 +23,11 @@ from typing import Any, Iterator
 
 from .allocation import Geometry, plan_geometry, same_geometry
 from .document import _build, _makers, build_scenario, section_keys
-from .metrics import MetricReport, evaluate_block, point_inputs
+from .metrics import METRICS, MetricReport, evaluate_block, point_inputs
 from .model import _finite, _is_real
 from .scenario import NetworkScenario
 
-METRICS = ("se", "ee", "ce", "e3")
-
-_SEGMENT = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(\[(?P<index>\d+)\])?$")
+_SEGMENT = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(\[(?P<index>[0-9]+)\])?")
 
 #: Keys that name a list entry, so ``kinds.ap`` is the kind whose kind_id is "ap".
 _ID_KEYS = ("kind_id", "bs_id", "ue_id")
@@ -96,7 +94,7 @@ def _steps(document: Any, path: str) -> list[tuple[Any, Any]]:
     node, section = document, ()
     segments = path.split(".")
     for n, raw in enumerate(segments):
-        m = _SEGMENT.match(raw)
+        m = _SEGMENT.fullmatch(raw)
         if not m:
             raise ParameterPathError(f"unresolvable parameter path '{path}': bad segment '{raw}'")
         name, index = m.group("name"), m.group("index")
@@ -211,8 +209,8 @@ def _rows(points: Iterator[tuple[tuple, Any, Any]], base: NetworkScenario, t: fl
     takes that point's report or error, and is not evaluated. A point that
     fails ends such a run. Repeats and failed points take no rows: a block
     ends once its evaluated points fill one chunk of rows, or it holds a
-    chunk's number of entries. A repeat of a point whose block is done is
-    yielded at once.
+    chunk's number of entries. Every row is made at the end of its block
+    (``_evaluated``), a repeat of the previous block's last point included.
     """
     block: list[tuple[tuple[Any, ...], NetworkScenario | Exception | None]] = []
     inputs: list[tuple] = []
@@ -242,10 +240,6 @@ def _rows(points: Iterator[tuple[tuple, Any, Any]], base: NetworkScenario, t: fl
             x is y or x.tobytes() == y.tobytes() for x, y in zip(new, last)
         ):
             built = None
-            if not block:  # the point before is done
-                row = SweepRow(values, row.report, row.error)
-                yield row
-                continue
         elif new is not None:
             inputs.append(new)
         last = new

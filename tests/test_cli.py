@@ -51,6 +51,13 @@ class TestEval:
         bad.write_text("{not json")
         assert main(["eval", str(bad)]) == 1
 
+    def test_too_deeply_nested_json_exits_1(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert main(["eval", str(deep)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {deep}: not valid JSON (") and err.count("\n") == 1
+
     def test_invariant_error_exits_1(self, tmp_path, capsys):
         doc = load_document("fig3.json")
         doc["kinds"][0]["cache_size"] = -2
@@ -356,6 +363,12 @@ class TestSweep:
         out = tmp_path / "x.csv"
         assert main(["sweep", FIG3, "--param", "kinds.ap.xhaul.nope=1,2", "--out", str(out)]) == 1
         assert "unresolvable parameter path 'kinds.ap.xhaul.nope'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_line_break_in_a_param_path_exits_1_before_any_row(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", FIG3, "--param", "kinds.ap.cache_size\n=0,10", "--time", "20", "--out", str(out)]) == 1
+        assert "bad segment 'cache_size\n'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_two_paths_to_one_value_write_no_csv(self, tmp_path, capsys):

@@ -297,6 +297,31 @@ def cell_layouts(draw):
     return [tuple(xy) for xy in stations.tolist()], [tuple(xy) for xy in ues.tolist()]
 
 
+class TestGeometryBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(s=scenarios(), chunk_bytes=st.sampled_from((8, 256, 1024, 4096)), seed=st.integers(0, 2**32 - 1))
+    def test_one_grouping_serves_every_batch_of_up_to_a_chunk_of_rows(self, s, chunk_bytes, seed):
+        with mock.patch.object(radio, "CHUNK_BYTES", chunk_bytes):
+            geometry = allocation.plan_geometry(s)
+            blocks = geometry.blocks
+        n = geometry.rows_per_chunk
+        for stations, sorted_peaks in blocks:
+            assert len(stations) == 1 or n * len(stations) * sorted_peaks.shape[1] * 8 <= chunk_bytes
+        grouped = np.concatenate([stations for stations, _ in blocks]).tolist()
+        assert sorted(grouped) == np.flatnonzero(geometry.counts).tolist()
+        rng = np.random.default_rng(seed)
+        scale = geometry.peaks.sum()
+        factors = rng.uniform(0.05, 1.0, n)
+        radio_cap = rng.uniform(0.0, 2.0, (n, len(geometry.counts))) * scale
+        capacity = np.minimum(radio_cap, rng.uniform(0.0, 2.0, radio_cap.shape) * scale)
+        singles = [allocation.fill(geometry, factors[r : r + 1], capacity[r : r + 1], radio_cap[r : r + 1])
+                   for r in range(n)]
+        for rows in range(1, n + 1):
+            rates, load = allocation.fill(geometry, factors[:rows], capacity[:rows], radio_cap[:rows])
+            assert rates.tobytes() == np.concatenate([r for r, _ in singles[:rows]]).tobytes()
+            assert load.tobytes() == np.concatenate([l for _, l in singles[:rows]]).tobytes()
+
+
 class TestCellSearch:
     @settings(max_examples=60, deadline=None)
     @given(layout=cell_layouts(), chunk_bytes=st.sampled_from((8, 1024)))

@@ -88,6 +88,11 @@ def test_build_accepts_json_text():
     assert s == build_scenario(MINIMAL_DOC)
 
 
+def test_too_deeply_nested_json_text_is_a_value_error():
+    with pytest.raises(ValueError, match="not valid JSON"):
+        build_scenario("[" * 100_000)
+
+
 def test_negative_cache_size_names_the_kind():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["kinds"][0]["cache_size"] = -1

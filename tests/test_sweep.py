@@ -104,6 +104,12 @@ class TestSetParameter:
         with pytest.raises(ParameterPathError, match="unresolvable"):
             resolve_parameter(fig3, path)
 
+    @pytest.mark.parametrize("path", ["kinds.ap.cache_size\n", "kinds\n.ap.cache_size", "kinds[\u0660].cache_size"])
+    def test_a_segment_with_a_line_break_or_a_non_ascii_digit_is_bad(self, fig3, path):
+        # a whole segment must match the grammar: no trailing line break, an index of ASCII digits
+        with pytest.raises(ParameterPathError, match="bad segment"):
+            resolve_parameter(fig3, path)
+
     def test_invariant_violations_surface(self, fig3):
         with pytest.raises(InvariantError):
             built(fig3, "kinds.ap.xhaul.capacity_bps", -1.0)
