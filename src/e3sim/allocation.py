@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cache import hit_ratio
-from .radio import chunk_rows, nearest_stations, physical_capacities
+from .radio import chunk_rows, nearest_stations, physical_capacities, station_radio
 
 if TYPE_CHECKING:
     from .scenario import NetworkScenario
@@ -136,17 +136,16 @@ def plan_geometry(s: NetworkScenario) -> Geometry:
 def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
     """Whether ``plan_geometry(a)`` is the geometry of ``b`` too.
 
-    It is when both have the same UE record, radio mode and daily sample
-    count, and the same station layout (the very object, as a sweep point
-    shares its base's, or equal ``bs_id`` columns, None for both grids, and
-    positions in the same order); in physical mode also the same transmit
-    power and bandwidth per station. A grid and a list of the same stations
-    differ, which a sweep never meets: its points keep their document's
-    station section form.
+    It is when both have the same UE record and radio mode, and the same
+    station layout (the very object, as a sweep point shares its base's, or
+    equal ``bs_id`` columns, None for both grids, and positions in the same
+    order); in physical mode also the same ``radio.station_radio``, what
+    physical capacity reads besides the positions. A grid and a list of the
+    same stations differ, which a sweep never meets: its points keep their
+    document's station section form. The daily sample count is no part of
+    a geometry.
     """
     if b.ues is not a.ues or b.radio_mode != a.radio_mode:
-        return False
-    if b.traffic.samples_per_day != a.traffic.samples_per_day:
         return False
     x, y = a.base_stations, b.base_stations
     if x is not y and not (
@@ -155,10 +154,7 @@ def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
         and np.array_equal(x.position_m, y.position_m)
     ):
         return False
-    return a.radio_mode != "physical" or all(
-        np.array_equal(a.station_values(value), b.station_values(value))
-        for value in (lambda k: k.tx_power_w, lambda k: k.bandwidth_hz)
-    )
+    return a.radio_mode != "physical" or all(map(np.array_equal, station_radio(a), station_radio(b)))
 
 
 def xhaul_limits(s: NetworkScenario) -> list[float]:

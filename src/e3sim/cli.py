@@ -163,9 +163,13 @@ def _parse_param(arg: str, flag: str) -> tuple[str, tuple[Any, ...]]:
     return path, _parse_values(spec, flag)
 
 
+def _one_line(text: Any) -> str:
+    """``text`` as one printed line: a line break in it is written as ``\\n`` or ``\\r``."""
+    return str(text).replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _manifest(args: argparse.Namespace, spec_text: str, seed: int, out: str) -> list[str]:
-    """The ``#`` header lines of a CSV output, one per entry: a line break
-    in a value is written as ``\\n`` or ``\\r``, so it stays on its line."""
+    """The ``#`` header lines of a CSV output, one per entry (``_one_line``)."""
     entries = {
         "command": "e3 " + " ".join(shlex.quote(a) for a in args.raw_argv),
         "scenario": args.scenario,
@@ -174,7 +178,7 @@ def _manifest(args: argparse.Namespace, spec_text: str, seed: int, out: str) -> 
         "version": __version__,
         "out": out,
     }
-    return [f"# {key}: " + str(value).replace("\r", "\\r").replace("\n", "\\n") for key, value in entries.items()]
+    return [f"# {key}: {_one_line(value)}" for key, value in entries.items()]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -208,11 +212,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         time_hours=args.time,
         daily=args.daily,
     )
-    base, rows = open_sweep(document, spec)
+    base, t, rows = open_sweep(document, spec)
     spec_text = f"sweep {path1}={len(values1)} values"
     if path2:
         spec_text += f"; {path2}={len(values2)} values"
-    spec_text += "; daily" if spec.daily else f"; t={spec.time_hours if spec.time_hours is not None else base.traffic.peak_hour:g}"
+    spec_text += "; daily" if t is None else f"; t={t:g}"
     manifest = _manifest(args, spec_text, base.rng_seed, args.out)
     best = Argmax(args.argmax) if args.argmax else None
     written = failed = 0
@@ -245,7 +249,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     scenario = build_scenario(_load_document(args.scenario))
     warnings = validate_scenario(scenario)
     for warning in warnings:
-        print(f"warning: {warning}")
+        print(f"warning: {_one_line(warning)}")
     if not warnings:
         print(f"{args.scenario}: ok ({len(scenario.base_stations)} BSs, {len(scenario.ues)} UEs)")
     return EXIT_OK
@@ -293,10 +297,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -355,22 +355,22 @@ def _build(document: Any, base: NetworkScenario | None = None, makers: Mapping[s
     return NetworkScenario(kinds, stations, ues, cache, traffic, benchmark, radio_mode, seed)
 
 
-def _makers(base: NetworkScenario, document: Any, paths: list[list[tuple[Any, Any]]]) -> dict[str, Any]:
+def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]]) -> dict[str, Any]:
     """What ``_build`` takes on ``base`` for ``document``, an edit of
-    ``base``'s at ``paths``, each the (container, key) steps from the root
-    to an edited value: the tree of edited keys, each mapped to the keys
-    edited below it and a path's last key to None, with each edited kind,
-    cache or traffic record's maker (``_maker``) in place of its keys. A key
-    one path sets whole stays whole when another goes below it."""
+    ``base``'s at ``paths``, each the keys (a list index as an int) from the
+    root to an edited value: the tree of edited keys, each mapped to the
+    keys edited below it and a path's last key to None, with each edited
+    kind, cache or traffic record's maker (``_maker``) in place of its keys.
+    A key one path sets whole stays whole when another goes below it."""
     edits: dict[Any, Any] = {}
-    for steps in paths:
+    for keys in paths:
         node = edits
-        for _, key in steps[:-1]:
+        for key in keys[:-1]:
             node = node.setdefault(key, {})
             if node is None:
                 break
         else:
-            node[steps[-1][1]] = None
+            node[keys[-1]] = None
     if "kinds" in edits:
         edits["kinds"] = {i: _maker(("kinds", "*"), base.kinds[i], document["kinds"][i], below)
                           for i, below in sorted(edits["kinds"].items())}

@@ -82,12 +82,19 @@ def _is_real(value: object) -> bool:
     return type(value) is float or type(value) is int or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _or_inf(value: float) -> float:
+    """Real ``value``, or inf (-inf) for one past the largest float, such as
+    an int of 400 digits, which a finite range must reject as it does inf."""
+    try:
+        float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+    return value
+
+
 def _finite(value: float, name: str) -> float:
     """Real ``value`` as a float; a ValueError naming ``name`` unless finite."""
-    try:
-        value = float(value)
-    except OverflowError:  # an int past the largest float
-        value = math.inf if value > 0 else -math.inf
+    value = float(_or_inf(value))
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -95,28 +102,36 @@ def _finite(value: float, name: str) -> float:
 
 #: What each number field of a record must hold, by its annotation.
 _NUMBER_RULES = {"float": "a number", "float | None": "a number", "int": "an integer"}
-_PLAIN_NUMBERS = frozenset((float, int))
 
 
 @functools.cache
-def _number_fields(record: type) -> tuple[operator.attrgetter, tuple[tuple[str, str], ...]]:
+def _number_fields(record: type) -> tuple[operator.attrgetter, tuple[tuple[str, str], ...], list[type]]:
     pairs = tuple((f.name, f.type) for f in fields(record) if f.type in _NUMBER_RULES)
-    return operator.attrgetter(*(name for name, _ in pairs)), pairs
+    plain = [int if annotation == "int" else float for _, annotation in pairs]
+    return operator.attrgetter(*(name for name, _ in pairs)), pairs, plain
 
 
 def _require_numbers(record: object, id_field: str | None = None) -> None:
     """Raise an InvariantError naming the record (by ``id_field`` too, if
     given) and its first number field that holds a bool or no real number
     (``_is_real``). Range checks follow, and an integer field's own check
-    rejects a fraction. Plain floats and ints pass in one C-level scan."""
-    values_of, pairs = _number_fields(type(record))
+    rejects a fraction. A float field holding a number past the largest
+    float, such as an int of 400 digits, holds inf instead (``_or_inf``),
+    so its range check rejects it with its own message. Records whose float
+    fields hold floats and integer fields ints, as a document's do, pass in
+    one C-level comparison."""
+    values_of, pairs, plain = _number_fields(type(record))
     values = values_of(record)
-    if _PLAIN_NUMBERS.issuperset(map(type, values)):
+    # a list, not a tuple: a tuple built from a map is resized, and the small tuples
+    # left behind fill CPython's tuple freelists (2,000 of them, about 0.2 MB, kept)
+    if list(map(type, values)) == plain:
         return
     owner = type(record).__name__ + ("" if id_field is None else f" '{getattr(record, id_field)}'")
     for (name, annotation), value in zip(pairs, values):
         if not _is_real(value):
             raise InvariantError(f"{owner}: {name} must be {_NUMBER_RULES[annotation]}")
+        if annotation != "int":
+            object.__setattr__(record, name, _or_inf(value))
 
 
 @dataclass(frozen=True)

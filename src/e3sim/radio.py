@@ -195,6 +195,11 @@ def _beyond(coordinate: np.ndarray, cell: np.ndarray, n: int) -> tuple[np.ndarra
     return below, above
 
 
+def station_radio(s: NetworkScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Each station's transmit power and bandwidth: all ``physical_capacities`` reads but positions."""
+    return s.station_values(lambda k: k.tx_power_w), s.station_values(lambda k: k.bandwidth_hz)
+
+
 # a squared distance past the largest float is inf, and its received power 0 W
 @np.errstate(over="ignore")
 def physical_capacities(s: NetworkScenario, serving: np.ndarray) -> np.ndarray:
@@ -212,8 +217,8 @@ def physical_capacities(s: NetworkScenario, serving: np.ndarray) -> np.ndarray:
     n_bs = len(s.base_stations)
     bs = s.base_stations.position_m
     ue_xy = s.ues.position_m
-    gain = s.station_values(lambda k: k.tx_power_w) * _GAIN
-    bandwidth = s.station_values(lambda k: k.bandwidth_hz)
+    power, bandwidth = station_radio(s)
+    gain = power * _GAIN
     noise_w = _NOISE_W_PER_HZ * bandwidth
     share_hz = bandwidth / np.maximum(np.bincount(serving, minlength=n_bs), 1)
     rates = np.empty(len(ue_xy))

@@ -22,6 +22,7 @@ from typing import Any
 
 import numpy as np
 
+from .allocation import xhaul_limits
 from .energy_cost import cost_coefficient, resolve_benchmark_cost
 from .model import (
     MAX_KIND,
@@ -35,6 +36,7 @@ from .model import (
     UserEquipment,
     _is_int,
     _is_real,
+    _or_inf,
     _require,
     _require_unique,
 )
@@ -289,7 +291,8 @@ class NetworkScenario:
         if self.benchmark_cost != MAX_KIND:
             if not _is_real(self.benchmark_cost):
                 raise InvariantError(f"NetworkScenario: benchmark_cost must be a number or '{MAX_KIND}'")
-            _require(0 < self.benchmark_cost < math.inf, "NetworkScenario: benchmark_cost must be finite and > 0")
+            _require(0 < _or_inf(self.benchmark_cost) < math.inf,
+                     "NetworkScenario: benchmark_cost must be finite and > 0")
         if self.radio_mode not in RADIO_MODES:
             raise InvariantError(f"NetworkScenario: radio_mode must be one of {RADIO_MODES}")
         if not _is_int(self.rng_seed) or self.rng_seed < 0:
@@ -307,7 +310,13 @@ def validate_scenario(s: NetworkScenario) -> list[str]:
     benchmark, a caching strategy configured while no kind has cache
     capacity, and an X-Haul too small to carry even the least demanding
     UE at the daily traffic minimum.
+
+    Raises:
+        ValueError: an input check every evaluation of ``s`` runs fails,
+            as for a placed kind's cache larger than the catalog
+            (``allocation.xhaul_limits``), with the evaluation's message.
     """
+    xhaul_limits(s)
     warnings: list[str] = []
     c0 = resolve_benchmark_cost(s)
     for kind in s.kinds:

@@ -151,97 +151,95 @@ def _assign(steps: list[tuple[Any, Any]], value: Any) -> Any:
     return value
 
 
-def _points(document: dict, steps: list, spec: SweepSpec, base: NetworkScenario) -> Iterator[tuple[tuple, Any, Any]]:
-    """(axis values, document, makers) of every grid point, in grid order,
-    for ``document._build`` on ``base``; a point whose second path does not
-    resolve gets its ParameterPathError.
+def _points(document: dict, steps: list, keys: list, spec: SweepSpec, base: NetworkScenario, t: float | None) -> Iterator:
+    """(axis values, scenario, ``point_inputs`` at ``t``) of every grid
+    point, in grid order, each built by ``document._build`` on ``base``; a
+    failing point has its error, a second path's ParameterPathError or that
+    of its build or inputs, in place of the scenario, and None for inputs.
 
-    ``steps`` lead to the first path's value in ``document`` (``_steps``).
-    Each path is resolved and compiled (``document._makers``) once: the
-    first on ``document`` for a one-path sweep; the second, with the first,
-    once per first-axis value, on that value's document, as setting the
-    first value may rename the entry the second path names.
+    ``steps`` lead to the first path's value in ``document`` (``_steps``),
+    and ``keys`` are their keys. Each path is resolved, turned into its key
+    path and compiled (``document._makers``) once: the first on ``document``
+    for a one-path sweep; the second, with the first, once per first-axis
+    value, on that value's document, as setting the first value may rename
+    the entry the second path names.
     """
-    makers = _makers(base, document, [steps]) if spec.param2_path is None else None
+    one_path = _makers(base, document, [keys]) if spec.param2_path is None else None
     for v1 in spec.values:
         point = _assign(steps, v1)
-        if makers is not None:
-            yield (v1,), point, makers
-            continue
-        try:
-            steps2 = _steps(point, spec.param2_path)
-        except ParameterPathError as exc:
-            steps2, point = None, exc
-        both = _makers(base, point, [steps, steps2]) if steps2 else None
-        for v2 in spec.values2:
-            yield (v1, v2), point if steps2 is None else _assign(steps2, v2), both
+        if one_path is not None:
+            grid, makers = [((v1,), point)], one_path
+        else:
+            try:
+                steps2 = _steps(point, spec.param2_path)
+            except ParameterPathError as exc:
+                yield from (((v1, v2), exc, None) for v2 in spec.values2)
+                continue
+            makers = _makers(base, point, [keys, [key for _, key in steps2]])
+            grid = (((v1, v2), _assign(steps2, v2)) for v2 in spec.values2)
+        for values, edited in grid:
+            try:
+                s = _build(edited, base, makers)
+                new = point_inputs(s, t)
+            except (ValueError, ArithmeticError) as exc:
+                s, new = exc, None
+            yield values, s, new
 
 
-def open_sweep(document: dict[str, Any], spec: SweepSpec) -> tuple[NetworkScenario, Iterator[SweepRow]]:
-    """The base scenario of a sweep, and an iterator over its rows.
+def open_sweep(document: dict[str, Any], spec: SweepSpec) -> tuple[NetworkScenario, float | None, Iterator[SweepRow]]:
+    """The base scenario of a sweep, the hour its rows are evaluated at, and
+    an iterator over its rows.
 
     The document must build, and both paths must resolve in it to two
     different values, before any row is evaluated; these checks run here.
     Rows come in grid order, row-major in axis order, as each block of
     points is evaluated; a row whose document fails to build or to evaluate
     carries the error message instead of a report. The document is never
-    modified. Without ``spec.daily`` every row is evaluated at
-    ``spec.time_hours``, or else at the base scenario's peak hour.
+    modified. The hour is None for a daily sweep, else ``spec.time_hours``
+    or, when that is None, the base scenario's peak hour.
     """
     base = build_scenario(document)
     steps = _steps(document, spec.param_path)
-    if spec.param2_path is not None and [k for _, k in steps] == [k for _, k in _steps(document, spec.param2_path)]:
+    keys = [key for _, key in steps]
+    if spec.param2_path is not None and keys == [key for _, key in _steps(document, spec.param2_path)]:
         raise ParameterPathError(f"parameter paths '{spec.param_path}' and '{spec.param2_path}' address the same value")
-    if spec.daily:
-        t = None
-    else:
-        t = spec.time_hours if spec.time_hours is not None else base.traffic.peak_hour
-    return base, _rows(_points(document, steps, spec, base), base, t)
+    t = None if spec.daily else base.traffic.peak_hour if spec.time_hours is None else spec.time_hours
+    return base, t, _rows(_points(document, steps, keys, spec, base, t), t)
 
 
-def _rows(points: Iterator[tuple[tuple, Any, Any]], base: NetworkScenario, t: float | None) -> Iterator[SweepRow]:
-    """Build every grid point of ``points`` (``_points``) on ``base`` and
-    evaluate it in blocks of consecutive points that share a geometry
-    (``same_geometry`` with the group's first point).
+def _rows(points: Iterator, t: float | None) -> Iterator[SweepRow]:
+    """The rows of ``points`` (``_points``) at ``t``, evaluated in blocks of
+    consecutive points that share a geometry (``same_geometry`` with the
+    first point it was compiled for) and a sample count.
 
-    A group's geometry is compiled once. A point of the group whose
-    ``point_inputs`` have the bytes of the previous point's is a repeat: it
-    takes that point's report or error, and is not evaluated. A point that
-    fails ends such a run. Repeats and failed points take no rows: a block
-    ends once its evaluated points fill one chunk of rows, or it holds a
-    chunk's number of entries. Every row is made at the end of its block
-    (``_evaluated``), a repeat of the previous block's last point included.
+    A block ends when a point's geometry differs, which is then compiled
+    once; when its sample count differs, and the geometry is kept; or once
+    its evaluated points fill one chunk of rows, or it holds a chunk's
+    number of entries. A point whose ``point_inputs`` have the bytes of the
+    previous point's is a repeat: it takes that point's report or error,
+    and is not evaluated. A failing point ends such a run, but neither ends
+    a block nor compiles a geometry. Repeats and failing points take no
+    rows. Every row is made at the end of its block (``_evaluated``).
     """
     block: list[tuple[tuple[Any, ...], NetworkScenario | Exception | None]] = []
     inputs: list[tuple] = []
     first = geometry = last = row = None
-    per_block = entries = 1
-    for values, point, makers in points:
-        built: NetworkScenario | Exception | None = point
-        if not isinstance(point, ParameterPathError):
-            try:
-                built = _build(point, base, makers)
-            except (ValueError, ArithmeticError) as exc:
-                built = exc
-        new = None
-        if isinstance(built, NetworkScenario):
-            if first is None or not same_geometry(first, built):
+    per_block = entries = samples = 1
+    for values, built, new in points:
+        if new is not None:
+            moved = first is None or not same_geometry(first, built)
+            if moved or len(new[0]) != samples:
                 row = yield from _evaluated(block, geometry, t, inputs, row)
                 block, inputs, last = [], [], None
-                first, geometry = built, plan_geometry(built)
-                samples = built.traffic.samples_per_day if t is None else 1
-                entries = geometry.rows_per_chunk
+                if moved:
+                    first, geometry = built, plan_geometry(built)
+                    entries = geometry.rows_per_chunk
+                samples = len(new[0])
                 per_block = max(1, entries // samples)
-            try:
-                new = point_inputs(built, t)
-            except (ValueError, ArithmeticError) as exc:
-                built = exc
-        if new is not None and last is not None and all(
-            x is y or x.tobytes() == y.tobytes() for x, y in zip(new, last)
-        ):
-            built = None
-        elif new is not None:
-            inputs.append(new)
+            if last is not None and all(x is y or x.tobytes() == y.tobytes() for x, y in zip(new, last)):
+                built = None
+            else:
+                inputs.append(new)
         last = new
         block.append((values, built))
         if len(inputs) >= per_block or len(block) >= entries:
@@ -262,10 +260,7 @@ def _evaluated(
             row = SweepRow(values, row.report, row.error)
         else:
             report = next(reports) if isinstance(built, NetworkScenario) else built
-            if isinstance(report, MetricReport):
-                row = SweepRow(values, report)
-            else:
-                row = SweepRow(values, None, error=str(report))
+            row = SweepRow(values, report) if isinstance(report, MetricReport) else SweepRow(values, None, str(report))
         yield row
     return row
 
@@ -275,7 +270,7 @@ def run_sweep(document: dict[str, Any], spec: SweepSpec) -> SweepResult:
 
     Collects the rows of ``open_sweep``, which says how they are made.
     """
-    base, rows = open_sweep(document, spec)
+    base, _, rows = open_sweep(document, spec)
     return SweepResult(rows=tuple(rows), base=base)
 
 

@@ -15,7 +15,7 @@ import pytest
 import e3sim
 import oracles
 from conftest import SCENARIO_DIR, load_document, scenario_path, serving_ids
-from e3sim import SweepSpec, build_scenario, evaluate, evaluate_daily, run_sweep
+from e3sim import SweepSpec, build_scenario, evaluate, evaluate_daily, run_sweep, validate_scenario
 from e3sim.cli import CSV_COLUMNS, MAX_GRID_POINTS, _parse_values, main
 from e3sim.model import _BREAKDOWN_COMPONENTS, MAX_CATALOG_SIZE, MAX_SAMPLES_PER_DAY, MAX_STATIONS, MAX_UES
 
@@ -368,7 +368,10 @@ class TestSweep:
     def test_a_line_break_in_a_param_path_exits_1_before_any_row(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["sweep", FIG3, "--param", "kinds.ap.cache_size\n=0,10", "--time", "20", "--out", str(out)]) == 1
-        assert "bad segment 'cache_size\n'" in capsys.readouterr().err
+        # the message is one line: its line breaks are written as the manifest writes them
+        assert capsys.readouterr().err == (
+            "error: unresolvable parameter path 'kinds.ap.cache_size\\n': bad segment 'cache_size\\n'\n"
+        )
         assert not out.exists()
 
     def test_two_paths_to_one_value_write_no_csv(self, tmp_path, capsys):
@@ -707,10 +710,46 @@ def test_a_line_break_in_a_path_stays_on_its_manifest_line(tmp_path, capsys):
     assert manifest[0].startswith("# command: e3 eval ") and escaped in manifest[0]
 
 
+def test_a_line_break_in_an_unknown_key_stays_on_its_error_line(tmp_path, capsys):
+    # the message once ran across two lines: "error: kinds" and ": unknown key"
+    doc = load_document("fig3.json")
+    doc["kinds\n"] = doc.pop("kinds")
+    path = tmp_path / "key.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", str(path)]) == 1
+    assert capsys.readouterr().err == "error: kinds\\n: unknown key\n"
+
+
 class TestValidate:
     def test_clean_scenario_reports_ok(self, capsys):
         assert main(["validate", FIG3]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_a_line_break_in_a_kind_id_stays_on_its_warning_line(self, tmp_path, capsys):
+        doc = load_document("fig3.json")
+        doc["kinds"][0]["kind_id"] = "a\nb\rc"
+        for station in doc["base_stations"]:
+            station["kind"] = "a\nb\rc"
+        doc["benchmark_cost"] = 40.0  # below the kind's effective cost
+        path = tmp_path / "warn.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "\r" not in out
+        assert out.startswith("warning: cost coefficient of kind 'a\\nb\\rc' exceeds 1 ")
+
+    def test_a_cache_larger_than_the_catalog_exits_1_as_eval_does(self, tmp_path, capsys):
+        # validate printed "ok" for a scenario that every evaluation rejects
+        doc = load_document("fig3.json")
+        doc["kinds"][0]["cache_size"] = 30
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(doc))
+        error = "cache larger than catalog: cache_size 30, catalog 20"
+        for command in ("validate", "eval"):
+            assert main([command, str(path)]) == 1
+            assert tuple(capsys.readouterr()) == ("", f"error: {error}\n")
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            validate_scenario(build_scenario(doc))
 
     def test_warnings_are_printed(self, tmp_path, capsys):
         doc = load_document("fig3.json")

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +40,7 @@ from e3sim import (
     validate_scenario,
 )
 from e3sim import model, scenario, sweep
+from e3sim.metrics import point_inputs
 from e3sim.model import BaseStation, UserEquipment
 from e3sim.radio import chunk_rows
 from e3sim.rng import uniform_positions
@@ -436,6 +438,23 @@ def test_float_fields_accept_numpy_floats(owner, record, name):
     assert getattr(replace(record, **{name: value}), name) is value
 
 
+#: The float fields whose range has no finite upper end of its own: the peak hour and the discount had one.
+UNBOUNDED = [(field, id_) for field, id_ in zip(FLOAT_FIELDS, FLOAT_FIELD_IDS)
+             if field[2] not in ("peak_hour", "inherited_discount")]
+
+
+@pytest.mark.parametrize("owner, record, name", [field for field, _ in UNBOUNDED], ids=[id_ for _, id_ in UNBOUNDED])
+def test_float_fields_reject_an_int_past_any_float_as_they_reject_inf(owner, record, name):
+    # 10**400 passed "0 < x < inf", and evaluating the record ended in a bare OverflowError;
+    # a cost breakdown's component failed the sum check instead
+    with pytest.raises(InvariantError) as inf:
+        replace(record, **{name: math.inf})
+    assert str(inf.value).startswith(f"{owner}: {name} must be finite and ")
+    for value in (10**400, -(10**400)):
+        with pytest.raises(InvariantError, match=f"^{re.escape(str(inf.value))}$"):
+            replace(record, **{name: value})
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -786,7 +805,7 @@ def test_a_sweep_point_that_reuses_the_ues_checks_no_ue_id():
 def point_of(document, base, path, value):
     """The document of a sweep point with ``value`` at ``path``, and its makers on ``base``."""
     steps = sweep._steps(document, path)
-    return sweep._assign(steps, value), _makers(base, document, [steps])
+    return sweep._assign(steps, value), _makers(base, document, [[key for _, key in steps]])
 
 
 def reuse_documents():
@@ -909,7 +928,7 @@ def recorded_parsers(parsed):
 
 def makers_of(base, document, paths):
     """The makers (``_makers``) of ``document``, an edit of ``base``'s at key paths from the root."""
-    return _makers(base, document, [[(None, key) for key in keys] for keys in paths])
+    return _makers(base, document, paths)
 
 
 class TestValueReuse:
@@ -968,6 +987,8 @@ class TestValueReuse:
         document = REUSE_DOCUMENTS["fig3.json"]
         spec = SweepSpec("kinds.ap.cache_size", (2,), "kinds.ap.xhaul.capacity_bps", (2e7,), time_hours=20.0)
         base = build_scenario(document)
+        point = set_parameter(set_parameter(document, spec.param_path, 2), spec.param2_path, 2e7)
+        point_inputs(base, 20.0)  # the point's demand factors are then the kept ones: no TrafficProfile is made
         parsed = []
         classes = (XHaulSolution, CostBreakdown, BsKind, CacheConfig, TrafficProfile, StationLayout, UePopulation,
                    NetworkScenario)
@@ -975,8 +996,8 @@ class TestValueReuse:
             stack.enter_context(mock.patch.dict(_FIELDS, recorded_parsers(parsed)))
             made = {cls.__name__: stack.enter_context(
                 mock.patch.object(cls, "__init__", autospec=True, side_effect=cls.__init__)) for cls in classes}
-            ((_, point, makers),) = sweep._points(document, sweep._steps(document, spec.param_path), spec, base)
-            s = _build(point, base, makers)
+            steps = sweep._steps(document, spec.param_path)
+            ((_, s, _),) = sweep._points(document, steps, [key for _, key in steps], spec, base, 20.0)
         assert parsed == ["kinds[0].xhaul.capacity_bps", "kinds[0].cache_size"]  # in field order
         assert {name: m.call_count for name, m in made.items() if m.call_count} == {
             "XHaulSolution": 1, "BsKind": 1, "NetworkScenario": 1}

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import itertools
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +53,7 @@ def built(document, path, value):
 def rebuilt(document, base, path, value):
     """The scenario of a sweep point of ``document`` with ``value`` at ``path``, built on ``base``."""
     steps = sweep._steps(document, path)
-    return _build(sweep._assign(steps, value), base, _makers(base, document, [steps]))
+    return _build(sweep._assign(steps, value), base, _makers(base, document, [[key for _, key in steps]]))
 
 
 class TestSetParameter:
@@ -449,6 +450,8 @@ AXES = {
         "traffic.peak_hour": (0.0, 20.0, 24.0),
         "traffic.samples_per_day": (1, 5, 24, 0),
         "cache.zipf_exponent": (0.0, 0.8, -1.0),
+        # below the cache size 6 a point builds but fails its inputs (a cache larger than the catalog)
+        "cache.catalog_size": (3, 20),
         # above about 4e7 bit/s the X-Haul binds: equal effective capacity, but load and power differ
         "kinds.ap.radio_capacity_bps": (2e7, 5e7, 6e7, 1.2e8, 0.0),
         "cache.strategy": ("none", "random_fill", "top_popular", "lru"),
@@ -521,7 +524,7 @@ def assert_kind_sweep_shares_the_base_layout(document, spec):
 
     check = mock.patch.object(BaseStation, "__init__", autospec=True, side_effect=BaseStation.__init__)
     with check as made, mock.patch("e3sim.sweep._build", recorded):
-        base, rows = open_sweep(document, spec)
+        base, _, rows = open_sweep(document, spec)
         rows = list(rows)
     assert made.call_count == 0 and len(points) == len(spec.values)
     for s in points:
@@ -607,6 +610,29 @@ class TestBlocks:
         assert len(sizes) <= -(-402 // per_block) == 12
         assert sort.call_count == 1  # the peaks are sorted once for the geometry
         assert cache._zipf_probabilities.cache_info().misses == 1  # one Zipf table for the whole sweep
+
+    @pytest.mark.parametrize(
+        "spec, compiled, blocks",
+        [
+            # one geometry serves both sample counts; a block ends where the count changes
+            (SweepSpec(param_path="traffic.samples_per_day", values=(5, 24), daily=True), 1, [(1, 1), (1, 1)]),
+            # a catalog below the cache size fails each point's inputs: no geometry is compiled for it,
+            # and before the first geometry a block holds one entry
+            (SweepSpec(param_path="cache.catalog_size", values=(3, 20), param2_path="seed", values2=(1, 2),
+                       time_hours=20.0), 2, [(1, 0), (1, 0), (1, 1), (1, 1)]),
+        ],
+        ids=["daily_sample_counts", "failing_catalog_by_seed"],
+    )
+    def test_a_geometry_is_compiled_once_for_the_points_that_evaluate_on_it(self, fig3, spec, compiled, blocks):
+        with mock.patch("e3sim.sweep.plan_geometry", wraps=allocation.plan_geometry) as plan, \
+                recorded_blocks() as recorded:
+            rows = run_sweep(fig3, spec).rows
+        assert plan.call_count == compiled and recorded == blocks
+        assert [row.values for row in rows] == list(itertools.product(spec.values, *filter(None, [spec.values2])))
+        for row in rows:
+            want = fresh_outcome(fig3, spec, row.values)
+            assert (row.error if row.error is not None else (row.report, row.report.cost_rate)) == want
+        assert sum(row.error is not None for row in rows) == (2 if spec.param2_path else 0)
 
     def test_a_top_popular_cache_size_sweep_sums_each_head_once(self, fig3):
         # the cache size is the inner axis, so each of its 21 values comes back at every X-Haul capacity
@@ -744,7 +770,7 @@ class TestBlocks:
         spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=tuple(1e5 * v for v in range(1, 101)),
                          daily=True)
         with mock.patch("e3sim.sweep._build", wraps=_build) as build:
-            base, rows = open_sweep(fig3, spec)
+            base, _, rows = open_sweep(fig3, spec)
             assert base == build_scenario(fig3) and build.call_count == 0
             first = next(rows)
             assert build.call_count == radio.chunk_rows(10) // 24 < len(spec.values)
