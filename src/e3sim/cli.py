@@ -235,13 +235,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             yield _report_row(row.values, cells, row.error)
 
     _write_csv(args.out, manifest, lines())
-    print(f"wrote {written} rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
+    print(_one_line(f"wrote {written} rows to {args.out}" + (f" ({failed} failed)" if failed else "")))
     if best is not None:
         values, value = best.result()
         desc = f"{path1}={_fmt(values[0])}"
         if len(values) > 1:
             desc += f", {path2}={_fmt(values[1])}"
-        print(f"argmax {args.argmax}: {desc} ({args.argmax}={_fmt(value)})")
+        print(_one_line(f"argmax {args.argmax}: {desc} ({args.argmax}={_fmt(value)})"))
     return EXIT_OK
 
 
@@ -251,7 +251,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for warning in warnings:
         print(f"warning: {_one_line(warning)}")
     if not warnings:
-        print(f"{args.scenario}: ok ({len(scenario.base_stations)} BSs, {len(scenario.ues)} UEs)")
+        print(_one_line(f"{args.scenario}: ok ({len(scenario.base_stations)} BSs, {len(scenario.ues)} UEs)"))
     return EXIT_OK
 
 

@@ -44,6 +44,8 @@ from .model import (
     UnknownKindError,
     UserEquipment,
     XHaulSolution,
+    edit,
+    rules_reading,
 )
 from .rng import uniform_positions
 from .scenario import _UE_ARRAYS, _UE_FIELDS, NetworkScenario, StationLayout, UePopulation
@@ -150,6 +152,14 @@ def _as_choice(value: Any, path: str, choices: tuple[str, ...]) -> str:
 
 Parser = Callable[[Any, str], Any]
 
+#: A reader of one value or record section at a path fixed when it was made (``_at``, ``_maker``).
+Maker = Callable[[Any], Any]
+
+
+def _at(parse: Parser, path: str) -> Maker:
+    """``parse`` of the value at document ``path``."""
+    return lambda value: parse(value, path)
+
 #: Parser of a plain field by its annotation, one per JSON value type.
 _VALUE_PARSERS: dict[str, Parser] = {
     "float": _as_number,
@@ -194,29 +204,35 @@ def _record(section: tuple[str, ...], doc: Any, path: str) -> Any:
     return _RECORDS[section](**_values(section, doc, path))
 
 
-def _maker(section: tuple[str, ...], record: Any, doc: Any, edits: dict[str, Any] | None) -> Parser:
-    """A parser of record ``section`` for edits of ``doc``, the section
-    ``record`` was read from, at the keys in ``edits`` (a tree of
-    ``_makers``; None for all). It makes the record once through its class
-    from ``record``'s value of each other key ``doc`` sets and the edited
-    keys parsed in field order, a nested record edited below made so at its
-    field's position, so the first error is a full parse's."""
+def _maker(section: tuple[str, ...], record: Any, doc: Any, edits: dict[str, Any] | None, path: str) -> Maker:
+    """A reader of record ``section`` at document ``path`` for edits of
+    ``doc``, the section ``record`` was read from, at the keys in ``edits``
+    (a tree of ``_makers``; None for all). It parses the edited keys in
+    field order, a nested record edited below made so at its field's
+    position, so the first error is a full parse's, and makes ``record``
+    edited at them (``model.edit``). A key ``doc`` leaves out whose value
+    was derived (is not its default) is edited back to the default, so its
+    rule derives it again. The fields edited, their paths and the rules run
+    are chosen here, once."""
     if edits is None:
-        return functools.partial(_record, section)
-    cls, kept, edited = _RECORDS[section], {}, []
-    for name, parse in _FIELDS[section]:
+        return _at(functools.partial(_record, section), path)
+    cls, reset, edited = _RECORDS[section], {}, []
+    for f, (name, parse) in zip(fields(cls), _FIELDS[section]):
         if name in edits:
-            if edits[name] is not None:
-                parse = _maker(section + (name,), getattr(record, name), doc[name], edits[name])
-            edited.append((name, parse))
-        elif name in doc:
-            kept[name] = getattr(record, name)
+            below = f"{path}.{name}"
+            if edits[name] is None:
+                edited.append((name, _at(parse, below)))
+            else:
+                edited.append((name, _maker(section + (name,), getattr(record, name), doc[name], edits[name], below)))
+        elif name not in doc and getattr(record, name) != f.default:
+            reset[name] = f.default
+    checks = rules_reading(cls, (*reset, *(name for name, _ in edited)))
 
-    def make(doc: Any, path: str) -> Any:
-        values = kept.copy()
+    def make(doc: Any) -> Any:
+        changes = reset.copy()
         for name, parse in edited:
-            values[name] = parse(doc[name], f"{path}.{name}")
-        return cls(**values)
+            changes[name] = parse(doc[name])
+        return edit(record, changes, checks)
 
     return make
 
@@ -227,7 +243,9 @@ _FIELDS = {
 }
 
 #: What ``_build`` takes to read every section: each root key set whole.
-_WHOLE = dict.fromkeys(section_keys(())) | {key: functools.partial(_record, (key,)) for key in ("cache", "traffic")}
+_WHOLE = dict.fromkeys(section_keys(())) | {
+    key: _at(functools.partial(_record, (key,)), key) for key in ("cache", "traffic")
+}
 
 
 def _build_base_stations(doc: Any, kind_ids: Container[str]) -> StationLayout:
@@ -324,35 +342,45 @@ def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario
 def _build(document: Any, base: NetworkScenario | None = None, makers: Mapping[str, Any] = _WHOLE) -> NetworkScenario:
     """The scenario of ``document``, validated whole. With ``base``, of whose
     document it is an edit at the keys ``makers`` (``_makers``) names, only
-    the sections on those paths are read, the stations also when the kinds
-    lose a kind_id the layout names and generated UEs when the seed changes;
-    every other section is the base's own object. Without, all are read. The
-    one order here decides the error of a document bad in two sections."""
+    the sections on those paths are read, the stations also when a renamed
+    kind leaves the layout naming a kind_id the kinds lack, and generated
+    UEs when the seed changes; the scenario is ``base`` edited at the fields
+    read (``model.edit``), so every other section is the base's own object
+    and only the rules that read a field read run. Without, all are read.
+    The one order here decides the error of a document bad in two sections."""
     if base is None:
         _check_keys(document, "", ())
-    seed = _seed(document) if "seed" in makers else base.rng_seed
+    read: dict[str, Any] = {}
+    if "seed" in makers:
+        read["rng_seed"] = _seed(document)
+    stations = "base_stations" in makers
     if base is None:
         entries = document["kinds"]
         if not isinstance(entries, list) or not entries:
             raise SchemaError("kinds: expected a non-empty list")
-        kinds = tuple(_record(("kinds", "*"), k, f"kinds[{i}]") for i, k in enumerate(entries))
+        read["kinds"] = tuple(_record(("kinds", "*"), k, f"kinds[{i}]") for i, k in enumerate(entries))
     elif "kinds" in makers:
-        kinds = list(base.kinds)
+        kinds, renamed = list(base.kinds), False
         for i, make in makers["kinds"].items():
-            kinds[i] = make(document["kinds"][i], f"kinds[{i}]")
-    else:
-        kinds = base.kinds
-    cache = makers["cache"](document.get("cache", {}), "cache") if "cache" in makers else base.cache
-    traffic = makers["traffic"](document.get("traffic", {}), "traffic") if "traffic" in makers else base.traffic
-    benchmark = _benchmark_cost(document) if "benchmark_cost" in makers else base.benchmark_cost
-    kind_ids = {k.kind_id for k in kinds}
-    stations_kept = "base_stations" not in makers and kind_ids.issuperset(base.base_stations.kind_ids)
-    stations = base.base_stations if stations_kept else _build_base_stations(document["base_stations"], kind_ids)
-    ues_kept = "ues" not in makers and (seed == base.rng_seed or isinstance(document["ues"], list))
-    ues = base.ues if ues_kept else _build_ues(document["ues"], seed)
-    radio_mode = (_as_choice(document.get("radio_mode", "abstract"), "document.radio_mode", RADIO_MODES)
-                  if "radio_mode" in makers else base.radio_mode)
-    return NetworkScenario(kinds, stations, ues, cache, traffic, benchmark, radio_mode, seed)
+            kinds[i] = make(document["kinds"][i])
+            # an edit that leaves a kind_id alone keeps the base's very string
+            renamed = renamed or kinds[i].kind_id is not base.kinds[i].kind_id
+        read["kinds"] = tuple(kinds)
+        stations = stations or renamed and not {k.kind_id for k in kinds}.issuperset(base.base_stations.kind_ids)
+    for key in ("cache", "traffic"):
+        if key in makers:
+            read[key] = makers[key](document.get(key, {}))
+    if "benchmark_cost" in makers:
+        read["benchmark_cost"] = _benchmark_cost(document)
+    if stations:
+        kind_ids = {k.kind_id for k in (read["kinds"] if "kinds" in read else base.kinds)}
+        read["base_stations"] = _build_base_stations(document["base_stations"], kind_ids)
+    seed = read["rng_seed"] if "rng_seed" in read else base.rng_seed
+    if "ues" in makers or seed != base.rng_seed and not isinstance(document["ues"], list):
+        read["ues"] = _build_ues(document["ues"], seed)
+    if "radio_mode" in makers:
+        read["radio_mode"] = _as_choice(document.get("radio_mode", "abstract"), "document.radio_mode", RADIO_MODES)
+    return NetworkScenario(**read) if base is None else edit(base, read)
 
 
 def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]]) -> dict[str, Any]:
@@ -372,11 +400,11 @@ def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]]) -> dic
         else:
             node[keys[-1]] = None
     if "kinds" in edits:
-        edits["kinds"] = {i: _maker(("kinds", "*"), base.kinds[i], document["kinds"][i], below)
+        edits["kinds"] = {i: _maker(("kinds", "*"), base.kinds[i], document["kinds"][i], below, f"kinds[{i}]")
                           for i, below in sorted(edits["kinds"].items())}
     for key in ("cache", "traffic"):
         if key in edits:
-            edits[key] = _maker((key,), getattr(base, key), document.get(key, {}), edits[key])
+            edits[key] = _maker((key,), getattr(base, key), document.get(key, {}), edits[key], key)
     return edits
 
 

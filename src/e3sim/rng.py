@@ -9,8 +9,8 @@ loads numpy's random module (its compiled generators and, through ``secrets``, O
 
 PCG64 steps a 128-bit LCG, s' = M s + inc, and outputs each new state folded to 64
 bits. n steps at once are one affine map, s -> M^n s + C_n, so the first block of
-states comes from one state by doubling, and every later block is one such map of the
-first. Array states are (high, low) uint64 halves, which wrap silently; every 128-bit
+states comes from its first 64, stepped one at a time, by doubling, and every later
+block is one such map of the first. Array states are (high, low) uint64 halves, which wrap silently; every 128-bit
 scalar stays a Python int, as numpy integer scalars warn when they overflow.
 """
 
@@ -99,7 +99,13 @@ def uniform_positions(seed: int, width: float, height: float, count: int) -> np.
     state = (((inc + (w0 << 64 | w1)) * _MULT + inc) * _MULT + inc) & _MASK128
     draws = 2 * count
     block = min(draws, 2 * chunk_rows(2))
-    hi, lo = np.array([state >> 64], dtype=np.uint64), np.array([state & _MASK64], dtype=np.uint64)
+    # the first 64 states one Python int step at a time: an array map costs as much as
+    # about a hundred such steps on a short array, so doubling starts from 64 states
+    states = [state]
+    for _ in range(min(block, 64) - 1):
+        states.append((states[-1] * _MULT + inc) & _MASK128)
+    hi = np.array([s >> 64 for s in states], dtype=np.uint64)
+    lo = np.array([s & _MASK64 for s in states], dtype=np.uint64)
     while len(hi) < block:
         more_hi, more_lo = _affine(hi, lo, *_steps(len(hi), inc))
         hi, lo = np.concatenate([hi, more_hi])[:block], np.concatenate([lo, more_lo])[:block]
@@ -108,7 +114,7 @@ def uniform_positions(seed: int, width: float, height: float, count: int) -> np.
     step, shift = _steps(block, inc), (1, 0)
     for start in range(0, draws, block):
         n = min(block, draws - start)
-        high, low = _affine(hi[:n], lo[:n], *shift)
+        high, low = _affine(hi[:n], lo[:n], *shift) if start else (hi[:n], lo[:n])  # the first: M^0 s + 0
         # XSL-RR: the two halves xor-folded, rotated right by the top six bits
         folded, turn = high ^ low, high >> 58
         bits = (folded >> turn | folded << (-turn & 63)) >> 11

@@ -34,11 +34,15 @@ from .model import (
     TrafficProfile,
     UnknownKindError,
     UserEquipment,
+    _is_a,
     _is_int,
     _is_real,
+    _one_of,
     _or_inf,
-    _require,
+    _Record,
     _require_unique,
+    _rule,
+    _rules,
 )
 
 
@@ -242,15 +246,17 @@ def _holds_bool(value: Any) -> bool:
 
 
 @dataclass(frozen=True)
-class NetworkScenario:
+class NetworkScenario(_Record):
     """Complete immutable description of one deployment under evaluation.
 
     ``kinds`` must hold ``BsKind`` records, ``base_stations`` be a
     ``StationLayout``, ``ues`` a ``UePopulation``, ``cache`` a
     ``CacheConfig`` and ``traffic`` a ``TrafficProfile``. The layout names
-    its kinds by kind_id; ``placed_kinds``, derived here, holds the catalog
-    record of each of its ``kind_ids``, so station i is of kind
-    ``placed_kinds[base_stations.kind[i]]``.
+    its kinds by kind_id; ``placed_kinds``, derived by a rule that reads
+    ``kinds`` and ``base_stations``, holds the catalog record of each of its
+    ``kind_ids``, so station i is of kind ``placed_kinds[base_stations.kind[i]]``.
+    A sweep point is its base edited (``model.edit``): it runs only the
+    rules that read a field the point replaced.
     """
 
     kinds: tuple[BsKind, ...]
@@ -263,44 +269,65 @@ class NetworkScenario:
     rng_seed: int = 0
     placed_kinds: tuple[BsKind, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kinds", tuple(self.kinds))
-        for kind in self.kinds:
-            if not isinstance(kind, BsKind):
-                raise InvariantError(f"NetworkScenario: kinds must hold BsKind records, got {type(kind).__name__}")
-        records = {"base_stations": StationLayout, "ues": UePopulation, "cache": CacheConfig, "traffic": TrafficProfile}
-        for name, record in records.items():
-            value = getattr(self, name)
-            if not isinstance(value, record):
-                raise InvariantError(
-                    f"NetworkScenario: {name} must be a {record.__name__}, got {type(value).__name__}"
-                )
-        _require(len(self.kinds) >= 1, "NetworkScenario: at least one kind required")
-        _require(len(self.base_stations) >= 1, "NetworkScenario: at least one base station required")
-        _require(len(self.ues) >= 1, "NetworkScenario: at least one UE required")
-        _require_unique("kind_id", [k.kind_id for k in self.kinds])
-        by_id = {k.kind_id: k for k in self.kinds}
-        layout = self.base_stations
-        placed = tuple(map(by_id.get, layout.kind_ids))
-        if not all(placed):
-            i, j = next((i, j) for i, j in enumerate(layout.kind.tolist()) if placed[j] is None)
-            raise UnknownKindError(
-                f"BaseStation '{layout._id(i)}': kind '{layout.kind_ids[j]}' is not in the scenario catalog"
-            )
-        object.__setattr__(self, "placed_kinds", placed)
-        if self.benchmark_cost != MAX_KIND:
-            if not _is_real(self.benchmark_cost):
-                raise InvariantError(f"NetworkScenario: benchmark_cost must be a number or '{MAX_KIND}'")
-            _require(0 < _or_inf(self.benchmark_cost) < math.inf,
-                     "NetworkScenario: benchmark_cost must be finite and > 0")
-        if self.radio_mode not in RADIO_MODES:
-            raise InvariantError(f"NetworkScenario: radio_mode must be one of {RADIO_MODES}")
-        if not _is_int(self.rng_seed) or self.rng_seed < 0:
-            raise InvariantError(f"NetworkScenario: rng_seed must be an integer >= 0, got {self.rng_seed!r}")
-
     def station_values(self, value: Callable[[BsKind], float]) -> np.ndarray:
         """``value`` of each station's kind, in station order; it is called once per placed kind."""
         return np.array([value(k) for k in self.placed_kinds], dtype=float)[self.base_stations.kind]
+
+
+def _kinds_tuple(s: NetworkScenario) -> None:
+    if type(s.kinds) is not tuple:
+        object.__setattr__(s, "kinds", tuple(s.kinds))
+
+
+def _kinds_are_records(s: NetworkScenario) -> None:
+    for kind in s.kinds:
+        if not isinstance(kind, BsKind):
+            raise InvariantError(f"NetworkScenario: kinds must hold BsKind records, got {type(kind).__name__}")
+
+
+def _placed_kinds(s: NetworkScenario) -> None:
+    """Derive ``placed_kinds``; the kind_ids must be unique, and each the layout names in the catalog."""
+    by_id = {k.kind_id: k for k in s.kinds}
+    if len(by_id) < len(s.kinds):
+        _require_unique("kind_id", [k.kind_id for k in s.kinds])
+    layout = s.base_stations
+    placed = tuple(map(by_id.get, layout.kind_ids))
+    if not all(placed):
+        i, j = next((i, j) for i, j in enumerate(layout.kind.tolist()) if placed[j] is None)
+        raise UnknownKindError(
+            f"BaseStation '{layout._id(i)}': kind '{layout.kind_ids[j]}' is not in the scenario catalog"
+        )
+    object.__setattr__(s, "placed_kinds", placed)
+
+
+def _benchmark_cost(s: NetworkScenario) -> None:
+    if s.benchmark_cost != MAX_KIND:
+        if not _is_real(s.benchmark_cost):
+            raise InvariantError(f"NetworkScenario: benchmark_cost must be a number or '{MAX_KIND}'")
+        if not 0 < _or_inf(s.benchmark_cost) < math.inf:
+            raise InvariantError("NetworkScenario: benchmark_cost must be finite and > 0")
+
+
+def _rng_seed(s: NetworkScenario) -> None:
+    if not _is_int(s.rng_seed) or s.rng_seed < 0:
+        raise InvariantError(f"NetworkScenario: rng_seed must be an integer >= 0, got {s.rng_seed!r}")
+
+
+NetworkScenario._RULES = _rules(
+    ("kinds", _kinds_tuple),
+    ("kinds", _kinds_are_records),
+    _is_a("base_stations", StationLayout),
+    _is_a("ues", UePopulation),
+    _is_a("cache", CacheConfig),
+    _is_a("traffic", TrafficProfile),
+    _rule("kinds", lambda s: len(s.kinds) >= 1, "at least one kind required"),
+    _rule("base_stations", lambda s: len(s.base_stations) >= 1, "at least one base station required"),
+    _rule("ues", lambda s: len(s.ues) >= 1, "at least one UE required"),
+    ("kinds base_stations", _placed_kinds),
+    ("benchmark_cost", _benchmark_cost),
+    _one_of("radio_mode", RADIO_MODES),
+    ("rng_seed", _rng_seed),
+)
 
 
 def validate_scenario(s: NetworkScenario) -> list[str]:

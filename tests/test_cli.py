@@ -720,6 +720,33 @@ def test_a_line_break_in_an_unknown_key_stays_on_its_error_line(tmp_path, capsys
     assert capsys.readouterr().err == "error: kinds\\n: unknown key\n"
 
 
+def test_a_line_break_in_the_validated_path_stays_on_the_ok_line(tmp_path, capsys):
+    # the ok line once ran across two lines, ".../a" and "b/s.json: ok (...)"
+    folder = tmp_path / "a\nb\rc"
+    folder.mkdir()
+    scenario = folder / "s.json"
+    scenario.write_text(scenario_path("fig3.json").read_text())
+    assert main(["validate", str(scenario)]) == 0
+    escaped = str(scenario).replace("\r", "\\r").replace("\n", "\\n")
+    assert capsys.readouterr().out == f"{escaped}: ok (1 BSs, 10 UEs)\n"
+
+
+def test_a_line_break_in_the_out_path_and_an_axis_value_stays_on_its_line(tmp_path, capsys):
+    # "wrote N rows to" once printed the --out path as it is, and "argmax" the
+    # axis values, so a line break in either split the line
+    folder = tmp_path / "a\nb"
+    folder.mkdir()
+    out = folder / "x.csv"
+    argv = ["sweep", FIG3, "--param", "base_stations[0].bs_id=p\rq,s\nt", "--time", "20", "--argmax", "e3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.split("\n")
+    escaped = str(out).replace("\n", "\\n")
+    assert lines[0] == f"wrote 2 rows to {escaped}"
+    assert lines[1].startswith("argmax e3: base_stations[0].bs_id=p\\rq (e3=") and lines[2:] == [""]
+    assert "\r" not in lines[1]
+
+
 class TestValidate:
     def test_clean_scenario_reports_ok(self, capsys):
         assert main(["validate", FIG3]) == 0

@@ -1,12 +1,13 @@
 """Scenario construction, schema errors, generators, and round-tripping."""
 
+import collections
 import contextlib
 import copy
 import hashlib
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -165,11 +166,15 @@ class TestUniformPositions:
     @settings(deadline=None)
     @given(
         seed=st.integers(0, 2**130 - 1),
-        count=st.sampled_from((1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)),
+        # 31 to 33 points take 62 to 66 draws, about the 64 states made before doubling
+        count=st.sampled_from((1, 10, 31, 32, 33, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)),
         width=st.floats(0.0, 1.7e308, exclude_min=True),
         height=st.floats(0.0, 1.7e308, exclude_min=True),
     )
     @example(seed=0, count=1, width=60.0, height=60.0)
+    @example(seed=7, count=10, width=60.0, height=60.0)
+    @example(seed=1, count=32, width=3.0, height=1e-300)
+    @example(seed=2, count=33, width=100.0, height=100.0)
     @example(seed=2**32 - 1, count=BLOCK - 1, width=1.7e308, height=5e-324)
     @example(seed=2**32, count=BLOCK, width=1.0, height=1e300)
     @example(seed=2**64, count=BLOCK + 1, width=200.0, height=100.0)
@@ -992,14 +997,147 @@ class TestValueReuse:
         parsed = []
         classes = (XHaulSolution, CostBreakdown, BsKind, CacheConfig, TrafficProfile, StationLayout, UePopulation,
                    NetworkScenario)
+        # a record is made either through its class or as an edit of the base's (model.edit)
         with contextlib.ExitStack() as stack:
             stack.enter_context(mock.patch.dict(_FIELDS, recorded_parsers(parsed)))
             made = {cls.__name__: stack.enter_context(
                 mock.patch.object(cls, "__init__", autospec=True, side_effect=cls.__init__)) for cls in classes}
+            edits = stack.enter_context(mock.patch("e3sim.document.edit", wraps=model.edit))
             steps = sweep._steps(document, spec.param_path)
             ((_, s, _),) = sweep._points(document, steps, [key for _, key in steps], spec, base, 20.0)
         assert parsed == ["kinds[0].xhaul.capacity_bps", "kinds[0].cache_size"]  # in field order
-        assert {name: m.call_count for name, m in made.items() if m.call_count} == {
-            "XHaulSolution": 1, "BsKind": 1, "NetworkScenario": 1}
+        counts = collections.Counter({name: m.call_count for name, m in made.items()})
+        counts.update(type(c.args[0]).__name__ for c in edits.call_args_list)
+        assert {name: n for name, n in counts.items() if n} == {"XHaulSolution": 1, "BsKind": 1, "NetworkScenario": 1}
         assert s == build_scenario(point) and s.ues is base.ues and s.base_stations is base.base_stations
         assert s.kinds[0].cache_size == 2 and s.kinds[0].xhaul.capacity_bps == 2e7
+
+
+@contextlib.contextmanager
+def recorded_rules(ran):
+    """The rules of every checked record class, each appending (class name,
+    the fields it reads) to ``ran`` as it runs; compiled makers and the
+    rule lists ``model.rules_reading`` keeps are made again on each side."""
+    def recorded(name, reads, check):
+        def run(record):
+            ran.append((name, reads))
+            check(record)
+        return run
+
+    model.rules_reading.cache_clear()
+    try:
+        with contextlib.ExitStack() as stack:
+            for cls in (XHaulSolution, CostBreakdown, BsKind, CacheConfig, TrafficProfile, NetworkScenario):
+                rules = tuple((reads, recorded(cls.__name__, reads, check)) for reads, check in cls._RULES)
+                stack.enter_context(mock.patch.object(cls, "_RULES", rules))
+            yield
+    finally:
+        model.rules_reading.cache_clear()
+
+
+def checked_records():
+    """Valid records of every checked class: X-Haul solutions with a set and a
+    derived power factor, a cost breakdown, kinds with and without one, cache
+    and traffic settings, and scenarios of one and of two kinds."""
+    breakdown = CostBreakdown(10.0, 10.0, 10.0, 5.0, 5.0, 5.0, 5.0, inherited_discount=0.5)
+    macro = make_kind("macro", xhaul=make_xhaul(medium="wireless"), cost_breakdown=breakdown, cache_size=4)
+    two = make_scenario(kinds=(make_kind(), macro), base_stations=make_stations([(0.0, 0.0), (50.0, 0.0)],
+                                                                                 (make_kind(), macro)))
+    return [make_xhaul(medium="wireless"), make_xhaul(factor=1.5), breakdown, make_kind(), macro,
+            CacheConfig(20, 0.8, "top_popular"), TrafficProfile(4.0, 20.0, 24), make_scenario(), two]
+
+
+CHECKED_RECORDS = checked_records()
+
+#: Numbers that pass or break a number field's rules: good values, bools,
+#: NaN and infinities, ints past the largest float, fractions, numpy numbers
+#: and no number at all.
+EDIT_NUMBERS = (0, 1, 3.0, 4, 20, 24, 50.0, 1e7, 0.5, 2.5, -1, -1.0, 0.0, 1e6, 10**400, -(10**400), True, False,
+                math.nan, math.inf, -math.inf, np.float64(3.0), np.int64(4), "x", None)
+EDIT_STRINGS = ("pico", "macro", "zz", "xh", "wired", "wireless", "fiber", "none", "top_popular", "abstract",
+                "physical", 1, None)
+
+
+def edit_values():
+    """Values to set by the field they are set at (by name, else by annotation)."""
+    breakdown = CHECKED_RECORDS[2]
+    pico, macro = CHECKED_RECORDS[3], CHECKED_RECORDS[4]
+    renamed = replace(pico, kind_id="zz")
+    layouts = (make_stations([(0.0, 0.0)], (pico,)), make_stations([(0.0, 0.0), (9.0, 0.0)], (pico, macro)),
+               make_stations([(0.0, 0.0)], (renamed,)), StationLayout(None, np.zeros(0, np.intp), np.zeros((0, 2)), ()))
+    return {
+        "float": EDIT_NUMBERS, "float | None": EDIT_NUMBERS, "int": EDIT_NUMBERS, "str": EDIT_STRINGS,
+        "xhaul": (make_xhaul(), make_xhaul(medium="wireless"), "x", None),
+        "cost_breakdown": (None, breakdown, replace(breakdown, infrastructure=20.0), "x"),
+        "kinds": ((pico,), (renamed,), (pico, macro), (macro, pico), (pico, pico), (), [pico], (pico, "x")),
+        "base_stations": (*layouts, "x"),
+        "ues": (make_ues([(1.0, 2.0)]), make_ues([(1.0, 2.0), (3.0, 4.0)], ids=("a", "b")), make_ues(np.zeros((0, 2))),
+                "x"),
+        "cache": (CacheConfig(), CacheConfig(20, 0.8, "top_popular"), "x"),
+        "traffic": (TrafficProfile(), TrafficProfile(4.0, 20.0, 24), "x"),
+        "benchmark_cost": ("max-kind", "cheap", *EDIT_NUMBERS),
+        "rng_seed": (0, 5, -1, 2.0, True, 10**400, np.int64(3), "x"),
+    }
+
+
+EDIT_VALUES = edit_values()
+
+
+@st.composite
+def record_edits(draw):
+    """A valid record of a checked class, and a change of one to three of its fields."""
+    record = draw(st.sampled_from(CHECKED_RECORDS))
+    names = draw(st.lists(st.sampled_from([f.name for f in fields(record) if f.init]), min_size=1, max_size=3,
+                          unique=True))
+    by_name = {f.name: f.type for f in fields(record)}
+    return record, {name: draw(st.sampled_from(EDIT_VALUES.get(name) or EDIT_VALUES[by_name[name]]))
+                    for name in names}
+
+
+class TestEdit:
+    @settings(max_examples=500, deadline=None)
+    @given(edit=record_edits())
+    # the medium edited while the power factor was derived from the old one
+    @example(edit=(CHECKED_RECORDS[0], {"medium": "wired"}))
+    @example(edit=(CHECKED_RECORDS[0], {"medium": "wired", "xhaul_power_factor": None}))
+    # a rule across two fields: the breakdown must sum to cost_per_area
+    @example(edit=(CHECKED_RECORDS[4], {"cost_per_area": 60.0}))
+    # a renamed kind that the layout names, and a layout that names a kind the catalog lacks
+    @example(edit=(CHECKED_RECORDS[7], {"kinds": (replace(CHECKED_RECORDS[3], kind_id="zz"),)}))
+    @example(edit=(CHECKED_RECORDS[8], {"base_stations": EDIT_VALUES["base_stations"][2], "benchmark_cost": 0}))
+    # an int past the largest float, in a float and in an integer field
+    @example(edit=(CHECKED_RECORDS[3], {"tx_power_w": 10**400, "cache_size": 10**400}))
+    def test_an_edit_equals_the_record_its_class_makes_or_raises_its_error(self, edit):
+        record, changes = edit
+        values = {f.name: getattr(record, f.name) for f in fields(record) if f.init}
+        made = built_or_error(lambda c: type(record)(**{**values, **c}), changes)
+        edited = built_or_error(lambda c: model.edit(record, c), changes)
+        assert edited == made
+        if isinstance(made, NetworkScenario):
+            assert edited.placed_kinds == made.placed_kinds
+            assert all(k is {c.kind_id: c for c in edited.kinds}[k.kind_id] for k in edited.placed_kinds)
+        assert record == checked_records()[CHECKED_RECORDS.index(record)]  # the base is left as it was
+
+    def test_the_constructor_runs_every_rule_once_in_order(self):
+        for record in CHECKED_RECORDS:
+            ran = []
+            values = {f.name: getattr(record, f.name) for f in fields(record) if f.init}
+            with recorded_rules(ran):
+                type(record)(**values)
+            assert ran == [(type(record).__name__, reads) for reads, _ in type(record)._RULES]
+
+    def test_a_cache_xhaul_point_runs_only_the_rules_that_read_what_it_edits(self):
+        # the X-Haul's capacity, the kind's cache size and X-Haul, and the scenario's kinds
+        document = REUSE_DOCUMENTS["fig3.json"]
+        spec = SweepSpec("kinds.ap.cache_size", (2,), "kinds.ap.xhaul.capacity_bps", (2e7,), time_hours=20.0)
+        base = build_scenario(document)
+        point_inputs(base, 20.0)  # the point's demand factors are then the kept ones: no TrafficProfile is made
+        ran = []
+        with recorded_rules(ran):
+            steps = sweep._steps(document, spec.param_path)
+            ((_, s, _),) = sweep._points(document, steps, [key for _, key in steps], spec, base, 20.0)
+        edited = {XHaulSolution: {"capacity_bps"}, BsKind: {"cache_size", "xhaul"}, NetworkScenario: {"kinds"}}
+        assert ran == [(cls.__name__, reads) for cls, names in edited.items() for reads, _ in cls._RULES
+                       if reads & names]
+        assert [name for name, _ in ran] == ["XHaulSolution"] * 2 + ["BsKind"] * 4 + ["NetworkScenario"] * 4
+        assert s == build_scenario(set_parameter(set_parameter(document, spec.param_path, 2), spec.param2_path, 2e7))

@@ -37,7 +37,7 @@ from e3sim import (
 )
 from e3sim import sweep
 from e3sim.document import _build, _makers
-from e3sim.model import BaseStation
+from e3sim.model import _BREAKDOWN_COMPONENTS as BREAKDOWN_COMPONENTS, BaseStation
 from e3sim.sweep import open_sweep
 
 
@@ -435,6 +435,20 @@ def two_station_fig3():
     return doc
 
 
+def derived_fig3():
+    """two_station_fig3 whose X-Haul leaves out its power factor, which then
+    follows the medium, and whose kind has a cost breakdown, which its
+    cost_per_area must match."""
+    doc = two_station_fig3()
+    del doc["kinds"][0]["xhaul"]["xhaul_power_factor"]
+    doc["kinds"][0]["cost_breakdown"] = {"infrastructure": 20.0, **dict.fromkeys(BREAKDOWN_COMPONENTS[1:], 5.0)}
+    return doc
+
+
+#: The document of each ``AXES`` entry.
+DOCUMENTS = {"fig3": two_station_fig3, "fig3_derived": derived_fig3, "fig2": lambda: load_document("fig2.json")}
+
+
 #: Sweep axes by document: each path with values that move the geometry,
 #: change traffic or physical capacity, or fail to build or to evaluate.
 AXES = {
@@ -456,9 +470,22 @@ AXES = {
         "kinds.ap.radio_capacity_bps": (2e7, 5e7, 6e7, 1.2e8, 0.0),
         "cache.strategy": ("none", "random_fill", "top_popular", "lru"),
         "kinds.ap.max_tx_dynamic_power_w": (1.0, 3.2, 8.0, -1.0),
+        # a renamed kind leaves the stations naming "ap" unknown
+        "kinds[0].kind_id": ("ap", "zz"),
+        "benchmark_cost": ("max-kind", 100, 0, "cheap"),
+    },
+    # values derived from another field, and a rule across two fields
+    "fig3_derived": {
+        "kinds.ap.xhaul.medium": ("wired", "wireless", "fiber"),
+        "kinds.ap.xhaul.capacity_bps": (1e7, 2e7),
+        "kinds.ap.cost_per_area": (50.0, 60.0, 0.0),
+        "kinds.ap.cost_breakdown.infrastructure": (20.0, 30.0, -1.0),
+        "kinds.ap.cache_size": (0, 6, 2.5),
     },
     "fig2": {
-        "base_stations.grid.kind": ("opt1", "opt3", "opt5", "opt9"),
+        "base_stations.grid.kind": ("opt1", "opt3", "opt5", "opt9", "zz"),
+        # renaming opt1 to an id in use duplicates it; to "zz", the grid may name it
+        "kinds[0].kind_id": ("opt1", "zz", "opt3"),
         "kinds.opt3.bandwidth_hz": (1e6, 2e7, 0.0),
         "kinds.opt3.tx_power_w": (0.05, 1.0),
         "kinds.opt3.xhaul.capacity_bps": (1e7, 1e8),
@@ -488,7 +515,7 @@ def fresh_outcome(document, spec, values):
 @st.composite
 def sweeps(draw):
     name = draw(st.sampled_from(sorted(AXES)))
-    document = two_station_fig3() if name == "fig3" else load_document("fig2.json")
+    document = DOCUMENTS[name]()
     document["radio_mode"] = draw(st.sampled_from(("abstract", "physical")))
     paths = draw(st.lists(st.sampled_from(sorted(AXES[name])), min_size=1, max_size=2, unique=True))
     axes = [tuple(draw(st.lists(st.sampled_from(AXES[name][p]), min_size=1, max_size=4, unique=True))) for p in paths]
@@ -675,6 +702,27 @@ class TestBlocks:
     @example(
         sweep=(two_station_fig3(), SweepSpec(param_path="kinds.ap.radio_capacity_bps", values=(5e7, 6e7, 1.2e8),
                                              time_hours=20.0)),
+        chunk_bytes=radio.CHUNK_BYTES,
+    )
+    @example(
+        sweep=(derived_fig3(), SweepSpec(param_path="kinds.ap.xhaul.medium", values=("wireless", "fiber", "wired"),
+                                         param2_path="kinds.ap.cost_per_area", values2=(60.0, 50.0), daily=True)),
+        chunk_bytes=radio.CHUNK_BYTES,
+    )
+    @example(
+        sweep=(derived_fig3(), SweepSpec(param_path="kinds.ap.cost_breakdown.infrastructure", values=(30.0, 20.0),
+                                         param2_path="kinds.ap.cost_per_area", values2=(50.0, 60.0), time_hours=3.0)),
+        chunk_bytes=1024,
+    )
+    @example(
+        sweep=(load_document("fig2.json"), SweepSpec(param_path="kinds[0].kind_id", values=("zz", "opt3", "opt1"),
+                                                     param2_path="base_stations.grid.kind", values2=("zz", "opt1"),
+                                                     time_hours=20.0)),
+        chunk_bytes=radio.CHUNK_BYTES,
+    )
+    @example(
+        sweep=(two_station_fig3(), SweepSpec(param_path="benchmark_cost", values=("max-kind", 100, 0, "cheap"),
+                                             param2_path="kinds[0].kind_id", values2=("ap", "zz"), daily=True)),
         chunk_bytes=radio.CHUNK_BYTES,
     )
     def test_every_row_equals_a_fresh_evaluation(self, sweep, chunk_bytes):
