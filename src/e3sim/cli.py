@@ -22,6 +22,7 @@ import json
 import math
 import operator
 import os
+import re
 import shlex
 import sys
 from typing import Any, Iterable, Sequence, TextIO
@@ -67,25 +68,45 @@ def _fmt(value: Any) -> str:
     return format(value, ".12g")
 
 
-def _metric_cells(report: MetricReport | None) -> list[str]:
+def _metric_text(report: MetricReport | None) -> str:
+    """The metric cells of a CSV row, ``report``'s values in ``METRIC_TABLE``
+    order joined by commas; empty cells for no report."""
     if report is None:
-        return [""] * len(METRIC_TABLE)
-    return list(map(_fmt, _metric_values(report)))
+        return "," * (len(METRIC_TABLE) - 1)
+    return ",".join(map(_fmt, _metric_values(report)))
 
 
-def _report_row(values: tuple[Any, ...], cells: list[str], error: str | None) -> list[str]:
-    param1 = _fmt(values[0]) if len(values) >= 1 else ""
-    param2 = _fmt(values[1]) if len(values) >= 2 else ""
-    return [param1, param2, *cells, error or ""]
+#: A character for which ``csv.writer`` may quote a field; a lone ``\r`` is
+#: quoted by some Python versions only, so such rows are left to the writer.
+_QUOTED = re.compile('[,"\r\n]')
 
 
-def _write_csv(path: str, manifest: list[str], rows: Iterable[list[str]]) -> None:
+#: A CSV row: its axis values, its ``_metric_text`` and its error or None.
+Row = tuple[tuple[Any, ...], str, str | None]
+
+
+def _write_rows(f: TextIO, rows: Iterable[Row]) -> None:
+    """Write each row as one CSV line, the bytes of ``csv.writer(f,
+    lineterminator="\\n")``: a row whose axis values and error need no
+    quoting is formatted as text, any other goes through ``csv.writer``."""
+    writer = csv.writer(f, lineterminator="\n")
+    write = f.write
+    for values, cells, error in rows:
+        param1 = _fmt(values[0]) if values else ""
+        param2 = _fmt(values[1]) if len(values) > 1 else ""
+        error = error or ""
+        if _QUOTED.search(param1 + param2 + error) is None:
+            write(f"{param1},{param2},{cells},{error}\n")
+        else:
+            writer.writerow([param1, param2, *cells.split(","), error])
+
+
+def _write_csv(path: str, manifest: list[str], rows: Iterable[Row]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         for line in manifest:
             f.write(line + "\n")
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+        csv.writer(f, lineterminator="\n").writerow(CSV_COLUMNS)
+        _write_rows(f, rows)
 
 
 def _print_report(report: MetricReport, out: TextIO) -> None:
@@ -193,7 +214,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _print_report(report, sys.stdout)
     if args.out:
         manifest = _manifest(args, spec_text, scenario.rng_seed, args.out)
-        _write_csv(args.out, manifest, [_report_row((), _metric_cells(report), None)])
+        _write_csv(args.out, manifest, [((), _metric_text(report), None)])
     return EXIT_OK
 
 
@@ -231,8 +252,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 best.add(row)
             # the rows of a run of equal points share one report, formatted once
             if cells is None or row.report is not report:
-                report, cells = row.report, _metric_cells(row.report)
-            yield _report_row(row.values, cells, row.error)
+                report, cells = row.report, _metric_text(row.report)
+            yield row.values, cells, row.error
 
     _write_csv(args.out, manifest, lines())
     print(_one_line(f"wrote {written} rows to {args.out}" + (f" ({failed} failed)" if failed else "")))

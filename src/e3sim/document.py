@@ -37,6 +37,7 @@ from .model import (
     BaseStation,
     BsKind,
     CacheConfig,
+    Check,
     CostBreakdown,
     ScenarioError,
     SchemaError,
@@ -207,9 +208,9 @@ def _record(section: tuple[str, ...], doc: Any, path: str) -> Any:
 def _maker(section: tuple[str, ...], record: Any, doc: Any, edits: dict[str, Any] | None, path: str) -> Maker:
     """A reader of record ``section`` at document ``path`` for edits of
     ``doc``, the section ``record`` was read from, at the keys in ``edits``
-    (a tree of ``_makers``; None for all). It parses the edited keys in
-    field order, a nested record edited below made so at its field's
-    position, so the first error is a full parse's, and makes ``record``
+    (the tree of edited keys of ``_makers``; None for all). It parses the
+    edited keys in field order, a nested record edited below made so at its
+    field's position, so the first error is a full parse's, and makes ``record``
     edited at them (``model.edit``). A key ``doc`` leaves out whose value
     was derived (is not its default) is edited back to the default, so its
     rule derives it again. The fields edited, their paths and the rules run
@@ -241,12 +242,6 @@ def _maker(section: tuple[str, ...], record: Any, doc: Any, edits: dict[str, Any
 _FIELDS = {
     section: tuple((f.name, _field_parser(section, f)) for f in fields(cls)) for section, cls in _RECORDS.items()
 }
-
-#: What ``_build`` takes to read every section: each root key set whole.
-_WHOLE = dict.fromkeys(section_keys(())) | {
-    key: _at(functools.partial(_record, (key,)), key) for key in ("cache", "traffic")
-}
-
 
 def _build_base_stations(doc: Any, kind_ids: Container[str]) -> StationLayout:
     """The layout of section ``doc``; each station must name one of ``kind_ids``."""
@@ -339,57 +334,109 @@ def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario
     return _build(document)
 
 
-def _build(document: Any, base: NetworkScenario | None = None, makers: Mapping[str, Any] = _WHOLE) -> NetworkScenario:
+#: A reader of one root section for ``_build``: its field's value from the
+#: document, the fields read before it and the base scenario (None for a
+#: fresh build).
+Reader = Callable[[Any, dict[str, Any], Any], Any]
+
+
+def _read_kinds(document: Any, read: dict[str, Any], base: NetworkScenario | None) -> tuple[BsKind, ...]:
+    entries = document["kinds"]
+    if not isinstance(entries, list) or not entries:
+        raise SchemaError("kinds: expected a non-empty list")
+    return tuple(_record(("kinds", "*"), k, f"kinds[{i}]") for i, k in enumerate(entries))
+
+
+def _edited_kinds(makers: dict[int, Maker], document: Any, read: dict[str, Any], base: NetworkScenario) -> tuple:
+    """``base``'s kinds, each of an index in ``makers`` made by its maker;
+    an edit that leaves a kind_id alone keeps the base's very string."""
+    kinds = list(base.kinds)
+    for i, make in makers.items():
+        kinds[i] = make(document["kinds"][i])
+    return tuple(kinds)
+
+
+def _read_stations(document: Any, read: dict[str, Any], base: NetworkScenario | None) -> StationLayout:
+    kinds = read["kinds"] if "kinds" in read else base.kinds
+    return _build_base_stations(document["base_stations"], {k.kind_id for k in kinds})
+
+
+def _renamed_stations(document: Any, read: dict[str, Any], base: NetworkScenario) -> StationLayout:
+    """``base``'s layout, read again when the kinds read lack a kind_id it names."""
+    if {k.kind_id for k in read["kinds"]}.issuperset(base.base_stations.kind_ids):
+        return base.base_stations
+    return _read_stations(document, read, base)
+
+
+def _read_ues(document: Any, read: dict[str, Any], base: NetworkScenario | None) -> UePopulation:
+    return _build_ues(document["ues"], read["rng_seed"] if "rng_seed" in read else base.rng_seed)
+
+
+def _reseeded_ues(document: Any, read: dict[str, Any], base: NetworkScenario) -> UePopulation:
+    """``base``'s UEs, generated again when the seed read differs from the base's."""
+    if read["rng_seed"] == base.rng_seed or isinstance(document["ues"], list):
+        return base.ues
+    return _read_ues(document, read, base)
+
+
+def _section(key: str, make: Maker, document: Any, read: dict[str, Any], base: NetworkScenario | None) -> Any:
+    """Record section ``key`` made by ``make``, an empty section where the document leaves it out."""
+    return make(document.get(key, {}))
+
+
+#: (root key, field it sets, reader) of each root section, in the one order
+#: that decides the error of a document bad in two sections.
+_READERS: tuple[tuple[str, str, Reader], ...] = (
+    ("seed", "rng_seed", lambda document, read, base: _seed(document)),
+    ("kinds", "kinds", _read_kinds),
+    *((key, key, functools.partial(_section, key, _at(functools.partial(_record, (key,)), key)))
+      for key in ("cache", "traffic")),
+    ("benchmark_cost", "benchmark_cost", lambda document, read, base: _benchmark_cost(document)),
+    ("base_stations", "base_stations", _read_stations),
+    ("ues", "ues", _read_ues),
+    ("radio_mode", "radio_mode", lambda document, read, base: _as_choice(
+        document.get("radio_mode", "abstract"), "document.radio_mode", RADIO_MODES
+    )),
+)
+
+#: What ``_build`` reads of a document: (field, reader) in ``_READERS``
+#: order, and the scenario rules that read those fields (``model.edit``),
+#: None for a fresh build, which runs them all.
+Plan = tuple[tuple[tuple[str, Reader], ...], tuple[Check, ...] | None]
+
+#: The plan that reads every section.
+_WHOLE: Plan = (tuple((field, reader) for _, field, reader in _READERS), None)
+
+
+def _build(document: Any, base: NetworkScenario | None = None, plan: Plan = _WHOLE) -> NetworkScenario:
     """The scenario of ``document``, validated whole. With ``base``, of whose
-    document it is an edit at the keys ``makers`` (``_makers``) names, only
+    document it is an edit at the paths ``plan`` (``_makers``) reads, only
     the sections on those paths are read, the stations also when a renamed
     kind leaves the layout naming a kind_id the kinds lack, and generated
     UEs when the seed changes; the scenario is ``base`` edited at the fields
     read (``model.edit``), so every other section is the base's own object
     and only the rules that read a field read run. Without, all are read.
-    The one order here decides the error of a document bad in two sections."""
+    The one order of ``_READERS`` decides the error of a document bad in
+    two sections."""
+    readers, checks = plan
     if base is None:
         _check_keys(document, "", ())
     read: dict[str, Any] = {}
-    if "seed" in makers:
-        read["rng_seed"] = _seed(document)
-    stations = "base_stations" in makers
-    if base is None:
-        entries = document["kinds"]
-        if not isinstance(entries, list) or not entries:
-            raise SchemaError("kinds: expected a non-empty list")
-        read["kinds"] = tuple(_record(("kinds", "*"), k, f"kinds[{i}]") for i, k in enumerate(entries))
-    elif "kinds" in makers:
-        kinds, renamed = list(base.kinds), False
-        for i, make in makers["kinds"].items():
-            kinds[i] = make(document["kinds"][i])
-            # an edit that leaves a kind_id alone keeps the base's very string
-            renamed = renamed or kinds[i].kind_id is not base.kinds[i].kind_id
-        read["kinds"] = tuple(kinds)
-        stations = stations or renamed and not {k.kind_id for k in kinds}.issuperset(base.base_stations.kind_ids)
-    for key in ("cache", "traffic"):
-        if key in makers:
-            read[key] = makers[key](document.get(key, {}))
-    if "benchmark_cost" in makers:
-        read["benchmark_cost"] = _benchmark_cost(document)
-    if stations:
-        kind_ids = {k.kind_id for k in (read["kinds"] if "kinds" in read else base.kinds)}
-        read["base_stations"] = _build_base_stations(document["base_stations"], kind_ids)
-    seed = read["rng_seed"] if "rng_seed" in read else base.rng_seed
-    if "ues" in makers or seed != base.rng_seed and not isinstance(document["ues"], list):
-        read["ues"] = _build_ues(document["ues"], seed)
-    if "radio_mode" in makers:
-        read["radio_mode"] = _as_choice(document.get("radio_mode", "abstract"), "document.radio_mode", RADIO_MODES)
-    return NetworkScenario(**read) if base is None else edit(base, read)
+    for name, reader in readers:
+        read[name] = reader(document, read, base)
+    return NetworkScenario(**read) if base is None else edit(base, read, checks)
 
 
-def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]]) -> dict[str, Any]:
-    """What ``_build`` takes on ``base`` for ``document``, an edit of
-    ``base``'s at ``paths``, each the keys (a list index as an int) from the
-    root to an edited value: the tree of edited keys, each mapped to the
-    keys edited below it and a path's last key to None, with each edited
-    kind, cache or traffic record's maker (``_maker``) in place of its keys.
-    A key one path sets whole stays whole when another goes below it."""
+def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]]) -> Plan:
+    """The plan ``_build`` takes on ``base`` for ``document``, an edit of
+    ``base``'s at ``paths``, each the keys (a list index as an int) from
+    the root to an edited value. From the tree of edited keys, each mapped
+    to the keys edited below it and a path's last key to None (a key one
+    path sets whole stays whole when another goes below it), it chooses
+    once which root sections are read, each edited kind, cache or traffic
+    record by its maker (``_maker``); whether the stations may need reading
+    again after a kind rename, or the UEs after a seed change; and the
+    scenario rules the fields read select."""
     edits: dict[Any, Any] = {}
     for keys in paths:
         node = edits
@@ -399,13 +446,25 @@ def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]]) -> dic
                 break
         else:
             node[keys[-1]] = None
-    if "kinds" in edits:
-        edits["kinds"] = {i: _maker(("kinds", "*"), base.kinds[i], document["kinds"][i], below, f"kinds[{i}]")
-                          for i, below in sorted(edits["kinds"].items())}
-    for key in ("cache", "traffic"):
-        if key in edits:
-            edits[key] = _maker((key,), getattr(base, key), document.get(key, {}), edits[key], key)
-    return edits
+    renames = any(below is None or "kind_id" in below for below in edits.get("kinds", {}).values())
+    plan = []
+    for key, field, reader in _READERS:
+        if key == "kinds" and key in edits:
+            reader = functools.partial(_edited_kinds, {
+                i: _maker(("kinds", "*"), base.kinds[i], document["kinds"][i], below, f"kinds[{i}]")
+                for i, below in sorted(edits["kinds"].items())
+            })
+        elif key in ("cache", "traffic") and key in edits:
+            make = _maker((key,), getattr(base, key), document.get(key, {}), edits[key], key)
+            reader = functools.partial(_section, key, make)
+        elif key == "base_stations" and key not in edits and renames:
+            reader = _renamed_stations
+        elif key == "ues" and key not in edits and "seed" in edits:
+            reader = _reseeded_ues
+        elif key not in edits:
+            continue
+        plan.append((field, reader))
+    return tuple(plan), rules_reading(NetworkScenario, tuple(field for field, _ in plan))
 
 
 def _seed(document: Any) -> int:

@@ -68,9 +68,3 @@ def resolve_benchmark_cost(s: NetworkScenario) -> float:
             raise ValueError("max-kind benchmark resolved to a non-positive cost")
         return c0
     return float(s.benchmark_cost)
-
-
-def station_cost_rate(kind: BsKind) -> float:
-    """Yearly cost of one station of ``kind``: per-area cost times coverage."""
-    return effective_cost_per_area(kind) * kind.coverage_area_m2
-

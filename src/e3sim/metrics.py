@@ -13,12 +13,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .allocation import Geometry, fill, plan_geometry, xhaul_limits
-from .energy_cost import cost_coefficient, dynamic_parts, resolve_benchmark_cost, station_cost_rate
+from .energy_cost import dynamic_parts, effective_cost_per_area, resolve_benchmark_cost
 from .model import TrafficProfile, _is_real
 from .radio import demand_factor
 
@@ -35,8 +36,8 @@ class MetricReport:
     ``time_hours`` is the evaluated hour of day, or None for a daily
     average (ratio of time-averaged numerators and denominators).
     ``cost_rate`` is the yearly deployment cost, the denominator of CE: the
-    ``energy_cost.station_cost_rate`` of every station, summed in station
-    order.
+    per-area cost (``energy_cost.effective_cost_per_area``) times coverage
+    of every station, summed in station order.
     """
 
     throughput_bps: float
@@ -91,23 +92,27 @@ def point_inputs(s: NetworkScenario, t_hours: float | None) -> tuple[np.ndarray,
     factors = _demand_factors(t_hours, traffic.peak_to_min_ratio, traffic.peak_hour, traffic.samples_per_day)
     limits = xhaul_limits(s)
     c0 = resolve_benchmark_cost(s)
+    if c0 <= 0:
+        raise ValueError(f"benchmark cost must be positive, got {c0}")
     per_item_w = s.cache.cache_power_per_item_w
     physical = s.radio_mode == "physical"
-    rows = []
+    flat = []
     for kind, limit in zip(s.placed_kinds, limits):
         static = kind.static_power_w + per_item_w * kind.cache_size
         radio = kind.radio_capacity_bps
-        rows.append((
+        # C_n as ``cost_coefficient`` computes it, and the yearly cost of one station
+        area_cost = effective_cost_per_area(kind)
+        flat += (
             radio,
             limit if physical else min(radio, limit),
             static,
-            static * cost_coefficient(kind, c0),
+            static * (area_cost / c0),
             kind.max_tx_dynamic_power_w,
             kind.xhaul.xhaul_power_factor,
             kind.bandwidth_hz,
-            station_cost_rate(kind),
-        ))
-    return factors, s.base_stations.kind, np.array(rows, dtype=float)
+            area_cost * kind.coverage_area_m2,
+        )
+    return factors, s.base_stations.kind, np.array(flat, dtype=float).reshape(-1, 8)
 
 
 #: The six sums of a report and its four ratios, the metrics, in the order ``evaluate_block`` checks them.
@@ -181,21 +186,10 @@ def _checked(values: list[float], t_hours: float | None) -> MetricReport | Value
     return MetricReport(throughput, weighted_throughput, total_power, weighted_power, *ratios, t_hours, cost_rate)
 
 
-def evaluate_block(
-    geometry: Geometry, inputs: Sequence[tuple], t_hours: float | None
-) -> list[MetricReport | ValueError]:
-    """Reports of points that share one geometry, or the error that fails each.
-
-    ``geometry`` is the points' ``plan_geometry`` and ``inputs`` their
-    ``point_inputs`` at ``t_hours``, at least one. With ``t_hours`` None
-    each report is a daily average (``evaluate_daily``), else the report at
-    that hour (``evaluate``). The sums and ratios of the whole block are
-    computed first, and overflow to inf or nan is let through; then each
-    point is checked on its own numbers (``_checked``). A point whose
-    report would hold a number that is not finite, or zero power or cost
-    rate, gets its ValueError in place of a report, with the message a
-    single evaluation raises.
-    """
+def _table(geometry: Geometry, inputs: Sequence[tuple]) -> np.ndarray:
+    """The ten numbers of each point's report, its six sums (``_sample_means``)
+    then its four ratios (``METRICS``), one row each with a column per point;
+    overflow to inf or nan is let through."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sums = _sample_means(geometry, inputs)
         throughput, weighted_throughput, total_power, weighted_power, bandwidth, cost_rate = sums
@@ -205,7 +199,32 @@ def evaluate_block(
             throughput * SECONDS_PER_YEAR / cost_rate,
             weighted_throughput / weighted_power,
         )
-    return [_checked(values, t_hours) for values in np.concatenate([sums, ratios]).T.tolist()]
+        return np.concatenate([sums, ratios])
+
+
+def evaluate_block(
+    geometry: Geometry, inputs: Sequence[tuple], t_hours: float | None
+) -> list[MetricReport | ValueError]:
+    """Reports of points that share one geometry, or the error that fails each.
+
+    ``geometry`` is the points' ``plan_geometry`` and ``inputs`` their
+    ``point_inputs`` at ``t_hours``, at least one. With ``t_hours`` None
+    each report is a daily average (``evaluate_daily``), else the report at
+    that hour (``evaluate``). The sums and ratios of the whole block are
+    computed first (``_table``); then the checks of ``_checked`` run on the
+    whole block at once, and only a block with a failing point checks each
+    point on its own numbers. A point whose report would hold a number that
+    is not finite, or zero power or cost rate, gets its ValueError in place
+    of a report, with the message a single evaluation raises.
+    """
+    table = _table(geometry, inputs)
+    # all ten numbers finite, and the throughput, both powers and the cost rate > 0
+    if not (np.isfinite(table).all() and (table[[0, 2, 3, 5]] > 0).all()):
+        return [_checked(values, t_hours) for values in table.T.tolist()]
+    throughput, weighted_throughput, total_power, weighted_power, _, cost_rate, *ratios = table.tolist()
+    return list(map(
+        MetricReport, throughput, weighted_throughput, total_power, weighted_power, *ratios, repeat(t_hours), cost_rate
+    ))
 
 
 def _evaluate_one(s: NetworkScenario, t_hours: float | None) -> MetricReport:

@@ -83,7 +83,7 @@ def nearest_stations(s: NetworkScenario) -> np.ndarray:
     return order[serving]
 
 
-# a squared distance past the largest float is inf: it still orders, and ties go to math.hypot
+# a squared distance past the largest float is inf: it still orders, and ties go to ``_closest``
 @np.errstate(over="ignore")
 def _nearest_of_all(bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
     """Row of ``bs`` nearest to each UE, scoring every station: the rule of
@@ -97,14 +97,53 @@ def _nearest_of_all(bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
         d2 = dx * dx + dy * dy
         best = d2.argmin(axis=1)
         near = d2 <= d2[np.arange(len(chunk)), best][:, None] * (1.0 + _TIE_RTOL)
-        for row in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
-            x, y = chunk[row]
-            best[row] = min(
-                np.flatnonzero(near[row]),
-                key=lambda j: (math.hypot(bs[j, 0] - x, bs[j, 1] - y), j),
-            )
+        ties = np.count_nonzero(near, axis=1) > 1
+        if ties.all():  # far from the stations every row ties, and is not copied
+            best = _closest(dx, dy, near)
+        elif ties.any():
+            best[ties] = _closest(dx[ties], dy[ties], near[ties])
         nearest[lo : lo + step] = best
     return nearest
+
+
+# scaled squares past the largest float are inf, and below the smallest 0: neither is near
+@np.errstate(over="ignore", under="ignore")
+def _closest(dx: np.ndarray, dy: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Column ``j`` of least ``(math.hypot(dx[i, j], dy[i, j]), j)`` of each
+    row ``i``, where ``near`` marks every column within ``_TIE_RTOL`` of the
+    row's least squared distance, so every least one.
+
+    Squared distances overflow far from the stations, and then every
+    station is near. So each row's differences are first scaled by the
+    power of two that brings its least Chebyshev distance into [0.5, 1):
+    that is exact, and the nearest stations' scaled squares are then at
+    least 0.25, where an underflowing term is far below ``_TIE_RTOL``, and
+    at most 2, so they cannot overflow; a row whose least Chebyshev
+    distance is 0 or not finite keeps ``near``. ``math.hypot`` reads only
+    ``|dx|`` and ``|dy|``, so it is called once per distinct pair of a row
+    that is still near, for the first column of that pair.
+    """
+    ax, ay = abs(dx), abs(dy)
+    least = np.maximum(ax, ay).min(axis=1)
+    scaled = np.flatnonzero((least > 0) & (least < math.inf))
+    if len(scaled):
+        power = np.frexp(least[scaled])[1][:, None]
+        sx, sy = np.ldexp(dx[scaled], -power), np.ldexp(dy[scaled], -power)
+        s2 = sx * sx + sy * sy
+        near[scaled] = s2 <= s2.min(axis=1)[:, None] * (1.0 + _TIE_RTOL)
+    # (|dx|, |dy|) as one exact complex key, NaN (sorted last, equal to none) where not near; a
+    # stable sort puts each row's equal pairs together in column order
+    pair = np.empty(near.shape, dtype=complex)
+    pair.real, pair.imag = ax, ay
+    pair[~near] = complex(math.nan, math.nan)
+    order = np.argsort(pair, axis=1, kind="stable")
+    pair = np.take_along_axis(pair, order, axis=1)
+    first = ~np.isnan(pair.real)
+    first[:, 1:] &= pair[:, 1:] != pair[:, :-1]
+    distance = np.full(near.shape, math.inf)
+    distance[first] = list(map(math.hypot, pair.real[first].tolist(), pair.imag[first].tolist()))
+    nearest = first & (distance == distance.min(axis=1)[:, None])
+    return np.where(nearest, order, near.shape[1]).min(axis=1)
 
 
 # squared distances and gaps past the largest float are inf, and compare as the full scan's do

@@ -236,7 +236,14 @@ def _rows(points: Iterator, t: float | None) -> Iterator[SweepRow]:
                     entries = geometry.rows_per_chunk
                 samples = len(new[0])
                 per_block = max(1, entries // samples)
-            if last is not None and all(x is y or x.tobytes() == y.tobytes() for x, y in zip(new, last)):
+            factors, kinds, table = new
+            # a sweep shares the factors and kinds arrays of equal points; the tables are new each point
+            if (
+                last is not None
+                and (factors is last[0] or factors.tobytes() == last[0].tobytes())
+                and (kinds is last[1] or kinds.tobytes() == last[1].tobytes())
+                and table.tobytes() == last[2].tobytes()
+            ):
                 built = None
             else:
                 inputs.append(new)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,12 +12,14 @@ from dataclasses import astuple
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import e3sim
 import oracles
 from conftest import SCENARIO_DIR, load_document, scenario_path, serving_ids
 from e3sim import SweepSpec, build_scenario, evaluate, evaluate_daily, run_sweep, validate_scenario
-from e3sim.cli import CSV_COLUMNS, MAX_GRID_POINTS, _parse_values, main
+from e3sim.cli import CSV_COLUMNS, MAX_GRID_POINTS, _fmt, _metric_text, _parse_values, _write_rows, main
+from e3sim.metrics import MetricReport
 from e3sim.model import _BREAKDOWN_COMPONENTS, MAX_CATALOG_SIZE, MAX_SAMPLES_PER_DAY, MAX_STATIONS, MAX_UES
 
 FIG3 = str(scenario_path("fig3.json"))
@@ -563,6 +566,32 @@ class TestDeterminismAndSeed:
         assert not out.exists()
 
 
+#: Text with every character ``csv.writer`` may quote, spaces, and non-ASCII letters.
+_CELL_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "0", ".", "é", "日"]), max_size=6)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.lists(st.one_of(st.floats(), st.integers(-10**20, 10**20), _CELL_TEXT), max_size=2).map(tuple),
+            st.one_of(st.none(), st.lists(st.floats(), min_size=8, max_size=8)),
+            st.one_of(st.none(), _CELL_TEXT),
+        ),
+        max_size=4,
+    )
+)
+def test_text_rows_are_the_bytes_of_csv_writer(rows):
+    # the rows as (axis values, metric values or None, error or None)
+    got, want = io.StringIO(newline=""), io.StringIO(newline="")
+    reports = [None if metrics is None else MetricReport(*metrics, None, 1.0) for _, metrics, _ in rows]
+    _write_rows(got, [(values, _metric_text(report), error) for (values, _, error), report in zip(rows, reports)])
+    writer = csv.writer(want, lineterminator="\n")
+    for (values, metrics, error) in rows:
+        params = [*map(_fmt, values), "", ""][:2]
+        writer.writerow([*params, *(map(_fmt, metrics) if metrics else [""] * 8), error or ""])
+    assert got.getvalue().encode() == want.getvalue().encode()
+
+
 #: sha256 of the non-``#`` lines of CLI runs on ``scenarios/``, recorded
 #: before the id-keyed allocation API was deleted; any change to the CSV
 #: bytes the paper studies produce shows here.
@@ -597,6 +626,9 @@ GOLDEN = {
     "fig3_two_sections_fail_daily": (["sweep", "fig3.json", "--param", "traffic.peak_hour=30,20",
                                       "--param2", "benchmark_cost=cheap,0,100", "--daily"],
                                      "2bcf471aa940782fd431397fe1079b3e6dc3258f3788fa64ae7705af378e7385"),
+    # an axis value and an error text that csv.writer quotes: '"ch""eap",,...,"document.benchmark_cost: ..."'
+    "fig3_quoted_value_daily": (["sweep", "fig3.json", "--param", 'benchmark_cost=ch"eap,100', "--daily"],
+                                "8f85b5146a1de53e324151da6cfe37d2ed557ab99f4ecdddcea20dcecb8ac2af"),
 }
 
 

@@ -45,6 +45,7 @@ from e3sim import (
     scenario_to_document,
     set_parameter,
 )
+from e3sim.metrics import MetricReport, _checked, _table, evaluate_block, point_inputs
 
 NUMBERS = slice(0, 8)  # the eight numbers of a MetricReport, time_hours excluded
 
@@ -242,6 +243,73 @@ class TestReportChecks:
         got = outcome(evaluate_daily, s)
         assert got == outcome(oracles.evaluate_daily, s)
         assert isinstance(got, tuple) or all(map(math.isfinite, astuple(got)[NUMBERS]))
+
+
+@st.composite
+def blocks(draw):
+    """1-6 points of one geometry: a scenario of ``scenarios()`` whose kinds
+    are drawn again for each point, as one of four cases: in their usual
+    ranges, so the point reports; with powers, capacities and cost near the
+    largest float (and in abstract mode bandwidth near 1e-300), so its sums
+    or ratios overflow; costing nothing (capital items only, all
+    inherited), so its cost rate is 0; or with powers and cost at the
+    smallest float, so its weighted power is 0. In physical mode transmit
+    power and bandwidth are part of the geometry, so every point keeps its
+    base's; a transmit power at the smallest float gives every point a
+    throughput of 0. The benchmark cost is pinned."""
+    mode = draw(st.sampled_from(("abstract", "physical")))
+    s = draw(scenarios(radio_mode=mode))
+    if mode == "physical" and draw(st.booleans()):
+        s = replace(s, kinds=tuple(replace(k, tx_power_w=5e-324) for k in s.kinds))
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        case = draw(st.sampled_from(("report", "overflow", "free", "tiny")))
+
+        def value(lo, hi):
+            return st.floats(1e300, 1e308) if case == "overflow" else st.floats(lo, hi)
+
+        def kind(k):
+            cost = 5e-324 if case == "tiny" else draw(value(1.0, 100.0))
+            return replace(
+                k,
+                static_power_w=5e-324 if case == "tiny" else draw(value(0.5, 50.0)),
+                max_tx_dynamic_power_w=5e-324 if case == "tiny" else draw(value(0.5, 50.0)),
+                radio_capacity_bps=draw(value(1e6, 1e8)),
+                bandwidth_hz=k.bandwidth_hz if mode == "physical" else draw(
+                    st.floats(1e-300, 1e-290) if case == "overflow" else st.floats(1e6, 2e7)
+                ),
+                xhaul=replace(k.xhaul, capacity_bps=draw(value(1e6, 1e8))),
+                cost_per_area=cost,
+                cache_item_cost_per_area=0.0,
+                cost_breakdown=CostBreakdown(cost, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0) if case == "free" else None,
+            )
+
+        points.append(replace(s, kinds=tuple(map(kind, s.kinds)), benchmark_cost=100.0))
+    return points
+
+
+class TestBlockChecks:
+    """``evaluate_block`` checks a whole block at once, and gives each point
+    what ``_checked`` gives its own ten numbers, error or report."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=blocks(), t=st.one_of(st.none(), hours), chunk_bytes=st.sampled_from((8, 1024, radio.CHUNK_BYTES)))
+    # received power that underflows to 0 W: a throughput of 0, every other check passing
+    @example(
+        points=[make_scenario(kinds=(make_kind(tx_power_w=5e-324),), radio_mode="physical")] * 2,
+        t=20.0,
+        chunk_bytes=radio.CHUNK_BYTES,
+    )
+    def test_each_point_is_what_checked_makes_of_its_numbers(self, points, t, chunk_bytes):
+        with mock.patch.object(radio, "CHUNK_BYTES", chunk_bytes):
+            geometry = allocation.plan_geometry(points[0])
+            inputs = [point_inputs(p, t) for p in points]
+            got = evaluate_block(geometry, inputs, t)
+            want = [_checked(values, t) for values in _table(geometry, inputs).T.tolist()]
+        # a ValueError compares by identity, so each outcome is compared by its type and text
+        assert [r if isinstance(r, MetricReport) else (type(r), str(r)) for r in got] == [
+            r if isinstance(r, MetricReport) else (type(r), str(r)) for r in want
+        ]
 
 
 def layout_scenario(stations, ues):

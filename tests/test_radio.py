@@ -1,14 +1,16 @@
 """Association, demand profile, and physical-mode capacity checks."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_kind, make_scenario, make_stations, make_ues, radio_capacities, serving_ids, with_parameter
 from e3sim import TrafficProfile
 from e3sim.allocation import plan_geometry
-from e3sim.radio import demand_factor, nearest_stations
+from e3sim.radio import _nearest_of_all, demand_factor, nearest_stations
 
 
 def line_scenario(positions, ue_xs, kind=None, radio_mode="abstract"):
@@ -50,6 +52,43 @@ class TestAssociate:
         s1 = line_scenario([0.0, 100.0, 200.0], ues)
         s2 = line_scenario([0.0, 100.0, 200.0], ues[::-1])
         assert serving_ids(s1) == serving_ids(s2)[::-1]
+
+    # coordinates up to 1e300, where squared distances overflow, and a few
+    # shared values, so that stations tie in their squares and in math.hypot
+    coordinate = st.one_of(
+        st.floats(-1e300, 1e300),
+        st.sampled_from([0.0, 1.0, -1.0, 100.0, 1e150, 1e200, -1e200, 1e300, -1e300, 5e-324]),
+    )
+    points = st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=8)
+    #: a grid of stations near the origin, as a scenario's, at a drawn scale
+    grids = st.builds(
+        lambda n, spacing: [(c * spacing, r * spacing) for r in range(n) for c in range(n)],
+        st.integers(1, 5),
+        st.sampled_from([1.0, 100.0, 1e100, 2.5e299]),
+    )
+
+    @given(bs=st.one_of(points, grids), ue=points)
+    def test_scoring_every_station_is_the_full_hypot_scan(self, bs, ue):
+        expected = [
+            min(range(len(bs)), key=lambda j: (math.hypot(bs[j][0] - x, bs[j][1] - y), j)) for x, y in ue
+        ]
+        assert _nearest_of_all(np.array(bs), np.array(ue)).tolist() == expected
+
+    def test_far_ues_call_math_hypot_once_per_distinct_distance_pair(self):
+        # 20 x 20 stations 100 m apart, UEs 1e199 m and more away: every squared
+        # distance overflows, and every station's |dx| rounds to the UE's own x,
+        # so a UE's 400 stations make only 20 distinct (|dx|, |dy|) pairs
+        kind = make_kind()
+        grid = [(c * 100.0, r * 100.0) for r in range(20) for c in range(20)]
+        stations = make_stations(grid, [kind] * len(grid))
+        far = [(1e199 * (1 + i), 0.25 * i) for i in range(50)]
+        s = make_scenario(kinds=(kind,), base_stations=stations, ues=make_ues(far))
+        with mock.patch("math.hypot", wraps=math.hypot) as hypot:
+            serving = nearest_stations(s)
+        assert hypot.call_count <= 20 * len(far)
+        assert serving.tolist() == [
+            min(range(len(grid)), key=lambda j: (math.hypot(grid[j][0] - x, grid[j][1] - y), j)) for x, y in far
+        ]
 
     def test_every_bs_is_listed_even_when_empty(self):
         s = line_scenario([0.0, 1000.0], (1.0,))
