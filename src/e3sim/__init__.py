@@ -4,68 +4,57 @@ Builds immutable deployment scenarios (station kinds, X-Haul links, edge
 caches, daily demand), computes spectral, energy, cost, and cost-weighted
 energy efficiency, and sweeps configuration knobs for optimal operating
 points.
+
+Each export is imported from its home module on first use (PEP 562), so
+building a scenario loads only ``document``, ``model``, ``scenario`` and
+``rng``; the evaluation and sweep modules load when a name of theirs is read.
 """
 
 __version__ = "0.1.0"
 
-from .cache import hit_ratio
-from .document import build_scenario, scenario_to_document
-from .energy_cost import cost_coefficient, effective_cost_per_area, resolve_benchmark_cost
-from .metrics import SECONDS_PER_YEAR, MetricReport, evaluate, evaluate_daily
-from .model import (
-    BsKind,
-    CacheConfig,
-    CostBreakdown,
-    InvariantError,
-    ScenarioError,
-    SchemaError,
-    TrafficProfile,
-    UnknownKindError,
-    XHaulSolution,
-)
-from .scenario import NetworkScenario, StationLayout, UePopulation, validate_scenario
-from .sweep import (
-    ParameterPathError,
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    argmax,
-    resolve_parameter,
-    run_sweep,
-    set_parameter,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "BsKind",
-    "CacheConfig",
-    "CostBreakdown",
-    "InvariantError",
-    "MetricReport",
-    "NetworkScenario",
-    "ParameterPathError",
-    "ScenarioError",
-    "SchemaError",
-    "SECONDS_PER_YEAR",
-    "StationLayout",
-    "SweepResult",
-    "SweepRow",
-    "SweepSpec",
-    "TrafficProfile",
-    "UePopulation",
-    "UnknownKindError",
-    "XHaulSolution",
-    "argmax",
-    "build_scenario",
-    "cost_coefficient",
-    "effective_cost_per_area",
-    "evaluate",
-    "evaluate_daily",
-    "hit_ratio",
-    "resolve_benchmark_cost",
-    "resolve_parameter",
-    "run_sweep",
-    "scenario_to_document",
-    "set_parameter",
-    "validate_scenario",
-]
+#: The home module of each export.
+_HOMES = {
+    "cache": ("hit_ratio",),
+    "document": ("build_scenario", "scenario_to_document"),
+    "energy_cost": ("cost_coefficient", "effective_cost_per_area", "resolve_benchmark_cost"),
+    "metrics": ("SECONDS_PER_YEAR", "MetricReport", "evaluate", "evaluate_daily", "validate_scenario"),
+    "model": (
+        "BsKind",
+        "CacheConfig",
+        "CostBreakdown",
+        "InvariantError",
+        "ScenarioError",
+        "SchemaError",
+        "TrafficProfile",
+        "UnknownKindError",
+        "XHaulSolution",
+    ),
+    "scenario": ("NetworkScenario", "StationLayout", "UePopulation"),
+    "sweep": (
+        "ParameterPathError",
+        "SweepResult",
+        "SweepRow",
+        "SweepSpec",
+        "argmax",
+        "resolve_parameter",
+        "run_sweep",
+        "set_parameter",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

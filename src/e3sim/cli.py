@@ -29,9 +29,8 @@ from typing import Any, Iterable, Sequence, TextIO
 
 from . import __version__
 from .document import build_scenario
-from .metrics import MetricReport, evaluate, evaluate_daily
+from .metrics import MetricReport, evaluate, evaluate_daily, validate_scenario
 from .model import ScenarioError
-from .scenario import validate_scenario
 from .sweep import METRICS, Argmax, SweepSpec, open_sweep
 
 #: The reported metrics, in CSV column order: ``MetricReport`` attribute,

@@ -6,6 +6,9 @@ coefficient: sum(alpha_k R_k) / sum(P_dyn_n + P_static_n * C_n), in
 bit/Joule. With every coefficient at 1 it reduces to plain EE. SE divides
 unweighted throughput by total deployed bandwidth; CE divides the bits
 moved in a sustained year by the yearly deployment cost.
+
+``validate_scenario`` lists the advisory warnings of a legal scenario; it
+runs the evaluation's input checks, so it lives beside them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .allocation import Geometry, fill, plan_geometry, xhaul_limits
-from .energy_cost import dynamic_parts, effective_cost_per_area, resolve_benchmark_cost
+from .energy_cost import cost_coefficient, dynamic_parts, effective_cost_per_area, resolve_benchmark_cost
 from .model import TrafficProfile, _is_real
 from .radio import demand_factor
 
@@ -257,3 +260,40 @@ def evaluate_daily(s: NetworkScenario) -> MetricReport:
     daily E3 equals total weighted bits over total weighted Joules.
     """
     return _evaluate_one(s, None)
+
+
+def validate_scenario(s: NetworkScenario) -> list[str]:
+    """Return advisory warnings for suspicious but legal configurations.
+
+    Checked: a kind whose cost coefficient exceeds 1 under the pinned
+    benchmark, a caching strategy configured while no kind has cache
+    capacity, and an X-Haul too small to carry even the least demanding
+    UE at the daily traffic minimum.
+
+    Raises:
+        ValueError: an input check every evaluation of ``s`` runs fails,
+            as for a placed kind's cache larger than the catalog
+            (``allocation.xhaul_limits``), with the evaluation's message.
+    """
+    xhaul_limits(s)
+    warnings: list[str] = []
+    c0 = resolve_benchmark_cost(s)
+    for kind in s.kinds:
+        cn = cost_coefficient(kind, c0)
+        if cn > 1.0 + 1e-12:
+            warnings.append(
+                f"cost coefficient of kind '{kind.kind_id}' exceeds 1 (C_n = {cn:.4g}); "
+                f"benchmark cost {c0:.4g} is below its effective per-area cost"
+            )
+    if s.cache.strategy != "none" and all(k.cache_size == 0 for k in s.kinds):
+        warnings.append(
+            f"cache strategy '{s.cache.strategy}' is configured but every kind has cache_size 0"
+        )
+    min_demand = float(s.ues.demand_peak_bps.min()) / s.traffic.peak_to_min_ratio
+    for kind in s.kinds:
+        if kind.xhaul.capacity_bps < min_demand:
+            warnings.append(
+                f"X-Haul capacity of kind '{kind.kind_id}' ({kind.xhaul.capacity_bps:.4g} bit/s) "
+                f"is below the minimum per-UE demand ({min_demand:.4g} bit/s)"
+            )
+    return warnings

@@ -168,7 +168,8 @@ def _above(name: str, low: float = 0) -> tuple[str, Check]:
 
 
 def _from(name: str, low: float = 0) -> tuple[str, Check]:
-    return _rule(name, lambda r: low <= getattr(r, name) < math.inf, f"{name} must be finite and >= {low}")
+    # an integer field keeps its int, so one past the largest float is rejected here (``_or_inf``)
+    return _rule(name, lambda r: low <= _or_inf(getattr(r, name)) < math.inf, f"{name} must be finite and >= {low}")
 
 
 def _integer(name: str) -> tuple[str, Check]:

@@ -20,10 +20,12 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .radio import chunk_rows
-
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _MULT = 2549297995355413924 << 64 | 4865540595714422341  # the PCG64 LCG multiplier
+
+#: Points made at a time: a block of x, y draws takes 64 KiB as float64, the
+#: working space of the other chunked computations (``radio.CHUNK_BYTES``).
+BLOCK_POINTS = 4096
 
 
 def _seed_words(seed: int) -> list[int]:
@@ -91,14 +93,14 @@ def uniform_positions(seed: int, width: float, height: float, count: int) -> np.
 
     Bit for bit ``default_rng(seed).uniform((0.0, 0.0), (width, height), size=(count, 2))``
     for any int ``seed`` >= 0: draws fill the array in C order, x then y, each
-    ``(r >> 11) * 2**-53`` of a 64-bit output r, scaled. They are made ``chunk_rows(2)``
+    ``(r >> 11) * 2**-53`` of a 64-bit output r, scaled. They are made ``BLOCK_POINTS``
     points at a time, straight into the result, so the working space stays O(block).
     """
     w0, w1, w2, w3 = _seed_words(int(seed))
     inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
     state = (((inc + (w0 << 64 | w1)) * _MULT + inc) * _MULT + inc) & _MASK128
     draws = 2 * count
-    block = min(draws, 2 * chunk_rows(2))
+    block = min(draws, 2 * BLOCK_POINTS)
     # the first 64 states one Python int step at a time: an array map costs as much as
     # about a hundred such steps on a short array, so doubling starts from 64 states
     states = [state]

@@ -1,4 +1,4 @@
-"""A whole scenario: its stations and UEs as columns, and its validation.
+"""A whole scenario: its stations and UEs as columns, and their invariants.
 
 ``NetworkScenario`` bundles everything one evaluation needs: the catalog of
 base station kinds (``model.BsKind``), the placed stations as one
@@ -9,7 +9,9 @@ A kind record is held only in the catalog; the layout names kinds by
 kind_id. Its records are immutable after construction and safe to share
 across concurrent evaluations; a sweep point shares every record its edit
 leaves alone with its base. The JSON document form is read and written by
-``document``.
+``document``. The advisory warnings of a legal scenario
+(``validate_scenario``) are computed beside the evaluation, in ``metrics``,
+so building a scenario loads none of the evaluation modules.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from .allocation import xhaul_limits
-from .energy_cost import cost_coefficient, resolve_benchmark_cost
 from .model import (
     MAX_KIND,
     RADIO_MODES,
@@ -328,40 +328,3 @@ NetworkScenario._RULES = _rules(
     _one_of("radio_mode", RADIO_MODES),
     ("rng_seed", _rng_seed),
 )
-
-
-def validate_scenario(s: NetworkScenario) -> list[str]:
-    """Return advisory warnings for suspicious but legal configurations.
-
-    Checked: a kind whose cost coefficient exceeds 1 under the pinned
-    benchmark, a caching strategy configured while no kind has cache
-    capacity, and an X-Haul too small to carry even the least demanding
-    UE at the daily traffic minimum.
-
-    Raises:
-        ValueError: an input check every evaluation of ``s`` runs fails,
-            as for a placed kind's cache larger than the catalog
-            (``allocation.xhaul_limits``), with the evaluation's message.
-    """
-    xhaul_limits(s)
-    warnings: list[str] = []
-    c0 = resolve_benchmark_cost(s)
-    for kind in s.kinds:
-        cn = cost_coefficient(kind, c0)
-        if cn > 1.0 + 1e-12:
-            warnings.append(
-                f"cost coefficient of kind '{kind.kind_id}' exceeds 1 (C_n = {cn:.4g}); "
-                f"benchmark cost {c0:.4g} is below its effective per-area cost"
-            )
-    if s.cache.strategy != "none" and all(k.cache_size == 0 for k in s.kinds):
-        warnings.append(
-            f"cache strategy '{s.cache.strategy}' is configured but every kind has cache_size 0"
-        )
-    min_demand = float(s.ues.demand_peak_bps.min()) / s.traffic.peak_to_min_ratio
-    for kind in s.kinds:
-        if kind.xhaul.capacity_bps < min_demand:
-            warnings.append(
-                f"X-Haul capacity of kind '{kind.kind_id}' ({kind.xhaul.capacity_bps:.4g} bit/s) "
-                f"is below the minimum per-UE demand ({min_demand:.4g} bit/s)"
-            )
-    return warnings

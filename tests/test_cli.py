@@ -1,9 +1,12 @@
 """Command-line behavior: exit codes, CSV schema, determinism, seeding."""
 
+import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -12,7 +15,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import e3sim
 import oracles
@@ -272,24 +275,54 @@ class TestFarLayouts:
         assert float(rows[0]["throughput_bps"]) > 0
 
 
-def test_a_run_never_imports_numpys_random_module(tmp_path):
-    # UE layouts come from e3sim.rng, which reproduces NumPy's stream without it
+#: The environment of a subprocess that imports e3sim from this checkout.
+SRC_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(e3sim.__file__).resolve().parents[1]),
+                                               os.environ.get("PYTHONPATH")])),
+}
+
+
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """The first and last stdout lines of a fresh interpreter that builds every
+    shipped scenario, then runs an eval and a sweep through ``main``: the e3sim
+    modules loaded after the builds, before ``e3sim.cli`` is imported, and the
+    numpy.random modules loaded at the end."""
+    out = tmp_path_factory.mktemp("fresh") / "r.csv"
     script = f"""
 import sys
 from pathlib import Path
 from e3sim import build_scenario
-from e3sim.cli import main
 for path in sorted(Path({str(SCENARIO_DIR)!r}).glob("*.json")):
     build_scenario(path.read_text())
+print(sorted(name for name in sys.modules if name.startswith("e3sim")))
+from e3sim.cli import main
 assert main(["eval", {FIG3!r}, "--daily"]) == 0
-assert main(["sweep", {FIG3!r}, "--param", "kinds.ap.cache_size=0:4:1", "--daily", "--out", {str(tmp_path / "r.csv")!r}]) == 0
+assert main(["sweep", {FIG3!r}, "--param", "kinds.ap.cache_size=0:4:1", "--daily", "--out", {str(out)!r}]) == 0
 print(sorted(name for name in sys.modules if name.startswith("numpy.random")))
 """
-    src = str(Path(e3sim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    lines = run.stdout.splitlines()
+    return lines[0], lines[-1]
+
+
+def test_a_run_never_imports_numpys_random_module(fresh_run):
+    # UE layouts come from e3sim.rng, which reproduces NumPy's stream without it
+    assert fresh_run[1] == "[]"
+
+
+def test_a_build_loads_only_the_build_path(fresh_run):
+    # the package's exports resolve on first use, so no evaluation or sweep module loads
+    assert fresh_run[0] == str(["e3sim", "e3sim.document", "e3sim.model", "e3sim.rng", "e3sim.scenario"])
+
+
+def test_python_m_e3sim_runs_main(capsys):
+    run = subprocess.run([sys.executable, "-m", "e3sim", "validate", FIG3], capture_output=True, text=True,
+                         env=SRC_ENV, timeout=120)
+    assert main(["validate", FIG3]) == 0
+    assert (run.returncode, run.stdout, run.stderr) == (0, capsys.readouterr().out, "")
 
 
 class TestSweep:
@@ -810,6 +843,15 @@ class TestValidate:
         with pytest.raises(ValueError, match=f"^{error}$"):
             validate_scenario(build_scenario(doc))
 
+    def test_a_401_digit_cache_size_of_an_unplaced_kind_exits_1(self, tmp_path, capsys):
+        # the kind's cost coefficient ended in a bare OverflowError
+        doc = load_document("fig2.json")
+        doc["kinds"][1]["cache_size"] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        assert tuple(capsys.readouterr()) == ("", "error: BsKind 'opt2': cache_size must be finite and >= 0\n")
+
     def test_warnings_are_printed(self, tmp_path, capsys):
         doc = load_document("fig3.json")
         doc["benchmark_cost"] = 40.0  # below the kind's effective cost
@@ -817,6 +859,59 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 0
         assert "exceeds 1" in capsys.readouterr().out
+
+
+def _places(node, path=()):
+    """The path of every value below ``node``, a JSON document, whether it is
+    a dict's value, and whether it is a leaf."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        container = isinstance(value, (dict, list))
+        yield path + (key,), isinstance(node, dict), not container
+        if container:
+            yield from _places(value, path + (key,))
+
+
+#: Leaf values of the wrong JSON type for most fields, and numbers at or past
+#: the edges of what a float holds.
+_BAD_LEAVES = (True, None, "x", [1.0], 1e308, -1e308, 5e-324, 2**63, 10**400)
+
+#: The commands of the robustness property; the sweep's path is in every shipped scenario.
+_COMMANDS = (
+    ["validate"],
+    ["eval", "--daily"],
+    ["sweep", "--param", "cache.zipf_exponent=0.8,1.2", "--daily", "--out"],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(p.name for p in SCENARIO_DIR.glob("*.json"))),
+       command=st.sampled_from(_COMMANDS))
+def test_a_damaged_document_exits_0_or_1_with_one_error_line(data, name, command, tmp_path_factory):
+    # one key deleted, or one leaf replaced by a value of the wrong type or size
+    doc = load_document(name)
+    places = list(_places(doc))
+    delete = data.draw(st.booleans(), label="delete a key")
+    paths = [path for path, in_dict, leaf in places if (in_dict if delete else leaf)]
+    *parents, last = data.draw(st.sampled_from(paths))
+    container = functools.reduce(operator.getitem, parents, doc)
+    if delete:
+        del container[last]
+    else:
+        container[last] = data.draw(st.sampled_from(_BAD_LEAVES))
+    folder = tmp_path_factory.getbasetemp()
+    scenario = folder / "damaged.json"
+    scenario.write_text(json.dumps(doc))
+    argv = [command[0], str(scenario), *command[1:]]
+    if command[0] == "sweep":
+        argv.append(str(folder / "damaged.csv"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_csv_is_rfc4180_parseable(tmp_path, capsys):

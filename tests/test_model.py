@@ -43,8 +43,7 @@ from e3sim import (
 from e3sim import model, scenario, sweep
 from e3sim.metrics import point_inputs
 from e3sim.model import BaseStation, UserEquipment
-from e3sim.radio import chunk_rows
-from e3sim.rng import uniform_positions
+from e3sim.rng import BLOCK_POINTS, uniform_positions
 from e3sim.document import _FIELDS, _RECORDS, _SECTIONS, _build, _maker, _makers, section_keys
 
 BREAKDOWN_COMPONENTS = (
@@ -157,7 +156,7 @@ def test_uniform_random_generator_is_seeded():
 
 
 #: Points per block of ``rng.uniform_positions``.
-BLOCK = chunk_rows(2)
+BLOCK = BLOCK_POINTS
 
 
 class TestUniformPositions:
@@ -458,6 +457,12 @@ def test_float_fields_reject_an_int_past_any_float_as_they_reject_inf(owner, rec
     for value in (10**400, -(10**400)):
         with pytest.raises(InvariantError, match=f"^{re.escape(str(inf.value))}$"):
             replace(record, **{name: value})
+
+
+def test_cache_size_rejects_an_int_past_any_float_as_it_rejects_inf():
+    # 10**400 passed "0 <= x < inf"; an unplaced kind's cost then ended in a bare OverflowError
+    with pytest.raises(InvariantError, match=r"^BsKind 'pico': cache_size must be finite and >= 0$"):
+        make_kind(cache_size=10**400)
 
 
 @pytest.mark.parametrize(
