@@ -25,7 +25,7 @@ import os
 import re
 import shlex
 import sys
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .document import build_scenario
@@ -80,21 +80,34 @@ def _metric_text(report: MetricReport | None) -> str:
 _QUOTED = re.compile('[,"\r\n]')
 
 
-#: A CSV row: its axis values, its ``_metric_text`` and its error or None.
-Row = tuple[tuple[Any, ...], str, str | None]
+#: The axis cells of a CSV row: its param1 and param2 cells (``_fmt``), and
+#: whether either may need quoting.
+Axes = tuple[str, str, bool]
+
+#: A CSV row: its ``Axes``, its ``_metric_text`` and its error or None.
+Row = tuple[Axes, str, str | None]
+
+
+def _grid_axes(values1: Sequence[Any], values2: Sequence[Any]) -> Iterator[Axes]:
+    """The ``Axes`` of each point of the ``values1`` x ``values2`` grid, in
+    grid order; each value is formatted and searched once. A None value
+    leaves its cell empty, as ``values2`` (None,) does for a one-path sweep."""
+    second = [(cell, _QUOTED.search(cell) is not None) for cell in map(_fmt, values2)]
+    for param1 in map(_fmt, values1):
+        quoted = _QUOTED.search(param1) is not None
+        for param2, quoted2 in second:
+            yield param1, param2, quoted or quoted2
 
 
 def _write_rows(f: TextIO, rows: Iterable[Row]) -> None:
     """Write each row as one CSV line, the bytes of ``csv.writer(f,
-    lineterminator="\\n")``: a row whose axis values and error need no
+    lineterminator="\\n")``: a row whose axis cells and error need no
     quoting is formatted as text, any other goes through ``csv.writer``."""
     writer = csv.writer(f, lineterminator="\n")
     write = f.write
-    for values, cells, error in rows:
-        param1 = _fmt(values[0]) if values else ""
-        param2 = _fmt(values[1]) if len(values) > 1 else ""
+    for (param1, param2, quoted), cells, error in rows:
         error = error or ""
-        if _QUOTED.search(param1 + param2 + error) is None:
+        if not quoted and (not error or _QUOTED.search(error) is None):
             write(f"{param1},{param2},{cells},{error}\n")
         else:
             writer.writerow([param1, param2, *cells.split(","), error])
@@ -213,7 +226,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _print_report(report, sys.stdout)
     if args.out:
         manifest = _manifest(args, spec_text, scenario.rng_seed, args.out)
-        _write_csv(args.out, manifest, [((), _metric_text(report), None)])
+        _write_csv(args.out, manifest, [(("", "", False), _metric_text(report), None)])
     return EXIT_OK
 
 
@@ -244,7 +257,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def lines():
         nonlocal written, failed
         report = cells = None
-        for row in rows:
+        # the rows come in grid order, so each row's axis cells are the next of the grid's
+        for row, axes in zip(rows, _grid_axes(values1, values2 or (None,))):
             written += 1
             failed += bool(row.error)
             if best is not None:
@@ -252,7 +266,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             # the rows of a run of equal points share one report, formatted once
             if cells is None or row.report is not report:
                 report, cells = row.report, _metric_text(row.report)
-            yield row.values, cells, row.error
+            yield axes, cells, row.error
 
     _write_csv(args.out, manifest, lines())
     print(_one_line(f"wrote {written} rows to {args.out}" + (f" ({failed} failed)" if failed else "")))

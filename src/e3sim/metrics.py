@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -79,17 +79,21 @@ def _demand_factors(t_hours: float | None, peak_to_min_ratio: float, peak_hour: 
     return factors
 
 
-def point_inputs(s: NetworkScenario, t_hours: float | None) -> tuple[np.ndarray, ...]:
+def point_inputs(s: NetworkScenario, t_hours: float | None) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
     """What the report of ``s`` at ``t_hours`` (None: the daily average)
-    depends on besides its geometry, as three arrays: the demand factor of
-    each sample, each station's index into ``s.placed_kinds``, and
-    one row per such kind of radio capacity, effective capacity (in
-    physical mode, where the geometry gives radio capacity, the X-Haul
-    limit on it), static power, static power times C_n, maximum
-    transceiver power, X-Haul factor, bandwidth and the cost rate of one
-    station. Two points of one geometry whose arrays have equal bytes have
-    equal reports. Points of equal traffic values in a row share one
-    factors array (``_demand_factors``).
+    depends on besides its geometry: the demand factor of each sample and
+    each station's index into ``s.placed_kinds``, two arrays, and a flat
+    tuple of eight numbers per such kind, its table: radio capacity,
+    effective capacity (in physical mode, where the geometry gives radio
+    capacity, the X-Haul limit on it), static power, static power times
+    C_n, maximum transceiver power, X-Haul factor, bandwidth and the cost
+    rate of one station. Two points of one geometry whose arrays have equal
+    bytes and whose tables compare equal, number by number, have equal
+    reports: a NaN compares unequal, and the one -0.0 a table may hold, an
+    X-Haul factor, gives the bits 0.0 gives, as its product with the
+    transceiver power is added to that power, which is >= 0. Points of
+    equal traffic values in a row share one factors array
+    (``_demand_factors``).
     """
     traffic = s.traffic
     factors = _demand_factors(t_hours, traffic.peak_to_min_ratio, traffic.peak_hour, traffic.samples_per_day)
@@ -115,7 +119,7 @@ def point_inputs(s: NetworkScenario, t_hours: float | None) -> tuple[np.ndarray,
             kind.bandwidth_hz,
             area_cost * kind.coverage_area_m2,
         )
-    return factors, s.base_stations.kind, np.array(flat, dtype=float).reshape(-1, 8)
+    return factors, s.base_stations.kind, tuple(flat)
 
 
 #: The six sums of a report and its four ratios, the metrics, in the order ``evaluate_block`` checks them.
@@ -131,9 +135,9 @@ def _sample_means(geometry: Geometry, inputs: Sequence[tuple]) -> np.ndarray:
 
     ``inputs`` are the ``point_inputs`` of points that share ``geometry``.
     Returns those six sums, one row each, with a column for each point. The
-    per-kind tables of the block are stacked, and one gather by each point's
-    station kinds gives the per-station scalars of the whole block; demand
-    factors are stacked on a leading point axis.
+    per-kind tables of the block become one array, and one gather by each
+    point's station kinds gives the per-station scalars of the whole block;
+    demand factors are stacked on a leading point axis.
     Max-min fill, load, dynamic power and the sums then run once over rows
     that are (point, sample) pairs, in chunks of ``geometry.rows_per_chunk``
     rows, and the means once over the block. Every sum keeps the order of
@@ -142,9 +146,11 @@ def _sample_means(geometry: Geometry, inputs: Sequence[tuple]) -> np.ndarray:
     bandwidth and cost, and samples in time order for a mean.
     """
     factors, kinds, tables = zip(*inputs)
-    # station j of point p reads table row offsets[p] + its kind index
-    offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
-    per_station = np.concatenate(tables).T[:, offsets[:, None] + np.array(kinds)]
+    # station j of point p reads table row offsets[p] + its kind index; the points of one
+    # geometry may place different numbers of kinds (a listed station's kind swept)
+    offsets = np.cumsum([0] + [len(table) // 8 for table in tables[:-1]])
+    table = np.fromiter(chain.from_iterable(tables), float).reshape(-1, 8)
+    per_station = table.T[:, offsets[:, None] + np.array(kinds)]
     radio_cap, capacity, static, weighted_static, max_tx, xhaul_factor, bandwidth, cost = per_station
     if geometry.radio_cap is not None:
         radio_cap = np.broadcast_to(geometry.radio_cap, capacity.shape)

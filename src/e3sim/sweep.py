@@ -6,12 +6,14 @@ addresses a value of the parsed JSON document by key, ``key[i]`` list
 index, or list-entry id: ``kinds.ap.cache_size``, ``kinds[0].xhaul.medium``,
 ``base_stations.grid.kind``, ``ues.uniform_random.count``, ``seed``. Its
 last key may be one the document leaves at its default, and the two paths
-of a sweep must address different values. Each grid point is the base
-scenario with only the sections on its paths read again by the one reader
-(``document._build`` on the base); a row that fails a schema or invariant
-check carries the message and the sweep continues. Consecutive points that
-share a geometry are evaluated together, a block of points at a time, and a
-point whose evaluation inputs equal the previous point's takes its report.
+of a sweep must address different values. Each first-axis point is the
+base scenario with only the sections on its path read again by the one
+reader (``document._build`` on the base), and each second-axis point is
+its first-axis point with only the sections on the second path read
+again; a row that fails a schema or invariant check carries the message
+and the sweep continues. Consecutive points that share a geometry are
+evaluated together, a block of points at a time, and a point whose
+evaluation inputs equal the previous point's takes its report.
 """
 
 from __future__ import annotations
@@ -153,33 +155,45 @@ def _assign(steps: list[tuple[Any, Any]], value: Any) -> Any:
 
 def _points(document: dict, steps: list, keys: list, spec: SweepSpec, base: NetworkScenario, t: float | None) -> Iterator:
     """(axis values, scenario, ``point_inputs`` at ``t``) of every grid
-    point, in grid order, each built by ``document._build`` on ``base``; a
-    failing point has its error, a second path's ParameterPathError or that
-    of its build or inputs, in place of the scenario, and None for inputs.
+    point, in grid order, each built by ``document._build``; a failing point
+    has its error, a second path's ParameterPathError or that of its build
+    or inputs, in place of the scenario, and None for inputs.
 
     ``steps`` lead to the first path's value in ``document`` (``_steps``),
-    and ``keys`` are their keys. Each path is resolved, turned into its key
-    path and compiled (``document._makers``) once: the first on ``document``
-    for a one-path sweep; the second, with the first, once per first-axis
-    value, on that value's document, as setting the first value may rename
-    the entry the second path names.
+    and ``keys`` are their keys. The first path is compiled
+    (``document._makers``) once, on ``document``, and each first-axis point
+    is built with it on ``base``. The second path is resolved once per
+    first-axis value, on that value's document, as setting the first value
+    may rename the entry the second path names; it is compiled on the
+    first-axis point, and each second-axis point is built as an edit of
+    that point: every field outside the second value's edit holds what the
+    first-axis point passed, so the first failing parse and rule are a
+    fresh build's. When the first-axis point fails, its second-axis points
+    are built on ``base`` with both paths compiled together, as a second
+    value may repair the first or fail in an earlier section.
     """
-    one_path = _makers(base, document, [keys]) if spec.param2_path is None else None
+    first_path = _makers(base, document, [keys])
     for v1 in spec.values:
         point = _assign(steps, v1)
-        if one_path is not None:
-            grid, makers = [((v1,), point)], one_path
+        if spec.param2_path is None:
+            grid, on, makers = [((v1,), point)], base, first_path
         else:
             try:
                 steps2 = _steps(point, spec.param2_path)
             except ParameterPathError as exc:
                 yield from (((v1, v2), exc, None) for v2 in spec.values2)
                 continue
-            makers = _makers(base, point, [keys, [key for _, key in steps2]])
+            keys2 = [key for _, key in steps2]
+            try:
+                on = _build(point, base, first_path)
+            except (ValueError, ArithmeticError):
+                on, makers = base, _makers(base, point, [keys, keys2])
+            else:
+                makers = _makers(on, point, [keys2])
             grid = (((v1, v2), _assign(steps2, v2)) for v2 in spec.values2)
         for values, edited in grid:
             try:
-                s = _build(edited, base, makers)
+                s = _build(edited, on, makers)
                 new = point_inputs(s, t)
             except (ValueError, ArithmeticError) as exc:
                 s, new = exc, None
@@ -215,9 +229,11 @@ def _rows(points: Iterator, t: float | None) -> Iterator[SweepRow]:
     A block ends when a point's geometry differs, which is then compiled
     once; when its sample count differs, and the geometry is kept; or once
     its evaluated points fill one chunk of rows, or it holds a chunk's
-    number of entries. A point whose ``point_inputs`` have the bytes of the
-    previous point's is a repeat: it takes that point's report or error,
-    and is not evaluated. A failing point ends such a run, but neither ends
+    number of entries. A point whose ``point_inputs`` equal the previous
+    point's, the table compared as plain numbers (exact, as
+    ``point_inputs`` says) and the arrays by identity or bytes, is a
+    repeat: it takes that point's report or error, and is not evaluated.
+    A failing point ends such a run, but neither ends
     a block nor compiles a geometry. Repeats and failing points take no
     rows. Every row is made at the end of its block (``_evaluated``).
     """
@@ -240,9 +256,9 @@ def _rows(points: Iterator, t: float | None) -> Iterator[SweepRow]:
             # a sweep shares the factors and kinds arrays of equal points; the tables are new each point
             if (
                 last is not None
+                and table == last[2]
                 and (factors is last[0] or factors.tobytes() == last[0].tobytes())
                 and (kinds is last[1] or kinds.tobytes() == last[1].tobytes())
-                and table.tobytes() == last[2].tobytes()
             ):
                 built = None
             else:

@@ -5,6 +5,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import operator
 import os
@@ -21,7 +22,16 @@ import e3sim
 import oracles
 from conftest import SCENARIO_DIR, load_document, scenario_path, serving_ids
 from e3sim import SweepSpec, build_scenario, evaluate, evaluate_daily, run_sweep, validate_scenario
-from e3sim.cli import CSV_COLUMNS, MAX_GRID_POINTS, _fmt, _metric_text, _parse_values, _write_rows, main
+from e3sim.cli import (
+    CSV_COLUMNS,
+    MAX_GRID_POINTS,
+    _fmt,
+    _grid_axes,
+    _metric_text,
+    _parse_values,
+    _write_rows,
+    main,
+)
 from e3sim.metrics import MetricReport
 from e3sim.model import _BREAKDOWN_COMPONENTS, MAX_CATALOG_SIZE, MAX_SAMPLES_PER_DAY, MAX_STATIONS, MAX_UES
 
@@ -603,25 +613,31 @@ class TestDeterminismAndSeed:
 _CELL_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "0", ".", "é", "日"]), max_size=6)
 
 
+#: A sweep axis value, a number or text, or None for the axis a one-path sweep or an eval lacks.
+_AXIS_VALUE = st.one_of(st.none(), st.floats(), st.integers(-10**20, 10**20), _CELL_TEXT)
+
+
 @given(
-    rows=st.lists(
+    values1=st.lists(_AXIS_VALUE, min_size=1, max_size=3),
+    values2=st.lists(_AXIS_VALUE, min_size=1, max_size=2),
+    outcomes=st.lists(
         st.tuples(
-            st.lists(st.one_of(st.floats(), st.integers(-10**20, 10**20), _CELL_TEXT), max_size=2).map(tuple),
             st.one_of(st.none(), st.lists(st.floats(), min_size=8, max_size=8)),
             st.one_of(st.none(), _CELL_TEXT),
         ),
-        max_size=4,
-    )
+        min_size=6,
+        max_size=6,
+    ),
 )
-def test_text_rows_are_the_bytes_of_csv_writer(rows):
-    # the rows as (axis values, metric values or None, error or None)
+def test_text_rows_are_the_bytes_of_csv_writer(values1, values2, outcomes):
+    # the grid's points in order, each with (metric values or None, error or None)
     got, want = io.StringIO(newline=""), io.StringIO(newline="")
-    reports = [None if metrics is None else MetricReport(*metrics, None, 1.0) for _, metrics, _ in rows]
-    _write_rows(got, [(values, _metric_text(report), error) for (values, _, error), report in zip(rows, reports)])
+    reports = [None if metrics is None else MetricReport(*metrics, None, 1.0) for metrics, _ in outcomes]
+    _write_rows(got, [(axes, _metric_text(report), error)
+                      for axes, report, (_, error) in zip(_grid_axes(values1, values2), reports, outcomes)])
     writer = csv.writer(want, lineterminator="\n")
-    for (values, metrics, error) in rows:
-        params = [*map(_fmt, values), "", ""][:2]
-        writer.writerow([*params, *(map(_fmt, metrics) if metrics else [""] * 8), error or ""])
+    for (v1, v2), (metrics, error) in zip(itertools.product(values1, values2), outcomes):
+        writer.writerow([_fmt(v1), _fmt(v2), *(map(_fmt, metrics) if metrics else [""] * 8), error or ""])
     assert got.getvalue().encode() == want.getvalue().encode()
 
 

@@ -972,11 +972,22 @@ class TestValueReuse:
         base, point = build_scenario(documents[0]), documents[-1]
         makers = makers_of(base, documents[-2], paths)
         reused = built_or_error(lambda d: _build(d, base, makers), point)
-        assert reused == built_or_error(build_scenario, point)
+        fresh = built_or_error(build_scenario, point)
+        assert reused == fresh
         if isinstance(reused, NetworkScenario):
             by_id = {k.kind_id: k for k in reused.kinds}
             assert all(k is by_id[k.kind_id] for k in reused.placed_kinds)
-            assert oracles.stations(reused) == oracles.stations(built_or_error(build_scenario, point))
+            assert oracles.stations(reused) == oracles.stations(fresh)
+        if len(paths) == 2:
+            # a sweep's second-axis point: an edit of its first-axis point, when that builds
+            try:
+                on = _build(documents[1], base, makers_of(base, documents[0], paths[:1]))
+            except (ValueError, ArithmeticError):
+                return
+            edited = built_or_error(lambda d: _build(d, on, makers_of(on, documents[1], paths[1:])), point)
+            assert edited == fresh
+            if isinstance(edited, NetworkScenario):
+                assert oracles.stations(edited) == oracles.stations(fresh)
 
     def test_an_xhaul_edit_parses_one_value_and_relinks_the_stations(self):
         document = REUSE_DOCUMENTS["fig3.json"]
@@ -993,29 +1004,38 @@ class TestValueReuse:
         assert s.base_stations is base.base_stations
         assert s == build_scenario(point)
 
-    def test_a_cache_xhaul_point_parses_its_two_values_and_makes_three_records(self):
+    def test_a_cache_xhaul_sweep_parses_each_value_once(self):
+        # the cache size is parsed, and its kind and scenario made, once, on the first-axis point;
+        # each second-axis point parses its capacity and edits that point's X-Haul, kind and scenario
         document = REUSE_DOCUMENTS["fig3.json"]
-        spec = SweepSpec("kinds.ap.cache_size", (2,), "kinds.ap.xhaul.capacity_bps", (2e7,), time_hours=20.0)
+        spec = SweepSpec("kinds.ap.cache_size", (2,), "kinds.ap.xhaul.capacity_bps", (2e7, 4e7), time_hours=20.0)
         base = build_scenario(document)
-        point = set_parameter(set_parameter(document, spec.param_path, 2), spec.param2_path, 2e7)
-        point_inputs(base, 20.0)  # the point's demand factors are then the kept ones: no TrafficProfile is made
+        point_inputs(base, 20.0)  # the points' demand factors are then the kept ones: no TrafficProfile is made
         parsed = []
         classes = (XHaulSolution, CostBreakdown, BsKind, CacheConfig, TrafficProfile, StationLayout, UePopulation,
                    NetworkScenario)
-        # a record is made either through its class or as an edit of the base's (model.edit)
+        # a record is made either through its class or as an edit of another (model.edit)
         with contextlib.ExitStack() as stack:
             stack.enter_context(mock.patch.dict(_FIELDS, recorded_parsers(parsed)))
             made = {cls.__name__: stack.enter_context(
                 mock.patch.object(cls, "__init__", autospec=True, side_effect=cls.__init__)) for cls in classes}
             edits = stack.enter_context(mock.patch("e3sim.document.edit", wraps=model.edit))
+            builds = stack.enter_context(mock.patch("e3sim.sweep._build", wraps=_build))
             steps = sweep._steps(document, spec.param_path)
-            ((_, s, _),) = sweep._points(document, steps, [key for _, key in steps], spec, base, 20.0)
-        assert parsed == ["kinds[0].xhaul.capacity_bps", "kinds[0].cache_size"]  # in field order
+            points = [s for _, s, _ in sweep._points(document, steps, [key for _, key in steps], spec, base, 20.0)]
+        assert parsed == ["kinds[0].cache_size"] + ["kinds[0].xhaul.capacity_bps"] * 2
         counts = collections.Counter({name: m.call_count for name, m in made.items()})
         counts.update(type(c.args[0]).__name__ for c in edits.call_args_list)
-        assert {name: n for name, n in counts.items() if n} == {"XHaulSolution": 1, "BsKind": 1, "NetworkScenario": 1}
-        assert s == build_scenario(point) and s.ues is base.ues and s.base_stations is base.base_stations
-        assert s.kinds[0].cache_size == 2 and s.kinds[0].xhaul.capacity_bps == 2e7
+        assert {name: n for name, n in counts.items() if n} == {"XHaulSolution": 2, "BsKind": 3, "NetworkScenario": 3}
+        # the first-axis point is built on the base, and both second-axis points on it
+        (first, _, _), *seconds = (c.args for c in builds.call_args_list)
+        on = seconds[0][1]
+        assert all(args[1] is on for args in seconds) and on is not base
+        assert on == build_scenario(first) == build_scenario(set_parameter(document, spec.param_path, 2))
+        for s, capacity in zip(points, spec.values2):
+            assert s == build_scenario(set_parameter(first, spec.param2_path, capacity))
+            assert s.ues is base.ues and s.base_stations is base.base_stations
+            assert s.kinds[0].cache_size == 2 and s.kinds[0].xhaul.capacity_bps == capacity
 
 
 @contextlib.contextmanager
@@ -1132,17 +1152,24 @@ class TestEdit:
             assert ran == [(type(record).__name__, reads) for reads, _ in type(record)._RULES]
 
     def test_a_cache_xhaul_point_runs_only_the_rules_that_read_what_it_edits(self):
-        # the X-Haul's capacity, the kind's cache size and X-Haul, and the scenario's kinds
+        # its first-axis point edits the kind's cache size and the scenario's kinds, once;
+        # each second-axis point the X-Haul's capacity, the kind's X-Haul and the scenario's kinds
         document = REUSE_DOCUMENTS["fig3.json"]
-        spec = SweepSpec("kinds.ap.cache_size", (2,), "kinds.ap.xhaul.capacity_bps", (2e7,), time_hours=20.0)
+        spec = SweepSpec("kinds.ap.cache_size", (2,), "kinds.ap.xhaul.capacity_bps", (2e7, 4e7), time_hours=20.0)
         base = build_scenario(document)
-        point_inputs(base, 20.0)  # the point's demand factors are then the kept ones: no TrafficProfile is made
+        point_inputs(base, 20.0)  # the points' demand factors are then the kept ones: no TrafficProfile is made
         ran = []
         with recorded_rules(ran):
             steps = sweep._steps(document, spec.param_path)
-            ((_, s, _),) = sweep._points(document, steps, [key for _, key in steps], spec, base, 20.0)
-        edited = {XHaulSolution: {"capacity_bps"}, BsKind: {"cache_size", "xhaul"}, NetworkScenario: {"kinds"}}
-        assert ran == [(cls.__name__, reads) for cls, names in edited.items() for reads, _ in cls._RULES
-                       if reads & names]
-        assert [name for name, _ in ran] == ["XHaulSolution"] * 2 + ["BsKind"] * 4 + ["NetworkScenario"] * 4
-        assert s == build_scenario(set_parameter(set_parameter(document, spec.param_path, 2), spec.param2_path, 2e7))
+            points = [s for _, s, _ in sweep._points(document, steps, [key for _, key in steps], spec, base, 20.0)]
+
+        def reading(edited):
+            return [(cls.__name__, reads) for cls, names in edited.items() for reads, _ in cls._RULES if reads & names]
+
+        first = reading({BsKind: {"cache_size"}, NetworkScenario: {"kinds"}})
+        second = reading({XHaulSolution: {"capacity_bps"}, BsKind: {"xhaul"}, NetworkScenario: {"kinds"}})
+        assert ran == first + second * 2
+        assert [name for name, _ in first] == ["BsKind"] * 3 + ["NetworkScenario"] * 4
+        assert [name for name, _ in second] == ["XHaulSolution"] * 2 + ["BsKind"] + ["NetworkScenario"] * 4
+        on = set_parameter(document, spec.param_path, 2)
+        assert points == [build_scenario(set_parameter(on, spec.param2_path, v)) for v in spec.values2]

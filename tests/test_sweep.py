@@ -38,6 +38,7 @@ from e3sim import (
 from e3sim import sweep
 from e3sim.document import _build, _makers
 from e3sim.model import _BREAKDOWN_COMPONENTS as BREAKDOWN_COMPONENTS, BaseStation
+from e3sim.rng import uniform_positions
 from e3sim.sweep import open_sweep
 
 
@@ -279,17 +280,24 @@ class TestRunSweep:
         fig3["kinds"] += [{**fig3["kinds"][0], "kind_id": kind_id} for kind_id in ("b", "x")]
         spec = SweepSpec(param_path="kinds[1].kind_id", values=("b", "x"), param2_path="kinds.x.kind_id",
                          values2=("y",), time_hours=20.0)
-        points = []
+        points, on = [], []
 
         def recorded(*args):
+            on.append(args[1])
             points.append(_build(*args))
             return points[-1]
 
         with mock.patch("e3sim.sweep._build", recorded):
-            rows = run_sweep(fig3, spec).rows
-        assert points == [built(fig3, "kinds[2].kind_id", "y"), built(fig3, "kinds[1].kind_id", "y")]
-        assert [tuple(k.kind_id for k in p.kinds) for p in points] == [("ap", "b", "y"), ("ap", "y", "x")]
-        assert [row.report for row in rows] == [evaluate(p, 20.0) for p in points]
+            base, _, rows = open_sweep(fig3, spec)
+            rows = list(rows)
+        # "b" builds its first-axis point, then the second-axis point on it; at "x" two kinds are
+        # named "x", so its first-axis point fails, and its second-axis point is built on the base
+        assert points == [built(fig3, "kinds[1].kind_id", "b"), built(fig3, "kinds[2].kind_id", "y"),
+                          built(fig3, "kinds[1].kind_id", "y")]
+        assert [tuple(k.kind_id for k in p.kinds) for p in points] == [("ap", "b", "x"), ("ap", "b", "y"),
+                                                                     ("ap", "y", "x")]
+        assert [s is want for s, want in zip(on, [base, points[0], base, base])] == [True] * 4
+        assert [row.report for row in rows] == [evaluate(p, 20.0) for p in points[1:]]
 
     @pytest.mark.parametrize("key, value", [("traffic", {"peak_hour": 3.0}), ("cache", {"catalog_size": 20})])
     def test_a_section_the_document_leaves_out_can_be_set_whole(self, fig3, key, value):
@@ -481,6 +489,8 @@ AXES = {
         "kinds.ap.cost_per_area": (50.0, 60.0, 0.0),
         "kinds.ap.cost_breakdown.infrastructure": (20.0, 30.0, -1.0),
         "kinds.ap.cache_size": (0, 6, 2.5),
+        # -0.0 compares equal to 0.0, and gives the same report bits
+        "kinds.ap.xhaul.xhaul_power_factor": (0.0, -0.0, 3.0),
     },
     "fig2": {
         "base_stations.grid.kind": ("opt1", "opt3", "opt5", "opt9", "zz"),
@@ -518,7 +528,9 @@ def sweeps(draw):
     document = DOCUMENTS[name]()
     document["radio_mode"] = draw(st.sampled_from(("abstract", "physical")))
     paths = draw(st.lists(st.sampled_from(sorted(AXES[name])), min_size=1, max_size=2, unique=True))
-    axes = [tuple(draw(st.lists(st.sampled_from(AXES[name][p]), min_size=1, max_size=4, unique=True))) for p in paths]
+    # unique by repr, so that an axis may hold both 0.0 and -0.0
+    axes = [tuple(draw(st.lists(st.sampled_from(AXES[name][p]), min_size=1, max_size=4, unique_by=repr)))
+            for p in paths]
     daily = draw(st.booleans())
     spec = SweepSpec(
         param_path=paths[0],
@@ -661,6 +673,33 @@ class TestBlocks:
             assert (row.error if row.error is not None else (row.report, row.report.cost_rate)) == want
         assert sum(row.error is not None for row in rows) == (2 if spec.param2_path else 0)
 
+    def test_a_seed_first_sweep_compiles_one_geometry_per_seed(self, fig3):
+        # each seed's UEs are generated once, on its first-axis point, and its cache sizes share them
+        spec = SweepSpec(param_path="seed", values=tuple(range(10)), param2_path="kinds.ap.cache_size",
+                         values2=tuple(range(21)), daily=True)
+        with mock.patch("e3sim.sweep.plan_geometry", wraps=allocation.plan_geometry) as plan, \
+                mock.patch("e3sim.document.uniform_positions", wraps=uniform_positions) as positions:
+            rows = run_sweep(fig3, spec).rows
+        assert plan.call_count == 10
+        assert positions.call_count == 10  # the base's, and one per seed but the base's
+        assert [row.values for row in rows] == list(itertools.product(spec.values, spec.values2))
+        assert all(row.error is None for row in rows)
+        for row in rows:
+            assert (row.report, row.report.cost_rate) == fresh_outcome(fig3, spec, row.values)
+
+    def test_points_of_one_geometry_may_place_different_kinds(self, fig3):
+        # the second station's kind moves no UE, but its points place two kinds, then one
+        fig3["kinds"].append({**fig3["kinds"][0], "kind_id": "b", "radio_capacity_bps": 3e7})
+        fig3["base_stations"].append({"bs_id": "ap001", "kind": "ap", "position_m": [40.0, 40.0]})
+        spec = SweepSpec(param_path="base_stations.ap001.kind", values=("b", "ap", "b"), daily=True)
+        with mock.patch("e3sim.sweep.plan_geometry", wraps=allocation.plan_geometry) as plan, \
+                recorded_blocks() as blocks:
+            rows = run_sweep(fig3, spec).rows
+        assert plan.call_count == 1 and blocks == [(3, 3)]
+        assert [len(built(fig3, spec.param_path, v).placed_kinds) for v in spec.values] == [2, 1, 2]
+        for row in rows:
+            assert (row.report, row.report.cost_rate) == fresh_outcome(fig3, spec, row.values)
+
     def test_a_top_popular_cache_size_sweep_sums_each_head_once(self, fig3):
         # the cache size is the inner axis, so each of its 21 values comes back at every X-Haul capacity
         spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=(1e6, 1e7, 1e8),
@@ -725,6 +764,25 @@ class TestBlocks:
                                              param2_path="kinds[0].kind_id", values2=("ap", "zz"), daily=True)),
         chunk_bytes=radio.CHUNK_BYTES,
     )
+    # a first value that fails alone, repaired by the second value
+    @example(
+        sweep=(derived_fig3(), SweepSpec(param_path="kinds.ap.cost_per_area", values=(60.0,),
+                                         param2_path="kinds.ap.cost_breakdown.infrastructure", values2=(30.0, 20.0),
+                                         daily=True)),
+        chunk_bytes=radio.CHUNK_BYTES,
+    )
+    # a first value that fails, and a second value that fails in an earlier section
+    @example(
+        sweep=(two_station_fig3(), SweepSpec(param_path="radio_mode", values=("foo",),
+                                             param2_path="kinds.ap.cache_size", values2=(2.5, 6), time_hours=20.0)),
+        chunk_bytes=radio.CHUNK_BYTES,
+    )
+    # a -0.0 power factor repeats the 0.0 before it
+    @example(
+        sweep=(derived_fig3(), SweepSpec(param_path="kinds.ap.xhaul.xhaul_power_factor", values=(0.0, -0.0, 3.0),
+                                         daily=True)),
+        chunk_bytes=radio.CHUNK_BYTES,
+    )
     def test_every_row_equals_a_fresh_evaluation(self, sweep, chunk_bytes):
         # both fig3 and fig2 peak at hour 20, the default time of a row
         document, spec = sweep
@@ -747,9 +805,12 @@ class TestBlocks:
             assert (row.error if row.error is not None else (row.report, row.report.cost_rate)) == want
         assert [row.error for row in rows[3:6]] == ["unresolvable parameter path 'kinds.ap.cache_size': no entry 'ap'"] * 3
         # two checks of the base document, the first path's steps kept for the points, then the second
-        # path once per first value; both are compiled once per first value whose second path resolves
+        # path once per first value; the first is compiled once, on the base, and the second once per
+        # first value whose second path resolves, on that value's point
         assert steps.call_count == 2 + len(spec.values)
-        assert [len(c.args[2]) for c in makers.call_args_list] == [2, 2]
+        assert [c.args[2] for c in makers.call_args_list] == [[["kinds", 0, "kind_id"]]] + [
+            [["kinds", 0, "cache_size"]]
+        ] * 2
 
     @pytest.mark.parametrize("mode", ["abstract", "physical"])
     def test_a_sweep_that_moves_no_ue_associates_once(self, fig3, mode):
