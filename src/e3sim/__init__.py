@@ -32,16 +32,7 @@ _HOMES = {
         "XHaulSolution",
     ),
     "scenario": ("NetworkScenario", "StationLayout", "UePopulation"),
-    "sweep": (
-        "ParameterPathError",
-        "SweepResult",
-        "SweepRow",
-        "SweepSpec",
-        "argmax",
-        "resolve_parameter",
-        "run_sweep",
-        "set_parameter",
-    ),
+    "sweep": ("Argmax", "ParameterPathError", "SweepRow", "SweepSpec", "open_sweep", "set_parameter"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -1,4 +1,5 @@
-"""Parameter sweeps over scenario documents: grids and argmax.
+"""Parameter sweeps over scenario documents: ``open_sweep`` streams the rows
+of a grid, and ``Argmax`` keeps the best of them, as ``e3 sweep`` runs them.
 
 A sweep evaluates copies of a base scenario document with one or two
 values set to each grid value, never touching the base. A parameter path
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import numbers
 import re
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -45,7 +47,9 @@ class SweepSpec:
 
     ``daily`` evaluates every point's daily average, and then ``time_hours``
     must be None; else each point is evaluated at ``time_hours``, a finite
-    number, or at its base's peak hour when that is None.
+    number, or at its base's peak hour when that is None. Each axis is a
+    sequence of values: a string, bytes or a mapping is refused rather than
+    split, and so is a set, whose order is not fixed.
     """
 
     param_path: str
@@ -56,6 +60,9 @@ class SweepSpec:
     daily: bool = False
 
     def __post_init__(self) -> None:
+        for name, values in (("values", self.values), ("values2", self.values2)):
+            if isinstance(values, (str, bytes, bytearray, Mapping, Set)):
+                raise TypeError(f"SweepSpec: {name} must be a sequence of values, got {type(values).__name__}")
         object.__setattr__(self, "values", tuple(self.values))
         if self.values2 is not None:
             object.__setattr__(self, "values2", tuple(self.values2))
@@ -80,14 +87,6 @@ class SweepRow:
     values: tuple[Any, ...]
     report: MetricReport | None
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """The rows of a sweep and the base scenario its document built."""
-
-    rows: tuple[SweepRow, ...]
-    base: NetworkScenario
 
 
 def _steps(document: Any, path: str) -> list[tuple[Any, Any]]:
@@ -123,15 +122,6 @@ def _steps(document: Any, path: str) -> list[tuple[Any, Any]]:
     if isinstance(node, (dict, list)):
         raise ParameterPathError(f"unresolvable parameter path '{path}': a section, not a value")
     return steps
-
-
-def resolve_parameter(document: dict[str, Any], path: str) -> Any:
-    """Value at ``path`` in the document; None for a key left at its default.
-
-    Raises ParameterPathError, naming the path, when it does not resolve.
-    """
-    container, key = _steps(document, path)[-1]
-    return container.get(key) if isinstance(container, dict) else container[key]
 
 
 def set_parameter(document: dict[str, Any], path: str, value: Any) -> dict[str, Any]:
@@ -288,18 +278,10 @@ def _evaluated(
     return row
 
 
-def run_sweep(document: dict[str, Any], spec: SweepSpec) -> SweepResult:
-    """Evaluate the scenario document at every grid point of the spec.
-
-    Collects the rows of ``open_sweep``, which says how they are made.
-    """
-    base, _, rows = open_sweep(document, spec)
-    return SweepResult(rows=tuple(rows), base=base)
-
-
 class Argmax:
     """Running argmax of a metric over sweep rows, ties to the smallest value(s)
-    (``_ordered``: a number before any other value)."""
+    (``_ordered``: a number before any other value). A metric not in
+    ``METRICS`` raises ValueError."""
 
     def __init__(self, metric: str = "e3") -> None:
         if metric not in METRICS:
@@ -337,17 +319,3 @@ def _ordered(value: Any) -> tuple[int, str, Any]:
     if isinstance(value, dict):
         return (1, "dict", tuple(sorted((str(k), _ordered(v)) for k, v in value.items())))
     return (1, type(value).__name__, tuple(map(_ordered, value)) if isinstance(value, (list, tuple)) else value)
-
-
-def argmax(result: SweepResult, metric: str = "e3") -> tuple[tuple[Any, ...], float]:
-    """Grid point maximizing the metric, ties broken by smallest value(s),
-    a number before any other value (``_ordered``).
-
-    Returns (axis values, metric value). Raises ValueError for a metric
-    not in ``METRICS`` and if every row failed.
-    """
-    best = Argmax(metric)
-    for row in result.rows:
-        best.add(row)
-    return best.result()
-

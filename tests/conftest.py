@@ -16,6 +16,7 @@ from e3sim import (
     UePopulation,
     XHaulSolution,
     build_scenario,
+    open_sweep,
     scenario_to_document,
     set_parameter,
 )
@@ -52,6 +53,11 @@ def load_document(name: str) -> dict:
 def with_parameter(scenario, path, value):
     """``scenario`` rebuilt from its document with the value at ``path`` set."""
     return build_scenario(set_parameter(scenario_to_document(scenario), path, value))
+
+
+def sweep_rows(document, spec):
+    """Every row of the sweep ``spec`` of ``document``, in grid order."""
+    return tuple(open_sweep(document, spec)[2])
 
 
 def allocation_at(s, t_hours):

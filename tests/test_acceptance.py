@@ -24,9 +24,10 @@ from conftest import (
     make_stations,
     make_ues,
     scenario_path,
+    sweep_rows,
     water_rates,
 )
-from e3sim import CacheConfig, SweepSpec, argmax, build_scenario, evaluate, hit_ratio, run_sweep, set_parameter
+from e3sim import Argmax, CacheConfig, SweepSpec, build_scenario, evaluate, hit_ratio, set_parameter
 from e3sim.energy_cost import dynamic_parts
 from oracles import allocate_bruteforce, expected_random_hit_exact
 
@@ -98,9 +99,9 @@ def test_c4_cache_size_trend():
         spec = SweepSpec(
             param_path="kinds.ap.cache_size", values=tuple(range(catalog + 1)), time_hours=20.0
         )
-        top = [row.report for row in run_sweep(doc, spec).rows]
+        top = [row.report for row in sweep_rows(doc, spec)]
         rand_doc = set_parameter(doc, "cache.strategy", "random_fill")
-        rand = [row.report for row in run_sweep(rand_doc, spec).rows]
+        rand = [row.report for row in sweep_rows(rand_doc, spec)]
 
         for reports in (top, rand):
             se = [r.se for r in reports]
@@ -130,7 +131,10 @@ def test_c5_joint_xhaul_cache_trend():
             spec = SweepSpec(
                 param_path="kinds.ap.cache_size", values=tuple(range(catalog + 1)), time_hours=20.0
             )
-            optima[name] = argmax(run_sweep(doc, spec), "e3")
+            best = Argmax("e3")
+            for row in sweep_rows(doc, spec):
+                best.add(row)
+            optima[name] = best.result()
         (m_small, e3_small) = optima["fig4_c2.json"]
         (m_large, e3_large) = optima["fig4_c3.json"]
         # a thinner X-Haul needs more cache at its optimum

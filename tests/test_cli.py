@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 import e3sim
 import oracles
-from conftest import SCENARIO_DIR, load_document, scenario_path, serving_ids
-from e3sim import SweepSpec, build_scenario, evaluate, evaluate_daily, run_sweep, validate_scenario
+from conftest import SCENARIO_DIR, load_document, scenario_path, serving_ids, sweep_rows
+from e3sim import Argmax, SweepSpec, build_scenario, evaluate, evaluate_daily, validate_scenario
 from e3sim.cli import (
     CSV_COLUMNS,
     MAX_GRID_POINTS,
@@ -368,8 +368,6 @@ class TestSweep:
         ]
 
     def test_argmax_summary_matches_sweep_module(self, tmp_path, capsys):
-        from e3sim import SweepSpec, argmax, run_sweep
-
         out = tmp_path / "a.csv"
         code = main(["sweep", FIG3, "--param", "kinds.ap.cache_size=0:20:1",
                      "--argmax", "e3", "--time", "20", "--out", str(out)])
@@ -377,7 +375,10 @@ class TestSweep:
         printed = capsys.readouterr().out
         spec = SweepSpec(param_path="kinds.ap.cache_size",
                          values=tuple(float(v) for v in range(21)), time_hours=20.0)
-        values, best = argmax(run_sweep(load_document("fig3.json"), spec), "e3")
+        argmax = Argmax("e3")
+        for row in sweep_rows(load_document("fig3.json"), spec):
+            argmax.add(row)
+        values, best = argmax.result()
         assert f"kinds.ap.cache_size={values[0]:g}" in printed
         assert format(best, ".12g") in printed
 
@@ -444,12 +445,9 @@ class TestSweep:
         main(["sweep", FIG3, "--param", "kinds.ap.cache_size=0:20:5",
               "--time", "20", "--out", str(out)])
         _, header, rows = read_csv(out)
-        from e3sim import SweepSpec, run_sweep
-
         spec = SweepSpec(param_path="kinds.ap.cache_size",
                          values=tuple(float(v) for v in range(0, 21, 5)), time_hours=20.0)
-        result = run_sweep(load_document("fig3.json"), spec)
-        for row, expected in zip(rows, result.rows):
+        for row, expected in zip(rows, sweep_rows(load_document("fig3.json"), spec)):
             record = dict(zip(header, row))
             assert record["e3_bit_per_joule"] == format(expected.report.e3, ".12g")
             assert record["weighted_power_w"] == format(expected.report.weighted_power_w, ".12g")
@@ -476,7 +474,7 @@ class TestDocumentPaths:
                              "--daily", "--argmax", "e3")
         assert "argmax e3: base_stations.grid.kind=opt3 " in capsys.readouterr().out
         spec = SweepSpec(param_path="base_stations.grid.kind", values=options, daily=True)
-        rows = run_sweep(load_document("fig2.json"), spec).rows
+        rows = sweep_rows(load_document("fig2.json"), spec)
         for option, record, row in zip(options, records, rows):
             doc = load_document("fig2.json")  # edited by hand, as acceptance test C3 does
             doc["base_stations"]["grid"]["kind"] = option

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import oracles
-from conftest import make_kind, make_scenario, make_stations, make_ues, make_xhaul, with_parameter
+from conftest import make_kind, make_scenario, make_stations, make_ues, make_xhaul, sweep_rows, with_parameter
 from e3sim import (
     SECONDS_PER_YEAR,
     TrafficProfile,
@@ -86,7 +86,7 @@ class TestEvaluate:
         assert up.throughput_bps == base.throughput_bps
 
     def test_weight_scaling_preserves_sweep_argmax(self):
-        from e3sim import SweepSpec, argmax, run_sweep
+        from e3sim import Argmax, SweepSpec
 
         s = make_scenario(
             kinds=(make_kind(cache_size=0, cache_item_cost_per_area=2.0,
@@ -97,9 +97,12 @@ class TestEvaluate:
         s = set_parameter(s, "cache.catalog_size", 10)
         s = set_parameter(s, "cache.strategy", "top_popular")
         spec = SweepSpec(param_path="kinds.pico.cache_size", values=tuple(range(11)), time_hours=0.0)
-        base_argmax = argmax(run_sweep(s, spec))
-        scaled_argmax = argmax(run_sweep(set_parameter(s, "ues[0].weight", 5.0), spec))
-        assert scaled_argmax[0] == base_argmax[0]
+        base_argmax, scaled_argmax = Argmax(), Argmax()
+        for row in sweep_rows(s, spec):
+            base_argmax.add(row)
+        for row in sweep_rows(set_parameter(s, "ues[0].weight", 5.0), spec):
+            scaled_argmax.add(row)
+        assert scaled_argmax.result()[0] == base_argmax.result()[0]
 
     def test_an_hour_of_none_is_a_type_error(self):
         # None means a daily average to the block core, never to evaluate

@@ -1,4 +1,4 @@
-"""Parameter paths, grid sweeps, and argmax."""
+"""Parameter paths, grid sweeps, and the running argmax."""
 
 import contextlib
 import copy
@@ -13,25 +13,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import load_document, make_scenario
+from conftest import load_document, make_scenario, sweep_rows
 from e3sim import (
+    Argmax,
     CacheConfig,
     InvariantError,
     ParameterPathError,
     SchemaError,
-    SweepResult,
     SweepRow,
     SweepSpec,
     allocation,
-    argmax,
     build_scenario,
     cache,
     evaluate,
     evaluate_daily,
     metrics,
+    open_sweep,
     radio,
-    resolve_parameter,
-    run_sweep,
     scenario_to_document,
     set_parameter,
 )
@@ -39,7 +37,6 @@ from e3sim import sweep
 from e3sim.document import _build, _makers
 from e3sim.model import _BREAKDOWN_COMPONENTS as BREAKDOWN_COMPONENTS, BaseStation
 from e3sim.rng import uniform_positions
-from e3sim.sweep import open_sweep
 
 
 @pytest.fixture()
@@ -49,6 +46,14 @@ def fig3():
 
 def built(document, path, value):
     return build_scenario(set_parameter(document, path, value))
+
+
+def best_of(rows, metric="e3"):
+    """(axis values, metric value) of the best of ``rows``, fed one by one to ``Argmax``, as ``e3 sweep`` does."""
+    best = Argmax(metric)
+    for row in rows:
+        best.add(row)
+    return best.result()
 
 
 def rebuilt(document, base, path, value):
@@ -104,13 +109,13 @@ class TestSetParameter:
     )
     def test_unresolvable_paths(self, fig3, path):
         with pytest.raises(ParameterPathError, match="unresolvable"):
-            resolve_parameter(fig3, path)
+            set_parameter(fig3, path, 0)
 
     @pytest.mark.parametrize("path", ["kinds.ap.cache_size\n", "kinds\n.ap.cache_size", "kinds[\u0660].cache_size"])
     def test_a_segment_with_a_line_break_or_a_non_ascii_digit_is_bad(self, fig3, path):
         # a whole segment must match the grammar: no trailing line break, an index of ASCII digits
         with pytest.raises(ParameterPathError, match="bad segment"):
-            resolve_parameter(fig3, path)
+            set_parameter(fig3, path, 0)
 
     def test_invariant_violations_surface(self, fig3):
         with pytest.raises(InvariantError):
@@ -119,9 +124,7 @@ class TestSetParameter:
 
 class TestDocumentPaths:
     def test_entries_by_id_and_generator_sections(self, fig3):
-        assert resolve_parameter(fig3, "base_stations.ap000.position_m[0]") == 0.0
         assert built(fig3, "base_stations.ap000.position_m[1]", 5.0).base_stations.position_m[0].tolist() == [0.0, 5.0]
-        assert resolve_parameter(fig3, "ues.uniform_random.count") == 10
         assert len(built(fig3, "ues.uniform_random.count", 4).ues) == 4
         assert built(fig3, "seed", 8).rng_seed == 8
         assert built(fig3, "radio_mode", "physical").radio_mode == "physical"
@@ -134,7 +137,7 @@ class TestDocumentPaths:
     def test_defaulted_key_gets_the_schema_rules(self, fig3):
         del fig3["kinds"][0]["xhaul"]["xhaul_power_factor"]
         del fig3["kinds"][0]["tx_power_w"]
-        assert resolve_parameter(fig3, "kinds.ap.xhaul.xhaul_power_factor") is None
+        assert built(fig3, "kinds.ap.xhaul.xhaul_power_factor", 1.0).kinds[0].xhaul.xhaul_power_factor == 1.0
         # the medium default applies at build time, so a wireless point gets its factor
         assert built(fig3, "kinds.ap.xhaul.medium", "wireless").kinds[0].xhaul.xhaul_power_factor == 3.0
         assert built(fig3, "kinds.ap.tx_power_w", 0.5).kinds[0].tx_power_w == 0.5
@@ -172,8 +175,8 @@ class TestDocumentPaths:
     )
     def test_rows_equal_fresh_builds_of_each_point(self, fig3, path, values):
         # points reuse the base's built sections; the rows must not show it
-        result = run_sweep(fig3, SweepSpec(param_path=path, values=values, daily=True))
-        for value, row in zip(values, result.rows):
+        rows = sweep_rows(fig3, SweepSpec(param_path=path, values=values, daily=True))
+        for value, row in zip(values, rows):
             assert row.report == evaluate_daily(built(fig3, path, value))
             assert row.report.cost_rate == oracles.total_cost_rate(built(fig3, path, value))
 
@@ -200,13 +203,13 @@ class TestDocumentPaths:
 
     def test_bad_value_at_a_valid_path_is_a_row_error(self, fig3):
         spec = SweepSpec(param_path="cache.strategy", values=("lru", "none"), time_hours=20.0)
-        rows = run_sweep(fig3, spec).rows
+        rows = sweep_rows(fig3, spec)
         assert rows[0].error.startswith("cache.strategy: expected one of")
         assert rows[1].error is None
 
     def test_result_carries_the_base_scenario(self, fig3):
         spec = SweepSpec(param_path="seed", values=(1,), time_hours=20.0)
-        assert run_sweep(fig3, spec).base == build_scenario(fig3)
+        assert open_sweep(fig3, spec)[0] == build_scenario(fig3)
 
 
 #: A path into each root section of fig3, in the order a build reads the
@@ -226,17 +229,17 @@ SECTION_ERRORS = [
 class TestRunSweep:
     def test_single_value_axis_equals_direct_evaluate(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=(6,), time_hours=20.0)
-        result = run_sweep(fig3, spec)
-        assert len(result.rows) == 1
-        assert result.rows[0].report == evaluate(build_scenario(fig3), 20.0)
+        rows = sweep_rows(fig3, spec)
+        assert len(rows) == 1
+        assert rows[0].report == evaluate(build_scenario(fig3), 20.0)
 
     def test_rows_match_independent_evaluations(self):
         # each sweep row equals a standalone evaluation of the modified copy
         s = load_document("fig2.json")
         values = (12e6, 24e6, 48e6, 96e6, 192e6)
         spec = SweepSpec(param_path="kinds.opt3.xhaul.capacity_bps", values=values, time_hours=20.0)
-        result = run_sweep(s, spec)
-        for value, row in zip(values, result.rows):
+        rows = sweep_rows(s, spec)
+        for value, row in zip(values, rows):
             expected = evaluate(built(s, "kinds.opt3.xhaul.capacity_bps", value), 20.0)
             assert row.report == expected
             assert row.error is None
@@ -244,27 +247,27 @@ class TestRunSweep:
     def test_unused_cache_leaves_throughput_flat(self, fig3):
         s = set_parameter(fig3, "cache.strategy", "none")
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(0, 21, 5)), time_hours=20.0)
-        result = run_sweep(s, spec)
-        throughputs = {row.report.throughput_bps for row in result.rows}
+        rows = sweep_rows(s, spec)
+        throughputs = {row.report.throughput_bps for row in rows}
         assert len(throughputs) == 1
 
     def test_a_bigger_cache_at_equal_throughput_costs_more(self, fig3):
         # from size 10 on the X-Haul no longer binds at fig3's peak, so only the cost of cache items grows
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=(10, 20), time_hours=20.0)
-        small, large = (row.report for row in run_sweep(fig3, spec).rows)
+        small, large = (row.report for row in sweep_rows(fig3, spec))
         assert small.throughput_bps == large.throughput_bps
         assert small.cost_rate < large.cost_rate
 
     def test_row_level_errors_do_not_abort(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=(0, 25, 10), time_hours=20.0)
-        result = run_sweep(fig3, spec)
-        assert [row.error is None for row in result.rows] == [True, False, True]
-        assert "cache larger than catalog" in result.rows[1].error
+        rows = sweep_rows(fig3, spec)
+        assert [row.error is None for row in rows] == [True, False, True]
+        assert "cache larger than catalog" in rows[1].error
 
     def test_unresolvable_path_raises_up_front(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.bogus", values=(1,))
         with pytest.raises(ParameterPathError):
-            run_sweep(fig3, spec)
+            open_sweep(fig3, spec)
 
     @pytest.mark.parametrize("path2", ["kinds[0].cache_size", "kinds.ap.cache_size"])
     def test_two_paths_to_one_value_raise_up_front(self, fig3, path2):
@@ -304,7 +307,7 @@ class TestRunSweep:
         del fig3[key]
         for spec in (SweepSpec(key, (value, 5), time_hours=20.0),
                      SweepSpec("seed", (0,), key, (value, 5), time_hours=20.0)):
-            rows = run_sweep(fig3, spec).rows
+            rows = sweep_rows(fig3, spec)
             assert rows[0].report == evaluate(built(fig3, key, value), 20.0)
             assert rows[1].error == f"{key}: expected an object"
 
@@ -316,18 +319,20 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f"^{re.escape(error1)}$"):
             build_scenario(set_parameter(set_parameter(fig3, path1, bad1), path2, bad2))
         spec = SweepSpec(path1, (bad1, good1), path2, (bad2, good2), time_hours=20.0)
-        assert [row.error for row in run_sweep(fig3, spec).rows] == [error1, error1, error2, None]
+        assert [row.error for row in sweep_rows(fig3, spec)] == [error1, error1, error2, None]
         spec = SweepSpec(path2, (bad2, good2), path1, (bad1, good1), time_hours=20.0)
-        assert [row.error for row in run_sweep(fig3, spec).rows] == [error1, error2, error1, None]
+        assert [row.error for row in sweep_rows(fig3, spec)] == [error1, error2, error1, None]
 
     def test_base_scenario_reproduces_after_sweep(self, fig3):
         before = evaluate(build_scenario(fig3), 20.0)
-        run_sweep(fig3, SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)), time_hours=20.0))
+        sweep_rows(fig3, SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)), time_hours=20.0))
         assert evaluate(build_scenario(fig3), 20.0) == before
 
     def test_repeat_runs_are_identical(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(0, 21, 2)), daily=True)
-        assert run_sweep(fig3, spec) == run_sweep(fig3, spec)
+        (base, _, rows), (again, _, rows_again) = open_sweep(fig3, spec), open_sweep(fig3, spec)
+        assert base == again
+        assert tuple(rows) == tuple(rows_again)
 
     def test_two_axes_row_major(self, fig3):
         spec = SweepSpec(
@@ -337,8 +342,8 @@ class TestRunSweep:
             values2=(0.5, 1.0),
             time_hours=20.0,
         )
-        result = run_sweep(fig3, spec)
-        assert [row.values for row in result.rows] == [
+        rows = sweep_rows(fig3, spec)
+        assert [row.values for row in rows] == [
             (0, 0.5), (0, 1.0), (5, 0.5), (5, 1.0), (10, 0.5), (10, 1.0)
         ]
 
@@ -353,6 +358,17 @@ class TestRunSweep:
         with pytest.raises(TypeError, match=f"^SweepSpec: time_hours must be a number, got {hour!r}$"):
             SweepSpec(param_path="kinds.ap.cache_size", values=(0, 6), time_hours=hour)
 
+    @pytest.mark.parametrize("field", ["values", "values2"])
+    @pytest.mark.parametrize("values", ["wired", b"12", bytearray(b"12"), {"wired": 1}, {"wired", "fiber"}],
+                             ids=lambda values: type(values).__name__)
+    def test_an_axis_must_be_a_sequence_of_values(self, field, values):
+        # a string was split into its characters, bytes into the numbers of its characters, a mapping
+        # into its keys, and a set of strings gave its rows in an order that moved with the hash seed
+        axes = {"values": (0, 6), "param2_path": "kinds.ap.xhaul.medium", "values2": ("wired",), field: values}
+        message = f"^SweepSpec: {field} must be a sequence of values, got {type(values).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            SweepSpec(param_path="kinds.ap.cache_size", time_hours=20.0, **axes)
+
     @pytest.mark.parametrize("hour", [float("nan"), float("inf"), -float("inf")])
     def test_the_hour_must_be_finite(self, hour):
         # every row of such a sweep once failed with the same t_hours error, and the sweep exited 0
@@ -366,31 +382,30 @@ class TestRunSweep:
 
 
 class TestArgmax:
-    def test_unknown_metric_is_a_typed_error(self, fig3):
-        result = run_sweep(fig3, SweepSpec(param_path="kinds.ap.cache_size", values=(1, 2), time_hours=20.0))
+    def test_unknown_metric_is_a_typed_error(self):
         with pytest.raises(ValueError, match=r"unknown metric 'bogus', expected one of \('se', 'ee', 'ce', 'e3'\)"):
-            argmax(result, "bogus")
+            Argmax("bogus")
 
     def test_tie_breaks_to_smallest_value(self, fig3):
         s = set_parameter(fig3, "cache.strategy", "none")
         s = set_parameter(s, "kinds.ap.cache_item_cost_per_area", 0.0)
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=(1, 2, 3), time_hours=20.0)
-        values, _ = argmax(run_sweep(s, spec))
+        values, _ = best_of(sweep_rows(s, spec))
         assert values == (1,)
 
     @pytest.mark.parametrize("values", [("max-kind", 100.0), (100.0, "max-kind")])
     def test_a_tie_between_a_string_and_a_number_goes_to_the_number(self, fig3, values):
         # SE is blind to cost, so both rows tie; comparing them once raised a TypeError
         spec = SweepSpec(param_path="benchmark_cost", values=values, time_hours=20.0)
-        result = run_sweep(fig3, spec)
-        assert result.rows[0].report.se == result.rows[1].report.se
-        assert argmax(result, "se")[0] == (100.0,)
+        rows = sweep_rows(fig3, spec)
+        assert rows[0].report.se == rows[1].report.se
+        assert best_of(rows, "se")[0] == (100.0,)
 
     def test_ties_order_numbers_first_then_other_types_by_name(self):
         report = evaluate(make_scenario(), 20.0)
 
         def best(*values):
-            return argmax(SweepResult(rows=tuple(SweepRow(v, report) for v in values), base=None))[0]
+            return best_of(SweepRow(v, report) for v in values)[0]
 
         # values of one type keep their own order
         assert best(("b", 2.0), ("a", 3.0), ("a", 1.0)) == ("a", 1.0)
@@ -409,31 +424,31 @@ class TestArgmax:
                  "optimization_maintenance": 5.0, "cache_placement": 5.0, "xhaul_configuration": 3.0,
                  "content_delivery": 2.0}
         a, b = ({**parts, "inherited_discount": d} for d in discounts)
-        result = run_sweep(fig3, SweepSpec("kinds.ap.cost_breakdown", (a, b), time_hours=20.0))
-        assert result.rows[0].report.se == result.rows[1].report.se
-        assert argmax(result, "se")[0] == ({**parts, "inherited_discount": 0.2},)
+        rows = sweep_rows(fig3, SweepSpec("kinds.ap.cost_breakdown", (a, b), time_hours=20.0))
+        assert rows[0].report.se == rows[1].report.se
+        assert best_of(rows, "se")[0] == ({**parts, "inherited_discount": 0.2},)
 
     def test_matches_exhaustive_scan(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)), time_hours=20.0)
-        result = run_sweep(fig3, spec)
-        values, best = argmax(result, "e3")
-        scan_best = max(row.report.e3 for row in result.rows if row.report)
+        rows = sweep_rows(fig3, spec)
+        values, best = best_of(rows, "e3")
+        scan_best = max(row.report.e3 for row in rows if row.report)
         assert best == scan_best
         assert values[0] == next(
-            row.values[0] for row in result.rows if row.report and row.report.e3 == scan_best
+            row.values[0] for row in rows if row.report and row.report.e3 == scan_best
         )
 
     def test_value_equals_row_maximum_for_every_metric(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(0, 21, 4)), time_hours=20.0)
-        result = run_sweep(fig3, spec)
+        rows = sweep_rows(fig3, spec)
         for metric in ("se", "ee", "ce", "e3"):
-            _, best = argmax(result, metric)
-            assert best == max(getattr(row.report, metric) for row in result.rows)
+            _, best = best_of(rows, metric)
+            assert best == max(getattr(row.report, metric) for row in rows)
 
     def test_all_rows_failed(self, fig3):
         spec = SweepSpec(param_path="kinds.ap.cache_size", values=(30, 40), time_hours=20.0)
         with pytest.raises(ValueError, match="all sweep rows failed"):
-            argmax(run_sweep(fig3, spec))
+            best_of(sweep_rows(fig3, spec))
 
 
 def two_station_fig3():
@@ -619,7 +634,7 @@ class TestBlocks:
     def test_long_runs_and_failing_points_give_the_rows_of_fresh_evaluations(self, sweep, chunk_bytes):
         document, spec = sweep
         with mock.patch.object(radio, "CHUNK_BYTES", chunk_bytes), recorded_blocks() as blocks:
-            rows = run_sweep(document, spec).rows
+            rows = sweep_rows(document, spec)
             rows_per_chunk = radio.chunk_rows(10)  # fig3 has 10 UEs and one station
         assert [row.values for row in rows] == [(v1, v2) for v1 in spec.values for v2 in spec.values2]
         for row in rows:
@@ -642,7 +657,7 @@ class TestBlocks:
 
         compiled = mock.patch.object(allocation, "_blocks", wraps=allocation._blocks)
         with mock.patch("e3sim.sweep.evaluate_block", recorded), compiled as sort:
-            rows = run_sweep(fig3, spec).rows
+            rows = sweep_rows(fig3, spec)
         per_block = radio.chunk_rows(10) // 24
         assert len(rows) == 2100 and all(row.error is None for row in rows)
         assert sum(sizes) == 402
@@ -665,7 +680,7 @@ class TestBlocks:
     def test_a_geometry_is_compiled_once_for_the_points_that_evaluate_on_it(self, fig3, spec, compiled, blocks):
         with mock.patch("e3sim.sweep.plan_geometry", wraps=allocation.plan_geometry) as plan, \
                 recorded_blocks() as recorded:
-            rows = run_sweep(fig3, spec).rows
+            rows = sweep_rows(fig3, spec)
         assert plan.call_count == compiled and recorded == blocks
         assert [row.values for row in rows] == list(itertools.product(spec.values, *filter(None, [spec.values2])))
         for row in rows:
@@ -679,7 +694,7 @@ class TestBlocks:
                          values2=tuple(range(21)), daily=True)
         with mock.patch("e3sim.sweep.plan_geometry", wraps=allocation.plan_geometry) as plan, \
                 mock.patch("e3sim.document.uniform_positions", wraps=uniform_positions) as positions:
-            rows = run_sweep(fig3, spec).rows
+            rows = sweep_rows(fig3, spec)
         assert plan.call_count == 10
         assert positions.call_count == 10  # the base's, and one per seed but the base's
         assert [row.values for row in rows] == list(itertools.product(spec.values, spec.values2))
@@ -694,7 +709,7 @@ class TestBlocks:
         spec = SweepSpec(param_path="base_stations.ap001.kind", values=("b", "ap", "b"), daily=True)
         with mock.patch("e3sim.sweep.plan_geometry", wraps=allocation.plan_geometry) as plan, \
                 recorded_blocks() as blocks:
-            rows = run_sweep(fig3, spec).rows
+            rows = sweep_rows(fig3, spec)
         assert plan.call_count == 1 and blocks == [(3, 3)]
         assert [len(built(fig3, spec.param_path, v).placed_kinds) for v in spec.values] == [2, 1, 2]
         for row in rows:
@@ -704,7 +719,7 @@ class TestBlocks:
         # the cache size is the inner axis, so each of its 21 values comes back at every X-Haul capacity
         spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=(1e6, 1e7, 1e8),
                          param2_path="kinds.ap.cache_size", values2=tuple(range(21)), time_hours=20.0)
-        rows = run_sweep(fig3, spec).rows
+        rows = sweep_rows(fig3, spec)
         assert all(row.error is None for row in rows)
         info = cache._head_sum.cache_info()
         assert (info.misses, info.hits) == (21, 42)
@@ -722,7 +737,7 @@ class TestBlocks:
 
         def rows(job):
             return [(row.values, row.report, row.report and row.report.cost_rate, row.error)
-                    for row in run_sweep(*job).rows]
+                    for row in sweep_rows(*job)]
 
         serial = [rows(job) for job in jobs]
         start = threading.Barrier(len(jobs), timeout=60)
@@ -787,7 +802,7 @@ class TestBlocks:
         # both fig3 and fig2 peak at hour 20, the default time of a row
         document, spec = sweep
         with mock.patch.object(radio, "CHUNK_BYTES", chunk_bytes):
-            rows = run_sweep(document, spec).rows
+            rows = sweep_rows(document, spec)
         for row in rows:
             want = fresh_outcome(document, spec, row.values)
             assert (row.error if row.error is not None else (row.report, row.report.cost_rate)) == want
@@ -798,7 +813,7 @@ class TestBlocks:
                          param2_path="kinds.ap.cache_size", values2=(0, 5, 25), time_hours=20.0)
         with mock.patch("e3sim.sweep._steps", wraps=sweep._steps) as steps, \
                 mock.patch("e3sim.sweep._makers", wraps=sweep._makers) as makers:
-            rows = run_sweep(fig3, spec).rows
+            rows = sweep_rows(fig3, spec)
         assert [row.values for row in rows] == [(v1, v2) for v1 in spec.values for v2 in spec.values2]
         for row in rows:
             want = fresh_outcome(fig3, spec, row.values)
@@ -819,7 +834,7 @@ class TestBlocks:
         nearest = mock.patch.object(allocation, "nearest_stations", wraps=allocation.nearest_stations)
         physical = mock.patch.object(allocation, "physical_capacities", wraps=allocation.physical_capacities)
         with nearest as associate, physical as capacities:
-            rows = run_sweep(document, spec).rows
+            rows = sweep_rows(document, spec)
         assert associate.call_count == 1
         assert capacities.call_count == (mode == "physical")
         assert [row.report for row in rows] == [
@@ -831,7 +846,7 @@ class TestBlocks:
         document = scenario_to_document(build_scenario(fig3))  # the UEs as a list
         spec = SweepSpec(param_path="seed", values=(1, 2, 3), time_hours=20.0)
         with mock.patch.object(allocation, "nearest_stations", wraps=allocation.nearest_stations) as associate:
-            rows = run_sweep(document, spec).rows
+            rows = sweep_rows(document, spec)
         assert associate.call_count == 1
         assert [row.report for row in rows] == [evaluate(built(document, "seed", v), 20.0) for v in spec.values]
 
@@ -853,7 +868,7 @@ class TestBlocks:
     )
     def test_a_kind_rename_fails_only_the_point_whose_stations_lose_their_kind(self, document, path, error):
         value = "other" if path.startswith("kinds") else "nope"
-        rows = run_sweep(document, SweepSpec(param_path=path, values=("ap", value), time_hours=20.0)).rows
+        rows = sweep_rows(document, SweepSpec(param_path=path, values=("ap", value), time_hours=20.0))
         assert [row.error for row in rows] == [None, error]
         assert rows[0].report == evaluate(build_scenario(document), 20.0)
 
@@ -868,7 +883,7 @@ class TestBlocks:
             return real(geometry, inputs, *args)
 
         with mock.patch("e3sim.sweep.evaluate_block", recorded):
-            run_sweep(fig3, spec)
+            sweep_rows(fig3, spec)
         per_block = radio.chunk_rows(10) // 24  # 10 UEs, 24 samples a day
         # a block ends after per_block of the 63 points, repeats included; the 9 points whose
         # X-Haul limit, like the point's before, exceeds the radio capacity are not evaluated
@@ -899,7 +914,7 @@ class TestBlocks:
             return real_block(geometry, inputs, *args)
 
         with mock.patch("e3sim.sweep.evaluate_block", recorded_points), recorded_blocks() as blocks:
-            rows = run_sweep(fig3, spec).rows
+            rows = sweep_rows(fig3, spec)
         assert len(evaluated) == sum(v / miss < 6e7 for v in values) + 1 == 24
         assert blocks == [(100, 24)]
         assert_blocks_within_one_chunk(blocks, rows_per_chunk=radio.chunk_rows(10), samples=24)
@@ -919,7 +934,7 @@ class TestBlocks:
             return real(geometry, inputs, *args)
 
         with mock.patch("e3sim.sweep.evaluate_block", recorded):
-            rows = run_sweep(fig3, spec).rows
+            rows = sweep_rows(fig3, spec)
         for row in rows:
             want = fresh_outcome(fig3, spec, row.values)
             assert (row.error if row.error is not None else (row.report, row.report.cost_rate)) == want
@@ -939,7 +954,7 @@ class TestBlocks:
             return rates, load
 
         with mock.patch.object(metrics, "fill", nan_middle_point):
-            rows = run_sweep(fig3, spec).rows
+            rows = sweep_rows(fig3, spec)
         assert [row.error for row in rows] == [None, "total_power_w must be finite, got nan", None]
         for value in (1e7, 4e7):
             row = rows[spec.values.index(value)]
@@ -954,7 +969,7 @@ class TestBlocks:
             return np.where(max_tx == 2.0, -1e9, transceiver), xhaul
 
         with mock.patch.object(metrics, "dynamic_parts", drained):
-            rows = run_sweep(fig3, spec).rows
+            rows = sweep_rows(fig3, spec)
         assert [row.error for row in rows] == [
             None, "total power is zero; refusing to report infinite efficiency", None
         ]
