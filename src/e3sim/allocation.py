@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cache import hit_ratio
-from .radio import chunk_rows, nearest_stations, physical_capacities, station_radio
+from .radio import chunk_rows, nearest_stations, physical_capacities, stable_order, station_radio
 
 if TYPE_CHECKING:
     from .scenario import NetworkScenario
@@ -110,10 +110,15 @@ class Geometry:
 
 
 def _blocks(serving: np.ndarray, peaks: np.ndarray, counts: np.ndarray):
-    """Peaks sorted by station then value, zero-padded; station starts; stations by UE count."""
+    """Peaks sorted by station then value, zero-padded; station starts; stations by UE count.
+
+    The order is ``np.lexsort((peaks, serving))`` in two stable passes,
+    least significant key first: a stable sort of the peaks, then the
+    radix order of their stations (``radio.stable_order``).
+    """
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     stations = np.argsort(-counts, kind="stable")
-    padded = np.append(peaks[np.lexsort((peaks, serving))], 0.0)
+    padded = np.append(peaks[stable_order(serving, len(counts), np.argsort(peaks, kind="stable"))], 0.0)
     return padded, starts, stations[counts[stations] > 0]
 
 
@@ -124,7 +129,7 @@ def plan_geometry(s: NetworkScenario) -> Geometry:
     peaks = s.ues.demand_peak_bps
     return Geometry(
         serving=serving,
-        station_major=np.argsort(serving, kind="stable"),
+        station_major=stable_order(serving, n_bs),
         peaks=peaks,
         weights=s.ues.weight,
         counts=np.bincount(serving, minlength=n_bs),

@@ -4,13 +4,19 @@ The array functions here work on index form: UE and station positions as
 the (U, 2) ``s.ues.position_m`` and (B, 2) ``s.base_stations.position_m``
 arrays, and the serving station of each UE as an index into the stations.
 Association does not walk the U x B distance matrix: it buckets the
-stations into a grid of square cells and scores each UE against the
-stations of the 3 x 3 cells around its own, falling back to every station
-only for the UEs that this cannot decide exactly. The physical-mode
-interference sum does walk the whole matrix, as every station interferes
-with every UE. Both take UEs in chunks whose temporaries stay within
-``CHUNK_BYTES``, so their working space does not grow with the number of
-stations.
+stations into a grid of square cells, lists once per cell the stations of
+the 3 x 3 cells around it, and scores each UE against its cell's list,
+falling back to every station only for the UEs that this cannot decide
+exactly. The physical-mode interference sum does walk the whole matrix,
+as every station interferes with every UE. Both take UEs in chunks whose
+temporaries stay within ``CHUNK_BYTES``, so their working space does not
+grow with the number of stations.
+
+Stable orders of small ints (the stations by cell here, the UEs by
+serving station in ``allocation``) are LSD radix sorts, ``stable_order``.
+No step calls numpy's default quicksort: in a fresh process its first
+int64 or float64 call maps 128-256 KB more sort code (numpy 2.4, x86-64),
+which would show in the peak resident memory of a run.
 """
 
 from __future__ import annotations
@@ -56,6 +62,21 @@ def chunk_rows(width: int) -> int:
     return max(1, CHUNK_BYTES // (8 * max(width, 1)))
 
 
+def stable_order(keys: np.ndarray, n: int, order: np.ndarray | None = None) -> np.ndarray:
+    """The stable order of ``keys``, ints in [0, n): ``np.argsort(keys,
+    kind="stable")``, or, given ``order``, ``order`` stably sorted by
+    ``keys[order]``.
+
+    LSD radix passes over 16-bit digits, lowest first, each numpy's
+    stable sort of a uint16 array, which is a radix sort: one pass for
+    ``n <= 2**16``, two up to ``2**32``.
+    """
+    for shift in range(0, max(n - 1, 1).bit_length(), 16):
+        digit = (keys >> shift if shift else keys).astype(np.uint16)  # the cast keeps the low 16 bits
+        order = np.argsort(digit, kind="stable") if order is None else order[np.argsort(digit[order], kind="stable")]
+    return order
+
+
 def nearest_stations(s: NetworkScenario) -> np.ndarray:
     """Index into ``s.base_stations`` of the station serving each UE.
 
@@ -89,7 +110,7 @@ def _nearest_of_all(bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
     """Row of ``bs`` nearest to each UE, scoring every station: the rule of
     ``nearest_stations`` over stations in ``bs`` row order."""
     nearest = np.empty(len(ue), dtype=np.intp)
-    step = chunk_rows(len(bs))
+    step, pair_rows = chunk_rows(len(bs)), chunk_rows(2 * len(bs))
     for lo in range(0, len(ue), step):
         chunk = ue[lo : lo + step]
         dx = bs[:, 0] - chunk[:, :1]
@@ -98,10 +119,13 @@ def _nearest_of_all(bs: np.ndarray, ue: np.ndarray) -> np.ndarray:
         best = d2.argmin(axis=1)
         near = d2 <= d2[np.arange(len(chunk)), best][:, None] * (1.0 + _TIE_RTOL)
         ties = np.count_nonzero(near, axis=1) > 1
-        if ties.all():  # far from the stations every row ties, and is not copied
-            best = _closest(dx, dy, near)
-        elif ties.any():
-            best[ties] = _closest(dx[ties], dy[ties], near[ties])
+        if ties.any():  # tie rows go to _closest in parts whose complex keys fill one chunk
+            tied = np.flatnonzero(ties)
+            for at in range(0, len(tied), pair_rows):
+                part = tied[at : at + pair_rows]
+                if part[-1] - part[0] == len(part) - 1:  # far from the stations every row ties: views, not copies
+                    part = slice(part[0], part[-1] + 1)
+                best[part] = _closest(dx[part], dy[part], near[part])
         nearest[lo : lo + step] = best
     return nearest
 
@@ -161,10 +185,21 @@ def _cell_search(bs: np.ndarray, ue: np.ndarray) -> tuple[np.ndarray, np.ndarray
     the squared gap to the nearest of those lines, computed like any
     ``dx * dx``, is a lower bound on the squared distance the full scan
     computes for each of those stations. A UE is settled when exactly one
-    candidate lies within ``_TIE_RTOL`` of its best and that bound is
-    larger than this margin: the full scan would then find no other
-    station inside it and pick the same one. Where the 3 x 3 cells hold no
-    fewer candidate slots than there are stations, nothing is settled.
+    candidate lies within ``_TIE_RTOL`` of its best (the least of the
+    others, with the best set to inf, lies past that margin) and that
+    bound is larger than this margin: the full scan would then find no
+    other station inside it and pick the same one. Where the 3 x 3 cells
+    hold no fewer candidate slots than there are stations, nothing is
+    settled.
+
+    A UE's candidates depend only on its cell. So one table column per
+    cell holds the 3 x 3 cells' station indices, ``slots`` per cell with
+    the slots past a cell's count pointing at a station at infinity, and
+    their x and y; each chunk gathers its UEs' columns. Where the table
+    would hold more values than the UE positions, each chunk lists its own
+    UEs' candidates instead, so the table never outgrows the input. A
+    chunk holds one column per UE because numpy reduces across rows faster
+    than along rows of a few values.
     """
     n_bs = len(bs)
     serving = np.zeros(len(ue), dtype=np.intp)
@@ -179,8 +214,9 @@ def _cell_search(bs: np.ndarray, ue: np.ndarray) -> tuple[np.ndarray, np.ndarray
     cols, rows = (_cell_index(bs[:, a], lo[a], side, shape[a]) for a in (0, 1))
     width = shape[0] + 2  # a ring of empty cells around the grid
     cell = (rows + 1) * width + cols + 1
-    by_cell = np.argsort(cell, kind="stable")
-    counts = np.bincount(cell, minlength=width * (shape[1] + 2))
+    n_cells = width * (shape[1] + 2)
+    by_cell = stable_order(cell, n_cells)
+    counts = np.bincount(cell, minlength=n_cells)
     starts = np.cumsum(counts) - counts
     slots = int(counts.max())
     if len(_NEIGHBOURS) * slots >= n_bs:
@@ -190,26 +226,45 @@ def _cell_search(bs: np.ndarray, ue: np.ndarray) -> tuple[np.ndarray, np.ndarray
     bs_x, bs_y = np.append(bs[:, 0], math.inf), np.append(bs[:, 1], math.inf)
     (left, right), (down, up) = (_beyond(bs[:, a], (cols, rows)[a], shape[a]) for a in (0, 1))
     offsets = np.array([dr * width + dc for dc, dr in _NEIGHBOURS])
-    slot = np.arange(slots)
+    slot = np.arange(slots)[:, None]
+
+    def candidates(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The candidate stations of each of ``cells`` (ring-grid indices),
+        and their x and y, one column per cell."""
+        around = offsets[:, None] + cells
+        index = np.where(slot < counts[around][:, None], starts[around][:, None] + slot, n_bs)
+        near = padded[index.reshape(-1, len(cells))]
+        return near, bs_x[near], bs_y[near]
+
+    # the ring-grid index of each cell a UE can lie in, row-major
+    inner = (np.arange(1, shape[1] + 1)[:, None] * width + np.arange(1, shape[0] + 1)).ravel()
+    # one table column per cell, where it holds no more values than the UE positions
+    table = candidates(inner) if len(inner) * len(offsets) * slots <= ue.size else None
     settled = np.zeros(len(ue), dtype=bool)
     step = chunk_rows(len(offsets) * slots)
     for first in range(0, len(ue), step):
         x, y = ue[first : first + step, 0], ue[first : first + step, 1]
         col = _cell_index(x, lo[0], side, shape[0])
         row = _cell_index(y, lo[1], side, shape[1])
-        around = (row + 1)[:, None] * width + (col + 1)[:, None] + offsets
-        index = starts[around][..., None] + slot
-        index = np.where(slot < counts[around][..., None], index, n_bs).reshape(len(x), -1)
-        candidates = padded[index]
-        dx = bs_x[candidates] - x[:, None]
-        dy = bs_y[candidates] - y[:, None]
-        d2 = dx * dx + dy * dy
-        best = d2.argmin(axis=1)
-        margin = d2[np.arange(len(x)), best] * (1.0 + _TIE_RTOL)
-        unique = np.count_nonzero(d2 <= margin[:, None], axis=1) == 1
-        gap = np.maximum(np.minimum.reduce([x - left[col], right[col] - x, y - down[row], up[row] - y]), 0.0)
+        ues = np.arange(len(x))
+        own = row * shape[0] + col
+        if table is None:  # columns of this chunk's UEs
+            near, dx, dy = candidates(inner[own])
+            own = ues
+        else:
+            near, dx, dy = table[0], table[1].take(own, axis=1), table[2].take(own, axis=1)
+        dx -= x
+        dy -= y
+        d2 = np.multiply(dx, dx, out=dx)
+        d2 += np.multiply(dy, dy, out=dy)
+        best = d2.argmin(axis=0)
+        margin = d2[best, ues] * (1.0 + _TIE_RTOL)
+        d2[best, ues] = math.inf  # the best is unique when every other candidate lies past its margin
+        unique = d2.min(axis=0) > margin
+        gap = np.minimum(np.minimum(x - left[col], right[col] - x), np.minimum(y - down[row], up[row] - y))
+        np.maximum(gap, 0.0, out=gap)
         settled[first : first + step] = unique & (gap * gap > margin)
-        serving[first : first + step] = candidates[np.arange(len(x)), best]
+        serving[first : first + step] = near[best, own]
     return serving, settled
 
 
@@ -218,7 +273,8 @@ def _cell_index(coordinate: np.ndarray, lo: float, side: float, n: int) -> np.nd
     from ``lo``, clamped into the grid."""
     if n == 1:
         return np.zeros(len(coordinate), dtype=np.intp)
-    return np.clip(np.floor((coordinate - lo) / side), 0, n - 1).astype(np.intp)
+    # clamped into [0, n - 1] first, truncating is flooring
+    return np.clip((coordinate - lo) / side, 0, n - 1).astype(np.intp)
 
 
 def _beyond(coordinate: np.ndarray, cell: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -166,7 +166,10 @@ class StationLayout(_Columns):
     @cached_property
     def id_order(self) -> np.ndarray:
         """Station indices sorted by bs_id."""
-        order = np.array(sorted(range(len(self)), key=self.ids().__getitem__), dtype=np.intp)
+        if self.bs_id is None and len(self) <= 1000:  # the names bs000 ... bs999 sort as their indices
+            order = np.arange(len(self))
+        else:
+            order = np.array(sorted(range(len(self)), key=self.ids().__getitem__), dtype=np.intp)
         order.flags.writeable = False
         return order
 

@@ -12,6 +12,7 @@ import importlib
 import inspect
 import math
 import random
+import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
 from unittest import mock
@@ -400,6 +401,40 @@ class TestCellSearch:
             got = serving_ids(s)
         serving = oracles.associate(s).serving
         assert got == [serving[u] for u in s.ues.ids()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(layout=cell_layouts())
+    def test_the_per_cell_table_gives_the_answers_of_per_chunk_candidates(self, layout):
+        # a few dozen UEs take their candidates chunk by chunk; repeated until
+        # they hold more values than the table (under 4 x B**2), they take
+        # them from one table row per cell
+        stations, ues = np.array(layout[0]), np.array(layout[1])
+        times = -(-2 * len(stations) ** 2 // len(ues))
+        serving, settled = radio._cell_search(stations, ues)
+        repeated = radio._cell_search(stations, np.tile(ues, (times, 1)))
+        assert repeated[0].tolist() == np.tile(serving, times).tolist()
+        assert repeated[1].tolist() == np.tile(settled, times).tolist()
+
+    def test_a_clustered_layout_keeps_the_working_space_of_a_few_chunks(self):
+        # 50 coincident stations give every cell 50 candidate slots: a table of
+        # every cell's candidates would take some 6 MB for 100 UEs
+        rng = np.random.default_rng(0)
+        stations = np.concatenate([rng.uniform(0.0, 1000.0, (450, 2)), np.full((50, 2), 500.0)])
+        ues = rng.uniform(0.0, 1000.0, (100, 2))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            serving, settled = radio._cell_search(stations, ues)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 16 * radio.CHUNK_BYTES
+        assert settled.any()
+        assert serving[settled].tolist() == radio._nearest_of_all(stations, ues[settled]).tolist()
 
     def test_rounding_ties_across_the_searched_cells_follow_math_hypot(self):
         # "a" lies two cells right of the UE's, at the rounded distance of "b"

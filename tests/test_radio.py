@@ -7,10 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_kind, make_scenario, make_stations, make_ues, radio_capacities, serving_ids, with_parameter
-from e3sim import TrafficProfile
-from e3sim.allocation import plan_geometry
-from e3sim.radio import _nearest_of_all, demand_factor, nearest_stations
+from conftest import (
+    load_document,
+    make_kind,
+    make_scenario,
+    make_stations,
+    make_ues,
+    radio_capacities,
+    serving_ids,
+    with_parameter,
+)
+from e3sim import StationLayout, TrafficProfile, build_scenario, radio
+from e3sim.allocation import _blocks, plan_geometry
+from e3sim.model import MAX_STATIONS
+from e3sim.radio import _nearest_of_all, demand_factor, nearest_stations, stable_order
 
 
 def line_scenario(positions, ue_xs, kind=None, radio_mode="abstract"):
@@ -90,9 +100,78 @@ class TestAssociate:
             min(range(len(grid)), key=lambda j: (math.hypot(grid[j][0] - x, grid[j][1] - y), j)) for x, y in far
         ]
 
+    def test_far_ues_reach_closest_in_parts_whose_pair_keys_fit_one_chunk(self):
+        # every far UE ties on all 400 stations; a chunk of the full scan holds
+        # 20 of them, whose complex (|dx|, |dy|) keys would fill two chunks
+        kind = make_kind()
+        grid = [(c * 100.0, r * 100.0) for r in range(20) for c in range(20)]
+        stations = make_stations(grid, [kind] * len(grid))
+        far = [(1e199 * (1 + i), 0.25 * i) for i in range(50)]
+        s = make_scenario(kinds=(kind,), base_stations=stations, ues=make_ues(far))
+        with mock.patch.object(radio, "_closest", wraps=radio._closest) as closest:
+            serving = nearest_stations(s)
+        parts = [call.args[0] for call in closest.call_args_list]
+        assert all(len(dx) == 1 or dx.size * 16 <= radio.CHUNK_BYTES for dx in parts)
+        assert sum(map(len, parts)) == len(far)
+        assert serving.tolist() == [
+            min(range(len(grid)), key=lambda j: (math.hypot(grid[j][0] - x, grid[j][1] - y), j)) for x, y in far
+        ]
+
+    def test_a_metro_grid_is_settled_by_the_cell_search(self):
+        # fig3 on a seeded 20 x 20 grid with 10k uniform UEs: the cell search
+        # takes its candidates from one table row per cell, and settles every UE
+        document = load_document("fig3.json")
+        document["cache"]["catalog_size"] = 200
+        document["base_stations"] = {"grid": {"kind": "ap", "rows": 20, "cols": 20, "spacing_m": 100.0}}
+        document["ues"]["uniform_random"].update(count=10000, area_m=[2000.0, 2000.0])
+        s = build_scenario(document)
+        order = s.base_stations.id_order
+        bs, ue = s.base_stations.position_m[order], s.ues.position_m
+        serving, settled = radio._cell_search(bs, ue)
+        assert settled.all()
+        assert serving.tolist() == _nearest_of_all(bs, ue).tolist()
+        assert nearest_stations(s).tolist() == order[serving].tolist()
+
     def test_every_bs_is_listed_even_when_empty(self):
         s = line_scenario([0.0, 1000.0], (1.0,))
         assert plan_geometry(s).counts.tolist() == [1, 0]
+
+
+#: ints in [0, MAX_STATIONS) that repeat, and that straddle a 16-bit digit
+station_indices = st.one_of(
+    st.integers(0, 3),
+    st.integers(2**16 - 2, 2**16 + 1),
+    st.integers(0, MAX_STATIONS - 1),
+)
+
+
+class TestStationOrder:
+    @given(keys=st.lists(station_indices, max_size=40), data=st.data())
+    def test_the_radix_order_is_numpys_stable_argsort(self, keys, data):
+        n = data.draw(st.integers(max(keys, default=0) + 1, MAX_STATIONS))
+        keys = np.array(keys, dtype=np.intp)
+        assert stable_order(keys, n).tolist() == np.argsort(keys, kind="stable").tolist()
+
+    @given(serving=st.lists(station_indices, min_size=1, max_size=40), data=st.data())
+    def test_peaks_sorted_by_station_are_bitwise_those_of_lexsort(self, serving, data):
+        serving = np.array(serving, dtype=np.intp)
+        repeated = st.sampled_from([1e5, 2e6, 2e6 + 1.0, 5e-324, 1e300])
+        peaks = np.array(data.draw(st.lists(
+            st.one_of(repeated, st.floats(5e-324, 1e300)), min_size=len(serving), max_size=len(serving)
+        )))
+        counts = np.bincount(serving, minlength=int(serving.max()) + 1)
+        padded, _, _ = _blocks(serving, peaks, counts)
+        assert padded.tobytes() == np.append(peaks[np.lexsort((peaks, serving))], 0.0).tobytes()
+
+    def test_station_major_is_the_stable_order_of_the_serving_stations(self):
+        s = line_scenario([0.0, 100.0, 200.0], tuple(37.0 * i % 211 for i in range(40)))
+        geometry = plan_geometry(s)
+        assert geometry.station_major.tolist() == np.argsort(geometry.serving, kind="stable").tolist()
+
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 5000])
+    def test_a_grid_orders_its_stations_by_their_generated_names(self, n):
+        layout = StationLayout(None, np.zeros(n, dtype=int), np.zeros((n, 2)), ("ap",))
+        assert layout.id_order.tolist() == sorted(range(n), key=layout.ids().__getitem__)
 
 
 class TestDemandProfile:
