@@ -156,6 +156,9 @@ Parser = Callable[[Any, str], Any]
 #: A reader of one value or record section at a path fixed when it was made (``_at``, ``_maker``).
 Maker = Callable[[Any], Any]
 
+#: What a sweep may put in place of a record's reader (``_maker``): (record, edited keys, reader) -> reader.
+Memo = Callable[[Any, dict[str, Any], Maker], Maker]
+
 
 def _at(parse: Parser, path: str) -> Maker:
     """``parse`` of the value at document ``path``."""
@@ -205,7 +208,9 @@ def _record(section: tuple[str, ...], doc: Any, path: str) -> Any:
     return _RECORDS[section](**_values(section, doc, path))
 
 
-def _maker(section: tuple[str, ...], record: Any, doc: Any, edits: dict[str, Any] | None, path: str) -> Maker:
+def _maker(
+    section: tuple[str, ...], record: Any, doc: Any, edits: dict[str, Any] | None, path: str, memo: Memo | None = None
+) -> Maker:
     """A reader of record ``section`` at document ``path`` for edits of
     ``doc``, the section ``record`` was read from, at the keys in ``edits``
     (the tree of edited keys of ``_makers``; None for all). It parses the
@@ -214,7 +219,12 @@ def _maker(section: tuple[str, ...], record: Any, doc: Any, edits: dict[str, Any
     edited at them (``model.edit``). A key ``doc`` leaves out whose value
     was derived (is not its default) is edited back to the default, so its
     rule derives it again. The fields edited, their paths and the rules run
-    are chosen here, once."""
+    are chosen here, once. The reader, and that of each nested record, is
+    ``memo(record, edits, reader)``, which may return one that reuses the
+    records it made: a sweep makes a record the first-axis points share
+    with its base once per second-axis value (``sweep._memo``), keyed by
+    the value's identity, as ``1``, ``1.0`` and ``True`` are equal but
+    ``True`` is no number."""
     if edits is None:
         return _at(functools.partial(_record, section), path)
     cls, reset, edited = _RECORDS[section], {}, []
@@ -224,7 +234,8 @@ def _maker(section: tuple[str, ...], record: Any, doc: Any, edits: dict[str, Any
             if edits[name] is None:
                 edited.append((name, _at(parse, below)))
             else:
-                edited.append((name, _maker(section + (name,), getattr(record, name), doc[name], edits[name], below)))
+                nested = _maker(section + (name,), getattr(record, name), doc[name], edits[name], below, memo)
+                edited.append((name, nested))
         elif name not in doc and getattr(record, name) != f.default:
             reset[name] = f.default
     checks = rules_reading(cls, (*reset, *(name for name, _ in edited)))
@@ -235,7 +246,7 @@ def _maker(section: tuple[str, ...], record: Any, doc: Any, edits: dict[str, Any
             changes[name] = parse(doc[name])
         return edit(record, changes, checks)
 
-    return make
+    return make if memo is None else memo(record, edits, make)
 
 
 #: (key, parser) of every field of each record section, in field order.
@@ -427,16 +438,20 @@ def _build(document: Any, base: NetworkScenario | None = None, plan: Plan = _WHO
     return NetworkScenario(**read) if base is None else edit(base, read, checks)
 
 
-def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]]) -> Plan:
+def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]], memo: Memo | None = None) -> Plan:
     """The plan ``_build`` takes on ``base`` for ``document``, an edit of
     ``base``'s at ``paths``, each the keys (a list index as an int) from
     the root to an edited value. From the tree of edited keys, each mapped
     to the keys edited below it and a path's last key to None (a key one
     path sets whole stays whole when another goes below it), it chooses
     once which root sections are read, each edited kind, cache or traffic
-    record by its maker (``_maker``); whether the stations may need reading
-    again after a kind rename, or the UEs after a seed change; and the
-    scenario rules the fields read select."""
+    record by its maker (``_maker``, given ``memo``, which a sweep gives a
+    second path alone); whether the stations may need reading again after
+    a kind rename, or the UEs after a seed change; and the scenario rules
+    the fields read select. An edit of
+    kinds alone that renames none keeps the catalog's ids, so of the rules
+    on kinds only the ``placed_kinds`` lookup can change what it gives:
+    one check sets it from the catalog positions the base places."""
     edits: dict[Any, Any] = {}
     for keys in paths:
         node = edits
@@ -451,11 +466,11 @@ def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]]) -> Pla
     for key, field, reader in _READERS:
         if key == "kinds" and key in edits:
             reader = functools.partial(_edited_kinds, {
-                i: _maker(("kinds", "*"), base.kinds[i], document["kinds"][i], below, f"kinds[{i}]")
+                i: _maker(("kinds", "*"), base.kinds[i], document["kinds"][i], below, f"kinds[{i}]", memo)
                 for i, below in sorted(edits["kinds"].items())
             })
         elif key in ("cache", "traffic") and key in edits:
-            make = _maker((key,), getattr(base, key), document.get(key, {}), edits[key], key)
+            make = _maker((key,), getattr(base, key), document.get(key, {}), edits[key], key, memo)
             reader = functools.partial(_section, key, make)
         elif key == "base_stations" and key not in edits and renames:
             reader = _renamed_stations
@@ -464,7 +479,16 @@ def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]]) -> Pla
         elif key not in edits:
             continue
         plan.append((field, reader))
-    return tuple(plan), rules_reading(NetworkScenario, tuple(field for field, _ in plan))
+    read = tuple(field for field, _ in plan)
+    if read == ("kinds",) and not renames:
+        ids = [k.kind_id for k in base.kinds]
+        return tuple(plan), (functools.partial(_placed, tuple(map(ids.index, base.base_stations.kind_ids))),)
+    return tuple(plan), rules_reading(NetworkScenario, read)
+
+
+def _placed(index: tuple[int, ...], s: NetworkScenario) -> None:
+    """Set ``placed_kinds`` of ``s`` to its kinds at catalog positions ``index``."""
+    object.__setattr__(s, "placed_kinds", tuple([s.kinds[i] for i in index]))
 
 
 def _seed(document: Any) -> int:

@@ -166,8 +166,8 @@ class StationLayout(_Columns):
     @cached_property
     def id_order(self) -> np.ndarray:
         """Station indices sorted by bs_id."""
-        if self.bs_id is None and len(self) <= 1000:  # the names bs000 ... bs999 sort as their indices
-            order = np.arange(len(self))
+        if self.bs_id is None:
+            order = _grid_order(len(self))
         else:
             order = np.array(sorted(range(len(self)), key=self.ids().__getitem__), dtype=np.intp)
         order.flags.writeable = False
@@ -215,6 +215,32 @@ class UePopulation(_Columns):
 
     def _compared(self) -> tuple:
         return tuple(getattr(self, name) for name in _UE_ARRAYS)
+
+
+def _grid_order(count: int) -> np.ndarray:
+    """Indices ``0 .. count - 1`` sorted by their grid names ``bs000``,
+    ``bs001``, ..., ``bs999``, ``bs1000``, ..., computed from the indices.
+    The names of one length are the indices in one range, and sort among
+    themselves as their indices; so a name's rank is the number of names
+    of each length before it: of a length m up to its own, those below its
+    first m digits, or equal to them when shorter than it (a prefix sorts
+    first); of a longer length, those whose first digits, as many as its
+    own, are below it."""
+    if count <= 1000:  # bs000 ... bs999 sort as their indices
+        return np.arange(count)
+    edges = [0, 1000]  # the names of 3 + n digits are the indices in [edges[n], edges[n + 1])
+    while edges[-1] < count:
+        edges.append(edges[-1] * 10)
+    rank = np.zeros(count, dtype=np.intp)
+    spans = [(lo, min(hi, count)) for lo, hi in zip(edges, edges[1:])]
+    for n, (lo, hi) in enumerate(spans):
+        index = np.arange(lo, hi)
+        for m, (low, high) in enumerate(spans):
+            below = index // 10 ** (n - m) + (m < n) if m <= n else index * 10 ** (m - n)
+            rank[lo:hi] += np.clip(below, low, high) - low
+    order = np.empty(count, dtype=np.intp)
+    order[rank] = np.arange(count)
+    return order
 
 
 #: The columns of a ``UePopulation``, its fields in the order of ``UserEquipment``'s.

@@ -11,8 +11,12 @@ of a sweep must address different values. Each first-axis point is the
 base scenario with only the sections on its path read again by the one
 reader (``document._build`` on the base), and each second-axis point is
 its first-axis point with only the sections on the second path read
-again; a row that fails a schema or invariant check carries the message
-and the sweep continues. Consecutive points that share a geometry are
+again. A record on the second path that every first-axis point shares
+with the base (the cache of a cache-size by Zipf-exponent grid, the X-Haul
+of a cache-size by X-Haul-capacity one) is made once per second-axis
+value and shared by the points of every first-axis value (``_memo``). A
+row that fails a schema or invariant check carries the message and the
+sweep continues. Consecutive points that share a geometry are
 evaluated together, a block of points at a time, and a point whose
 evaluation inputs equal the previous point's takes its report.
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .allocation import Geometry, plan_geometry, same_geometry
-from .document import _build, _makers, build_scenario, section_keys
+from .document import Maker, Memo, _build, _makers, build_scenario, section_keys
 from .metrics import METRICS, MetricReport, evaluate_block, point_inputs
 from .model import _finite, _is_real
 from .scenario import NetworkScenario
@@ -158,11 +162,15 @@ def _points(document: dict, steps: list, keys: list, spec: SweepSpec, base: Netw
     first-axis point, and each second-axis point is built as an edit of
     that point: every field outside the second value's edit holds what the
     first-axis point passed, so the first failing parse and rule are a
-    fresh build's. When the first-axis point fails, its second-axis points
-    are built on ``base`` with both paths compiled together, as a second
-    value may repair the first or fail in an earlier section.
+    fresh build's. A record the first-axis point shares with ``base`` is
+    made once per second-axis value in the whole sweep (``_memo``, one per
+    call). When the first-axis point fails, its second-axis points are
+    built on ``base`` with both paths compiled together, and without the
+    memo, as a second value may repair the first or fail in an earlier
+    section.
     """
     first_path = _makers(base, document, [keys])
+    memo = _memo(base)
     for v1 in spec.values:
         point = _assign(steps, v1)
         if spec.param2_path is None:
@@ -179,7 +187,7 @@ def _points(document: dict, steps: list, keys: list, spec: SweepSpec, base: Netw
             except (ValueError, ArithmeticError):
                 on, makers = base, _makers(base, point, [keys, keys2])
             else:
-                makers = _makers(on, point, [keys2])
+                makers = _makers(on, point, [keys2], memo)
             grid = (((v1, v2), _assign(steps2, v2)) for v2 in spec.values2)
         for values, edited in grid:
             try:
@@ -188,6 +196,49 @@ def _points(document: dict, steps: list, keys: list, spec: SweepSpec, base: Netw
             except (ValueError, ArithmeticError) as exc:
                 s, new = exc, None
             yield values, s, new
+
+
+def _memo(base: NetworkScenario) -> Memo:
+    """The record memo of one sweep (``document.Memo``): the reader of a
+    record of ``base``'s own, compiled for the second path alone, makes the
+    record once per raw second-axis value and reuses it at every first-axis
+    value that leaves the record as ``base`` holds it. Such a reader parses
+    only the value at the end of the path and edits the one record, so what
+    it makes depends on that value alone. Only ``base``'s own records,
+    alive for the whole sweep, are memoized; a record made per first-axis
+    point could be freed and its id taken by the next one.
+
+    Entries are keyed by the identity of the raw value, as a value's read
+    depends on its type and ``1``, ``1.0`` and ``True`` are equal: ``True``
+    must fail to read as a number. Each entry holds its value, so its id is
+    not reused while the entry lives. A make that raises stores nothing, so
+    its error is raised afresh. Each record holds at most one entry per
+    second-axis value, and all are freed with the sweep."""
+    records = [base.cache, base.traffic, *base.kinds]
+    records += [r for k in base.kinds for r in (k.xhaul, k.cost_breakdown) if r is not None]
+    tables: dict[int, dict[int, tuple[Any, Any]]] = {id(r): {} for r in records}
+
+    def memo(record: Any, edits: dict[str, Any], make: Maker) -> Maker:
+        table = tables.get(id(record))
+        if table is None:
+            return make
+        keys = []  # the one path from the record to its edited value
+        while edits is not None:
+            (key, edits), = edits.items()
+            keys.append(key)
+
+        def made(doc: Any) -> Any:
+            value = doc
+            for key in keys:
+                value = value[key]
+            entry = table.get(id(value))
+            if entry is None:
+                entry = table[id(value)] = value, make(doc)
+            return entry[1]
+
+        return made
+
+    return memo
 
 
 def open_sweep(document: dict[str, Any], spec: SweepSpec) -> tuple[NetworkScenario, float | None, Iterator[SweepRow]]:

@@ -4,6 +4,7 @@ import collections
 import contextlib
 import copy
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -40,7 +41,7 @@ from e3sim import (
     set_parameter,
     validate_scenario,
 )
-from e3sim import model, scenario, sweep
+from e3sim import document as document_module, model, scenario, sweep
 from e3sim.metrics import point_inputs
 from e3sim.model import BaseStation, UserEquipment
 from e3sim.rng import BLOCK_POINTS, uniform_positions
@@ -1152,24 +1153,71 @@ class TestEdit:
             assert ran == [(type(record).__name__, reads) for reads, _ in type(record)._RULES]
 
     def test_a_cache_xhaul_point_runs_only_the_rules_that_read_what_it_edits(self):
-        # its first-axis point edits the kind's cache size and the scenario's kinds, once;
-        # each second-axis point the X-Haul's capacity, the kind's X-Haul and the scenario's kinds
+        # each first-axis point edits the kind's cache size; each second-axis point the X-Haul's
+        # capacity, made once per capacity on the first cache size and reused at the second, and the
+        # kind's X-Haul. A kind edit that renames none runs no scenario rule: only the placed kinds
+        # are set again, from the catalog positions the base places
         document = REUSE_DOCUMENTS["fig3.json"]
-        spec = SweepSpec("kinds.ap.cache_size", (2,), "kinds.ap.xhaul.capacity_bps", (2e7, 4e7), time_hours=20.0)
+        spec = SweepSpec("kinds.ap.cache_size", (2, 4), "kinds.ap.xhaul.capacity_bps", (2e7, 4e7), time_hours=20.0)
         base = build_scenario(document)
         point_inputs(base, 20.0)  # the points' demand factors are then the kept ones: no TrafficProfile is made
         ran = []
-        with recorded_rules(ran):
-            steps = sweep._steps(document, spec.param_path)
-            points = [s for _, s, _ in sweep._points(document, steps, [key for _, key in steps], spec, base, 20.0)]
+        with recorded_rules(ran), recorded_placed(ran):
+            points = sweep_points(document, spec, base)
 
-        def reading(edited):
-            return [(cls.__name__, reads) for cls, names in edited.items() for reads, _ in cls._RULES if reads & names]
+        first = reading({BsKind: {"cache_size"}}) + [PLACED]
+        second = reading({XHaulSolution: {"capacity_bps"}, BsKind: {"xhaul"}}) + [PLACED]
+        reused = reading({BsKind: {"xhaul"}}) + [PLACED]
+        assert ran == first + second * 2 + first + reused * 2
+        assert [name for name, _ in first] == ["BsKind"] * 3 + ["placed"]
+        assert [name for name, _ in second] == ["XHaulSolution"] * 2 + ["BsKind", "placed"]
+        for s, (size, capacity) in zip(points, itertools.product(spec.values, spec.values2)):
+            on = set_parameter(document, spec.param_path, size)
+            want = build_scenario(set_parameter(on, spec.param2_path, capacity))
+            assert s == want and s.placed_kinds == want.placed_kinds and s.placed_kinds[0] is s.kinds[0]
 
-        first = reading({BsKind: {"cache_size"}, NetworkScenario: {"kinds"}})
-        second = reading({XHaulSolution: {"capacity_bps"}, BsKind: {"xhaul"}, NetworkScenario: {"kinds"}})
-        assert ran == first + second * 2
-        assert [name for name, _ in first] == ["BsKind"] * 3 + ["NetworkScenario"] * 4
-        assert [name for name, _ in second] == ["XHaulSolution"] * 2 + ["BsKind"] + ["NetworkScenario"] * 4
-        on = set_parameter(document, spec.param_path, 2)
-        assert points == [build_scenario(set_parameter(on, spec.param2_path, v)) for v in spec.values2]
+    def test_a_kind_id_on_the_second_path_runs_the_four_rules_on_kinds(self):
+        # a kind_id edit may rename a kind, so every scenario rule that reads the kinds runs,
+        # beside those on the stations, which a rename may send back to be read
+        document = REUSE_DOCUMENTS["fig3.json"]
+        spec = SweepSpec("kinds.ap.cache_size", (2,), "kinds.ap.kind_id", ("ap", "zz"), time_hours=20.0)
+        base = build_scenario(document)
+        point_inputs(base, 20.0)
+        ran = []
+        with recorded_rules(ran), recorded_placed(ran):
+            points = sweep_points(document, spec, base)
+
+        on_kinds = reading({NetworkScenario: {"kinds"}})
+        renamed = reading({NetworkScenario: {"kinds", "base_stations"}})
+        assert len(on_kinds) == 4 and on_kinds[-1] == ("NetworkScenario", frozenset({"kinds", "base_stations"}))
+        assert ran == reading({BsKind: {"cache_size"}}) + [PLACED] + renamed and set(on_kinds) <= set(renamed)
+        assert points[0] == build_scenario(set_parameter(document, spec.param_path, 2))
+        assert str(points[1]) == "base_stations[0]: unknown kind_id 'ap'"
+
+
+#: What ``recorded_placed`` records for the one check that sets ``placed_kinds`` after a kind edit.
+PLACED = ("placed", frozenset({"kinds"}))
+
+
+def reading(edited):
+    """(class name, fields read) of each rule of each class in ``edited`` that reads one of its fields."""
+    return [(cls.__name__, reads) for cls, names in edited.items() for reads, _ in cls._RULES if reads & names]
+
+
+@contextlib.contextmanager
+def recorded_placed(ran):
+    """``document._placed``, appending ``PLACED`` to ``ran`` as it runs."""
+    def run(index, s):
+        ran.append(PLACED)
+        placed(index, s)
+
+    placed = document_module._placed
+    with mock.patch.object(document_module, "_placed", run):
+        yield
+
+
+def sweep_points(document, spec, base):
+    """The scenario, or error, of every grid point of ``spec``, as ``sweep._points`` builds it on ``base``."""
+    steps = sweep._steps(document, spec.param_path)
+    t = None if spec.daily else spec.time_hours
+    return [s for _, s, _ in sweep._points(document, steps, [key for _, key in steps], spec, base, t)]

@@ -168,7 +168,8 @@ class TestStationOrder:
         geometry = plan_geometry(s)
         assert geometry.station_major.tolist() == np.argsort(geometry.serving, kind="stable").tolist()
 
-    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 5000])
+    # names of 3 to 6 digits: bs000 ... bs999, bs1000 ..., bs10000 ..., bs100000
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 1024, 5000, 10_000, 10_001, 100_001])
     def test_a_grid_orders_its_stations_by_their_generated_names(self, n):
         layout = StationLayout(None, np.zeros(n, dtype=int), np.zeros((n, 2)), ("ap",))
         assert layout.id_order.tolist() == sorted(range(n), key=layout.ids().__getitem__)

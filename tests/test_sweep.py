@@ -33,9 +33,9 @@ from e3sim import (
     scenario_to_document,
     set_parameter,
 )
-from e3sim import sweep
+from e3sim import document, model, sweep
 from e3sim.document import _build, _makers
-from e3sim.model import _BREAKDOWN_COMPONENTS as BREAKDOWN_COMPONENTS, BaseStation
+from e3sim.model import _BREAKDOWN_COMPONENTS as BREAKDOWN_COMPONENTS, BaseStation, XHaulSolution
 from e3sim.rng import uniform_positions
 
 
@@ -974,3 +974,92 @@ class TestBlocks:
             None, "total power is zero; refusing to report infinite efficiency", None
         ]
         assert rows[2].report == evaluate_daily(built(fig3, spec.param_path, 3.0))
+
+
+#: Second-axis values that are equal but of different types (``True`` must
+#: fail to read as a number), repeated, past the largest float, and zero.
+MIXED_VALUES = (1, 1.0, True, 1, 10**400, 0, 1.0, True)
+
+
+class TestRecordMemo:
+    @pytest.mark.parametrize(
+        "path, values, path2, values2",
+        [
+            ("kinds.ap.cache_size", (0, -1, 6), "kinds.ap.xhaul.capacity_bps", MIXED_VALUES + (2e7, 2e7)),
+            ("kinds.ap.cache_size", (0, -1, 6), "cache.zipf_exponent", MIXED_VALUES + (0.8,)),
+            ("cache.zipf_exponent", (0.8, -1, 1.2), "kinds.ap.cache_size", MIXED_VALUES + (6,)),
+        ],
+    )
+    @pytest.mark.parametrize("daily", [False, True])
+    def test_rows_of_a_second_path_the_first_axis_points_share_equal_fresh_builds(
+        self, fig3, path, values, path2, values2, daily
+    ):
+        # each second value's record is made on the first built first-axis point and reused at the
+        # others; the failing first value (-1) builds its points on the base with both paths
+        spec = SweepSpec(path, values, path2, values2, time_hours=None if daily else 20.0, daily=daily)
+        rows = sweep_rows(fig3, spec)
+        assert [row.values for row in rows] == [(v1, v2) for v1 in values for v2 in values2]
+        for row in rows:
+            want = fresh_outcome(fig3, spec, row.values)
+            assert (row.error if row.error is not None else (row.report, row.report.cost_rate)) == want
+        # equal values of other types read as a fresh build reads them: True is no number
+        for v1 in values[::2]:
+            failing = [row.error is not None for row in rows if row.values[0] == v1]
+            fails = [v is True or v == 10**400 or (v == 0 and path2.endswith("capacity_bps")) for v in values2]
+            assert failing == fails
+        assert re.search("expected a number, got bool|expected an integer$", rows[2].error)
+
+    def test_a_second_axis_record_is_made_once_per_value(self, fig3):
+        # three cache sizes by two capacities: the X-Haul record of each capacity is parsed and
+        # made once, on the first cache size, not once per grid point
+        spec = SweepSpec("kinds.ap.cache_size", (0, 6, 12), "kinds.ap.xhaul.capacity_bps", (1e7, 2e7), daily=True)
+        section = ("kinds", "*", "xhaul")
+        parsed = []
+
+        def counted(parse):
+            def run(value, path):
+                parsed.append(value)
+                return parse(value, path)
+            return run
+
+        xhaul_fields = tuple((name, counted(parse) if name == "capacity_bps" else parse)
+                             for name, parse in document._FIELDS[section])
+        base = build_scenario(fig3)
+        with mock.patch.dict(document._FIELDS, {section: xhaul_fields}), \
+                mock.patch.object(document, "edit", wraps=model.edit) as edit:
+            rows = sweep_rows(fig3, spec)
+        made = [c.args[0] for c in edit.call_args_list if type(c.args[0]) is XHaulSolution]
+        assert parsed == [base.kinds[0].xhaul.capacity_bps, 1e7, 2e7]  # the base's, then each value's
+        assert made == [base.kinds[0].xhaul] * 2
+        for row in rows:
+            assert (row.report, row.report.cost_rate) == fresh_outcome(fig3, spec, row.values)
+        # the points of one capacity share its record
+        xhaul = [s.kinds[0].xhaul for s in second_axis_points(fig3, spec)]
+        assert all(x is xhaul[0] for x in xhaul[0::2]) and all(x is xhaul[1] for x in xhaul[1::2])
+        assert xhaul[0] is not xhaul[1]
+
+    def test_a_failed_first_axis_point_makes_its_records_afresh(self, fig3):
+        # the failing cache size's point is built on the base with both paths, without the memo,
+        # so its X-Haul record is made again; the next built point reuses the first point's
+        spec = SweepSpec("kinds.ap.cache_size", (0, -1, 6), "kinds.ap.xhaul.capacity_bps", (1e7,), daily=True)
+        base = build_scenario(fig3)
+        with mock.patch.object(document, "edit", wraps=model.edit) as edit:
+            points = second_axis_points(fig3, spec)
+        assert [c.args[0] for c in edit.call_args_list if type(c.args[0]) is XHaulSolution] == [base.kinds[0].xhaul] * 2
+        assert points[0].kinds[0].xhaul is points[2].kinds[0].xhaul
+        assert str(points[1]) == fresh_outcome(fig3, spec, (-1, 1e7))
+
+    def test_each_sweep_has_its_own_memo(self, fig3):
+        spec = SweepSpec("kinds.ap.cache_size", (0, 6), "cache.zipf_exponent", (0.4, 1.2), daily=True)
+        first, again = second_axis_points(fig3, spec), second_axis_points(fig3, spec)
+        assert first == again
+        assert all(a.cache is not b.cache for a, b in zip(first, again))
+        assert first[0].cache is first[2].cache
+
+
+def second_axis_points(document, spec):
+    """The scenario of every grid point of ``spec``, as ``sweep._points`` builds it."""
+    base = build_scenario(document)
+    steps = sweep._steps(document, spec.param_path)
+    t = None if spec.daily else spec.time_hours
+    return [s for _, s, _ in sweep._points(document, steps, [key for _, key in steps], spec, base, t)]
