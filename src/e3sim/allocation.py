@@ -11,8 +11,8 @@ times one shared factor f(t). And only a few scalars per station kind
 depend on anything but the positions. So ``plan_geometry`` compiles what
 the positions fix (association, physical radio capacity, and the UEs of
 each station sorted by peak demand) once for every scenario that shares
-them (``same_geometry``); ``xhaul_limits`` gives the X-Haul bound of each
-placed kind from its hit ratio (``cache.hit_ratio``, which keeps the
+them (``same_geometry``); ``xhaul_limit`` gives the X-Haul bound of a
+kind from its hit ratio (``cache.hit_ratio``, which keeps the
 ``top_popular`` head sums it computes) and ``station_capacities`` one
 scenario's radio and effective capacity per station; and ``fill`` grants
 the rates of a batch of rows, each row one sample of one scenario. The
@@ -35,6 +35,7 @@ from .cache import hit_ratio
 from .radio import chunk_rows, nearest_stations, physical_capacities, stable_order, station_radio
 
 if TYPE_CHECKING:
+    from .model import BsKind, CacheConfig
     from .scenario import NetworkScenario
 
 
@@ -162,8 +163,8 @@ def same_geometry(a: NetworkScenario, b: NetworkScenario) -> bool:
     return a.radio_mode != "physical" or all(map(np.array_equal, station_radio(a), station_radio(b)))
 
 
-def xhaul_limits(s: NetworkScenario) -> list[float]:
-    """The X-Haul bound on effective capacity of each of ``s.placed_kinds``.
+def xhaul_limit(kind: BsKind, cache: CacheConfig) -> float:
+    """The X-Haul bound on effective capacity of a station of ``kind``.
 
     A station's effective capacity is the smaller of its radio capacity and
     this bound. Only the miss share (1 - h) of served traffic crosses the
@@ -171,11 +172,13 @@ def xhaul_limits(s: NetworkScenario) -> list[float]:
     inf at hit ratio 1, where the X-Haul is bypassed entirely; h is the
     ``cache.hit_ratio`` of the kind's cache size.
     """
-    limits = []
-    for kind in s.placed_kinds:
-        hit = hit_ratio(s.cache, kind.cache_size)
-        limits.append(math.inf if hit == 1.0 else kind.xhaul.capacity_bps / (1.0 - hit))
-    return limits
+    hit = hit_ratio(cache, kind.cache_size)
+    return math.inf if hit == 1.0 else kind.xhaul.capacity_bps / (1.0 - hit)
+
+
+def xhaul_limits(s: NetworkScenario) -> list[float]:
+    """The ``xhaul_limit`` of each of ``s.placed_kinds``, in order."""
+    return [xhaul_limit(kind, s.cache) for kind in s.placed_kinds]
 
 
 def station_capacities(s: NetworkScenario, geometry: Geometry) -> tuple[list[float], list[float]]:

@@ -8,10 +8,11 @@ are read into the columns of one ``StationLayout`` and one
 ``UePopulation``, and the generator sections (``grid``,
 ``uniform_random``) are expanded into them here, the generated UE
 positions by ``rng.uniform_positions`` from the document's ``seed``.
-One reader, ``_build``, reads the root sections: all of them for
-``build_scenario``, and for a sweep point only those on the edited paths,
-the rest taken from its base scenario. ``scenario_to_document`` writes a
-scenario back.
+``_build`` reads every root section for ``build_scenario``, in one
+order. A sweep compiles each of its paths (``_makers``) into a reader of
+the value at the path's end: a sweep point is its base scenario edited at
+the sections on the path, with the same section readers and that order.
+``scenario_to_document`` writes a scenario back.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from collections.abc import Container, Mapping
 from dataclasses import MISSING, asdict, fields
 from typing import Any, Callable
@@ -37,7 +39,6 @@ from .model import (
     BaseStation,
     BsKind,
     CacheConfig,
-    Check,
     CostBreakdown,
     ScenarioError,
     SchemaError,
@@ -153,16 +154,49 @@ def _as_choice(value: Any, path: str, choices: tuple[str, ...]) -> str:
 
 Parser = Callable[[Any, str], Any]
 
-#: A reader of one value or record section at a path fixed when it was made (``_at``, ``_maker``).
+#: A reader of the value(s) at the end of paths fixed when it was made
+#: (``_at``, ``_maker``, ``_makers``): one path's value, or a tuple of one per path.
 Maker = Callable[[Any], Any]
 
-#: What a sweep may put in place of a record's reader (``_maker``): (record, edited keys, reader) -> reader.
-Memo = Callable[[Any, dict[str, Any], Maker], Maker]
+#: What a sweep may put in place of a record's reader of one path's value (``_maker``): (record, reader) -> reader.
+Memo = Callable[[Any, Maker], Maker]
 
 
 def _at(parse: Parser, path: str) -> Maker:
     """``parse`` of the value at document ``path``."""
     return lambda value: parse(value, path)
+
+
+def _leaf(leaf: Any, parse: Parser, path: str) -> Maker:
+    """``parse`` of the value a leaf of ``_makers``' tree takes from the paths' value(s)."""
+    return _at(parse, path) if leaf is None else lambda values: parse(leaf(values), path)
+
+
+def _edited(node: Any, edits: Any, values: Any) -> Any:
+    """Copy of ``node`` with the leaves of ``edits``, a tree of ``_makers``,
+    set from ``values``: each dict and list along them copied, the rest
+    shared; a leaf stands for ``node`` itself."""
+    if not isinstance(edits, dict):
+        return values if edits is None else edits(values)
+    copy = node.copy()
+    for key, below in edits.items():
+        copy[key] = _edited(node[key] if isinstance(below, dict) else None, below, values)
+    return copy
+
+
+def _put(node: Any, keys: list[Any], value: Any) -> Any:
+    """Copy of ``node`` with ``value`` at ``keys``, copied as ``_edited`` copies."""
+    if not keys:
+        return value
+    copy = node.copy()
+    copy[keys[0]] = _put(node[keys[0]] if len(keys) > 1 else None, keys[1:], value)
+    return copy
+
+
+def _inside(whole: Callable[[Any], Any], keys: list[Any], leaf: Callable[[Any], Any], values: Any) -> Any:
+    """The value one path sets whole with another's value set ``keys`` below it."""
+    return _put(whole(values), keys, leaf(values))
+
 
 #: Parser of a plain field by its annotation, one per JSON value type.
 _VALUE_PARSERS: dict[str, Parser] = {
@@ -209,44 +243,44 @@ def _record(section: tuple[str, ...], doc: Any, path: str) -> Any:
 
 
 def _maker(
-    section: tuple[str, ...], record: Any, doc: Any, edits: dict[str, Any] | None, path: str, memo: Memo | None = None
+    section: tuple[str, ...], record: Any, doc: Any, edits: Any, path: str, memo: Memo | None = None
 ) -> Maker:
-    """A reader of record ``section`` at document ``path`` for edits of
-    ``doc``, the section ``record`` was read from, at the keys in ``edits``
-    (the tree of edited keys of ``_makers``; None for all). It parses the
-    edited keys in field order, a nested record edited below made so at its
-    field's position, so the first error is a full parse's, and makes ``record``
-    edited at them (``model.edit``). A key ``doc`` leaves out whose value
-    was derived (is not its default) is edited back to the default, so its
-    rule derives it again. The fields edited, their paths and the rules run
-    are chosen here, once. The reader, and that of each nested record, is
-    ``memo(record, edits, reader)``, which may return one that reuses the
-    records it made: a sweep makes a record the first-axis points share
-    with its base once per second-axis value (``sweep._memo``), keyed by
-    the value's identity, as ``1``, ``1.0`` and ``True`` are equal but
-    ``True`` is no number."""
-    if edits is None:
-        return _at(functools.partial(_record, section), path)
+    """A reader of record ``section`` at document ``path`` from the value(s)
+    of the paths whose keys ``edits`` holds below it (the tree of
+    ``_makers``; a leaf for the section set whole), ``doc`` the section
+    ``record`` was read from. It parses the edited values in field order, a nested record
+    edited below made so at its field's position, so the first error is a
+    full parse's, and makes ``record`` edited at them (``model.edit``). A
+    key ``doc`` leaves out whose value was derived (is not its default) is
+    edited back to the default, so its rule derives it again. The fields
+    edited, their paths and the rules run are chosen here, once. The
+    reader, and that of each nested record, is ``memo(record, reader)``,
+    which may return one that reuses the records it made: a sweep makes a
+    record the first-axis points share with its base once per second-axis
+    value (``sweep._memo``), keyed by the value's identity, as ``1``,
+    ``1.0`` and ``True`` are equal but ``True`` is no number."""
+    if not isinstance(edits, dict):
+        return _leaf(edits, functools.partial(_record, section), path)
     cls, reset, edited = _RECORDS[section], {}, []
     for f, (name, parse) in zip(fields(cls), _FIELDS[section]):
         if name in edits:
             below = f"{path}.{name}"
-            if edits[name] is None:
-                edited.append((name, _at(parse, below)))
-            else:
+            if isinstance(edits[name], dict):
                 nested = _maker(section + (name,), getattr(record, name), doc[name], edits[name], below, memo)
                 edited.append((name, nested))
+            else:
+                edited.append((name, _leaf(edits[name], parse, below)))
         elif name not in doc and getattr(record, name) != f.default:
             reset[name] = f.default
     checks = rules_reading(cls, (*reset, *(name for name, _ in edited)))
 
-    def make(doc: Any) -> Any:
+    def make(values: Any) -> Any:
         changes = reset.copy()
         for name, parse in edited:
-            changes[name] = parse(doc[name])
+            changes[name] = parse(values)
         return edit(record, changes, checks)
 
-    return make if memo is None else memo(record, edits, make)
+    return make if memo is None else memo(record, make)
 
 
 #: (key, parser) of every field of each record section, in field order.
@@ -345,145 +379,146 @@ def build_scenario(document: Mapping[str, Any] | str | bytes) -> NetworkScenario
     return _build(document)
 
 
-#: A reader of one root section for ``_build``: its field's value from the
-#: document, the fields read before it and the base scenario (None for a
-#: fresh build).
+#: A reader of one root section for ``_build`` and ``_makers``: its field's
+#: value from the section's value in the document, the fields read before it
+#: and the base scenario (None for a fresh build).
 Reader = Callable[[Any, dict[str, Any], Any], Any]
 
 
-def _read_kinds(document: Any, read: dict[str, Any], base: NetworkScenario | None) -> tuple[BsKind, ...]:
-    entries = document["kinds"]
+def _read_kinds(entries: Any, read: dict[str, Any], base: NetworkScenario | None) -> tuple[BsKind, ...]:
     if not isinstance(entries, list) or not entries:
         raise SchemaError("kinds: expected a non-empty list")
     return tuple(_record(("kinds", "*"), k, f"kinds[{i}]") for i, k in enumerate(entries))
 
 
-def _edited_kinds(makers: dict[int, Maker], document: Any, read: dict[str, Any], base: NetworkScenario) -> tuple:
-    """``base``'s kinds, each of an index in ``makers`` made by its maker;
-    an edit that leaves a kind_id alone keeps the base's very string."""
-    kinds = list(base.kinds)
-    for i, make in makers.items():
-        kinds[i] = make(document["kinds"][i])
-    return tuple(kinds)
+def _edited_kinds(kinds: tuple[BsKind, ...], makers: list[tuple[int, Maker]], values: Any, read: dict) -> tuple:
+    """``kinds``, each of an index in ``makers`` made by its maker from
+    ``values``; an edit that leaves a kind_id alone keeps the very string."""
+    edited = list(kinds)
+    for i, make in makers:
+        edited[i] = make(values)
+    return tuple(edited)
 
 
-def _read_stations(document: Any, read: dict[str, Any], base: NetworkScenario | None) -> StationLayout:
+def _read_stations(section: Any, read: dict[str, Any], base: NetworkScenario | None) -> StationLayout:
     kinds = read["kinds"] if "kinds" in read else base.kinds
-    return _build_base_stations(document["base_stations"], {k.kind_id for k in kinds})
+    return _build_base_stations(section, {k.kind_id for k in kinds})
 
 
-def _renamed_stations(document: Any, read: dict[str, Any], base: NetworkScenario) -> StationLayout:
-    """``base``'s layout, read again when the kinds read lack a kind_id it names."""
+def _renamed_stations(section: Any, base: NetworkScenario, values: Any, read: dict[str, Any]) -> StationLayout:
+    """``base``'s layout, read again from ``section`` when the kinds read lack a kind_id it names."""
     if {k.kind_id for k in read["kinds"]}.issuperset(base.base_stations.kind_ids):
         return base.base_stations
-    return _read_stations(document, read, base)
+    return _read_stations(section, read, base)
 
 
-def _read_ues(document: Any, read: dict[str, Any], base: NetworkScenario | None) -> UePopulation:
-    return _build_ues(document["ues"], read["rng_seed"] if "rng_seed" in read else base.rng_seed)
+def _read_ues(section: Any, read: dict[str, Any], base: NetworkScenario | None) -> UePopulation:
+    return _build_ues(section, read["rng_seed"] if "rng_seed" in read else base.rng_seed)
 
 
-def _reseeded_ues(document: Any, read: dict[str, Any], base: NetworkScenario) -> UePopulation:
-    """``base``'s UEs, generated again when the seed read differs from the base's."""
-    if read["rng_seed"] == base.rng_seed or isinstance(document["ues"], list):
+def _reseeded_ues(section: Any, base: NetworkScenario, values: Any, read: dict[str, Any]) -> UePopulation:
+    """``base``'s UEs, generated again from ``section`` when the seed read differs from the base's."""
+    if read["rng_seed"] == base.rng_seed or isinstance(section, list):
         return base.ues
-    return _read_ues(document, read, base)
+    return _read_ues(section, read, base)
 
 
-def _section(key: str, make: Maker, document: Any, read: dict[str, Any], base: NetworkScenario | None) -> Any:
-    """Record section ``key`` made by ``make``, an empty section where the document leaves it out."""
-    return make(document.get(key, {}))
-
-
-#: (root key, field it sets, reader) of each root section, in the one order
-#: that decides the error of a document bad in two sections.
-_READERS: tuple[tuple[str, str, Reader], ...] = (
-    ("seed", "rng_seed", lambda document, read, base: _seed(document)),
-    ("kinds", "kinds", _read_kinds),
-    *((key, key, functools.partial(_section, key, _at(functools.partial(_record, (key,)), key)))
-      for key in ("cache", "traffic")),
-    ("benchmark_cost", "benchmark_cost", lambda document, read, base: _benchmark_cost(document)),
-    ("base_stations", "base_stations", _read_stations),
-    ("ues", "ues", _read_ues),
-    ("radio_mode", "radio_mode", lambda document, read, base: _as_choice(
-        document.get("radio_mode", "abstract"), "document.radio_mode", RADIO_MODES
+#: (root key, field it sets, the section's value where the document leaves
+#: it out, reader) of each root section, in the one order that decides the
+#: error of a document bad in two sections. A required section is never left out.
+_READERS: tuple[tuple[str, str, Any, Reader], ...] = (
+    ("seed", "rng_seed", 0, lambda seed, read, base: _seed(seed)),
+    ("kinds", "kinds", None, _read_kinds),
+    ("cache", "cache", {}, lambda cache, read, base: _record(("cache",), cache, "cache")),
+    ("traffic", "traffic", {}, lambda traffic, read, base: _record(("traffic",), traffic, "traffic")),
+    ("benchmark_cost", "benchmark_cost", MAX_KIND, lambda cost, read, base: _benchmark_cost(cost)),
+    ("base_stations", "base_stations", None, _read_stations),
+    ("ues", "ues", None, _read_ues),
+    ("radio_mode", "radio_mode", "abstract", lambda mode, read, base: _as_choice(
+        mode, "document.radio_mode", RADIO_MODES
     )),
 )
 
-#: What ``_build`` reads of a document: (field, reader) in ``_READERS``
-#: order, and the scenario rules that read those fields (``model.edit``),
-#: None for a fresh build, which runs them all.
-Plan = tuple[tuple[tuple[str, Reader], ...], tuple[Check, ...] | None]
 
-#: The plan that reads every section.
-_WHOLE: Plan = (tuple((field, reader) for _, field, reader in _READERS), None)
-
-
-def _build(document: Any, base: NetworkScenario | None = None, plan: Plan = _WHOLE) -> NetworkScenario:
-    """The scenario of ``document``, validated whole. With ``base``, of whose
-    document it is an edit at the paths ``plan`` (``_makers``) reads, only
-    the sections on those paths are read, the stations also when a renamed
-    kind leaves the layout naming a kind_id the kinds lack, and generated
-    UEs when the seed changes; the scenario is ``base`` edited at the fields
-    read (``model.edit``), so every other section is the base's own object
-    and only the rules that read a field read run. Without, all are read.
-    The one order of ``_READERS`` decides the error of a document bad in
-    two sections."""
-    readers, checks = plan
-    if base is None:
-        _check_keys(document, "", ())
+def _build(document: Any) -> NetworkScenario:
+    """The scenario of ``document``, every section read and every rule run,
+    in the one order of ``_READERS``, which decides the error of a document
+    bad in two sections."""
+    _check_keys(document, "", ())
     read: dict[str, Any] = {}
-    for name, reader in readers:
-        read[name] = reader(document, read, base)
-    return NetworkScenario(**read) if base is None else edit(base, read, checks)
+    for key, field, absent, reader in _READERS:
+        read[field] = reader(document.get(key, absent), read, None)
+    return NetworkScenario(**read)
 
 
-def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]], memo: Memo | None = None) -> Plan:
-    """The plan ``_build`` takes on ``base`` for ``document``, an edit of
-    ``base``'s at ``paths``, each the keys (a list index as an int) from
-    the root to an edited value. From the tree of edited keys, each mapped
-    to the keys edited below it and a path's last key to None (a key one
-    path sets whole stays whole when another goes below it), it chooses
-    once which root sections are read, each edited kind, cache or traffic
-    record by its maker (``_maker``, given ``memo``, which a sweep gives a
-    second path alone); whether the stations may need reading again after
-    a kind rename, or the UEs after a seed change; and the scenario rules
-    the fields read select. An edit of
-    kinds alone that renames none keeps the catalog's ids, so of the rules
-    on kinds only the ``placed_kinds`` lookup can change what it gives:
-    one check sets it from the catalog positions the base places."""
+def _makers(base: NetworkScenario, document: Any, paths: list[list[Any]], memo: Memo | None = None) -> Maker:
+    """The reader of the scenario of each edit of ``document``, ``base``'s
+    document, at ``paths``, each the keys (a list index as an int) from the
+    root to an edited value: it maps the one path's value, or a tuple of one
+    value per path, to ``base`` edited at the sections on the paths, as a
+    fresh build of the edited document reads them. In the tree of edited
+    keys a path's last key maps to its leaf, None or its getter from the
+    tuple, and a later path below a value an earlier one sets whole is set
+    inside it. Chosen once: each edited kind, cache or traffic record's
+    maker (``_maker``, given ``memo``, which a sweep gives a second path
+    alone); any other section read from a copy of ``document``'s with the
+    values set; a kind rename's or seed change's reading of the stations or
+    the UEs, from ``document``'s own; and the scenario rules the fields read
+    select. An edit of kinds alone that renames none keeps the catalog's
+    ids, so one check sets ``placed_kinds`` from the catalog positions the
+    base places, in place of the rules on kinds."""
     edits: dict[Any, Any] = {}
-    for keys in paths:
+    for i, keys in enumerate(paths):
+        leaf = None if len(paths) == 1 else operator.itemgetter(i)
         node = edits
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-            if node is None:
+        for n, key in enumerate(keys[:-1]):
+            below = node.setdefault(key, {})
+            if not isinstance(below, dict):
+                node[key] = functools.partial(_inside, below, keys[n + 1 :], leaf)
                 break
+            node = below
         else:
-            node[keys[-1]] = None
-    renames = any(below is None or "kind_id" in below for below in edits.get("kinds", {}).values())
+            node[keys[-1]] = leaf
+    renames = any(not isinstance(below, dict) or "kind_id" in below for below in edits.get("kinds", {}).values())
     plan = []
-    for key, field, reader in _READERS:
+    for key, field, absent, reader in _READERS:
+        section = document.get(key, absent)
         if key == "kinds" and key in edits:
-            reader = functools.partial(_edited_kinds, {
-                i: _maker(("kinds", "*"), base.kinds[i], document["kinds"][i], below, f"kinds[{i}]", memo)
+            reader = functools.partial(_edited_kinds, base.kinds, [
+                (i, _maker(("kinds", "*"), base.kinds[i], section[i], below, f"kinds[{i}]", memo))
                 for i, below in sorted(edits["kinds"].items())
-            })
+            ])
         elif key in ("cache", "traffic") and key in edits:
-            make = _maker((key,), getattr(base, key), document.get(key, {}), edits[key], key, memo)
-            reader = functools.partial(_section, key, make)
-        elif key == "base_stations" and key not in edits and renames:
-            reader = _renamed_stations
-        elif key == "ues" and key not in edits and "seed" in edits:
-            reader = _reseeded_ues
-        elif key not in edits:
+            make = _maker((key,), getattr(base, key), section, edits[key], key, memo)
+            reader = lambda values, read, make=make: make(values)
+        elif key in edits:
+            reader = functools.partial(_reread, reader, section, edits[key], base)
+        elif key == "base_stations" and renames:
+            reader = functools.partial(_renamed_stations, section, base)
+        elif key == "ues" and "seed" in edits:
+            reader = functools.partial(_reseeded_ues, section, base)
+        else:
             continue
         plan.append((field, reader))
     read = tuple(field for field, _ in plan)
     if read == ("kinds",) and not renames:
         ids = [k.kind_id for k in base.kinds]
-        return tuple(plan), (functools.partial(_placed, tuple(map(ids.index, base.base_stations.kind_ids))),)
-    return tuple(plan), rules_reading(NetworkScenario, read)
+        checks = (functools.partial(_placed, tuple(map(ids.index, base.base_stations.kind_ids))),)
+    else:
+        checks = rules_reading(NetworkScenario, read)
+
+    def make(values: Any) -> NetworkScenario:
+        read: dict[str, Any] = {}
+        for field, reader in plan:
+            read[field] = reader(values, read)
+        return edit(base, read, checks)
+
+    return make
+
+
+def _reread(reader: Reader, section: Any, edits: Any, base: NetworkScenario, values: Any, read: dict) -> Any:
+    """``reader`` of ``section`` with the leaves of ``edits`` set from ``values`` (``_edited``)."""
+    return reader(_edited(section, edits, values), read, base)
 
 
 def _placed(index: tuple[int, ...], s: NetworkScenario) -> None:
@@ -491,15 +526,14 @@ def _placed(index: tuple[int, ...], s: NetworkScenario) -> None:
     object.__setattr__(s, "placed_kinds", tuple([s.kinds[i] for i in index]))
 
 
-def _seed(document: Any) -> int:
-    seed = _as_int(document.get("seed", 0), "document.seed")
+def _seed(value: Any) -> int:
+    seed = _as_int(value, "document.seed")
     if seed < 0:
         raise SchemaError(f"document.seed: must be >= 0, got {seed}")
     return seed
 
 
-def _benchmark_cost(document: Any) -> float | str:
-    benchmark = document.get("benchmark_cost", MAX_KIND)
+def _benchmark_cost(benchmark: Any) -> float | str:
     if not isinstance(benchmark, str):
         return _as_number(benchmark, "document.benchmark_cost")
     if benchmark != MAX_KIND:

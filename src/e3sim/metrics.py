@@ -21,12 +21,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .allocation import Geometry, fill, plan_geometry, xhaul_limits
+from .allocation import Geometry, fill, plan_geometry, xhaul_limit, xhaul_limits
 from .energy_cost import cost_coefficient, dynamic_parts, effective_cost_per_area, resolve_benchmark_cost
 from .model import TrafficProfile, _is_real
 from .radio import demand_factor
 
 if TYPE_CHECKING:
+    from .model import BsKind, CacheConfig
     from .scenario import NetworkScenario
 
 SECONDS_PER_YEAR = 365 * 24 * 3600
@@ -97,29 +98,30 @@ def point_inputs(s: NetworkScenario, t_hours: float | None) -> tuple[np.ndarray,
     """
     traffic = s.traffic
     factors = _demand_factors(t_hours, traffic.peak_to_min_ratio, traffic.peak_hour, traffic.samples_per_day)
-    limits = xhaul_limits(s)
-    c0 = resolve_benchmark_cost(s)
-    if c0 <= 0:
-        raise ValueError(f"benchmark cost must be positive, got {c0}")
-    per_item_w = s.cache.cache_power_per_item_w
-    physical = s.radio_mode == "physical"
-    flat = []
-    for kind, limit in zip(s.placed_kinds, limits):
-        static = kind.static_power_w + per_item_w * kind.cache_size
-        radio = kind.radio_capacity_bps
-        # C_n as ``cost_coefficient`` computes it, and the yearly cost of one station
-        area_cost = effective_cost_per_area(kind)
-        flat += (
-            radio,
-            limit if physical else min(radio, limit),
-            static,
-            static * (area_cost / c0),
-            kind.max_tx_dynamic_power_w,
-            kind.xhaul.xhaul_power_factor,
-            kind.bandwidth_hz,
-            area_cost * kind.coverage_area_m2,
-        )
-    return factors, s.base_stations.kind, tuple(flat)
+    try:
+        c0 = resolve_benchmark_cost(s)
+        if c0 <= 0:
+            raise ValueError(f"benchmark cost must be positive, got {c0}")
+    except ValueError:
+        xhaul_limits(s)  # a placed kind's cache larger than the catalog is the error reported first
+        raise
+    cache, physical = s.cache, s.radio_mode == "physical"
+    table = ()
+    for kind in s.placed_kinds:
+        table += _kind_table(kind, cache, c0, physical)
+    return factors, s.base_stations.kind, table
+
+
+def _kind_table(kind: BsKind, cache: CacheConfig, c0: float, physical: bool) -> tuple[float, ...]:
+    """The eight numbers of ``kind`` in a point's table (``point_inputs``)
+    under ``cache`` and benchmark cost ``c0``: C_n as ``cost_coefficient``
+    computes it, and the yearly cost of one station."""
+    limit = xhaul_limit(kind, cache)
+    static = kind.static_power_w + cache.cache_power_per_item_w * kind.cache_size
+    radio = kind.radio_capacity_bps
+    area_cost = effective_cost_per_area(kind)
+    return (radio, limit if physical else min(radio, limit), static, static * (area_cost / c0),
+            kind.max_tx_dynamic_power_w, kind.xhaul.xhaul_power_factor, kind.bandwidth_hz, area_cost * kind.coverage_area_m2)
 
 
 #: The six sums of a report and its four ratios, the metrics, in the order ``evaluate_block`` checks them.

@@ -1,24 +1,24 @@
 """Parameter sweeps over scenario documents: ``open_sweep`` streams the rows
 of a grid, and ``Argmax`` keeps the best of them, as ``e3 sweep`` runs them.
 
-A sweep evaluates copies of a base scenario document with one or two
-values set to each grid value, never touching the base. A parameter path
-addresses a value of the parsed JSON document by key, ``key[i]`` list
-index, or list-entry id: ``kinds.ap.cache_size``, ``kinds[0].xhaul.medium``,
+A sweep evaluates a base scenario document with one or two values set to
+each grid value, never touching the base. A parameter path addresses a
+value of the parsed JSON document by key, ``key[i]`` list index, or
+list-entry id: ``kinds.ap.cache_size``, ``kinds[0].xhaul.medium``,
 ``base_stations.grid.kind``, ``ues.uniform_random.count``, ``seed``. Its
 last key may be one the document leaves at its default, and the two paths
-of a sweep must address different values. Each first-axis point is the
-base scenario with only the sections on its path read again by the one
-reader (``document._build`` on the base), and each second-axis point is
-its first-axis point with only the sections on the second path read
-again. A record on the second path that every first-axis point shares
-with the base (the cache of a cache-size by Zipf-exponent grid, the X-Haul
-of a cache-size by X-Haul-capacity one) is made once per second-axis
-value and shared by the points of every first-axis value (``_memo``). A
-row that fails a schema or invariant check carries the message and the
-sweep continues. Consecutive points that share a geometry are
-evaluated together, a block of points at a time, and a point whose
-evaluation inputs equal the previous point's takes its report.
+of a sweep must address different values. Each path is compiled into a
+reader of its value (``document._makers``): each first-axis point is the
+base scenario with only the sections on its path read again from its
+value, and each second-axis point is its first-axis point with only the
+sections on the second path read again. A record on the second path that
+every first-axis point shares with the base (the cache of a cache-size by
+Zipf-exponent grid, the X-Haul of a cache-size by X-Haul-capacity one) is
+made once per second-axis value and shared by the points of every
+first-axis value (``_memo``). A row that fails a schema or invariant check
+carries the message and the sweep continues. Consecutive points that share
+a geometry are evaluated together, a block of points at a time, and a
+point whose evaluation inputs equal the previous point's takes its report.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ import numbers
 import re
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .allocation import Geometry, plan_geometry, same_geometry
-from .document import Maker, Memo, _build, _makers, build_scenario, section_keys
+from .document import Maker, Memo, _makers, _put, build_scenario, section_keys
 from .metrics import METRICS, MetricReport, evaluate_block, point_inputs
 from .model import _finite, _is_real
 from .scenario import NetworkScenario
@@ -84,18 +84,18 @@ class SweepSpec:
                 raise ValueError("SweepSpec: time_hours must be None for a daily sweep")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: axis value(s) and its report, or the error that failed it."""
+class SweepRow(NamedTuple):
+    """One grid point: axis value(s) and its report, or the error that failed
+    it; a named tuple, made several times faster than a frozen dataclass."""
 
     values: tuple[Any, ...]
     report: MetricReport | None
     error: str | None = None
 
 
-def _steps(document: Any, path: str) -> list[tuple[Any, Any]]:
-    """(container, key) pairs leading from the document root to ``path``."""
-    steps: list[tuple[Any, Any]] = []
+def _steps(document: Any, path: str) -> list[Any]:
+    """The keys (a list index as an int) leading from the document root to ``path``."""
+    keys: list[Any] = []
     node, section = document, ()
     segments = path.split(".")
     for n, raw in enumerate(segments):
@@ -116,16 +116,16 @@ def _steps(document: Any, path: str) -> list[tuple[Any, Any]]:
             key, section = name, section + (name,)
         else:
             raise ParameterPathError(f"unresolvable parameter path '{path}': '{raw}' is past a value")
-        steps.append((node, key))
+        keys.append(key)
         node = node.get(key) if isinstance(node, dict) else node[key]
         if index is not None:
             if not isinstance(node, list) or not int(index) < len(node):
                 raise ParameterPathError(f"unresolvable parameter path '{path}': no entry {raw}")
-            steps.append((node, int(index)))
+            keys.append(int(index))
             node, section = node[int(index)], section + ("*",)
     if isinstance(node, (dict, list)):
         raise ParameterPathError(f"unresolvable parameter path '{path}': a section, not a value")
-    return steps
+    return keys
 
 
 def set_parameter(document: dict[str, Any], path: str, value: Any) -> dict[str, Any]:
@@ -134,64 +134,51 @@ def set_parameter(document: dict[str, Any], path: str, value: Any) -> dict[str, 
     Only the dicts and lists along the path are copied; everything else is
     shared with ``document``, which is never modified.
     """
-    return _assign(_steps(document, path), value)
+    return _put(document, _steps(document, path), value)
 
 
-def _assign(steps: list[tuple[Any, Any]], value: Any) -> Any:
-    """Copy of the document that ``steps`` of ``_steps`` lead through, with
-    ``value`` at their end: each container along them copied, in turn."""
-    for container, key in reversed(steps):
-        copy = container.copy()
-        copy[key] = value
-        value = copy
-    return value
-
-
-def _points(document: dict, steps: list, keys: list, spec: SweepSpec, base: NetworkScenario, t: float | None) -> Iterator:
+def _points(document: dict, keys: list, spec: SweepSpec, base: NetworkScenario, t: float | None) -> Iterator:
     """(axis values, scenario, ``point_inputs`` at ``t``) of every grid
-    point, in grid order, each built by ``document._build``; a failing point
-    has its error, a second path's ParameterPathError or that of its build
-    or inputs, in place of the scenario, and None for inputs.
+    point, in grid order; a failing point has its error, a second path's
+    ParameterPathError or that of its build or inputs, in place of the
+    scenario, and None for inputs.
 
-    ``steps`` lead to the first path's value in ``document`` (``_steps``),
-    and ``keys`` are their keys. The first path is compiled
-    (``document._makers``) once, on ``document``, and each first-axis point
-    is built with it on ``base``. The second path is resolved once per
-    first-axis value, on that value's document, as setting the first value
-    may rename the entry the second path names; it is compiled on the
-    first-axis point, and each second-axis point is built as an edit of
-    that point: every field outside the second value's edit holds what the
-    first-axis point passed, so the first failing parse and rule are a
-    fresh build's. A record the first-axis point shares with ``base`` is
-    made once per second-axis value in the whole sweep (``_memo``, one per
-    call). When the first-axis point fails, its second-axis points are
-    built on ``base`` with both paths compiled together, and without the
-    memo, as a second value may repair the first or fail in an earlier
-    section.
+    ``keys`` lead to the first path's value in ``document``. Each path is
+    compiled (``document._makers``) into the reader of its value: a point
+    is its record edits and one scenario edit. The first path is compiled
+    once, on ``document`` and ``base``. The second path is resolved on each
+    first-axis value's document, the one document copied, as the first
+    value may rename the entry it names, and compiled on the first-axis
+    point, whose every field outside the second path then holds what it
+    passed, so the first failing parse and rule are a fresh build's. A
+    record the first-axis point shares with ``base`` is made once per
+    second-axis value in the sweep (``_memo``). When the first-axis point
+    fails, both paths are compiled on ``base``, without the memo, as a
+    second value may repair the first or fail in an earlier section.
     """
     first_path = _makers(base, document, [keys])
     memo = _memo(base)
     for v1 in spec.values:
-        point = _assign(steps, v1)
         if spec.param2_path is None:
-            grid, on, makers = [((v1,), point)], base, first_path
+            grid, make = [((v1,), v1)], first_path
         else:
+            point = _put(document, keys, v1)
             try:
-                steps2 = _steps(point, spec.param2_path)
+                keys2 = _steps(point, spec.param2_path)
             except ParameterPathError as exc:
                 yield from (((v1, v2), exc, None) for v2 in spec.values2)
                 continue
-            keys2 = [key for _, key in steps2]
             try:
-                on = _build(point, base, first_path)
+                on = first_path(v1)
             except (ValueError, ArithmeticError):
-                on, makers = base, _makers(base, point, [keys, keys2])
+                make = _makers(base, point, [keys, keys2])
+                grid = (((v1, v2), (v1, v2)) for v2 in spec.values2)
             else:
-                makers = _makers(on, point, [keys2], memo)
-            grid = (((v1, v2), _assign(steps2, v2)) for v2 in spec.values2)
-        for values, edited in grid:
+                make = _makers(on, point, [keys2], memo)
+                grid = (((v1, v2), v2) for v2 in spec.values2)
+        for values, value in grid:
             try:
-                s = _build(edited, on, makers)
+                s = make(value)
                 new = point_inputs(s, t)
             except (ValueError, ArithmeticError) as exc:
                 s, new = exc, None
@@ -203,10 +190,10 @@ def _memo(base: NetworkScenario) -> Memo:
     record of ``base``'s own, compiled for the second path alone, makes the
     record once per raw second-axis value and reuses it at every first-axis
     value that leaves the record as ``base`` holds it. Such a reader parses
-    only the value at the end of the path and edits the one record, so what
-    it makes depends on that value alone. Only ``base``'s own records,
-    alive for the whole sweep, are memoized; a record made per first-axis
-    point could be freed and its id taken by the next one.
+    only the value it is given and edits the one record, so what it makes
+    depends on that value alone. Only ``base``'s own records, alive for the
+    whole sweep, are memoized; a record made per first-axis point could be
+    freed and its id taken by the next one.
 
     Entries are keyed by the identity of the raw value, as a value's read
     depends on its type and ``1``, ``1.0`` and ``True`` are equal: ``True``
@@ -218,22 +205,15 @@ def _memo(base: NetworkScenario) -> Memo:
     records += [r for k in base.kinds for r in (k.xhaul, k.cost_breakdown) if r is not None]
     tables: dict[int, dict[int, tuple[Any, Any]]] = {id(r): {} for r in records}
 
-    def memo(record: Any, edits: dict[str, Any], make: Maker) -> Maker:
+    def memo(record: Any, make: Maker) -> Maker:
         table = tables.get(id(record))
         if table is None:
             return make
-        keys = []  # the one path from the record to its edited value
-        while edits is not None:
-            (key, edits), = edits.items()
-            keys.append(key)
 
-        def made(doc: Any) -> Any:
-            value = doc
-            for key in keys:
-                value = value[key]
+        def made(value: Any) -> Any:
             entry = table.get(id(value))
             if entry is None:
-                entry = table[id(value)] = value, make(doc)
+                entry = table[id(value)] = value, make(value)
             return entry[1]
 
         return made
@@ -254,12 +234,11 @@ def open_sweep(document: dict[str, Any], spec: SweepSpec) -> tuple[NetworkScenar
     or, when that is None, the base scenario's peak hour.
     """
     base = build_scenario(document)
-    steps = _steps(document, spec.param_path)
-    keys = [key for _, key in steps]
-    if spec.param2_path is not None and keys == [key for _, key in _steps(document, spec.param2_path)]:
+    keys = _steps(document, spec.param_path)
+    if spec.param2_path is not None and keys == _steps(document, spec.param2_path):
         raise ParameterPathError(f"parameter paths '{spec.param_path}' and '{spec.param2_path}' address the same value")
     t = None if spec.daily else base.traffic.peak_hour if spec.time_hours is None else spec.time_hours
-    return base, t, _rows(_points(document, steps, keys, spec, base, t), t)
+    return base, t, _rows(_points(document, keys, spec, base, t), t)
 
 
 def _rows(points: Iterator, t: float | None) -> Iterator[SweepRow]:

@@ -1,8 +1,10 @@
 """Shared fixture paths and small scenario factories for the test suite."""
 
+import contextlib
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from e3sim import (
     set_parameter,
 )
 import e3sim.cli  # noqa: F401 (every engine module, for ENGINE_CACHES)
+from e3sim import sweep
 from e3sim.allocation import fill, plan_geometry, station_capacities, water_levels
 from e3sim.radio import demand_factor, nearest_stations
 
@@ -58,6 +61,30 @@ def with_parameter(scenario, path, value):
 def sweep_rows(document, spec):
     """Every row of the sweep ``spec`` of ``document``, in grid order."""
     return tuple(open_sweep(document, spec)[2])
+
+
+@contextlib.contextmanager
+def recorded_points(points):
+    """Append (the scenario it is read on, its scenario or error) of every
+    point a sweep reads to ``points``, as each path's compiled reader
+    (``document._makers``) reads it."""
+    real = sweep._makers
+
+    def makers(base, *args):
+        make = real(base, *args)
+
+        def recorded(value):
+            try:
+                points.append((base, make(value)))
+            except Exception as exc:
+                points.append((base, exc))
+                raise
+            return points[-1][1]
+
+        return recorded
+
+    with mock.patch.object(sweep, "_makers", makers):
+        yield
 
 
 def allocation_at(s, t_hours):

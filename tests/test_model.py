@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import load_document, make_kind, make_scenario, make_stations, make_ues, make_xhaul
+from conftest import load_document, make_kind, make_scenario, make_stations, make_ues, make_xhaul, recorded_points
 from e3sim import (
     BsKind,
     CacheConfig,
@@ -45,7 +46,7 @@ from e3sim import document as document_module, model, scenario, sweep
 from e3sim.metrics import point_inputs
 from e3sim.model import BaseStation, UserEquipment
 from e3sim.rng import BLOCK_POINTS, uniform_positions
-from e3sim.document import _FIELDS, _RECORDS, _SECTIONS, _build, _maker, _makers, section_keys
+from e3sim.document import _FIELDS, _RECORDS, _SECTIONS, _maker, _makers, section_keys
 
 BREAKDOWN_COMPONENTS = (
     "infrastructure",
@@ -804,9 +805,9 @@ def test_a_grid_is_built_without_station_records():
 def test_a_sweep_point_that_reuses_the_ues_checks_no_ue_id():
     doc = scenario_to_document(build_scenario(load_document("fig3.json")))  # the UEs as a list
     base = build_scenario(doc)
-    point, makers = point_of(doc, base, "kinds.ap.cache_size", 2)
+    point, read = point_of(doc, base, "kinds.ap.cache_size", 2)
     with mock.patch.object(scenario, "_require_unique", wraps=scenario._require_unique) as unique:
-        reused = _build(point, base, makers)
+        reused = read()
         assert reused.ues is base.ues
         assert [c.args[0] for c in unique.call_args_list].count("ue_id") == 0
         build_scenario(point)
@@ -814,9 +815,9 @@ def test_a_sweep_point_that_reuses_the_ues_checks_no_ue_id():
 
 
 def point_of(document, base, path, value):
-    """The document of a sweep point with ``value`` at ``path``, and its makers on ``base``."""
-    steps = sweep._steps(document, path)
-    return sweep._assign(steps, value), _makers(base, document, [[key for _, key in steps]])
+    """The document of a sweep point with ``value`` at ``path``, and the read of its scenario on ``base``."""
+    keys = sweep._steps(document, path)
+    return set_parameter(document, path, value), functools.partial(_makers(base, document, [keys]), value)
 
 
 def reuse_documents():
@@ -938,8 +939,16 @@ def recorded_parsers(parsed):
 
 
 def makers_of(base, document, paths):
-    """The makers (``_makers``) of ``document``, an edit of ``base``'s at key paths from the root."""
+    """The reader (``_makers``) of the edits of ``document``, ``base``'s, at key paths from the root."""
     return _makers(base, document, paths)
+
+
+def values_set(documents, paths):
+    """The values ``reuse_edits`` set at ``paths``, each in the document after
+    the one before, as the reader of ``makers_of`` takes them: the one path's
+    value, or a tuple of one per path."""
+    values = tuple(lookup(document, keys) for document, keys in zip(documents[1:], paths))
+    return values[0] if len(values) == 1 else values
 
 
 class TestValueReuse:
@@ -971,8 +980,7 @@ class TestValueReuse:
         # for one path, and for two on the document with the first value set
         documents, paths = edit
         base, point = build_scenario(documents[0]), documents[-1]
-        makers = makers_of(base, documents[-2], paths)
-        reused = built_or_error(lambda d: _build(d, base, makers), point)
+        reused = built_or_error(makers_of(base, documents[-2], paths), values_set(documents, paths))
         fresh = built_or_error(build_scenario, point)
         assert reused == fresh
         if isinstance(reused, NetworkScenario):
@@ -982,10 +990,10 @@ class TestValueReuse:
         if len(paths) == 2:
             # a sweep's second-axis point: an edit of its first-axis point, when that builds
             try:
-                on = _build(documents[1], base, makers_of(base, documents[0], paths[:1]))
+                on = makers_of(base, documents[0], paths[:1])(values_set(documents, paths[:1]))
             except (ValueError, ArithmeticError):
                 return
-            edited = built_or_error(lambda d: _build(d, on, makers_of(on, documents[1], paths[1:])), point)
+            edited = built_or_error(makers_of(on, documents[1], paths[1:]), values_set(documents[1:], paths[1:]))
             assert edited == fresh
             if isinstance(edited, NetworkScenario):
                 assert oracles.stations(edited) == oracles.stations(fresh)
@@ -996,8 +1004,8 @@ class TestValueReuse:
         parsed = []
         with mock.patch.dict(_FIELDS, recorded_parsers(parsed)), \
                 mock.patch("e3sim.document._maker", wraps=_maker) as record:
-            point, makers = point_of(document, base, "kinds.ap.xhaul.capacity_bps", 2e7)
-            s = _build(point, base, makers)
+            point, read = point_of(document, base, "kinds.ap.xhaul.capacity_bps", 2e7)
+            s = read()
         assert parsed == ["kinds[0].xhaul.capacity_bps"]
         assert [c.args[0] for c in record.call_args_list] == [("kinds", "*"), ("kinds", "*", "xhaul")]
         assert oracles.stations(s)[0].kind is s.kinds[0] and s.kinds[0].xhaul.capacity_bps == 2e7
@@ -1021,18 +1029,18 @@ class TestValueReuse:
             made = {cls.__name__: stack.enter_context(
                 mock.patch.object(cls, "__init__", autospec=True, side_effect=cls.__init__)) for cls in classes}
             edits = stack.enter_context(mock.patch("e3sim.document.edit", wraps=model.edit))
-            builds = stack.enter_context(mock.patch("e3sim.sweep._build", wraps=_build))
-            steps = sweep._steps(document, spec.param_path)
-            points = [s for _, s, _ in sweep._points(document, steps, [key for _, key in steps], spec, base, 20.0)]
+            read = []
+            stack.enter_context(recorded_points(read))
+            points = sweep_points(document, spec, base)
         assert parsed == ["kinds[0].cache_size"] + ["kinds[0].xhaul.capacity_bps"] * 2
         counts = collections.Counter({name: m.call_count for name, m in made.items()})
         counts.update(type(c.args[0]).__name__ for c in edits.call_args_list)
         assert {name: n for name, n in counts.items() if n} == {"XHaulSolution": 2, "BsKind": 3, "NetworkScenario": 3}
-        # the first-axis point is built on the base, and both second-axis points on it
-        (first, _, _), *seconds = (c.args for c in builds.call_args_list)
-        on = seconds[0][1]
-        assert all(args[1] is on for args in seconds) and on is not base
-        assert on == build_scenario(first) == build_scenario(set_parameter(document, spec.param_path, 2))
+        # the first-axis point is read on the base, and both second-axis points on it
+        (on_base, on), *seconds = read
+        first = set_parameter(document, spec.param_path, 2)
+        assert on_base is base and all(args[0] is on for args in seconds) and on is not base
+        assert on == build_scenario(first)
         for s, capacity in zip(points, spec.values2):
             assert s == build_scenario(set_parameter(first, spec.param2_path, capacity))
             assert s.ues is base.ues and s.base_stations is base.base_stations
@@ -1218,6 +1226,6 @@ def recorded_placed(ran):
 
 def sweep_points(document, spec, base):
     """The scenario, or error, of every grid point of ``spec``, as ``sweep._points`` builds it on ``base``."""
-    steps = sweep._steps(document, spec.param_path)
+    keys = sweep._steps(document, spec.param_path)
     t = None if spec.daily else spec.time_hours
-    return [s for _, s, _ in sweep._points(document, steps, [key for _, key in steps], spec, base, t)]
+    return [s for _, s, _ in sweep._points(document, keys, spec, base, t)]

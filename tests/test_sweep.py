@@ -13,11 +13,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import load_document, make_scenario, sweep_rows
+from conftest import load_document, make_scenario, recorded_points, sweep_rows
 from e3sim import (
     Argmax,
     CacheConfig,
     InvariantError,
+    NetworkScenario,
     ParameterPathError,
     SchemaError,
     SweepRow,
@@ -34,7 +35,7 @@ from e3sim import (
     set_parameter,
 )
 from e3sim import document, model, sweep
-from e3sim.document import _build, _makers
+from e3sim.document import _makers
 from e3sim.model import _BREAKDOWN_COMPONENTS as BREAKDOWN_COMPONENTS, BaseStation, XHaulSolution
 from e3sim.rng import uniform_positions
 
@@ -58,8 +59,7 @@ def best_of(rows, metric="e3"):
 
 def rebuilt(document, base, path, value):
     """The scenario of a sweep point of ``document`` with ``value`` at ``path``, built on ``base``."""
-    steps = sweep._steps(document, path)
-    return _build(sweep._assign(steps, value), base, _makers(base, document, [[key for _, key in steps]]))
+    return _makers(base, document, [sweep._steps(document, path)])(value)
 
 
 class TestSetParameter:
@@ -283,16 +283,12 @@ class TestRunSweep:
         fig3["kinds"] += [{**fig3["kinds"][0], "kind_id": kind_id} for kind_id in ("b", "x")]
         spec = SweepSpec(param_path="kinds[1].kind_id", values=("b", "x"), param2_path="kinds.x.kind_id",
                          values2=("y",), time_hours=20.0)
-        points, on = [], []
-
-        def recorded(*args):
-            on.append(args[1])
-            points.append(_build(*args))
-            return points[-1]
-
-        with mock.patch("e3sim.sweep._build", recorded):
+        read = []
+        with recorded_points(read):
             base, _, rows = open_sweep(fig3, spec)
             rows = list(rows)
+        on = [s for s, _ in read]
+        points = [point for _, point in read if isinstance(point, NetworkScenario)]
         # "b" builds its first-axis point, then the second-axis point on it; at "x" two kinds are
         # named "x", so its first-axis point fails, and its second-axis point is built on the base
         assert points == [built(fig3, "kinds[1].kind_id", "b"), built(fig3, "kinds[2].kind_id", "y"),
@@ -570,16 +566,12 @@ def assert_kind_sweep_shares_the_base_layout(document, spec):
     base's very layout with no station record made, its stations are of
     its own catalog's kinds, and its row equals a fresh build's report and
     the oracle's."""
-    points = []
-
-    def recorded(point, base, edits):
-        points.append(_build(point, base, edits))
-        return points[-1]
-
+    read = []
     check = mock.patch.object(BaseStation, "__init__", autospec=True, side_effect=BaseStation.__init__)
-    with check as made, mock.patch("e3sim.sweep._build", recorded):
+    with check as made, recorded_points(read):
         base, _, rows = open_sweep(document, spec)
         rows = list(rows)
+    points = [point for _, point in read if isinstance(point, NetworkScenario)]
     assert made.call_count == 0 and len(points) == len(spec.values)
     for s in points:
         assert s.base_stations is base.base_stations
@@ -664,6 +656,21 @@ class TestBlocks:
         assert len(sizes) <= -(-402 // per_block) == 12
         assert sort.call_count == 1  # the peaks are sorted once for the geometry
         assert cache._zipf_probabilities.cache_info().misses == 1  # one Zipf table for the whole sweep
+
+    def test_the_fig3_cache_xhaul_study_copies_one_document_per_first_axis_value(self, fig3):
+        # a second-axis point is read from its value alone: the only document copied is each
+        # first-axis value's, on which the second path is resolved; the X-Haul record of each
+        # capacity is made once, at the first cache size, and the other 20 share it
+        spec = SweepSpec(param_path="kinds.ap.cache_size", values=tuple(range(21)),
+                         param2_path="kinds.ap.xhaul.capacity_bps", values2=tuple(1e6 * v for v in range(1, 101)),
+                         daily=True)
+        with mock.patch("e3sim.sweep._put", wraps=document._put) as put, \
+                mock.patch.object(document, "_edited", wraps=document._edited) as edited, \
+                mock.patch.object(document, "edit", wraps=model.edit) as edit:
+            rows = sweep_rows(fig3, spec)
+        assert put.call_count == len(spec.values) == 21 and edited.call_count == 0
+        assert [type(c.args[0]) for c in edit.call_args_list].count(XHaulSolution) == len(spec.values2) == 100
+        assert len(rows) == 2100 and all(row.error is None for row in rows)
 
     @pytest.mark.parametrize(
         "spec, compiled, blocks",
@@ -798,6 +805,25 @@ class TestBlocks:
                                          daily=True)),
         chunk_bytes=radio.CHUNK_BYTES,
     )
+    # readers that reach off the second path: a rename of the grid's kind reads the stations again,
+    # a seed regenerates the UEs, and a key the document leaves out is derived from the medium
+    @example(
+        sweep=(load_document("fig2.json"), SweepSpec(param_path="kinds.opt3.cache_size", values=(0, 1),
+                                                     param2_path="kinds[2].kind_id", values2=("opt3", "zz"),
+                                                     time_hours=20.0)),
+        chunk_bytes=radio.CHUNK_BYTES,
+    )
+    @example(
+        sweep=(two_station_fig3(), SweepSpec(param_path="kinds.ap.cache_size", values=(0, 6), param2_path="seed",
+                                             values2=(0, 7, 7, 0), daily=True)),
+        chunk_bytes=radio.CHUNK_BYTES,
+    )
+    @example(
+        sweep=(derived_fig3(), SweepSpec(param_path="kinds.ap.xhaul.medium", values=("wireless", "fiber"),
+                                         param2_path="kinds.ap.xhaul.xhaul_power_factor", values2=(0.5, 2.0),
+                                         time_hours=20.0)),
+        chunk_bytes=radio.CHUNK_BYTES,
+    )
     def test_every_row_equals_a_fresh_evaluation(self, sweep, chunk_bytes):
         # both fig3 and fig2 peak at hour 20, the default time of a row
         document, spec = sweep
@@ -893,11 +919,12 @@ class TestBlocks:
         # below 2.4e7 bit/s the X-Haul binds, so each of the 100 points is evaluated: three blocks
         spec = SweepSpec(param_path="kinds.ap.xhaul.capacity_bps", values=tuple(1e5 * v for v in range(1, 101)),
                          daily=True)
-        with mock.patch("e3sim.sweep._build", wraps=_build) as build:
+        read = []
+        with recorded_points(read):
             base, _, rows = open_sweep(fig3, spec)
-            assert base == build_scenario(fig3) and build.call_count == 0
+            assert base == build_scenario(fig3) and len(read) == 0
             first = next(rows)
-            assert build.call_count == radio.chunk_rows(10) // 24 < len(spec.values)
+            assert len(read) == radio.chunk_rows(10) // 24 < len(spec.values)
         assert first.report == evaluate_daily(built(fig3, spec.param_path, 1e5))
 
     def test_a_long_xhaul_run_evaluates_each_binding_point_once(self, fig3):
@@ -1060,6 +1087,6 @@ class TestRecordMemo:
 def second_axis_points(document, spec):
     """The scenario of every grid point of ``spec``, as ``sweep._points`` builds it."""
     base = build_scenario(document)
-    steps = sweep._steps(document, spec.param_path)
+    keys = sweep._steps(document, spec.param_path)
     t = None if spec.daily else spec.time_hours
-    return [s for _, s, _ in sweep._points(document, steps, [key for _, key in steps], spec, base, t)]
+    return [s for _, s, _ in sweep._points(document, keys, spec, base, t)]
